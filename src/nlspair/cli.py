@@ -251,6 +251,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _err("io", str(exc))
         return 1
+    except ValueError as exc:
+        _err("diagnostic", str(exc))
+        return 1
 
 
 if __name__ == "__main__":

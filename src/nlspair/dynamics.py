@@ -6,7 +6,9 @@ nonlinear substep: with ``a = |u1|^2``, ``b = |u2|^2`` the substep obeys
 ``a' = -2ab``, ``b' = -2ab``, so ``m = a - b`` is a pointwise invariant and
 ``a`` follows the logistic law ``a' = -2a(a - m)`` with phases frozen.  Using
 the closed form keeps the difference of the component masses conserved to
-machine precision over arbitrarily long runs.
+machine precision over arbitrarily long runs.  Adjacent half free steps are
+merged between checkpoints, so one step costs one batched FFT/IFFT pair of
+the ``(2, N)`` state.
 
 A classical RK4 integrator in the interaction picture (``v = U(-t) u``) is
 kept purely as a cross-validation oracle; it also integrates the
@@ -219,6 +221,23 @@ def coupled_decay_ratios(a0: np.ndarray, b0: np.ndarray, s: float):
     return r1, r2
 
 
+def _decay_substep(v: np.ndarray, dt: float):
+    """Exact nonlinear substep on a ``(2, N)`` state, in place; returns the ratios."""
+    sq = v.real ** 2 + v.imag ** 2
+    r1, r2 = coupled_decay_ratios(sq[0], sq[1], dt)
+    v[0] *= np.sqrt(r1)
+    v[1] *= np.sqrt(r2)
+    return r1, r2
+
+
+def _stack(pair: FieldPair) -> np.ndarray:
+    return np.stack([pair.u1.values, pair.u2.values])
+
+
+def _unstack(grid: Grid, v: np.ndarray, t: float) -> FieldPair:
+    return FieldPair(ComplexField(grid, v[0], t), ComplexField(grid, v[1], t))
+
+
 def nonlinear_substep(pair: FieldPair, dt: float) -> FieldPair:
     """Exact pointwise solution of the coupled amplitude-decay flow.
 
@@ -231,24 +250,49 @@ def nonlinear_substep(pair: FieldPair, dt: float) -> FieldPair:
         raise ValueError("nonlinear substep is forward-only (dt >= 0)")
     if dt == 0.0:
         return pair
-    v1, v2 = pair.u1.values, pair.u2.values
-    a0 = np.abs(v1) ** 2
-    b0 = np.abs(v2) ** 2
-    r1, r2 = coupled_decay_ratios(a0, b0, dt)
+    v = _stack(pair)
+    r1, r2 = _decay_substep(v, dt)
     if np.any(r1 < 0.0) or np.any(r2 < 0.0):
         raise AssertionError("internal error: negative amplitude ratio in exact substep")
-    t = pair.time
-    return FieldPair(
-        ComplexField(pair.grid, v1 * np.sqrt(r1), t),
-        ComplexField(pair.grid, v2 * np.sqrt(r2), t),
-    )
+    return _unstack(pair.grid, v, pair.time)
 
 
-def _substep_arrays(v1: np.ndarray, v2: np.ndarray, dt: float):
-    a0 = np.abs(v1) ** 2
-    b0 = np.abs(v2) ** 2
-    r1, r2 = coupled_decay_ratios(a0, b0, dt)
-    return v1 * np.sqrt(r1), v2 * np.sqrt(r2)
+class _StrangKernel:
+    """Strang splitting of a ``(2, N)`` x-space state, first same as last.
+
+    The trailing half free flow of each step is left pending and merged into
+    the leading half of the next: free flows compose exactly,
+    ``U(a) U(b) = U(a + b)``, so a step costs one batched FFT, one multiply
+    and one batched IFFT around the exact substep.  ``flush`` applies the
+    pending half step; the state is a Strang iterate only after it.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.pending = 0.0
+        self._mults: dict[float, np.ndarray] = {}
+
+    def _free(self, v: np.ndarray, tau: float) -> np.ndarray:
+        mult = self._mults.get(tau)
+        if mult is None:
+            if len(self._mults) > 8:
+                self._mults.clear()
+            mult = self._mults[tau] = _free_multiplier_fft(self.grid, tau)
+        spec = np.fft.fft(v, axis=-1)
+        spec *= mult
+        return np.fft.ifft(spec, axis=-1)
+
+    def step(self, v: np.ndarray, dt: float) -> np.ndarray:
+        v = self._free(v, self.pending + 0.5 * dt)
+        _decay_substep(v, dt)
+        self.pending = 0.5 * dt
+        return v
+
+    def flush(self, v: np.ndarray) -> np.ndarray:
+        if self.pending:
+            v = self._free(v, self.pending)
+            self.pending = 0.0
+        return v
 
 
 def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
@@ -257,14 +301,8 @@ def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
         raise ValueError("strang_step needs dt > 0")
     if abs(pair.time - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"pair time {pair.time} does not match step time {t}")
-    g = pair.grid
-    half = _free_multiplier_fft(g, 0.5 * dt)
-    v1 = _free_step_array(g, pair.u1.values, 0.5 * dt, half)
-    v2 = _free_step_array(g, pair.u2.values, 0.5 * dt, half)
-    v1, v2 = _substep_arrays(v1, v2, dt)
-    v1 = _free_step_array(g, v1, 0.5 * dt, half)
-    v2 = _free_step_array(g, v2, 0.5 * dt, half)
-    return FieldPair(ComplexField(g, v1, t + dt), ComplexField(g, v2, t + dt))
+    kernel = _StrangKernel(pair.grid)
+    return _unstack(pair.grid, kernel.flush(kernel.step(_stack(pair), dt)), t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +316,9 @@ def _checkpoint(grid: Grid, v1: np.ndarray, v2: np.ndarray, t: float) -> Checkpo
     return Checkpoint(pair, mass_ledger(pair))
 
 
-def _guard(config: SolverConfig, cp: Checkpoint, events: list) -> None:
+def _guard(config: SolverConfig, cp: Checkpoint) -> None:
     frac = boundary_mass_fraction(cp.pair, config.boundary_band)
     if frac > config.boundary_mass_tol:
-        events.append({"t": cp.ledger.t, "fraction": frac})
         raise GuardViolation(cp.ledger.t, frac, config.boundary_mass_tol)
 
 
@@ -302,24 +339,11 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
         raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
 
     cps = config.resolved_checkpoints()
-    events: list = []
     out: list[Checkpoint] = []
-    v1 = np.array(initial.u1.values)
-    v2 = np.array(initial.u2.values)
+    v = _stack(initial)
     t = config.t_start
-    start_cp = _checkpoint(grid, v1, v2, t)
-    _guard(config, start_cp, events)
-
-    mult_cache: dict[float, np.ndarray] = {}
-
-    def half_mult(dt: float) -> np.ndarray:
-        m = mult_cache.get(dt)
-        if m is None:
-            if len(mult_cache) > 8:
-                mult_cache.clear()
-            m = _free_multiplier_fft(grid, 0.5 * dt)
-            mult_cache[dt] = m
-        return m
+    _guard(config, _checkpoint(grid, v[0], v[1], t))
+    kernel = _StrangKernel(grid)
 
     n_steps = 0
     i_cp = 0
@@ -327,18 +351,14 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
     while i_cp < len(cps):
         target = cps[i_cp]
         if target <= t + eps * max(1.0, t):
-            cp = _checkpoint(grid, v1, v2, target)
-            _guard(config, cp, events)
+            v = kernel.flush(v)
+            cp = _checkpoint(grid, v[0], v[1], target)
+            _guard(config, cp)
             out.append(cp)
             i_cp += 1
             continue
         dt = min(config.dt_policy.dt_at(t), target - t)
-        half = half_mult(dt)
-        v1 = _free_step_array(grid, v1, 0.5 * dt, half)
-        v2 = _free_step_array(grid, v2, 0.5 * dt, half)
-        v1, v2 = _substep_arrays(v1, v2, dt)
-        v1 = _free_step_array(grid, v1, 0.5 * dt, half)
-        v2 = _free_step_array(grid, v2, 0.5 * dt, half)
+        v = kernel.step(v, dt)
         t = target if target - t - dt <= eps * max(1.0, target) else t + dt
         n_steps += 1
 
@@ -346,7 +366,7 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
         config=config,
         checkpoints=tuple(out),
         provenance={"scheme": "strang_exact", "n_steps": n_steps,
-                    "version": __version_provenance__, "guard_events": events},
+                    "version": __version_provenance__},
     )
 
 
@@ -365,13 +385,12 @@ def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
     coef = 1.0 if config.coupling == "dissipative" else 1.0j
 
     cps = config.resolved_checkpoints()
-    events: list = []
     out: list[Checkpoint] = []
     t0 = config.t_start
     # pull back to the interaction picture
     w1 = _free_step_array(grid, np.array(initial.u1.values), -t0) if t0 else np.array(initial.u1.values)
     w2 = _free_step_array(grid, np.array(initial.u2.values), -t0) if t0 else np.array(initial.u2.values)
-    _guard(config, _checkpoint(grid, initial.u1.values, initial.u2.values, t0), events)
+    _guard(config, _checkpoint(grid, initial.u1.values, initial.u2.values, t0))
 
     def rhs(tau: float, f1: np.ndarray, f2: np.ndarray):
         u1 = _free_step_array(grid, f1, tau)
@@ -391,7 +410,7 @@ def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
             u1 = _free_step_array(grid, w1, target)
             u2 = _free_step_array(grid, w2, target)
             cp = _checkpoint(grid, u1, u2, target)
-            _guard(config, cp, events)
+            _guard(config, cp)
             out.append(cp)
             i_cp += 1
             continue
@@ -409,6 +428,5 @@ def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
         config=config,
         checkpoints=tuple(out),
         provenance={"scheme": "rk4_reference", "coupling": config.coupling,
-                    "n_steps": n_steps, "version": __version_provenance__,
-                    "guard_events": events},
+                    "n_steps": n_steps, "version": __version_provenance__},
     )

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fits
 from .dynamics import DtPolicy, SolverConfig, Trajectory, mass_ledger, run
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, GuardViolation
 from .profiles import (
     DEFAULT_GAMMA,
     build_case_records,
@@ -196,6 +196,8 @@ class ExperimentConfig:
         uses_random = self.data1.get("kind") == "random" or self.data2.get("kind") == "random"
         if uses_random and self.seed is None:
             raise ConfigError("random data requires a seed")
+        if self.analysis.profiles:
+            _check_analysable(self.solver)
 
     def to_dict(self) -> dict:
         d = {
@@ -257,6 +259,26 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _check_analysable(solver: SolverConfig) -> None:
+    """Reject, before any compute, a run the profile analysis cannot use.
+
+    The analysis reads the checkpoints from t = 2 on (``profile_history``):
+    the last must reach t = 100, and the decay fits need 8 of them in the
+    trailing window ``[T/10, T]``.
+    """
+    ts = solver.resolved_checkpoints()
+    ts = ts[ts >= 2.0 - 1e-9]
+    if ts.size == 0 or ts[-1] < 100.0:
+        last = f"{ts[-1]:g}" if ts.size else "none"
+        raise ConfigError(f"profile analysis needs checkpoints up to t >= 100 "
+                          f"(t_end = {solver.t_end:g}, last checkpoint {last}); "
+                          f"extend the run or turn analysis.profiles off")
+    n_window = int(np.sum(fits.trailing_window_mask(ts)))
+    if n_window < 8:
+        raise ConfigError(f"profile analysis needs at least 8 checkpoints in the trailing "
+                          f"window [{0.1 * ts[-1]:g}, {ts[-1]:g}], got {n_window}")
 
 
 def _missing(key: str):
@@ -506,7 +528,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
 
     if analysis.profiles:
         profiles = profile_history(traj)
-        probes = remainder_history(traj, gamma=analysis.gamma) if analysis.remainder else None
+        probes = (remainder_history(traj, gamma=analysis.gamma, profiles=profiles)
+                  if analysis.remainder else None)
         if probes is not None:
             records, est = build_case_records(
                 traj, profiles, probes, deadband=analysis.deadband, gamma=analysis.gamma
@@ -588,12 +611,13 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                 name = f"checkpoints/cp_{i:04d}.bin"
                 persist_checkpoint(cp.pair, out_dir / name)
                 outputs.append(name)
-        manifest.guard_events = traj.provenance.get("guard_events", [])
         manifest.outputs = sorted(set(outputs)) + ["manifest.json"]
         manifest.status = "ok"
         return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
-    except BaseException:
+    except BaseException as exc:
         manifest.status = "failed"
+        if isinstance(exc, GuardViolation):
+            manifest.guard_events = [{"t": exc.time, "fraction": exc.fraction}]
         raise
     finally:
         manifest.wall_seconds = _time.perf_counter() - t0

@@ -28,7 +28,7 @@ from .spectral import (
     apply_J,
     forward_transform,
     free_propagate,
-    norms,
+    sobolev_norm,
 )
 
 SURVIVOR_1 = "survivor_1"
@@ -114,22 +114,29 @@ def remainder_probe(pair: FieldPair, snapshot: ProfileSnapshot | None = None,
 
     w = np.sqrt(1.0 + g.xi ** 2)
     peak = float(max(np.max(w * np.abs(r1)), np.max(w * np.abs(r2))))
-    h1 = math.sqrt(norms(pair.u1).h1 ** 2 + norms(pair.u2).h1 ** 2)
-    jh1 = math.sqrt(
-        norms(apply_J(pair.u1, t)).h1 ** 2 + norms(apply_J(pair.u2, t)).h1 ** 2
-    )
+    h1 = math.sqrt(sobolev_norm(pair.u1, 1.0) ** 2 + sobolev_norm(pair.u2, 1.0) ** 2)
+    jh1 = math.sqrt(sobolev_norm(apply_J(pair.u1, t), 1.0) ** 2
+                    + sobolev_norm(apply_J(pair.u2, t), 1.0) ** 2)
     denom = (h1 + jh1) ** 3
     ratio = peak * t ** (1.25 - 3.0 * gamma) / denom if denom > 0 else 0.0
     return RemainderProbe(t=t, r1=r1, r2=r2, bound_ratio=float(ratio), gamma=gamma)
 
 
 def remainder_history(traj: Trajectory, gamma: float = DEFAULT_GAMMA,
-                      t_min: float = 2.0) -> list[RemainderProbe]:
-    return [
-        remainder_probe(cp.pair, gamma=gamma)
-        for cp in traj.checkpoints
-        if cp.ledger.t >= max(t_min, 1.0) - 1e-9
-    ]
+                      t_min: float = 2.0,
+                      profiles: list[ProfileSnapshot] | None = None) -> list[RemainderProbe]:
+    """Remainder probes at every checkpoint with t >= t_min.
+
+    ``profiles`` are the snapshots of :func:`profile_history` over the same
+    checkpoints; pass them when already built, so they are not extracted twice.
+    """
+    t_min = max(t_min, 1.0)
+    if profiles is None:
+        profiles = profile_history(traj, t_min)
+    pairs = [cp.pair for cp in traj.checkpoints if cp.ledger.t >= t_min - 1e-9]
+    if [p.t for p in profiles] != [pair.time for pair in pairs]:
+        raise ValueError("profiles and checkpoints cover different times")
+    return [remainder_probe(pair, snap, gamma) for pair, snap in zip(pairs, profiles)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +182,7 @@ def estimate_m(traj: Trajectory,
     if ts[-1] < 100.0:
         raise ValueError(f"trajectory too short: final time {ts[-1]} < 100")
     if probes is None:
-        probes = remainder_history(traj, gamma=gamma)
+        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
     if len(probes) != len(profiles):
         raise ValueError("profiles and probes must cover the same checkpoints")
 
@@ -422,7 +429,7 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
     if profiles is None:
         profiles = profile_history(traj)
     if probes is None:
-        probes = remainder_history(traj, gamma=gamma)
+        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
     est = estimate_m(traj, profiles, probes, gamma=gamma)
     if deadband is None:
         deadband = est.suggested_deadband
@@ -471,7 +478,7 @@ def build_case_records(traj: Trajectory,
     if profiles is None:
         profiles = profile_history(traj)
     if probes is None:
-        probes = remainder_history(traj, gamma=gamma)
+        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
     est = estimate_m(traj, profiles, probes, gamma=gamma)
     if deadband is None:
         deadband = est.suggested_deadband

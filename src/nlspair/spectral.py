@@ -134,8 +134,18 @@ class FieldPair:
 # ---------------------------------------------------------------------------
 
 def _free_multiplier_fft(grid: Grid, dt: float) -> np.ndarray:
-    mult = np.exp(-0.5j * dt * grid._xi_fft ** 2)
-    mult[grid._nyq_fft] = 0.0
+    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed.
+
+    ``xi^2`` is even and fft order holds the frequencies ``0 .. N/2 - 1``
+    first, so the exponentials of that half are mirrored onto the negative
+    frequencies instead of being evaluated twice.
+    """
+    half = grid._nyq_fft
+    pos = np.exp(-0.5j * dt * grid._xi_fft[:half] ** 2)
+    mult = np.empty(grid.n_points, dtype=np.complex128)
+    mult[:half] = pos
+    mult[half] = 0.0
+    mult[half + 1:] = pos[:0:-1]
     return mult
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlspair as nl
 from nlspair.dynamics import (
     DtPolicy,
     SolverConfig,
     boundary_mass_fraction,
+    coupled_decay_ratios,
     mass_ledger,
     rk4_reference,
     run,
@@ -126,6 +128,93 @@ class TestStrangStep:
         e2 = rel_l2(small_grid, two.u1.values, ref.u1.values)
         order = math.log2(e1 / e2)
         assert order >= 1.9
+
+
+def stepped_checkpoints(cfg, pair):
+    """Repeated strang_step on the step sequence of ``run``; states at the checkpoints."""
+    out, t, eps = [], cfg.t_start, 1e-9
+    for target in cfg.resolved_checkpoints():
+        while target > t + eps * max(1.0, t):
+            dt = min(cfg.dt_policy.dt_at(t), target - t)
+            pair = strang_step(pair, t, dt)
+            t = target if target - t - dt <= eps * max(1.0, target) else t + dt
+        out.append(pair)
+    return out
+
+
+class TestFusedKernel:
+    """``run`` merges adjacent half free steps; it must equal repeated strang_step."""
+
+    @pytest.mark.parametrize("policy, checkpoints", [
+        (DtPolicy.fixed(0.05), (1.0, 2.0, 3.0)),
+        (DtPolicy.fixed(0.07), (1.0, 2.5, 3.0)),
+        (DtPolicy(kind="proportional", dt=0.05, t_switch=2.0, rate=0.02, dt_cap=0.3),
+         (1.3, 5.0, 12.0)),
+    ], ids=["fixed", "off-grid-checkpoint", "proportional-across-switch"])
+    def test_run_matches_repeated_strang_step(self, small_grid, policy, checkpoints):
+        cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
+                           t_end=checkpoints[-1], dt_policy=policy,
+                           checkpoint_times=checkpoints)
+        pair = make_pair(small_grid)
+        traj = run(cfg, pair)
+        assert traj.provenance["n_steps"] > 3 * len(checkpoints)
+        for cp, ref in zip(traj.checkpoints, stepped_checkpoints(cfg, pair), strict=True):
+            got = np.concatenate([cp.pair.u1.values, cp.pair.u2.values])
+            want = np.concatenate([ref.u1.values, ref.u2.values])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert cp.pair.time == pytest.approx(ref.time, abs=1e-9)
+
+
+amplitudes = st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False)
+durations = st.floats(min_value=0.0, max_value=50.0, allow_subnormal=False)
+
+
+class TestDecayRatioProperties:
+    """Pointwise invariants of the closed-form amplitude flow a' = b' = -2ab."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(amplitudes, amplitudes, durations)
+    def test_difference_conserved(self, a0, b0, s):
+        r1, r2 = coupled_decay_ratios(a0, b0, s)
+        assert abs((a0 * r1 - b0 * r2) - (a0 - b0)) <= 1e-13 * (a0 + b0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(amplitudes, amplitudes, durations, durations)
+    def test_monotone_decay(self, a0, b0, s1, s2):
+        s1, s2 = sorted((s1, s2))
+        early = coupled_decay_ratios(a0, b0, s1)
+        late = coupled_decay_ratios(a0, b0, s2)
+        for r_early, r_late in zip(early, late):
+            assert 0.0 <= r_late <= r_early * (1.0 + 1e-12)
+            assert r_early <= 1.0 + 1e-12
+
+    @settings(deadline=None, max_examples=300)
+    @given(amplitudes, amplitudes, durations, durations)
+    def test_semigroup(self, a0, b0, s1, s2):
+        r1, r2 = coupled_decay_ratios(a0, b0, s1 + s2)
+        h1, h2 = coupled_decay_ratios(a0, b0, s1)
+        a1, b1 = a0 * h1, b0 * h2
+        k1, k2 = coupled_decay_ratios(a1, b1, s2)
+        tol = 1e-12 * (a0 + b0)
+        assert abs(a0 * r1 - a1 * k1) <= tol
+        assert abs(b0 * r2 - b1 * k2) <= tol
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.5, max_value=5.0),
+           st.floats(min_value=1.0001, max_value=100.0))
+    def test_clamp_branch(self, a0, gap, stretch):
+        # b0 - a0 = gap > 0 and -2 m s = 2 gap s > 600: exp would overflow, so the
+        # closed form is replaced by its limit: component 1 gone, component 2 at gap
+        b0 = a0 + gap
+        m = a0 - b0
+        s = stretch * 300.0 / -m
+        r1, r2 = coupled_decay_ratios(a0, b0, s)
+        assert r1 == 0.0
+        assert b0 * r2 == pytest.approx(-m, rel=1e-12)
+        # just below the threshold the unclamped formula gives the same limit
+        below = coupled_decay_ratios(a0, b0, 299.0 / -m)
+        assert a0 * below[0] <= 1e-250
+        assert b0 * below[1] == pytest.approx(-m, rel=1e-12)
 
 
 class TestMassLedger:

@@ -169,6 +169,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             get_simulate_preset("not-a-preset")
 
+    def test_short_run_rejected_when_profiles_on(self):
+        d = tiny_config_dict(t_end=50.0)
+        with pytest.raises(ConfigError, match="t >= 100"):
+            ExperimentConfig.from_dict(d)
+        d["analysis"] = {"profiles": False}
+        assert ExperimentConfig.from_dict(d).solver.t_end == 50.0
+
+    def test_sparse_trailing_window_rejected(self):
+        d = tiny_config_dict()
+        d["solver"]["checkpoint_times"] = [0.0] + list(np.geomspace(2.0, 120.0, 10))
+        with pytest.raises(ConfigError, match="trailing window"):
+            ExperimentConfig.from_dict(d)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -200,6 +213,40 @@ class TestPipelines:
                    for p in (tmp_path / "a").rglob("*") if p.is_file()}
         assert listed == on_disk
         assert len(res1["trajectory"].checkpoints) == 21
+
+    def test_cli_guard_event_recorded(self, tmp_path):
+        # the headline's data in a box of 400: mass reaches the edge bands
+        # between the default checkpoints at 384.4 and 450.8
+        d = tiny_config_dict(t_end=1000.0)
+        d["solver"] = {"n_points": 1024, "length": 400.0, "t_end": 1000.0}
+        d["data1"] = {"kind": "gaussian", "amp": 0.1, "width": 8.0}
+        d["data2"] = {"kind": "gaussian", "amp": 0.04, "width": 12.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        [event] = manifest["guard_events"]
+        assert event["t"] == pytest.approx(450.8, abs=0.1)
+        assert event["fraction"] > 1e-6
+
+    def test_cli_unanalysable_config_exit_2(self, tmp_path, capsys):
+        d = tiny_config_dict()
+        d["solver"] = {"n_points": 256, "length": 200.0, "t_end": 50.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and "t >= 100" in err
+        assert not (tmp_path / "o").exists()   # rejected before any compute
+
+    def test_cli_diagnostic_value_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def too_short(*args, **kwargs):
+            raise ValueError("trajectory too short")
+        monkeypatch.setattr("nlspair.harness.run_simulate", too_short)
+        assert main(["simulate", "--preset", "decoupling-headline",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "[nlspair:diagnostic] trajectory too short\n"
 
     def test_cli_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "missing.json"),

@@ -120,6 +120,19 @@ class TestRemainderProbe:
         slope = np.polyfit(np.log(ts[sel]), np.log(peak[sel]), 1)[0]
         assert slope <= -1.1
 
+    def test_history_reuses_snapshots_bitwise(self, generic_run):
+        traj, profiles, probes = generic_run
+        pairs = [cp.pair for cp in traj.checkpoints if cp.ledger.t >= 2.0]
+        reused = remainder_history(traj, profiles=profiles)
+        for pair, p, q in zip(pairs, probes, reused, strict=True):
+            fresh = remainder_probe(pair)   # extracts its own snapshot
+            for probe in (p, q):
+                assert np.array_equal(probe.r1, fresh.r1)
+                assert np.array_equal(probe.r2, fresh.r2)
+                assert probe.bound_ratio == fresh.bound_ratio
+        with pytest.raises(ValueError, match="different times"):
+            remainder_history(traj, profiles=profiles[1:])
+
     def test_gamma_domain(self, small_grid):
         pair = nl.FieldPair(gaussian_field(small_grid, 0.3, 2.0, time=2.0),
                             gaussian_field(small_grid, 0.2, 3.0, time=2.0))

@@ -5,7 +5,7 @@ import pytest
 
 import nlspair as nl
 from nlspair.errors import ConfigError
-from nlspair.spectral import l2_norm, pair_l2_norm, sobolev_norm
+from nlspair.spectral import _free_multiplier_fft, l2_norm, pair_l2_norm, sobolev_norm
 
 from conftest import bandlimited_field, gaussian_field, rel_l2
 
@@ -59,6 +59,15 @@ class TestTransforms:
 
 
 class TestFreePropagate:
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (256, 60.0), (4096, 12000.0)])
+    @pytest.mark.parametrize("dt", [0.005, -0.25, 0.5, 7321.5])
+    def test_mirrored_multiplier_is_direct_one(self, n, length, dt):
+        # xi^2 is even: the mirrored half must equal the full evaluation bitwise
+        g = nl.make_grid(n, length)
+        direct = np.exp(-0.5j * dt * g._xi_fft ** 2)
+        direct[n // 2] = 0.0
+        assert _free_multiplier_fft(g, dt).tobytes() == direct.tobytes()
+
     def test_dt_zero_is_identity(self, small_grid, rng):
         f = bandlimited_field(small_grid, rng)
         out = nl.free_propagate(f, 0.0)
