@@ -54,7 +54,6 @@ from .profiles import (
     estimate_m,
     extract_profiles,
     fit_log_decay,
-    fit_power_decay,
     profile_history,
     remainder_probe,
 )

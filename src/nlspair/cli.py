@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckpointError, ConfigError, GuardViolation, NumericsError, PicardDivergence
-from . import asymptotics, harness, scattering
-from .dynamics import SolverConfig, run
+from . import asymptotics, harness
+from .dynamics import run
 from .fits import loglog_slope
 from .profiles import decoupling_history, profile_bound_history, profile_history
 
@@ -70,22 +69,8 @@ def _cmd_scatter(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.preset == "scatter-roundtrip":
-        opts = harness.preset_scatter_roundtrip()
-        from .spectral import Grid
-        grid = Grid(opts.n_points, opts.length)
-        spec = scattering.build_final_state(grid, list(opts.windows1),
-                                            list(opts.windows2), s=opts.s)
-        state = scattering.picard_construct(spec, opts.T, opts.T_max,
-                                            max_iters=opts.max_iters,
-                                            tol=opts.tol, n_time=opts.n_time)
-        start = state.pair_at(opts.T)
-        cfg = SolverConfig(
-            n_points=opts.n_points, length=opts.length, t_start=opts.T,
-            t_end=opts.forward_t_end,
-            checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
-        )
-        traj = run(cfg, start)
-        report = scattering.verify_scattering(traj, spec)
+        res = harness.run_scatter_roundtrip(harness.preset_scatter_roundtrip())
+        state, report = res["state"], res["report"]
         harness.write_csv(out / "scattering.csv", "scattering",
                           ["t", "error_l2"], zip(report.ts, report.errors))
         harness.write_json(out / "scattering.json", "scattering", {
@@ -98,24 +83,8 @@ def _cmd_scatter(args) -> int:
               f"slope {report.fitted_slope} (bound {report.slope_bound:.3f})")
         return 0 if report.passed else 1
     if args.preset == "obstruction":
-        opts = harness.preset_obstruction()
-        from .spectral import Grid
-        grid = Grid(opts.n_points, opts.length)
-        overlap = scattering.build_final_state(grid, [opts.overlap_window],
-                                               [dict(opts.overlap_window)])
-        report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
-                                              picard_iters=opts.picard_iters)
-        control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
-        state = scattering._picard_iterate(control, opts.T, 40.0 * opts.T,
-                                           opts.picard_iters, 0.0, 48, "leading")
-        cfg = SolverConfig(
-            n_points=opts.n_points, length=opts.length, t_start=opts.T,
-            t_end=2.0 * max(opts.base_times),
-            checkpoint_times=tuple(np.unique(np.concatenate(
-                [np.asarray(opts.base_times), 2.0 * np.asarray(opts.base_times)]))),
-        )
-        traj = run(cfg, state.pair_at(opts.T))
-        drift = scattering.dyadic_profile_drift(traj, opts.base_times)
+        res = harness.run_obstruction(harness.preset_obstruction())
+        report, drift = res["report"], res["control_drift"]
         harness.write_csv(out / "obstruction.csv", "obstruction",
                           ["t", "d1_overlap", "d2_overlap", "d1_control", "d2_control"],
                           zip(report.ts, report.d1, report.d2, drift["d1"], drift["d2"]))
@@ -183,13 +152,7 @@ def _cmd_sweep(args) -> int:
                 float(np.max(bound) / bound[0]),
                 drift, bool(np.max(bound) <= 2.0 * bound[0]))
 
-    if args.threads > 1 and not args.deterministic:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, eps_values))
-    else:
-        # fixed submission order; numpy reductions are pairwise either way,
-        # so results are bitwise identical to the threaded path
-        rows = [one(e) for e in eps_values]
+    rows = [one(e) for e in eps_values]
     harness.write_csv(out / "sweep.csv", "sweep",
                       ["eps", "sup_product_t2", "sup_product_final", "decoupling_ratio",
                        "profile_bound_growth", "diff_drift", "bounds_ok"], rows)
@@ -208,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--threads", type=int, default=1)
-    sim.add_argument("--deterministic", action="store_true", default=True)
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="recompute reports from saved checkpoints")
@@ -223,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sca.set_defaults(func=_cmd_scatter)
 
     lem = sub.add_parser("lemmas", help="run the synthetic certificate sweeps")
-    lem.add_argument("--sweep", default="default", choices=["default"])
     lem.add_argument("--out", default="out")
     lem.set_defaults(func=_cmd_lemmas)
 
@@ -231,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--values", default="0.05,0.1,0.2",
                      help="comma-separated data amplitudes")
     swp.add_argument("--out", default="out")
-    swp.add_argument("--threads", type=int, default=1)
-    swp.add_argument("--deterministic", action="store_true", default=True)
     swp.set_defaults(func=_cmd_sweep)
     return ap
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, GuardViolation, NumericsError
 from .spectral import (
     ComplexField,
@@ -30,8 +31,6 @@ from .spectral import (
     _free_multiplier_fft,
     _free_step_array,
 )
-
-__version_provenance__ = "nlspair-0.1.0"
 
 
 @dataclass(frozen=True)
@@ -322,6 +321,97 @@ def _guard(config: SolverConfig, cp: Checkpoint) -> None:
         raise GuardViolation(cp.ledger.t, frac, config.boundary_mass_tol)
 
 
+def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -> Trajectory:
+    """Step from t_start through every checkpoint with one scheme.
+
+    ``scheme(config, initial)`` sets up its state and returns
+    ``(step, fields)``: ``step(t, dt)`` advances the state from t to t + dt,
+    and ``fields(t)`` returns the x-space components ``(u1, u2)`` at a
+    checkpoint time t.
+    """
+    grid = config.grid
+    if initial.grid != grid:
+        raise ConfigError("initial data lives on a different grid than the config")
+    if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
+        raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
+    t = config.t_start
+    _guard(config, _checkpoint(grid, initial.u1.values, initial.u2.values, t))
+    step, fields = scheme(config, initial)
+
+    cps = config.resolved_checkpoints()
+    out: list[Checkpoint] = []
+    n_steps = 0
+    i_cp = 0
+    eps = 1e-9
+    while i_cp < len(cps):
+        target = cps[i_cp]
+        if target <= t + eps * max(1.0, t):
+            cp = _checkpoint(grid, *fields(target), target)
+            _guard(config, cp)
+            out.append(cp)
+            i_cp += 1
+            continue
+        dt = min(config.dt_policy.dt_at(t), target - t)
+        step(t, dt)
+        t = target if target - t - dt <= eps * max(1.0, target) else t + dt
+        n_steps += 1
+
+    return Trajectory(
+        config=config,
+        checkpoints=tuple(out),
+        provenance={**provenance, "n_steps": n_steps, "version": __version__},
+    )
+
+
+def _strang_scheme(config: SolverConfig, initial: FieldPair):
+    """Fused Strang steps; checkpoints flush the pending half free step."""
+    kernel = _StrangKernel(config.grid)
+    v = _stack(initial)
+
+    def step(t: float, dt: float) -> None:
+        nonlocal v
+        v = kernel.step(v, dt)
+
+    def fields(t: float):
+        nonlocal v
+        v = kernel.flush(v)
+        return v[0], v[1]
+
+    return step, fields
+
+
+def _rk4_scheme(config: SolverConfig, initial: FieldPair):
+    """RK4 in the interaction picture; checkpoints push the state forward by U(t)."""
+    grid = config.grid
+    coef = 1.0 if config.coupling == "dissipative" else 1.0j
+    t0 = config.t_start
+    # pull back to the interaction picture
+    w1 = _free_step_array(grid, np.array(initial.u1.values), -t0) if t0 else np.array(initial.u1.values)
+    w2 = _free_step_array(grid, np.array(initial.u2.values), -t0) if t0 else np.array(initial.u2.values)
+
+    def rhs(tau: float, f1: np.ndarray, f2: np.ndarray):
+        u1 = _free_step_array(grid, f1, tau)
+        u2 = _free_step_array(grid, f2, tau)
+        n1 = np.abs(u2) ** 2 * u1
+        n2 = np.abs(u1) ** 2 * u2
+        return (-coef * _free_step_array(grid, n1, -tau),
+                -coef * _free_step_array(grid, n2, -tau))
+
+    def step(t: float, h: float) -> None:
+        nonlocal w1, w2
+        k1 = rhs(t, w1, w2)
+        k2 = rhs(t + 0.5 * h, w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
+        k3 = rhs(t + 0.5 * h, w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
+        k4 = rhs(t + h, w1 + h * k3[0], w2 + h * k3[1])
+        w1 = w1 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        w2 = w2 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+
+    def fields(t: float):
+        return _free_step_array(grid, w1, t), _free_step_array(grid, w2, t)
+
+    return step, fields
+
+
 def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
     """Integrate from t_start to t_end, recording a ledger at each checkpoint.
 
@@ -332,42 +422,7 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
     """
     if config.scheme == "rk4_reference":
         return rk4_reference(config, initial)
-    grid = config.grid
-    if initial.grid != grid:
-        raise ConfigError("initial data lives on a different grid than the config")
-    if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
-        raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
-
-    cps = config.resolved_checkpoints()
-    out: list[Checkpoint] = []
-    v = _stack(initial)
-    t = config.t_start
-    _guard(config, _checkpoint(grid, v[0], v[1], t))
-    kernel = _StrangKernel(grid)
-
-    n_steps = 0
-    i_cp = 0
-    eps = 1e-9
-    while i_cp < len(cps):
-        target = cps[i_cp]
-        if target <= t + eps * max(1.0, t):
-            v = kernel.flush(v)
-            cp = _checkpoint(grid, v[0], v[1], target)
-            _guard(config, cp)
-            out.append(cp)
-            i_cp += 1
-            continue
-        dt = min(config.dt_policy.dt_at(t), target - t)
-        v = kernel.step(v, dt)
-        t = target if target - t - dt <= eps * max(1.0, target) else t + dt
-        n_steps += 1
-
-    return Trajectory(
-        config=config,
-        checkpoints=tuple(out),
-        provenance={"scheme": "strang_exact", "n_steps": n_steps,
-                    "version": __version_provenance__},
-    )
+    return _drive(config, initial, _strang_scheme, {"scheme": "strang_exact"})
 
 
 def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
@@ -377,56 +432,5 @@ def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
     ``c = 1`` for the dissipative coupling or ``c = i`` for the
     phase-rotating variant.  Desk-scale oracle; costlier than splitting.
     """
-    grid = config.grid
-    if initial.grid != grid:
-        raise ConfigError("initial data lives on a different grid than the config")
-    if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
-        raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
-    coef = 1.0 if config.coupling == "dissipative" else 1.0j
-
-    cps = config.resolved_checkpoints()
-    out: list[Checkpoint] = []
-    t0 = config.t_start
-    # pull back to the interaction picture
-    w1 = _free_step_array(grid, np.array(initial.u1.values), -t0) if t0 else np.array(initial.u1.values)
-    w2 = _free_step_array(grid, np.array(initial.u2.values), -t0) if t0 else np.array(initial.u2.values)
-    _guard(config, _checkpoint(grid, initial.u1.values, initial.u2.values, t0))
-
-    def rhs(tau: float, f1: np.ndarray, f2: np.ndarray):
-        u1 = _free_step_array(grid, f1, tau)
-        u2 = _free_step_array(grid, f2, tau)
-        n1 = np.abs(u2) ** 2 * u1
-        n2 = np.abs(u1) ** 2 * u2
-        return (-coef * _free_step_array(grid, n1, -tau),
-                -coef * _free_step_array(grid, n2, -tau))
-
-    t = t0
-    n_steps = 0
-    i_cp = 0
-    eps = 1e-9
-    while i_cp < len(cps):
-        target = cps[i_cp]
-        if target <= t + eps * max(1.0, t):
-            u1 = _free_step_array(grid, w1, target)
-            u2 = _free_step_array(grid, w2, target)
-            cp = _checkpoint(grid, u1, u2, target)
-            _guard(config, cp)
-            out.append(cp)
-            i_cp += 1
-            continue
-        h = min(config.dt_policy.dt_at(t), target - t)
-        k1 = rhs(t, w1, w2)
-        k2 = rhs(t + 0.5 * h, w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
-        k3 = rhs(t + 0.5 * h, w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
-        k4 = rhs(t + h, w1 + h * k3[0], w2 + h * k3[1])
-        w1 = w1 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w2 = w2 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t = target if target - t - h <= eps * max(1.0, target) else t + h
-        n_steps += 1
-
-    return Trajectory(
-        config=config,
-        checkpoints=tuple(out),
-        provenance={"scheme": "rk4_reference", "coupling": config.coupling,
-                    "n_steps": n_steps, "version": __version_provenance__},
-    )
+    return _drive(config, initial, _rk4_scheme,
+                  {"scheme": "rk4_reference", "coupling": config.coupling})

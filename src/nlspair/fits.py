@@ -9,7 +9,9 @@ def loglog_slope(ts, vals, floor: float = 1e-300):
     """Least-squares slope of log(vals) against log(ts).
 
     Entries at or below ``floor`` are dropped; returns None if fewer than two
-    usable points remain.
+    usable points remain.  This is the fit of a single error series (the
+    scattering and obstruction reports); :func:`loglog_slopes` is the
+    per-frequency one, which clips instead of dropping.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -26,24 +28,31 @@ def trailing_window_mask(ts, fraction: float = 0.1) -> np.ndarray:
     return ts >= fraction * ts[-1]
 
 
-def power_tail_integral(ts, vals, moment: float = 0.0):
-    """Estimate ``integral_T^inf vals(t) t^moment dt`` from a fitted power law.
+def loglog_slopes(ts, series):
+    """Least-squares slopes of log(series) against log(ts) along the last axis.
 
-    Fits ``vals ~ c t^p`` over the supplied window; requires the combined
-    exponent ``p + moment < -1`` for integrability, else returns (nan, p).
-    Returns ``(tail, p)`` with ``tail = vals[-1] * T^(1+moment) / -(p+moment+1)``.
+    Vectorised over leading axes.  Entries below 1e-300, zeros included, are
+    clipped to it, so an underflowed series still gets a finite slope.
+    """
+    log_ts = np.log(np.asarray(ts, dtype=float))
+    x = log_ts - log_ts.mean()
+    safe = np.clip(series, 1e-300, None)
+    return (np.log(safe) * x).sum(axis=-1) / (x * x).sum()
+
+
+def power_tail(ts, series, moment: float):
+    """``integral_T^inf series(t) t^moment dt`` from a power law fitted on ``ts``.
+
+    Fits ``series ~ c t^p`` along the last axis (``T = ts[-1]``) and returns
+    ``(tail, ok)`` with ``tail = series[..., -1] T^(1+moment) / -(p+moment+1)``.
+    The integral converges only for ``p + moment < -1``; elsewhere ``ok`` is
+    False and ``tail`` is NaN, and the caller picks its own fallback.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    p = loglog_slope(ts, vals)
-    if p is None:
-        return 0.0, None
-    q = p + moment
-    if q >= -1.0:
-        return float("nan"), p
-    T = ts[-1]
-    tail = float(vals[-1] * T ** (1.0 + moment) / (-(q + 1.0)))
-    return tail, p
+    q = loglog_slopes(ts, series) + moment
+    ok = q < -1.0
+    last = np.asarray(series)[..., -1] * ts[-1] ** (1.0 + moment)
+    return np.where(ok, last / np.where(ok, -(q + 1.0), 1.0), np.nan), ok
 
 
 def reverse_cumtrapz(ts, vals):

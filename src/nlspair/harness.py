@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fits
+from . import __version__, fits, scattering
 from .dynamics import DtPolicy, SolverConfig, Trajectory, mass_ledger, run
 from .errors import CheckpointError, ConfigError, GuardViolation
 from .profiles import (
@@ -193,9 +193,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.seed is None or int(self.seed) < 0:
             raise ConfigError("a nonnegative seed is mandatory")
-        uses_random = self.data1.get("kind") == "random" or self.data2.get("kind") == "random"
-        if uses_random and self.seed is None:
-            raise ConfigError("random data requires a seed")
         if self.analysis.profiles:
             _check_analysable(self.solver)
 
@@ -408,7 +405,6 @@ def preset_scatter_roundtrip() -> ScatterOptions:
 class ObstructionOptions:
     n_points: int = 16384
     length: float = 20500.0
-    amp: float = 0.1
     overlap_window: dict = field(default_factory=lambda: {"kind": "window", "lo": -0.7, "hi": 0.7, "amp": 0.1})
     control1: dict = field(default_factory=lambda: {"kind": "window", "lo": -0.7, "hi": -0.1, "amp": 0.1})
     control2: dict = field(default_factory=lambda: {"kind": "window", "lo": 0.1, "hi": 0.7, "amp": 0.1})
@@ -637,3 +633,52 @@ def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
         cps.append(Checkpoint(pair, mass_ledger(pair)))
     return Trajectory(config=config.solver, checkpoints=tuple(cps),
                       provenance={"scheme": "loaded", "source": str(cp_dir)})
+
+
+def run_scatter_roundtrip(opts: ScatterOptions) -> dict:
+    """Construct the solution scattering to the prescribed data, run it forward
+    from T, and fit its decay towards the free wave.
+
+    Returns the final state ``spec``, the Picard ``state``, the forward
+    trajectory ``traj`` and the ``report`` of :func:`scattering.verify_scattering`.
+    """
+    grid = Grid(opts.n_points, opts.length)
+    spec = scattering.build_final_state(grid, list(opts.windows1),
+                                        list(opts.windows2), s=opts.s)
+    state = scattering.picard_construct(spec, opts.T, opts.T_max,
+                                        max_iters=opts.max_iters,
+                                        tol=opts.tol, n_time=opts.n_time)
+    cfg = SolverConfig(
+        n_points=opts.n_points, length=opts.length, t_start=opts.T,
+        t_end=opts.forward_t_end,
+        checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
+    )
+    traj = run(cfg, state.pair_at(opts.T))
+    return {"spec": spec, "state": state, "traj": traj,
+            "report": scattering.verify_scattering(traj, spec)}
+
+
+def run_obstruction(opts: ObstructionOptions) -> dict:
+    """Obstruction probe on overlapping data, plus the decoupled control run.
+
+    The control starts from the same few Picard iterations at T as the probe
+    and records the dyadic profile drift at the same base times.  Returns
+    the probe's ``report`` and the control's ``control_drift``.
+    """
+    grid = Grid(opts.n_points, opts.length)
+    overlap = scattering.build_final_state(grid, [opts.overlap_window],
+                                           [dict(opts.overlap_window)])
+    report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
+                                          picard_iters=opts.picard_iters)
+    control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
+    state = scattering._picard_iterate(control, opts.T, 40.0 * opts.T,
+                                       opts.picard_iters, 0.0, 48, "leading")
+    base = np.asarray(opts.base_times)
+    cfg = SolverConfig(
+        n_points=opts.n_points, length=opts.length, t_start=opts.T,
+        t_end=2.0 * max(opts.base_times),
+        checkpoint_times=tuple(np.unique(np.concatenate([base, 2.0 * base]))),
+    )
+    traj = run(cfg, state.pair_at(opts.T))
+    return {"report": report,
+            "control_drift": scattering.dyadic_profile_drift(traj, opts.base_times)}

@@ -227,19 +227,18 @@ class CaseRecord:
     beta_plus: complex | None = None
 
 
-def classify(m_hat, deadband: float) -> list[CaseRecord]:
+def classify(m_hat, deadband: float) -> np.ndarray:
     """Label each frequency by the sign of the imbalance against a dead-band.
 
-    The trichotomy is exact in the continuum but an estimated imbalance near
-    zero is numerically unresolvable, hence the explicit buffer.
+    Returns an array of labels shaped like ``m_hat``.  The trichotomy is
+    exact in the continuum but an estimated imbalance near zero is
+    numerically unresolvable, hence the explicit buffer.
     """
     if deadband <= 0:
         raise ValueError("deadband must be positive")
     m_hat = np.asarray(m_hat, dtype=float)
-    labels = np.where(m_hat > deadband, SURVIVOR_1,
-                      np.where(m_hat < -deadband, SURVIVOR_2, BALANCED))
-    return [CaseRecord(xi=float("nan"), m_hat=float(m), r_tail=0.0, case_label=str(l))
-            for m, l in zip(m_hat, labels)]
+    return np.where(m_hat > deadband, SURVIVOR_1,
+                    np.where(m_hat < -deadband, SURVIVOR_2, BALANCED))
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +252,19 @@ def _trailing(ts: np.ndarray, fraction: float = 0.1) -> np.ndarray:
     return mask
 
 
-def fit_power_decay(ts, vals) -> float | None:
-    """Log-log slope of a profile-modulus series over its trailing window.
+def decay_exponents(ts, moduli) -> np.ndarray:
+    """Log-log slopes of profile-modulus series over the trailing window.
 
-    Returns None (flagged) when the series has underflowed below 1e-13.
-    For a surviving frequency with imbalance m the companion modulus decays
-    like t^-m, so the slope estimates -m.
+    ``moduli`` has the checkpoints on its last axis; the result drops that
+    axis.  A series that has underflowed to 1e-13 anywhere in the window is
+    flagged with NaN.  For a surviving frequency with imbalance m the
+    companion modulus decays like t^-m, so the slope estimates -m.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
     mask = _trailing(ts)
-    window = vals[mask]
-    if np.any(window <= 1e-13):
-        return None
-    return fits.loglog_slope(ts[mask], window)
+    window = np.asarray(moduli, dtype=float)[..., mask]
+    ok = np.all(window > 1e-13, axis=-1)
+    return np.where(ok, fits.loglog_slopes(ts[mask], window), np.nan)
 
 
 @dataclass(frozen=True)
@@ -387,27 +385,17 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, other_sq: np.ndarray,
     I = fits.reverse_cumtrapz(ts, integrand)
     n_fit = min(8, len(ts) - 1)
     tail_ts = ts[-n_fit:]
-    # per-frequency power-law tails, vectorised by hand
-    with np.errstate(divide="ignore"):
-        log_ts = np.log(tail_ts)
-        def tail_of(series, moment):
-            window = series[..., -n_fit:]
-            safe = np.clip(window, 1e-300, None)
-            x = log_ts - log_ts.mean()
-            slope = (np.log(safe) * x).sum(axis=-1) / (x * x).sum()
-            q = slope + moment
-            ok = q < -1.0
-            tail = np.where(ok, window[..., -1] * ts[-1] ** (1.0 + moment) / np.where(ok, -(q + 1.0), 1.0), 0.0)
-            # a flat or growing fitted tail means the series already hit its
-            # floor; fall back to one more decade at the last value
-            fallback = window[..., -1] * ts[-1] ** (1.0 + moment)
-            return np.where(ok, tail, fallback)
-        i_tail = tail_of(other_sq, -1.0)
+    # a flat or growing fitted tail means the series already hit its floor;
+    # fall back to one more decade at the last value
+    i_tail, ok = fits.power_tail(tail_ts, other_sq[..., -n_fit:], -1.0)
+    i_tail = np.where(ok, i_tail, other_sq[..., -1])
     I_full = I + i_tail[..., None]
     decay = np.exp(-I_full)
     beta = surv[..., 0] * decay[..., 0]
     beta = beta + np.trapezoid(r_surv * decay, ts, axis=-1)
-    r_tail = tail_of(np.abs(r_surv), 0.0)
+    r_abs = np.abs(r_surv)
+    r_tail, ok = fits.power_tail(tail_ts, r_abs[..., -n_fit:], 0.0)
+    r_tail = np.where(ok, r_tail, r_abs[..., -1] * ts[-1])
     tail_err = np.abs(surv[..., -1]) * i_tail + r_tail
     return beta, tail_err
 
@@ -430,33 +418,27 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
         profiles = profile_history(traj)
     if probes is None:
         probes = remainder_history(traj, gamma=gamma, profiles=profiles)
+    # the whole grid, not only frequency k: the default dead-band is a max
+    # over every resolved frequency
     est = estimate_m(traj, profiles, probes, gamma=gamma)
     if deadband is None:
         deadband = est.suggested_deadband
     grid = profiles[0].grid
     k = int(np.argmin(np.abs(grid.xi - xi)))
-    m = est.m_hat[k]
     wanted = SURVIVOR_1 if which == 1 else SURVIVOR_2
-    label = SURVIVOR_1 if m > deadband else SURVIVOR_2 if m < -deadband else BALANCED
+    label = str(classify(est.m_hat[k], deadband))
     if label != wanted:
         raise ValueError(f"frequency {grid.xi[k]:.4g} classified {label}, not {wanted}")
 
     ts = np.array([p.t for p in profiles])
-    if which == 1:
-        surv = np.array([p.alpha1[k] for p in profiles])
-        other = np.array([np.abs(p.alpha2[k]) ** 2 for p in profiles])
-        r = np.array([q.r1[k] for q in probes])
-        observed = profiles[-1].alpha1[k]
-    else:
-        surv = np.array([p.alpha2[k] for p in profiles])
-        other = np.array([np.abs(p.alpha1[k]) ** 2 for p in profiles])
-        r = np.array([q.r2[k] for q in probes])
-        observed = profiles[-1].alpha2[k]
-    beta, tail = _beta_plus_arrays(ts, surv, other, r)
+    alpha = np.array([(p.alpha1[k], p.alpha2[k]) for p in profiles]).T   # (2, n_t)
+    r = np.array([(q.r1[k], q.r2[k]) for q in probes]).T
+    s, o = which - 1, 2 - which     # survivor and companion rows
+    beta, tail = _beta_plus_arrays(ts, alpha[s], np.abs(alpha[o]) ** 2, r[s])
     return BetaPlusEstimate(
         value=complex(beta),
         tail_err=float(tail),
-        observed_gap=float(abs(complex(beta) - observed)),
+        observed_gap=float(abs(complex(beta) - alpha[s, -1])),
     )
 
 
@@ -490,34 +472,15 @@ def build_case_records(traj: Trajectory,
     r2 = np.stack([q.r2 for q in probes], axis=-1)
 
     m = est.m_hat
-    labels = np.where(m > deadband, SURVIVOR_1, np.where(m < -deadband, SURVIVOR_2, BALANCED))
-
-    # vectorised trailing-window decay fit of the decaying component
-    mask = fits.trailing_window_mask(ts)
-    tw = np.log(ts[mask])
-    x = tw - tw.mean()
-    denom = float((x * x).sum())
-
-    def slopes(series_abs):
-        window = series_abs[..., mask]
-        ok = np.all(window > 1e-13, axis=-1)
-        safe = np.clip(window, 1e-300, None)
-        s = (np.log(safe) * x).sum(axis=-1) / denom
-        return np.where(ok, s, np.nan)
-
-    slope_a2 = slopes(np.abs(a2))
-    slope_a1 = slopes(np.abs(a1))
+    labels = classify(m, deadband)
+    slope_a2 = decay_exponents(ts, np.abs(a2))
+    slope_a1 = decay_exponents(ts, np.abs(a1))
 
     # tail of the balance-law integrand, as a signed magnitude estimate
     rho = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
     n_fit = min(8, len(ts) - 1)
-    tail_ts = ts[-n_fit:]
-    xr = np.log(tail_ts) - np.log(tail_ts).mean()
-    rho_win = np.clip(np.abs(rho[..., -n_fit:]), 1e-300, None)
-    p_rho = (np.log(rho_win) * xr).sum(axis=-1) / float((xr * xr).sum())
-    ok = p_rho < -1.0
-    r_tail_mag = np.where(ok, np.abs(rho[..., -1]) * ts[-1] / np.where(ok, -(p_rho + 1.0), 1.0), 0.0)
-    r_tail = np.sign(np.sum(rho[..., -n_fit:], axis=-1)) * r_tail_mag
+    r_tail, ok = fits.power_tail(ts[-n_fit:], np.abs(rho[..., -n_fit:]), 0.0)
+    r_tail = np.sign(np.sum(rho[..., -n_fit:], axis=-1)) * np.where(ok, r_tail, 0.0)
 
     beta1, _ = _beta_plus_arrays(ts, a1, np.abs(a2) ** 2, r1)
     beta2, _ = _beta_plus_arrays(ts, a2, np.abs(a1) ** 2, r2)

@@ -169,7 +169,7 @@ def _w_sharp_arrays(spec: FinalStateSpec, t: float):
 def _free_of_psi(spec: FinalStateSpec, t: float):
     g = spec.grid
     mult = np.exp(-0.5j * t * g.xi ** 2)
-    mult[g.nyquist_index] = 0.0
+    mult[0] = 0.0    # Nyquist
     return (_inverse_array(g, spec.psi_hat_1 * mult),
             _inverse_array(g, spec.psi_hat_2 * mult))
 
@@ -209,7 +209,6 @@ class PicardState:
     iterate_index: int
     distances: list[float]
     ratios: list[float]
-    tail_bound: float
     converged: bool
     grid: Grid
 
@@ -255,25 +254,18 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
     what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
-    the integral at T_max leaves only the decaying difference part; its
-    fitted power-law tail is returned as a reported bound, never added.
+    the integral at T_max leaves only the decaying difference part.
     """
     g = spec.grid
-    n_t = len(taus)
     G1 = np.empty_like(v1)
     G2 = np.empty_like(v2)
-    env = np.empty(n_t)
-    sq = math.sqrt(g.dx)
     for i, tau in enumerate(taus):
         n1 = np.abs(v2[i]) ** 2 * v1[i]
         n2 = np.abs(v1[i]) ** 2 * v2[i]
         G1[i] = _free_step_array(g, n1, -tau)
         G2[i] = _free_step_array(g, n2, -tau)
-        env[i] = math.hypot(float(np.linalg.norm(G1[i])) * sq,
-                            float(np.linalg.norm(G2[i])) * sq)
     S1 = fits.reverse_cumtrapz(taus, np.moveaxis(G1, 0, -1))
     S2 = fits.reverse_cumtrapz(taus, np.moveaxis(G2, 0, -1))
-    tail, _ = fits.power_tail_integral(taus[-8:], env[-8:] + 1e-300)
     psi1 = _inverse_array(g, spec.psi_hat_1)
     psi2 = _inverse_array(g, spec.psi_hat_2)
     out1 = np.empty_like(v1)
@@ -281,7 +273,7 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
     for i, tau in enumerate(taus):
         out1[i] = _free_step_array(g, psi1 + S1[..., i], tau)
         out2[i] = _free_step_array(g, psi2 + S2[..., i], tau)
-    return out1, out2, float(tail if math.isfinite(tail) else 0.0)
+    return out1, out2
 
 
 def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
@@ -304,11 +296,10 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
 
     distances: list[float] = []
     ratios: list[float] = []
-    tail_bound = 0.0
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        new1, new2, tail_bound = _apply_map(spec, taus, v1, v2)
+        new1, new2 = _apply_map(spec, taus, v1, v2)
         d = _xt_norm(g, taus, new1 - v1, new2 - v2, spec.mu)
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
@@ -322,7 +313,7 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
     return PicardState(
         T=T, T_max=T_max, mu=spec.mu, taus=taus, v1=v1, v2=v2,
         iterate_index=k, distances=distances, ratios=ratios,
-        tail_bound=tail_bound, converged=converged, grid=g,
+        converged=converged, grid=g,
     )
 
 
@@ -356,7 +347,7 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
 
 def picard_residual(spec: FinalStateSpec, state: PicardState) -> float:
     """Fixed-point residual ||Phi[v] - v|| in the weighted sup norm."""
-    new1, new2, _ = _apply_map(spec, state.taus, state.v1, state.v2)
+    new1, new2 = _apply_map(spec, state.taus, state.v1, state.v2)
     return _xt_norm(state.grid, state.taus, new1 - state.v1, new2 - state.v2, state.mu)
 
 

@@ -66,11 +66,6 @@ class Grid:
         for arr in (x, xi, xi_fft):
             arr.flags.writeable = False
 
-    @property
-    def nyquist_index(self) -> int:
-        """Index of the Nyquist frequency in the ordered ``xi`` array."""
-        return 0
-
 
 def make_grid(n_points: int, length: float) -> Grid:
     """Build a grid; rejects non-power-of-two sizes and nonpositive lengths."""

@@ -26,6 +26,8 @@ from nlspair.harness import (
     preset_scatter_roundtrip,
     preset_short_range_contrast,
     preset_symmetric_log_decay,
+    run_obstruction,
+    run_scatter_roundtrip,
     run_simulate,
 )
 from nlspair.profiles import (
@@ -72,39 +74,12 @@ def symmetric():
 
 @pytest.fixture(scope="module")
 def scatter():
-    opts = preset_scatter_roundtrip()
-    grid = nl.make_grid(opts.n_points, opts.length)
-    spec = sc.build_final_state(grid, list(opts.windows1), list(opts.windows2),
-                                s=opts.s)
-    state = sc.picard_construct(spec, opts.T, opts.T_max,
-                                max_iters=opts.max_iters, tol=opts.tol,
-                                n_time=opts.n_time)
-    cfg = SolverConfig(n_points=opts.n_points, length=opts.length,
-                       t_start=opts.T, t_end=opts.forward_t_end,
-                       checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)))
-    traj = run(cfg, state.pair_at(opts.T))
-    return {"opts": opts, "spec": spec, "state": state, "traj": traj}
+    return run_scatter_roundtrip(preset_scatter_roundtrip())
 
 
 @pytest.fixture(scope="module")
 def obstruction():
-    opts = preset_obstruction()
-    grid = nl.make_grid(opts.n_points, opts.length)
-    overlap = sc.build_final_state(grid, [opts.overlap_window],
-                                   [dict(opts.overlap_window)])
-    report = sc.obstruction_probe(overlap, opts.base_times, T=opts.T,
-                                  picard_iters=opts.picard_iters)
-    control = sc.build_final_state(grid, [opts.control1], [opts.control2])
-    state = sc._picard_iterate(control, opts.T, 40.0 * opts.T,
-                               opts.picard_iters, 0.0, 48, "leading")
-    cfg = SolverConfig(
-        n_points=opts.n_points, length=opts.length, t_start=opts.T,
-        t_end=2.0 * max(opts.base_times),
-        checkpoint_times=tuple(np.unique(np.concatenate(
-            [np.asarray(opts.base_times), 2.0 * np.asarray(opts.base_times)]))))
-    traj = run(cfg, state.pair_at(opts.T))
-    drift = sc.dyadic_profile_drift(traj, opts.base_times)
-    return {"opts": opts, "report": report, "control_drift": drift}
+    return run_obstruction(preset_obstruction())
 
 
 # ---------------------------------------------------------------------------

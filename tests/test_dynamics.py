@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,16 @@ class TestMassLedger:
         assert led.interaction == pytest.approx(oracle, rel=1e-10)
 
 
+def fast_packet():
+    """A strongly modulated packet that exits a short box quickly."""
+    cfg = SolverConfig(n_points=256, length=80.0, t_start=0.0, t_end=200.0,
+                       checkpoint_times=tuple(np.linspace(5.0, 200.0, 20)))
+    g = cfg.grid
+    pair = nl.FieldPair(gaussian_field(g, 0.2, 3.0, velocity=1.0),
+                        gaussian_field(g, 0.1, 3.0, velocity=-1.0))
+    return cfg, pair
+
+
 class TestRun:
     def _config(self, t_end=100.0, **kw):
         base = dict(n_points=512, length=320.0, t_start=0.0, t_end=t_end,
@@ -282,12 +293,7 @@ class TestRun:
         assert np.allclose(traj.times(), cfg.resolved_checkpoints(), rtol=0, atol=1e-9)
 
     def test_guard_trips_on_fast_packet(self):
-        # a strongly modulated packet exits a short box quickly
-        cfg = SolverConfig(n_points=256, length=80.0, t_start=0.0, t_end=200.0,
-                           checkpoint_times=tuple(np.linspace(5.0, 200.0, 20)))
-        g = cfg.grid
-        pair = nl.FieldPair(gaussian_field(g, 0.2, 3.0, velocity=1.0),
-                            gaussian_field(g, 0.1, 3.0, velocity=-1.0))
+        cfg, pair = fast_packet()
         with pytest.raises(GuardViolation) as exc:
             run(cfg, pair)
         assert exc.value.time <= 200.0
@@ -375,6 +381,13 @@ class TestRk4Reference:
         m0 = mass_ledger(pair)
         mT = traj.checkpoints[-1].ledger
         assert mT.mass1 + mT.mass2 == pytest.approx(m0.mass1 + m0.mass2, rel=1e-10)
+
+    def test_guard_trips_on_fast_packet(self):
+        cfg, pair = fast_packet()
+        with pytest.raises(GuardViolation) as exc:
+            rk4_reference(replace(cfg, scheme="rk4_reference"), pair)
+        assert exc.value.time <= 200.0
+        assert exc.value.fraction > cfg.boundary_mass_tol
 
     def test_conservative_needs_rk4(self):
         with pytest.raises(ConfigError):

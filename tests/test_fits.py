@@ -1,0 +1,36 @@
+import numpy as np
+import pytest
+
+from nlspair.fits import loglog_slopes, power_tail
+
+
+class TestPowerLawFits:
+    ts = np.geomspace(50.0, 5000.0, 8)
+    c = np.array([1.5, 0.2])[:, None, None]          # batch axis 0
+    p = np.array([-2.5, -1.2, -0.5, 0.3])[:, None]   # batch axis 1
+    series = c * ts ** p                              # (2, 4, 8)
+
+    def test_slopes_of_exact_power_laws(self):
+        slopes = loglog_slopes(self.ts, self.series)
+        assert slopes.shape == (2, 4)
+        assert np.allclose(slopes, np.broadcast_to(self.p[:, 0], (2, 4)), rtol=0, atol=1e-12)
+
+    def test_underflow_is_clipped_not_nan(self):
+        assert loglog_slopes(self.ts, np.zeros(8)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("moment", [0.0, -1.0])
+    def test_tail_closed_form(self, moment):
+        tail, ok = power_tail(self.ts, self.series, moment)
+        q = self.p[:, 0] + moment + 1.0
+        assert np.array_equal(ok, np.broadcast_to(q < 0, (2, 4)))
+        T = self.ts[-1]
+        exact = self.c[:, :, 0] * T ** q / -q
+        assert np.allclose(tail[ok], np.broadcast_to(exact, (2, 4))[ok], rtol=1e-10, atol=0)
+        assert np.all(np.isnan(tail[~ok]))
+
+    def test_no_tail_when_not_integrable(self):
+        # p + moment >= -1: flat, slowly decaying and growing series
+        tail, ok = power_tail(self.ts, self.series[:, 2:], 0.0)
+        assert not np.any(ok)
+        tail, ok = power_tail(self.ts, self.series[:, :2], 2.0)
+        assert not np.any(ok)

@@ -248,6 +248,12 @@ class TestPipelines:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "[nlspair:diagnostic] trajectory too short\n"
 
+    def test_cli_removed_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_cli_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o")])

@@ -10,12 +10,12 @@ from nlspair.profiles import (
     beta_plus_estimate,
     build_case_records,
     classify,
+    decay_exponents,
     decoupling_history,
     decoupling_metric,
     estimate_m,
     extract_profiles,
     fit_log_decay,
-    fit_power_decay,
     profile_bound_history,
     profile_history,
     remainder_history,
@@ -185,8 +185,8 @@ class TestEstimateM:
 
 class TestClassify:
     def test_thresholds(self):
-        recs = classify([0.05, -0.05, 0.005], deadband=0.01)
-        assert [r.case_label for r in recs] == [SURVIVOR_1, SURVIVOR_2, BALANCED]
+        labels = classify([0.05, -0.05, 0.005], deadband=0.01)
+        assert list(labels) == [SURVIVOR_1, SURVIVOR_2, BALANCED]
 
     def test_deadband_positive(self):
         with pytest.raises(ValueError):
@@ -196,22 +196,22 @@ class TestClassify:
 class TestDecayFits:
     def test_exact_power_law(self):
         ts = np.geomspace(2.0, 2000.0, 40)
-        slope = fit_power_decay(ts, 3.7 * ts ** -0.3)
+        slope = decay_exponents(ts, 3.7 * ts ** -0.3)
         assert slope == pytest.approx(-0.3, abs=1e-12)
 
     def test_constant_series(self):
         ts = np.geomspace(2.0, 2000.0, 40)
-        assert fit_power_decay(ts, np.full_like(ts, 2.5)) == pytest.approx(0.0, abs=1e-12)
+        assert decay_exponents(ts, np.full_like(ts, 2.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_underflowed_series_flagged(self):
         ts = np.geomspace(2.0, 2000.0, 40)
         vals = np.full_like(ts, 1e-16)
-        assert fit_power_decay(ts, vals) is None
+        assert np.isnan(decay_exponents(ts, vals))
 
     def test_too_few_points(self):
         ts = np.geomspace(2.0, 2000.0, 10)  # only ~5 land in [T/10, T]
         with pytest.raises(ValueError):
-            fit_power_decay(ts, ts ** -0.5)
+            decay_exponents(ts, ts ** -0.5)
 
     def test_log_decay_synthetic(self):
         ts = np.geomspace(10.0, 1e5, 60)
