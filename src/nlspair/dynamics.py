@@ -10,10 +10,10 @@ machine precision over arbitrarily long runs.  Adjacent half free steps are
 merged between checkpoints, so one step costs one batched FFT/IFFT pair of
 the ``(2, N)`` state.
 
-A classical RK4 integrator in the interaction picture (``v = U(-t) u``) is
-kept purely as a cross-validation oracle; it also integrates the
-phase-rotating variant of the system (nonlinearity without the dissipative
-twist), which the exact substep does not cover.
+A classical RK4 integrator in the interaction picture (the profile
+``alpha = F U(-t) u``) is kept purely as a cross-validation oracle; it also
+integrates the phase-rotating variant of the system (nonlinearity without
+the dissipative twist), which the exact substep does not cover.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .spectral import (
     FieldPair,
     Grid,
     _free_multiplier_fft,
-    _free_step_array,
+    _pull_back,
+    _push_forward,
 )
 
 
@@ -381,33 +382,26 @@ def _strang_scheme(config: SolverConfig, initial: FieldPair):
 
 
 def _rk4_scheme(config: SolverConfig, initial: FieldPair):
-    """RK4 in the interaction picture; checkpoints push the state forward by U(t)."""
+    """RK4 on the profile pair; checkpoints push it forward to x-space."""
     grid = config.grid
     coef = 1.0 if config.coupling == "dissipative" else 1.0j
-    t0 = config.t_start
-    # pull back to the interaction picture
-    w1 = _free_step_array(grid, np.array(initial.u1.values), -t0) if t0 else np.array(initial.u1.values)
-    w2 = _free_step_array(grid, np.array(initial.u2.values), -t0) if t0 else np.array(initial.u2.values)
+    w = _pull_back(grid, _stack(initial), config.t_start)
 
-    def rhs(tau: float, f1: np.ndarray, f2: np.ndarray):
-        u1 = _free_step_array(grid, f1, tau)
-        u2 = _free_step_array(grid, f2, tau)
-        n1 = np.abs(u2) ** 2 * u1
-        n2 = np.abs(u1) ** 2 * u2
-        return (-coef * _free_step_array(grid, n1, -tau),
-                -coef * _free_step_array(grid, n2, -tau))
+    def rhs(tau: float, alpha: np.ndarray) -> np.ndarray:
+        u = _push_forward(grid, alpha, tau)
+        return -coef * _pull_back(grid, np.abs(u[::-1]) ** 2 * u, tau)
 
     def step(t: float, h: float) -> None:
-        nonlocal w1, w2
-        k1 = rhs(t, w1, w2)
-        k2 = rhs(t + 0.5 * h, w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
-        k3 = rhs(t + 0.5 * h, w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
-        k4 = rhs(t + h, w1 + h * k3[0], w2 + h * k3[1])
-        w1 = w1 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        w2 = w2 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        nonlocal w
+        k1 = rhs(t, w)
+        k2 = rhs(t + 0.5 * h, w + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, w + 0.5 * h * k2)
+        k4 = rhs(t + h, w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def fields(t: float):
-        return _free_step_array(grid, w1, t), _free_step_array(grid, w2, t)
+        u = _push_forward(grid, w, t)
+        return u[0], u[1]
 
     return step, fields
 
@@ -426,11 +420,11 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
 
 
 def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
-    """Classical RK4 on the pulled-back state v(t) = U(-t) u(t).
+    """Classical RK4 on the profile pair alpha(t) = F U(-t) u(t).
 
-    ``dv/dt = -c U(-t) N(U(t) v)`` with ``N_j = |u_{3-j}|^2 u_j`` and
-    ``c = 1`` for the dissipative coupling or ``c = i`` for the
-    phase-rotating variant.  Desk-scale oracle; costlier than splitting.
+    ``dalpha/dt = -c F U(-t) N(U(t) F^-1 alpha)`` with
+    ``N_j = |u_{3-j}|^2 u_j`` and ``c = 1`` for the dissipative coupling or
+    ``c = i`` for the phase-rotating variant.  Desk-scale oracle; costlier than splitting.
     """
     return _drive(config, initial, _rk4_scheme,
                   {"scheme": "rk4_reference", "coupling": config.coupling})

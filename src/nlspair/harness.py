@@ -671,14 +671,6 @@ def run_obstruction(opts: ObstructionOptions) -> dict:
     report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
                                           picard_iters=opts.picard_iters)
     control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
-    state = scattering._picard_iterate(control, opts.T, 40.0 * opts.T,
-                                       opts.picard_iters, 0.0, 48, "leading")
-    base = np.asarray(opts.base_times)
-    cfg = SolverConfig(
-        n_points=opts.n_points, length=opts.length, t_start=opts.T,
-        t_end=2.0 * max(opts.base_times),
-        checkpoint_times=tuple(np.unique(np.concatenate([base, 2.0 * base]))),
-    )
-    traj = run(cfg, state.pair_at(opts.T))
     return {"report": report,
-            "control_drift": scattering.dyadic_profile_drift(traj, opts.base_times)}
+            "control_drift": scattering._dyadic_drift_run(control, opts.base_times,
+                                                          opts.T, opts.picard_iters)}

@@ -20,16 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fits
-from .dynamics import Trajectory
-from .spectral import (
-    ComplexField,
-    FieldPair,
-    Grid,
-    apply_J,
-    forward_transform,
-    free_propagate,
-    sobolev_norm,
-)
+from .dynamics import Trajectory, _stack
+from .spectral import FieldPair, Grid, _j_spectrum, _pull_back
 
 SURVIVOR_1 = "survivor_1"
 SURVIVOR_2 = "survivor_2"
@@ -57,10 +49,9 @@ class ProfileSnapshot:
 
 def extract_profiles(pair: FieldPair) -> ProfileSnapshot:
     """Pull the pair back along the free flow and transform: alpha_j = F U(-t) u_j."""
-    t = pair.time
-    a1 = forward_transform(free_propagate(pair.u1, -t))
-    a2 = forward_transform(free_propagate(pair.u2, -t))
-    return ProfileSnapshot(t=t, alpha1=a1.values, alpha2=a2.values, grid=pair.grid)
+    alpha = _pull_back(pair.grid, _stack(pair), pair.time)
+    alpha.flags.writeable = False
+    return ProfileSnapshot(t=pair.time, alpha1=alpha[0], alpha2=alpha[1], grid=pair.grid)
 
 
 def profile_history(traj: Trajectory, t_min: float = 2.0) -> list[ProfileSnapshot]:
@@ -104,22 +95,20 @@ def remainder_probe(pair: FieldPair, snapshot: ProfileSnapshot | None = None,
     if snapshot is None:
         snapshot = extract_profiles(pair)
     g = pair.grid
-    u1, u2 = pair.u1.values, pair.u2.values
-    n1 = ComplexField(g, np.abs(u2) ** 2 * u1, t)
-    n2 = ComplexField(g, np.abs(u1) ** 2 * u2, t)
-    fn1 = forward_transform(free_propagate(n1, -t)).values
-    fn2 = forward_transform(free_propagate(n2, -t)).values
-    r1 = np.abs(snapshot.alpha2) ** 2 * snapshot.alpha1 / t - fn1
-    r2 = np.abs(snapshot.alpha1) ** 2 * snapshot.alpha2 / t - fn2
+    u = _stack(pair)
+    fn = _pull_back(g, np.abs(u[::-1]) ** 2 * u, t)
+    alpha = np.stack([snapshot.alpha1, snapshot.alpha2])
+    r = np.abs(alpha[::-1]) ** 2 * alpha / t - fn
 
-    w = np.sqrt(1.0 + g.xi ** 2)
-    peak = float(max(np.max(w * np.abs(r1)), np.max(w * np.abs(r2))))
-    h1 = math.sqrt(sobolev_norm(pair.u1, 1.0) ** 2 + sobolev_norm(pair.u2, 1.0) ** 2)
-    jh1 = math.sqrt(sobolev_norm(apply_J(pair.u1, t), 1.0) ** 2
-                    + sobolev_norm(apply_J(pair.u2, t), 1.0) ** 2)
+    w2 = 1.0 + g.xi ** 2
+    peak = float(np.max(np.sqrt(w2) * np.abs(r)))
+    # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
+    # both on the snapshot's profile
+    h1 = math.sqrt(g.dxi * float(np.sum(w2 * np.abs(alpha) ** 2)))
+    jh1 = math.sqrt(g.dxi * float(np.sum(w2 * np.abs(_j_spectrum(g, alpha)) ** 2)))
     denom = (h1 + jh1) ** 3
     ratio = peak * t ** (1.25 - 3.0 * gamma) / denom if denom > 0 else 0.0
-    return RemainderProbe(t=t, r1=r1, r2=r2, bound_ratio=float(ratio), gamma=gamma)
+    return RemainderProbe(t=t, r1=r[0], r2=r[1], bound_ratio=float(ratio), gamma=gamma)
 
 
 def remainder_history(traj: Trajectory, gamma: float = DEFAULT_GAMMA,

@@ -25,15 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import SolverConfig, Trajectory, run
+from .dynamics import SolverConfig, Trajectory, _stack, run
 from .errors import PicardDivergence
-from .profiles import ProfileSnapshot, extract_profiles
 from .spectral import (
     ComplexField,
     FieldPair,
     Grid,
-    _free_step_array,
+    _free_multiplier_fft,
     _inverse_array,
+    _j_spectrum,
+    _pull_back,
+    _push_forward,
     l2_norm,
 )
 
@@ -158,20 +160,14 @@ class AsymptoticWave:
     w_flat: FieldPair
 
 
-def _w_sharp_arrays(spec: FinalStateSpec, t: float):
+def _w_sharp_arrays(spec: FinalStateSpec, t):
+    """w# at a time, or one row per time when ``t`` is an array of times."""
     g = spec.grid
+    t = np.asarray(t, dtype=float)[..., None]
     y = g.x / t
     scale = 1.0 / np.sqrt(1j * t)
     chirp = np.exp(0.5j * g.x ** 2 / t)
     return (scale * chirp * spec.fn1(y), scale * chirp * spec.fn2(y))
-
-
-def _free_of_psi(spec: FinalStateSpec, t: float):
-    g = spec.grid
-    mult = np.exp(-0.5j * t * g.xi ** 2)
-    mult[0] = 0.0    # Nyquist
-    return (_inverse_array(g, spec.psi_hat_1 * mult),
-            _inverse_array(g, spec.psi_hat_2 * mult))
 
 
 def asymptotic_wave(spec: FinalStateSpec, t: float) -> AsymptoticWave:
@@ -186,7 +182,7 @@ def asymptotic_wave(spec: FinalStateSpec, t: float) -> AsymptoticWave:
         raise ValueError("asymptotic wave is tracked for t >= 1")
     g = spec.grid
     s1, s2 = _w_sharp_arrays(spec, t)
-    u1, u2 = _free_of_psi(spec, t)
+    u1, u2 = _push_forward(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]), t)
     sharp = FieldPair(ComplexField(g, s1, t), ComplexField(g, s2, t))
     flat = FieldPair(ComplexField(g, u1 - s1, t), ComplexField(g, u2 - s2, t))
     return AsymptoticWave(t=t, w_sharp=sharp, w_flat=flat)
@@ -227,53 +223,43 @@ class PicardState:
 
 
 def _xt_norm(grid: Grid, taus: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-             mu: float) -> float:
-    """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2."""
-    sq = math.sqrt(grid.dx)
-    best = 0.0
-    for i, t in enumerate(taus):
-        l2 = math.hypot(
-            float(np.linalg.norm(d1[i])) * sq, float(np.linalg.norm(d2[i])) * sq
-        )
-        j1 = _free_step_array(grid, grid.x * _free_step_array(grid, d1[i], -t), t)
-        j2 = _free_step_array(grid, grid.x * _free_step_array(grid, d2[i], -t), t)
-        jl2 = math.hypot(
-            float(np.linalg.norm(j1)) * sq, float(np.linalg.norm(j2)) * sq
-        )
-        best = max(best, t ** (mu + 0.5) * l2 + t ** mu * jl2)
-    return best
+             mu: float, mult: np.ndarray | None = None) -> float:
+    """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2.
+
+    ``d1``, ``d2`` are ``(n_time, N)`` stacks; ``||J d||`` is read off the
+    pulled-back profile of each row.  ``mult`` is the free-flow multiplier
+    table at ``taus``, when the caller holds one.
+    """
+    l2_sq = np.zeros(len(taus))
+    j_sq = np.zeros(len(taus))
+    for d in (d1, d2):
+        l2_sq += grid.dx * np.sum(np.abs(d) ** 2, axis=-1)
+        alpha = _pull_back(grid, d, taus, mult)
+        j_sq += grid.dxi * np.sum(np.abs(_j_spectrum(grid, alpha)) ** 2, axis=-1)
+    return float(np.max(taus ** (mu + 0.5) * np.sqrt(l2_sq) + taus ** mu * np.sqrt(j_sq)))
 
 
 def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
-               v1: np.ndarray, v2: np.ndarray):
+               v1: np.ndarray, v2: np.ndarray, mult: np.ndarray | None = None):
     """One application of the fixed-point map on the sampled time grid.
 
-    Work happens in the pulled-back frame: with G(tau) = U(-tau) N(v(tau)),
-    Phi[v](t) = U(t) [psi+ + int_t^inf G].  The plus sign is forced by the
-    equation: differentiating shows U(t)psi + int_t^inf U(t-tau) N dtau is
-    what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
+    Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
+    Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
+    by the equation: differentiating shows U(t)psi + int_t^inf U(t-tau) N dtau
+    is what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
-    the integral at T_max leaves only the decaying difference part.
+    the integral at T_max leaves only the decaying difference part.  Each
+    component is one ``(n_time, N)`` stack, pulled back and pushed forward
+    in one call each, with the multiplier table ``mult`` at ``taus``.
     """
     g = spec.grid
-    G1 = np.empty_like(v1)
-    G2 = np.empty_like(v2)
-    for i, tau in enumerate(taus):
-        n1 = np.abs(v2[i]) ** 2 * v1[i]
-        n2 = np.abs(v1[i]) ** 2 * v2[i]
-        G1[i] = _free_step_array(g, n1, -tau)
-        G2[i] = _free_step_array(g, n2, -tau)
-    S1 = fits.reverse_cumtrapz(taus, np.moveaxis(G1, 0, -1))
-    S2 = fits.reverse_cumtrapz(taus, np.moveaxis(G2, 0, -1))
-    psi1 = _inverse_array(g, spec.psi_hat_1)
-    psi2 = _inverse_array(g, spec.psi_hat_2)
-    out1 = np.empty_like(v1)
-    out2 = np.empty_like(v2)
-    for i, tau in enumerate(taus):
-        out1[i] = _free_step_array(g, psi1 + S1[..., i], tau)
-        out2[i] = _free_step_array(g, psi2 + S2[..., i], tau)
-    return out1, out2
+    out = []
+    for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
+        tail = fits.reverse_cumtrapz(taus, _pull_back(g, np.abs(w) ** 2 * v, taus, mult).T).T
+        tail += psi_hat
+        out.append(_push_forward(g, tail, taus, mult))
+    return tuple(out)
 
 
 def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
@@ -281,26 +267,25 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
                     initial: str) -> PicardState:
     g = spec.grid
     taus = np.geomspace(T, T_max, n_time)
-    psi1 = _inverse_array(g, spec.psi_hat_1)
-    psi2 = _inverse_array(g, spec.psi_hat_2)
-    v1 = np.empty((n_time, g.n_points), dtype=complex)
-    v2 = np.empty_like(v1)
-    for i, tau in enumerate(taus):
-        if initial == "leading":
-            v1[i], v2[i] = _w_sharp_arrays(spec, tau)
-        elif initial == "free":
-            v1[i] = _free_step_array(g, psi1, tau)
-            v2[i] = _free_step_array(g, psi2, tau)
-        else:
-            raise ValueError(f"unknown initial iterate {initial!r}")
+    # one table for every transform of the construction: the times are fixed
+    mult = _free_multiplier_fft(g, taus)
+    if initial == "leading":
+        v1, v2 = _w_sharp_arrays(spec, taus)
+    elif initial == "free":
+        v1 = _push_forward(g, spec.psi_hat_1, taus, mult)
+        v2 = _push_forward(g, spec.psi_hat_2, taus, mult)
+    else:
+        raise ValueError(f"unknown initial iterate {initial!r}")
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        new1, new2 = _apply_map(spec, taus, v1, v2)
-        d = _xt_norm(g, taus, new1 - v1, new2 - v2, spec.mu)
+        new1, new2 = _apply_map(spec, taus, v1, v2, mult)
+        # the old iterate is not needed again: hold the difference in place
+        d = _xt_norm(g, taus, np.subtract(new1, v1, out=v1),
+                     np.subtract(new2, v2, out=v2), spec.mu, mult)
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(d / distances[-2])
@@ -358,13 +343,8 @@ def xt_distance(spec: FinalStateSpec, state_a: PicardState, state_b: PicardState
 
 def xt_norm_to_leading(spec: FinalStateSpec, state: PicardState) -> float:
     """Distance of the current iterate from the leading wave (the iteration ball)."""
-    d1 = np.empty_like(state.v1)
-    d2 = np.empty_like(state.v2)
-    for i, tau in enumerate(state.taus):
-        s1, s2 = _w_sharp_arrays(spec, tau)
-        d1[i] = state.v1[i] - s1
-        d2[i] = state.v2[i] - s2
-    return _xt_norm(state.grid, state.taus, d1, d2, spec.mu)
+    s1, s2 = _w_sharp_arrays(spec, state.taus)
+    return _xt_norm(state.grid, state.taus, state.v1 - s1, state.v2 - s2, spec.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +373,10 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
     fit meaningless and count as trivially passing.
     """
     g = spec.grid
-    ts, errs = [], []
-    for cp in traj.checkpoints:
-        t = cp.ledger.t
-        u1, u2 = _free_of_psi(spec, t)
-        e1 = cp.pair.u1.values - u1
-        e2 = cp.pair.u2.values - u2
-        err = math.sqrt(g.dx * float(np.sum(np.abs(e1) ** 2 + np.abs(e2) ** 2)))
-        ts.append(t)
-        errs.append(err)
-    ts_arr = np.array(ts)
-    errs_arr = np.array(errs)
+    ts_arr = traj.times()
+    states = np.stack([_stack(cp.pair) for cp in traj.checkpoints])      # (n_t, 2, N)
+    free = _push_forward(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]), ts_arr[:, None])
+    errs_arr = np.sqrt(g.dx * np.sum(np.abs(states - free) ** 2, axis=(-2, -1)))
     floor = 1e-8 * max(spec.kappa, 1e-30)
     slope = None
     if np.max(errs_arr) > floor:
@@ -427,23 +400,13 @@ def nonlinearity_norms(spec: FinalStateSpec) -> tuple[float, float]:
 
 def dyadic_profile_drift(traj: Trajectory, base_times) -> dict:
     """d_j(t) = ||alpha_j(2t) - alpha_j(t)||_L2(dxi) at the given dyadic bases."""
-    snapshots: dict[float, ProfileSnapshot] = {}
-
-    def snap(t: float) -> ProfileSnapshot:
-        key = round(t, 9)
-        if key not in snapshots:
-            snapshots[key] = extract_profiles(traj.pair_at(t))
-        return snapshots[key]
-    dxi = traj.config.grid.dxi
-    ts, d1s, d2s = [], [], []
-    for t in base_times:
-        p_lo, p_hi = snap(t), snap(2.0 * t)
-        d1 = math.sqrt(dxi * float(np.sum(np.abs(p_hi.alpha1 - p_lo.alpha1) ** 2)))
-        d2 = math.sqrt(dxi * float(np.sum(np.abs(p_hi.alpha2 - p_lo.alpha2) ** 2)))
-        ts.append(t)
-        d1s.append(d1)
-        d2s.append(d2)
-    return {"ts": np.array(ts), "d1": np.array(d1s), "d2": np.array(d2s)}
+    base = np.asarray(base_times, dtype=float)
+    ts = np.concatenate([base, 2.0 * base])
+    grid = traj.config.grid
+    # one pull-back of every state, (2 n_base, 2, N), rows at their own times
+    alpha = _pull_back(grid, np.stack([_stack(traj.pair_at(t)) for t in ts]), ts[:, None])
+    d = np.sqrt(grid.dxi * np.sum(np.abs(alpha[len(base):] - alpha[:len(base)]) ** 2, axis=-1))
+    return {"ts": base, "d1": d[:, 0], "d2": d[:, 1]}
 
 
 @dataclass(frozen=True)
@@ -456,10 +419,26 @@ class ObstructionReport:
     stagnates: bool
 
 
+def _dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
+                      picard_iters: int) -> dict:
+    """Dyadic profile drift of the solution started from a few Picard iterates.
+
+    The iterates live on 48 log-spaced samples of [T, 40 T] and need not
+    contract; the forward run from T records the base times and their
+    doubles for :func:`dyadic_profile_drift`.
+    """
+    state = _picard_iterate(spec, T, 40.0 * T, picard_iters, 0.0, 48, "leading")
+    base = np.asarray(sorted(base_times), dtype=float)
+    cps = np.unique(np.concatenate([base, 2.0 * base]))
+    cfg = SolverConfig(
+        n_points=spec.grid.n_points, length=spec.grid.length,
+        t_start=T, t_end=float(cps[-1]), checkpoint_times=tuple(cps),
+    )
+    return dyadic_profile_drift(run(cfg, state.pair_at(T)), base)
+
+
 def obstruction_probe(spec: FinalStateSpec, base_times,
-                      T: float = 50.0, picard_iters: int = 3,
-                      n_time: int = 48, T_max: float | None = None,
-                      dt_policy=None) -> ObstructionReport:
+                      T: float = 50.0, picard_iters: int = 3) -> ObstructionReport:
     """Best-effort construction for overlapping data, then dyadic drift.
 
     Requires genuinely coupled data: ``eta = min_j ||N_j(psi_hat)|| > 0``.
@@ -472,20 +451,7 @@ def obstruction_probe(spec: FinalStateSpec, base_times,
     eta = min(n1, n2)
     if eta <= DECOUPLED_TOL:
         raise ValueError("data is decoupled (eta = 0): nothing to probe")
-    if T_max is None:
-        T_max = 40.0 * T
-    state = _picard_iterate(spec, T, T_max, picard_iters, 0.0, n_time, "leading")
-    start = state.pair_at(T)
-    base = np.asarray(sorted(base_times), dtype=float)
-    cps = np.unique(np.concatenate([base, 2.0 * base]))
-    cfg_kwargs = dict(
-        n_points=spec.grid.n_points, length=spec.grid.length,
-        t_start=T, t_end=float(cps[-1]), checkpoint_times=tuple(cps),
-    )
-    if dt_policy is not None:
-        cfg_kwargs["dt_policy"] = dt_policy
-    traj = run(SolverConfig(**cfg_kwargs), start)
-    drift = dyadic_profile_drift(traj, base)
+    drift = _dyadic_drift_run(spec, base_times, T, picard_iters)
     floor = 0.25 * eta * math.log(2.0)
     stagnates = bool(np.all(np.minimum(drift["d1"], drift["d2"]) >= floor))
     return ObstructionReport(

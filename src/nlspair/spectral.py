@@ -60,10 +60,12 @@ class Grid:
         xi = dxi * (np.arange(n) - n // 2)
         # fft-order frequencies and Nyquist slot, used by the fast kernels
         xi_fft = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-        for name, val in (("dx", dx), ("dxi", dxi), ("x", x), ("xi", xi),
-                          ("_xi_fft", xi_fft), ("_nyq_fft", n // 2)):
+        # (-1)^k: moves the origin of the ordered transforms to the centre
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        for name, val in (("dx", dx), ("dxi", dxi), ("x", x), ("xi", xi), ("_xi_fft", xi_fft),
+                          ("_nyq_fft", n // 2), ("_sign", sign)):
             object.__setattr__(self, name, val)
-        for arr in (x, xi, xi_fft):
+        for arr in (x, xi, xi_fft, sign):
             arr.flags.writeable = False
 
 
@@ -128,19 +130,21 @@ class FieldPair:
 # array kernels (private): fft-order fast paths shared by the time steppers
 # ---------------------------------------------------------------------------
 
-def _free_multiplier_fft(grid: Grid, dt: float) -> np.ndarray:
+def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
     """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed.
 
-    ``xi^2`` is even and fft order holds the frequencies ``0 .. N/2 - 1``
-    first, so the exponentials of that half are mirrored onto the negative
-    frequencies instead of being evaluated twice.
+    ``dt`` is a scalar, giving shape ``(N,)``, or an array of times, giving
+    one row per time.  ``xi^2`` is even and fft order holds the frequencies
+    ``0 .. N/2 - 1`` first, so the exponentials of that half are mirrored
+    onto the negative frequencies instead of being evaluated twice.
     """
     half = grid._nyq_fft
-    pos = np.exp(-0.5j * dt * grid._xi_fft[:half] ** 2)
-    mult = np.empty(grid.n_points, dtype=np.complex128)
-    mult[:half] = pos
-    mult[half] = 0.0
-    mult[half + 1:] = pos[:0:-1]
+    dt = np.asarray(dt, dtype=float)
+    pos = np.exp(-0.5j * dt[..., None] * grid._xi_fft[:half] ** 2)
+    mult = np.empty(dt.shape + (grid.n_points,), dtype=np.complex128)
+    mult[..., :half] = pos
+    mult[..., half] = 0.0
+    mult[..., half + 1:] = pos[..., :0:-1]
     return mult
 
 
@@ -155,16 +159,60 @@ def _free_step_array(grid: Grid, values: np.ndarray, dt: float,
 
 
 def _forward_array(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Ordered, continuum-normalised spectrum of raw x-space samples."""
-    spec = np.fft.fftshift(np.fft.fft(values))
-    sign = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
-    return spec * sign * (grid.dx / SQRT_2PI)
+    """Ordered, continuum-normalised spectrum of raw x-space samples (last axis)."""
+    spec = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    return spec * grid._sign * (grid.dx / SQRT_2PI)
 
 
 def _inverse_array(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    sign = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
     scale = grid.n_points * grid.dxi / SQRT_2PI
-    return np.fft.ifft(np.fft.ifftshift(spec * sign)) * scale
+    return np.fft.ifft(np.fft.ifftshift(spec * grid._sign, axes=-1), axis=-1) * scale
+
+
+def _pull_back(grid: Grid, values: np.ndarray, t,
+               mult: np.ndarray | None = None) -> np.ndarray:
+    """Profile ``F U(-t) u`` of raw x-space samples, in one FFT.
+
+    Batched along leading axes; ``t`` is a scalar or an array of times that
+    broadcasts against them, e.g. one time per row of ``values``.  Like every
+    free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.  ``mult`` is ``_free_multiplier_fft(grid, t)``, passed
+    by callers that transform many stacks at the same times.
+    """
+    if mult is None:
+        mult = _free_multiplier_fft(grid, t)
+    spec = np.fft.fft(values, axis=-1)
+    spec *= mult.conj()         # U(-t) multiplies by the conjugate
+    spec = np.fft.fftshift(spec, axes=-1)
+    spec *= grid._sign * (grid.dx / SQRT_2PI)
+    return spec
+
+
+def _push_forward(grid: Grid, alpha: np.ndarray, t,
+                  mult: np.ndarray | None = None) -> np.ndarray:
+    """x-space samples ``U(t) F^-1 alpha`` of a profile, in one IFFT.
+
+    The inverse of :func:`_pull_back` on fields without a Nyquist mode.
+    ``t`` is a scalar or an array of times; the rows of its multipliers
+    broadcast against ``alpha``, so one profile can be pushed to many times.
+    ``mult`` is as for :func:`_pull_back`.
+    """
+    if mult is None:
+        mult = _free_multiplier_fft(grid, t)
+    spec = np.fft.ifftshift(alpha * grid._sign, axes=-1) * mult
+    out = np.fft.ifft(spec, axis=-1)
+    out *= grid.n_points * grid.dxi / SQRT_2PI
+    return out
+
+
+def _j_spectrum(grid: Grid, alpha: np.ndarray) -> np.ndarray:
+    """``F J(t) u`` read off the profile ``alpha = F U(-t) u``.
+
+    ``J = U(t) x U(-t)`` and ``U(t)`` only rotates phases, so this is
+    ``F(x F^-1 alpha)`` with the Nyquist slot dropped; no time is needed.
+    """
+    spec = _forward_array(grid, grid.x * _inverse_array(grid, alpha))
+    spec[..., 0] = 0.0
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,17 @@ def rel_l2(grid, a, b):
     num = np.sqrt(np.sum(np.abs(a - b) ** 2))
     den = np.sqrt(np.sum(np.abs(b) ** 2))
     return num / den if den > 0 else num
+
+
+@pytest.fixture()
+def fft_calls(monkeypatch):
+    """Counts of ``numpy.fft.fft`` and ``numpy.fft.ifft`` calls, by name."""
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

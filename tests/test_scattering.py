@@ -7,8 +7,6 @@ import nlspair as nl
 from nlspair.dynamics import SolverConfig, run
 from nlspair.errors import PicardDivergence
 from nlspair.scattering import (
-    _free_of_psi,
-    _free_step_array,
     asymptotic_wave,
     build_final_state,
     dyadic_profile_drift,
@@ -20,7 +18,7 @@ from nlspair.scattering import (
     xt_distance,
     xt_norm_to_leading,
 )
-from nlspair.spectral import l2_norm
+from nlspair.spectral import _free_step_array, _push_forward, l2_norm
 
 WINDOW_L = {"kind": "window", "lo": -0.9, "hi": -0.3, "amp": 0.05}
 WINDOW_R = {"kind": "window", "lo": 0.3, "hi": 0.9, "amp": 0.05}
@@ -80,7 +78,9 @@ class TestBuildFinalState:
 class TestAsymptoticWave:
     def test_decomposition_identity(self, decoupled_spec):
         w = asymptotic_wave(decoupled_spec, 500.0)
-        u1, u2 = _free_of_psi(decoupled_spec, 500.0)
+        g = decoupled_spec.grid
+        u1 = _push_forward(g, decoupled_spec.psi_hat_1, 500.0)
+        u2 = _push_forward(g, decoupled_spec.psi_hat_2, 500.0)
         assert np.max(np.abs(w.w_sharp.u1.values + w.w_flat.u1.values - u1)) < 1e-12
         assert np.max(np.abs(w.w_sharp.u2.values + w.w_flat.u2.values - u2)) < 1e-12
 
@@ -140,7 +140,7 @@ class TestPicard:
         state = picard_construct(spec, 50.0, 1000.0, max_iters=4, tol=1e-12,
                                  n_time=24)
         assert state.converged and state.iterate_index <= 2
-        u1, _ = _free_of_psi(spec, 50.0)
+        u1 = _push_forward(grid, spec.psi_hat_1, 50.0)
         pair = state.pair_at(50.0)
         assert np.max(np.abs(pair.u1.values - u1)) < 1e-12
         assert np.all(pair.u2.values == 0)
@@ -159,6 +159,15 @@ class TestPicard:
         other = picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=8,
                                  tol=1e-9, n_time=48, initial="free")
         assert xt_distance(decoupled_spec, picard_state, other) <= 1e-8
+
+    def test_iteration_cost_independent_of_samples(self, decoupled_spec, fft_calls):
+        # one batched transform per stack: a per-sample loop would scale with n_time
+        counts = []
+        for n_time in (24, 48):
+            before = sum(fft_calls.values())
+            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=1, n_time=n_time)
+            counts.append(sum(fft_calls.values()) - before)
+        assert counts[0] == counts[1] > 0
 
     def test_coupled_spec_rejected(self, grid):
         entry = {"kind": "window", "lo": -0.4, "hi": 0.4, "amp": 0.05}
@@ -229,7 +238,8 @@ class TestObstruction:
                            t_start=100.0, t_end=400.0,
                            checkpoint_times=(100.0, 200.0, 400.0))
         for t in (100.0, 200.0, 400.0):
-            u1, u2 = _free_of_psi(spec, t)
+            u1 = _push_forward(grid, spec.psi_hat_1, t)
+            u2 = _push_forward(grid, spec.psi_hat_2, t)
             pair = nl.FieldPair(nl.ComplexField(grid, u1, t),
                                 nl.ComplexField(grid, u2, t))
             cps.append(Checkpoint(pair, mass_ledger(pair)))

@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlspair as nl
 from nlspair.errors import ConfigError
-from nlspair.spectral import _free_multiplier_fft, l2_norm, pair_l2_norm, sobolev_norm
+from nlspair.spectral import (
+    _forward_array,
+    _free_multiplier_fft,
+    _free_step_array,
+    _inverse_array,
+    _pull_back,
+    _push_forward,
+    l2_norm,
+    pair_l2_norm,
+    sobolev_norm,
+)
 
 from conftest import bandlimited_field, gaussian_field, rel_l2
 
@@ -56,6 +67,78 @@ class TestTransforms:
         f = nl.ComplexField(small_grid, np.ones(small_grid.n_points), 0.0, domain="xi")
         with pytest.raises(ValueError):
             nl.forward_transform(f)
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+sizes = st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024])
+times = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_subnormal=False)
+
+
+def _full_band_field(seed, n):
+    # the whole band, Nyquist mode included; length n gives dx = 1
+    grid = nl.make_grid(n, float(n))
+    return grid, bandlimited_field(grid, np.random.default_rng(seed), band_frac=1.0).values
+
+
+def _without_nyquist(grid, values):
+    spec = _forward_array(grid, values)
+    spec[0] = 0.0
+    return _inverse_array(grid, spec)
+
+
+class TestTransformProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(seeds, sizes)
+    def test_plancherel(self, seed, n):
+        g, u = _full_band_field(seed, n)
+        x_side = g.dx * np.sum(np.abs(u) ** 2)
+        xi_side = g.dxi * np.sum(np.abs(_forward_array(g, u)) ** 2)
+        assert xi_side == pytest.approx(x_side, rel=1e-13)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seeds, sizes)
+    def test_round_trip(self, seed, n):
+        g, u = _full_band_field(seed, n)
+        assert rel_l2(g, _inverse_array(g, _forward_array(g, u)), u) < 1e-13
+
+    @settings(deadline=None, max_examples=100)
+    @given(seeds, sizes, times)
+    def test_push_forward_inverts_pull_back(self, seed, n, t):
+        g, u = _full_band_field(seed, n)
+        back = _push_forward(g, _pull_back(g, u, t), t)
+        assert rel_l2(g, back, _without_nyquist(g, u)) < 1e-13
+
+    @settings(deadline=None, max_examples=100)
+    @given(seeds, sizes, times)
+    def test_pull_back_is_pulled_back_transform(self, seed, n, t):
+        g, u = _full_band_field(seed, n)
+        alpha = _pull_back(g, u, t)
+        # the old composition keeps the Nyquist mode at t = 0 only
+        old = _forward_array(g, _free_step_array(g, _without_nyquist(g, u), -t))
+        assert rel_l2(g, alpha, old) < 1e-13
+        # and the analytic multiplier exp(+i t xi^2 / 2) on the ordered grid,
+        # to the phase error of evaluating it on another copy of xi
+        direct = np.exp(0.5j * t * g.xi ** 2) * _forward_array(g, u)
+        direct[0] = 0.0
+        tol = 1e-13 * max(1.0, abs(t) * float(np.max(g.xi ** 2)))
+        assert rel_l2(g, alpha, direct) < tol
+
+    @settings(deadline=None, max_examples=50)
+    @given(seeds, sizes, st.lists(times, min_size=1, max_size=5))
+    def test_rows_match_single_time_calls(self, seed, n, ts):
+        g, _ = _full_band_field(seed, n)
+        rng = np.random.default_rng(seed)
+        rows = np.stack([bandlimited_field(g, rng, band_frac=1.0).values for _ in ts])
+        t_rows = np.array(ts)
+        alphas = _pull_back(g, rows, t_rows)
+        pushed = _push_forward(g, alphas, t_rows)
+        # a table evaluated once by the caller gives the same transforms
+        table = _free_multiplier_fft(g, t_rows)
+        assert np.array_equal(_pull_back(g, rows, t_rows, table), alphas)
+        assert np.array_equal(_push_forward(g, alphas, t_rows, table), pushed)
+        for i, t in enumerate(ts):
+            assert rel_l2(g, alphas[i], _pull_back(g, rows[i], t)) <= 1e-14
+            assert rel_l2(g, pushed[i], _push_forward(g, alphas[i], t)) <= 1e-14
 
 
 class TestFreePropagate:
