@@ -18,7 +18,6 @@ from .spectral import (
     apply_D,
     apply_J,
     apply_M,
-    apply_W,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -50,10 +49,8 @@ from .profiles import (
     build_case_records,
     classify,
     decoupling_history,
-    decoupling_metric,
     estimate_m,
     extract_profiles,
-    fit_log_decay,
     profile_history,
     remainder_probe,
 )

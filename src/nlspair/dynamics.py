@@ -137,21 +137,35 @@ class Checkpoint:
     ledger: MassLedger
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A run on the config's one grid: ``states[i]`` is ``(u1, u2)`` at ``ts[i]``.
+
+    The trajectory takes ownership of the ``(n_t, 2, N)`` array and freezes
+    it; ``checkpoints[i]`` holds views of row i and its mass ledger.
+    """
+
     config: SolverConfig
-    checkpoints: tuple[Checkpoint, ...]
+    ts: np.ndarray
+    states: np.ndarray
     provenance: dict
+    grid: Grid = field(init=False, repr=False)
+    checkpoints: tuple[Checkpoint, ...] = field(init=False, repr=False)
 
-    def times(self) -> np.ndarray:
-        return np.array([c.ledger.t for c in self.checkpoints])
-
-    def pair_at(self, t: float) -> FieldPair:
-        ts = self.times()
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > 1e-6 * max(1.0, abs(t)):
-            raise KeyError(f"no checkpoint at t = {t} (closest is {ts[i]})")
-        return self.checkpoints[i].pair
+    def __post_init__(self) -> None:
+        grid = self.config.grid
+        ts = np.array(self.ts, dtype=float)
+        states = self.states
+        if states.dtype != np.complex128 or states.shape != (len(ts), 2, grid.n_points):
+            raise ValueError(f"states {states.dtype}{states.shape} for {len(ts)} times on {grid}")
+        ts.flags.writeable = False
+        states.flags.writeable = False
+        cps = []
+        for t, v in zip(ts, states):
+            pair = FieldPair(ComplexField._row(grid, v[0], t), ComplexField._row(grid, v[1], t))
+            cps.append(Checkpoint(pair, mass_ledger(pair)))
+        for name, val in (("grid", grid), ("ts", ts), ("checkpoints", tuple(cps))):
+            object.__setattr__(self, name, val)
 
     def ledgers(self) -> list[MassLedger]:
         return [c.ledger for c in self.checkpoints]
@@ -309,17 +323,13 @@ def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _checkpoint(grid: Grid, v1: np.ndarray, v2: np.ndarray, t: float) -> Checkpoint:
-    if not (np.all(np.isfinite(v1.view(np.float64))) and np.all(np.isfinite(v2.view(np.float64)))):
+def _guard(config: SolverConfig, grid: Grid, v: np.ndarray, t: float) -> None:
+    """Reject a ``(2, N)`` state with non-finite values or mass at the box edges."""
+    if not np.all(np.isfinite(v.view(np.float64))):
         raise NumericsError(f"non-finite values at t = {t:.6g}")
-    pair = FieldPair(ComplexField(grid, v1, t), ComplexField(grid, v2, t))
-    return Checkpoint(pair, mass_ledger(pair))
-
-
-def _guard(config: SolverConfig, cp: Checkpoint) -> None:
-    frac = boundary_mass_fraction(cp.pair, config.boundary_band)
+    frac = boundary_mass_fraction(_unstack(grid, v, t), config.boundary_band)
     if frac > config.boundary_mass_tol:
-        raise GuardViolation(cp.ledger.t, frac, config.boundary_mass_tol)
+        raise GuardViolation(t, frac, config.boundary_mass_tol)
 
 
 def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -> Trajectory:
@@ -327,8 +337,8 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
 
     ``scheme(config, initial)`` sets up its state and returns
     ``(step, fields)``: ``step(t, dt)`` advances the state from t to t + dt,
-    and ``fields(t)`` returns the x-space components ``(u1, u2)`` at a
-    checkpoint time t.
+    and ``fields(t)`` returns the ``(2, N)`` x-space state at a checkpoint
+    time t, which is copied into that checkpoint's row of the trajectory.
     """
     grid = config.grid
     if initial.grid != grid:
@@ -336,20 +346,19 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
     if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
         raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
     t = config.t_start
-    _guard(config, _checkpoint(grid, initial.u1.values, initial.u2.values, t))
+    _guard(config, grid, _stack(initial), t)
     step, fields = scheme(config, initial)
 
     cps = config.resolved_checkpoints()
-    out: list[Checkpoint] = []
+    states = np.empty((len(cps), 2, grid.n_points), dtype=np.complex128)
     n_steps = 0
     i_cp = 0
     eps = 1e-9
     while i_cp < len(cps):
         target = cps[i_cp]
         if target <= t + eps * max(1.0, t):
-            cp = _checkpoint(grid, *fields(target), target)
-            _guard(config, cp)
-            out.append(cp)
+            states[i_cp] = fields(target)
+            _guard(config, grid, states[i_cp], target)
             i_cp += 1
             continue
         dt = min(config.dt_policy.dt_at(t), target - t)
@@ -357,11 +366,8 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
         t = target if target - t - dt <= eps * max(1.0, target) else t + dt
         n_steps += 1
 
-    return Trajectory(
-        config=config,
-        checkpoints=tuple(out),
-        provenance={**provenance, "n_steps": n_steps, "version": __version__},
-    )
+    return Trajectory(config=config, ts=cps, states=states,
+                      provenance={**provenance, "n_steps": n_steps, "version": __version__})
 
 
 def _strang_scheme(config: SolverConfig, initial: FieldPair):
@@ -373,10 +379,10 @@ def _strang_scheme(config: SolverConfig, initial: FieldPair):
         nonlocal v
         v = kernel.step(v, dt)
 
-    def fields(t: float):
+    def fields(t: float) -> np.ndarray:
         nonlocal v
         v = kernel.flush(v)
-        return v[0], v[1]
+        return v
 
     return step, fields
 
@@ -399,9 +405,8 @@ def _rk4_scheme(config: SolverConfig, initial: FieldPair):
         k4 = rhs(t + h, w + h * k3)
         w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def fields(t: float):
-        u = _push_forward(grid, w, t)
-        return u[0], u[1]
+    def fields(t: float) -> np.ndarray:
+        return _push_forward(grid, w, t)
 
     return step, fields
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fits, scattering
-from .dynamics import DtPolicy, SolverConfig, Trajectory, mass_ledger, run
+from .dynamics import DtPolicy, SolverConfig, Trajectory, run
 from .errors import CheckpointError, ConfigError, GuardViolation
 from .profiles import (
     DEFAULT_GAMMA,
@@ -137,7 +137,8 @@ def persist_checkpoint(pair: FieldPair, path) -> None:
         fh.write(np.ascontiguousarray(pair.u2.values, dtype="<c16").tobytes())
 
 
-def load_checkpoint(path) -> FieldPair:
+def load_checkpoint(path, grid: Grid | None = None) -> FieldPair:
+    """Read a state written by :func:`persist_checkpoint`, on ``grid`` when it is given."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header")
@@ -152,7 +153,11 @@ def load_checkpoint(path) -> FieldPair:
         raise CheckpointError(
             f"{path}: payload holds {len(payload)} bytes, header N={n} implies {expected}"
         )
-    grid = Grid(int(n), float(length))
+    if grid is None:
+        grid = Grid(int(n), float(length))
+    elif (n, length) != (grid.n_points, grid.length):
+        raise CheckpointError(f"{path}: header holds N={n}, length={length:g}; "
+                              f"the run's grid has N={grid.n_points}, length={grid.length:g}")
     vals = np.frombuffer(payload, dtype="<c16")
     return FieldPair(
         ComplexField(grid, vals[:n], t),
@@ -621,17 +626,26 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
 
 
 def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
-    """Rebuild a trajectory from persisted checkpoints (for `analyze`)."""
+    """Rebuild a trajectory from persisted checkpoints (for `analyze`).
+
+    Each file is read into its row of one state array, on the config's grid;
+    a file on another grid, or out of time order, is rejected.
+    """
     cp_dir = Path(out_dir) / "checkpoints"
     files = sorted(cp_dir.glob("cp_*.bin"))
     if not files:
         raise ConfigError(f"no checkpoints under {cp_dir}")
-    from .dynamics import Checkpoint
-    cps = []
-    for f in files:
-        pair = load_checkpoint(f)
-        cps.append(Checkpoint(pair, mass_ledger(pair)))
-    return Trajectory(config=config.solver, checkpoints=tuple(cps),
+    grid = config.solver.grid
+    ts = np.empty(len(files))
+    states = np.empty((len(files), 2, grid.n_points), dtype=np.complex128)
+    for i, f in enumerate(files):
+        pair = load_checkpoint(f, grid)
+        ts[i] = pair.time
+        if i and ts[i] <= ts[i - 1]:
+            raise CheckpointError(f"{f}: time {ts[i]:g} does not follow {ts[i - 1]:g}")
+        states[i, 0] = pair.u1.values
+        states[i, 1] = pair.u2.values
+    return Trajectory(config=config.solver, ts=ts, states=states,
                       provenance={"scheme": "loaded", "source": str(cp_dir)})
 
 

@@ -15,6 +15,7 @@ inputs are immutable, so the analyses are trivially data-parallel.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,23 @@ class ProfileSnapshot:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ProfileHistory(Sequence):
+    """Profiles at many times, ``alpha[i]`` at ``ts[i]``: a sequence of snapshot views."""
+
+    ts: np.ndarray
+    alpha: np.ndarray       # (n_t, 2, N), read-only
+    grid: Grid
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProfileHistory(self.ts[i], self.alpha[i], self.grid)
+        return ProfileSnapshot(float(self.ts[i]), self.alpha[i, 0], self.alpha[i, 1], self.grid)
+
+
 def extract_profiles(pair: FieldPair) -> ProfileSnapshot:
     """Pull the pair back along the free flow and transform: alpha_j = F U(-t) u_j."""
     alpha = _pull_back(pair.grid, _stack(pair), pair.time)
@@ -54,13 +72,18 @@ def extract_profiles(pair: FieldPair) -> ProfileSnapshot:
     return ProfileSnapshot(t=pair.time, alpha1=alpha[0], alpha2=alpha[1], grid=pair.grid)
 
 
-def profile_history(traj: Trajectory, t_min: float = 2.0) -> list[ProfileSnapshot]:
-    """Profiles at every checkpoint with t >= t_min (the analytics window)."""
-    return [
-        extract_profiles(cp.pair)
-        for cp in traj.checkpoints
-        if cp.ledger.t >= t_min - 1e-9
-    ]
+def _first_row(traj: Trajectory, t_min: float) -> int:
+    """Index of the first checkpoint with t >= t_min: the rows of the analytics window."""
+    return int(np.searchsorted(traj.ts, t_min - 1e-9))
+
+
+def profile_history(traj: Trajectory, t_min: float = 2.0) -> ProfileHistory:
+    """Profiles at every checkpoint with t >= t_min (the analytics window), in one pull-back."""
+    i0 = _first_row(traj, t_min)
+    ts = traj.ts[i0:]
+    alpha = _pull_back(traj.grid, traj.states[i0:], ts[:, None])
+    alpha.flags.writeable = False
+    return ProfileHistory(ts, alpha, traj.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -84,48 +107,71 @@ class RemainderProbe:
     gamma: float
 
 
-def remainder_probe(pair: FieldPair, snapshot: ProfileSnapshot | None = None,
-                    gamma: float = DEFAULT_GAMMA) -> RemainderProbe:
-    """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u), evaluated spectrally."""
+@dataclass(frozen=True, eq=False)
+class RemainderHistory(Sequence):
+    """Remainders at many times, ``r[i]`` at ``ts[i]``: a sequence of probe views."""
+
+    ts: np.ndarray
+    r: np.ndarray           # (n_t, 2, N), read-only
+    bound_ratio: np.ndarray
+    gamma: float
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RemainderHistory(self.ts[i], self.r[i], self.bound_ratio[i], self.gamma)
+        return RemainderProbe(t=float(self.ts[i]), r1=self.r[i, 0], r2=self.r[i, 1],
+                              bound_ratio=float(self.bound_ratio[i]), gamma=self.gamma)
+
+
+def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray, alpha: np.ndarray,
+                gamma: float) -> RemainderHistory:
+    """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u) on ``(n_t, 2, N)`` stacks."""
     if not (0.0 < gamma < 1.0 / 12.0):
         raise ValueError(f"gamma must lie in (0, 1/12), got {gamma}")
-    t = pair.time
-    if t < 1.0:
+    if np.any(ts < 1.0):
         raise ValueError("remainder probe needs t >= 1")
-    if snapshot is None:
-        snapshot = extract_profiles(pair)
-    g = pair.grid
-    u = _stack(pair)
-    fn = _pull_back(g, np.abs(u[::-1]) ** 2 * u, t)
-    alpha = np.stack([snapshot.alpha1, snapshot.alpha2])
-    r = np.abs(alpha[::-1]) ** 2 * alpha / t - fn
+    fn = _pull_back(grid, np.abs(states[:, ::-1]) ** 2 * states, ts[:, None], overwrite_x=True)
+    r = np.abs(alpha[:, ::-1]) ** 2 * alpha
+    r /= ts[:, None, None]
+    r -= fn
+    del fn
 
-    w2 = 1.0 + g.xi ** 2
-    peak = float(np.max(np.sqrt(w2) * np.abs(r)))
+    w2 = 1.0 + grid.xi ** 2
+    peak = np.max(np.sqrt(w2) * np.abs(r), axis=(1, 2))
     # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
-    # both on the snapshot's profile
-    h1 = math.sqrt(g.dxi * float(np.sum(w2 * np.abs(alpha) ** 2)))
-    jh1 = math.sqrt(g.dxi * float(np.sum(w2 * np.abs(_j_spectrum(g, alpha)) ** 2)))
+    # both on the profile
+    h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
+    jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, alpha)) ** 2, axis=(1, 2)))
     denom = (h1 + jh1) ** 3
-    ratio = peak * t ** (1.25 - 3.0 * gamma) / denom if denom > 0 else 0.0
-    return RemainderProbe(t=t, r1=r[0], r2=r[1], bound_ratio=float(ratio), gamma=gamma)
+    ratio = peak * ts ** (1.25 - 3.0 * gamma) / np.where(denom > 0, denom, np.inf)
+    r.flags.writeable = False
+    return RemainderHistory(ts, r, ratio, gamma)
+
+
+def remainder_probe(pair: FieldPair, gamma: float = DEFAULT_GAMMA) -> RemainderProbe:
+    """The remainder at one time: the one-row case of :func:`remainder_history`."""
+    u, ts = _stack(pair)[None], np.array([pair.time])
+    return _remainders(pair.grid, ts, u, _pull_back(pair.grid, u, ts[:, None]), gamma)[0]
 
 
 def remainder_history(traj: Trajectory, gamma: float = DEFAULT_GAMMA,
                       t_min: float = 2.0,
-                      profiles: list[ProfileSnapshot] | None = None) -> list[RemainderProbe]:
-    """Remainder probes at every checkpoint with t >= t_min.
+                      profiles: ProfileHistory | None = None) -> RemainderHistory:
+    """Remainders at every checkpoint with t >= t_min, in one batched evaluation.
 
-    ``profiles`` are the snapshots of :func:`profile_history` over the same
-    checkpoints; pass them when already built, so they are not extracted twice.
+    ``profiles`` is the :func:`profile_history` over the same checkpoints;
+    pass it when already built, so the profiles are not extracted twice.
     """
     t_min = max(t_min, 1.0)
     if profiles is None:
         profiles = profile_history(traj, t_min)
-    pairs = [cp.pair for cp in traj.checkpoints if cp.ledger.t >= t_min - 1e-9]
-    if [p.t for p in profiles] != [pair.time for pair in pairs]:
+    i0 = _first_row(traj, t_min)
+    if not np.array_equal(profiles.ts, traj.ts[i0:]):
         raise ValueError("profiles and checkpoints cover different times")
-    return [remainder_probe(pair, snap, gamma) for pair, snap in zip(pairs, profiles)]
+    return _remainders(traj.grid, profiles.ts, traj.states[i0:], profiles.alpha, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +206,14 @@ class MEstimates:
 
 
 def estimate_m(traj: Trajectory,
-               profiles: list[ProfileSnapshot] | None = None,
-               probes: list[RemainderProbe] | None = None,
+               profiles: ProfileHistory | None = None,
+               probes: RemainderHistory | None = None,
                gamma: float = DEFAULT_GAMMA) -> MEstimates:
     if profiles is None:
         profiles = profile_history(traj)
     if len(profiles) < 4:
         raise ValueError("trajectory too short: need checkpoints spanning [2, T]")
-    ts = np.array([p.t for p in profiles])
+    ts = profiles.ts
     if ts[-1] < 100.0:
         raise ValueError(f"trajectory too short: final time {ts[-1]} < 100")
     if probes is None:
@@ -175,25 +221,23 @@ def estimate_m(traj: Trajectory,
     if len(probes) != len(profiles):
         raise ValueError("profiles and probes must cover the same checkpoints")
 
-    vals = np.stack([np.abs(p.alpha1) ** 2 - np.abs(p.alpha2) ** 2 for p in profiles])
-    rho = np.stack([
-        2.0 * np.real(np.conj(p.alpha1) * q.r1 - np.conj(p.alpha2) * q.r2)
-        for p, q in zip(profiles, probes)
-    ])
+    a, r = profiles.alpha, probes.r
+    vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2              # (n_t, N)
+    rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
     # integrate rho along checkpoints for every frequency at once
     integral = fits.cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1))
-    m_a = vals[-1]
+    m_a = vals[-1].copy()       # not a view: the stack is not kept alive
     m_b = vals[0] + integral[..., -1]
 
     # balance-law residual: vals(t) - vals(t0) - int rho should vanish
     resid = np.moveaxis(vals, 0, -1) - vals[0][..., None] - integral
     balance_residual = float(np.max(np.abs(resid)))
 
-    amp0 = np.abs(profiles[0].alpha1) + np.abs(profiles[0].alpha2)
+    amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
     return MEstimates(
-        xi=profiles[0].grid.xi,
+        xi=profiles.grid.xi,
         m_a=m_a,
         m_b=m_b,
         t_anchor=float(ts[0]),
@@ -234,13 +278,6 @@ def classify(m_hat, deadband: float) -> np.ndarray:
 # decay fits
 # ---------------------------------------------------------------------------
 
-def _trailing(ts: np.ndarray, fraction: float = 0.1) -> np.ndarray:
-    mask = fits.trailing_window_mask(ts, fraction)
-    if int(np.sum(mask)) < 8:
-        raise ValueError("need at least 8 checkpoints in the trailing window")
-    return mask
-
-
 def decay_exponents(ts, moduli) -> np.ndarray:
     """Log-log slopes of profile-modulus series over the trailing window.
 
@@ -250,52 +287,12 @@ def decay_exponents(ts, moduli) -> np.ndarray:
     companion modulus decays like t^-m, so the slope estimates -m.
     """
     ts = np.asarray(ts, dtype=float)
-    mask = _trailing(ts)
+    mask = fits.trailing_window_mask(ts)
+    if int(np.sum(mask)) < 8:
+        raise ValueError("need at least 8 checkpoints in the trailing window")
     window = np.asarray(moduli, dtype=float)[..., mask]
     ok = np.all(window > 1e-13, axis=-1)
     return np.where(ok, fits.loglog_slopes(ts[mask], window), np.nan)
-
-
-@dataclass(frozen=True)
-class LogDecayReport:
-    """sup of |alpha| sqrt(log t) over dyadic subwindows of the trailing window."""
-
-    window_times: np.ndarray
-    windowed_sups: np.ndarray
-    sup_value: float
-    max_consecutive_ratio: float
-
-    @property
-    def non_diverging(self) -> bool:
-        return self.max_consecutive_ratio <= 1.1
-
-
-def fit_log_decay(ts, vals) -> LogDecayReport:
-    """Boundedness report for the balanced-case rate |alpha| <= C / sqrt(log t)."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    mask = _trailing(ts)
-    ts, vals = ts[mask], vals[mask]
-    scaled = vals * np.sqrt(np.log(ts))
-    # dyadic subwindows of [T/10, T]
-    edges = [ts[0]]
-    while edges[-1] * 2.0 < ts[-1] * (1.0 + 1e-12):
-        edges.append(edges[-1] * 2.0)
-    edges.append(ts[-1] * (1.0 + 1e-12))
-    sups, mids = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (ts >= lo) & (ts <= hi)
-        if np.any(sel):
-            sups.append(float(np.max(scaled[sel])))
-            mids.append(float(np.sqrt(lo * hi)))
-    sups_arr = np.array(sups)
-    ratios = sups_arr[1:] / sups_arr[:-1] if len(sups_arr) > 1 else np.array([1.0])
-    return LogDecayReport(
-        window_times=np.array(mids),
-        windowed_sups=sups_arr,
-        sup_value=float(np.max(scaled)),
-        max_consecutive_ratio=float(np.max(ratios)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +325,16 @@ class DecouplingReport:
         return float(self.l2_products[-1])
 
 
-def decoupling_metric(snapshot: ProfileSnapshot) -> tuple[float, float, float]:
-    """(t, sup, L2) of the pointwise profile product at one time."""
-    prod = np.abs(snapshot.alpha1 * snapshot.alpha2)
-    l2 = math.sqrt(float(snapshot.grid.dxi * np.sum(prod ** 2)))
-    return snapshot.t, float(np.max(prod)), l2
+def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
+    prod = np.abs(profiles.alpha[:, 0] * profiles.alpha[:, 1])     # (n_t, N)
+    return DecouplingReport(ts=np.array(profiles.ts), sup_products=np.max(prod, axis=-1),
+                            l2_products=np.sqrt(profiles.grid.dxi * np.sum(prod ** 2, axis=-1)))
 
 
-def decoupling_history(profiles: list[ProfileSnapshot]) -> DecouplingReport:
-    rows = [decoupling_metric(p) for p in profiles]
-    ts, sups, l2s = (np.array(col) for col in zip(*rows))
-    return DecouplingReport(ts=ts, sup_products=sups, l2_products=l2s)
-
-
-def profile_bound_history(profiles: list[ProfileSnapshot]) -> np.ndarray:
+def profile_bound_history(profiles: ProfileHistory) -> np.ndarray:
     """max_xi <xi> |alpha| at each snapshot; should stay uniformly bounded."""
-    out = []
-    for p in profiles:
-        w = np.sqrt(1.0 + p.grid.xi ** 2)
-        out.append(float(max(np.max(w * np.abs(p.alpha1)), np.max(w * np.abs(p.alpha2)))))
-    return np.array(out)
+    w = np.sqrt(1.0 + profiles.grid.xi ** 2)
+    return np.max(w * np.abs(profiles.alpha), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -370,28 +357,27 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, other_sq: np.ndarray,
     survivor.  Returns (beta, tail_err) of shape (...,).
     """
     # exponent I(s) = int_s^T |alpha_other|^2 dtau/tau, plus fitted tail
-    integrand = other_sq / ts
-    I = fits.reverse_cumtrapz(ts, integrand)
+    I = fits.reverse_cumtrapz(ts, other_sq / ts)
     n_fit = min(8, len(ts) - 1)
     tail_ts = ts[-n_fit:]
     # a flat or growing fitted tail means the series already hit its floor;
     # fall back to one more decade at the last value
     i_tail, ok = fits.power_tail(tail_ts, other_sq[..., -n_fit:], -1.0)
     i_tail = np.where(ok, i_tail, other_sq[..., -1])
-    I_full = I + i_tail[..., None]
-    decay = np.exp(-I_full)
+    I += i_tail[..., None]
+    decay = np.exp(np.negative(I, out=I), out=I)      # e^{-I}, in place
     beta = surv[..., 0] * decay[..., 0]
     beta = beta + np.trapezoid(r_surv * decay, ts, axis=-1)
-    r_abs = np.abs(r_surv)
-    r_tail, ok = fits.power_tail(tail_ts, r_abs[..., -n_fit:], 0.0)
+    r_abs = np.abs(r_surv[..., -n_fit:])
+    r_tail, ok = fits.power_tail(tail_ts, r_abs, 0.0)
     r_tail = np.where(ok, r_tail, r_abs[..., -1] * ts[-1])
     tail_err = np.abs(surv[..., -1]) * i_tail + r_tail
     return beta, tail_err
 
 
 def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
-                       profiles: list[ProfileSnapshot] | None = None,
-                       probes: list[RemainderProbe] | None = None,
+                       profiles: ProfileHistory | None = None,
+                       probes: RemainderHistory | None = None,
                        deadband: float | None = None,
                        gamma: float = DEFAULT_GAMMA) -> BetaPlusEstimate:
     """Limit of the surviving profile at one frequency, with a tail error bar.
@@ -412,18 +398,17 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
     est = estimate_m(traj, profiles, probes, gamma=gamma)
     if deadband is None:
         deadband = est.suggested_deadband
-    grid = profiles[0].grid
+    grid = profiles.grid
     k = int(np.argmin(np.abs(grid.xi - xi)))
     wanted = SURVIVOR_1 if which == 1 else SURVIVOR_2
     label = str(classify(est.m_hat[k], deadband))
     if label != wanted:
         raise ValueError(f"frequency {grid.xi[k]:.4g} classified {label}, not {wanted}")
 
-    ts = np.array([p.t for p in profiles])
-    alpha = np.array([(p.alpha1[k], p.alpha2[k]) for p in profiles]).T   # (2, n_t)
-    r = np.array([(q.r1[k], q.r2[k]) for q in probes]).T
+    alpha = profiles.alpha[:, :, k].T     # (2, n_t)
+    r = probes.r[:, :, k].T
     s, o = which - 1, 2 - which     # survivor and companion rows
-    beta, tail = _beta_plus_arrays(ts, alpha[s], np.abs(alpha[o]) ** 2, r[s])
+    beta, tail = _beta_plus_arrays(profiles.ts, alpha[s], np.abs(alpha[o]) ** 2, r[s])
     return BetaPlusEstimate(
         value=complex(beta),
         tail_err=float(tail),
@@ -436,8 +421,8 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
 # ---------------------------------------------------------------------------
 
 def build_case_records(traj: Trajectory,
-                       profiles: list[ProfileSnapshot] | None = None,
-                       probes: list[RemainderProbe] | None = None,
+                       profiles: ProfileHistory | None = None,
+                       probes: RemainderHistory | None = None,
                        deadband: float | None = None,
                        gamma: float = DEFAULT_GAMMA):
     """Classify every frequency and attach decay fits and limit estimates.
@@ -453,12 +438,11 @@ def build_case_records(traj: Trajectory,
     est = estimate_m(traj, profiles, probes, gamma=gamma)
     if deadband is None:
         deadband = est.suggested_deadband
-    grid = profiles[0].grid
-    ts = np.array([p.t for p in profiles])
-    a1 = np.stack([p.alpha1 for p in profiles], axis=-1)   # (n_xi, n_t)
-    a2 = np.stack([p.alpha2 for p in profiles], axis=-1)
-    r1 = np.stack([q.r1 for q in probes], axis=-1)
-    r2 = np.stack([q.r2 for q in probes], axis=-1)
+    grid = profiles.grid
+    ts = profiles.ts
+    # (n_xi, n_t) views: the fits run along the time axis, where it lies
+    a1, a2 = np.moveaxis(profiles.alpha, 0, -1)
+    r1, r2 = np.moveaxis(probes.r, 0, -1)
 
     m = est.m_hat
     labels = classify(m, deadband)
@@ -466,32 +450,22 @@ def build_case_records(traj: Trajectory,
     slope_a1 = decay_exponents(ts, np.abs(a1))
 
     # tail of the balance-law integrand, as a signed magnitude estimate
-    rho = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
     n_fit = min(8, len(ts) - 1)
-    r_tail, ok = fits.power_tail(ts[-n_fit:], np.abs(rho[..., -n_fit:]), 0.0)
-    r_tail = np.sign(np.sum(rho[..., -n_fit:], axis=-1)) * np.where(ok, r_tail, 0.0)
+    tail = np.s_[..., -n_fit:]
+    rho = 2.0 * np.real(np.conj(a1[tail]) * r1[tail] - np.conj(a2[tail]) * r2[tail])
+    r_tail, ok = fits.power_tail(ts[-n_fit:], np.abs(rho), 0.0)
+    r_tail = np.sign(np.sum(rho, axis=-1)) * np.where(ok, r_tail, 0.0)
 
     beta1, _ = _beta_plus_arrays(ts, a1, np.abs(a2) ** 2, r1)
     beta2, _ = _beta_plus_arrays(ts, a2, np.abs(a1) ** 2, r2)
 
-    records = []
-    for k in range(grid.n_points):
-        label = str(labels[k])
-        if label == SURVIVOR_1:
-            exp_fit = slope_a2[k]
-            beta = complex(beta1[k])
-        elif label == SURVIVOR_2:
-            exp_fit = slope_a1[k]
-            beta = complex(beta2[k])
-        else:
-            exp_fit = np.nan
-            beta = None
-        records.append(CaseRecord(
-            xi=float(grid.xi[k]),
-            m_hat=float(m[k]),
-            r_tail=float(r_tail[k]),
-            case_label=label,
-            fitted_exponent=None if np.isnan(exp_fit) else float(exp_fit),
-            beta_plus=beta,
-        ))
+    # the companion's exponent and the survivor's limit, by label
+    one = labels == SURVIVOR_1
+    exp_fit = np.where(one, slope_a2, np.where(labels == SURVIVOR_2, slope_a1, np.nan))
+    beta = np.where(one, beta1, beta2)
+    records = [CaseRecord(xi=float(grid.xi[k]), m_hat=float(m[k]), r_tail=float(r_tail[k]),
+                          case_label=str(labels[k]),
+                          fitted_exponent=None if np.isnan(exp_fit[k]) else float(exp_fit[k]),
+                          beta_plus=None if labels[k] == BALANCED else complex(beta[k]))
+               for k in range(grid.n_points)]
     return records, est

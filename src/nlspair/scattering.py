@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import SolverConfig, Trajectory, _stack, run
+from .dynamics import SolverConfig, Trajectory, run
 from .errors import PicardDivergence
 from .spectral import (
     ComplexField,
@@ -208,10 +208,6 @@ class PicardState:
     converged: bool
     grid: Grid
 
-    @property
-    def contraction_ratio(self) -> float:
-        return self.ratios[-1] if self.ratios else float("nan")
-
     def pair_at(self, t: float) -> FieldPair:
         i = int(np.argmin(np.abs(self.taus - t)))
         if abs(self.taus[i] - t) > 1e-9 * max(1.0, t):
@@ -256,7 +252,8 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
     g = spec.grid
     out = []
     for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
-        tail = fits.reverse_cumtrapz(taus, _pull_back(g, np.abs(w) ** 2 * v, taus, mult).T).T
+        pulled = _pull_back(g, np.abs(w) ** 2 * v, taus, mult, overwrite_x=True)
+        tail = fits.reverse_cumtrapz(taus, pulled.T).T
         tail += psi_hat
         out.append(_push_forward(g, tail, taus, mult))
     return tuple(out)
@@ -330,17 +327,6 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
     return state
 
 
-def picard_residual(spec: FinalStateSpec, state: PicardState) -> float:
-    """Fixed-point residual ||Phi[v] - v|| in the weighted sup norm."""
-    new1, new2 = _apply_map(spec, state.taus, state.v1, state.v2)
-    return _xt_norm(state.grid, state.taus, new1 - state.v1, new2 - state.v2, state.mu)
-
-
-def xt_distance(spec: FinalStateSpec, state_a: PicardState, state_b: PicardState) -> float:
-    return _xt_norm(state_a.grid, state_a.taus, state_a.v1 - state_b.v1,
-                    state_a.v2 - state_b.v2, spec.mu)
-
-
 def xt_norm_to_leading(spec: FinalStateSpec, state: PicardState) -> float:
     """Distance of the current iterate from the leading wave (the iteration ball)."""
     s1, s2 = _w_sharp_arrays(spec, state.taus)
@@ -373,10 +359,9 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
     fit meaningless and count as trivially passing.
     """
     g = spec.grid
-    ts_arr = traj.times()
-    states = np.stack([_stack(cp.pair) for cp in traj.checkpoints])      # (n_t, 2, N)
+    ts_arr = traj.ts
     free = _push_forward(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]), ts_arr[:, None])
-    errs_arr = np.sqrt(g.dx * np.sum(np.abs(states - free) ** 2, axis=(-2, -1)))
+    errs_arr = np.sqrt(g.dx * np.sum(np.abs(traj.states - free) ** 2, axis=(-2, -1)))
     floor = 1e-8 * max(spec.kappa, 1e-30)
     slope = None
     if np.max(errs_arr) > floor:
@@ -402,9 +387,13 @@ def dyadic_profile_drift(traj: Trajectory, base_times) -> dict:
     """d_j(t) = ||alpha_j(2t) - alpha_j(t)||_L2(dxi) at the given dyadic bases."""
     base = np.asarray(base_times, dtype=float)
     ts = np.concatenate([base, 2.0 * base])
-    grid = traj.config.grid
+    grid = traj.grid
+    rows = np.argmin(np.abs(traj.ts - ts[:, None]), axis=-1)
+    missing = np.abs(traj.ts[rows] - ts) > 1e-6 * np.maximum(1.0, np.abs(ts))
+    if np.any(missing):
+        raise KeyError(f"no checkpoint at t = {ts[missing][0]}")
     # one pull-back of every state, (2 n_base, 2, N), rows at their own times
-    alpha = _pull_back(grid, np.stack([_stack(traj.pair_at(t)) for t in ts]), ts[:, None])
+    alpha = _pull_back(grid, traj.states[rows], ts[:, None], overwrite_x=True)
     d = np.sqrt(grid.dxi * np.sum(np.abs(alpha[len(base):] - alpha[:len(base)]) ** 2, axis=-1))
     return {"ts": base, "d1": d[:, 0], "d2": d[:, 1]}
 

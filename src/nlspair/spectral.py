@@ -101,6 +101,15 @@ class ComplexField:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time", float(self.time))
 
+    @classmethod
+    def _row(cls, grid: Grid, values: np.ndarray, time: float) -> "ComplexField":
+        """An x-space field over a row of a frozen, already checked stack, uncopied."""
+        f = object.__new__(cls)
+        for name, val in (("grid", grid), ("values", values), ("time", float(time)),
+                          ("domain", "x")):
+            object.__setattr__(f, name, val)
+        return f
+
 
 @dataclass(frozen=True)
 class FieldPair:
@@ -158,31 +167,44 @@ def _free_step_array(grid: Grid, values: np.ndarray, dt: float,
     return np.fft.ifft(np.fft.fft(values) * mult)
 
 
-def _forward_array(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Ordered, continuum-normalised spectrum of raw x-space samples (last axis)."""
-    spec = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
-    return spec * grid._sign * (grid.dx / SQRT_2PI)
+def _forward_array(grid: Grid, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Ordered, continuum-normalised spectrum of raw x-space samples (last axis).
+
+    N/2 is even, so ``fftshift(fft(v)) == fft((-1)^n v)``: the sign on the
+    input puts the output in ordered frequencies without a reordering copy.
+    ``overwrite_x`` lets the sign go into ``values`` in place, for callers
+    that pass a temporary.
+    """
+    spec = np.fft.fft(np.multiply(values, grid._sign, out=values if overwrite_x else None), axis=-1)
+    spec *= grid._sign * (grid.dx / SQRT_2PI)
+    return spec
 
 
 def _inverse_array(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    scale = grid.n_points * grid.dxi / SQRT_2PI
-    return np.fft.ifft(np.fft.ifftshift(spec * grid._sign, axes=-1), axis=-1) * scale
+    """Raw x-space samples of an ordered spectrum; ``ifft(ifftshift(X)) == (-1)^n ifft(X)``."""
+    out = np.fft.ifft(spec * grid._sign, axis=-1)
+    out *= grid._sign * (grid.n_points * grid.dxi / SQRT_2PI)
+    return out
 
 
 def _pull_back(grid: Grid, values: np.ndarray, t,
-               mult: np.ndarray | None = None) -> np.ndarray:
+               mult: np.ndarray | None = None, overwrite_x: bool = False) -> np.ndarray:
     """Profile ``F U(-t) u`` of raw x-space samples, in one FFT.
 
     Batched along leading axes; ``t`` is a scalar or an array of times that
     broadcasts against them, e.g. one time per row of ``values``.  Like every
-    free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.  ``mult`` is ``_free_multiplier_fft(grid, t)``, passed
-    by callers that transform many stacks at the same times.
+    free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.
+    ``mult`` is ``_free_multiplier_fft(grid, t)``, passed by callers that
+    transform many stacks at the same times; ``overwrite_x`` is as for
+    :func:`_forward_array`.
     """
-    if mult is None:
-        mult = _free_multiplier_fft(grid, t)
-    spec = np.fft.fft(values, axis=-1)
-    spec *= mult.conj()         # U(-t) multiplies by the conjugate
-    spec = np.fft.fftshift(spec, axes=-1)
+    back = _free_multiplier_fft(grid, t) if mult is None else mult.copy()
+    np.conjugate(back, out=back)        # U(-t) multiplies by the conjugate
+    spec = np.fft.fft(np.multiply(values, grid._sign, out=values if overwrite_x else None), axis=-1)
+    # the spectrum is in ordered frequencies, the multiplier in fft order
+    half = grid._nyq_fft
+    spec[..., :half] *= back[..., half:]
+    spec[..., half:] *= back[..., :half]
     spec *= grid._sign * (grid.dx / SQRT_2PI)
     return spec
 
@@ -198,9 +220,13 @@ def _push_forward(grid: Grid, alpha: np.ndarray, t,
     """
     if mult is None:
         mult = _free_multiplier_fft(grid, t)
-    spec = np.fft.ifftshift(alpha * grid._sign, axes=-1) * mult
+    half = grid._nyq_fft
+    spec = np.empty(np.broadcast_shapes(np.shape(alpha), mult.shape), dtype=np.complex128)
+    np.multiply(alpha[..., :half], mult[..., half:], out=spec[..., :half])
+    np.multiply(alpha[..., half:], mult[..., :half], out=spec[..., half:])
+    spec *= grid._sign
     out = np.fft.ifft(spec, axis=-1)
-    out *= grid.n_points * grid.dxi / SQRT_2PI
+    out *= grid._sign * (grid.n_points * grid.dxi / SQRT_2PI)
     return out
 
 
@@ -210,7 +236,9 @@ def _j_spectrum(grid: Grid, alpha: np.ndarray) -> np.ndarray:
     ``J = U(t) x U(-t)`` and ``U(t)`` only rotates phases, so this is
     ``F(x F^-1 alpha)`` with the Nyquist slot dropped; no time is needed.
     """
-    spec = _forward_array(grid, grid.x * _inverse_array(grid, alpha))
+    phys = _inverse_array(grid, alpha)
+    phys *= grid.x
+    spec = _forward_array(grid, phys, overwrite_x=True)
     spec[..., 0] = 0.0
     return spec
 
@@ -286,19 +314,6 @@ def apply_D(f: ComplexField, t: float) -> ComplexField:
     return ComplexField(g, f.values * scale, f.time, domain="x")
 
 
-def apply_W(f: ComplexField, t: float) -> ComplexField:
-    """Frequency-side chirp conjugation F M(t) F^{-1}; tends to the identity as t grows."""
-    t = float(t)
-    if t == 0.0:
-        raise ValueError("apply_W is undefined at t = 0")
-    if f.domain != "xi":
-        raise ValueError("apply_W expects a frequency-side field")
-    g = f.grid
-    phys = _inverse_array(g, f.values)
-    phys *= np.exp(0.5j * g.x ** 2 / t)
-    return ComplexField(g, _forward_array(g, phys), f.time, domain="xi")
-
-
 def apply_J(f: ComplexField, t: float) -> ComplexField:
     """Weighted translation x + i t d/dx, realised as U(t) x U(-t).
 
@@ -359,7 +374,3 @@ def norms(f: ComplexField, jfield: ComplexField | None = None) -> NormReport:
         j_h1=None if jfield is None else sobolev_norm(jfield, 1.0),
     )
 
-
-def pair_l2_norm(pair: FieldPair) -> float:
-    """Euclidean combination of the component L2 norms."""
-    return math.sqrt(l2_norm(pair.u1) ** 2 + l2_norm(pair.u2) ** 2)

@@ -290,7 +290,7 @@ class TestRun:
     def test_checkpoint_times_exact(self):
         cfg = self._config(t_end=50.0)
         traj = run(cfg, self._data(cfg))
-        assert np.allclose(traj.times(), cfg.resolved_checkpoints(), rtol=0, atol=1e-9)
+        assert np.allclose(traj.ts, cfg.resolved_checkpoints(), rtol=0, atol=1e-9)
 
     def test_guard_trips_on_fast_packet(self):
         cfg, pair = fast_packet()

@@ -1,24 +1,33 @@
 import json
+import shutil
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nlspair as nl
 from nlspair.cli import main
+from nlspair.dynamics import SolverConfig, run
 from nlspair.errors import CheckpointError, ConfigError
 from nlspair.harness import (
+    AnalysisOptions,
     ExperimentConfig,
     SIMULATE_PRESETS,
     data_size_report,
+    emit_trajectory_reports,
     generate_initial_data,
     get_simulate_preset,
     load_checkpoint,
     load_config,
+    load_trajectory,
     persist_checkpoint,
     run_simulate,
     write_csv,
 )
-from nlspair.spectral import l2_norm
+from nlspair.spectral import _push_forward, l2_norm
+
+from conftest import gaussian_field
 
 
 @pytest.fixture()
@@ -289,3 +298,89 @@ class TestPipelines:
         a = (tmp_path / "s1" / "mass_ledger.csv").read_bytes()
         b = (tmp_path / "s2" / "mass_ledger.csv").read_bytes()
         assert a != b
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """A saved tiny simulate run: manifest plus 21 checkpoint files."""
+    out = tmp_path_factory.mktemp("stored") / "run"
+    run_simulate(ExperimentConfig.from_dict(tiny_config_dict()), out)
+    return out
+
+
+def _analyze_rejected(run_dir, capsys, name):
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[nlspair:guard]") and err.count("\n") == 1
+    assert name in err and "Traceback" not in err
+
+
+class TestTrajectoryLayout:
+    def _assert_rows_are_views(self, traj):
+        assert traj.states.shape == (len(traj.ts), 2, traj.grid.n_points)
+        assert not traj.states.flags.writeable
+        for i, cp in enumerate(traj.checkpoints):
+            assert cp.pair.grid is traj.grid
+            assert cp.pair.time == traj.ts[i] == cp.ledger.t
+            for j, f in enumerate((cp.pair.u1, cp.pair.u2)):
+                assert np.shares_memory(f.values, traj.states)
+                assert np.array_equal(f.values, traj.states[i, j])
+
+    def test_run_rows_are_views(self):
+        cfg = SolverConfig(n_points=256, length=200.0, t_end=20.0,
+                           checkpoint_times=(0.0, 5.0, 10.0, 20.0))
+        g = cfg.grid
+        traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)))
+        self._assert_rows_are_views(traj)
+
+    def test_loaded_rows_are_views(self, stored_run):
+        cfg = ExperimentConfig.from_dict(tiny_config_dict())
+        traj = load_trajectory(stored_run, cfg)
+        assert len(traj.checkpoints) == 21
+        self._assert_rows_are_views(traj)
+
+    def test_analyze_rejects_checkpoint_on_other_grid(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        path = run_dir / "checkpoints" / "cp_0003.bin"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 20, 800.0)     # length, after magic, version and N
+        path.write_bytes(bytes(raw))
+        _analyze_rejected(run_dir, capsys, "cp_0003.bin")
+
+    def test_analyze_rejects_config_on_other_grid(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["solver"]["n_points"] = 1024
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        _analyze_rejected(run_dir, capsys, "cp_0000.bin")
+
+
+class TestAnalysisMemory:
+    def test_peak_is_few_state_arrays(self, tmp_path):
+        # a stored run of free Gaussian profiles on many checkpoints; the
+        # analysis should hold its stages as arrays of the states' size,
+        # not per-checkpoint objects and restacked copies of them
+        n, ts = 512, np.geomspace(2.0, 1000.0, 120)
+        cfg = ExperimentConfig.from_dict({
+            "name": "stored", "seed": 0, "data1": {"kind": "copy"}, "data2": {"kind": "copy"},
+            "solver": {"n_points": n, "length": 400.0, "t_start": 2.0, "t_end": 1000.0,
+                       "checkpoint_times": list(ts)}})
+        g = cfg.solver.grid
+        alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
+                          0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
+        (tmp_path / "checkpoints").mkdir()
+        for i, (t, u) in enumerate(zip(ts, _push_forward(g, alpha, ts[:, None]))):
+            pair = nl.FieldPair(nl.ComplexField(g, u[0], t), nl.ComplexField(g, u[1], t))
+            persist_checkpoint(pair, tmp_path / "checkpoints" / f"cp_{i:04d}.bin")
+        traj = load_trajectory(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            emit_trajectory_reports(traj, tmp_path / "reports", AnalysisOptions())
+            ratio = tracemalloc.get_traced_memory()[1] / traj.states.nbytes
+        finally:
+            tracemalloc.stop()
+        # measured: 4.1 with history arrays, 7.4 with per-snapshot lists
+        assert ratio <= 5.5

@@ -14,7 +14,6 @@ from nlspair.spectral import (
     _pull_back,
     _push_forward,
     l2_norm,
-    pair_l2_norm,
     sobolev_norm,
 )
 
@@ -201,7 +200,7 @@ class TestOperatorAlgebra:
         out = nl.apply_M(f, 2.5)
         assert np.allclose(np.abs(out.values), np.abs(f.values), atol=1e-14)
 
-    @pytest.mark.parametrize("op", [nl.apply_M, nl.apply_D, nl.apply_W])
+    @pytest.mark.parametrize("op", [nl.apply_M, nl.apply_D])
     def test_t_zero_rejected(self, small_grid, op):
         domain = "x" if op is nl.apply_M else "xi"
         f = nl.ComplexField(small_grid, np.ones(small_grid.n_points), 0.0, domain=domain)
@@ -222,21 +221,6 @@ class TestOperatorAlgebra:
         lhs = nl.free_propagate(f, t)
         rhs = nl.apply_M(nl.apply_D(nl.forward_transform(nl.apply_M(f, t)), t), t)
         assert rel_l2(g, rhs.values, lhs.values) < 1e-8
-
-    def test_W_tends_to_identity(self, transform_grid):
-        g = transform_grid
-        phi = nl.ComplexField(g, np.exp(-g.xi ** 2 / 2), 0.0, domain="xi")
-        h1 = sobolev_norm(nl.inverse_transform(phi), 1.0)
-        ts = np.array([1e2, 1e3, 1e4])
-        sups = np.array([
-            np.max(np.abs(nl.apply_W(phi, t).values - phi.values)) for t in ts
-        ])
-        ratios = sups * ts ** 0.25 / h1
-        # the H^1-rate bound: ratios bounded (here decaying, since a Gaussian
-        # is much smoother than the worst H^1 function)
-        assert np.all(ratios <= ratios[0] * 1.01)
-        slope = np.polyfit(np.log(ts), np.log(sups), 1)[0]
-        assert slope <= -0.24
 
 
 class TestJOperator:
@@ -301,11 +285,6 @@ class TestNorms:
         f = bandlimited_field(small_grid, rng)
         rep = nl.norms(f, jfield=nl.apply_J(f, 1.0))
         assert rep.j_h1 is not None and rep.j_h1 > 0
-
-    def test_pair_norm(self, small_grid, rng):
-        f = bandlimited_field(small_grid, rng)
-        pair = nl.FieldPair(f, f)
-        assert pair_l2_norm(pair) == pytest.approx(math.sqrt(2) * l2_norm(f), rel=1e-12)
 
 
 class TestFieldValidation:
