@@ -18,6 +18,7 @@ the dissipative twist), which the exact substep does not cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,35 +37,29 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class DtPolicy:
-    """Step-size schedule: fixed, or growing proportionally to t.
+    """Step sizes on a power-of-two ladder: ``dt`` while ``rate * t <= dt``,
+    then the largest ``dt * 2**k`` not above ``rate * t``; ``rate = 0`` is fixed.
 
-    The proportional policy uses ``dt = dt_initial`` below ``t_switch`` and
-    ``dt = min(rate * t, dt_cap)`` beyond it; profile dynamics slow down on a
-    log-time scale, so steps may grow with t without losing accuracy.
+    The profile dynamics is autonomous in ``log t``, so steps may grow like
+    t; on the ladder they take few values, which the kernel's cache reuses.
     """
 
-    kind: str = "proportional"
-    dt: float = 0.01
-    t_switch: float = 10.0
-    rate: float = 1e-3
-    dt_cap: float = 0.5
+    dt: float = 0.04
+    rate: float = 4e-3
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "proportional"):
-            raise ConfigError(f"unknown dt policy {self.kind!r}")
-        if self.dt <= 0 or self.dt_cap <= 0 or self.rate <= 0:
-            raise ConfigError("dt policy parameters must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 <= self.rate < math.inf):
+            raise ConfigError(f"dt policy needs finite dt > 0 and rate >= 0, got {self}")
 
     @staticmethod
     def fixed(dt: float) -> "DtPolicy":
-        return DtPolicy(kind="fixed", dt=dt)
+        return DtPolicy(dt, rate=0.0)
 
     def dt_at(self, t: float) -> float:
-        if self.kind == "fixed":
-            return self.dt
-        if t < self.t_switch:
-            return self.dt
-        return min(self.rate * t, self.dt_cap)
+        dt = self.dt
+        while 2.0 * dt <= self.rate * t < math.inf:   # rate * t may overflow
+            dt *= 2.0
+        return dt
 
 
 def default_checkpoints(t_start: float, t_end: float, count: int = 40) -> np.ndarray:
@@ -89,8 +84,9 @@ class SolverConfig:
     boundary_mass_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.t_start < self.t_end):
-            raise ConfigError(f"need t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]")
+        if not (0.0 <= self.t_start < self.t_end < math.inf):
+            raise ConfigError(f"need finite t_end > t_start >= 0, "
+                              f"got [{self.t_start}, {self.t_end}]")
         if self.scheme not in ("strang_exact", "rk4_reference"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.coupling not in ("dissipative", "conservative"):
@@ -99,6 +95,8 @@ class SolverConfig:
             raise ConfigError("the phase-rotating variant runs under rk4_reference only")
         if self.checkpoint_times is not None:
             cps = tuple(float(t) for t in self.checkpoint_times)
+            if not all(map(math.isfinite, cps)):
+                raise ConfigError("checkpoint times must be finite")
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ConfigError("checkpoint times must be strictly increasing")
             if cps and (cps[0] < self.t_start - 1e-9 or cps[-1] > self.t_end + 1e-9):
@@ -351,7 +349,7 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
 
     cps = config.resolved_checkpoints()
     states = np.empty((len(cps), 2, grid.n_points), dtype=np.complex128)
-    n_steps = 0
+    dts = []
     i_cp = 0
     eps = 1e-9
     while i_cp < len(cps):
@@ -364,10 +362,11 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
         dt = min(config.dt_policy.dt_at(t), target - t)
         step(t, dt)
         t = target if target - t - dt <= eps * max(1.0, target) else t + dt
-        n_steps += 1
+        dts.append(dt)
 
-    return Trajectory(config=config, ts=cps, states=states,
-                      provenance={**provenance, "n_steps": n_steps, "version": __version__})
+    return Trajectory(config=config, ts=cps, states=states, provenance={
+        **provenance, "n_steps": len(dts), "dt_min": min(dts, default=None),
+        "dt_max": max(dts, default=None), "version": __version__})
 
 
 def _strang_scheme(config: SolverConfig, initial: FieldPair):

@@ -377,8 +377,6 @@ def preset_short_range_contrast() -> ExperimentConfig:
             n_points=1024, length=1400.0, t_start=0.0, t_end=1e3,
             scheme="rk4_reference", coupling="conservative",
             checkpoint_times=(0.0,) + times,
-            dt_policy=DtPolicy(kind="proportional", dt=0.01, t_switch=10.0,
-                               rate=5e-3, dt_cap=0.5),
         ),
         data1={"kind": "gaussian", "amp": 0.05, "width": 8.0},
         data2={"kind": "gaussian", "amp": 0.02, "width": 12.0},
@@ -497,6 +495,7 @@ class RunManifest:
     guard_events: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     data_size: dict = field(default_factory=dict)
+    steps: dict = field(default_factory=dict)
 
     def write(self, out_dir: Path) -> Path:
         path = Path(out_dir) / "manifest.json"
@@ -613,6 +612,7 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                 persist_checkpoint(cp.pair, out_dir / name)
                 outputs.append(name)
         manifest.outputs = sorted(set(outputs)) + ["manifest.json"]
+        manifest.steps = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
         manifest.status = "ok"
         return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
     except BaseException as exc:

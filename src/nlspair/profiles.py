@@ -446,8 +446,6 @@ def build_case_records(traj: Trajectory,
 
     m = est.m_hat
     labels = classify(m, deadband)
-    slope_a2 = decay_exponents(ts, np.abs(a2))
-    slope_a1 = decay_exponents(ts, np.abs(a1))
 
     # tail of the balance-law integrand, as a signed magnitude estimate
     n_fit = min(8, len(ts) - 1)
@@ -456,13 +454,14 @@ def build_case_records(traj: Trajectory,
     r_tail, ok = fits.power_tail(ts[-n_fit:], np.abs(rho), 0.0)
     r_tail = np.sign(np.sum(rho, axis=-1)) * np.where(ok, r_tail, 0.0)
 
-    beta1, _ = _beta_plus_arrays(ts, a1, np.abs(a2) ** 2, r1)
-    beta2, _ = _beta_plus_arrays(ts, a2, np.abs(a1) ** 2, r2)
-
-    # the companion's exponent and the survivor's limit, by label
-    one = labels == SURVIVOR_1
-    exp_fit = np.where(one, slope_a2, np.where(labels == SURVIVOR_2, slope_a1, np.nan))
-    beta = np.where(one, beta1, beta2)
+    # the companion's exponent and the survivor's limit, on that survivor's columns
+    exp_fit = np.full(grid.n_points, np.nan)
+    beta = np.zeros(grid.n_points, dtype=complex)
+    for label, s, o, r in ((SURVIVOR_1, a1, a2, r1), (SURVIVOR_2, a2, a1, r2)):
+        cols = labels == label
+        companion = np.abs(o[cols])
+        exp_fit[cols] = decay_exponents(ts, companion)
+        beta[cols], _ = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols])
     records = [CaseRecord(xi=float(grid.xi[k]), m_hat=float(m[k]), r_tail=float(r_tail[k]),
                           case_label=str(labels[k]),
                           fitted_exponent=None if np.isnan(exp_fit[k]) else float(exp_fit[k]),

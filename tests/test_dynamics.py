@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlspair as nl
+from nlspair import dynamics
 from nlspair.dynamics import (
     DtPolicy,
     SolverConfig,
@@ -17,6 +18,7 @@ from nlspair.dynamics import (
     strang_step,
 )
 from nlspair.errors import ConfigError, GuardViolation
+from nlspair.profiles import extract_profiles
 from nlspair.spectral import l2_norm
 
 from conftest import gaussian_field, rel_l2
@@ -149,9 +151,9 @@ class TestFusedKernel:
     @pytest.mark.parametrize("policy, checkpoints", [
         (DtPolicy.fixed(0.05), (1.0, 2.0, 3.0)),
         (DtPolicy.fixed(0.07), (1.0, 2.5, 3.0)),
-        (DtPolicy(kind="proportional", dt=0.05, t_switch=2.0, rate=0.02, dt_cap=0.3),
-         (1.3, 5.0, 12.0)),
-    ], ids=["fixed", "off-grid-checkpoint", "proportional-across-switch"])
+        # dt 0.05 to t = 5, 0.1 to t = 10, then 0.2: both changes fall between checkpoints
+        (DtPolicy(dt=0.05, rate=0.02), (1.3, 7.0, 12.0)),
+    ], ids=["fixed", "off-grid-checkpoint", "ladder-across-rungs"])
     def test_run_matches_repeated_strang_step(self, small_grid, policy, checkpoints):
         cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
                            t_end=checkpoints[-1], dt_policy=policy,
@@ -164,6 +166,46 @@ class TestFusedKernel:
             want = np.concatenate([ref.u1.values, ref.u2.values])
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert cp.pair.time == pytest.approx(ref.time, abs=1e-9)
+
+
+def ladder_run(policy):
+    """The headline's Gaussian pair on N=1024 up to t = 1000, 12 checkpoints from t = 2."""
+    cfg = SolverConfig(n_points=1024, length=1200.0, t_end=1000.0, dt_policy=policy,
+                       checkpoint_times=tuple(np.geomspace(2.0, 1000.0, 12)))
+    g = cfg.grid
+    return run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 8.0), gaussian_field(g, 0.04, 12.0)))
+
+
+class TestStepLadder:
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=0.0, max_value=0.1),
+           st.floats(min_value=0.0, max_value=1e6))
+    def test_largest_rung_below_rate_t(self, dt, rate, t):
+        step = DtPolicy(dt, rate).dt_at(t)
+        k = math.log2(step / dt)
+        assert k == round(k) >= 0
+        assert step <= max(dt, rate * t) < 2.0 * step
+
+    def test_step_size_resonance_guard(self):
+        # the Strang phases dt xi^2 / 2 reach about 9 rad here; a resonance
+        # of the splitting would show as a gap to the 4x refined run
+        pol = DtPolicy()
+        runs = [ladder_run(p) for p in (pol, DtPolicy(pol.dt / 4, pol.rate / 4))]
+        coarse, fine = (extract_profiles(r.checkpoints[-1].pair) for r in runs)
+        gap = rel_l2(None, np.stack([coarse.alpha1, coarse.alpha2]),
+                     np.stack([fine.alpha1, fine.alpha2]))
+        assert gap < 1e-6   # measured: 7.7e-8
+
+    def test_multiplier_budget(self, monkeypatch):
+        # on the ladder the kernel's cache hits: new free-flow multipliers
+        # come only with a rung change or a checkpoint
+        calls = []
+        real = dynamics._free_multiplier_fft
+        monkeypatch.setattr(dynamics, "_free_multiplier_fft",
+                            lambda grid, tau: calls.append(tau) or real(grid, tau))
+        traj = ladder_run(DtPolicy())
+        assert traj.provenance["n_steps"] > 1000
+        assert len(calls) <= 64
 
 
 amplitudes = st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False)
@@ -411,13 +453,28 @@ class TestConfigValidation:
                          checkpoint_times=(5.0, 2.0))
 
     def test_dt_policy_kinds(self):
-        assert DtPolicy.fixed(0.1).dt_at(100.0) == 0.1
+        assert DtPolicy.fixed(0.1).dt_at(1e4) == 0.1
         pol = DtPolicy()
-        assert pol.dt_at(1.0) == pol.dt
-        assert pol.dt_at(100.0) == pytest.approx(0.1)
-        assert pol.dt_at(1e4) == pol.dt_cap
+        assert pol.dt_at(1.0) == 0.04
+        assert pol.dt_at(100.0) == 0.32
+        assert pol.dt_at(1e4) == 20.48
         with pytest.raises(ConfigError):
-            DtPolicy(kind="unknown")
+            DtPolicy(rate=-1e-3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DtPolicy(dt=math.nan),
+        lambda: DtPolicy(rate=math.nan),
+        lambda: DtPolicy(dt=math.inf),
+        lambda: SolverConfig(n_points=256, length=100.0, t_start=math.nan, t_end=10.0),
+        lambda: SolverConfig(n_points=256, length=100.0, t_end=math.nan),
+        lambda: SolverConfig(n_points=256, length=100.0, t_end=math.inf),
+        lambda: SolverConfig(n_points=256, length=100.0, t_end=10.0,
+                             checkpoint_times=(0.0, 2.0, math.nan)),
+    ], ids=["dt-nan", "rate-nan", "dt-inf", "t_start-nan", "t_end-nan", "t_end-inf",
+            "checkpoint-nan"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
     def test_default_checkpoints_start_at_two(self):
         cfg = SolverConfig(n_points=256, length=100.0, t_end=50.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import struct
 import tracemalloc
@@ -165,6 +166,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig.from_dict(d)
 
+    def test_retired_dt_policy_key(self):
+        # a step policy has only dt and rate; configs of the older policy fail
+        d = tiny_config_dict()
+        d["solver"]["dt_policy"] = {"kind": "proportional", "dt": 0.01}
+        with pytest.raises(ConfigError, match="kind"):
+            ExperimentConfig.from_dict(d)
+
     def test_seed_mandatory(self):
         d = tiny_config_dict()
         del d["seed"]
@@ -222,6 +230,25 @@ class TestPipelines:
                    for p in (tmp_path / "a").rglob("*") if p.is_file()}
         assert listed == on_disk
         assert len(res1["trajectory"].checkpoints) == 21
+
+    def test_manifest_records_steps(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(tiny_config_dict())
+        traj = run_simulate(cfg, tmp_path)["trajectory"]
+        steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
+        assert steps == {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+        assert steps["n_steps"] > 100
+        # the ladder's rungs below t_end = 120 are 0.04 to 0.32
+        assert 0.0 < steps["dt_min"] <= 0.04 and steps["dt_max"] == 0.32
+
+    def test_cli_non_finite_config_exit_2(self, tmp_path, capsys):
+        d = tiny_config_dict()
+        d["solver"] = {"n_points": 256, "length": 400.0, "t_end": math.inf}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))     # writes the JSON extension `Infinity`
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands
