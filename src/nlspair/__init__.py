@@ -40,7 +40,7 @@ from .dynamics import (
     strang_step,
 )
 from .profiles import (
-    CaseRecord,
+    CaseTable,
     DecouplingReport,
     MEstimates,
     ProfileSnapshot,

@@ -1,8 +1,8 @@
 """Experiment configuration, presets, initial data, persistence, reports.
 
-Outputs are CSV files (one schema comment line, then a header row) with JSON
-mirrors for machine consumers, a binary checkpoint format for field states,
-and a manifest written before the run starts and finalised afterwards.
+Outputs are CSV files (one schema comment line, then a header row), a
+binary checkpoint format for field states, and a manifest written before the
+run starts and finalised afterwards.
 Identical config and seed reproduce identical output bytes: data generation
 is seeded, and every reported number comes from fixed-order (numpy pairwise)
 reductions.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time as _time
 from dataclasses import asdict, dataclass, field
@@ -44,15 +45,23 @@ _GAUSSIAN_KEYS = {"kind", "amp", "width", "center", "velocity", "phase"}
 _RANDOM_KEYS = {"kind", "amp", "band", "envelope_width"}
 
 
+def _finite(spec: dict, key: str, default: float | None = None) -> float:
+    """``spec[key]`` (``default`` when absent) as a float; NaN or inf is a ConfigError."""
+    value = float(spec[key] if default is None else spec.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"{spec['kind']} data spec: {key} must be finite, got {value}")
+    return value
+
+
 def _gaussian(spec: dict, grid: Grid) -> np.ndarray:
     extra = set(spec) - _GAUSSIAN_KEYS
     if extra:
         raise ConfigError(f"unknown keys in gaussian data spec: {sorted(extra)}")
-    amp = float(spec["amp"])
-    width = float(spec["width"])
-    center = float(spec.get("center", 0.0))
-    velocity = float(spec.get("velocity", 0.0))
-    phase = float(spec.get("phase", 0.0))
+    amp = _finite(spec, "amp")
+    width = _finite(spec, "width")
+    center = _finite(spec, "center", 0.0)
+    velocity = _finite(spec, "velocity", 0.0)
+    phase = _finite(spec, "phase", 0.0)
     if width <= 0:
         raise ConfigError("gaussian width must be positive")
     x = grid.x
@@ -64,9 +73,9 @@ def _random_bandlimited(spec: dict, grid: Grid, rng: np.random.Generator) -> np.
     extra = set(spec) - _RANDOM_KEYS
     if extra:
         raise ConfigError(f"unknown keys in random data spec: {sorted(extra)}")
-    amp = float(spec["amp"])
-    band = float(spec["band"])
-    envelope = float(spec.get("envelope_width", grid.length / 16.0))
+    amp = _finite(spec, "amp")
+    band = _finite(spec, "band")
+    envelope = _finite(spec, "envelope_width", grid.length / 16.0)
     if band <= 0 or band >= np.max(np.abs(grid.xi)):
         raise ConfigError("band must be positive and inside the resolved frequencies")
     if envelope <= 0:
@@ -172,15 +181,15 @@ def load_checkpoint(path, grid: Grid | None = None) -> FieldPair:
 @dataclass(frozen=True)
 class AnalysisOptions:
     profiles: bool = True
-    remainder: bool = True
     deadband: float | None = None
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0 / 12.0):
             raise ConfigError("gamma must lie in (0, 1/12)")
-        if self.deadband is not None and self.deadband <= 0:
-            raise ConfigError("deadband must be positive when given")
+        if self.deadband is not None and not (0.0 < self.deadband < math.inf):
+            raise ConfigError(f"deadband must be positive and finite when given, "
+                              f"got {self.deadband}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +205,9 @@ class ExperimentConfig:
     save_checkpoints: bool = False
 
     def __post_init__(self) -> None:
-        if self.seed is None or int(self.seed) < 0:
-            raise ConfigError("a nonnegative seed is mandatory")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.analysis.profiles:
             _check_analysable(self.solver)
 
@@ -243,12 +253,11 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
         analysis_d = dict(d.get("analysis") or {})
-        _reject_unknown(analysis_d, {"profiles", "remainder", "deadband", "gamma"},
-                        "config.analysis")
+        _reject_unknown(analysis_d, {"profiles", "deadband", "gamma"}, "config.analysis")
         try:
             return ExperimentConfig(
                 name=str(d.get("name", "experiment")),
-                seed=int(d["seed"]) if "seed" in d else _missing("seed"),
+                seed=d["seed"] if "seed" in d else _missing("seed"),
                 solver=solver,
                 data1=dict(d.get("data1") or _missing("data1")),
                 data2=dict(d.get("data2") or _missing("data2")),
@@ -447,7 +456,8 @@ def get_simulate_preset(name: str) -> ExperimentConfig:
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
-        return repr(float(x))   # shortest round-trip, independent of numpy scalar repr
+        # shortest round-trip, independent of numpy scalar repr; NaN is "no value"
+        return repr(float(x)) if x == x else ""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     return str(x)
@@ -474,10 +484,6 @@ def write_json(path, schema: str, payload) -> Path:
 def _json_default(o):
     if isinstance(o, (np.floating, np.integer)):
         return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, complex):
-        return {"re": o.real, "im": o.imag}
     raise TypeError(f"cannot serialise {type(o)}")
 
 
@@ -512,70 +518,37 @@ class RunManifest:
 
 def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
                             analysis: AnalysisOptions) -> list[str]:
-    """Write the ledger, per-frequency case records, and decoupling history."""
+    """Write the ledger, the per-frequency case table, and the remainder and
+    decoupling histories, each once, as CSV; ``profiles.json`` holds the two
+    run-level numbers no CSV does."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-
     ledgers = traj.ledgers()
-    p = write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
-                  ["t", "mass1", "mass2", "diff", "interaction"],
-                  [(l.t, l.mass1, l.mass2, l.diff, l.interaction) for l in ledgers])
-    written.append(p.name)
-    write_json(out_dir / "mass_ledger.json", "mass_ledger",
-               [asdict(l) for l in ledgers])
-    written.append("mass_ledger.json")
-
+    paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
+                       ["t", "mass1", "mass2", "diff", "interaction"],
+                       [(l.t, l.mass1, l.mass2, l.diff, l.interaction) for l in ledgers])]
     if analysis.profiles:
         profiles = profile_history(traj)
-        probes = (remainder_history(traj, gamma=analysis.gamma, profiles=profiles)
-                  if analysis.remainder else None)
-        if probes is not None:
-            records, est = build_case_records(
-                traj, profiles, probes, deadband=analysis.deadband, gamma=analysis.gamma
-            )
-            dead = analysis.deadband if analysis.deadband is not None else est.suggested_deadband
-            rows = []
-            for rec, ma, mb in zip(records, est.m_a, est.m_b):
-                rows.append((
-                    rec.xi, float(ma), float(mb), rec.case_label,
-                    "" if rec.fitted_exponent is None else rec.fitted_exponent,
-                    "" if rec.beta_plus is None else rec.beta_plus.real,
-                    "" if rec.beta_plus is None else rec.beta_plus.imag,
-                    rec.r_tail,
-                ))
-            p = write_csv(out_dir / "profiles.csv", "profiles",
-                          ["xi", "m_hat_a", "m_hat_b", "case_label",
-                           "fitted_exponent", "beta_plus_re", "beta_plus_im", "tail_err"],
-                          rows)
-            written.append(p.name)
-            write_json(out_dir / "profiles.json", "profiles", {
-                "deadband": dead,
-                "discrepancy": est.discrepancy,
-                "records": [
-                    {"xi": r.xi, "m_hat": r.m_hat, "case": r.case_label,
-                     "fitted_exponent": r.fitted_exponent,
-                     "beta_plus": r.beta_plus, "r_tail": r.r_tail}
-                    for r in records
-                ],
-            })
-            written.append("profiles.json")
-
-            p = write_csv(out_dir / "remainder.csv", "remainder",
-                          ["t", "bound_ratio"],
-                          [(pr.t, pr.bound_ratio) for pr in probes])
-            written.append(p.name)
-
+        probes = remainder_history(traj, gamma=analysis.gamma, profiles=profiles)
+        table, est = build_case_records(traj, profiles, probes,
+                                        deadband=analysis.deadband, gamma=analysis.gamma)
+        dead = analysis.deadband if analysis.deadband is not None else est.suggested_deadband
         dec = decoupling_history(profiles)
-        p = write_csv(out_dir / "decoupling.csv", "decoupling",
+        paths += [
+            write_csv(out_dir / "profiles.csv", "profiles",
+                      ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
+                       "beta_plus_re", "beta_plus_im", "tail_err"],
+                      zip(table.xi, est.m_a, est.m_b, table.label, table.fitted_exponent,
+                          table.beta_plus.real, table.beta_plus.imag, table.r_tail)),
+            write_json(out_dir / "profiles.json", "profiles",
+                       {"deadband": dead, "discrepancy": est.discrepancy}),
+            write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
+                      zip(probes.ts, probes.bound_ratio)),
+            write_csv(out_dir / "decoupling.csv", "decoupling",
                       ["t", "sup_product", "l2_product"],
-                      zip(dec.ts, dec.sup_products, dec.l2_products))
-        written.append(p.name)
-        write_json(out_dir / "decoupling.json", "decoupling",
-                   {"t": dec.ts, "sup_product": dec.sup_products,
-                    "l2_product": dec.l2_products})
-        written.append("decoupling.json")
-    return written
+                      zip(dec.ts, dec.sup_products, dec.l2_products)),
+        ]
+    return [p.name for p in paths]
 
 
 def run_simulate(config: ExperimentConfig, out_dir) -> dict:

@@ -248,16 +248,23 @@ def estimate_m(traj: Trajectory,
     )
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """Per-frequency verdict: which component survives, and at what rate."""
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """Per-frequency verdicts, one length-N column each: which component
+    survives at ``xi``, and at what rate.
 
-    xi: float
-    m_hat: float
-    r_tail: float
-    case_label: str
-    fitted_exponent: float | None = None
-    beta_plus: complex | None = None
+    ``fitted_exponent`` is NaN where no fit applies (balanced frequencies,
+    underflowed companions); ``beta_plus`` (``complex(nan, nan)``) and its
+    ``beta_tail_err`` are NaN at balanced frequencies.
+    """
+
+    xi: np.ndarray
+    m_hat: np.ndarray
+    r_tail: np.ndarray
+    label: np.ndarray
+    fitted_exponent: np.ndarray
+    beta_plus: np.ndarray
+    beta_tail_err: np.ndarray
 
 
 def classify(m_hat, deadband: float) -> np.ndarray:
@@ -382,7 +389,8 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
                        gamma: float = DEFAULT_GAMMA) -> BetaPlusEstimate:
     """Limit of the surviving profile at one frequency, with a tail error bar.
 
-    Reconstructs ``alpha(anchor) e^{-I} + quad(R e^{-I})`` where I integrates
+    Reads column ``xi`` of the :func:`build_case_records` table, which
+    reconstructs ``alpha(anchor) e^{-I} + quad(R e^{-I})`` where I integrates
     the companion's squared modulus against dtau/tau; the truncated tails are
     estimated from fitted power laws and reported, never silently dropped.
     Rejects frequencies not classified as the requested survivor.
@@ -391,28 +399,17 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
         raise ValueError("which must be 1 or 2")
     if profiles is None:
         profiles = profile_history(traj)
-    if probes is None:
-        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
-    # the whole grid, not only frequency k: the default dead-band is a max
-    # over every resolved frequency
-    est = estimate_m(traj, profiles, probes, gamma=gamma)
-    if deadband is None:
-        deadband = est.suggested_deadband
-    grid = profiles.grid
-    k = int(np.argmin(np.abs(grid.xi - xi)))
+    table, _ = build_case_records(traj, profiles, probes, deadband, gamma)
+    k = int(np.argmin(np.abs(table.xi - xi)))
     wanted = SURVIVOR_1 if which == 1 else SURVIVOR_2
-    label = str(classify(est.m_hat[k], deadband))
-    if label != wanted:
-        raise ValueError(f"frequency {grid.xi[k]:.4g} classified {label}, not {wanted}")
-
-    alpha = profiles.alpha[:, :, k].T     # (2, n_t)
-    r = probes.r[:, :, k].T
-    s, o = which - 1, 2 - which     # survivor and companion rows
-    beta, tail = _beta_plus_arrays(profiles.ts, alpha[s], np.abs(alpha[o]) ** 2, r[s])
+    if table.label[k] != wanted:
+        raise ValueError(f"frequency {table.xi[k]:.4g} classified {table.label[k]}, "
+                         f"not {wanted}")
+    beta = complex(table.beta_plus[k])
     return BetaPlusEstimate(
-        value=complex(beta),
-        tail_err=float(tail),
-        observed_gap=float(abs(complex(beta) - alpha[s, -1])),
+        value=beta,
+        tail_err=float(table.beta_tail_err[k]),
+        observed_gap=float(abs(beta - profiles.alpha[-1, which - 1, k])),
     )
 
 
@@ -424,10 +421,10 @@ def build_case_records(traj: Trajectory,
                        profiles: ProfileHistory | None = None,
                        probes: RemainderHistory | None = None,
                        deadband: float | None = None,
-                       gamma: float = DEFAULT_GAMMA):
+                       gamma: float = DEFAULT_GAMMA) -> tuple[CaseTable, MEstimates]:
     """Classify every frequency and attach decay fits and limit estimates.
 
-    Returns ``(records, estimates)``.  Decay exponents are fitted for the
+    Returns ``(table, estimates)``.  Decay exponents are fitted for the
     decaying companion at surviving frequencies; limit values are
     reconstructed for the survivor.  All per-frequency work is vectorised.
     """
@@ -456,15 +453,13 @@ def build_case_records(traj: Trajectory,
 
     # the companion's exponent and the survivor's limit, on that survivor's columns
     exp_fit = np.full(grid.n_points, np.nan)
-    beta = np.zeros(grid.n_points, dtype=complex)
+    beta = np.full(grid.n_points, complex(np.nan, np.nan))
+    beta_err = np.full(grid.n_points, np.nan)
     for label, s, o, r in ((SURVIVOR_1, a1, a2, r1), (SURVIVOR_2, a2, a1, r2)):
         cols = labels == label
         companion = np.abs(o[cols])
         exp_fit[cols] = decay_exponents(ts, companion)
-        beta[cols], _ = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols])
-    records = [CaseRecord(xi=float(grid.xi[k]), m_hat=float(m[k]), r_tail=float(r_tail[k]),
-                          case_label=str(labels[k]),
-                          fitted_exponent=None if np.isnan(exp_fit[k]) else float(exp_fit[k]),
-                          beta_plus=None if labels[k] == BALANCED else complex(beta[k]))
-               for k in range(grid.n_points)]
-    return records, est
+        beta[cols], beta_err[cols] = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols])
+    table = CaseTable(xi=grid.xi, m_hat=m, r_tail=r_tail, label=labels,
+                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err)
+    return table, est

@@ -88,6 +88,18 @@ class TestInitialData:
         peak = grid.xi[np.argmax(np.abs(spec.values))]
         assert peak == pytest.approx(0.3, abs=2 * grid.dxi)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gaussian", "amp", math.nan), ("gaussian", "width", math.inf),
+        ("gaussian", "center", math.nan), ("gaussian", "velocity", -math.inf),
+        ("gaussian", "phase", math.nan), ("random", "amp", math.inf),
+        ("random", "band", math.nan), ("random", "envelope_width", math.inf),
+    ])
+    def test_non_finite_rejected(self, grid, kind, key, value):
+        spec = {"gaussian": {"kind": "gaussian", "amp": 0.1, "width": 4.0},
+                "random": {"kind": "random", "amp": 0.1, "band": 1.0}}[kind]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            generate_initial_data({**spec, key: value}, {"kind": "copy"}, grid, seed=0)
+
     def test_unknown_kind_rejected(self, grid):
         with pytest.raises(ConfigError):
             generate_initial_data({"kind": "sinc", "amp": 1.0}, {"kind": "copy"},
@@ -172,6 +184,16 @@ class TestExperimentConfig:
         d["solver"]["dt_policy"] = {"kind": "proportional", "dt": 0.01}
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_dict(d)
+        # the case analysis always runs the remainder; its toggle is retired too
+        d = tiny_config_dict()
+        d["analysis"] = {"remainder": True}
+        with pytest.raises(ConfigError, match="remainder"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("deadband", [math.nan, math.inf])
+    def test_non_finite_deadband_rejected(self, deadband):
+        with pytest.raises(ConfigError, match="deadband"):
+            AnalysisOptions(deadband=deadband)
 
     def test_seed_mandatory(self):
         d = tiny_config_dict()
@@ -219,10 +241,21 @@ class TestPipelines:
         cfg = ExperimentConfig.from_dict(tiny_config_dict())
         res1 = run_simulate(cfg, tmp_path / "a")
         res2 = run_simulate(cfg, tmp_path / "b")
-        for name in ("mass_ledger.csv", "profiles.csv", "decoupling.csv",
-                     "remainder.csv"):
+        csvs = {"mass_ledger.csv", "profiles.csv", "decoupling.csv", "remainder.csv"}
+        for name in csvs:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+        top = {p.name for p in (tmp_path / "a").iterdir() if p.is_file()}
+        assert top == csvs | {"profiles.json", "manifest.json"}
+        data = json.loads((tmp_path / "a" / "profiles.json").read_text())["data"]
+        assert set(data) == {"deadband", "discrepancy"}
+        # a limit value is written exactly where a component survives
+        rows = [r.split(",") for r in
+                (tmp_path / "a" / "profiles.csv").read_text().splitlines()[2:]]
+        balanced = [r[3] == "balanced" for r in rows]
+        assert any(balanced) and not all(balanced)
+        for row, bal in zip(rows, balanced):
+            assert (row[5] == "" and row[6] == "") == bal
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         listed = set(manifest["outputs"])
@@ -241,14 +274,20 @@ class TestPipelines:
         assert 0.0 < steps["dt_min"] <= 0.04 and steps["dt_max"] == 0.32
 
     def test_cli_non_finite_config_exit_2(self, tmp_path, capsys):
-        d = tiny_config_dict()
-        d["solver"] = {"n_points": 256, "length": 400.0, "t_end": math.inf}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(d))     # writes the JSON extension `Infinity`
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("[nlspair:config]") and err.count("\n") == 1
-        assert "Traceback" not in err and not (tmp_path / "o").exists()
+        # non-finite numbers, and seeds that are not integers >= 0
+        bad = [("solver", {"n_points": 256, "length": 400.0, "t_end": math.inf}),
+               ("analysis", {"deadband": math.nan}),
+               ("seed", math.inf), ("seed", math.nan), ("seed", "abc"), ("seed", 1.7),
+               ("seed", -1)]
+        for i, (key, value) in enumerate(bad):
+            d = {**tiny_config_dict(), key: value}
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(d))     # writes the JSON extensions `Infinity`, `NaN`
+            out = tmp_path / f"o{i}"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+            assert "Traceback" not in err and not out.exists()
 
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -284,6 +282,14 @@ class TestBetaPlus:
         traj, profiles, probes = generic_run
         est = beta_plus_estimate(traj, 0.0, 1, profiles=profiles, probes=probes)
         assert est.observed_gap <= 3.0 * est.tail_err
+        # the estimate is a lookup in the case table, bit for bit
+        table, _ = build_case_records(traj, profiles, probes)
+        survivors = np.flatnonzero(table.label == SURVIVOR_1)
+        for k in survivors[:: max(1, len(survivors) // 5)]:
+            at_k = beta_plus_estimate(traj, float(table.xi[k]), 1,
+                                      profiles=profiles, probes=probes)
+            assert at_k.value == table.beta_plus[k]
+            assert at_k.tail_err == table.beta_tail_err[k]
 
     def test_balanced_frequency_rejected(self, generic_run):
         traj, profiles, probes = generic_run
@@ -308,27 +314,28 @@ class TestBetaPlus:
 class TestCaseRecords:
     def test_full_report(self, generic_run):
         traj, profiles, probes = generic_run
-        records, est = build_case_records(traj, profiles, probes)
+        table, est = build_case_records(traj, profiles, probes)
         g = traj.config.grid
-        assert len(records) == g.n_points
-        labels = {r.case_label for r in records}
+        for col in vars(table).values():
+            assert col.shape == (g.n_points,)
+        labels = set(table.label)
         assert SURVIVOR_1 in labels and BALANCED in labels
-        for r in records:
-            if r.case_label == SURVIVOR_1:
-                assert r.beta_plus is not None
-            if r.case_label == BALANCED:
-                assert r.beta_plus is None
+        survivor, balanced = table.label == SURVIVOR_1, table.label == BALANCED
+        assert np.all(np.isfinite(table.beta_plus[survivor]))
+        assert np.all(np.isfinite(table.beta_tail_err[survivor]))
+        # no limit at a balanced frequency, in either part
+        assert np.all(np.isnan(table.beta_plus[balanced].real))
+        assert np.all(np.isnan(table.beta_plus[balanced].imag))
+        assert np.all(np.isnan(table.beta_tail_err[balanced]))
         # exactly one survivor label per frequency carries a limit value
-        assert not any(r.case_label == SURVIVOR_2 for r in records)
+        assert SURVIVOR_2 not in labels
 
     def test_log_decay_not_applied_to_survivors(self, generic_run):
         # routing check: the balanced-case fit guard is the classification
         traj, profiles, probes = generic_run
-        records, _ = build_case_records(traj, profiles, probes)
-        assert all(r.fitted_exponent is None for r in records if r.case_label == BALANCED)
-        survivors = [r for r in records if r.case_label == SURVIVOR_1]
-        assert all(math.isfinite(r.fitted_exponent) for r in survivors
-                   if r.fitted_exponent is not None)
-        center = min(survivors, key=lambda r: abs(r.xi))
-        assert center.fitted_exponent is not None
-        assert center.fitted_exponent < 0
+        table, _ = build_case_records(traj, profiles, probes)
+        assert np.all(np.isnan(table.fitted_exponent[table.label == BALANCED]))
+        survivors = np.flatnonzero(table.label == SURVIVOR_1)
+        assert not np.any(np.isinf(table.fitted_exponent[survivors]))
+        center = survivors[np.argmin(np.abs(table.xi[survivors]))]
+        assert table.fitted_exponent[center] < 0
