@@ -21,24 +21,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import fits
 from .dynamics import coupled_decay_ratios
-from .profiles import ProfileSnapshot
+from .profiles import T_MIN, ProfileSnapshot
 
 
 @dataclass(frozen=True)
 class ReducedState:
-    """One frequency's profile pair at time t (analytics start at t = 2)."""
+    """One frequency's profile pair at time t (analytics start at ``T_MIN``)."""
 
     t: float
     a1: complex
     a2: complex
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= 2.0):
-            raise ValueError(f"reduced dynamics is tracked for t >= 2, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= T_MIN):
+            raise ValueError(f"reduced dynamics is tracked for t >= {T_MIN:g}, got {self.t}")
         if not (cmath.isfinite(self.a1) and cmath.isfinite(self.a2)):
             raise ValueError("non-finite reduced state")
 
@@ -103,6 +102,7 @@ class LemmaMParams:
         object.__setattr__(self, "p_star", self.p / (self.p - 1.0))
 
     def c2(self) -> float:
+        from scipy import integrate     # scipy loads only where a lemma oracle runs
         ps = self.p_star
         # integrate in log-time, where the tail decays exponentially
         tail, err = integrate.quad(
@@ -168,6 +168,7 @@ def equality_phi_trajectory(params: LemmaMParams, t_end: float = 1e6,
     Solved in log-time with tight tolerances; returns log-uniform samples.
     The equality trajectory is the extremal input for the certificate.
     """
+    from scipy import integrate
     s0, s1 = math.log(params.t0), math.log(t_end)
     s_eval = np.linspace(s0, s1, n_samples)
 
@@ -322,6 +323,7 @@ def solve_linear_record(record: LinearODERecord, lam_fn=None, q_fn=None) -> np.n
     absent the sampled coefficients are interpolated, which caps the
     accuracy at the sampling density.
     """
+    from scipy import integrate
     ts = record.ts
     lam_of = lam_fn if lam_fn is not None else (lambda t: _interp_complex(ts, record.lam, t))
     q_of = q_fn if q_fn is not None else (lambda t: _interp_complex(ts, record.q, t))

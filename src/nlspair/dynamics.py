@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GuardViolation, NumericsError
+from .errors import ConfigError, GuardViolation, NumericsError, finite_real
 from .spectral import (
     ComplexField,
     FieldPair,
@@ -33,6 +33,11 @@ from .spectral import (
     _pull_back,
     _push_forward,
 )
+
+# the boundary guard: a run stops once more than BOUNDARY_MASS_TOL of the mass
+# lies within BOUNDARY_BAND (a fraction of the box) of either edge
+BOUNDARY_BAND = 0.05
+BOUNDARY_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ class DtPolicy:
     rate: float = 4e-3
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt < math.inf and 0.0 <= self.rate < math.inf):
+        if not (finite_real(self.dt, "dt") > 0.0 and finite_real(self.rate, "rate") >= 0.0):
             raise ConfigError(f"dt policy needs finite dt > 0 and rate >= 0, got {self}")
 
     @staticmethod
@@ -60,12 +65,6 @@ class DtPolicy:
         while 2.0 * dt <= self.rate * t < math.inf:   # rate * t may overflow
             dt *= 2.0
         return dt
-
-
-def default_checkpoints(t_start: float, t_end: float, count: int = 40) -> np.ndarray:
-    """Log-spaced checkpoint times on [max(t_start, 2), t_end]."""
-    lo = max(t_start, 2.0)
-    return np.geomspace(lo, t_end, count)
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,9 @@ class SolverConfig:
     checkpoint_times: tuple[float, ...] | None = None
     scheme: str = "strang_exact"
     coupling: str = "dissipative"
-    boundary_band: float = 0.05
-    boundary_mass_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.t_start < self.t_end < math.inf):
+        if not (0.0 <= finite_real(self.t_start, "t_start") < finite_real(self.t_end, "t_end")):
             raise ConfigError(f"need finite t_end > t_start >= 0, "
                               f"got [{self.t_start}, {self.t_end}]")
         if self.scheme not in ("strang_exact", "rk4_reference"):
@@ -94,9 +91,7 @@ class SolverConfig:
         if self.coupling == "conservative" and self.scheme != "rk4_reference":
             raise ConfigError("the phase-rotating variant runs under rk4_reference only")
         if self.checkpoint_times is not None:
-            cps = tuple(float(t) for t in self.checkpoint_times)
-            if not all(map(math.isfinite, cps)):
-                raise ConfigError("checkpoint times must be finite")
+            cps = tuple(finite_real(t, "checkpoint time") for t in self.checkpoint_times)
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ConfigError("checkpoint times must be strictly increasing")
             if cps and (cps[0] < self.t_start - 1e-9 or cps[-1] > self.t_end + 1e-9):
@@ -108,9 +103,10 @@ class SolverConfig:
         return Grid(self.n_points, self.length)
 
     def resolved_checkpoints(self) -> np.ndarray:
+        """The checkpoint times; by default 40 log-spaced on [max(t_start, 2), t_end]."""
         if self.checkpoint_times is not None:
             return np.asarray(self.checkpoint_times, dtype=float)
-        return default_checkpoints(self.t_start, self.t_end)
+        return np.geomspace(max(self.t_start, 2.0), self.t_end, 40)
 
 
 @dataclass(frozen=True)
@@ -185,11 +181,11 @@ def mass_ledger(pair: FieldPair) -> MassLedger:
     )
 
 
-def boundary_mass_fraction(pair: FieldPair, band: float = 0.05) -> float:
-    """Fraction of total mass within ``band`` of each edge of the box."""
+def boundary_mass_fraction(pair: FieldPair) -> float:
+    """Fraction of total mass within ``BOUNDARY_BAND`` of each edge of the box."""
     g = pair.grid
     half = 0.5 * g.length
-    edge = (np.abs(g.x) >= (1.0 - 2.0 * band) * half)
+    edge = (np.abs(g.x) >= (1.0 - 2.0 * BOUNDARY_BAND) * half)
     dens = np.abs(pair.u1.values) ** 2 + np.abs(pair.u2.values) ** 2
     total = float(np.sum(dens))
     if total == 0.0:
@@ -321,13 +317,13 @@ def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _guard(config: SolverConfig, grid: Grid, v: np.ndarray, t: float) -> None:
+def _guard(grid: Grid, v: np.ndarray, t: float) -> None:
     """Reject a ``(2, N)`` state with non-finite values or mass at the box edges."""
     if not np.all(np.isfinite(v.view(np.float64))):
         raise NumericsError(f"non-finite values at t = {t:.6g}")
-    frac = boundary_mass_fraction(_unstack(grid, v, t), config.boundary_band)
-    if frac > config.boundary_mass_tol:
-        raise GuardViolation(t, frac, config.boundary_mass_tol)
+    frac = boundary_mass_fraction(_unstack(grid, v, t))
+    if frac > BOUNDARY_MASS_TOL:
+        raise GuardViolation(t, frac, BOUNDARY_MASS_TOL)
 
 
 def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -> Trajectory:
@@ -344,7 +340,7 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
     if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
         raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
     t = config.t_start
-    _guard(config, grid, _stack(initial), t)
+    _guard(grid, _stack(initial), t)
     step, fields = scheme(config, initial)
 
     cps = config.resolved_checkpoints()
@@ -356,7 +352,7 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
         target = cps[i_cp]
         if target <= t + eps * max(1.0, t):
             states[i_cp] = fields(target)
-            _guard(config, grid, states[i_cp], target)
+            _guard(grid, states[i_cp], target)
             i_cp += 1
             continue
         dt = min(config.dt_policy.dt_at(t), target - t)

@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import math
+from numbers import Real
+
 
 class ConfigError(ValueError):
     """Invalid configuration: bad grid sizes, malformed config files, unknown keys."""
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite and real, got {value!r}")
+    return float(value)
 
 
 class GuardViolation(RuntimeError):

@@ -5,27 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def loglog_slope(ts, vals, floor: float = 1e-300):
+def loglog_slope(ts, vals):
     """Least-squares slope of log(vals) against log(ts).
 
-    Entries at or below ``floor`` are dropped; returns None if fewer than two
-    usable points remain.  This is the fit of a single error series (the
-    scattering and obstruction reports); :func:`loglog_slopes` is the
+    Entries at or below 1e-300, zeros included, are dropped; returns None if
+    fewer than two usable points remain.  This is the fit of a single error
+    series (the scattering and obstruction reports); :func:`loglog_slopes` is the
     per-frequency one, which clips instead of dropping.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    keep = (vals > floor) & (ts > 0)
+    keep = (vals > 1e-300) & (ts > 0)
     if int(np.sum(keep)) < 2:
         return None
     slope = np.polyfit(np.log(ts[keep]), np.log(vals[keep]), 1)[0]
     return float(slope)
-
-
-def trailing_window_mask(ts, fraction: float = 0.1) -> np.ndarray:
-    """Mask selecting the trailing window [T * fraction, T]."""
-    ts = np.asarray(ts, dtype=float)
-    return ts >= fraction * ts[-1]
 
 
 def loglog_slopes(ts, series):

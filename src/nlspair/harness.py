@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fits, scattering
+from . import __version__, scattering
 from .dynamics import DtPolicy, SolverConfig, Trajectory, run
-from .errors import CheckpointError, ConfigError, GuardViolation
+from .errors import CheckpointError, ConfigError, GuardViolation, finite_real
 from .profiles import (
-    DEFAULT_GAMMA,
     build_case_records,
+    check_window,
     decoupling_history,
     profile_history,
     remainder_history,
@@ -46,11 +45,9 @@ _RANDOM_KEYS = {"kind", "amp", "band", "envelope_width"}
 
 
 def _finite(spec: dict, key: str, default: float | None = None) -> float:
-    """``spec[key]`` (``default`` when absent) as a float; NaN or inf is a ConfigError."""
-    value = float(spec[key] if default is None else spec.get(key, default))
-    if not math.isfinite(value):
-        raise ConfigError(f"{spec['kind']} data spec: {key} must be finite, got {value}")
-    return value
+    """``spec[key]`` (``default`` when absent) as a float; anything but a finite
+    real number, a missing key included, is a ConfigError."""
+    return finite_real(spec.get(key, default), f"{spec['kind']} data spec: {key}")
 
 
 def _gaussian(spec: dict, grid: Grid) -> np.ndarray:
@@ -182,14 +179,11 @@ def load_checkpoint(path, grid: Grid | None = None) -> FieldPair:
 class AnalysisOptions:
     profiles: bool = True
     deadband: float | None = None
-    gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0 / 12.0):
-            raise ConfigError("gamma must lie in (0, 1/12)")
-        if self.deadband is not None and not (0.0 < self.deadband < math.inf):
-            raise ConfigError(f"deadband must be positive and finite when given, "
-                              f"got {self.deadband}")
+        _check_toggle(self.profiles, "profiles")
+        if self.deadband is not None and finite_real(self.deadband, "deadband") <= 0.0:
+            raise ConfigError(f"deadband must be positive when given, got {self.deadband}")
 
 
 @dataclass(frozen=True)
@@ -208,43 +202,23 @@ class ExperimentConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_toggle(self.save_checkpoints, "save_checkpoints")
         if self.analysis.profiles:
             _check_analysable(self.solver)
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "seed": self.seed,
-            "solver": {
-                "n_points": self.solver.n_points,
-                "length": self.solver.length,
-                "t_start": self.solver.t_start,
-                "t_end": self.solver.t_end,
-                "scheme": self.solver.scheme,
-                "coupling": self.solver.coupling,
-                "dt_policy": asdict(self.solver.dt_policy),
-                "checkpoint_times": list(self.solver.checkpoint_times)
-                if self.solver.checkpoint_times is not None else None,
-            },
-            "data1": dict(self.data1),
-            "data2": dict(self.data2),
-            "analysis": asdict(self.analysis),
-            "save_checkpoints": self.save_checkpoints,
-        }
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        allowed = {"name", "seed", "solver", "data1", "data2", "analysis", "save_checkpoints"}
-        _reject_unknown(d, allowed, "config")
-        solver_d = dict(d.get("solver") or {})
-        allowed_solver = {"n_points", "length", "t_start", "t_end", "scheme",
-                          "coupling", "dt_policy", "checkpoint_times"}
-        _reject_unknown(solver_d, allowed_solver, "config.solver")
-        dtp = solver_d.pop("dt_policy", None)
+        """The config of a JSON object; its sections are objects whose keys
+        are the fields of the dataclass each one builds."""
+        d = _section(d, "config", ExperimentConfig)
+        solver_d = _section(d.get("solver"), "config.solver", SolverConfig)
+        policy = DtPolicy(**_section(solver_d.pop("dt_policy", None),
+                                     "config.solver.dt_policy", DtPolicy))
         cps = solver_d.pop("checkpoint_times", None)
         try:
-            policy = DtPolicy(**dtp) if dtp else DtPolicy()
             solver = SolverConfig(
                 dt_policy=policy,
                 checkpoint_times=tuple(cps) if cps else None,
@@ -252,20 +226,16 @@ class ExperimentConfig:
             )
         except TypeError as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
-        analysis_d = dict(d.get("analysis") or {})
-        _reject_unknown(analysis_d, {"profiles", "deadband", "gamma"}, "config.analysis")
-        try:
-            return ExperimentConfig(
-                name=str(d.get("name", "experiment")),
-                seed=d["seed"] if "seed" in d else _missing("seed"),
-                solver=solver,
-                data1=dict(d.get("data1") or _missing("data1")),
-                data2=dict(d.get("data2") or _missing("data2")),
-                analysis=AnalysisOptions(**analysis_d),
-                save_checkpoints=bool(d.get("save_checkpoints", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
+        return ExperimentConfig(
+            name=str(d.get("name", "experiment")),
+            seed=d["seed"] if "seed" in d else _missing("seed"),
+            solver=solver,
+            data1=_section(d.get("data1"), "config.data1") or _missing("data1"),
+            data2=_section(d.get("data2"), "config.data2") or _missing("data2"),
+            analysis=AnalysisOptions(**_section(d.get("analysis"), "config.analysis",
+                                                AnalysisOptions)),
+            save_checkpoints=d.get("save_checkpoints", False),
+        )
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -273,33 +243,37 @@ class ExperimentConfig:
 
 
 def _check_analysable(solver: SolverConfig) -> None:
-    """Reject, before any compute, a run the profile analysis cannot use.
+    """Reject, before any compute, a run the profile analysis cannot use
+    (:func:`profiles.check_window`)."""
+    try:
+        check_window(solver.resolved_checkpoints())
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; change the checkpoints or turn analysis.profiles "
+                          f"off") from exc
 
-    The analysis reads the checkpoints from t = 2 on (``profile_history``):
-    the last must reach t = 100, and the decay fits need 8 of them in the
-    trailing window ``[T/10, T]``.
-    """
-    ts = solver.resolved_checkpoints()
-    ts = ts[ts >= 2.0 - 1e-9]
-    if ts.size == 0 or ts[-1] < 100.0:
-        last = f"{ts[-1]:g}" if ts.size else "none"
-        raise ConfigError(f"profile analysis needs checkpoints up to t >= 100 "
-                          f"(t_end = {solver.t_end:g}, last checkpoint {last}); "
-                          f"extend the run or turn analysis.profiles off")
-    n_window = int(np.sum(fits.trailing_window_mask(ts)))
-    if n_window < 8:
-        raise ConfigError(f"profile analysis needs at least 8 checkpoints in the trailing "
-                          f"window [{0.1 * ts[-1]:g}, {ts[-1]:g}], got {n_window}")
+
+def _check_toggle(value, what: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
 
 
 def _missing(key: str):
     raise ConfigError(f"missing mandatory config key {key!r}")
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    extra = set(d) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
+def _section(value, where: str, cls=None) -> dict:
+    """A copy of the config object ``value`` (null is empty), whose keys must
+    be the field names of dataclass ``cls`` when one is given; data specs
+    check their own keys when the data are generated."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    if cls is not None:
+        extra = set(value) - {f.name for f in fields(cls)}
+        if extra:
+            raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
+    return dict(value)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -529,9 +503,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
                        [(l.t, l.mass1, l.mass2, l.diff, l.interaction) for l in ledgers])]
     if analysis.profiles:
         profiles = profile_history(traj)
-        probes = remainder_history(traj, gamma=analysis.gamma, profiles=profiles)
-        table, est = build_case_records(traj, profiles, probes,
-                                        deadband=analysis.deadband, gamma=analysis.gamma)
+        probes = remainder_history(traj, profiles=profiles)
+        table, est = build_case_records(traj, profiles, probes, deadband=analysis.deadband)
         dead = analysis.deadband if analysis.deadband is not None else est.suggested_deadband
         dec = decoupling_history(profiles)
         paths += [
@@ -558,8 +531,11 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     keep analysing in-process).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = config.solver.grid
+    # a bad data spec fails here, before anything is written
+    pair = generate_initial_data(config.data1, config.data2, grid,
+                                 config.seed, config.solver.t_start)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         name=config.name,
         config_hash=config.config_hash(),
@@ -568,13 +544,11 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
               "dx": grid.dx, "dxi": grid.dxi},
         seed=config.seed,
         started_unix=_time.time(),
+        data_size=data_size_report(pair),
     )
     manifest.write(out_dir)
     t0 = _time.perf_counter()
     try:
-        pair = generate_initial_data(config.data1, config.data2, grid,
-                                     config.seed, config.solver.t_start)
-        manifest.data_size = data_size_report(pair)
         traj = run(config.solver, pair)
         outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
         if config.save_checkpoints:

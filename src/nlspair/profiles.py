@@ -28,7 +28,29 @@ SURVIVOR_1 = "survivor_1"
 SURVIVOR_2 = "survivor_2"
 BALANCED = "balanced"
 
-DEFAULT_GAMMA = 1.0 / 24.0  # midpoint-ish of the admissible (0, 1/12)
+GAMMA = 1.0 / 24.0  # the remainder estimate's exponent: the middle of the admissible (0, 1/12)
+
+# The analysable window: the analytics read the checkpoints from T_MIN on; the
+# last must reach T_FINAL, and the decay fits need N_WINDOW of them in the
+# trailing window [T/10, T].
+T_MIN = 2.0
+T_FINAL = 100.0
+N_WINDOW = 8
+
+
+def check_window(ts) -> np.ndarray:
+    """The mask of the trailing window [T/10, T] of the checkpoint times ``ts``;
+    ValueError unless they hold an analysable window."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0 or ts[-1] < T_FINAL:
+        last = f"{ts[-1]:g}" if ts.size else "none"
+        raise ValueError(f"run too short: profile analysis needs checkpoints up to "
+                         f"t >= {T_FINAL:g}, last checkpoint {last}")
+    window = ts >= 0.1 * ts[-1]
+    if np.sum(window) < N_WINDOW:
+        raise ValueError(f"profile analysis needs at least {N_WINDOW} checkpoints in the "
+                         f"trailing window [T/10, T] (T = {ts[-1]:g}), got {np.sum(window)}")
+    return window
 
 
 @dataclass(frozen=True)
@@ -72,14 +94,14 @@ def extract_profiles(pair: FieldPair) -> ProfileSnapshot:
     return ProfileSnapshot(t=pair.time, alpha1=alpha[0], alpha2=alpha[1], grid=pair.grid)
 
 
-def _first_row(traj: Trajectory, t_min: float) -> int:
-    """Index of the first checkpoint with t >= t_min: the rows of the analytics window."""
-    return int(np.searchsorted(traj.ts, t_min - 1e-9))
+def _first_row(traj: Trajectory) -> int:
+    """Index of the first checkpoint with t >= T_MIN: the rows of the analytics window."""
+    return int(np.searchsorted(traj.ts, T_MIN - 1e-9))
 
 
-def profile_history(traj: Trajectory, t_min: float = 2.0) -> ProfileHistory:
-    """Profiles at every checkpoint with t >= t_min (the analytics window), in one pull-back."""
-    i0 = _first_row(traj, t_min)
+def profile_history(traj: Trajectory) -> ProfileHistory:
+    """Profiles at every checkpoint with t >= T_MIN (the analytics window), in one pull-back."""
+    i0 = _first_row(traj)
     ts = traj.ts[i0:]
     alpha = _pull_back(traj.grid, traj.states[i0:], ts[:, None])
     alpha.flags.writeable = False
@@ -94,7 +116,7 @@ def profile_history(traj: Trajectory, t_min: float = 2.0) -> ProfileHistory:
 class RemainderProbe:
     """Direct evaluation of the profile-equation remainder at one time.
 
-    ``bound_ratio`` is ``max_xi <xi> |R| * t^(5/4 - 3 gamma)`` divided by the
+    ``bound_ratio`` is ``max_xi <xi> |R| * t^(5/4 - 3 GAMMA)`` divided by the
     cube of ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run
     should stay bounded (the constant in the decay estimate is empirical,
     never asserted).
@@ -104,7 +126,6 @@ class RemainderProbe:
     r1: np.ndarray
     r2: np.ndarray
     bound_ratio: float
-    gamma: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,23 +135,20 @@ class RemainderHistory(Sequence):
     ts: np.ndarray
     r: np.ndarray           # (n_t, 2, N), read-only
     bound_ratio: np.ndarray
-    gamma: float
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return RemainderHistory(self.ts[i], self.r[i], self.bound_ratio[i], self.gamma)
+            return RemainderHistory(self.ts[i], self.r[i], self.bound_ratio[i])
         return RemainderProbe(t=float(self.ts[i]), r1=self.r[i, 0], r2=self.r[i, 1],
-                              bound_ratio=float(self.bound_ratio[i]), gamma=self.gamma)
+                              bound_ratio=float(self.bound_ratio[i]))
 
 
-def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray, alpha: np.ndarray,
-                gamma: float) -> RemainderHistory:
+def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
+                alpha: np.ndarray) -> RemainderHistory:
     """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u) on ``(n_t, 2, N)`` stacks."""
-    if not (0.0 < gamma < 1.0 / 12.0):
-        raise ValueError(f"gamma must lie in (0, 1/12), got {gamma}")
     if np.any(ts < 1.0):
         raise ValueError("remainder probe needs t >= 1")
     fn = _pull_back(grid, np.abs(states[:, ::-1]) ** 2 * states, ts[:, None], overwrite_x=True)
@@ -146,32 +164,30 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray, alpha: np.ndarra
     h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
     jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, alpha)) ** 2, axis=(1, 2)))
     denom = (h1 + jh1) ** 3
-    ratio = peak * ts ** (1.25 - 3.0 * gamma) / np.where(denom > 0, denom, np.inf)
+    ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     r.flags.writeable = False
-    return RemainderHistory(ts, r, ratio, gamma)
+    return RemainderHistory(ts, r, ratio)
 
 
-def remainder_probe(pair: FieldPair, gamma: float = DEFAULT_GAMMA) -> RemainderProbe:
+def remainder_probe(pair: FieldPair) -> RemainderProbe:
     """The remainder at one time: the one-row case of :func:`remainder_history`."""
     u, ts = _stack(pair)[None], np.array([pair.time])
-    return _remainders(pair.grid, ts, u, _pull_back(pair.grid, u, ts[:, None]), gamma)[0]
+    return _remainders(pair.grid, ts, u, _pull_back(pair.grid, u, ts[:, None]))[0]
 
 
-def remainder_history(traj: Trajectory, gamma: float = DEFAULT_GAMMA,
-                      t_min: float = 2.0,
+def remainder_history(traj: Trajectory,
                       profiles: ProfileHistory | None = None) -> RemainderHistory:
-    """Remainders at every checkpoint with t >= t_min, in one batched evaluation.
+    """Remainders at every checkpoint with t >= T_MIN, in one batched evaluation.
 
     ``profiles`` is the :func:`profile_history` over the same checkpoints;
     pass it when already built, so the profiles are not extracted twice.
     """
-    t_min = max(t_min, 1.0)
     if profiles is None:
-        profiles = profile_history(traj, t_min)
-    i0 = _first_row(traj, t_min)
+        profiles = profile_history(traj)
+    i0 = _first_row(traj)
     if not np.array_equal(profiles.ts, traj.ts[i0:]):
         raise ValueError("profiles and checkpoints cover different times")
-    return _remainders(traj.grid, profiles.ts, traj.states[i0:], profiles.alpha, gamma)
+    return _remainders(traj.grid, profiles.ts, traj.states[i0:], profiles.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +223,13 @@ class MEstimates:
 
 def estimate_m(traj: Trajectory,
                profiles: ProfileHistory | None = None,
-               probes: RemainderHistory | None = None,
-               gamma: float = DEFAULT_GAMMA) -> MEstimates:
+               probes: RemainderHistory | None = None) -> MEstimates:
     if profiles is None:
         profiles = profile_history(traj)
-    if len(profiles) < 4:
-        raise ValueError("trajectory too short: need checkpoints spanning [2, T]")
     ts = profiles.ts
-    if ts[-1] < 100.0:
-        raise ValueError(f"trajectory too short: final time {ts[-1]} < 100")
+    check_window(ts)
     if probes is None:
-        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
+        probes = remainder_history(traj, profiles=profiles)
     if len(probes) != len(profiles):
         raise ValueError("profiles and probes must cover the same checkpoints")
 
@@ -291,12 +303,11 @@ def decay_exponents(ts, moduli) -> np.ndarray:
     ``moduli`` has the checkpoints on its last axis; the result drops that
     axis.  A series that has underflowed to 1e-13 anywhere in the window is
     flagged with NaN.  For a surviving frequency with imbalance m the
-    companion modulus decays like t^-m, so the slope estimates -m.
+    companion modulus decays like t^-m, so the slope estimates -m.  Raises
+    ValueError unless ``ts`` hold an analysable window (:func:`check_window`).
     """
+    mask = check_window(ts)
     ts = np.asarray(ts, dtype=float)
-    mask = fits.trailing_window_mask(ts)
-    if int(np.sum(mask)) < 8:
-        raise ValueError("need at least 8 checkpoints in the trailing window")
     window = np.asarray(moduli, dtype=float)[..., mask]
     ok = np.all(window > 1e-13, axis=-1)
     return np.where(ok, fits.loglog_slopes(ts[mask], window), np.nan)
@@ -385,8 +396,7 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, other_sq: np.ndarray,
 def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
                        profiles: ProfileHistory | None = None,
                        probes: RemainderHistory | None = None,
-                       deadband: float | None = None,
-                       gamma: float = DEFAULT_GAMMA) -> BetaPlusEstimate:
+                       deadband: float | None = None) -> BetaPlusEstimate:
     """Limit of the surviving profile at one frequency, with a tail error bar.
 
     Reads column ``xi`` of the :func:`build_case_records` table, which
@@ -399,7 +409,7 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
         raise ValueError("which must be 1 or 2")
     if profiles is None:
         profiles = profile_history(traj)
-    table, _ = build_case_records(traj, profiles, probes, deadband, gamma)
+    table, _ = build_case_records(traj, profiles, probes, deadband)
     k = int(np.argmin(np.abs(table.xi - xi)))
     wanted = SURVIVOR_1 if which == 1 else SURVIVOR_2
     if table.label[k] != wanted:
@@ -420,8 +430,7 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
 def build_case_records(traj: Trajectory,
                        profiles: ProfileHistory | None = None,
                        probes: RemainderHistory | None = None,
-                       deadband: float | None = None,
-                       gamma: float = DEFAULT_GAMMA) -> tuple[CaseTable, MEstimates]:
+                       deadband: float | None = None) -> tuple[CaseTable, MEstimates]:
     """Classify every frequency and attach decay fits and limit estimates.
 
     Returns ``(table, estimates)``.  Decay exponents are fitted for the
@@ -431,8 +440,8 @@ def build_case_records(traj: Trajectory,
     if profiles is None:
         profiles = profile_history(traj)
     if probes is None:
-        probes = remainder_history(traj, gamma=gamma, profiles=profiles)
-    est = estimate_m(traj, profiles, probes, gamma=gamma)
+        probes = remainder_history(traj, profiles=profiles)
+    est = estimate_m(traj, profiles, probes)
     if deadband is None:
         deadband = est.suggested_deadband
     grid = profiles.grid

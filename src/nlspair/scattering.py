@@ -92,7 +92,8 @@ class FinalStateSpec:
 
     ``delta`` is the sup of the spectra, ``kappa`` the x-weighted Sobolev
     size ``||<x>^{s0} psi||_L2`` with ``s0 = min(2, s)``, and ``mu`` the
-    contraction-norm exponent, constrained to ``(0, (s0-1)/2)``.
+    contraction-norm exponent, ``(s0-1)/4``: the middle of its admissible
+    range ``(0, (s0-1)/2)``.
     """
 
     grid: Grid
@@ -101,7 +102,6 @@ class FinalStateSpec:
     s: float
     delta: float
     kappa: float
-    mu: float
     decoupled: bool
     fn1: object = field(repr=False, compare=False, default=None)
     fn2: object = field(repr=False, compare=False, default=None)
@@ -110,16 +110,20 @@ class FinalStateSpec:
     def s0(self) -> float:
         return min(2.0, self.s)
 
-    def psi_pair(self, t: float = 0.0) -> FieldPair:
-        """psi+ as x-space fields (inverse transforms of the spectra)."""
+    @property
+    def mu(self) -> float:
+        return 0.25 * (self.s0 - 1.0)
+
+    def psi_pair(self) -> FieldPair:
+        """psi+ as x-space fields at t = 0 (inverse transforms of the spectra)."""
         g = self.grid
         p1 = _inverse_array(g, self.psi_hat_1)
         p2 = _inverse_array(g, self.psi_hat_2)
-        return FieldPair(ComplexField(g, p1, t), ComplexField(g, p2, t))
+        return FieldPair(ComplexField(g, p1, 0.0), ComplexField(g, p2, 0.0))
 
 
 def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
-                      s: float = 2.0, mu: float | None = None) -> FinalStateSpec:
+                      s: float = 2.0) -> FinalStateSpec:
     """Assemble prescribed data from smooth spectral windows or Gaussians.
 
     Disjoint windows give decoupled data (pointwise product identically
@@ -132,10 +136,6 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
     p1 = fn1(grid.xi)
     p2 = fn2(grid.xi)
     s0 = min(2.0, s)
-    if mu is None:
-        mu = 0.25 * (s0 - 1.0)
-    if not (0.0 < mu < 0.5 * (s0 - 1.0)):
-        raise ValueError(f"mu must lie in (0, {(s0 - 1.0) / 2}), got {mu}")
     delta = float(max(np.max(np.abs(p1)), np.max(np.abs(p2))))
     w = (1.0 + grid.x ** 2) ** (0.5 * s0)
     k1 = l2_norm(ComplexField(grid, w * _inverse_array(grid, p1.astype(complex))))
@@ -144,7 +144,7 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
     decoupled = bool(np.max(np.abs(p1 * p2)) <= DECOUPLED_TOL)
     return FinalStateSpec(
         grid=grid, psi_hat_1=p1.astype(complex), psi_hat_2=p2.astype(complex),
-        s=float(s), delta=delta, kappa=kappa, mu=float(mu), decoupled=decoupled,
+        s=float(s), delta=delta, kappa=kappa, decoupled=decoupled,
         fn1=fn1, fn2=fn2,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -48,8 +48,8 @@ class Grid:
         n, length = self.n_points, self.length
         if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(int(n)):
             raise ConfigError(f"n_points must be a power of two >= 8, got {n!r}")
-        if not (isinstance(length, (int, float, np.floating)) and math.isfinite(length) and length > 0):
-            raise ConfigError(f"length must be a positive finite real, got {length!r}")
+        if finite_real(length, "length") <= 0:
+            raise ConfigError(f"length must be positive, got {length!r}")
         n = int(n)
         length = float(length)
         object.__setattr__(self, "n_points", n)
@@ -353,15 +353,10 @@ class NormReport:
     h1: float
     h2: float
     h1_1: float
-    j_h1: float | None = None
 
 
-def norms(f: ComplexField, jfield: ComplexField | None = None) -> NormReport:
-    """L2, sup, H^1, H^2 and weighted <x>-H^1 norms of an x-space field.
-
-    When ``jfield`` (typically J applied to the same state) is given, its
-    H^1 norm is reported alongside.
-    """
+def norms(f: ComplexField) -> NormReport:
+    """L2, sup, H^1, H^2 and weighted <x>-H^1 norms of an x-space field."""
     if f.domain != "x":
         raise ValueError("norms expects an x-space field")
     weighted = ComplexField(f.grid, (1.0 + f.grid.x ** 2) ** 0.5 * f.values, f.time)
@@ -371,6 +366,5 @@ def norms(f: ComplexField, jfield: ComplexField | None = None) -> NormReport:
         h1=sobolev_norm(f, 1.0),
         h2=sobolev_norm(f, 2.0),
         h1_1=sobolev_norm(weighted, 1.0),
-        j_h1=None if jfield is None else sobolev_norm(jfield, 1.0),
     )
 

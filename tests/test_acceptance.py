@@ -57,7 +57,7 @@ def headline():
     pair = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
     traj = run(cfg.solver, pair)
     profiles = profile_history(traj)
-    probes = remainder_history(traj, gamma=cfg.analysis.gamma)
+    probes = remainder_history(traj)
     table, est = build_case_records(traj, profiles, probes,
                                     deadband=cfg.analysis.deadband)
     return {"cfg": cfg, "traj": traj, "profiles": profiles, "probes": probes,

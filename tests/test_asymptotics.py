@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +204,13 @@ class TestLinearOdeLimit:
         with pytest.raises(ValueError, match="integrable"):
             LinearODERecord(t0=2.0, ts=ts, lam=-1 / ts, q=np.zeros_like(ts),
                             y0=1.0, lam_tail_pow=1.0, q_tail_pow=2.0)
+
+
+def test_package_import_loads_no_scipy():
+    # the lemma oracles import scipy when they run, not when nlspair loads
+    import nlspair
+    src = Path(nlspair.__file__).resolve().parents[1]
+    code = "import sys, nlspair; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -339,7 +339,7 @@ class TestRun:
         with pytest.raises(GuardViolation) as exc:
             run(cfg, pair)
         assert exc.value.time <= 200.0
-        assert exc.value.fraction > cfg.boundary_mass_tol
+        assert exc.value.fraction > exc.value.tolerance
 
     def test_boundary_fraction_of_centered_data(self, small_grid):
         pair = make_pair(small_grid)
@@ -429,7 +429,7 @@ class TestRk4Reference:
         with pytest.raises(GuardViolation) as exc:
             rk4_reference(replace(cfg, scheme="rk4_reference"), pair)
         assert exc.value.time <= 200.0
-        assert exc.value.fraction > cfg.boundary_mass_tol
+        assert exc.value.fraction > exc.value.tolerance
 
     def test_conservative_needs_rk4(self):
         with pytest.raises(ConfigError):

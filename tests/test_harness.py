@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 import nlspair as nl
 from nlspair.cli import main
-from nlspair.dynamics import SolverConfig, run
+from nlspair.dynamics import DtPolicy, SolverConfig, run
 from nlspair.errors import CheckpointError, ConfigError
 from nlspair.harness import (
     AnalysisOptions,
@@ -163,8 +164,14 @@ class TestCheckpointFormat:
 class TestExperimentConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(tiny_config_dict())
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.config_hash() == cfg.config_hash()
+        d = cfg.to_dict()
+        again = ExperimentConfig.from_dict(d)
+        assert again == cfg and again.config_hash() == cfg.config_hash()
+        # every field is a config key, so the manifest and the hash see all of them
+        for section, cls in ((d, ExperimentConfig), (d["solver"], SolverConfig),
+                             (d["solver"]["dt_policy"], DtPolicy),
+                             (d["analysis"], AnalysisOptions)):
+            assert set(section) == {f.name for f in dataclasses.fields(cls)}, cls
 
     def test_unknown_top_level_key(self):
         d = tiny_config_dict()
@@ -184,11 +191,13 @@ class TestExperimentConfig:
         d["solver"]["dt_policy"] = {"kind": "proportional", "dt": 0.01}
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_dict(d)
-        # the case analysis always runs the remainder; its toggle is retired too
-        d = tiny_config_dict()
-        d["analysis"] = {"remainder": True}
-        with pytest.raises(ConfigError, match="remainder"):
-            ExperimentConfig.from_dict(d)
+        # the case analysis always runs the remainder, with the one exponent
+        # gamma = 1/24; their keys are retired too
+        for key, value in (("remainder", True), ("gamma", 1.0 / 24.0)):
+            d = tiny_config_dict()
+            d["analysis"] = {key: value}
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("deadband", [math.nan, math.inf])
     def test_non_finite_deadband_rejected(self, deadband):
@@ -274,11 +283,22 @@ class TestPipelines:
         assert 0.0 < steps["dt_min"] <= 0.04 and steps["dt_max"] == 0.32
 
     def test_cli_non_finite_config_exit_2(self, tmp_path, capsys):
-        # non-finite numbers, and seeds that are not integers >= 0
-        bad = [("solver", {"n_points": 256, "length": 400.0, "t_end": math.inf}),
+        # non-finite numbers, seeds that are not integers >= 0, numbers and
+        # toggles of the wrong type, sections that are not objects, and
+        # malformed data specs
+        solver = {"n_points": 256, "length": 400.0, "t_end": 120.0}
+        gaussian = {"kind": "gaussian", "amp": 0.08, "width": 4.0}
+        bad = [("solver", {**solver, "t_end": math.inf}),
                ("analysis", {"deadband": math.nan}),
                ("seed", math.inf), ("seed", math.nan), ("seed", "abc"), ("seed", 1.7),
-               ("seed", -1)]
+               ("seed", -1),
+               ("analysis", {"deadband": "abc"}), ("analysis", {"deadband": True}),
+               ("analysis", {"profiles": "no"}), ("save_checkpoints", "false"),
+               ("solver", {**solver, "length": True}),
+               ("solver", {**solver, "checkpoint_times": ["a"]}),
+               ("data1", {"kind": "gaussian", "width": 4.0}), ("data1", {**gaussian, "amp": [1]}),
+               ("data1", {**gaussian, "amp": "abc"}), ("data1", "abc"), ("analysis", "abc"),
+               ("solver", [1, 2])]
         for i, (key, value) in enumerate(bad):
             d = {**tiny_config_dict(), key: value}
             cfg_path = tmp_path / f"cfg{i}.json"

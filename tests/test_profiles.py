@@ -162,14 +162,6 @@ class TestRemainderProbe:
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=profiles[1:])
 
-    def test_gamma_domain(self, small_grid):
-        pair = nl.FieldPair(gaussian_field(small_grid, 0.3, 2.0, time=2.0),
-                            gaussian_field(small_grid, 0.2, 3.0, time=2.0))
-        with pytest.raises(ValueError):
-            remainder_probe(pair, gamma=0.2)
-        with pytest.raises(ValueError):
-            remainder_probe(pair, gamma=0.0)
-
 
 class TestEstimateM:
     def test_free_component(self, free_component_run):

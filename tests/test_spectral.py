@@ -281,11 +281,6 @@ class TestNorms:
         f = bandlimited_field(small_grid, rng)
         assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
 
-    def test_jfield_reported(self, small_grid, rng):
-        f = bandlimited_field(small_grid, rng)
-        rep = nl.norms(f, jfield=nl.apply_J(f, 1.0))
-        assert rep.j_h1 is not None and rep.j_h1 > 0
-
 
 class TestFieldValidation:
     def test_length_mismatch(self, small_grid):
