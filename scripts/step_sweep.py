@@ -48,11 +48,11 @@ def measure(policy: DtPolicy) -> dict:
     finally:
         dynamics._free_multiplier_fft = real
     profiles = profile_history(traj)
-    records, _ = build_case_records(traj, profiles)
+    table = build_case_records(traj, profiles)
     return {"policy": {"dt": policy.dt, "rate": policy.rate},
             "steps": traj.provenance["n_steps"], "run_wall_s": wall,
             "multiplier_evaluations": len(taus),
-            "final": profiles.alpha[-1], "labels": np.array([r.case_label for r in records])}
+            "final": profiles.alpha[-1], "labels": table.label}
 
 
 def main(argv=None) -> int:

@@ -42,17 +42,10 @@ from .dynamics import (
 from .profiles import (
     CaseTable,
     DecouplingReport,
-    MEstimates,
-    ProfileSnapshot,
-    RemainderProbe,
-    beta_plus_estimate,
     build_case_records,
     classify,
     decoupling_history,
-    estimate_m,
-    extract_profiles,
     profile_history,
-    remainder_probe,
 )
 from .asymptotics import (
     LemmaCertificate,

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import coupled_decay_ratios
-from .profiles import T_MIN, ProfileSnapshot
+from .dynamics import T_MIN, coupled_decay_ratios
 
 
 @dataclass(frozen=True)
@@ -57,19 +56,13 @@ def reduced_flow(state: ReducedState, t_target: float) -> ReducedState:
                         a2=state.a2 * math.sqrt(float(r2)))
 
 
-def reduced_flow_profiles(snapshot: ProfileSnapshot, t_target: float) -> ProfileSnapshot:
-    """Apply the reduced flow to a whole profile snapshot at once."""
-    if t_target < snapshot.t:
+def reduced_flow_profiles(alpha: np.ndarray, t: float, t_target: float) -> np.ndarray:
+    """Apply the reduced flow from t to t_target to a ``(2, N)`` profile pair at once."""
+    if t_target < t:
         raise ValueError("reduced flow is forward-only")
-    s = math.log(t_target / snapshot.t)
-    r1, r2 = coupled_decay_ratios(np.abs(snapshot.alpha1) ** 2,
-                                  np.abs(snapshot.alpha2) ** 2, s)
-    return ProfileSnapshot(
-        t=t_target,
-        alpha1=snapshot.alpha1 * np.sqrt(r1),
-        alpha2=snapshot.alpha2 * np.sqrt(r2),
-        grid=snapshot.grid,
-    )
+    r = coupled_decay_ratios(np.abs(alpha[0]) ** 2, np.abs(alpha[1]) ** 2,
+                             math.log(t_target / t))
+    return alpha * np.sqrt(r)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ Diagnostics go to stderr with a machine-parseable ``[nlspair:<tag>]`` prefix.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,9 +54,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest.json under {out}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = harness.read_json_object(manifest_path)
+    if "config" not in manifest:
+        raise ConfigError(f"{manifest_path} records no config")
     cfg = harness.ExperimentConfig.from_dict(manifest["config"])
     traj = harness.load_trajectory(out, cfg)
     written = harness.emit_trajectory_reports(traj, out, cfg.analysis)

@@ -39,6 +39,10 @@ from .spectral import (
 BOUNDARY_BAND = 0.05
 BOUNDARY_MASS_TOL = 1e-6
 
+# the profile analytics read the checkpoints from T_MIN on, where the default
+# checkpoint grid starts
+T_MIN = 2.0
+
 
 @dataclass(frozen=True)
 class DtPolicy:
@@ -103,10 +107,10 @@ class SolverConfig:
         return Grid(self.n_points, self.length)
 
     def resolved_checkpoints(self) -> np.ndarray:
-        """The checkpoint times; by default 40 log-spaced on [max(t_start, 2), t_end]."""
+        """The checkpoint times; by default 40 log-spaced on [max(t_start, T_MIN), t_end]."""
         if self.checkpoint_times is not None:
             return np.asarray(self.checkpoint_times, dtype=float)
-        return np.geomspace(max(self.t_start, 2.0), self.t_end, 40)
+        return np.geomspace(max(self.t_start, T_MIN), self.t_end, 40)
 
 
 @dataclass(frozen=True)

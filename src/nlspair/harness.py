@@ -276,15 +276,21 @@ def _section(value, where: str, cls=None) -> dict:
     return dict(value)
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json_object(path) -> dict:
+    """The JSON object in file ``path`` (null is empty); ConfigError naming
+    the file when it is missing, not valid JSON or not an object."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"file not found: {p}")
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+        raise ConfigError(f"{p} is not valid JSON: {exc}") from exc
+    return _section(raw, str(p))
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(read_json_object(path))
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +510,16 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
     if analysis.profiles:
         profiles = profile_history(traj)
         probes = remainder_history(traj, profiles=profiles)
-        table, est = build_case_records(traj, profiles, probes, deadband=analysis.deadband)
-        dead = analysis.deadband if analysis.deadband is not None else est.suggested_deadband
+        table = build_case_records(traj, profiles, probes, deadband=analysis.deadband)
         dec = decoupling_history(profiles)
         paths += [
             write_csv(out_dir / "profiles.csv", "profiles",
                       ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                        "beta_plus_re", "beta_plus_im", "tail_err"],
-                      zip(table.xi, est.m_a, est.m_b, table.label, table.fitted_exponent,
+                      zip(table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
                           table.beta_plus.real, table.beta_plus.imag, table.r_tail)),
             write_json(out_dir / "profiles.json", "profiles",
-                       {"deadband": dead, "discrepancy": est.discrepancy}),
+                       {"deadband": table.deadband, "discrepancy": table.discrepancy}),
             write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
                       zip(probes.ts, probes.bound_ratio)),
             write_csv(out_dir / "decoupling.csv", "decoupling",

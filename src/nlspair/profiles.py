@@ -14,15 +14,13 @@ inputs are immutable, so the analyses are trivially data-parallel.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fits
-from .dynamics import Trajectory, _stack
-from .spectral import FieldPair, Grid, _j_spectrum, _pull_back
+from .dynamics import T_MIN, Trajectory
+from .spectral import Grid, _j_spectrum, _pull_back
 
 SURVIVOR_1 = "survivor_1"
 SURVIVOR_2 = "survivor_2"
@@ -30,12 +28,14 @@ BALANCED = "balanced"
 
 GAMMA = 1.0 / 24.0  # the remainder estimate's exponent: the middle of the admissible (0, 1/12)
 
-# The analysable window: the analytics read the checkpoints from T_MIN on; the
-# last must reach T_FINAL, and the decay fits need N_WINDOW of them in the
-# trailing window [T/10, T].
-T_MIN = 2.0
+# The analysable window: the analytics read the checkpoints from
+# dynamics.T_MIN on; the last must reach T_FINAL, and the decay fits need
+# N_WINDOW of them in the trailing window [T/10, T].
 T_FINAL = 100.0
 N_WINDOW = 8
+
+# the power-law tails of the case table are fitted to the last N_FIT checkpoints
+N_FIT = 8
 
 
 def check_window(ts) -> np.ndarray:
@@ -53,26 +53,9 @@ def check_window(ts) -> np.ndarray:
     return window
 
 
-@dataclass(frozen=True)
-class ProfileSnapshot:
-    """Both profiles on the frequency grid at one time."""
-
-    t: float
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    grid: Grid
-
-    def l2_norms(self) -> tuple[float, float]:
-        dxi = self.grid.dxi
-        return (
-            math.sqrt(float(dxi * np.sum(np.abs(self.alpha1) ** 2))),
-            math.sqrt(float(dxi * np.sum(np.abs(self.alpha2) ** 2))),
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class ProfileHistory(Sequence):
-    """Profiles at many times, ``alpha[i]`` at ``ts[i]``: a sequence of snapshot views."""
+class ProfileHistory:
+    """Profiles at many times: ``alpha[i]`` holds both components at ``ts[i]``."""
 
     ts: np.ndarray
     alpha: np.ndarray       # (n_t, 2, N), read-only
@@ -80,18 +63,6 @@ class ProfileHistory(Sequence):
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ProfileHistory(self.ts[i], self.alpha[i], self.grid)
-        return ProfileSnapshot(float(self.ts[i]), self.alpha[i, 0], self.alpha[i, 1], self.grid)
-
-
-def extract_profiles(pair: FieldPair) -> ProfileSnapshot:
-    """Pull the pair back along the free flow and transform: alpha_j = F U(-t) u_j."""
-    alpha = _pull_back(pair.grid, _stack(pair), pair.time)
-    alpha.flags.writeable = False
-    return ProfileSnapshot(t=pair.time, alpha1=alpha[0], alpha2=alpha[1], grid=pair.grid)
 
 
 def _first_row(traj: Trajectory) -> int:
@@ -109,41 +80,22 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
 
 
 # ---------------------------------------------------------------------------
-# remainder probe
+# remainder history
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemainderProbe:
-    """Direct evaluation of the profile-equation remainder at one time.
+@dataclass(frozen=True, eq=False)
+class RemainderHistory:
+    """The profile-equation remainder ``r[i]`` (read-only, ``(n_t, 2, N)``) at ``ts[i]``.
 
-    ``bound_ratio`` is ``max_xi <xi> |R| * t^(5/4 - 3 GAMMA)`` divided by the
-    cube of ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run
-    should stay bounded (the constant in the decay estimate is empirical,
-    never asserted).
+    ``bound_ratio[i]`` is ``max_xi <xi> |R| * t^(5/4 - 3 GAMMA)`` divided by
+    the cube of ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a
+    run should stay bounded (the constant in the decay estimate is
+    empirical, never asserted).
     """
 
-    t: float
-    r1: np.ndarray
-    r2: np.ndarray
-    bound_ratio: float
-
-
-@dataclass(frozen=True, eq=False)
-class RemainderHistory(Sequence):
-    """Remainders at many times, ``r[i]`` at ``ts[i]``: a sequence of probe views."""
-
     ts: np.ndarray
-    r: np.ndarray           # (n_t, 2, N), read-only
+    r: np.ndarray
     bound_ratio: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RemainderHistory(self.ts[i], self.r[i], self.bound_ratio[i])
-        return RemainderProbe(t=float(self.ts[i]), r1=self.r[i, 0], r2=self.r[i, 1],
-                              bound_ratio=float(self.bound_ratio[i]))
 
 
 def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
@@ -169,12 +121,6 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
     return RemainderHistory(ts, r, ratio)
 
 
-def remainder_probe(pair: FieldPair) -> RemainderProbe:
-    """The remainder at one time: the one-row case of :func:`remainder_history`."""
-    u, ts = _stack(pair)[None], np.array([pair.time])
-    return _remainders(pair.grid, ts, u, _pull_back(pair.grid, u, ts[:, None]))[0]
-
-
 def remainder_history(traj: Trajectory,
                       profiles: ProfileHistory | None = None) -> RemainderHistory:
     """Remainders at every checkpoint with t >= T_MIN, in one batched evaluation.
@@ -194,46 +140,11 @@ def remainder_history(traj: Trajectory,
 # imbalance estimation and case classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MEstimates:
-    """Two estimators of the per-frequency squared-modulus imbalance limit.
-
-    Estimator A reads ``|alpha1|^2 - |alpha2|^2`` at the final checkpoint
-    (valid because the tail correction decays).  Estimator B anchors at the
-    first checkpoint and adds the quadrature of
-    ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``, i.e. it integrates the
-    balance law instead of trusting the endpoint.  Their gap measures the
-    quadrature/remainder error and feeds the classification dead-band.
-    """
-
-    xi: np.ndarray
-    m_a: np.ndarray
-    m_b: np.ndarray
-    t_anchor: float
-    t_final: float
-    discrepancy: float
-    balance_residual: float
-    suggested_deadband: float
-
-    @property
-    def m_hat(self) -> np.ndarray:
-        """Primary point estimate (estimator A)."""
-        return self.m_a
-
-
-def estimate_m(traj: Trajectory,
-               profiles: ProfileHistory | None = None,
-               probes: RemainderHistory | None = None) -> MEstimates:
-    if profiles is None:
-        profiles = profile_history(traj)
-    ts = profiles.ts
-    check_window(ts)
-    if probes is None:
-        probes = remainder_history(traj, profiles=profiles)
-    if len(probes) != len(profiles):
-        raise ValueError("profiles and probes must cover the same checkpoints")
-
-    a, r = profiles.alpha, probes.r
+def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
+    """The two estimates of the imbalance limit, their gap on the resolved
+    frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
+    balance_residual)``.  Its ``(n_t, N)`` temporaries die on return."""
+    ts, a, r = profiles.ts, profiles.alpha, probes.r
     vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2              # (n_t, N)
     rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
     # integrate rho along checkpoints for every frequency at once
@@ -248,22 +159,23 @@ def estimate_m(traj: Trajectory,
     amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
-    return MEstimates(
-        xi=profiles.grid.xi,
-        m_a=m_a,
-        m_b=m_b,
-        t_anchor=float(ts[0]),
-        t_final=float(ts[-1]),
-        discrepancy=disc,
-        balance_residual=balance_residual,
-        suggested_deadband=max(1e-3, 3.0 * disc),
-    )
+    return m_a, m_b, disc, balance_residual
 
 
 @dataclass(frozen=True, eq=False)
 class CaseTable:
-    """Per-frequency verdicts, one length-N column each: which component
-    survives at ``xi``, and at what rate.
+    """The per-frequency verdicts of a run, one length-N column each: which
+    component survives at ``xi``, and at what rate.
+
+    ``m_a`` reads the imbalance ``|alpha1|^2 - |alpha2|^2`` at the final
+    checkpoint (valid because the tail correction decays); ``m_b`` anchors
+    at the first checkpoint and adds the quadrature of
+    ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``, i.e. it integrates
+    the balance law instead of trusting the endpoint.  ``label`` classifies
+    ``m_a`` against ``deadband``, by default ``max(1e-3, 3 discrepancy)``
+    with ``discrepancy`` the largest ``|m_a - m_b|`` over the resolved
+    frequencies.  ``balance_residual`` is the largest miss of the balance
+    law over the run.
 
     ``fitted_exponent`` is NaN where no fit applies (balanced frequencies,
     underflowed companions); ``beta_plus`` (``complex(nan, nan)``) and its
@@ -271,12 +183,16 @@ class CaseTable:
     """
 
     xi: np.ndarray
-    m_hat: np.ndarray
+    m_a: np.ndarray
+    m_b: np.ndarray
     r_tail: np.ndarray
     label: np.ndarray
     fitted_exponent: np.ndarray
     beta_plus: np.ndarray
     beta_tail_err: np.ndarray
+    deadband: float
+    discrepancy: float
+    balance_residual: float
 
 
 def classify(m_hat, deadband: float) -> np.ndarray:
@@ -359,68 +275,33 @@ def profile_bound_history(profiles: ProfileHistory) -> np.ndarray:
 # limit-profile reconstruction for surviving frequencies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BetaPlusEstimate:
-    value: complex
-    tail_err: float
-    observed_gap: float
-
-
 def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, other_sq: np.ndarray,
-                      r_surv: np.ndarray):
+                      r_surv: np.ndarray, fit: slice):
     """Vectorised limit reconstruction over the last axis (checkpoints).
 
     ``surv``: survivor profile samples, shape (..., n_t); ``other_sq``: squared
     modulus of the decaying companion; ``r_surv``: remainder samples for the
-    survivor.  Returns (beta, tail_err) of shape (...,).
+    survivor; ``fit``: the checkpoints of the tail fits.  Returns
+    ``alpha(anchor) e^{-I} + quad(R e^{-I})``, where I integrates the
+    companion's squared modulus against dtau/tau, and the error bar of the
+    truncated tails, both of shape (...,).
     """
     # exponent I(s) = int_s^T |alpha_other|^2 dtau/tau, plus fitted tail
     I = fits.reverse_cumtrapz(ts, other_sq / ts)
-    n_fit = min(8, len(ts) - 1)
-    tail_ts = ts[-n_fit:]
+    tail_ts = ts[fit]
     # a flat or growing fitted tail means the series already hit its floor;
     # fall back to one more decade at the last value
-    i_tail, ok = fits.power_tail(tail_ts, other_sq[..., -n_fit:], -1.0)
+    i_tail, ok = fits.power_tail(tail_ts, other_sq[..., fit], -1.0)
     i_tail = np.where(ok, i_tail, other_sq[..., -1])
     I += i_tail[..., None]
     decay = np.exp(np.negative(I, out=I), out=I)      # e^{-I}, in place
     beta = surv[..., 0] * decay[..., 0]
     beta = beta + np.trapezoid(r_surv * decay, ts, axis=-1)
-    r_abs = np.abs(r_surv[..., -n_fit:])
+    r_abs = np.abs(r_surv[..., fit])
     r_tail, ok = fits.power_tail(tail_ts, r_abs, 0.0)
     r_tail = np.where(ok, r_tail, r_abs[..., -1] * ts[-1])
     tail_err = np.abs(surv[..., -1]) * i_tail + r_tail
     return beta, tail_err
-
-
-def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
-                       profiles: ProfileHistory | None = None,
-                       probes: RemainderHistory | None = None,
-                       deadband: float | None = None) -> BetaPlusEstimate:
-    """Limit of the surviving profile at one frequency, with a tail error bar.
-
-    Reads column ``xi`` of the :func:`build_case_records` table, which
-    reconstructs ``alpha(anchor) e^{-I} + quad(R e^{-I})`` where I integrates
-    the companion's squared modulus against dtau/tau; the truncated tails are
-    estimated from fitted power laws and reported, never silently dropped.
-    Rejects frequencies not classified as the requested survivor.
-    """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    if profiles is None:
-        profiles = profile_history(traj)
-    table, _ = build_case_records(traj, profiles, probes, deadband)
-    k = int(np.argmin(np.abs(table.xi - xi)))
-    wanted = SURVIVOR_1 if which == 1 else SURVIVOR_2
-    if table.label[k] != wanted:
-        raise ValueError(f"frequency {table.xi[k]:.4g} classified {table.label[k]}, "
-                         f"not {wanted}")
-    beta = complex(table.beta_plus[k])
-    return BetaPlusEstimate(
-        value=beta,
-        tail_err=float(table.beta_tail_err[k]),
-        observed_gap=float(abs(beta - profiles.alpha[-1, which - 1, k])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +311,38 @@ def beta_plus_estimate(traj: Trajectory, xi: float, which: int,
 def build_case_records(traj: Trajectory,
                        profiles: ProfileHistory | None = None,
                        probes: RemainderHistory | None = None,
-                       deadband: float | None = None) -> tuple[CaseTable, MEstimates]:
+                       deadband: float | None = None) -> CaseTable:
     """Classify every frequency and attach decay fits and limit estimates.
 
-    Returns ``(table, estimates)``.  Decay exponents are fitted for the
-    decaying companion at surviving frequencies; limit values are
-    reconstructed for the survivor.  All per-frequency work is vectorised.
+    Decay exponents are fitted for the decaying companion at surviving
+    frequencies; limit values are reconstructed for the survivor; the
+    truncated tails are estimated from fitted power laws and reported, never
+    silently dropped.  All per-frequency work is vectorised.  Raises
+    ValueError unless the checkpoints hold an analysable window
+    (:func:`check_window`).
     """
     if profiles is None:
         profiles = profile_history(traj)
+    ts = profiles.ts
+    check_window(ts)
     if probes is None:
         probes = remainder_history(traj, profiles=profiles)
-    est = estimate_m(traj, profiles, probes)
+    if not np.array_equal(probes.ts, ts):
+        raise ValueError("profiles and probes must cover the same checkpoints")
+    m_a, m_b, disc, balance_residual = _imbalance(profiles, probes)
     if deadband is None:
-        deadband = est.suggested_deadband
+        deadband = max(1e-3, 3.0 * disc)
+    labels = classify(m_a, deadband)
     grid = profiles.grid
-    ts = profiles.ts
     # (n_xi, n_t) views: the fits run along the time axis, where it lies
     a1, a2 = np.moveaxis(profiles.alpha, 0, -1)
     r1, r2 = np.moveaxis(probes.r, 0, -1)
 
-    m = est.m_hat
-    labels = classify(m, deadband)
-
     # tail of the balance-law integrand, as a signed magnitude estimate
-    n_fit = min(8, len(ts) - 1)
-    tail = np.s_[..., -n_fit:]
+    fit = slice(-min(N_FIT, len(ts) - 1), None)
+    tail = np.s_[..., fit]
     rho = 2.0 * np.real(np.conj(a1[tail]) * r1[tail] - np.conj(a2[tail]) * r2[tail])
-    r_tail, ok = fits.power_tail(ts[-n_fit:], np.abs(rho), 0.0)
+    r_tail, ok = fits.power_tail(ts[fit], np.abs(rho), 0.0)
     r_tail = np.sign(np.sum(rho, axis=-1)) * np.where(ok, r_tail, 0.0)
 
     # the companion's exponent and the survivor's limit, on that survivor's columns
@@ -468,7 +353,7 @@ def build_case_records(traj: Trajectory,
         cols = labels == label
         companion = np.abs(o[cols])
         exp_fit[cols] = decay_exponents(ts, companion)
-        beta[cols], beta_err[cols] = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols])
-    table = CaseTable(xi=grid.xi, m_hat=m, r_tail=r_tail, label=labels,
-                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err)
-    return table, est
+        beta[cols], beta_err[cols] = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols], fit)
+    return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, r_tail=r_tail, label=labels,
+                     fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
+                     deadband=deadband, discrepancy=disc, balance_residual=balance_residual)

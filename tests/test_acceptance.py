@@ -58,10 +58,8 @@ def headline():
     traj = run(cfg.solver, pair)
     profiles = profile_history(traj)
     probes = remainder_history(traj)
-    table, est = build_case_records(traj, profiles, probes,
-                                    deadband=cfg.analysis.deadband)
-    return {"cfg": cfg, "traj": traj, "profiles": profiles, "probes": probes,
-            "table": table, "est": est}
+    table = build_case_records(traj, profiles, probes, deadband=cfg.analysis.deadband)
+    return {"cfg": cfg, "traj": traj, "profiles": profiles, "probes": probes, "table": table}
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +137,10 @@ def test_c03_profile_decoupling(headline):
 
 
 def test_c04_survivor_decay_rates(headline):
-    est = headline["est"]
-    dead = headline["cfg"].analysis.deadband or est.suggested_deadband
     table = headline["table"]
-    sel = (table.m_hat > 3.0 * dead) & ~np.isnan(table.fitted_exponent)
-    m = table.m_hat[sel]
+    dead = table.deadband
+    sel = (table.m_a > 3.0 * dead) & ~np.isnan(table.fitted_exponent)
+    m = table.m_a[sel]
     err = np.abs(table.fitted_exponent[sel] + m) / m
     tested, bad, worst = int(np.sum(sel)), int(np.sum(err > 0.2)), float(np.max(err, initial=0.0))
     ok = tested > 50 and bad == 0
@@ -153,8 +150,8 @@ def test_c04_survivor_decay_rates(headline):
 
 def test_c05_balanced_log_decay(symmetric):
     profiles = symmetric["profiles"]
-    ts = np.array([p.t for p in profiles])
-    sup_xi = np.array([np.max(np.abs(p.alpha1)) for p in profiles])
+    ts = profiles.ts
+    sup_xi = np.max(np.abs(profiles.alpha[:, 0]), axis=-1)
     sel = ts >= 100.0
     scaled = sup_xi[sel] * np.sqrt(np.log(ts[sel]))
     tsel = ts[sel]
@@ -182,15 +179,13 @@ def test_c05_balanced_log_decay(symmetric):
 
 def test_c06_reduced_flow_shadowing(headline):
     profiles = headline["profiles"]
-    ts = np.array([p.t for p in profiles])
-    target = profiles[-1]
+    ts, alpha = profiles.ts, profiles.alpha
     errs = {}
     for tc in (10.0, 100.0, 1000.0):
         i = int(np.argmin(np.abs(ts - tc)))
-        red = asy.reduced_flow_profiles(profiles[i], target.t)
-        errs[tc] = np.maximum(np.abs(red.alpha1 - target.alpha1),
-                              np.abs(red.alpha2 - target.alpha2))
-    amp0 = np.abs(profiles[0].alpha1)
+        red = asy.reduced_flow_profiles(alpha[i], ts[i], ts[-1])
+        errs[tc] = np.max(np.abs(red - alpha[-1]), axis=0)
+    amp0 = np.abs(alpha[0, 0])
     strong = np.where(amp0 >= 0.05 * np.max(amp0))[0][::16]
     bad = sum(1 for k in strong
               if not errs[10.0][k] > errs[100.0][k] > errs[1000.0][k])
@@ -283,9 +278,8 @@ def test_c11_short_range_contrast():
     profiles = profile_history(traj)
     dec = decoupling_history(profiles)
     ratio = dec.sup_product / dec.sup_products[0]
-    peak0 = max(np.max(np.abs(profiles[0].alpha1)), np.max(np.abs(profiles[0].alpha2)))
-    peak_max = max(max(np.max(np.abs(p.alpha1)), np.max(np.abs(p.alpha2)))
-                   for p in profiles)
+    peak0 = np.max(np.abs(profiles.alpha[0]))
+    peak_max = np.max(np.abs(profiles.alpha))
     bounded = peak_max <= 1.1 * peak0
     ok = ratio >= 0.8 and bounded
     assert _report(11, ok, f"phase-rotating system: sup-product ratio {ratio:.3f} "

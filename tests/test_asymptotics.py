@@ -20,7 +20,6 @@ from nlspair.asymptotics import (
     reduced_flow_profiles,
     solve_linear_record,
 )
-from nlspair.profiles import ProfileSnapshot
 
 
 def rk4_in_log_time(a1, a2, s_total, n=20000):
@@ -102,12 +101,11 @@ class TestReducedFlow:
     def test_spectrum_variant(self, small_grid):
         a1 = 0.5 * np.exp(-small_grid.xi ** 2)
         a2 = 0.3 * np.exp(-2 * small_grid.xi ** 2)
-        snap = ProfileSnapshot(t=2.0, alpha1=a1.astype(complex),
-                               alpha2=a2.astype(complex), grid=small_grid)
-        out = reduced_flow_profiles(snap, 200.0)
+        out = reduced_flow_profiles(np.stack([a1, a2]).astype(complex), 2.0, 200.0)
+        assert out.shape == (2, small_grid.n_points)
         k = small_grid.n_points // 2
         scalar = reduced_flow(ReducedState(t=2.0, a1=a1[k], a2=a2[k]), 200.0)
-        assert abs(out.alpha1[k] - scalar.a1) < 1e-14
+        assert abs(out[0, k] - scalar.a1) < 1e-14
 
 
 class TestLogDecayCertificate:

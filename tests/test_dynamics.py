@@ -18,7 +18,7 @@ from nlspair.dynamics import (
     strang_step,
 )
 from nlspair.errors import ConfigError, GuardViolation
-from nlspair.profiles import extract_profiles
+from nlspair.profiles import profile_history
 from nlspair.spectral import l2_norm
 
 from conftest import gaussian_field, rel_l2
@@ -191,9 +191,8 @@ class TestStepLadder:
         # of the splitting would show as a gap to the 4x refined run
         pol = DtPolicy()
         runs = [ladder_run(p) for p in (pol, DtPolicy(pol.dt / 4, pol.rate / 4))]
-        coarse, fine = (extract_profiles(r.checkpoints[-1].pair) for r in runs)
-        gap = rel_l2(None, np.stack([coarse.alpha1, coarse.alpha2]),
-                     np.stack([fine.alpha1, fine.alpha2]))
+        coarse, fine = (profile_history(r).alpha[-1] for r in runs)
+        gap = rel_l2(None, coarse, fine)
         assert gap < 1e-6   # measured: 7.7e-8
 
     def test_multiplier_budget(self, monkeypatch):

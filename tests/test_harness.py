@@ -443,6 +443,18 @@ class TestTrajectoryLayout:
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         _analyze_rejected(run_dir, capsys, "cp_0000.bin")
 
+    @pytest.mark.parametrize("text", ['{"schema": "x"}', "[1]", '{"schema"'],
+                             ids=["no-config", "not-an-object", "not-json"])
+    def test_analyze_rejects_malformed_manifest(self, stored_run, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        (run_dir / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1
+        assert "manifest.json" in err and "Traceback" not in err
+
 
 class TestAnalysisMemory:
     def test_peak_is_few_state_arrays(self, tmp_path):

@@ -2,24 +2,21 @@ import numpy as np
 import pytest
 
 import nlspair as nl
-from nlspair.dynamics import SolverConfig, run
+from nlspair.dynamics import SolverConfig, Trajectory, run
 from nlspair.profiles import (
     BALANCED,
     SURVIVOR_1,
     SURVIVOR_2,
-    beta_plus_estimate,
+    ProfileHistory,
     build_case_records,
     classify,
     decay_exponents,
     decoupling_history,
-    estimate_m,
-    extract_profiles,
     profile_bound_history,
     profile_history,
     remainder_history,
-    remainder_probe,
 )
-from nlspair.spectral import SQRT_2PI, l2_norm
+from nlspair.spectral import SQRT_2PI, _pull_back, l2_norm
 
 from conftest import gaussian_field
 
@@ -50,6 +47,17 @@ def free_component_run():
     g = cfg.grid
     zero = nl.ComplexField(g, np.zeros(g.n_points), 0.0)
     traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.2, 4.0), zero))
+    return traj, profile_history(traj), remainder_history(traj)
+
+
+@pytest.fixture(scope="module")
+def swapped_run():
+    """The generic run with its components swapped: the second survives."""
+    cfg = SolverConfig(n_points=512, length=360.0, t_start=0.0, t_end=150.0,
+                       checkpoint_times=tuple(np.geomspace(2.0, 150.0, 28)))
+    g = cfg.grid
+    traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.075, 6.0),
+                                 gaussian_field(g, 0.15, 4.0)))
     return traj, profile_history(traj), remainder_history(traj)
 
 
@@ -84,93 +92,87 @@ class TestExtractProfiles:
         phi = gaussian_field(g, 0.5, 1.5, velocity=0.4)
         phi_hat = nl.forward_transform(phi).values
         for t in (0.5, 3.0, 12.0):
-            u = nl.free_propagate(phi, t)
-            snap = extract_profiles(nl.FieldPair(u, u))
-            assert np.max(np.abs(snap.alpha1 - phi_hat)) < 1e-10
+            u = nl.free_propagate(phi, t).values
+            alpha = _pull_back(g, np.stack([u, u]), t)
+            assert np.max(np.abs(alpha[0] - phi_hat)) < 1e-10
 
     def test_time_zero_is_plain_spectrum(self, small_grid):
         pair = nl.FieldPair(gaussian_field(small_grid, 0.3, 2.0),
                             gaussian_field(small_grid, 0.2, 3.0))
-        snap = extract_profiles(pair)
-        assert np.allclose(snap.alpha1, nl.forward_transform(pair.u1).values)
-        assert snap.t == 0.0
+        alpha = _pull_back(small_grid, np.stack([pair.u1.values, pair.u2.values]), 0.0)
+        assert np.allclose(alpha[0], nl.forward_transform(pair.u1).values)
 
     def test_unitarity_along_run(self, generic_run):
         traj, profiles, _ = generic_run
         cps = [c for c in traj.checkpoints if c.ledger.t >= 2.0]
-        for cp, snap in zip(cps, profiles, strict=True):
-            n1, n2 = snap.l2_norms()
+        assert len(profiles) == len(cps)
+        norms = np.sqrt(traj.grid.dxi * np.sum(np.abs(profiles.alpha) ** 2, axis=-1))
+        for cp, (n1, n2), t, alpha in zip(cps, norms, profiles.ts, profiles.alpha, strict=True):
             assert abs(n1 - l2_norm(cp.pair.u1)) <= 1e-12 * max(n1, 1e-30)
             assert abs(n2 - l2_norm(cp.pair.u2)) <= 1e-12 * max(n2, 1e-30)
             # the batched history against the one-snapshot pull-back
-            one = extract_profiles(cp.pair)
-            assert snap.t == one.t
-            assert np.array_equal(snap.alpha1, one.alpha1)
-            assert np.array_equal(snap.alpha2, one.alpha2)
+            assert t == cp.pair.time
+            one = _pull_back(cp.pair.grid, np.stack([cp.pair.u1.values, cp.pair.u2.values]), t)
+            assert np.array_equal(alpha, one)
 
 
 class TestRemainderProbe:
     def test_zero_component_gives_zero_remainder(self, free_component_run):
         _, _, probes = free_component_run
-        for p in probes:
-            assert np.all(p.r1 == 0) and np.all(p.r2 == 0)
+        assert np.all(probes.r == 0)
 
     def test_two_evaluation_paths_agree(self, small_grid):
         # independent path: naive DFT matrix plus the exact frequency-side
         # free multiplier, no FFT anywhere
         g = small_grid
-        u1 = nl.free_propagate(gaussian_field(g, 0.5, 1.0, velocity=0.3), 3.7)
-        u2 = nl.free_propagate(gaussian_field(g, 0.4, 1.5, center=1.0), 3.7)
-        pair = nl.FieldPair(u1, u2)
-        probe = remainder_probe(pair)
-
         t = 3.7
+        u1 = nl.free_propagate(gaussian_field(g, 0.5, 1.0, velocity=0.3), t)
+        u2 = nl.free_propagate(gaussian_field(g, 0.4, 1.5, center=1.0), t)
+        cfg = SolverConfig(n_points=g.n_points, length=g.length, t_end=t)
+        traj = Trajectory(config=cfg, ts=np.array([t]),
+                          states=np.stack([u1.values, u2.values])[None], provenance={})
+        r1 = remainder_history(traj).r[0, 0]
+
         dft = np.exp(-1j * np.outer(g.xi, g.x)) * (g.dx / SQRT_2PI)
         mult = np.exp(0.5j * g.xi ** 2 * t)
         a1 = mult * (dft @ u1.values)
         a2 = mult * (dft @ u2.values)
         n1 = np.abs(u2.values) ** 2 * u1.values
         r1_direct = np.abs(a2) ** 2 * a1 / t - mult * (dft @ n1)
-        assert np.max(np.abs(probe.r1 - r1_direct)) < 1e-10 * np.max(np.abs(probe.r1))
+        assert np.max(np.abs(r1 - r1_direct)) < 1e-10 * np.max(np.abs(r1))
 
     def test_bound_ratio_bounded_over_run(self, generic_run):
-        _, _, probes = generic_run
-        ratios = np.array([p.bound_ratio for p in probes])
+        ratios = generic_run[2].bound_ratio
         assert np.all(np.isfinite(ratios))
         assert np.max(ratios) <= 10 * np.median(ratios[ratios > 0])
 
     def test_weighted_remainder_decays(self, generic_run):
         traj, _, probes = generic_run
         w = np.sqrt(1.0 + traj.config.grid.xi ** 2)
-        ts = np.array([p.t for p in probes])
-        peak = np.array([max(np.max(w * np.abs(p.r1)), np.max(w * np.abs(p.r2)))
-                         for p in probes])
-        sel = ts >= 15.0
-        slope = np.polyfit(np.log(ts[sel]), np.log(peak[sel]), 1)[0]
+        peak = np.max(w * np.abs(probes.r), axis=(1, 2))
+        sel = probes.ts >= 15.0
+        slope = np.polyfit(np.log(probes.ts[sel]), np.log(peak[sel]), 1)[0]
         assert slope <= -1.1
 
     def test_history_reuses_snapshots_bitwise(self, generic_run):
-        traj, profiles, probes = generic_run
-        pairs = [cp.pair for cp in traj.checkpoints if cp.ledger.t >= 2.0]
+        traj, profiles, probes = generic_run     # probes extracted their own profiles
         reused = remainder_history(traj, profiles=profiles)
-        for pair, p, q in zip(pairs, probes, reused, strict=True):
-            fresh = remainder_probe(pair)   # extracts its own snapshot
-            for probe in (p, q):
-                assert np.array_equal(probe.r1, fresh.r1)
-                assert np.array_equal(probe.r2, fresh.r2)
-                assert probe.bound_ratio == fresh.bound_ratio
+        assert np.array_equal(reused.ts, probes.ts)
+        assert np.array_equal(reused.r, probes.r)
+        assert np.array_equal(reused.bound_ratio, probes.bound_ratio)
+        later = ProfileHistory(profiles.ts[1:], profiles.alpha[1:], profiles.grid)
         with pytest.raises(ValueError, match="different times"):
-            remainder_history(traj, profiles=profiles[1:])
+            remainder_history(traj, profiles=later)
 
 
 class TestEstimateM:
     def test_free_component(self, free_component_run):
         traj, profiles, probes = free_component_run
-        est = estimate_m(traj, profiles, probes)
-        phi_hat_sq = np.abs(profiles[0].alpha1) ** 2
-        assert np.all(est.m_hat >= -1e-15)
-        assert np.max(np.abs(est.m_hat - phi_hat_sq)) < 1e-10
-        assert est.discrepancy < 1e-10
+        table = build_case_records(traj, profiles, probes)
+        phi_hat_sq = np.abs(profiles.alpha[0, 0]) ** 2
+        assert np.all(table.m_a >= -1e-15)
+        assert np.max(np.abs(table.m_a - phi_hat_sq)) < 1e-10
+        assert table.discrepancy < 1e-10
 
     def test_symmetric_data_balances(self):
         cfg = SolverConfig(n_points=512, length=360.0, t_start=0.0, t_end=120.0,
@@ -178,21 +180,20 @@ class TestEstimateM:
         g = cfg.grid
         u = gaussian_field(g, 0.15, 4.0)
         traj = run(cfg, nl.FieldPair(u, u))
-        est = estimate_m(traj)
-        assert np.max(np.abs(est.m_hat)) < 1e-14
+        table = build_case_records(traj)
+        assert np.max(np.abs(table.m_a)) < 1e-14
 
     def test_estimators_agree(self, generic_run):
-        traj, profiles, probes = generic_run
-        est = estimate_m(traj, profiles, probes)
-        mask = np.abs(est.m_a) > est.suggested_deadband
-        rel = np.abs(est.m_a - est.m_b)[mask] / np.abs(est.m_a)[mask]
+        table = build_case_records(*generic_run)
+        assert table.deadband == max(1e-3, 3.0 * table.discrepancy)
+        mask = np.abs(table.m_a) > table.deadband
+        rel = np.abs(table.m_a - table.m_b)[mask] / np.abs(table.m_a)[mask]
         assert np.max(rel) < 0.02
 
     def test_balance_law_residual_small(self, generic_run):
-        traj, profiles, probes = generic_run
-        est = estimate_m(traj, profiles, probes)
-        scale = np.max(np.abs(est.m_a))
-        assert est.balance_residual <= 0.03 * scale
+        table = build_case_records(*generic_run)
+        scale = np.max(np.abs(table.m_a))
+        assert table.balance_residual <= 0.03 * scale
 
     def test_short_trajectory_rejected(self):
         cfg = SolverConfig(n_points=256, length=200.0, t_start=0.0, t_end=20.0,
@@ -201,7 +202,7 @@ class TestEstimateM:
         traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0),
                                      gaussian_field(g, 0.05, 5.0)))
         with pytest.raises(ValueError, match="too short"):
-            estimate_m(traj)
+            build_case_records(traj)
 
 
 class TestClassify:
@@ -239,7 +240,6 @@ class TestDecoupling:
     def test_disjoint_profiles(self, small_grid):
         a1 = np.where(small_grid.xi < 0, 1.0 + 0j, 0)
         a2 = np.where(small_grid.xi > 0, 1.0 + 0j, 0)
-        from nlspair.profiles import ProfileHistory
         history = ProfileHistory(ts=np.array([2.0]), alpha=np.array([[a1, a2]]), grid=small_grid)
         rep = decoupling_history(history)
         assert rep.sup_product == 0.0 and rep.l2_product == 0.0
@@ -264,51 +264,33 @@ class TestDecoupling:
 class TestBetaPlus:
     def test_free_component_exact(self, free_component_run):
         traj, profiles, probes = free_component_run
-        g = traj.config.grid
-        k = g.n_points // 2
-        est = beta_plus_estimate(traj, float(g.xi[k]), 1,
-                                 profiles=profiles, probes=probes)
-        assert abs(est.value - profiles[0].alpha1[k]) < 1e-12
+        table = build_case_records(traj, profiles, probes)
+        k = traj.config.grid.n_points // 2
+        assert table.label[k] == SURVIVOR_1
+        assert abs(table.beta_plus[k] - profiles.alpha[0, 0, k]) < 1e-12
 
-    def test_survivor_consistency(self, generic_run):
-        traj, profiles, probes = generic_run
-        est = beta_plus_estimate(traj, 0.0, 1, profiles=profiles, probes=probes)
-        assert est.observed_gap <= 3.0 * est.tail_err
-        # the estimate is a lookup in the case table, bit for bit
-        table, _ = build_case_records(traj, profiles, probes)
-        survivors = np.flatnonzero(table.label == SURVIVOR_1)
-        for k in survivors[:: max(1, len(survivors) // 5)]:
-            at_k = beta_plus_estimate(traj, float(table.xi[k]), 1,
-                                      profiles=profiles, probes=probes)
-            assert at_k.value == table.beta_plus[k]
-            assert at_k.tail_err == table.beta_tail_err[k]
-
-    def test_balanced_frequency_rejected(self, generic_run):
-        traj, profiles, probes = generic_run
-        g = traj.config.grid
-        far = float(g.xi[-1])   # spectrum is empty there: balanced
-        with pytest.raises(ValueError, match="classified"):
-            beta_plus_estimate(traj, far, 1, profiles=profiles, probes=probes)
-
-    def test_survivor_2_when_components_swapped(self):
-        cfg = SolverConfig(n_points=512, length=360.0, t_start=0.0, t_end=150.0,
-                           checkpoint_times=tuple(np.geomspace(2.0, 150.0, 28)))
-        g = cfg.grid
-        pair = nl.FieldPair(gaussian_field(g, 0.075, 6.0),
-                            gaussian_field(g, 0.15, 4.0))
-        traj = run(cfg, pair)
-        est = beta_plus_estimate(traj, 0.0, 2)
-        assert est.observed_gap <= 3.0 * est.tail_err
-        with pytest.raises(ValueError):
-            beta_plus_estimate(traj, 0.0, 1)
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_survivor_consistency(self, which, request):
+        # the limit at xi = 0 lies within its tail error bar of the last
+        # profile, on the component the table names the survivor
+        traj, profiles, probes = request.getfixturevalue(
+            "generic_run" if which == 1 else "swapped_run")
+        table = build_case_records(traj, profiles, probes)
+        k = int(np.argmin(np.abs(table.xi)))
+        assert table.label[k] == (SURVIVOR_1 if which == 1 else SURVIVOR_2)
+        gap = abs(table.beta_plus[k] - profiles.alpha[-1, which - 1, k])
+        assert gap <= 3.0 * table.beta_tail_err[k]
 
 
 class TestCaseRecords:
     def test_full_report(self, generic_run):
         traj, profiles, probes = generic_run
-        table, est = build_case_records(traj, profiles, probes)
+        table = build_case_records(traj, profiles, probes)
         g = traj.config.grid
-        for col in vars(table).values():
+        columns = {k: v for k, v in vars(table).items() if np.ndim(v)}
+        assert set(vars(table)) - set(columns) == {"deadband", "discrepancy",
+                                                   "balance_residual"}
+        for col in columns.values():
             assert col.shape == (g.n_points,)
         labels = set(table.label)
         assert SURVIVOR_1 in labels and BALANCED in labels
@@ -325,7 +307,7 @@ class TestCaseRecords:
     def test_log_decay_not_applied_to_survivors(self, generic_run):
         # routing check: the balanced-case fit guard is the classification
         traj, profiles, probes = generic_run
-        table, _ = build_case_records(traj, profiles, probes)
+        table = build_case_records(traj, profiles, probes)
         assert np.all(np.isnan(table.fitted_exponent[table.label == BALANCED]))
         survivors = np.flatnonzero(table.label == SURVIVOR_1)
         assert not np.any(np.isinf(table.fitted_exponent[survivors]))

@@ -1,0 +1,41 @@
+"""Smoke tests of the scripts under ``scripts/``, loaded from their files."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+from nlspair.harness import write_csv, write_json
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_sweep_runs(capsys):
+    # one coarse policy against a reference one rung finer: two headline runs
+    step_sweep = _load("step_sweep")
+    assert step_sweep.main(["--policies", "0.04:1.6e-2", "--reference", "0.04:8e-3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (row,) = out["runs"]
+    assert isinstance(row["labels_flipped"], int) and row["labels_flipped"] >= 0
+    assert out["reference"]["steps"] > row["steps"] > 0
+
+
+def test_compare_reports_identical_trees(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    (a / "sub").mkdir(parents=True)
+    write_csv(a / "table.csv", "table", ["t", "label"], zip(np.geomspace(1.0, 10.0, 5), "abcde"))
+    write_json(a / "sub" / "run.json", "run", {"deadband": 1e-3, "passed": True, "xs": [1, 2]})
+    shutil.copytree(a, b)
+    compare_reports = _load("compare_reports")
+    assert compare_reports.main(str(a), str(b)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["sub/run.json: identical", "table.csv: identical"]
