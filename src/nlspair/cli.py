@@ -71,7 +71,7 @@ def _cmd_scatter(args) -> int:
         res = harness.run_scatter_roundtrip(harness.preset_scatter_roundtrip())
         state, report = res["state"], res["report"]
         harness.write_csv(out / "scattering.csv", "scattering",
-                          ["t", "error_l2"], zip(report.ts, report.errors))
+                          ["t", "error_l2"], [report.ts, report.errors])
         harness.write_json(out / "scattering.json", "scattering", {
             "fitted_slope": report.fitted_slope,
             "slope_bound": report.slope_bound,
@@ -86,7 +86,7 @@ def _cmd_scatter(args) -> int:
         report, drift = res["report"], res["control_drift"]
         harness.write_csv(out / "obstruction.csv", "obstruction",
                           ["t", "d1_overlap", "d2_overlap", "d1_control", "d2_control"],
-                          zip(report.ts, report.d1, report.d2, drift["d1"], drift["d2"]))
+                          [report.ts, report.d1, report.d2, drift["d1"], drift["d2"]])
         harness.write_json(out / "obstruction.json", "obstruction", {
             "eta": report.eta, "floor": report.stagnation_floor,
             "stagnates": report.stagnates,
@@ -117,7 +117,7 @@ def _cmd_lemmas(args) -> int:
                      abs(record.y0), 0.0, 0.0, rep.c3, rep.worst_margin, rep.passed))
     harness.write_csv(out / "lemma_certificates.csv", "lemma_certificates",
                       ["kind", "p1", "p2", "c0", "c1", "phi0", "constant",
-                       "worst_margin", "passed"], rows)
+                       "worst_margin", "passed"], list(zip(*rows)))
     print(f"lemmas: {len(rows)} certificates, all_pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -154,7 +154,7 @@ def _cmd_sweep(args) -> int:
     rows = [one(e) for e in eps_values]
     harness.write_csv(out / "sweep.csv", "sweep",
                       ["eps", "sup_product_t2", "sup_product_final", "decoupling_ratio",
-                       "profile_bound_growth", "diff_drift", "bounds_ok"], rows)
+                       "profile_bound_growth", "diff_drift", "bounds_ok"], list(zip(*rows)))
     print(f"sweep: {len(rows)} runs -> {out / 'sweep.csv'}")
     return 0
 

@@ -185,21 +185,67 @@ def mass_ledger(pair: FieldPair) -> MassLedger:
     )
 
 
+def _edge_bands(grid: Grid) -> tuple[int, int]:
+    """``(lo, hi)``: the points within ``BOUNDARY_BAND`` of either edge of the
+    box are the index ranges ``[0, lo)`` and ``[hi, N)``."""
+    inner = np.abs(grid.x) < (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * grid.length
+    return int(np.argmax(inner)), grid.n_points - int(np.argmax(inner[::-1]))
+
+
+def _band_mass(sq: np.ndarray, bands: tuple[int, int]) -> tuple[float, float]:
+    """``(edge, total)`` sums of the squared amplitudes ``sq`` (last axis on the grid)."""
+    lo, hi = bands
+    return float(sq[..., :lo].sum() + sq[..., hi:].sum()), float(sq.sum())
+
+
 def boundary_mass_fraction(pair: FieldPair) -> float:
     """Fraction of total mass within ``BOUNDARY_BAND`` of each edge of the box."""
-    g = pair.grid
-    half = 0.5 * g.length
-    edge = (np.abs(g.x) >= (1.0 - 2.0 * BOUNDARY_BAND) * half)
     dens = np.abs(pair.u1.values) ** 2 + np.abs(pair.u2.values) ** 2
-    total = float(np.sum(dens))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(dens[edge]) / total)
+    edge, total = _band_mass(dens, _edge_bands(pair.grid))
+    return edge / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
 # exact nonlinear substep
 # ---------------------------------------------------------------------------
+
+def _decay_scales(a0: np.ndarray, b0: np.ndarray, s: float):
+    """Amplitude ratios ``sqrt(a(s)/a0)``, ``sqrt(b(s)/b0)`` of ``a' = b' = -2ab``.
+
+    The closed form is ``a(s)/a0 = 1 / (1 - b0 expm1(-2 m s) / m)`` and
+    ``b(s)/b0 = exp(-2 m s) a(s)/a0`` with ``m = a0 - b0``.  One expm1 of half
+    the exponent, ``h = expm1(-m s)``, gives both ``exp(-m s) = 1 + h`` and
+    ``expm1(-2 m s) = h (2 + h)`` to relative accuracy; at ``m = 0`` the
+    quotient takes its limit ``-2 s``.  ``a0``, ``b0`` are arrays of at least
+    one dimension, left untouched; the two results are new arrays.
+    """
+    m = a0 - b0
+    h = m * -s
+    clamped = None
+    if h.max(initial=0.0) > 300.0:
+        # Far beyond the logistic transition the survivor has locked to |m|
+        # and the loser has underflowed; expm1 would overflow there, so clamp.
+        clamped = h > 300.0
+        h[clamped] = 0.0
+    np.expm1(h, out=h)
+    k1 = h + 2.0
+    k1 *= h
+    with np.errstate(invalid="ignore"):
+        k1 /= m
+    if np.count_nonzero(m) < m.size:
+        k1[m == 0.0] = -2.0 * s
+    k1 *= b0
+    np.subtract(1.0, k1, out=k1)
+    np.sqrt(k1, out=k1)
+    np.reciprocal(k1, out=k1)
+    h += 1.0
+    h *= k1
+    if clamped is not None:
+        # m < 0 there: component 1 has fully decayed, component 2 -> |m|
+        k1[clamped] = 0.0
+        h[clamped] = np.sqrt(-m[clamped] / np.broadcast_to(b0, m.shape)[clamped])
+    return k1, h
+
 
 def coupled_decay_ratios(a0: np.ndarray, b0: np.ndarray, s: float):
     """Squared-amplitude ratios after time ``s`` of ``a' = -2ab, b' = -2ab``.
@@ -207,39 +253,26 @@ def coupled_decay_ratios(a0: np.ndarray, b0: np.ndarray, s: float):
     Returns ``(a(s)/a0, b(s)/b0)`` evaluated by the closed form
     ``a(s) = m a0 / (a0 - b0 exp(-2 m s))`` with ``m = a0 - b0``, written so
     that the ``m -> 0`` limit is taken stably and ``a - b = m`` holds to
-    roundoff.  Inputs may be scalars or arrays of any matching shape.
+    roundoff (:func:`_decay_scales`).  Inputs may be scalars or arrays of
+    any matching shape.
     """
     if s < 0:
         raise ValueError("forward decay only: s must be nonnegative")
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
-    m = a0 - b0
-    arg = -2.0 * m * s
-    # Far beyond the logistic transition the survivor has locked to |m| and
-    # the loser has underflowed; exp would overflow there, so clamp.
-    huge = arg > 600.0
-    arg_safe = np.where(huge, 0.0, arg)
-    decay = np.exp(arg_safe)
-    safe_m = np.where(m != 0.0, m, 1.0)
-    growth_per_m = np.where(m != 0.0, np.expm1(arg_safe) / safe_m, -2.0 * s)
-    denom = 1.0 - b0 * growth_per_m
-    r1 = 1.0 / denom
-    r2 = decay / denom
-    if np.any(huge):
-        # m < 0 branch: component 1 has fully decayed, component 2 -> |m|.
-        b0_safe = np.where(b0 > 0.0, b0, 1.0)
-        r1 = np.where(huge, 0.0, r1)
-        r2 = np.where(huge, np.where(b0 > 0.0, -m / b0_safe, 1.0), r2)
-    return r1, r2
+    shape = np.broadcast_shapes(a0.shape, b0.shape)
+    k1, k2 = _decay_scales(np.atleast_1d(a0), np.atleast_1d(b0), s)
+    return np.square(k1, out=k1).reshape(shape), np.square(k2, out=k2).reshape(shape)
 
 
-def _decay_substep(v: np.ndarray, dt: float):
-    """Exact nonlinear substep on a ``(2, N)`` state, in place; returns the ratios."""
+def _decay_substep(v: np.ndarray, dt: float) -> np.ndarray:
+    """Exact nonlinear substep on a ``(2, N)`` state, in place; returns the
+    ``(2, N)`` squared amplitudes it started from."""
     sq = v.real ** 2 + v.imag ** 2
-    r1, r2 = coupled_decay_ratios(sq[0], sq[1], dt)
-    v[0] *= np.sqrt(r1)
-    v[1] *= np.sqrt(r2)
-    return r1, r2
+    k1, k2 = _decay_scales(sq[0], sq[1], dt)
+    v[0] *= k1
+    v[1] *= k2
+    return sq
 
 
 def _stack(pair: FieldPair) -> np.ndarray:
@@ -263,9 +296,7 @@ def nonlinear_substep(pair: FieldPair, dt: float) -> FieldPair:
     if dt == 0.0:
         return pair
     v = _stack(pair)
-    r1, r2 = _decay_substep(v, dt)
-    if np.any(r1 < 0.0) or np.any(r2 < 0.0):
-        raise AssertionError("internal error: negative amplitude ratio in exact substep")
+    _decay_substep(v, dt)
     return _unstack(pair.grid, v, pair.time)
 
 
@@ -277,11 +308,18 @@ class _StrangKernel:
     ``U(a) U(b) = U(a + b)``, so a step costs one batched FFT, one multiply
     and one batched IFFT around the exact substep.  ``flush`` applies the
     pending half step; the state is a Strang iterate only after it.
+
+    Every step guards the mid-step state on the squared amplitudes the
+    substep forms: :class:`GuardViolation` once the edge bands hold more than
+    ``BOUNDARY_MASS_TOL`` of the mass, :class:`NumericsError` once the mass
+    is not finite.  One FFT spreads a NaN to every point, so the sums catch
+    it without a scan for non-finite values.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.pending = 0.0
+        self.bands = _edge_bands(grid)
         self._mults: dict[float, np.ndarray] = {}
 
     def _free(self, v: np.ndarray, tau: float) -> np.ndarray:
@@ -294,10 +332,16 @@ class _StrangKernel:
         spec *= mult
         return np.fft.ifft(spec, axis=-1)
 
-    def step(self, v: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, v: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """Advance ``v`` from t to t + dt; the guard reports the mid-step time."""
         v = self._free(v, self.pending + 0.5 * dt)
-        _decay_substep(v, dt)
+        edge, total = _band_mass(_decay_substep(v, dt), self.bands)
         self.pending = 0.5 * dt
+        if not edge <= BOUNDARY_MASS_TOL * total < math.inf:
+            t_mid = t + 0.5 * dt
+            if not math.isfinite(total):
+                raise NumericsError(f"non-finite values at t = {t_mid:.6g}")
+            raise GuardViolation(t_mid, edge / total, BOUNDARY_MASS_TOL)
         return v
 
     def flush(self, v: np.ndarray) -> np.ndarray:
@@ -314,7 +358,7 @@ def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
     if abs(pair.time - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"pair time {pair.time} does not match step time {t}")
     kernel = _StrangKernel(pair.grid)
-    return _unstack(pair.grid, kernel.flush(kernel.step(_stack(pair), dt)), t + dt)
+    return _unstack(pair.grid, kernel.flush(kernel.step(_stack(pair), t, dt)), t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +420,7 @@ def _strang_scheme(config: SolverConfig, initial: FieldPair):
 
     def step(t: float, dt: float) -> None:
         nonlocal v
-        v = kernel.step(v, dt)
+        v = kernel.step(v, t, dt)
 
     def fields(t: float) -> np.ndarray:
         nonlocal v
@@ -415,8 +459,8 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
 
     Aborts with :class:`GuardViolation` if mass accumulates near the box
     boundary (periodic wrap-around silently corrupts long-time profiles) and
-    with :class:`NumericsError` on the first checkpoint holding non-finite
-    values.
+    with :class:`NumericsError` once the state holds non-finite values: the
+    Strang scheme checks at every step, the RK4 oracle at every checkpoint.
     """
     if config.scheme == "rk4_reference":
         return rk4_reference(config, initial)

@@ -63,6 +63,25 @@ def reverse_cumtrapz(ts, vals):
     return out
 
 
+def reverse_cumtrapz_rows(ts, vals):
+    """:func:`reverse_cumtrapz` along the first axis, in place: row ``i`` of
+    ``vals`` becomes ``integral_{t_i}^{t_end} vals dt``; returns ``vals``.
+
+    A recurrence over contiguous rows, adding the trapezoids in the order
+    of the reversed cumulative sum, so the result is bitwise equal to it.
+    """
+    dt = np.diff(np.asarray(ts, dtype=float))
+    upper = vals[-1].copy()         # the integrand at t_{i+1}
+    seg = np.empty_like(upper)
+    vals[-1] = 0.0
+    for i in range(len(dt) - 1, -1, -1):
+        np.add(upper, vals[i], out=seg)
+        seg *= 0.5 * dt[i]
+        upper[...] = vals[i]
+        np.add(vals[i + 1], seg, out=vals[i])
+    return vals
+
+
 def cumtrapz_from_start(ts, vals):
     """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the last axis."""
     ts = np.asarray(ts, dtype=float)

@@ -434,20 +434,21 @@ def get_simulate_preset(name: str) -> ExperimentConfig:
 # report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        # shortest round-trip, independent of numpy scalar repr; NaN is "no value"
-        return repr(float(x)) if x == x else ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return str(x)
+def _cells(column) -> list[str]:
+    """The CSV cells of one column: floats as their shortest round-trip repr
+    (independent of numpy's scalar repr), NaN as an empty cell ("no value"),
+    anything else by ``str``."""
+    values = np.asarray(column).tolist() if isinstance(column, np.ndarray) else \
+        [v.item() if isinstance(v, np.generic) else v for v in column]
+    return ["" if v != v else repr(v) if type(v) is float else str(v) for v in values]
 
 
-def write_csv(path, schema: str, header: list[str], rows) -> Path:
+def write_csv(path, schema: str, header: list[str], columns) -> Path:
+    """A schema line, the header and one row per entry of the ``columns``,
+    which are arrays or sequences of equal length, formatted one at a time."""
     path = Path(path)
     lines = [f"# schema=nlspair.{schema}.v1", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(",".join, zip(*map(_cells, columns)))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -506,7 +507,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
     ledgers = traj.ledgers()
     paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
                        ["t", "mass1", "mass2", "diff", "interaction"],
-                       [(l.t, l.mass1, l.mass2, l.diff, l.interaction) for l in ledgers])]
+                       [[getattr(l, k) for l in ledgers]
+                        for k in ("t", "mass1", "mass2", "diff", "interaction")])]
     if analysis.profiles:
         profiles = profile_history(traj)
         probes = remainder_history(traj, profiles=profiles)
@@ -516,15 +518,15 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
             write_csv(out_dir / "profiles.csv", "profiles",
                       ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                        "beta_plus_re", "beta_plus_im", "tail_err"],
-                      zip(table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
-                          table.beta_plus.real, table.beta_plus.imag, table.r_tail)),
+                      [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
+                       table.beta_plus.real, table.beta_plus.imag, table.r_tail]),
             write_json(out_dir / "profiles.json", "profiles",
                        {"deadband": table.deadband, "discrepancy": table.discrepancy}),
             write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
-                      zip(probes.ts, probes.bound_ratio)),
+                      [probes.ts, probes.bound_ratio]),
             write_csv(out_dir / "decoupling.csv", "decoupling",
                       ["t", "sup_product", "l2_product"],
-                      zip(dec.ts, dec.sup_products, dec.l2_products)),
+                      [dec.ts, dec.sup_products, dec.l2_products]),
         ]
     return [p.name for p in paths]
 

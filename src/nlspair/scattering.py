@@ -25,15 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import SolverConfig, Trajectory, run
-from .errors import PicardDivergence
+from .dynamics import BOUNDARY_BAND, SolverConfig, Trajectory, run
+from .errors import ConfigError, PicardDivergence
 from .spectral import (
+    SQRT_2PI,
     ComplexField,
     FieldPair,
     Grid,
-    _free_multiplier_fft,
     _inverse_array,
-    _j_spectrum,
+    _profile_multiplier,
     _pull_back,
     _push_forward,
     l2_norm,
@@ -218,26 +218,62 @@ class PicardState:
         )
 
 
+def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """The Nyquist mode of ``F u`` per row of raw x-space samples, which every
+    profile drops: a rank-one alternating sum."""
+    return (grid.dx / SQRT_2PI) * (u @ grid._sign)
+
+
+def _sq_rows(a: np.ndarray) -> np.ndarray:
+    """``sum |a|^2`` along the last axis of a C-contiguous complex stack."""
+    f = a.view(np.float64)
+    return np.einsum("...i,...i->...", f, f)
+
+
+def _profile_sq(grid: Grid, dalpha: np.ndarray, nyq: np.ndarray | None = None):
+    """``(||d||^2, ||J d||^2)`` per row of a difference ``d`` of iterates, read
+    off its profile ``dalpha`` (Nyquist slot zeroed), which it overwrites.
+
+    ``||d||`` is Plancherel on the profile, plus ``nyq``, the Nyquist mode of
+    ``d`` itself, when ``d`` has one.  ``F J d`` is ``F(x phi)`` with
+    ``phi = F^-1 dalpha`` and the Nyquist slot dropped, so ``||J d||^2`` is
+    ``||x phi||^2`` less that mode, both from one IFFT: ``psi = ifft(dalpha)``
+    is ``phi`` up to the signs ``(-1)^n``, a half-period shift of ``x`` and
+    the factor ``N dxi / sqrt(2 pi)``.
+    """
+    l2_sq = grid.dxi * _sq_rows(dalpha)
+    if nyq is not None:
+        l2_sq += grid.dxi * np.abs(nyq) ** 2
+    psi = np.fft.ifft(dalpha, axis=-1, out=dalpha)
+    psi *= np.fft.ifftshift(grid.x)
+    scale = grid.n_points * grid.dxi / SQRT_2PI
+    j_sq = grid.dx * scale ** 2 * _sq_rows(psi) - grid.dxi * np.abs(psi.sum(axis=-1)) ** 2
+    return l2_sq, np.maximum(j_sq, 0.0)
+
+
+def _xt_sup(taus: np.ndarray, mu: float, sq1, sq2) -> float:
+    """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2 from the
+    :func:`_profile_sq` of both components."""
+    l2 = np.sqrt(sq1[0] + sq2[0])
+    j = np.sqrt(sq1[1] + sq2[1])
+    return float(np.max(taus ** (mu + 0.5) * l2 + taus ** mu * j))
+
+
 def _xt_norm(grid: Grid, taus: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-             mu: float, mult: np.ndarray | None = None) -> float:
+             mu: float) -> float:
     """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2.
 
-    ``d1``, ``d2`` are ``(n_time, N)`` stacks; ``||J d||`` is read off the
-    pulled-back profile of each row.  ``mult`` is the free-flow multiplier
-    table at ``taus``, when the caller holds one.
+    ``d1``, ``d2`` are ``(n_time, N)`` stacks of x-space samples; each is
+    pulled back once and measured by :func:`_profile_sq`.
     """
-    l2_sq = np.zeros(len(taus))
-    j_sq = np.zeros(len(taus))
-    for d in (d1, d2):
-        l2_sq += grid.dx * np.sum(np.abs(d) ** 2, axis=-1)
-        alpha = _pull_back(grid, d, taus, mult)
-        j_sq += grid.dxi * np.sum(np.abs(_j_spectrum(grid, alpha)) ** 2, axis=-1)
-    return float(np.max(taus ** (mu + 0.5) * np.sqrt(l2_sq) + taus ** mu * np.sqrt(j_sq)))
+    sq = [_profile_sq(grid, _pull_back(grid, d, taus), _nyquist(grid, d)) for d in (d1, d2)]
+    return _xt_sup(taus, mu, *sq)
 
 
-def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
-               v1: np.ndarray, v2: np.ndarray, mult: np.ndarray | None = None):
-    """One application of the fixed-point map on the sampled time grid.
+def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+               table: np.ndarray | None = None):
+    """One application of the fixed-point map on the sampled time grid, as
+    the profiles of the new iterates.
 
     Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
     Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
@@ -246,17 +282,37 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
     the integral at T_max leaves only the decaying difference part.  Each
-    component is one ``(n_time, N)`` stack, pulled back and pushed forward
-    in one call each, with the multiplier table ``mult`` at ``taus``.
+    component is one ``(n_time, N)`` stack, pulled back in one call with the
+    table ``_profile_multiplier(grid, taus)``.
+
+    Returns ``[alpha1, alpha2]``, the profiles ``psi_hat + int_t^inf G`` with
+    the Nyquist slot zeroed; the new iterates are their push-forwards, left
+    to the caller so that the old iterates can go first.
     """
     g = spec.grid
+    if table is None:
+        table = _profile_multiplier(g, taus)
     out = []
     for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
-        pulled = _pull_back(g, np.abs(w) ** 2 * v, taus, mult, overwrite_x=True)
-        tail = fits.reverse_cumtrapz(taus, pulled.T).T
-        tail += psi_hat
-        out.append(_push_forward(g, tail, taus, mult))
-    return tuple(out)
+        alpha = _pull_back(g, np.abs(w) ** 2 * v, taus, table, overwrite_x=True)
+        fits.reverse_cumtrapz_rows(taus, alpha)
+        alpha += psi_hat
+        alpha[..., 0] = 0.0
+        out.append(alpha)
+    return out
+
+
+def _check_box(spec: FinalStateSpec, T_max: float) -> None:
+    """Reject a time grid on which the free waves of psi+ reach the guard's
+    edge bands: frequency xi travels to x = xi t, and the box is periodic."""
+    g = spec.grid
+    support = (spec.psi_hat_1 != 0) | (spec.psi_hat_2 != 0)
+    reach = float(np.max(np.abs(g.xi[support]), initial=0.0)) * T_max
+    limit = (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * g.length
+    if reach > limit:
+        raise ConfigError(f"the spectral support travels {reach:.6g} by T_max = {T_max:g}, "
+                          f"past the box's edge bands at {limit:.6g}; "
+                          f"enlarge the box or lower T_max")
 
 
 def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
@@ -265,12 +321,17 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
     g = spec.grid
     taus = np.geomspace(T, T_max, n_time)
     # one table for every transform of the construction: the times are fixed
-    mult = _free_multiplier_fft(g, taus)
+    table = _profile_multiplier(g, taus)
     if initial == "leading":
         v1, v2 = _w_sharp_arrays(spec, taus)
+        # w# is not band-limited: its Nyquist mode enters the first distance
+        nyq = [_nyquist(g, v) for v in (v1, v2)]
+        prev = [_pull_back(g, v, taus, table) for v in (v1, v2)]
     elif initial == "free":
-        v1 = _push_forward(g, spec.psi_hat_1, taus, mult)
-        v2 = _push_forward(g, spec.psi_hat_2, taus, mult)
+        v1 = _push_forward(g, spec.psi_hat_1, taus, table)
+        v2 = _push_forward(g, spec.psi_hat_2, taus, table)
+        nyq = [None, None]
+        prev = [np.concatenate([[0.0], p[1:]]) for p in (spec.psi_hat_1, spec.psi_hat_2)]
     else:
         raise ValueError(f"unknown initial iterate {initial!r}")
 
@@ -279,14 +340,16 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        new1, new2 = _apply_map(spec, taus, v1, v2, mult)
-        # the old iterate is not needed again: hold the difference in place
-        d = _xt_norm(g, taus, np.subtract(new1, v1, out=v1),
-                     np.subtract(new2, v2, out=v2), spec.mu, mult)
+        alphas = _apply_map(spec, taus, v1, v2, table)
+        del v1, v2
+        v1, v2 = (_push_forward(g, a, taus, table) for a in alphas)
+        # the distance of the iterates is read off their profiles
+        sq = [_profile_sq(g, a - p, n) for a, p, n in zip(alphas, prev, nyq)]
+        d = _xt_sup(taus, spec.mu, *sq)
+        prev, nyq = alphas, [None, None]
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(d / distances[-2])
-        v1, v2 = new1, new2
         if d < tol:
             converged = True
             break
@@ -308,7 +371,9 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
     grid of [T, T_max], and stops when successive iterates are closer than
     ``tol`` in the weighted sup norm.  Raises :class:`PicardDivergence` when
     the contraction ratio stays above 0.9 (amplitude too large or T too
-    small); rejects non-decoupled data outright.
+    small); rejects non-decoupled data outright, and raises ConfigError
+    before any compute when the free waves reach the box's edge bands by
+    ``T_max``.
     """
     if not spec.decoupled:
         raise ValueError("final state is not decoupled; use obstruction_probe instead")
@@ -318,6 +383,7 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
         T_max = 100.0 * T
     if T_max < 10.0 * T:
         raise ValueError("need T_max >= 10 T")
+    _check_box(spec, T_max)
     state = _picard_iterate(spec, T, T_max, max_iters, tol, n_time, initial)
     if not state.converged and state.ratios and state.ratios[-1] > 0.9:
         raise PicardDivergence(
@@ -416,6 +482,7 @@ def _dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
     contract; the forward run from T records the base times and their
     doubles for :func:`dyadic_profile_drift`.
     """
+    _check_box(spec, 40.0 * T)
     state = _picard_iterate(spec, T, 40.0 * T, picard_iters, 0.0, 48, "leading")
     base = np.asarray(sorted(base_times), dtype=float)
     cps = np.unique(np.concatenate([base, 2.0 * base]))

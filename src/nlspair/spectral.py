@@ -187,45 +187,64 @@ def _inverse_array(grid: Grid, spec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _profile_multiplier(grid: Grid, t) -> np.ndarray:
+    """exp(-i t xi^2 / 2) (-1)^k in ordered frequencies, Nyquist zeroed.
+
+    The free-flow table of :func:`_pull_back` and :func:`_push_forward`:
+    ``t`` is a scalar, giving shape ``(N,)``, or an array of times, giving
+    one row per time.  The values are those of :func:`_free_multiplier_fft`
+    and the factor ``(-1)^k`` of the ordered transforms is folded in; both
+    are exact, since ``xi^2`` is even and N/2 is even.
+    """
+    half = grid._nyq_fft
+    t = np.asarray(t, dtype=float)
+    pos = np.exp(-0.5j * t[..., None] * grid._xi_fft[:half] ** 2)
+    pos *= grid._sign[:half]
+    table = np.empty(t.shape + (grid.n_points,), dtype=np.complex128)
+    table[..., 0] = 0.0
+    table[..., 1:half] = pos[..., :0:-1]
+    table[..., half:] = pos
+    return table
+
+
 def _pull_back(grid: Grid, values: np.ndarray, t,
-               mult: np.ndarray | None = None, overwrite_x: bool = False) -> np.ndarray:
+               table: np.ndarray | None = None, overwrite_x: bool = False) -> np.ndarray:
     """Profile ``F U(-t) u`` of raw x-space samples, in one FFT.
 
     Batched along leading axes; ``t`` is a scalar or an array of times that
     broadcasts against them, e.g. one time per row of ``values``.  Like every
     free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.
-    ``mult`` is ``_free_multiplier_fft(grid, t)``, passed by callers that
-    transform many stacks at the same times; ``overwrite_x`` is as for
-    :func:`_forward_array`.
+    ``table`` is ``_profile_multiplier(grid, t)``, passed by callers that
+    transform many stacks at the same times, and is left untouched;
+    ``overwrite_x`` is as for :func:`_forward_array`.
     """
-    back = _free_multiplier_fft(grid, t) if mult is None else mult.copy()
-    np.conjugate(back, out=back)        # U(-t) multiplies by the conjugate
-    spec = np.fft.fft(np.multiply(values, grid._sign, out=values if overwrite_x else None), axis=-1)
-    # the spectrum is in ordered frequencies, the multiplier in fft order
-    half = grid._nyq_fft
-    spec[..., :half] *= back[..., half:]
-    spec[..., half:] *= back[..., :half]
-    spec *= grid._sign * (grid.dx / SQRT_2PI)
+    spec = np.multiply(values, grid._sign, out=values if overwrite_x else None)
+    np.fft.fft(spec, axis=-1, out=spec)
+    if table is None:
+        back = _profile_multiplier(grid, t)
+        spec *= np.conjugate(back, out=back)
+    else:
+        # U(-t) multiplies by the conjugate: conj(conj(s) m) == s conj(m) bitwise
+        np.conjugate(spec, out=spec)
+        spec *= table
+        np.conjugate(spec, out=spec)
+    spec *= grid.dx / SQRT_2PI
     return spec
 
 
 def _push_forward(grid: Grid, alpha: np.ndarray, t,
-                  mult: np.ndarray | None = None) -> np.ndarray:
+                  table: np.ndarray | None = None) -> np.ndarray:
     """x-space samples ``U(t) F^-1 alpha`` of a profile, in one IFFT.
 
     The inverse of :func:`_pull_back` on fields without a Nyquist mode.
     ``t`` is a scalar or an array of times; the rows of its multipliers
     broadcast against ``alpha``, so one profile can be pushed to many times.
-    ``mult`` is as for :func:`_pull_back`.
+    ``table`` is as for :func:`_pull_back`.
     """
-    if mult is None:
-        mult = _free_multiplier_fft(grid, t)
-    half = grid._nyq_fft
-    spec = np.empty(np.broadcast_shapes(np.shape(alpha), mult.shape), dtype=np.complex128)
-    np.multiply(alpha[..., :half], mult[..., half:], out=spec[..., :half])
-    np.multiply(alpha[..., half:], mult[..., :half], out=spec[..., half:])
-    spec *= grid._sign
-    out = np.fft.ifft(spec, axis=-1)
+    if table is None:
+        table = _profile_multiplier(grid, t)
+    out = np.multiply(alpha, table)
+    np.fft.ifft(out, axis=-1, out=out)
     out *= grid._sign * (grid.n_points * grid.dxi / SQRT_2PI)
     return out
 

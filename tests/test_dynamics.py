@@ -47,7 +47,42 @@ def make_pair(grid, amps=(0.4, 0.25), widths=(3.0, 4.0), vel2=0.2, t=0.0):
     return nl.FieldPair(u1, u2)
 
 
+def reference_decay_ratios(a0, b0, s):
+    """The closed form with separate exp and expm1 evaluations and np.where branches."""
+    m = a0 - b0
+    arg = -2.0 * m * s
+    huge = arg > 600.0
+    arg_safe = np.where(huge, 0.0, arg)
+    decay = np.exp(arg_safe)
+    safe_m = np.where(m != 0.0, m, 1.0)
+    growth_per_m = np.where(m != 0.0, np.expm1(arg_safe) / safe_m, -2.0 * s)
+    denom = 1.0 - b0 * growth_per_m
+    r1 = np.where(huge, 0.0, 1.0 / denom)
+    r2 = np.where(huge, -m / np.where(huge, b0, 1.0), decay / denom)
+    return r1, r2
+
+
 class TestNonlinearSubstep:
+    @pytest.mark.parametrize("dt", [1e-3, 0.04, 1.0, 20.48, 200.0])
+    def test_matches_reference_closed_form(self, rng, dt):
+        # random states with exact m == 0 entries, zeros, and (at the larger
+        # steps) entries past the overflow clamp, -m dt > 300
+        n = 4096
+        v = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) \
+            * rng.uniform(0.0, 3.0, n)
+        v[1, :200] = v[0, :200]
+        v[1, 200:400] = np.conj(v[0, 200:400])
+        v[:, 400:500] = 0.0
+        v[0, 500:600] = 0.0
+        v[1, 600:700] = 0.0
+        sq = v.real ** 2 + v.imag ** 2
+        r1, r2 = reference_decay_ratios(sq[0], sq[1], dt)
+        want = v * np.sqrt(np.stack([r1, r2]))
+        got = v.copy()
+        assert np.array_equal(dynamics._decay_substep(got, dt), sq)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(got[:, 400:500], v[:, 400:500])
+
     def test_second_component_zero_is_identity(self, small_grid):
         u1 = gaussian_field(small_grid, 0.8, 2.0)
         zero = nl.ComplexField(small_grid, np.zeros(small_grid.n_points), 0.0)
@@ -292,6 +327,23 @@ def fast_packet():
     return cfg, pair
 
 
+def first_crossing(cfg, pair):
+    """Mid-step time of the first step of ``run``'s step sequence whose state,
+    half a free step on, holds more than the guard's share of the mass in the
+    edge bands; None if no step does."""
+    t, eps = cfg.t_start, 1e-9
+    for target in cfg.resolved_checkpoints():
+        while target > t + eps * max(1.0, t):
+            dt = min(cfg.dt_policy.dt_at(t), target - t)
+            mid = nl.FieldPair(nl.free_propagate(pair.u1, 0.5 * dt),
+                               nl.free_propagate(pair.u2, 0.5 * dt))
+            if boundary_mass_fraction(mid) > dynamics.BOUNDARY_MASS_TOL:
+                return t + 0.5 * dt
+            pair = strang_step(pair, t, dt)
+            t = target if target - t - dt <= eps * max(1.0, target) else t + dt
+    return None
+
+
 class TestRun:
     def _config(self, t_end=100.0, **kw):
         base = dict(n_points=512, length=320.0, t_start=0.0, t_end=t_end,
@@ -334,10 +386,14 @@ class TestRun:
         assert np.allclose(traj.ts, cfg.resolved_checkpoints(), rtol=0, atol=1e-9)
 
     def test_guard_trips_on_fast_packet(self):
+        # every Strang step is guarded: the run stops at the first crossing,
+        # not at the checkpoint after it
         cfg, pair = fast_packet()
         with pytest.raises(GuardViolation) as exc:
             run(cfg, pair)
-        assert exc.value.time <= 200.0
+        t_ref = first_crossing(cfg, pair)
+        assert t_ref is not None and t_ref < 200.0
+        assert exc.value.time == pytest.approx(t_ref, abs=1e-9)
         assert exc.value.fraction > exc.value.tolerance
 
     def test_boundary_fraction_of_centered_data(self, small_grid):

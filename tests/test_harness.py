@@ -235,14 +235,39 @@ class TestExperimentConfig:
             load_config(tmp_path / "nope.json")
 
 
+def _cell_by_type(x) -> str:
+    """The per-cell formatter CSV reports were written with before columns."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x)) if x == x else ""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return str(int(x))
+    return str(x)
+
+
 class TestCsv:
     def test_schema_line_and_float_formatting(self, tmp_path):
         path = write_csv(tmp_path / "x.csv", "demo", ["a", "b"],
-                         [(1.0 / 3.0, 1), (0.1, 2)])
+                         [[1.0 / 3.0, 0.1], [1, 2]])
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema=nlspair.demo.v1"
         assert lines[1] == "a,b"
         assert lines[2].split(",")[0] == repr(1.0 / 3.0)
+
+    def test_columns_match_per_cell_formatting(self, tmp_path):
+        floats = np.array([1.0 / 3.0, np.nan, -0.0, 0.0, 1e-300, -2.5e17, np.inf, 7.0])
+        columns = [
+            floats,
+            floats.astype(np.float32),
+            np.arange(-3, 5),
+            np.array(["survivor_1", "balanced", "survivor_2", "a", "b", "c", "d", "e"]),
+            np.array([True, False] * 4),
+            # a sequence of mixed Python and numpy scalars
+            [np.float64(np.nan), np.float64(-0.0), np.int64(3), 4, 0.5, "x", True, np.bool_(False)],
+        ]
+        path = write_csv(tmp_path / "x.csv", "demo", list("abcdef"), columns)
+        rows = [",".join(_cell_by_type(v) for v in row) for row in zip(*columns)]
+        assert path.read_text().splitlines()[2:] == rows
+        assert rows[1].startswith(",") and rows[2].startswith("-0.0,")
 
 
 class TestPipelines:
@@ -311,7 +336,9 @@ class TestPipelines:
 
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands
-        # between the default checkpoints at 384.4 and 450.8
+        # between the default checkpoints at 384.4 and 450.8, first at
+        # t = 389.16; every step is guarded, so the event lies within one
+        # step (dt = 1.28) of that crossing
         d = tiny_config_dict(t_end=1000.0)
         d["solver"] = {"n_points": 1024, "length": 400.0, "t_end": 1000.0}
         d["data1"] = {"kind": "gaussian", "amp": 0.1, "width": 8.0}
@@ -322,7 +349,8 @@ class TestPipelines:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         [event] = manifest["guard_events"]
-        assert event["t"] == pytest.approx(450.8, abs=0.1)
+        assert 384.4 < event["t"] < 450.8
+        assert abs(event["t"] - 389.16) <= 1.28
         assert event["fraction"] > 1e-6
 
     def test_cli_unanalysable_config_exit_2(self, tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 import nlspair as nl
 from nlspair.dynamics import SolverConfig, run
-from nlspair.errors import PicardDivergence
+from nlspair import fits
+from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.scattering import (
     _apply_map,
     _xt_norm,
@@ -18,10 +19,69 @@ from nlspair.scattering import (
     verify_scattering,
     xt_norm_to_leading,
 )
-from nlspair.spectral import _free_step_array, _push_forward, l2_norm
+from nlspair.scattering import _w_sharp_arrays
+from nlspair.spectral import (
+    SQRT_2PI,
+    _free_multiplier_fft,
+    _free_step_array,
+    _j_spectrum,
+    _push_forward,
+    l2_norm,
+)
 
 WINDOW_L = {"kind": "window", "lo": -0.9, "hi": -0.3, "amp": 0.05}
 WINDOW_R = {"kind": "window", "lo": 0.3, "hi": 0.9, "amp": 0.05}
+
+
+def _fft_order_pull_back(g, values, mult):
+    back = np.conjugate(mult)
+    spec = np.fft.fft(values * g._sign, axis=-1)
+    half = g._nyq_fft
+    spec[..., :half] *= back[..., half:]
+    spec[..., half:] *= back[..., :half]
+    spec *= g._sign * (g.dx / SQRT_2PI)
+    return spec
+
+
+def _fft_order_push_forward(g, alpha, mult):
+    half = g._nyq_fft
+    spec = np.empty(np.broadcast_shapes(np.shape(alpha), mult.shape), dtype=np.complex128)
+    np.multiply(alpha[..., :half], mult[..., half:], out=spec[..., :half])
+    np.multiply(alpha[..., half:], mult[..., :half], out=spec[..., half:])
+    spec *= g._sign
+    out = np.fft.ifft(spec, axis=-1)
+    out *= g._sign * (g.n_points * g.dxi / SQRT_2PI)
+    return out
+
+
+def reference_picard(spec, T, T_max, max_iters, tol, n_time):
+    """The fixed-point iteration from the leading wave as it was before the
+    profile-frame distance: fft-order tables, the tail quadrature along the
+    transposed stack, and the distance pulled back from the x-space difference."""
+    g = spec.grid
+    taus = np.geomspace(T, T_max, n_time)
+    mult = _free_multiplier_fft(g, taus)
+    v1, v2 = _w_sharp_arrays(spec, taus)
+    distances, k = [], 0
+    for k in range(1, max_iters + 1):
+        new = []
+        for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
+            pulled = _fft_order_pull_back(g, np.abs(w) ** 2 * v, mult)
+            tail = fits.reverse_cumtrapz(taus, pulled.T).T
+            tail += psi_hat
+            new.append(_fft_order_push_forward(g, tail, mult))
+        l2_sq, j_sq = np.zeros(n_time), np.zeros(n_time)
+        for d in (new[0] - v1, new[1] - v2):
+            l2_sq += g.dx * np.sum(np.abs(d) ** 2, axis=-1)
+            alpha = _fft_order_pull_back(g, d, mult)
+            j_sq += g.dxi * np.sum(np.abs(_j_spectrum(g, alpha)) ** 2, axis=-1)
+        d = float(np.max(taus ** (spec.mu + 0.5) * np.sqrt(l2_sq)
+                         + taus ** spec.mu * np.sqrt(j_sq)))
+        distances.append(d)
+        v1, v2 = new
+        if d < tol:
+            break
+    return {"v1": v1, "v2": v2, "iterate_index": k, "distances": distances}
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +209,10 @@ class TestPicard:
         state = picard_state
         assert state.converged
         assert all(r <= 0.5 for r in state.ratios[:3])
-        new1, new2 = _apply_map(decoupled_spec, state.taus, state.v1, state.v2)
+        # the map returns the new profiles, Nyquist slot zeroed
+        alphas = _apply_map(decoupled_spec, state.taus, state.v1, state.v2)
+        assert all(np.all(alpha[:, 0] == 0) for alpha in alphas)
+        new1, new2 = (_push_forward(state.grid, alpha, state.taus) for alpha in alphas)
         resid = _xt_norm(state.grid, state.taus, new1 - state.v1, new2 - state.v2, state.mu)
         assert resid <= 2e-9
 
@@ -166,11 +229,37 @@ class TestPicard:
     def test_iteration_cost_independent_of_samples(self, decoupled_spec, fft_calls):
         # one batched transform per stack: a per-sample loop would scale with n_time
         counts = []
-        for n_time in (24, 48):
+        for n_time, iters in ((24, 1), (48, 1), (48, 2)):
             before = sum(fft_calls.values())
-            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=1, n_time=n_time)
+            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=iters, n_time=n_time)
             counts.append(sum(fft_calls.values()) - before)
         assert counts[0] == counts[1] > 0
+        # per iteration and component: the map's pull-back and push-forward,
+        # and one IFFT for the distance
+        assert counts[2] - counts[1] == 6
+
+    def test_matches_reference_map(self, decoupled_spec):
+        # the map before the profile-frame norm, in the code's own conventions:
+        # same iterates bitwise, same iteration count, same distances
+        spec = decoupled_spec
+        ref = reference_picard(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=48)
+        state = picard_construct(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=48)
+        assert np.array_equal(state.v1, ref["v1"]) and np.array_equal(state.v2, ref["v2"])
+        assert state.iterate_index == ref["iterate_index"]
+        d, d_ref = np.array(state.distances), np.array(ref["distances"])
+        above = d_ref > 1e-6 * d_ref[0]
+        assert above.sum() >= 2
+        assert np.all(np.abs(d[above] / d_ref[above] - 1.0) <= 1e-6)
+
+    def test_box_guard(self, decoupled_spec):
+        # the support reaches |xi| = 0.8998: by T_max = 20000 its waves have
+        # travelled far past the edge bands of the L = 10000 box
+        with pytest.raises(ConfigError, match="edge bands"):
+            picard_construct(decoupled_spec, 50.0, 20000.0)
+        entry = {"kind": "window", "lo": -0.7, "hi": 0.7, "amp": 0.05}
+        overlap = build_final_state(decoupled_spec.grid, [entry], [dict(entry)])
+        with pytest.raises(ConfigError, match="edge bands"):
+            obstruction_probe(overlap, [100.0], T=200.0)
 
     def test_coupled_spec_rejected(self, grid):
         entry = {"kind": "window", "lo": -0.4, "hi": 0.4, "amp": 0.05}

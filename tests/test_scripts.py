@@ -32,7 +32,7 @@ def test_step_sweep_runs(capsys):
 def test_compare_reports_identical_trees(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     (a / "sub").mkdir(parents=True)
-    write_csv(a / "table.csv", "table", ["t", "label"], zip(np.geomspace(1.0, 10.0, 5), "abcde"))
+    write_csv(a / "table.csv", "table", ["t", "label"], [np.geomspace(1.0, 10.0, 5), "abcde"])
     write_json(a / "sub" / "run.json", "run", {"deadband": 1e-3, "passed": True, "xs": [1, 2]})
     shutil.copytree(a, b)
     compare_reports = _load("compare_reports")

@@ -11,6 +11,7 @@ from nlspair.spectral import (
     _free_multiplier_fft,
     _free_step_array,
     _inverse_array,
+    _profile_multiplier,
     _pull_back,
     _push_forward,
     l2_norm,
@@ -132,7 +133,7 @@ class TestTransformProperties:
         alphas = _pull_back(g, rows, t_rows)
         pushed = _push_forward(g, alphas, t_rows)
         # a table evaluated once by the caller gives the same transforms
-        table = _free_multiplier_fft(g, t_rows)
+        table = _profile_multiplier(g, t_rows)
         assert np.array_equal(_pull_back(g, rows, t_rows, table), alphas)
         assert np.array_equal(_push_forward(g, alphas, t_rows, table), pushed)
         for i, t in enumerate(ts):
@@ -149,6 +150,15 @@ class TestFreePropagate:
         direct = np.exp(-0.5j * dt * g._xi_fft ** 2)
         direct[n // 2] = 0.0
         assert _free_multiplier_fft(g, dt).tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("n, length", [(8, 8.0), (256, 60.0), (4096, 12000.0)])
+    def test_profile_multiplier_is_ordered_direct_one(self, n, length):
+        # the ordered table is the direct evaluation times (-1)^k, bitwise
+        g = nl.make_grid(n, length)
+        ts = np.array([0.005, -0.25, 7321.5])
+        direct = np.exp(-0.5j * ts[:, None] * np.fft.fftshift(g._xi_fft) ** 2) * g._sign
+        direct[:, 0] = 0.0
+        assert _profile_multiplier(g, ts).tobytes() == direct.tobytes()
 
     def test_dt_zero_is_identity(self, small_grid, rng):
         f = bandlimited_field(small_grid, rng)
