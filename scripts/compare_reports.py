@@ -3,12 +3,13 @@
     python3 scripts/compare_reports.py PARENT_DIR CHANGE_DIR
 
 For each report in either tree it prints ``identical`` when the bytes match.
-Otherwise, when the structure matches (CSV schema line, header, text cells
-such as labels, and empty cells; JSON keys, list lengths and non-numeric
-values), it prints for each numeric column the largest ``|a - b|`` over the
-column's largest ``|a|``.  A report found in only one tree, or a structural
-difference, is printed and makes the exit status 1.  ``manifest.json`` is
-skipped: it holds timings, which differ between any two runs.
+Otherwise it names every column with a structural difference (CSV schema
+line, header, text cells such as labels, and empty cells; JSON keys, list
+lengths and non-numeric values), then prints for each numeric column the
+largest ``|a - b|`` over the column's largest ``|a|``, on the cells that are
+numbers in both reports.  A report found in only one tree, or a structural
+difference, makes the exit status 1.  ``manifest.json`` is skipped: it holds
+timings, which differ between any two runs.
 """
 
 import csv
@@ -57,20 +58,22 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
     if a.read_bytes() == b.read_bytes():
         return True, "identical"
     ca, cb = _columns(a), _columns(b)
-    if ca.keys() != cb.keys():
-        return False, f"structural difference: columns {sorted(ca.keys() ^ cb.keys())}"
+    problems = [f"structural difference: columns {sorted(ca.keys() ^ cb.keys())}"] \
+        if ca.keys() != cb.keys() else []
     spread = []
-    for name, col in ca.items():
+    for name in (k for k in ca if k in cb):
+        col = ca[name]
         pairs = [(x, y, _number(x), _number(y)) for x, y in zip(col, cb[name])]
         if len(col) != len(cb[name]) or any(x != y and (nx is None or ny is None)
                                             for x, y, nx, ny in pairs):
-            return False, f"structural difference in {name}"
-        num = np.array([(nx, ny) for _, _, nx, ny in pairs if nx is not None], float)
+            problems.append(f"structural difference in {name}")
+        num = np.array([(nx, ny) for _, _, nx, ny in pairs
+                        if nx is not None and ny is not None], float)
         if num.size:
             gap = np.max(np.abs(num[:, 0] - num[:, 1]), initial=0.0)
             scale = np.max(np.abs(num[:, 0]))
             spread.append(f"{name} {gap / scale if scale else gap:.3g}")
-    return True, "max |a-b|/max|a|: " + ", ".join(spread)
+    return not problems, "; ".join(problems + ["max |a-b|/max|a|: " + ", ".join(spread)])
 
 
 def main(parent: str, change: str) -> int:

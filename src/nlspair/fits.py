@@ -82,12 +82,22 @@ def reverse_cumtrapz_rows(ts, vals):
     return vals
 
 
-def cumtrapz_from_start(ts, vals):
-    """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the last axis."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals)
-    dt = np.diff(ts)
-    seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
-    out = np.zeros_like(vals)
-    out[..., 1:] = np.cumsum(seg, axis=-1)
-    return out
+def cumtrapz_rows(ts, vals):
+    """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the first
+    axis, in place: row ``i`` of ``vals`` becomes the integral up to ``t_i``;
+    returns ``vals``.
+
+    A recurrence over contiguous rows, adding the trapezoids in the order
+    of the cumulative sum, so the result is bitwise equal to it.
+    """
+    dt = np.diff(np.asarray(ts, dtype=float))
+    lower = vals[0].copy()          # the integrand at t_{i-1}
+    seg = np.empty_like(lower)
+    vals[0] = 0.0
+    for i in range(1, len(dt) + 1):
+        np.add(vals[i], lower, out=seg)
+        seg *= 0.5
+        seg *= dt[i - 1]
+        lower[...] = vals[i]
+        np.add(vals[i - 1], seg, out=vals[i])
+    return vals

@@ -519,7 +519,7 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
                       ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                        "beta_plus_re", "beta_plus_im", "tail_err"],
                       [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
-                       table.beta_plus.real, table.beta_plus.imag, table.r_tail]),
+                       table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]),
             write_json(out_dir / "profiles.json", "profiles",
                        {"deadband": table.deadband, "discrepancy": table.discrepancy}),
             write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],

@@ -37,6 +37,10 @@ N_WINDOW = 8
 # the power-law tails of the case table are fitted to the last N_FIT checkpoints
 N_FIT = 8
 
+# complex points per block of checkpoint rows in the streamed analytics:
+# 2 MiB, so a block's few temporaries fit in cache (4 rows at N = 16384)
+_BLOCK_POINTS = 2 ** 17
+
 
 def check_window(ts) -> np.ndarray:
     """The mask of the trailing window [T/10, T] of the checkpoint times ``ts``;
@@ -70,11 +74,22 @@ def _first_row(traj: Trajectory) -> int:
     return int(np.searchsorted(traj.ts, T_MIN - 1e-9))
 
 
+def _blocks(grid: Grid, n_t: int) -> list[slice]:
+    """Slices of consecutive checkpoint rows, each about _BLOCK_POINTS complex
+    points of a ``(2, N)`` state stack: the analytics stream over them so
+    that every temporary is block-sized and stays in cache."""
+    rows = max(1, _BLOCK_POINTS // (2 * grid.n_points))
+    return [slice(i, min(i + rows, n_t)) for i in range(0, n_t, rows)]
+
+
 def profile_history(traj: Trajectory) -> ProfileHistory:
-    """Profiles at every checkpoint with t >= T_MIN (the analytics window), in one pull-back."""
+    """Profiles at every checkpoint with t >= T_MIN (the analytics window), one block at a time."""
     i0 = _first_row(traj)
     ts = traj.ts[i0:]
-    alpha = _pull_back(traj.grid, traj.states[i0:], ts[:, None])
+    states = traj.states[i0:]
+    alpha = np.empty(states.shape, dtype=np.complex128)
+    for b in _blocks(traj.grid, len(ts)):
+        alpha[b] = _pull_back(traj.grid, states[b], ts[b, None])
     alpha.flags.writeable = False
     return ProfileHistory(ts, alpha, traj.grid)
 
@@ -100,21 +115,27 @@ class RemainderHistory:
 
 def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
                 alpha: np.ndarray) -> RemainderHistory:
-    """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u) on ``(n_t, 2, N)`` stacks."""
+    """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u) on ``(n_t, 2, N)``
+    stacks, formed block by block in the rows of ``r``."""
     if np.any(ts < 1.0):
         raise ValueError("remainder probe needs t >= 1")
-    fn = _pull_back(grid, np.abs(states[:, ::-1]) ** 2 * states, ts[:, None], overwrite_x=True)
-    r = np.abs(alpha[:, ::-1]) ** 2 * alpha
-    r /= ts[:, None, None]
-    r -= fn
-    del fn
-
     w2 = 1.0 + grid.xi ** 2
-    peak = np.max(np.sqrt(w2) * np.abs(r), axis=(1, 2))
-    # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
-    # both on the profile
-    h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
-    jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, alpha)) ** 2, axis=(1, 2)))
+    weight = np.sqrt(w2)
+    r = np.empty(alpha.shape, dtype=np.complex128)
+    peak, h1, jh1 = (np.empty(len(ts)) for _ in range(3))
+    for b in _blocks(grid, len(ts)):
+        s, a, t = states[b], alpha[b], ts[b, None]
+        fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
+        sa = np.abs(a) ** 2
+        np.multiply(sa[:, ::-1], a, out=r[b])
+        r[b] /= t[..., None]
+        r[b] -= fn
+        del fn
+        peak[b] = np.max(weight * np.abs(r[b]), axis=(1, 2))
+        # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
+        # both on the profile
+        h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
+        jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     r.flags.writeable = False
@@ -123,7 +144,7 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
 
 def remainder_history(traj: Trajectory,
                       profiles: ProfileHistory | None = None) -> RemainderHistory:
-    """Remainders at every checkpoint with t >= T_MIN, in one batched evaluation.
+    """Remainders at every checkpoint with t >= T_MIN, one block of checkpoints at a time.
 
     ``profiles`` is the :func:`profile_history` over the same checkpoints;
     pass it when already built, so the profiles are not extracted twice.
@@ -145,16 +166,22 @@ def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
     frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
     balance_residual)``.  Its ``(n_t, N)`` temporaries die on return."""
     ts, a, r = profiles.ts, profiles.alpha, probes.r
-    vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2              # (n_t, N)
-    rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
+    vals = np.empty((len(ts), profiles.grid.n_points))
+    rho = np.empty_like(vals)
+    for b in _blocks(profiles.grid, len(ts)):
+        ab, rb = a[b], r[b]
+        np.subtract(np.abs(ab[:, 0]) ** 2, np.abs(ab[:, 1]) ** 2, out=vals[b])
+        np.multiply(2.0, np.real(np.conj(ab[:, 0]) * rb[:, 0] - np.conj(ab[:, 1]) * rb[:, 1]),
+                    out=rho[b])
     # integrate rho along checkpoints for every frequency at once
-    integral = fits.cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1))
+    integral = fits.cumtrapz_rows(ts, rho)
     m_a = vals[-1].copy()       # not a view: the stack is not kept alive
-    m_b = vals[0] + integral[..., -1]
+    m_b = vals[0] + integral[-1]
 
     # balance-law residual: vals(t) - vals(t0) - int rho should vanish
-    resid = np.moveaxis(vals, 0, -1) - vals[0][..., None] - integral
-    balance_residual = float(np.max(np.abs(resid)))
+    vals -= vals[0].copy()
+    vals -= integral
+    balance_residual = float(np.max(np.abs(vals)))
 
     amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
@@ -185,7 +212,6 @@ class CaseTable:
     xi: np.ndarray
     m_a: np.ndarray
     m_b: np.ndarray
-    r_tail: np.ndarray
     label: np.ndarray
     fitted_exponent: np.ndarray
     beta_plus: np.ndarray
@@ -338,13 +364,7 @@ def build_case_records(traj: Trajectory,
     a1, a2 = np.moveaxis(profiles.alpha, 0, -1)
     r1, r2 = np.moveaxis(probes.r, 0, -1)
 
-    # tail of the balance-law integrand, as a signed magnitude estimate
     fit = slice(-min(N_FIT, len(ts) - 1), None)
-    tail = np.s_[..., fit]
-    rho = 2.0 * np.real(np.conj(a1[tail]) * r1[tail] - np.conj(a2[tail]) * r2[tail])
-    r_tail, ok = fits.power_tail(ts[fit], np.abs(rho), 0.0)
-    r_tail = np.sign(np.sum(rho, axis=-1)) * np.where(ok, r_tail, 0.0)
-
     # the companion's exponent and the survivor's limit, on that survivor's columns
     exp_fit = np.full(grid.n_points, np.nan)
     beta = np.full(grid.n_points, complex(np.nan, np.nan))
@@ -354,6 +374,6 @@ def build_case_records(traj: Trajectory,
         companion = np.abs(o[cols])
         exp_fit[cols] = decay_exponents(ts, companion)
         beta[cols], beta_err[cols] = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols], fit)
-    return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, r_tail=r_tail, label=labels,
+    return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
                      deadband=deadband, discrepancy=disc, balance_residual=balance_residual)

@@ -255,9 +255,14 @@ def _j_spectrum(grid: Grid, alpha: np.ndarray) -> np.ndarray:
     ``J = U(t) x U(-t)`` and ``U(t)`` only rotates phases, so this is
     ``F(x F^-1 alpha)`` with the Nyquist slot dropped; no time is needed.
     """
-    phys = _inverse_array(grid, alpha)
-    phys *= grid.x
-    spec = _forward_array(grid, phys, overwrite_x=True)
+    # the ordered transforms of _inverse_array and _forward_array in one
+    # buffer; their inner factors (-1)^n cancel exactly and are left out
+    spec = alpha * grid._sign
+    np.fft.ifft(spec, axis=-1, out=spec)
+    spec *= grid.n_points * grid.dxi / SQRT_2PI
+    spec *= grid.x
+    np.fft.fft(spec, axis=-1, out=spec)
+    spec *= grid._sign * (grid.dx / SQRT_2PI)
     spec[..., 0] = 0.0
     return spec
 

@@ -39,6 +39,16 @@ def gaussian_field(grid, amp=1.0, width=1.0, center=0.0, velocity=0.0, time=0.0)
     return nl.ComplexField(grid, vals, time)
 
 
+def cumtrapz_from_start(ts, vals):
+    """``integral_{t_0}^{t_i} vals dt`` by trapezoid along the last axis, by
+    cumulative sum: the reference of ``fits.cumtrapz_rows``."""
+    dt = np.diff(ts)
+    seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
+    out = np.zeros_like(vals)
+    out[..., 1:] = np.cumsum(seg, axis=-1)
+    return out
+
+
 def rel_l2(grid, a, b):
     num = np.sqrt(np.sum(np.abs(a - b) ** 2))
     den = np.sqrt(np.sum(np.abs(b) ** 2))

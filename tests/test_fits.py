@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from nlspair.fits import loglog_slopes, power_tail
+from nlspair.fits import cumtrapz_rows, loglog_slopes, power_tail
+
+from conftest import cumtrapz_from_start
 
 
 class TestPowerLawFits:
@@ -34,3 +36,12 @@ class TestPowerLawFits:
         assert not np.any(ok)
         tail, ok = power_tail(self.ts, self.series[:, :2], 2.0)
         assert not np.any(ok)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 37])
+def test_cumtrapz_rows_is_the_cumulative_sum(n_t):
+    rng = np.random.default_rng(n_t)
+    ts = np.cumsum(rng.uniform(0.1, 3.0, n_t))
+    vals = rng.normal(size=(n_t, 64))
+    expected = cumtrapz_from_start(ts, vals.T).T
+    assert np.array_equal(cumtrapz_rows(ts, vals.copy()), expected)

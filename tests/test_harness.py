@@ -27,6 +27,7 @@ from nlspair.harness import (
     run_simulate,
     write_csv,
 )
+from nlspair.profiles import BALANCED, build_case_records
 from nlspair.spectral import _push_forward, l2_norm
 
 from conftest import gaussian_field
@@ -297,6 +298,17 @@ class TestPipelines:
                    for p in (tmp_path / "a").rglob("*") if p.is_file()}
         assert listed == on_disk
         assert len(res1["trajectory"].checkpoints) == 21
+
+    def test_tail_err_is_survivor_error_bar(self, stored_run):
+        # the tail_err column is the survivor's error bar: empty exactly where
+        # beta_plus is, and the table's beta_tail_err on every survivor row
+        cfg = ExperimentConfig.from_dict(tiny_config_dict())
+        table = build_case_records(load_trajectory(stored_run, cfg))
+        rows = [r.split(",") for r in
+                (stored_run / "profiles.csv").read_text().splitlines()[2:]]
+        assert [r[3] for r in rows] == list(table.label)
+        for row, label, err in zip(rows, table.label, table.beta_tail_err, strict=True):
+            assert row[7] == ("" if label == BALANCED else repr(float(err)))
 
     def test_manifest_records_steps(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config_dict())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nlspair as nl
+from nlspair import profiles as P
 from nlspair.dynamics import SolverConfig, Trajectory, run
 from nlspair.profiles import (
     BALANCED,
@@ -16,9 +17,9 @@ from nlspair.profiles import (
     profile_history,
     remainder_history,
 )
-from nlspair.spectral import SQRT_2PI, _pull_back, l2_norm
+from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back, l2_norm
 
-from conftest import gaussian_field
+from conftest import cumtrapz_from_start, gaussian_field
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +64,19 @@ def swapped_run():
 
 class TestFftBudget:
     def test_four_calls_per_snapshot(self, generic_run, fft_calls):
-        # one pull-back of the pair, one of both nonlinearities, and the
-        # two transforms of the J-norm; a per-component loop would exceed it
+        # per block of checkpoints: one pull-back of the pair, one of both
+        # nonlinearities, and the two transforms of the J-norm; a
+        # per-component loop would exceed it
         traj = generic_run[0]
         profiles = profile_history(traj)
         remainder_history(traj, profiles=profiles)
-        assert 0 < sum(fft_calls.values()) <= 4 * len(profiles)
+        n_blocks = len(P._blocks(traj.grid, len(profiles)))
+        assert n_blocks == 1
+        assert sum(fft_calls.values()) == 4 * n_blocks
 
     def test_history_cost_independent_of_checkpoints(self, fft_calls):
-        # one batched transform per stack: a per-snapshot loop would scale
-        # with the number of checkpoints
+        # one batched transform per stack inside a block: a per-snapshot
+        # loop would scale with the number of checkpoints
         counts = []
         for n_t in (10, 20):
             cfg = SolverConfig(n_points=256, length=200.0, t_end=10.0,
@@ -80,10 +84,72 @@ class TestFftBudget:
             g = cfg.grid
             traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0),
                                          gaussian_field(g, 0.05, 5.0)))
+            assert len(P._blocks(g, n_t)) == 1
             before = sum(fft_calls.values())
             remainder_history(traj, profiles=profile_history(traj))
             counts.append(sum(fft_calls.values()) - before)
         assert counts[0] == counts[1] > 0
+
+
+def _one_shot_profiles(traj):
+    """The profile history in one pull-back of the whole stack."""
+    i0 = P._first_row(traj)
+    return _pull_back(traj.grid, traj.states[i0:], traj.ts[i0:, None])
+
+
+def _one_shot_remainders(grid, ts, states, alpha):
+    """The remainder and its bound ratio on whole ``(n_t, 2, N)`` stacks."""
+    fn = _pull_back(grid, np.abs(states[:, ::-1]) ** 2 * states, ts[:, None], overwrite_x=True)
+    r = np.abs(alpha[:, ::-1]) ** 2 * alpha
+    r /= ts[:, None, None]
+    r -= fn
+    w2 = 1.0 + grid.xi ** 2
+    peak = np.max(np.sqrt(w2) * np.abs(r), axis=(1, 2))
+    phys = _inverse_array(grid, alpha)
+    phys *= grid.x
+    j_spec = _forward_array(grid, phys, overwrite_x=True)
+    j_spec[..., 0] = 0.0
+    h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
+    jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(j_spec) ** 2, axis=(1, 2)))
+    denom = (h1 + jh1) ** 3
+    return r, peak * ts ** (1.25 - 3.0 * P.GAMMA) / np.where(denom > 0, denom, np.inf)
+
+
+def _one_shot_imbalance(ts, a, r):
+    """``(m_a, m_b, discrepancy, balance_residual)`` on whole ``(n_t, N)`` arrays."""
+    vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
+    rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
+    integral = cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1))
+    m_a = vals[-1]
+    m_b = vals[0] + integral[..., -1]
+    resid = np.moveaxis(vals, 0, -1) - vals[0][..., None] - integral
+    amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
+    resolved = amp0 >= 1e-3 * np.max(amp0)
+    return m_a, m_b, np.max(np.abs(m_a - m_b)[resolved]), np.max(np.abs(resid))
+
+
+class TestStreamedAnalytics:
+    def test_blocks_match_one_shot_bitwise(self, generic_run, monkeypatch):
+        # blocks of 3 rows and a 1-row tail against whole-stack evaluation
+        traj = generic_run[0]
+        g = traj.grid
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 3 * 2 * g.n_points)
+        profiles = profile_history(traj)
+        sizes = [b.stop - b.start for b in P._blocks(g, len(profiles))]
+        assert sizes[-1] == 1 and set(sizes[:-1]) == {3}
+
+        alpha = _one_shot_profiles(traj)
+        assert np.array_equal(profiles.alpha, alpha)
+        probes = remainder_history(traj, profiles=profiles)
+        r, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):], alpha)
+        assert np.array_equal(probes.r, r)
+        assert np.array_equal(probes.bound_ratio, ratio)
+        table = build_case_records(traj, profiles, probes)
+        m_a, m_b, disc, resid = _one_shot_imbalance(profiles.ts, alpha, r)
+        assert np.array_equal(table.m_a, m_a)
+        assert np.array_equal(table.m_b, m_b)
+        assert table.discrepancy == disc
+        assert table.balance_residual == resid
 
 
 class TestExtractProfiles:

@@ -39,3 +39,23 @@ def test_compare_reports_identical_trees(tmp_path, capsys):
     assert compare_reports.main(str(a), str(b)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["sub/run.json: identical", "table.csv: identical"]
+
+
+def test_compare_reports_names_every_differing_column(tmp_path, capsys):
+    # one column gains empty cells, another drifts: both are named, and the
+    # unchanged columns still report their spread
+    a, b = tmp_path / "a", tmp_path / "b"
+    t = np.geomspace(1.0, 10.0, 5)
+    err = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    a.mkdir()
+    b.mkdir()
+    write_csv(a / "table.csv", "table", ["t", "err", "m", "label"], [t, err, t ** 2, "abcde"])
+    write_csv(b / "table.csv", "table", ["t", "err", "m", "label"],
+              [t, np.where(t > 3.0, np.nan, err), t ** 2 * (1 + 1e-9), "abcde"])
+    compare_reports = _load("compare_reports")
+    assert compare_reports.main(str(a), str(b)) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("table.csv: structural difference in err; max |a-b|/max|a|: ")
+    spread = dict(item.rsplit(" ", 1) for item in line.split(": ")[-1].split(", "))
+    assert spread["t"] == "0" and spread["err"] == "0"
+    assert 0 < float(spread["m"]) < 2e-9
