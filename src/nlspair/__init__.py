@@ -71,7 +71,6 @@ from .scattering import (
 )
 from .harness import (
     ExperimentConfig,
-    RunManifest,
     generate_initial_data,
     load_checkpoint,
     persist_checkpoint,

@@ -1,8 +1,9 @@
-"""Experiment configuration, presets, initial data, persistence, reports.
+"""Experiment configuration, presets, initial data, persistence, reports,
+and one pipeline per subcommand.
 
 Outputs are CSV files (one schema comment line, then a header row), a
-binary checkpoint format for field states, and a manifest written before the
-run starts and finalised afterwards.
+binary checkpoint format for field states, and the ``manifest.json`` of
+every pipeline run, written before the run starts and finalised afterwards.
 Identical config and seed reproduce identical output bytes: data generation
 is seeded, and every reported number comes from fixed-order (numpy pairwise)
 reductions.
@@ -14,14 +15,16 @@ import hashlib
 import json
 import struct
 import time as _time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, scattering
+from . import __version__, asymptotics, scattering
 from .dynamics import DtPolicy, SolverConfig, Trajectory, run
 from .errors import CheckpointError, ConfigError, GuardViolation, finite_real
+from .fits import loglog_slope
 from .profiles import (
     build_case_records,
     check_window,
@@ -238,8 +241,7 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _config_hash(self.to_dict())
 
 
 def _check_analysable(solver: SolverConfig) -> None:
@@ -468,29 +470,50 @@ def _json_default(o):
     raise TypeError(f"cannot serialise {type(o)}")
 
 
-@dataclass
-class RunManifest:
-    name: str
-    config_hash: str
-    config: dict
-    grid: dict
-    seed: int
-    package_version: str = __version__
-    status: str = "running"
-    started_unix: float = 0.0
-    wall_seconds: float = 0.0
-    guard_events: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    data_size: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
+def _config_hash(config: dict) -> str:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def write(self, out_dir: Path) -> Path:
-        path = Path(out_dir) / "manifest.json"
-        path.write_text(json.dumps(
-            {"schema": "nlspair.manifest.v1", **asdict(self)},
-            indent=1, sort_keys=True, default=_json_default,
-        ) + "\n")
-        return path
+
+def _write_manifest(out_dir: Path, manifest: dict) -> None:
+    (out_dir / "manifest.json").write_text(json.dumps(
+        {"schema": "nlspair.manifest.v1", **manifest},
+        indent=1, sort_keys=True, default=_json_default,
+    ) + "\n")
+
+
+@contextmanager
+def _recording(out_dir: Path, name: str, config: dict, **facts):
+    """Record the pipeline run in the ``with`` body in ``out_dir/manifest.json``.
+
+    The manifest holds the run's ``name``, its ``config`` and the config's
+    hash, the package version and the pipeline's ``facts``; it is written
+    with status ``running`` before the body runs.  The body gets the manifest
+    dict, sets its ``outputs`` to the names of the files it wrote (relative
+    to ``out_dir``) and may add entries.  On exit the manifest is written
+    again with the status (``ok``, or ``failed`` when the body raised), the
+    wall time, the sorted outputs with the manifest itself, and the event of
+    a GuardViolation that ended the run.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {"name": name, "config_hash": _config_hash(config), "config": config,
+                "package_version": __version__, "status": "running",
+                "started_unix": _time.time(), "wall_seconds": 0.0,
+                "guard_events": [], "outputs": [], **facts}
+    _write_manifest(out_dir, manifest)
+    t0 = _time.perf_counter()
+    try:
+        yield manifest
+        manifest["outputs"] = sorted(set(manifest["outputs"])) + ["manifest.json"]
+        manifest["status"] = "ok"
+    except BaseException as exc:
+        manifest["status"] = "failed"
+        if isinstance(exc, GuardViolation):
+            manifest["guard_events"] = [{"t": exc.time, "fraction": exc.fraction}]
+        raise
+    finally:
+        manifest["wall_seconds"] = _time.perf_counter() - t0
+        _write_manifest(out_dir, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +565,11 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     # a bad data spec fails here, before anything is written
     pair = generate_initial_data(config.data1, config.data2, grid,
                                  config.seed, config.solver.t_start)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        name=config.name,
-        config_hash=config.config_hash(),
-        config=config.to_dict(),
-        grid={"n_points": grid.n_points, "length": grid.length,
-              "dx": grid.dx, "dxi": grid.dxi},
-        seed=config.seed,
-        started_unix=_time.time(),
-        data_size=data_size_report(pair),
-    )
-    manifest.write(out_dir)
-    t0 = _time.perf_counter()
-    try:
+    with _recording(out_dir, config.name, config.to_dict(),
+                    grid={"n_points": grid.n_points, "length": grid.length,
+                          "dx": grid.dx, "dxi": grid.dxi},
+                    seed=config.seed, data_size=data_size_report(pair),
+                    steps={}) as manifest:
         traj = run(config.solver, pair)
         outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
         if config.save_checkpoints:
@@ -565,18 +579,9 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                 name = f"checkpoints/cp_{i:04d}.bin"
                 persist_checkpoint(cp.pair, out_dir / name)
                 outputs.append(name)
-        manifest.outputs = sorted(set(outputs)) + ["manifest.json"]
-        manifest.steps = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
-        manifest.status = "ok"
-        return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
-    except BaseException as exc:
-        manifest.status = "failed"
-        if isinstance(exc, GuardViolation):
-            manifest.guard_events = [{"t": exc.time, "fraction": exc.fraction}]
-        raise
-    finally:
-        manifest.wall_seconds = _time.perf_counter() - t0
-        manifest.write(out_dir)
+        manifest["outputs"] = outputs
+        manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+    return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
 
 
 def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
@@ -603,42 +608,118 @@ def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
                       provenance={"scheme": "loaded", "source": str(cp_dir)})
 
 
-def run_scatter_roundtrip(opts: ScatterOptions) -> dict:
+def run_analyze(out_dir) -> dict:
+    """Rewrite the reports of the stored simulate run in ``out_dir`` from its
+    checkpoints, under the config its ``manifest.json`` records.
+
+    A manifest that is missing, malformed or records no simulate config
+    (that of another subcommand, say) is a ConfigError naming the file.
+    Returns the ``config`` and the names of the rewritten ``outputs``.
+    """
+    out_dir = Path(out_dir)
+    path = out_dir / "manifest.json"
+    manifest = read_json_object(path)
+    try:
+        config = ExperimentConfig.from_dict(manifest.get("config"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path} records no simulate config: {exc}") from exc
+    traj = load_trajectory(out_dir, config)
+    return {"config": config,
+            "outputs": emit_trajectory_reports(traj, out_dir, config.analysis)}
+
+
+def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
     """Construct the solution scattering to the prescribed data, run it forward
-    from T, and fit its decay towards the free wave.
+    from T, fit its decay towards the free wave, and write
+    ``scattering.csv/json`` and the manifest.
 
     Returns the final state ``spec``, the Picard ``state``, the forward
     trajectory ``traj`` and the ``report`` of :func:`scattering.verify_scattering`.
     """
-    grid = Grid(opts.n_points, opts.length)
-    spec = scattering.build_final_state(grid, list(opts.windows1),
-                                        list(opts.windows2), s=opts.s)
-    state = scattering.picard_construct(spec, opts.T, opts.T_max,
-                                        max_iters=opts.max_iters,
-                                        tol=opts.tol, n_time=opts.n_time)
-    cfg = SolverConfig(
-        n_points=opts.n_points, length=opts.length, t_start=opts.T,
-        t_end=opts.forward_t_end,
-        checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
-    )
-    traj = run(cfg, state.pair_at(opts.T))
-    return {"spec": spec, "state": state, "traj": traj,
-            "report": scattering.verify_scattering(traj, spec)}
+    out_dir = Path(out_dir)
+    with _recording(out_dir, "scatter-roundtrip", asdict(opts)) as manifest:
+        grid = Grid(opts.n_points, opts.length)
+        spec = scattering.build_final_state(grid, list(opts.windows1),
+                                            list(opts.windows2), s=opts.s)
+        state = scattering.picard_construct(spec, opts.T, opts.T_max,
+                                            max_iters=opts.max_iters,
+                                            tol=opts.tol, n_time=opts.n_time)
+        cfg = SolverConfig(
+            n_points=opts.n_points, length=opts.length, t_start=opts.T,
+            t_end=opts.forward_t_end,
+            checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
+        )
+        traj = run(cfg, state.pair_at(opts.T))
+        report = scattering.verify_scattering(traj, spec)
+        manifest["outputs"] = [
+            write_csv(out_dir / "scattering.csv", "scattering",
+                      ["t", "error_l2"], [report.ts, report.errors]).name,
+            write_json(out_dir / "scattering.json", "scattering", {
+                "fitted_slope": report.fitted_slope,
+                "slope_bound": report.slope_bound,
+                "contraction_ratios": state.ratios,
+                "passed": report.passed,
+            }).name,
+        ]
+    return {"spec": spec, "state": state, "traj": traj, "report": report}
 
 
-def run_obstruction(opts: ObstructionOptions) -> dict:
-    """Obstruction probe on overlapping data, plus the decoupled control run.
+def run_obstruction(opts: ObstructionOptions, out_dir) -> dict:
+    """Obstruction probe on overlapping data, plus the decoupled control run,
+    with ``obstruction.csv/json`` and the manifest.
 
     The control starts from the same few Picard iterations at T as the probe
     and records the dyadic profile drift at the same base times.  Returns
     the probe's ``report`` and the control's ``control_drift``.
     """
-    grid = Grid(opts.n_points, opts.length)
-    overlap = scattering.build_final_state(grid, [opts.overlap_window],
-                                           [dict(opts.overlap_window)])
-    report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
-                                          picard_iters=opts.picard_iters)
-    control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
-    return {"report": report,
-            "control_drift": scattering._dyadic_drift_run(control, opts.base_times,
-                                                          opts.T, opts.picard_iters)}
+    out_dir = Path(out_dir)
+    with _recording(out_dir, "obstruction", asdict(opts)) as manifest:
+        grid = Grid(opts.n_points, opts.length)
+        overlap = scattering.build_final_state(grid, [opts.overlap_window],
+                                               [dict(opts.overlap_window)])
+        report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
+                                              picard_iters=opts.picard_iters)
+        control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
+        drift = scattering._dyadic_drift_run(control, opts.base_times,
+                                             opts.T, opts.picard_iters)
+        manifest["outputs"] = [
+            write_csv(out_dir / "obstruction.csv", "obstruction",
+                      ["t", "d1_overlap", "d2_overlap", "d1_control", "d2_control"],
+                      [report.ts, report.d1, report.d2, drift["d1"], drift["d2"]]).name,
+            write_json(out_dir / "obstruction.json", "obstruction", {
+                "eta": report.eta, "floor": report.stagnation_floor,
+                "stagnates": report.stagnates,
+                "control_slope": loglog_slope(drift["ts"],
+                                              np.minimum(drift["d1"], drift["d2"])),
+            }).name,
+        ]
+    return {"report": report, "control_drift": drift}
+
+
+def run_lemmas(out_dir) -> dict:
+    """Certify the two ODE lemmas on their default sweeps and write one row
+    per certificate to ``lemma_certificates.csv``, with the manifest.
+
+    Returns the ``rows`` and whether every certificate ``passed``.
+    """
+    out_dir = Path(out_dir)
+    with _recording(out_dir, "lemmas", {}) as manifest:
+        rows = []
+        all_pass = True
+        for params, ts, phis in asymptotics.default_lemma_m_sweep():
+            cert = asymptotics.lemma_m_certificate(params, ts, phis)
+            all_pass &= cert.passed
+            rows.append(("log_decay", params.p, params.q, params.c0, params.c1,
+                         params.phi0, cert.c2, cert.worst_margin, cert.passed))
+        for record, lam_fn, q_fn in asymptotics.default_linear_ode_sweep():
+            ys = asymptotics.solve_linear_record(record, lam_fn, q_fn)
+            rep = asymptotics.linear_ode_limit(record, ys)
+            all_pass &= rep.passed
+            rows.append(("linear_limit", record.lam_tail_pow, record.q_tail_pow,
+                         abs(record.y0), 0.0, 0.0, rep.c3, rep.worst_margin, rep.passed))
+        manifest["outputs"] = [
+            write_csv(out_dir / "lemma_certificates.csv", "lemma_certificates",
+                      ["kind", "p1", "p2", "c0", "c1", "phi0", "constant",
+                       "worst_margin", "passed"], list(zip(*rows))).name,
+        ]
+    return {"rows": rows, "passed": all_pass}

@@ -291,12 +291,6 @@ def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
                             l2_products=np.sqrt(profiles.grid.dxi * np.sum(prod ** 2, axis=-1)))
 
 
-def profile_bound_history(profiles: ProfileHistory) -> np.ndarray:
-    """max_xi <xi> |alpha| at each snapshot; should stay uniformly bounded."""
-    w = np.sqrt(1.0 + profiles.grid.xi ** 2)
-    return np.max(w * np.abs(profiles.alpha), axis=(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # limit-profile reconstruction for surviving frequencies
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ live).  The expensive runs are shared through module-scoped fixtures; the
 whole module stays within a few minutes on a laptop-class machine.
 """
 
+import json
 import math
 import time
 
@@ -14,9 +15,11 @@ import pytest
 import nlspair as nl
 from nlspair import asymptotics as asy
 from nlspair import scattering as sc
+from nlspair.cli import main
 from nlspair.dynamics import DtPolicy, SolverConfig, mass_ledger, rk4_reference, run, strang_step
 from nlspair.fits import loglog_slope
 from nlspair.harness import (
+    SCATTER_PRESETS,
     ExperimentConfig,
     generate_initial_data,
     load_checkpoint,
@@ -71,13 +74,15 @@ def symmetric():
 
 
 @pytest.fixture(scope="module")
-def scatter():
-    return run_scatter_roundtrip(preset_scatter_roundtrip())
+def scatter(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scatter")
+    return {**run_scatter_roundtrip(preset_scatter_roundtrip(), out), "out": out}
 
 
 @pytest.fixture(scope="module")
-def obstruction():
-    return run_obstruction(preset_obstruction())
+def obstruction(tmp_path_factory):
+    out = tmp_path_factory.mktemp("obstruction")
+    return {**run_obstruction(preset_obstruction(), out), "out": out}
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +334,75 @@ def test_c12_infrastructure(tmp_path, rng):
     assert _report(12, ok, f"round trip {rt:.2e} (tol 1e-12); factorisation {mdfm:.2e} "
                            f"(tol 1e-8); checkpoint bitwise {bitwise_cp}; "
                            f"rerun bitwise {bitwise_csv}")
+
+
+# ---------------------------------------------------------------------------
+# the reports and manifests of the shared final-state runs
+# ---------------------------------------------------------------------------
+
+def _csv_columns(path):
+    _, header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+def _cells(values):
+    return tuple(repr(float(v)) for v in values)
+
+
+def _json_data(path):
+    return json.loads(path.read_text())["data"]
+
+
+def _assert_recorded(out, name):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["name"] == name and manifest["status"] == "ok"
+    assert manifest["guard_events"] == []
+    assert sorted(manifest["outputs"]) == sorted(p.relative_to(out).as_posix()
+                                                 for p in out.rglob("*") if p.is_file())
+
+
+def test_scatter_reports_and_manifest(scatter):
+    out, report = scatter["out"], scatter["report"]
+    assert _csv_columns(out / "scattering.csv") == {
+        "t": _cells(report.ts), "error_l2": _cells(report.errors)}
+    assert _json_data(out / "scattering.json") == {
+        "fitted_slope": report.fitted_slope, "slope_bound": report.slope_bound,
+        "contraction_ratios": list(scatter["state"].ratios), "passed": report.passed}
+    _assert_recorded(out, "scatter-roundtrip")
+
+
+def test_obstruction_reports_and_manifest(obstruction):
+    out, report, drift = obstruction["out"], obstruction["report"], obstruction["control_drift"]
+    assert _csv_columns(out / "obstruction.csv") == {
+        "t": _cells(report.ts), "d1_overlap": _cells(report.d1),
+        "d2_overlap": _cells(report.d2), "d1_control": _cells(drift["d1"]),
+        "d2_control": _cells(drift["d2"])}
+    assert _json_data(out / "obstruction.json") == {
+        "eta": report.eta, "floor": report.stagnation_floor, "stagnates": report.stagnates,
+        "control_slope": loglog_slope(drift["ts"], np.minimum(drift["d1"], drift["d2"]))}
+    _assert_recorded(out, "obstruction")
+
+
+def test_analyze_rejects_scatter_run(scatter, capsys):
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(scatter["out"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[nlspair:config]") and err.count("\n") == 1
+    assert f"{scatter['out'] / 'manifest.json'} records no simulate config" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset, shared, pipeline, summary", [
+    ("scatter-roundtrip", "scatter", "run_scatter_roundtrip", "scatter: "),
+    ("obstruction", "obstruction", "run_obstruction", "obstruction: ")])
+def test_cli_scatter_runs_its_pipeline(preset, shared, pipeline, summary, request,
+                                       monkeypatch, capsys, tmp_path):
+    # the subcommand calls the preset's pipeline once and prints one summary line
+    result, calls = request.getfixturevalue(shared), []
+    monkeypatch.setattr(f"nlspair.harness.{pipeline}",
+                        lambda opts, out: calls.append((opts, out)) or result)
+    capsys.readouterr()
+    assert main(["scatter", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert calls == [(SCATTER_PRESETS[preset](), tmp_path)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(summary)

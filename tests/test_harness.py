@@ -11,7 +11,7 @@ import pytest
 import nlspair as nl
 from nlspair.cli import main
 from nlspair.dynamics import DtPolicy, SolverConfig, run
-from nlspair.errors import CheckpointError, ConfigError
+from nlspair.errors import CheckpointError, ConfigError, GuardViolation
 from nlspair.harness import (
     AnalysisOptions,
     ExperimentConfig,
@@ -365,6 +365,18 @@ class TestPipelines:
         assert abs(event["t"] - 389.16) <= 1.28
         assert event["fraction"] > 1e-6
 
+    def test_cli_scatter_guard_event_recorded(self, tmp_path, capsys, monkeypatch):
+        def tripped(*args, **kwargs):
+            raise GuardViolation(300.0, 2e-6, 1e-6)
+        monkeypatch.setattr("nlspair.harness.run", tripped)   # the forward run
+        out = tmp_path / "o"
+        assert main(["scatter", "--preset", "scatter-roundtrip", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:guard]") and err.count("\n") == 1, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+        assert manifest["guard_events"] == [{"t": 300.0, "fraction": 2e-6}]
+
     def test_cli_unanalysable_config_exit_2(self, tmp_path, capsys):
         d = tiny_config_dict()
         d["solver"] = {"n_points": 256, "length": 200.0, "t_end": 50.0}
@@ -385,7 +397,7 @@ class TestPipelines:
 
     def test_cli_removed_threads_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--threads", "2"])
+            main(["simulate", "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
@@ -409,6 +421,9 @@ class TestPipelines:
         assert rc == 0
         text = (tmp_path / "lem" / "lemma_certificates.csv").read_text()
         assert "True" in text and "False" not in text
+        manifest = json.loads((tmp_path / "lem" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["outputs"] == ["lemma_certificates.csv", "manifest.json"]
 
     def test_cli_seed_override(self, tmp_path):
         d = tiny_config_dict()

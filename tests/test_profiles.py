@@ -13,7 +13,6 @@ from nlspair.profiles import (
     classify,
     decay_exponents,
     decoupling_history,
-    profile_bound_history,
     profile_history,
     remainder_history,
 )
@@ -322,8 +321,10 @@ class TestDecoupling:
         assert rep.sup_product < rep.sup_products[0]
 
     def test_profile_bound_stays_put(self, generic_run):
+        # the paper's uniform bound on the profile: max_xi <xi> |alpha(t, xi)|
         _, profiles, _ = generic_run
-        bound = profile_bound_history(profiles)
+        weight = np.sqrt(1.0 + profiles.grid.xi ** 2)
+        bound = np.max(weight * np.abs(profiles.alpha), axis=(1, 2))
         assert np.max(bound) <= 2.0 * bound[0]
 
 
