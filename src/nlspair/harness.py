@@ -631,7 +631,8 @@ def run_analyze(out_dir) -> dict:
 def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
     """Construct the solution scattering to the prescribed data, run it forward
     from T, fit its decay towards the free wave, and write
-    ``scattering.csv/json`` and the manifest.
+    ``scattering.csv/json`` and the manifest, which also records the forward
+    run's ``steps`` and the Picard iteration's history (``picard``).
 
     Returns the final state ``spec``, the Picard ``state``, the forward
     trajectory ``traj`` and the ``report`` of :func:`scattering.verify_scattering`.
@@ -650,6 +651,9 @@ def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
             checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
         )
         traj = run(cfg, state.pair_at(opts.T))
+        manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+        manifest["picard"] = {"iterations": state.iterate_index, "converged": state.converged,
+                              "distances": state.distances, "ratios": state.ratios}
         report = scattering.verify_scattering(traj, spec)
         manifest["outputs"] = [
             write_csv(out_dir / "scattering.csv", "scattering",

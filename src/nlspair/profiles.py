@@ -9,11 +9,13 @@ components obey, up to an integrable remainder R,
     d alpha2/dt = -(1/t) |alpha1|^2 alpha2 + R2.
 
 Everything here is per-frequency and vectorised across the whole grid; all
-inputs are immutable, so the analyses are trivially data-parallel.
+inputs are immutable, so the analyses are trivially data-parallel: the
+histories run over blocks of checkpoints on every CPU of the process.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,9 @@ N_WINDOW = 8
 # the power-law tails of the case table are fitted to the last N_FIT checkpoints
 N_FIT = 8
 
-# complex points per block of checkpoint rows in the streamed analytics:
-# 2 MiB, so a block's few temporaries fit in cache (4 rows at N = 16384)
+# complex points in flight in the streamed analytics, shared by the blocks of
+# checkpoint rows that run at once: 2 MiB, so the blocks' few temporaries fit
+# in cache (2 rows per block at N = 16384 on 2 CPUs)
 _BLOCK_POINTS = 2 ** 17
 
 
@@ -74,22 +77,55 @@ def _first_row(traj: Trajectory) -> int:
     return int(np.searchsorted(traj.ts, T_MIN - 1e-9))
 
 
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _blocks(grid: Grid, n_t: int) -> list[slice]:
-    """Slices of consecutive checkpoint rows, each about _BLOCK_POINTS complex
-    points of a ``(2, N)`` state stack: the analytics stream over them so
-    that every temporary is block-sized and stays in cache."""
-    rows = max(1, _BLOCK_POINTS // (2 * grid.n_points))
+    """Slices of consecutive checkpoint rows, each about ``_BLOCK_POINTS``
+    complex points of a ``(2, N)`` state stack shared among the workers: the
+    analytics stream over them so that every temporary is block-sized and
+    stays in cache."""
+    rows = max(1, _BLOCK_POINTS // (_workers() * 2 * grid.n_points))
     return [slice(i, min(i + rows, n_t)) for i in range(0, n_t, rows)]
 
 
+def _each_block(fn, blocks: list[slice]) -> None:
+    """Call ``fn`` on every block, on up to one thread per CPU.
+
+    numpy releases the GIL inside its FFTs and ufuncs, and each block writes
+    only its own rows with per-row reductions, so the results do not depend
+    on the number of threads.  One worker or one block runs inline.  An
+    exception a block raises propagates unchanged (the earliest block's, if
+    several raise), and the pool's threads are joined before return.
+    """
+    workers = min(_workers(), len(blocks))
+    if workers <= 1:
+        for b in blocks:
+            fn(b)
+        return
+    # imported here: it would add to the start-up of every CLI call
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, blocks):
+            pass
+
+
 def profile_history(traj: Trajectory) -> ProfileHistory:
-    """Profiles at every checkpoint with t >= T_MIN (the analytics window), one block at a time."""
+    """Profiles at every checkpoint with t >= T_MIN (the analytics window), block by block."""
     i0 = _first_row(traj)
     ts = traj.ts[i0:]
     states = traj.states[i0:]
     alpha = np.empty(states.shape, dtype=np.complex128)
-    for b in _blocks(traj.grid, len(ts)):
+
+    def block(b):
         alpha[b] = _pull_back(traj.grid, states[b], ts[b, None])
+
+    _each_block(block, _blocks(traj.grid, len(ts)))
     alpha.flags.writeable = False
     return ProfileHistory(ts, alpha, traj.grid)
 
@@ -123,19 +159,24 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
     weight = np.sqrt(w2)
     r = np.empty(alpha.shape, dtype=np.complex128)
     peak, h1, jh1 = (np.empty(len(ts)) for _ in range(3))
-    for b in _blocks(grid, len(ts)):
+
+    def block(b):
         s, a, t = states[b], alpha[b], ts[b, None]
         fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
         sa = np.abs(a) ** 2
-        np.multiply(sa[:, ::-1], a, out=r[b])
-        r[b] /= t[..., None]
-        r[b] -= fn
+        rb = np.multiply(sa[:, ::-1], a, out=r[b])
+        # numpy divides a complex by t + 0j as x * (1/t): the same bits, as reals
+        parts = rb.view(np.float64)
+        parts *= 1.0 / t[..., None]
+        rb -= fn
         del fn
-        peak[b] = np.max(weight * np.abs(r[b]), axis=(1, 2))
+        peak[b] = np.max(weight * np.abs(rb), axis=(1, 2))
         # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
         # both on the profile
         h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
+
+    _each_block(block, _blocks(grid, len(ts)))
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     r.flags.writeable = False
@@ -144,7 +185,7 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
 
 def remainder_history(traj: Trajectory,
                       profiles: ProfileHistory | None = None) -> RemainderHistory:
-    """Remainders at every checkpoint with t >= T_MIN, one block of checkpoints at a time.
+    """Remainders at every checkpoint with t >= T_MIN, block by block of checkpoints.
 
     ``profiles`` is the :func:`profile_history` over the same checkpoints;
     pass it when already built, so the profiles are not extracted twice.
@@ -168,11 +209,14 @@ def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
     ts, a, r = profiles.ts, profiles.alpha, probes.r
     vals = np.empty((len(ts), profiles.grid.n_points))
     rho = np.empty_like(vals)
-    for b in _blocks(profiles.grid, len(ts)):
+
+    def block(b):
         ab, rb = a[b], r[b]
         np.subtract(np.abs(ab[:, 0]) ** 2, np.abs(ab[:, 1]) ** 2, out=vals[b])
         np.multiply(2.0, np.real(np.conj(ab[:, 0]) * rb[:, 0] - np.conj(ab[:, 1]) * rb[:, 1]),
                     out=rho[b])
+
+    _each_block(block, _blocks(profiles.grid, len(ts)))
     # integrate rho along checkpoints for every frequency at once
     integral = fits.cumtrapz_rows(ts, rho)
     m_a = vals[-1].copy()       # not a view: the stack is not kept alive

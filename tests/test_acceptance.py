@@ -371,6 +371,32 @@ def test_scatter_reports_and_manifest(scatter):
     _assert_recorded(out, "scatter-roundtrip")
 
 
+def test_scatter_manifest_records_steps_and_picard(scatter):
+    manifest = json.loads((scatter["out"] / "manifest.json").read_text())
+    prov, state = scatter["traj"].provenance, scatter["state"]
+    assert manifest["steps"] == {k: prov[k] for k in ("n_steps", "dt_min", "dt_max")}
+    assert manifest["picard"] == {"iterations": state.iterate_index,
+                                  "converged": state.converged,
+                                  "distances": state.distances, "ratios": state.ratios}
+    assert manifest["picard"]["ratios"] == \
+        _json_data(scatter["out"] / "scattering.json")["contraction_ratios"]
+
+
+def test_scatter_case_records_recover_final_state(scatter):
+    # a known answer: the forward run from the constructed solution scatters
+    # to psi_hat, so each survivor label must sit on its own component's
+    # support; the 25 checkpoints at N = 8192 span several blocks, so the
+    # analytics run on the pool wherever the process has more than one CPU
+    spec = scatter["spec"]
+    labels = build_case_records(scatter["traj"]).label
+    on1, on2 = spec.psi_hat_1 != 0, spec.psi_hat_2 != 0
+    for label, own, other in (("survivor_1", on1, on2), ("survivor_2", on2, on1)):
+        cols = labels == label
+        assert np.any(cols)
+        assert np.all(own[cols]) and not np.any(other[cols])
+    assert np.all(labels[~(on1 | on2)] == "balanced")
+
+
 def test_obstruction_reports_and_manifest(obstruction):
     out, report, drift = obstruction["out"], obstruction["report"], obstruction["control_drift"]
     assert _csv_columns(out / "obstruction.csv") == {

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -61,6 +65,13 @@ def swapped_run():
     return traj, profile_history(traj), remainder_history(traj)
 
 
+@pytest.fixture()
+def one_worker(monkeypatch):
+    """Block sizes as on one CPU, and every block run inline."""
+    monkeypatch.setattr(P, "_workers", lambda: 1)
+
+
+@pytest.mark.usefixtures("one_worker")
 class TestFftBudget:
     def test_four_calls_per_snapshot(self, generic_run, fft_calls):
         # per block of checkpoints: one pull-back of the pair, one of both
@@ -128,7 +139,7 @@ def _one_shot_imbalance(ts, a, r):
 
 
 class TestStreamedAnalytics:
-    def test_blocks_match_one_shot_bitwise(self, generic_run, monkeypatch):
+    def test_blocks_match_one_shot_bitwise(self, generic_run, monkeypatch, one_worker):
         # blocks of 3 rows and a 1-row tail against whole-stack evaluation
         traj = generic_run[0]
         g = traj.grid
@@ -149,6 +160,84 @@ class TestStreamedAnalytics:
         assert np.array_equal(table.m_b, m_b)
         assert table.discrepancy == disc
         assert table.balance_residual == resid
+
+
+def _analytics(traj):
+    profiles = profile_history(traj)
+    probes = remainder_history(traj, profiles=profiles)
+    return profiles, probes, build_case_records(traj, profiles, probes)
+
+
+class TestThreadedBlocks:
+    def test_results_independent_of_workers(self, generic_run, monkeypatch):
+        # 2-row blocks inline against 1-row blocks on four threads
+        traj = generic_run[0]
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * traj.grid.n_points)
+        results = {}
+        for w in (1, 4):
+            monkeypatch.setattr(P, "_workers", lambda w=w: w)
+            assert len(P._blocks(traj.grid, len(traj.ts))) > 4
+            results[w] = _analytics(traj)
+        (p1, q1, t1), (p4, q4, t4) = results[1], results[4]
+        assert np.array_equal(p1.alpha, p4.alpha)
+        assert np.array_equal(q1.r, q4.r)
+        assert np.array_equal(q1.bound_ratio, q4.bound_ratio)
+        for name in ("xi", "m_a", "m_b", "label", "fitted_exponent", "beta_plus",
+                     "beta_tail_err", "deadband", "discrepancy", "balance_residual"):
+            assert np.array_equal(getattr(t1, name), getattr(t4, name), equal_nan=name != "label")
+
+    def test_block_exception_surfaces(self, generic_run, monkeypatch):
+        traj, profiles = generic_run[0], generic_run[1]
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * traj.grid.n_points)
+        monkeypatch.setattr(P, "_workers", lambda: 4)
+        boom, t_bad = RuntimeError("one block fails"), traj.ts[7]
+
+        def pull_back(grid, values, t, **kwargs):
+            if np.any(t == t_bad):
+                raise boom
+            return _pull_back(grid, values, t, **kwargs)
+
+        monkeypatch.setattr(P, "_pull_back", pull_back)
+        threads = threading.active_count()
+        for call in (lambda: profile_history(traj),
+                     lambda: remainder_history(traj, profiles=profiles)):
+            with pytest.raises(RuntimeError) as info:
+                call()
+            assert info.value is boom
+            assert threading.active_count() == threads
+
+    def test_one_block_starts_no_thread(self, generic_run, monkeypatch):
+        traj = generic_run[0]
+        monkeypatch.setattr(P, "_workers", lambda: 4)
+        assert len(P._blocks(traj.grid, len(traj.ts))) == 1
+        callers = set()
+
+        def pull_back(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return _pull_back(*args, **kwargs)
+
+        monkeypatch.setattr(P, "_pull_back", pull_back)
+        threads = threading.active_count()
+        _analytics(traj)
+        assert callers == {threading.get_ident()}
+        assert threading.active_count() == threads
+
+    def test_pull_back_on_threads_matches_serial(self, rng):
+        # more threads than CPUs and a short switch interval, against the
+        # same transforms in one thread
+        grids = [nl.make_grid(2 ** k, 50.0 * k) for k in range(4, 14)]
+        states = [rng.standard_normal((2, g.n_points)) + 1j * rng.standard_normal((2, g.n_points))
+                  for g in grids]
+        jobs = [(grids[i % 10], states[i % 10], rng.uniform(1.0, 1e4)) for i in range(500)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(_pull_back, *job) for job in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(_pull_back(*job), out) for job, out in zip(jobs, threaded))
 
 
 class TestExtractProfiles:
