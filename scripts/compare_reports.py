@@ -8,8 +8,9 @@ line, header, text cells such as labels, and empty cells; JSON keys, list
 lengths and non-numeric values), then prints for each numeric column the
 largest ``|a - b|`` over the column's largest ``|a|``, on the cells that are
 numbers in both reports.  A report found in only one tree, or a structural
-difference, makes the exit status 1.  ``manifest.json`` is skipped: it holds
-timings, which differ between any two runs.
+difference, makes the exit status 1.  ``manifest.json`` is compared as
+JSON without its timings (``started_unix`` and ``wall_seconds``), which
+differ between any two runs.
 """
 
 import csv
@@ -19,6 +20,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+TIMINGS = ("started_unix", "wall_seconds")   # the manifest's run-dependent entries
+
+
+def _json(path: Path):
+    """The JSON of a report; a manifest without its timings."""
+    data = json.loads(path.read_text())
+    if path.name == "manifest.json":
+        for key in TIMINGS:
+            data.pop(key, None)
+    return data
 
 
 def _columns(path: Path) -> dict[str, list]:
@@ -40,7 +52,7 @@ def _columns(path: Path) -> dict[str, list]:
                 walk(v, key + "[]")
         else:
             out.setdefault(key, []).append(obj)
-    walk(json.loads(path.read_text()), "")
+    walk(_json(path), "")
     return out
 
 
@@ -55,7 +67,8 @@ def _number(v):
 
 def compare(a: Path, b: Path) -> tuple[bool, str]:
     """Whether two reports match in structure, and the line that says how they compare."""
-    if a.read_bytes() == b.read_bytes():
+    if a.read_bytes() == b.read_bytes() or (a.name == "manifest.json"
+                                            and _json(a) == _json(b)):
         return True, "identical"
     ca, cb = _columns(a), _columns(b)
     problems = [f"structural difference: columns {sorted(ca.keys() ^ cb.keys())}"] \
@@ -79,7 +92,7 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
 def main(parent: str, change: str) -> int:
     roots = Path(parent), Path(change)
     found = [{p.relative_to(r) for p in r.rglob("*")
-              if p.suffix in (".csv", ".json") and p.name != "manifest.json"} for r in roots]
+              if p.suffix in (".csv", ".json")} for r in roots]
     status = 0
     for rel in sorted(found[0] | found[1]):
         if rel not in found[0] or rel not in found[1]:

@@ -37,13 +37,13 @@ def measure(policy: DtPolicy) -> dict:
     """One headline run under ``policy``: its cost, final profiles and labels."""
     cfg = preset_decoupling_headline()
     solver = replace(cfg.solver, dt_policy=policy)
-    pair = generate_initial_data(cfg.data1, cfg.data2, solver.grid, cfg.seed)
+    state = generate_initial_data(cfg.data1, cfg.data2, solver.grid, cfg.seed)
     taus = []
     real = dynamics._free_multiplier_fft
     dynamics._free_multiplier_fft = lambda grid, tau: taus.append(tau) or real(grid, tau)
     try:
         t0 = time.perf_counter()
-        traj = run(solver, pair)
+        traj = run(solver, state)
         wall = time.perf_counter() - t0
     finally:
         dynamics._free_multiplier_fft = real

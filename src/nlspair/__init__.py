@@ -14,30 +14,16 @@ from .spectral import (
     ComplexField,
     FieldPair,
     Grid,
-    NormReport,
-    apply_D,
-    apply_J,
-    apply_M,
-    forward_transform,
-    free_propagate,
-    inverse_transform,
-    l2_norm,
-    make_grid,
-    norms,
-    sobolev_norm,
 )
 from .dynamics import (
     Checkpoint,
     DtPolicy,
-    MassLedger,
     SolverConfig,
     Trajectory,
     coupled_decay_ratios,
     mass_ledger,
-    nonlinear_substep,
     rk4_reference,
     run,
-    strang_step,
 )
 from .profiles import (
     CaseTable,
@@ -58,12 +44,10 @@ from .asymptotics import (
     reduced_flow_profiles,
 )
 from .scattering import (
-    AsymptoticWave,
     FinalStateSpec,
     ObstructionReport,
     PicardState,
     ScatteringReport,
-    asymptotic_wave,
     build_final_state,
     obstruction_probe,
     picard_construct,

@@ -44,7 +44,7 @@ def _cmd_simulate(args) -> int:
     cfg = _resolve_simulate_config(args)
     out = Path(args.out)
     result = harness.run_simulate(cfg, out)
-    n = len(result["trajectory"].checkpoints)
+    n = len(result["trajectory"].ts)
     print(f"simulate {cfg.name}: {n} checkpoints -> {out}")
     return 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,26 +114,11 @@ class SolverConfig:
         return np.geomspace(max(self.t_start, T_MIN), self.t_end, 40)
 
 
-@dataclass(frozen=True)
-class MassLedger:
-    """Quadratic functionals tracked at a checkpoint.
-
-    ``interaction`` is the cross term ``integral |u1|^2 |u2|^2 dx``.  Each
-    component mass dissipates at rate ``-2 * interaction``; their difference
-    is exactly conserved.
-    """
-
-    t: float
-    mass1: float
-    mass2: float
-    diff: float
-    interaction: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
+    """Row ``i`` of a trajectory as a pair of fields at ``ts[i]``."""
+
     pair: FieldPair
-    ledger: MassLedger
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +126,8 @@ class Trajectory:
     """A run on the config's one grid: ``states[i]`` is ``(u1, u2)`` at ``ts[i]``.
 
     The trajectory takes ownership of the ``(n_t, 2, N)`` array and freezes
-    it; ``checkpoints[i]`` holds views of row i and its mass ledger.
+    it.  ``ledger[i]`` is :func:`mass_ledger` of row i; ``checkpoints`` is a
+    read-only view of the rows, built on first access.
     """
 
     config: SolverConfig
@@ -148,7 +135,7 @@ class Trajectory:
     states: np.ndarray
     provenance: dict
     grid: Grid = field(init=False, repr=False)
-    checkpoints: tuple[Checkpoint, ...] = field(init=False, repr=False)
+    ledger: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = self.config.grid
@@ -156,33 +143,32 @@ class Trajectory:
         states = self.states
         if states.dtype != np.complex128 or states.shape != (len(ts), 2, grid.n_points):
             raise ValueError(f"states {states.dtype}{states.shape} for {len(ts)} times on {grid}")
-        ts.flags.writeable = False
-        states.flags.writeable = False
-        cps = []
-        for t, v in zip(ts, states):
-            pair = FieldPair(ComplexField._row(grid, v[0], t), ComplexField._row(grid, v[1], t))
-            cps.append(Checkpoint(pair, mass_ledger(pair)))
-        for name, val in (("grid", grid), ("ts", ts), ("checkpoints", tuple(cps))):
+        ledger = np.empty((len(ts), 4))
+        for i, v in enumerate(states):
+            ledger[i] = mass_ledger(grid, v)
+        for arr in (ts, states, ledger):
+            arr.flags.writeable = False
+        for name, val in (("grid", grid), ("ts", ts), ("ledger", ledger)):
             object.__setattr__(self, name, val)
 
-    def ledgers(self) -> list[MassLedger]:
-        return [c.ledger for c in self.checkpoints]
+    @cached_property
+    def checkpoints(self) -> tuple[Checkpoint, ...]:
+        return tuple(Checkpoint(FieldPair(ComplexField(self.grid, v[0], t),
+                                          ComplexField(self.grid, v[1], t)))
+                     for t, v in zip(self.ts.tolist(), self.states))
 
 
-def mass_ledger(pair: FieldPair) -> MassLedger:
-    """dx-weighted quadrature of both masses and the interaction integral."""
-    dx = pair.grid.dx
-    a = np.abs(pair.u1.values) ** 2
-    b = np.abs(pair.u2.values) ** 2
-    m1 = float(dx * np.sum(a))
-    m2 = float(dx * np.sum(b))
-    return MassLedger(
-        t=pair.time,
-        mass1=m1,
-        mass2=m2,
-        diff=m1 - m2,
-        interaction=float(dx * np.sum(a * b)),
-    )
+def mass_ledger(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """``(mass1, mass2, diff, interaction)`` of a ``(2, N)`` state.
+
+    dx-weighted quadrature; ``interaction`` is the cross term
+    ``integral |u1|^2 |u2|^2 dx``.  Each component mass dissipates at rate
+    ``-2 * interaction``; their difference is exactly conserved.
+    """
+    a, b = np.abs(v) ** 2
+    m1 = grid.dx * np.sum(a)
+    m2 = grid.dx * np.sum(b)
+    return np.array([m1, m2, m1 - m2, grid.dx * np.sum(a * b)])
 
 
 def _edge_bands(grid: Grid) -> tuple[int, int]:
@@ -196,13 +182,6 @@ def _band_mass(sq: np.ndarray, bands: tuple[int, int]) -> tuple[float, float]:
     """``(edge, total)`` sums of the squared amplitudes ``sq`` (last axis on the grid)."""
     lo, hi = bands
     return float(sq[..., :lo].sum() + sq[..., hi:].sum()), float(sq.sum())
-
-
-def boundary_mass_fraction(pair: FieldPair) -> float:
-    """Fraction of total mass within ``BOUNDARY_BAND`` of each edge of the box."""
-    dens = np.abs(pair.u1.values) ** 2 + np.abs(pair.u2.values) ** 2
-    edge, total = _band_mass(dens, _edge_bands(pair.grid))
-    return edge / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +254,6 @@ def _decay_substep(v: np.ndarray, dt: float) -> np.ndarray:
     return sq
 
 
-def _stack(pair: FieldPair) -> np.ndarray:
-    return np.stack([pair.u1.values, pair.u2.values])
-
-
-def _unstack(grid: Grid, v: np.ndarray, t: float) -> FieldPair:
-    return FieldPair(ComplexField(grid, v[0], t), ComplexField(grid, v[1], t))
-
-
-def nonlinear_substep(pair: FieldPair, dt: float) -> FieldPair:
-    """Exact pointwise solution of the coupled amplitude-decay flow.
-
-    Phases are untouched (the coupling coefficient is real), and the
-    pointwise difference of the squared amplitudes is conserved bitwise up
-    to a few ulp.  Backward steps are rejected: the reversed flow blows up.
-    """
-    dt = float(dt)
-    if dt < 0:
-        raise ValueError("nonlinear substep is forward-only (dt >= 0)")
-    if dt == 0.0:
-        return pair
-    v = _stack(pair)
-    _decay_substep(v, dt)
-    return _unstack(pair.grid, v, pair.time)
-
-
 class _StrangKernel:
     """Strang splitting of a ``(2, N)`` x-space state, first same as last.
 
@@ -351,45 +305,39 @@ class _StrangKernel:
         return v
 
 
-def strang_step(pair: FieldPair, t: float, dt: float) -> FieldPair:
-    """One split step: half free flow, exact nonlinear substep, half free flow."""
-    if dt <= 0:
-        raise ValueError("strang_step needs dt > 0")
-    if abs(pair.time - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"pair time {pair.time} does not match step time {t}")
-    kernel = _StrangKernel(pair.grid)
-    return _unstack(pair.grid, kernel.flush(kernel.step(_stack(pair), t, dt)), t + dt)
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
 def _guard(grid: Grid, v: np.ndarray, t: float) -> None:
-    """Reject a ``(2, N)`` state with non-finite values or mass at the box edges."""
+    """Reject a ``(2, N)`` state with non-finite values or mass, or with mass
+    at the box edges, by the test of :meth:`_StrangKernel.step`."""
     if not np.all(np.isfinite(v.view(np.float64))):
         raise NumericsError(f"non-finite values at t = {t:.6g}")
-    frac = boundary_mass_fraction(_unstack(grid, v, t))
-    if frac > BOUNDARY_MASS_TOL:
-        raise GuardViolation(t, frac, BOUNDARY_MASS_TOL)
+    edge, total = _band_mass(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, _edge_bands(grid))
+    if not edge <= BOUNDARY_MASS_TOL * total < math.inf:
+        if not math.isfinite(total):
+            raise NumericsError(f"non-finite mass at t = {t:.6g}")
+        raise GuardViolation(t, edge / total, BOUNDARY_MASS_TOL)
 
 
-def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -> Trajectory:
+def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) -> Trajectory:
     """Step from t_start through every checkpoint with one scheme.
 
-    ``scheme(config, initial)`` sets up its state and returns
-    ``(step, fields)``: ``step(t, dt)`` advances the state from t to t + dt,
-    and ``fields(t)`` returns the ``(2, N)`` x-space state at a checkpoint
-    time t, which is copied into that checkpoint's row of the trajectory.
+    ``scheme(config, v)`` sets up its state from the ``(2, N)`` state ``v``
+    at t_start, which it leaves untouched, and returns ``(step, fields)``:
+    ``step(t, dt)`` advances the state from t to t + dt, and ``fields(t)``
+    returns the ``(2, N)`` x-space state at a checkpoint time t, which is
+    copied into that checkpoint's row of the trajectory.
     """
     grid = config.grid
-    if initial.grid != grid:
-        raise ConfigError("initial data lives on a different grid than the config")
-    if abs(initial.time - config.t_start) > 1e-9 * max(1.0, config.t_start):
-        raise ConfigError(f"initial time {initial.time} != t_start {config.t_start}")
+    v = np.ascontiguousarray(initial, dtype=np.complex128)
+    if v.shape != (2, grid.n_points):
+        raise ConfigError(f"initial state has shape {v.shape}; the config's grid "
+                          f"needs (2, {grid.n_points})")
     t = config.t_start
-    _guard(grid, _stack(initial), t)
-    step, fields = scheme(config, initial)
+    _guard(grid, v, t)
+    step, fields = scheme(config, v)
 
     cps = config.resolved_checkpoints()
     states = np.empty((len(cps), 2, grid.n_points), dtype=np.complex128)
@@ -413,10 +361,9 @@ def _drive(config: SolverConfig, initial: FieldPair, scheme, provenance: dict) -
         "dt_max": max(dts, default=None), "version": __version__})
 
 
-def _strang_scheme(config: SolverConfig, initial: FieldPair):
+def _strang_scheme(config: SolverConfig, v: np.ndarray):
     """Fused Strang steps; checkpoints flush the pending half free step."""
     kernel = _StrangKernel(config.grid)
-    v = _stack(initial)
 
     def step(t: float, dt: float) -> None:
         nonlocal v
@@ -430,11 +377,11 @@ def _strang_scheme(config: SolverConfig, initial: FieldPair):
     return step, fields
 
 
-def _rk4_scheme(config: SolverConfig, initial: FieldPair):
+def _rk4_scheme(config: SolverConfig, v: np.ndarray):
     """RK4 on the profile pair; checkpoints push it forward to x-space."""
     grid = config.grid
     coef = 1.0 if config.coupling == "dissipative" else 1.0j
-    w = _pull_back(grid, _stack(initial), config.t_start)
+    w = _pull_back(grid, v, config.t_start)
 
     def rhs(tau: float, alpha: np.ndarray) -> np.ndarray:
         u = _push_forward(grid, alpha, tau)
@@ -454,9 +401,11 @@ def _rk4_scheme(config: SolverConfig, initial: FieldPair):
     return step, fields
 
 
-def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
-    """Integrate from t_start to t_end, recording a ledger at each checkpoint.
+def run(config: SolverConfig, initial: np.ndarray) -> Trajectory:
+    """Integrate the ``(2, N)`` state ``initial`` at t_start to t_end,
+    recording it and its ledger at each checkpoint.
 
+    A state of another shape than the config's grid is a ConfigError.
     Aborts with :class:`GuardViolation` if mass accumulates near the box
     boundary (periodic wrap-around silently corrupts long-time profiles) and
     with :class:`NumericsError` once the state holds non-finite values: the
@@ -467,7 +416,7 @@ def run(config: SolverConfig, initial: FieldPair) -> Trajectory:
     return _drive(config, initial, _strang_scheme, {"scheme": "strang_exact"})
 
 
-def rk4_reference(config: SolverConfig, initial: FieldPair) -> Trajectory:
+def rk4_reference(config: SolverConfig, initial: np.ndarray) -> Trajectory:
     """Classical RK4 on the profile pair alpha(t) = F U(-t) u(t).
 
     ``dalpha/dt = -c F U(-t) N(U(t) F^-1 alpha)`` with

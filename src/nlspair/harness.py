@@ -32,7 +32,7 @@ from .profiles import (
     profile_history,
     remainder_history,
 )
-from .spectral import ComplexField, FieldPair, Grid, norms
+from .spectral import Grid, _forward_array, _inverse_array
 
 _MAGIC = b"NLSPAIR\x00"
 _VERSION = 1
@@ -85,7 +85,6 @@ def _random_bandlimited(spec: dict, grid: Grid, rng: np.random.Generator) -> np.
     n = int(np.sum(mask))
     coeff[mask] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     coeff *= np.exp(-2.0 * (grid.xi / band) ** 2)
-    from .spectral import _inverse_array
     vals = _inverse_array(grid, coeff)
     # localise: random phases fill the whole box otherwise, which both
     # violates the boundary guard and has no scattering interpretation
@@ -94,9 +93,8 @@ def _random_bandlimited(spec: dict, grid: Grid, rng: np.random.Generator) -> np.
     return vals * (amp / peak) if peak > 0 else vals
 
 
-def generate_initial_data(data1: dict, data2: dict, grid: Grid, seed: int,
-                          t_start: float = 0.0) -> FieldPair:
-    """Deterministic initial pair from per-component specs.
+def generate_initial_data(data1: dict, data2: dict, grid: Grid, seed: int) -> np.ndarray:
+    """Deterministic initial ``(2, N)`` state from per-component specs.
 
     Kinds: ``gaussian`` (optionally velocity-modulated), ``random`` (seeded
     band-limited noise), and ``copy`` for the second component to force the
@@ -116,38 +114,47 @@ def generate_initial_data(data1: dict, data2: dict, grid: Grid, seed: int,
     if data2.get("kind") == "copy":
         if set(data2) - {"kind"}:
             raise ConfigError("copy spec takes no parameters")
-        v2 = v1.copy()
+        v2 = v1
     else:
         v2 = build(data2)
-    return FieldPair(ComplexField(grid, v1, t_start), ComplexField(grid, v2, t_start))
+    return np.array([v1, v2], dtype=np.complex128)
 
 
-def data_size_report(pair: FieldPair) -> dict:
-    """Grid surrogates of the data size (recorded in the manifest)."""
-    n1, n2 = norms(pair.u1), norms(pair.u2)
-    return {
-        "l2": float(np.hypot(n1.l2, n2.l2)),
-        "h2": float(np.hypot(n1.h2, n2.h2)),
-        "h1_1": float(np.hypot(n1.h1_1, n2.h1_1)),
-    }
+def _sobolev(grid: Grid, state: np.ndarray, s: float) -> np.ndarray:
+    """Spectral Sobolev norms ``sqrt(dxi sum <xi>^{2s} |F u|^2)``, one per row."""
+    w = (1.0 + grid.xi ** 2) ** s
+    return np.sqrt(grid.dxi * np.sum(w * np.abs(_forward_array(grid, state)) ** 2, axis=-1))
+
+
+def data_size_report(grid: Grid, state: np.ndarray) -> dict:
+    """Grid surrogates of the size of a ``(2, N)`` state, recorded in the
+    manifest: the L2, H^2 and weighted ``<x>``-H^1 norms of the pair."""
+    l2 = np.sqrt(grid.dx * np.sum(np.abs(state) ** 2, axis=-1))
+    h2 = _sobolev(grid, state, 2.0)
+    h1_1 = _sobolev(grid, (1.0 + grid.x ** 2) ** 0.5 * state, 1.0)
+    return {"l2": float(np.hypot(*l2)), "h2": float(np.hypot(*h2)),
+            "h1_1": float(np.hypot(*h1_1))}
 
 
 # ---------------------------------------------------------------------------
 # checkpoint persistence
 # ---------------------------------------------------------------------------
 
-def persist_checkpoint(pair: FieldPair, path) -> None:
+def persist_checkpoint(path, grid: Grid, t: float, state: np.ndarray) -> None:
     """Little-endian binary state: header + u1 then u2 as interleaved re/im f64."""
-    g = pair.grid
-    header = _HEADER.pack(_MAGIC, _VERSION, g.n_points, g.length, pair.time)
+    header = _HEADER.pack(_MAGIC, _VERSION, grid.n_points, grid.length, t)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(pair.u1.values, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(pair.u2.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(state, dtype="<c16").tobytes())
 
 
-def load_checkpoint(path, grid: Grid | None = None) -> FieldPair:
-    """Read a state written by :func:`persist_checkpoint`, on ``grid`` when it is given."""
+def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
+    """``(t, state)`` of a file written by :func:`persist_checkpoint` on ``grid``.
+
+    The state is a read-only ``(2, N)`` view of the file's bytes.  A file on
+    another grid, malformed or holding non-finite samples is a
+    CheckpointError naming it.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header")
@@ -156,22 +163,18 @@ def load_checkpoint(path, grid: Grid | None = None) -> FieldPair:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {version} (expected {_VERSION})")
-    payload = raw[_HEADER.size:]
+    payload = memoryview(raw)[_HEADER.size:]
     expected = 2 * n * 16
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload holds {len(payload)} bytes, header N={n} implies {expected}"
         )
-    if grid is None:
-        grid = Grid(int(n), float(length))
-    elif (n, length) != (grid.n_points, grid.length):
+    if (n, length) != (grid.n_points, grid.length):
         raise CheckpointError(f"{path}: header holds N={n}, length={length:g}; "
                               f"the run's grid has N={grid.n_points}, length={grid.length:g}")
-    vals = np.frombuffer(payload, dtype="<c16")
-    return FieldPair(
-        ComplexField(grid, vals[:n], t),
-        ComplexField(grid, vals[n:], t),
-    )
+    if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f8"))):
+        raise CheckpointError(f"{path}: payload holds non-finite samples")
+    return t, np.frombuffer(payload, dtype="<c16").reshape(2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +530,9 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
     run-level numbers no CSV does."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ledgers = traj.ledgers()
     paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
                        ["t", "mass1", "mass2", "diff", "interaction"],
-                       [[getattr(l, k) for l in ledgers]
-                        for k in ("t", "mass1", "mass2", "diff", "interaction")])]
+                       [traj.ts, *traj.ledger.T])]
     if analysis.profiles:
         profiles = profile_history(traj)
         probes = remainder_history(traj, profiles=profiles)
@@ -563,21 +564,20 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     grid = config.solver.grid
     # a bad data spec fails here, before anything is written
-    pair = generate_initial_data(config.data1, config.data2, grid,
-                                 config.seed, config.solver.t_start)
+    state = generate_initial_data(config.data1, config.data2, grid, config.seed)
     with _recording(out_dir, config.name, config.to_dict(),
                     grid={"n_points": grid.n_points, "length": grid.length,
                           "dx": grid.dx, "dxi": grid.dxi},
-                    seed=config.seed, data_size=data_size_report(pair),
+                    seed=config.seed, data_size=data_size_report(grid, state),
                     steps={}) as manifest:
-        traj = run(config.solver, pair)
+        traj = run(config.solver, state)
         outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
         if config.save_checkpoints:
             cp_dir = out_dir / "checkpoints"
             cp_dir.mkdir(exist_ok=True)
-            for i, cp in enumerate(traj.checkpoints):
+            for i, (t, v) in enumerate(zip(traj.ts.tolist(), traj.states)):
                 name = f"checkpoints/cp_{i:04d}.bin"
-                persist_checkpoint(cp.pair, out_dir / name)
+                persist_checkpoint(out_dir / name, grid, t, v)
                 outputs.append(name)
         manifest["outputs"] = outputs
         manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
@@ -587,23 +587,28 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
 def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     """Rebuild a trajectory from persisted checkpoints (for `analyze`).
 
-    Each file is read into its row of one state array, on the config's grid;
-    a file on another grid, or out of time order, is rejected.
+    Each file is read into its row of one state array, on the config's grid.
+    The files must hold the config's checkpoint times in order: the first
+    time missing or not among them is a CheckpointError, as is a file on
+    another grid.
     """
     cp_dir = Path(out_dir) / "checkpoints"
     files = sorted(cp_dir.glob("cp_*.bin"))
     if not files:
         raise ConfigError(f"no checkpoints under {cp_dir}")
     grid = config.solver.grid
+    want = config.solver.resolved_checkpoints()
     ts = np.empty(len(files))
     states = np.empty((len(files), 2, grid.n_points), dtype=np.complex128)
     for i, f in enumerate(files):
-        pair = load_checkpoint(f, grid)
-        ts[i] = pair.time
-        if i and ts[i] <= ts[i - 1]:
-            raise CheckpointError(f"{f}: time {ts[i]:g} does not follow {ts[i - 1]:g}")
-        states[i, 0] = pair.u1.values
-        states[i, 1] = pair.u2.values
+        ts[i], states[i] = load_checkpoint(f, grid)
+        if i < len(want) and ts[i] > want[i] + 1e-9 * max(1.0, want[i]):
+            raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time {want[i]:g}")
+        if i >= len(want) or ts[i] < want[i] - 1e-9 * max(1.0, want[i]):
+            raise CheckpointError(f"{f}: time {ts[i]:g} is not a checkpoint time of the config")
+    if len(files) < len(want):
+        raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time "
+                              f"{want[len(files)]:g}")
     return Trajectory(config=config.solver, ts=ts, states=states,
                       provenance={"scheme": "loaded", "source": str(cp_dir)})
 
@@ -650,7 +655,7 @@ def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
             t_end=opts.forward_t_end,
             checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
         )
-        traj = run(cfg, state.pair_at(opts.T))
+        traj = run(cfg, state.state_at(opts.T))
         manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
         manifest["picard"] = {"iterations": state.iterate_index, "converged": state.converged,
                               "distances": state.distances, "ratios": state.ratios}

@@ -29,14 +29,11 @@ from .dynamics import BOUNDARY_BAND, SolverConfig, Trajectory, run
 from .errors import ConfigError, PicardDivergence
 from .spectral import (
     SQRT_2PI,
-    ComplexField,
-    FieldPair,
     Grid,
     _inverse_array,
     _profile_multiplier,
     _pull_back,
     _push_forward,
-    l2_norm,
 )
 
 DECOUPLED_TOL = 1e-14
@@ -114,13 +111,6 @@ class FinalStateSpec:
     def mu(self) -> float:
         return 0.25 * (self.s0 - 1.0)
 
-    def psi_pair(self) -> FieldPair:
-        """psi+ as x-space fields at t = 0 (inverse transforms of the spectra)."""
-        g = self.grid
-        p1 = _inverse_array(g, self.psi_hat_1)
-        p2 = _inverse_array(g, self.psi_hat_2)
-        return FieldPair(ComplexField(g, p1, 0.0), ComplexField(g, p2, 0.0))
-
 
 def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
                       s: float = 2.0) -> FinalStateSpec:
@@ -138,8 +128,8 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
     s0 = min(2.0, s)
     delta = float(max(np.max(np.abs(p1)), np.max(np.abs(p2))))
     w = (1.0 + grid.x ** 2) ** (0.5 * s0)
-    k1 = l2_norm(ComplexField(grid, w * _inverse_array(grid, p1.astype(complex))))
-    k2 = l2_norm(ComplexField(grid, w * _inverse_array(grid, p2.astype(complex))))
+    k1, k2 = (math.sqrt(float(grid.dx * np.sum(np.abs(w * _inverse_array(grid, p.astype(complex)))
+                                               ** 2))) for p in (p1, p2))
     kappa = math.hypot(k1, k2)
     decoupled = bool(np.max(np.abs(p1 * p2)) <= DECOUPLED_TOL)
     return FinalStateSpec(
@@ -153,39 +143,20 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
 # leading wave and remainder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticWave:
-    t: float
-    w_sharp: FieldPair
-    w_flat: FieldPair
-
-
 def _w_sharp_arrays(spec: FinalStateSpec, t):
-    """w# at a time, or one row per time when ``t`` is an array of times."""
+    """The leading wave ``w# = M D F psi+`` of both components, at a time or
+    with one row per time when ``t`` is an array of times.
+
+    ``w#`` keeps the exact L2 norm of psi+ and has sup norm
+    ``delta / sqrt(t)``; the remainder ``U(t) psi+ - w#`` decays like
+    ``t^(-s0/2)`` in L2 and ``t^(-(s0-1)/2)`` after J.
+    """
     g = spec.grid
     t = np.asarray(t, dtype=float)[..., None]
     y = g.x / t
     scale = 1.0 / np.sqrt(1j * t)
     chirp = np.exp(0.5j * g.x ** 2 / t)
     return (scale * chirp * spec.fn1(y), scale * chirp * spec.fn2(y))
-
-
-def asymptotic_wave(spec: FinalStateSpec, t: float) -> AsymptoticWave:
-    """Split U(t) psi+ into the leading wave w# and the remainder w-flat.
-
-    ``w#`` keeps the exact L2 norm of psi+ and has sup norm
-    ``delta / sqrt(t)``; the remainder decays like ``t^(-s0/2)`` in L2 and
-    ``t^(-(s0-1)/2)`` after J.
-    """
-    t = float(t)
-    if t < 1.0:
-        raise ValueError("asymptotic wave is tracked for t >= 1")
-    g = spec.grid
-    s1, s2 = _w_sharp_arrays(spec, t)
-    u1, u2 = _push_forward(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]), t)
-    sharp = FieldPair(ComplexField(g, s1, t), ComplexField(g, s2, t))
-    flat = FieldPair(ComplexField(g, u1 - s1, t), ComplexField(g, u2 - s2, t))
-    return AsymptoticWave(t=t, w_sharp=sharp, w_flat=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +179,12 @@ class PicardState:
     converged: bool
     grid: Grid
 
-    def pair_at(self, t: float) -> FieldPair:
+    def state_at(self, t: float) -> np.ndarray:
+        """The ``(2, N)`` iterate at the sample time t."""
         i = int(np.argmin(np.abs(self.taus - t)))
         if abs(self.taus[i] - t) > 1e-9 * max(1.0, t):
             raise KeyError(f"no iterate sample at t = {t}")
-        return FieldPair(
-            ComplexField(self.grid, self.v1[i], self.taus[i]),
-            ComplexField(self.grid, self.v2[i], self.taus[i]),
-        )
+        return np.stack([self.v1[i], self.v2[i]])
 
 
 def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -490,7 +459,7 @@ def _dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
         n_points=spec.grid.n_points, length=spec.grid.length,
         t_start=T, t_end=float(cps[-1]), checkpoint_times=tuple(cps),
     )
-    return dyadic_profile_drift(run(cfg, state.pair_at(T)), base)
+    return dyadic_profile_drift(run(cfg, state.state_at(T)), base)
 
 
 def obstruction_probe(spec: FinalStateSpec, base_times,

@@ -1,13 +1,17 @@
-"""Grids, unitary discrete Fourier transforms, and the free-flow operator algebra.
+"""Grids and the unitary discrete Fourier transforms of states on them.
 
-The transform convention is the continuum-normalised one,
+A state is a complex ``(2, N)`` array of the x-space samples of ``(u1, u2)``
+on a :class:`Grid`; a run is an ``(n_t, 2, N)`` stack of them.  The
+transform convention is the continuum-normalised one,
 ``(F f)(xi) = (2 pi)^{-1/2} \\int e^{-i x xi} f(x) dx``, discretised with
 ``dx`` and ``dxi`` quadrature weights so that Plancherel holds exactly in the
 induced grid norms and analytic formulas carry over without stray constants.
+The free flow ``U(t)``, the profile ``F U(-t) u`` and ``J = U(t) x U(-t)``
+are the array kernels below, batched along leading axes.
 
-All operations are pure functions of immutable inputs; field values are
-frozen (read-only arrays) after construction and safe to share across
-threads.
+A grid and its arrays are immutable and safe to share across threads.
+:class:`ComplexField` and :class:`FieldPair` only make up the read-only row
+view ``Trajectory.checkpoints`` of a stored run.
 """
 
 from __future__ import annotations
@@ -69,62 +73,21 @@ class Grid:
             arr.flags.writeable = False
 
 
-def make_grid(n_points: int, length: float) -> Grid:
-    """Build a grid; rejects non-power-of-two sizes and nonpositive lengths."""
-    return Grid(n_points, length)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Complex samples of one field on a grid at one time.
-
-    ``domain`` is ``"x"`` for physical space, ``"xi"`` for the frequency side.
-    Values are coerced to complex128, copied, and frozen.
-    """
+    """One component of a stored state: a row of a state array on its grid at a time."""
 
     grid: Grid
-    values: np.ndarray = field(compare=False)
-    time: float = 0.0
-    domain: str = "x"
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128).copy()
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"field length {vals.shape} does not match grid ({self.grid.n_points},)"
-            )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("field contains non-finite entries")
-        if self.domain not in ("x", "xi"):
-            raise ValueError(f"domain must be 'x' or 'xi', got {self.domain!r}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "time", float(self.time))
-
-    @classmethod
-    def _row(cls, grid: Grid, values: np.ndarray, time: float) -> "ComplexField":
-        """An x-space field over a row of a frozen, already checked stack, uncopied."""
-        f = object.__new__(cls)
-        for name, val in (("grid", grid), ("values", values), ("time", float(time)),
-                          ("domain", "x")):
-            object.__setattr__(f, name, val)
-        return f
+    values: np.ndarray
+    time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldPair:
-    """The two-component state (u1, u2) on a common grid at a common time."""
+    """The two components ``(u1, u2)`` of a stored state at a common time."""
 
     u1: ComplexField
     u2: ComplexField
-
-    def __post_init__(self) -> None:
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("components live on different grids")
-        if self.u1.domain != self.u2.domain:
-            raise ValueError("components live on different domains")
-        if abs(self.u1.time - self.u2.time) > 1e-9 * max(1.0, abs(self.u1.time)):
-            raise ValueError(f"component times differ: {self.u1.time} vs {self.u2.time}")
 
     @property
     def grid(self) -> Grid:
@@ -136,7 +99,7 @@ class FieldPair:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (private): fft-order fast paths shared by the time steppers
+# array kernels (private): the transforms of the steppers and the analytics
 # ---------------------------------------------------------------------------
 
 def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
@@ -155,16 +118,6 @@ def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
     mult[..., half] = 0.0
     mult[..., half + 1:] = pos[..., :0:-1]
     return mult
-
-
-def _free_step_array(grid: Grid, values: np.ndarray, dt: float,
-                     mult: np.ndarray | None = None) -> np.ndarray:
-    """Apply exp(i dt/2 d^2/dx^2) to raw x-space samples."""
-    if dt == 0.0 and mult is None:
-        return values
-    if mult is None:
-        mult = _free_multiplier_fft(grid, dt)
-    return np.fft.ifft(np.fft.fft(values) * mult)
 
 
 def _forward_array(grid: Grid, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -265,130 +218,3 @@ def _j_spectrum(grid: Grid, alpha: np.ndarray) -> np.ndarray:
     spec *= grid._sign * (grid.dx / SQRT_2PI)
     spec[..., 0] = 0.0
     return spec
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def forward_transform(f: ComplexField) -> ComplexField:
-    """Map an x-space field to its frequency-side samples on ``grid.xi``.
-
-    Plancherel holds exactly: ``dx sum |f|^2 == dxi sum |Ff|^2`` up to
-    roundoff, and ``inverse_transform(forward_transform(f)) == f``.
-    """
-    if f.domain != "x":
-        raise ValueError("forward_transform expects an x-space field")
-    return ComplexField(f.grid, _forward_array(f.grid, f.values), f.time, domain="xi")
-
-
-def inverse_transform(f: ComplexField) -> ComplexField:
-    if f.domain != "xi":
-        raise ValueError("inverse_transform expects a frequency-side field")
-    return ComplexField(f.grid, _inverse_array(f.grid, f.values), f.time, domain="x")
-
-
-def free_propagate(f: ComplexField, dt: float) -> ComplexField:
-    """Evolve by the free flow: multiply the spectrum by exp(-i xi^2 dt / 2).
-
-    Unitary up to roundoff; satisfies the group law in ``dt``.  Negative
-    ``dt`` is allowed (used to pull a state back along the free flow).
-    ``dt == 0`` returns the input unchanged, Nyquist content included.
-    """
-    if f.domain != "x":
-        raise ValueError("free_propagate expects an x-space field")
-    dt = float(dt)
-    if dt == 0.0:
-        return f
-    out = _free_step_array(f.grid, f.values, dt)
-    return ComplexField(f.grid, out, f.time + dt, domain="x")
-
-
-def apply_M(f: ComplexField, t: float) -> ComplexField:
-    """Multiply by the quadratic phase exp(i x^2 / 2t).  Unimodular; t != 0."""
-    t = float(t)
-    if t == 0.0:
-        raise ValueError("quadratic phase is undefined at t = 0")
-    if f.domain != "x":
-        raise ValueError("apply_M expects an x-space field")
-    chirp = np.exp(0.5j * f.grid.x ** 2 / t)
-    return ComplexField(f.grid, f.values * chirp, f.time, domain="x")
-
-
-def apply_D(f: ComplexField, t: float) -> ComplexField:
-    """Exact grid-to-grid dilation (it)^{-1/2} phi(x/t), frequency side to x side.
-
-    Only defined when the dilation maps the frequency grid onto the spatial
-    grid exactly, i.e. ``dx == t * dxi`` (equivalently ``L^2 == 2 pi t N``).
-    Used inside the factorisation of the free propagator; never applied on
-    mismatched grids.
-    """
-    t = float(t)
-    if t == 0.0:
-        raise ValueError("dilation is undefined at t = 0")
-    if f.domain != "xi":
-        raise ValueError("apply_D expects a frequency-side field")
-    g = f.grid
-    if abs(g.dx - t * g.dxi) > 1e-9 * g.dx:
-        raise ValueError(
-            f"dilation by t={t} does not map this grid onto itself "
-            f"(need length^2 == 2 pi t N, i.e. L = {math.sqrt(2*math.pi*abs(t)*g.n_points):.6g})"
-        )
-    scale = 1.0 / np.sqrt(1j * t)
-    return ComplexField(g, f.values * scale, f.time, domain="x")
-
-
-def apply_J(f: ComplexField, t: float) -> ComplexField:
-    """Weighted translation x + i t d/dx, realised as U(t) x U(-t).
-
-    At ``t == 0`` this is exact multiplication by x (no transforms applied).
-    Commutes with the free flow, so its L2 norm is conserved along free
-    solutions.
-    """
-    if f.domain != "x":
-        raise ValueError("apply_J expects an x-space field")
-    t = float(t)
-    g = f.grid
-    if t == 0.0:
-        return ComplexField(g, g.x * f.values, f.time, domain="x")
-    back = _free_step_array(g, f.values, -t)
-    out = _free_step_array(g, g.x * back, t)
-    return ComplexField(g, out, f.time, domain="x")
-
-
-def sobolev_norm(f: ComplexField, s: float) -> float:
-    """Spectral Sobolev norm: sqrt(dxi sum <xi>^{2s} |Ff|^2)."""
-    spec = _forward_array(f.grid, f.values) if f.domain == "x" else f.values
-    w = (1.0 + f.grid.xi ** 2) ** s
-    return math.sqrt(float(f.grid.dxi * np.sum(w * np.abs(spec) ** 2)))
-
-
-def l2_norm(f: ComplexField) -> float:
-    w = f.grid.dx if f.domain == "x" else f.grid.dxi
-    return math.sqrt(float(w * np.sum(np.abs(f.values) ** 2)))
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Grid surrogates of the norms used by the decay estimates."""
-
-    l2: float
-    linf: float
-    h1: float
-    h2: float
-    h1_1: float
-
-
-def norms(f: ComplexField) -> NormReport:
-    """L2, sup, H^1, H^2 and weighted <x>-H^1 norms of an x-space field."""
-    if f.domain != "x":
-        raise ValueError("norms expects an x-space field")
-    weighted = ComplexField(f.grid, (1.0 + f.grid.x ** 2) ** 0.5 * f.values, f.time)
-    return NormReport(
-        l2=l2_norm(f),
-        linf=float(np.max(np.abs(f.values))),
-        h1=sobolev_norm(f, 1.0),
-        h2=sobolev_norm(f, 2.0),
-        h1_1=sobolev_norm(weighted, 1.0),
-    )
-

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 import nlspair as nl
+from nlspair.dynamics import _StrangKernel
 
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return nl.make_grid(256, 60.0)
+    return nl.Grid(256, 60.0)
 
 
 @pytest.fixture(scope="session")
 def transform_grid():
     # wide enough that a unit Gaussian is resolved to machine precision
-    return nl.make_grid(1024, 80.0)
+    return nl.Grid(1024, 80.0)
 
 
 @pytest.fixture()
@@ -20,8 +21,8 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def bandlimited_field(grid, rng, band_frac=0.25, amp=1.0, time=0.0):
-    """Seeded random field with spectrum confined to a central band."""
+def bandlimited_field(grid, rng, band_frac=0.25, amp=1.0):
+    """Seeded random x-space samples with spectrum confined to a central band."""
     coeff = np.zeros(grid.n_points, dtype=complex)
     mask = np.abs(grid.xi) <= band_frac * np.max(np.abs(grid.xi))
     n = int(mask.sum())
@@ -29,14 +30,32 @@ def bandlimited_field(grid, rng, band_frac=0.25, amp=1.0, time=0.0):
     from nlspair.spectral import _inverse_array
     vals = _inverse_array(grid, coeff)
     vals *= amp / np.max(np.abs(vals))
-    return nl.ComplexField(grid, vals, time)
+    return vals
 
 
-def gaussian_field(grid, amp=1.0, width=1.0, center=0.0, velocity=0.0, time=0.0):
-    vals = amp * np.exp(-0.5 * ((grid.x - center) / width) ** 2)
+def gaussian_field(grid, amp=1.0, width=1.0, center=0.0, velocity=0.0):
+    """Complex x-space samples of a Gaussian, modulated by ``velocity``."""
+    vals = amp * np.exp(-0.5 * ((grid.x - center) / width) ** 2) + 0j
     if velocity:
         vals = vals * np.exp(1j * velocity * grid.x)
-    return nl.ComplexField(grid, vals, time)
+    return vals
+
+
+def l2(grid, v):
+    """dx-weighted L2 norms along the last axis of x-space samples."""
+    return np.sqrt(grid.dx * np.sum(np.abs(v) ** 2, axis=-1))
+
+
+def free_flow(grid, v, t):
+    """``U(t) v`` by the Strang kernel's free flow, as the stepper applies it."""
+    return _StrangKernel(grid)._free(v, t)
+
+
+def strang_step(grid, v, t, dt):
+    """One Strang step of a ``(2, N)`` state on a fresh kernel: half free flow,
+    exact nonlinear substep, half free flow."""
+    kernel = _StrangKernel(grid)
+    return kernel.flush(kernel.step(v, t, dt))
 
 
 def cumtrapz_from_start(ts, vals):

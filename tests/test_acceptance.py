@@ -16,7 +16,14 @@ import nlspair as nl
 from nlspair import asymptotics as asy
 from nlspair import scattering as sc
 from nlspair.cli import main
-from nlspair.dynamics import DtPolicy, SolverConfig, mass_ledger, rk4_reference, run, strang_step
+from nlspair.dynamics import (
+    DtPolicy,
+    SolverConfig,
+    _decay_substep,
+    mass_ledger,
+    rk4_reference,
+    run,
+)
 from nlspair.fits import loglog_slope
 from nlspair.harness import (
     SCATTER_PRESETS,
@@ -39,9 +46,9 @@ from nlspair.profiles import (
     profile_history,
     remainder_history,
 )
-from nlspair.spectral import l2_norm
+from nlspair.spectral import _forward_array, _inverse_array
 
-from conftest import gaussian_field, rel_l2
+from conftest import bandlimited_field, free_flow, gaussian_field, l2, rel_l2, strang_step
 
 
 def _report(num: int, passed: bool, detail: str) -> bool:
@@ -57,8 +64,8 @@ def _report(num: int, passed: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def headline():
     cfg = preset_decoupling_headline()
-    pair = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
-    traj = run(cfg.solver, pair)
+    state = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
+    traj = run(cfg.solver, state)
     profiles = profile_history(traj)
     probes = remainder_history(traj)
     table = build_case_records(traj, profiles, probes, deadband=cfg.analysis.deadband)
@@ -68,8 +75,8 @@ def headline():
 @pytest.fixture(scope="module")
 def symmetric():
     cfg = preset_symmetric_log_decay()
-    pair = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
-    traj = run(cfg.solver, pair)
+    state = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
+    traj = run(cfg.solver, state)
     return {"cfg": cfg, "traj": traj, "profiles": profile_history(traj)}
 
 
@@ -90,33 +97,31 @@ def obstruction(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def test_c01_mass_difference_conserved(headline):
-    ledgers = headline["traj"].ledgers()
-    total0 = ledgers[0].mass1 + ledgers[0].mass2
-    drift = max(abs(l.diff - ledgers[0].diff) for l in ledgers)
+    mass1, mass2, diff, _ = headline["traj"].ledger.T
+    total0 = mass1[0] + mass2[0]
+    drift = np.max(np.abs(diff - diff[0]))
     ok = drift <= 1e-8 * total0
     assert _report(1, ok, f"max |diff(t)-diff(0)| = {drift:.3e} "
                           f"vs 1e-8 * total = {1e-8 * total0:.3e}")
 
 
 def test_c02_dissipation_rate_order():
-    g = nl.make_grid(256, 60.0)
-    pair0 = nl.FieldPair(gaussian_field(g, 0.4, 3.0),
-                         gaussian_field(g, 0.25, 4.0, velocity=0.2))
+    g = nl.Grid(256, 60.0)
+    state0 = np.stack([gaussian_field(g, 0.4, 3.0),
+                       gaussian_field(g, 0.25, 4.0, velocity=0.2)])
 
     def residuals(dt, T=2.0):
-        pair = pair0
-        ledgers = [mass_ledger(pair)]
-        t = 0.0
+        state = state0
+        ts, ledgers = [0.0], [mass_ledger(g, state)]
         for _ in range(round(T / dt)):
-            pair = strang_step(pair, t, dt)
-            t += dt
-            ledgers.append(mass_ledger(pair))
-        ts = np.array([l.t for l in ledgers])
-        inter = np.trapezoid([l.interaction for l in ledgers], ts)
+            state = strang_step(g, state, ts[-1], dt)
+            ts.append(ts[-1] + dt)
+            ledgers.append(mass_ledger(g, state))
+        (m1_0, m2_0, _, _), (m1, m2, _, _) = ledgers[0], ledgers[-1]
+        inter = np.trapezoid([row[3] for row in ledgers], np.array(ts))
         # each component dissipates at rate 2 * interaction, the total at 4x
-        r1 = abs(ledgers[-1].mass1 - ledgers[0].mass1 + 2 * inter)
-        rt = abs(ledgers[-1].mass1 + ledgers[-1].mass2
-                 - ledgers[0].mass1 - ledgers[0].mass2 + 4 * inter)
+        r1 = abs(m1 - m1_0 + 2 * inter)
+        rt = abs(m1 + m2 - m1_0 - m2_0 + 4 * inter)
         return r1, rt
 
     res = {dt: residuals(dt) for dt in (0.04, 0.02, 0.01)}
@@ -172,9 +177,9 @@ def test_c05_balanced_log_decay(symmetric):
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     windows_ok = max(ratios) <= 1.10
 
-    linf = [(cp.ledger.t, max(np.max(np.abs(cp.pair.u1.values)),
-                              np.max(np.abs(cp.pair.u2.values))))
-            for cp in symmetric["traj"].checkpoints if cp.ledger.t >= 100.0]
+    traj = symmetric["traj"]
+    late = traj.ts >= 100.0
+    linf = zip(traj.ts[late], np.max(np.abs(traj.states[late]), axis=(1, 2)))
     bounded = np.array([u * math.sqrt(t) * math.sqrt(math.log(t)) for t, u in linf])
     linf_ok = np.max(bounded) <= 1.25 * bounded[0]
     ok = windows_ok and linf_ok
@@ -201,31 +206,27 @@ def test_c06_reduced_flow_shadowing(headline):
 
 def test_c07_oracle_equivalence():
     # closed-form substep vs pointwise RK4
-    g = nl.make_grid(8, 8.0)
     u1 = np.full(8, math.sqrt(2.0) * np.exp(0.7j))
     u2 = np.full(8, np.exp(-0.3j))
-    pair = nl.FieldPair(nl.ComplexField(g, u1, 0.0), nl.ComplexField(g, u2, 0.0))
-    out = nl.nonlinear_substep(pair, 0.3)
+    out = np.stack([u1, u2])
+    _decay_substep(out, 0.3)
     h = 0.3 / 10000
     v = np.array([u1[0], u2[0]])
     for _ in range(10000):
         f = lambda w: np.array([-abs(w[1]) ** 2 * w[0], -abs(w[0]) ** 2 * w[1]])
         k1 = f(v); k2 = f(v + 0.5 * h * k1); k3 = f(v + 0.5 * h * k2); k4 = f(v + h * k3)
         v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    sub_err = max(abs(out.u1.values[0] - v[0]), abs(out.u2.values[0] - v[1]))
+    sub_err = max(abs(out[0, 0] - v[0]), abs(out[1, 0] - v[1]))
 
     # strang vs interaction-picture RK4 at T = 10
-    g2 = nl.make_grid(512, 300.0)
-    pair2 = nl.FieldPair(gaussian_field(g2, 0.1, 4.0),
-                         gaussian_field(g2, 0.05, 5.0, velocity=0.15))
+    g2 = nl.Grid(512, 300.0)
+    state2 = np.stack([gaussian_field(g2, 0.1, 4.0),
+                       gaussian_field(g2, 0.05, 5.0, velocity=0.15)])
     kw = dict(n_points=512, length=300.0, t_start=0.0, t_end=10.0,
               dt_policy=DtPolicy.fixed(0.005), checkpoint_times=(10.0,))
-    a = run(SolverConfig(**kw), pair2).checkpoints[-1].pair
-    b = rk4_reference(SolverConfig(scheme="rk4_reference", **kw), pair2).checkpoints[-1].pair
-    num = math.hypot(l2_norm(nl.ComplexField(g2, a.u1.values - b.u1.values)),
-                     l2_norm(nl.ComplexField(g2, a.u2.values - b.u2.values)))
-    den = math.hypot(l2_norm(a.u1), l2_norm(a.u2))
-    scheme_err = num / den
+    a = run(SolverConfig(**kw), state2).states[-1]
+    b = rk4_reference(SolverConfig(scheme="rk4_reference", **kw), state2).states[-1]
+    scheme_err = math.hypot(*l2(g2, a - b)) / math.hypot(*l2(g2, a))
     ok = sub_err <= 1e-10 and scheme_err <= 1e-6
     assert _report(7, ok, f"substep vs RK4 pointwise {sub_err:.2e} (tol 1e-10); "
                           f"strang vs rk4 at T=10: {scheme_err:.2e} (tol 1e-6)")
@@ -278,8 +279,8 @@ def test_c10_obstruction(obstruction):
 
 def test_c11_short_range_contrast():
     cfg = preset_short_range_contrast()
-    pair = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
-    traj = run(cfg.solver, pair)
+    state = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
+    traj = run(cfg.solver, state)
     profiles = profile_history(traj)
     dec = decoupling_history(profiles)
     ratio = dec.sup_product / dec.sup_products[0]
@@ -293,27 +294,25 @@ def test_c11_short_range_contrast():
 
 def test_c12_infrastructure(tmp_path, rng):
     # transform round trip
-    g = nl.make_grid(1024, 80.0)
-    from conftest import bandlimited_field
+    g = nl.Grid(1024, 80.0)
     f = bandlimited_field(g, rng)
-    back = nl.inverse_transform(nl.forward_transform(f))
-    rt = rel_l2(g, back.values, f.values)
+    back = _inverse_array(g, _forward_array(g, f))
+    rt = rel_l2(g, back, f)
 
-    # factorisation of the free propagator on a matched grid
+    # factorisation U(t) = M D F M of the stepper's free flow on a matched grid
     t, n = 4.0, 1024
-    gm = nl.make_grid(n, math.sqrt(2 * math.pi * t * n))
-    phi = nl.ComplexField(gm, np.exp(-gm.x ** 2 / 2) * np.exp(0.3j * gm.x), 0.0)
-    lhs = nl.free_propagate(phi, t)
-    rhs = nl.apply_M(nl.apply_D(nl.forward_transform(nl.apply_M(phi, t)), t), t)
-    mdfm = rel_l2(gm, rhs.values, lhs.values)
+    gm = nl.Grid(n, math.sqrt(2 * math.pi * t * n))
+    phi = np.exp(-gm.x ** 2 / 2) * np.exp(0.3j * gm.x)
+    lhs = free_flow(gm, phi, t)
+    chirp = np.exp(0.5j * gm.x ** 2 / t)
+    rhs = _forward_array(gm, phi * chirp) * (1.0 / np.sqrt(1j * t)) * chirp
+    mdfm = rel_l2(gm, rhs, lhs)
 
     # checkpoint round trip, bitwise
-    pair = nl.FieldPair(bandlimited_field(g, rng, time=1.5),
-                        bandlimited_field(g, rng, time=1.5))
-    persist_checkpoint(pair, tmp_path / "cp.bin")
-    loaded = load_checkpoint(tmp_path / "cp.bin")
-    bitwise_cp = (np.array_equal(loaded.u1.values, pair.u1.values)
-                  and np.array_equal(loaded.u2.values, pair.u2.values))
+    state = np.stack([bandlimited_field(g, rng), bandlimited_field(g, rng)])
+    persist_checkpoint(tmp_path / "cp.bin", g, 1.5, state)
+    t_loaded, loaded = load_checkpoint(tmp_path / "cp.bin", g)
+    bitwise_cp = t_loaded == 1.5 and np.array_equal(loaded, state)
 
     # deterministic rerun, bitwise CSV equality
     cfg = ExperimentConfig.from_dict({

@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nlspair as nl
 from nlspair import dynamics
 from nlspair.dynamics import (
     DtPolicy,
     SolverConfig,
-    boundary_mass_fraction,
     coupled_decay_ratios,
     mass_ledger,
     rk4_reference,
     run,
-    strang_step,
 )
 from nlspair.errors import ConfigError, GuardViolation
 from nlspair.profiles import profile_history
-from nlspair.spectral import l2_norm
+from nlspair.spectral import _pull_back, _push_forward
 
-from conftest import gaussian_field, rel_l2
+from conftest import free_flow, gaussian_field, l2, rel_l2, strang_step
 
 
 def rk4_pointwise(u1, u2, dt, n_sub):
@@ -41,10 +38,23 @@ def rk4_pointwise(u1, u2, dt, n_sub):
     return v
 
 
-def make_pair(grid, amps=(0.4, 0.25), widths=(3.0, 4.0), vel2=0.2, t=0.0):
-    u1 = gaussian_field(grid, amps[0], widths[0], time=t)
-    u2 = gaussian_field(grid, amps[1], widths[1], velocity=vel2, time=t)
-    return nl.FieldPair(u1, u2)
+def make_pair(grid, amps=(0.4, 0.25), widths=(3.0, 4.0), vel2=0.2):
+    """A ``(2, N)`` state of two Gaussians."""
+    return np.stack([gaussian_field(grid, amps[0], widths[0]),
+                     gaussian_field(grid, amps[1], widths[1], velocity=vel2)])
+
+
+def substep(v, dt):
+    """The exact nonlinear substep on a copy of a ``(2, N)`` state."""
+    out = np.array(v, dtype=complex)
+    dynamics._decay_substep(out, dt)
+    return out
+
+
+def boundary_mass_fraction(grid, v):
+    """Share of the mass of a ``(2, N)`` state in the guard's edge bands."""
+    edge, total = dynamics._band_mass(np.abs(v) ** 2, dynamics._edge_bands(grid))
+    return edge / total
 
 
 def reference_decay_ratios(a0, b0, s):
@@ -85,103 +95,95 @@ class TestNonlinearSubstep:
 
     def test_second_component_zero_is_identity(self, small_grid):
         u1 = gaussian_field(small_grid, 0.8, 2.0)
-        zero = nl.ComplexField(small_grid, np.zeros(small_grid.n_points), 0.0)
-        out = nl.nonlinear_substep(nl.FieldPair(u1, zero), 0.7)
-        assert np.array_equal(out.u1.values, u1.values)
-        assert np.all(out.u2.values == 0)
+        out = substep(np.stack([u1, np.zeros(small_grid.n_points)]), 0.7)
+        assert np.array_equal(out[0], u1)
+        assert np.all(out[1] == 0)
 
     def test_balanced_closed_form(self, small_grid):
         u = gaussian_field(small_grid, 0.9, 2.0, velocity=0.3)
-        out = nl.nonlinear_substep(nl.FieldPair(u, u), 0.5)
-        a0 = np.abs(u.values) ** 2
+        out = substep(np.stack([u, u]), 0.5)
+        a0 = np.abs(u) ** 2
         expected = a0 / (1.0 + 2.0 * a0 * 0.5)
-        assert np.max(np.abs(np.abs(out.u1.values) ** 2 - expected)) < 1e-14
+        assert np.max(np.abs(np.abs(out[0]) ** 2 - expected)) < 1e-14
 
     def test_generic_point_against_rk4(self, small_grid):
         n = small_grid.n_points
         u1 = np.full(n, math.sqrt(2.0) * np.exp(0.7j))
         u2 = np.full(n, 1.0 * np.exp(-0.3j))
-        pair = nl.FieldPair(nl.ComplexField(small_grid, u1, 0.0),
-                            nl.ComplexField(small_grid, u2, 0.0))
-        out = nl.nonlinear_substep(pair, 0.3)
+        out = substep(np.stack([u1, u2]), 0.3)
         ref = rk4_pointwise(u1[0], u2[0], 0.3, 10_000)
-        assert abs(out.u1.values[0] - ref[0]) < 1e-10
-        assert abs(out.u2.values[0] - ref[1]) < 1e-10
-        a = abs(out.u1.values[0]) ** 2
-        b = abs(out.u2.values[0]) ** 2
+        assert abs(out[0, 0] - ref[0]) < 1e-10
+        assert abs(out[1, 0] - ref[1]) < 1e-10
+        a = abs(out[0, 0]) ** 2
+        b = abs(out[1, 0]) ** 2
         assert abs((a - b) - 1.0) < 1e-13
 
     def test_pointwise_difference_conserved(self, small_grid, rng):
         n = small_grid.n_points
         u1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u2 = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        pair = nl.FieldPair(nl.ComplexField(small_grid, u1, 0.0),
-                            nl.ComplexField(small_grid, u2, 0.0))
-        out = nl.nonlinear_substep(pair, 0.4)
+        out = substep(np.stack([u1, u2]), 0.4)
         m0 = np.abs(u1) ** 2 - np.abs(u2) ** 2
-        m1 = np.abs(out.u1.values) ** 2 - np.abs(out.u2.values) ** 2
+        m1 = np.abs(out[0]) ** 2 - np.abs(out[1]) ** 2
         assert np.max(np.abs(m1 - m0)) <= 1e-13 * np.max(1.0 + np.abs(m0))
 
     def test_phases_untouched(self, small_grid, rng):
         n = small_grid.n_points
         u1 = np.exp(1j * rng.uniform(-3, 3, n)) * rng.uniform(0.1, 2.0, n)
         u2 = np.exp(1j * rng.uniform(-3, 3, n)) * rng.uniform(0.1, 2.0, n)
-        pair = nl.FieldPair(nl.ComplexField(small_grid, u1, 0.0),
-                            nl.ComplexField(small_grid, u2, 0.0))
-        out = nl.nonlinear_substep(pair, 0.9)
-        for before, after in ((u1, out.u1.values), (u2, out.u2.values)):
+        out = substep(np.stack([u1, u2]), 0.9)
+        for before, after in ((u1, out[0]), (u2, out[1])):
             mask = np.abs(after) > 1e-12
             dphase = np.angle(after[mask] / before[mask])
             assert np.max(np.abs(dphase)) < 1e-12
 
     def test_backward_rejected(self, small_grid):
-        pair = make_pair(small_grid)
-        with pytest.raises(ValueError):
-            nl.nonlinear_substep(pair, -0.1)
+        # the reversed flow blows up: the closed form is forward-only
+        sq = np.abs(make_pair(small_grid)) ** 2
+        with pytest.raises(ValueError, match="forward"):
+            coupled_decay_ratios(sq[0], sq[1], -0.1)
 
 
 class TestStrangStep:
     def test_zero_field(self, small_grid):
-        zero = nl.ComplexField(small_grid, np.zeros(small_grid.n_points), 0.0)
-        out = strang_step(nl.FieldPair(zero, zero), 0.0, 0.05)
-        assert np.all(out.u1.values == 0) and np.all(out.u2.values == 0)
+        out = strang_step(small_grid, np.zeros((2, small_grid.n_points), complex), 0.0, 0.05)
+        assert np.all(out == 0)
 
     def test_decoupled_equals_free_flow(self, small_grid):
         u1 = gaussian_field(small_grid, 0.8, 2.0)
-        zero = nl.ComplexField(small_grid, np.zeros(small_grid.n_points), 0.0)
-        out = strang_step(nl.FieldPair(u1, zero), 0.0, 0.25)
-        free = nl.free_propagate(u1, 0.25)
-        assert rel_l2(small_grid, out.u1.values, free.values) < 1e-13
+        out = strang_step(small_grid, np.stack([u1, np.zeros(small_grid.n_points)]), 0.0, 0.25)
+        free = _push_forward(small_grid, _pull_back(small_grid, u1, 0.0), 0.25)
+        assert rel_l2(small_grid, out[0], free) < 1e-13
 
     def test_richardson_order(self, small_grid):
         pair = make_pair(small_grid, amps=(0.5, 0.3))
         dt = 0.01
-        one = strang_step(pair, 0.0, dt)
-        two = strang_step(strang_step(pair, 0.0, dt / 2), dt / 2, dt / 2)
+        one = strang_step(small_grid, pair, 0.0, dt)
+        two = strang_step(small_grid, strang_step(small_grid, pair, 0.0, dt / 2), dt / 2, dt / 2)
         cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
                            t_start=0.0, t_end=dt, dt_policy=DtPolicy.fixed(1e-4),
                            checkpoint_times=(dt,), scheme="rk4_reference")
-        ref = rk4_reference(cfg, pair).checkpoints[-1].pair
-        e1 = rel_l2(small_grid, one.u1.values, ref.u1.values)
-        e2 = rel_l2(small_grid, two.u1.values, ref.u1.values)
+        ref = rk4_reference(cfg, pair).states[-1]
+        e1 = rel_l2(small_grid, one[0], ref[0])
+        e2 = rel_l2(small_grid, two[0], ref[0])
         order = math.log2(e1 / e2)
         assert order >= 1.9
 
 
-def stepped_checkpoints(cfg, pair):
-    """Repeated strang_step on the step sequence of ``run``; states at the checkpoints."""
+def stepped_checkpoints(cfg, v):
+    """Repeated Strang steps on the step sequence of ``run``; states at the checkpoints."""
     out, t, eps = [], cfg.t_start, 1e-9
     for target in cfg.resolved_checkpoints():
         while target > t + eps * max(1.0, t):
             dt = min(cfg.dt_policy.dt_at(t), target - t)
-            pair = strang_step(pair, t, dt)
+            v = strang_step(cfg.grid, v, t, dt)
             t = target if target - t - dt <= eps * max(1.0, target) else t + dt
-        out.append(pair)
+        out.append(v)
     return out
 
 
 class TestFusedKernel:
-    """``run`` merges adjacent half free steps; it must equal repeated strang_step."""
+    """``run`` merges adjacent half free steps; it must equal repeated Strang steps."""
 
     @pytest.mark.parametrize("policy, checkpoints", [
         (DtPolicy.fixed(0.05), (1.0, 2.0, 3.0)),
@@ -196,11 +198,11 @@ class TestFusedKernel:
         pair = make_pair(small_grid)
         traj = run(cfg, pair)
         assert traj.provenance["n_steps"] > 3 * len(checkpoints)
-        for cp, ref in zip(traj.checkpoints, stepped_checkpoints(cfg, pair), strict=True):
-            got = np.concatenate([cp.pair.u1.values, cp.pair.u2.values])
-            want = np.concatenate([ref.u1.values, ref.u2.values])
+        refs = stepped_checkpoints(cfg, pair)
+        assert len(refs) == len(traj.states)
+        for got, want in zip(traj.states, refs):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert cp.pair.time == pytest.approx(ref.time, abs=1e-9)
+        assert np.array_equal(traj.ts, checkpoints)
 
 
 def ladder_run(policy):
@@ -208,7 +210,7 @@ def ladder_run(policy):
     cfg = SolverConfig(n_points=1024, length=1200.0, t_end=1000.0, dt_policy=policy,
                        checkpoint_times=tuple(np.geomspace(2.0, 1000.0, 12)))
     g = cfg.grid
-    return run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 8.0), gaussian_field(g, 0.04, 12.0)))
+    return run(cfg, np.stack([gaussian_field(g, 0.1, 8.0), gaussian_field(g, 0.04, 12.0)]))
 
 
 class TestStepLadder:
@@ -296,25 +298,24 @@ class TestDecayRatioProperties:
 
 class TestMassLedger:
     def test_zero(self, small_grid):
-        zero = nl.ComplexField(small_grid, np.zeros(small_grid.n_points), 0.0)
-        led = mass_ledger(nl.FieldPair(zero, zero))
-        assert led.mass1 == led.mass2 == led.diff == led.interaction == 0.0
+        led = mass_ledger(small_grid, np.zeros((2, small_grid.n_points), complex))
+        assert led.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_disjoint_supports(self, small_grid):
         left = np.where(small_grid.x < 0, 1.0 + 0j, 0.0)
         right = np.where(small_grid.x >= 0, 1.0 + 0j, 0.0)
-        led = mass_ledger(nl.FieldPair(nl.ComplexField(small_grid, left, 0.0),
-                                       nl.ComplexField(small_grid, right, 0.0)))
-        assert led.interaction == 0.0
+        mass1, mass2, diff, interaction = mass_ledger(small_grid, np.stack([left, right]))
+        assert interaction == 0.0
+        assert diff == mass1 - mass2
 
     def test_unit_gaussian_interaction(self, transform_grid):
         from scipy.integrate import quad
         u = gaussian_field(transform_grid)
-        led = mass_ledger(nl.FieldPair(u, u))
+        interaction = mass_ledger(transform_grid, np.stack([u, u]))[3]
         closed_form = math.sqrt(math.pi / 2.0)
         oracle, _ = quad(lambda x: np.exp(-2 * x ** 2), -np.inf, np.inf)
-        assert led.interaction == pytest.approx(closed_form, rel=1e-12)
-        assert led.interaction == pytest.approx(oracle, rel=1e-10)
+        assert interaction == pytest.approx(closed_form, rel=1e-12)
+        assert interaction == pytest.approx(oracle, rel=1e-10)
 
 
 def fast_packet():
@@ -322,12 +323,12 @@ def fast_packet():
     cfg = SolverConfig(n_points=256, length=80.0, t_start=0.0, t_end=200.0,
                        checkpoint_times=tuple(np.linspace(5.0, 200.0, 20)))
     g = cfg.grid
-    pair = nl.FieldPair(gaussian_field(g, 0.2, 3.0, velocity=1.0),
-                        gaussian_field(g, 0.1, 3.0, velocity=-1.0))
+    pair = np.stack([gaussian_field(g, 0.2, 3.0, velocity=1.0),
+                     gaussian_field(g, 0.1, 3.0, velocity=-1.0)])
     return cfg, pair
 
 
-def first_crossing(cfg, pair):
+def first_crossing(cfg, v):
     """Mid-step time of the first step of ``run``'s step sequence whose state,
     half a free step on, holds more than the guard's share of the mass in the
     edge bands; None if no step does."""
@@ -335,13 +336,26 @@ def first_crossing(cfg, pair):
     for target in cfg.resolved_checkpoints():
         while target > t + eps * max(1.0, t):
             dt = min(cfg.dt_policy.dt_at(t), target - t)
-            mid = nl.FieldPair(nl.free_propagate(pair.u1, 0.5 * dt),
-                               nl.free_propagate(pair.u2, 0.5 * dt))
-            if boundary_mass_fraction(mid) > dynamics.BOUNDARY_MASS_TOL:
+            mid = free_flow(cfg.grid, v, 0.5 * dt)
+            if boundary_mass_fraction(cfg.grid, mid) > dynamics.BOUNDARY_MASS_TOL:
                 return t + 0.5 * dt
-            pair = strang_step(pair, t, dt)
+            v = strang_step(cfg.grid, v, t, dt)
             t = target if target - t - dt <= eps * max(1.0, target) else t + dt
     return None
+
+
+def ledger_residuals(grid, v, dt, T=2.0):
+    """Residuals of the integrated dissipation law after repeated Strang steps
+    of ``dt`` to ``T``: component 1, component 2 and the total."""
+    ts, ledgers = [0.0], [mass_ledger(grid, v)]
+    for _ in range(round(T / dt)):
+        v = strang_step(grid, v, ts[-1], dt)
+        ts.append(ts[-1] + dt)
+        ledgers.append(mass_ledger(grid, v))
+    ledgers = np.array(ledgers)
+    inter = np.trapezoid(ledgers[:, 3], ts)
+    m1, m2 = ledgers[-1, :2] - ledgers[0, :2]
+    return abs(m1 + 2 * inter), abs(m2 + 2 * inter), abs(m1 + m2 + 4 * inter)
 
 
 class TestRun:
@@ -353,32 +367,30 @@ class TestRun:
 
     def _data(self, cfg, amps=(0.15, 0.075)):
         g = cfg.grid
-        return nl.FieldPair(gaussian_field(g, amps[0], 4.0),
-                            gaussian_field(g, amps[1], 6.0, velocity=0.1))
+        return np.stack([gaussian_field(g, amps[0], 4.0),
+                         gaussian_field(g, amps[1], 6.0, velocity=0.1)])
 
     def test_zero_data_stays_zero(self):
         cfg = self._config(t_end=20.0)
-        g = cfg.grid
-        zero = nl.ComplexField(g, np.zeros(g.n_points), 0.0)
-        traj = run(cfg, nl.FieldPair(zero, zero))
-        assert all(c.ledger.mass1 == 0 and c.ledger.mass2 == 0 for c in traj.checkpoints)
+        traj = run(cfg, np.zeros((2, cfg.n_points), complex))
+        assert np.all(traj.ledger[:, :2] == 0)
 
     def test_mass_monotone_and_difference_conserved(self):
         cfg = self._config()
         traj = run(cfg, self._data(cfg))
-        ledgers = traj.ledgers()
-        total = [l.mass1 + l.mass2 for l in ledgers]
-        assert all(b <= a + 1e-12 for a, b in zip(total, total[1:]))
-        drift = max(abs(l.diff - ledgers[0].diff) for l in ledgers)
+        total = traj.ledger[:, 0] + traj.ledger[:, 1]
+        assert np.all(total[1:] <= total[:-1] + 1e-12)
+        drift = np.max(np.abs(traj.ledger[:, 2] - traj.ledger[0, 2]))
         assert drift <= 1e-8 * total[0]
 
     def test_ledger_consistent_with_pair(self):
         cfg = self._config(t_end=10.0)
         traj = run(cfg, self._data(cfg))
-        for cp in traj.checkpoints:
-            again = mass_ledger(cp.pair)
-            assert again.mass1 == pytest.approx(cp.ledger.mass1, rel=1e-12)
-            assert again.interaction == pytest.approx(cp.ledger.interaction, rel=1e-12)
+        assert traj.ledger.shape == (len(traj.ts), 4)
+        for v, row in zip(traj.states, traj.ledger, strict=True):
+            again = mass_ledger(traj.grid, v)
+            assert np.array_equal(again, row)
+            assert again[0] == pytest.approx(traj.grid.dx * np.sum(np.abs(v[0]) ** 2), rel=1e-12)
 
     def test_checkpoint_times_exact(self):
         cfg = self._config(t_end=50.0)
@@ -398,30 +410,14 @@ class TestRun:
 
     def test_boundary_fraction_of_centered_data(self, small_grid):
         pair = make_pair(small_grid)
-        assert boundary_mass_fraction(pair) < 1e-12
+        assert boundary_mass_fraction(small_grid, pair) < 1e-12
+        dynamics._guard(small_grid, pair, 0.0)
 
     def test_dissipation_rate_second_order(self, small_grid):
         # each component loses mass at rate 2 * interaction; the total at 4x.
         # residual of the integrated law must shrink at second order in dt
         pair0 = make_pair(small_grid)
-
-        def residuals(dt, T=2.0):
-            pair = pair0
-            ledgers = [mass_ledger(pair)]
-            t = 0.0
-            for _ in range(round(T / dt)):
-                pair = strang_step(pair, t, dt)
-                t += dt
-                ledgers.append(mass_ledger(pair))
-            ts = np.array([l.t for l in ledgers])
-            inter = np.trapezoid([l.interaction for l in ledgers], ts)
-            m1 = ledgers[-1].mass1 - ledgers[0].mass1
-            m2 = ledgers[-1].mass2 - ledgers[0].mass2
-            return abs(m1 + 2 * inter), abs(m2 + 2 * inter), abs(m1 + m2 + 4 * inter)
-
-        coarse = residuals(0.04)
-        mid = residuals(0.02)
-        fine = residuals(0.01)
+        coarse, mid, fine = (ledger_residuals(small_grid, pair0, dt) for dt in (0.04, 0.02, 0.01))
         for k in range(3):
             assert math.log2(coarse[k] / mid[k]) >= 1.9
             assert math.log2(mid[k] / fine[k]) >= 1.9
@@ -437,20 +433,16 @@ class TestRk4Reference:
 
     def test_zero_data(self):
         cfg = self._config()
-        g = cfg.grid
-        zero = nl.ComplexField(g, np.zeros(g.n_points), 0.0)
-        traj = rk4_reference(cfg, nl.FieldPair(zero, zero))
-        assert traj.checkpoints[-1].ledger.mass1 == 0.0
+        traj = rk4_reference(cfg, np.zeros((2, cfg.n_points), complex))
+        assert traj.ledger[-1, 0] == 0.0
 
     def test_decoupled_matches_free_flow(self):
         cfg = self._config()
         g = cfg.grid
         u1 = gaussian_field(g, 0.3, 3.0)
-        zero = nl.ComplexField(g, np.zeros(g.n_points), 0.0)
-        traj = rk4_reference(cfg, nl.FieldPair(u1, zero))
-        out = traj.checkpoints[-1].pair.u1
-        free = nl.free_propagate(u1, 5.0)
-        assert rel_l2(g, out.values, free.values) < 1e-8
+        traj = rk4_reference(cfg, np.stack([u1, np.zeros(g.n_points)]))
+        free = free_flow(g, u1, 5.0)
+        assert rel_l2(g, traj.states[-1, 0], free) < 1e-8
 
     def test_agrees_with_strang(self):
         cfg_r = self._config(t_end=10.0, checkpoint_times=(10.0,),
@@ -458,26 +450,19 @@ class TestRk4Reference:
         cfg_s = SolverConfig(n_points=256, length=120.0, t_start=0.0, t_end=10.0,
                              dt_policy=DtPolicy.fixed(0.005), checkpoint_times=(10.0,))
         g = cfg_s.grid
-        pair = nl.FieldPair(gaussian_field(g, 0.1, 3.0),
-                            gaussian_field(g, 0.05, 4.0, velocity=0.15))
-        a = run(cfg_s, pair).checkpoints[-1].pair
-        b = rk4_reference(cfg_r, pair).checkpoints[-1].pair
-        num = math.hypot(
-            l2_norm(nl.ComplexField(g, a.u1.values - b.u1.values, 10.0)),
-            l2_norm(nl.ComplexField(g, a.u2.values - b.u2.values, 10.0)),
-        )
-        den = math.hypot(l2_norm(a.u1), l2_norm(a.u2))
-        assert num / den < 1e-6
+        pair = np.stack([gaussian_field(g, 0.1, 3.0),
+                         gaussian_field(g, 0.05, 4.0, velocity=0.15)])
+        a = run(cfg_s, pair).states[-1]
+        b = rk4_reference(cfg_r, pair).states[-1]
+        assert math.hypot(*l2(g, a - b)) / math.hypot(*l2(g, a)) < 1e-6
 
     def test_conservative_coupling_preserves_mass(self):
         cfg = self._config(coupling="conservative")
         g = cfg.grid
-        pair = nl.FieldPair(gaussian_field(g, 0.2, 3.0),
-                            gaussian_field(g, 0.15, 4.0))
+        pair = np.stack([gaussian_field(g, 0.2, 3.0), gaussian_field(g, 0.15, 4.0)])
         traj = rk4_reference(cfg, pair)
-        m0 = mass_ledger(pair)
-        mT = traj.checkpoints[-1].ledger
-        assert mT.mass1 + mT.mass2 == pytest.approx(m0.mass1 + m0.mass2, rel=1e-10)
+        m0 = mass_ledger(g, pair)
+        assert traj.ledger[-1, :2].sum() == pytest.approx(m0[:2].sum(), rel=1e-10)
 
     def test_guard_trips_on_fast_packet(self):
         cfg, pair = fast_packet()
@@ -544,11 +529,9 @@ class TestDeterminism:
         cfg = SolverConfig(n_points=256, length=160.0, t_end=20.0,
                            checkpoint_times=(2.0, 10.0, 20.0))
         g = cfg.grid
-        pair = nl.FieldPair(gaussian_field(g, 0.2, 3.0),
-                            gaussian_field(g, 0.1, 4.0, velocity=0.1))
+        pair = np.stack([gaussian_field(g, 0.2, 3.0),
+                         gaussian_field(g, 0.1, 4.0, velocity=0.1)])
         a = run(cfg, pair)
         b = run(cfg, pair)
-        for ca, cb in zip(a.checkpoints, b.checkpoints):
-            assert np.array_equal(ca.pair.u1.values, cb.pair.u1.values)
-            assert np.array_equal(ca.pair.u2.values, cb.pair.u2.values)
-            assert ca.ledger == cb.ledger
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.ledger, b.ledger)

@@ -28,14 +28,14 @@ from nlspair.harness import (
     write_csv,
 )
 from nlspair.profiles import BALANCED, build_case_records
-from nlspair.spectral import _push_forward, l2_norm
+from nlspair.spectral import _forward_array, _push_forward
 
-from conftest import gaussian_field
+from conftest import gaussian_field, l2
 
 
 @pytest.fixture()
 def grid():
-    return nl.make_grid(256, 200.0)
+    return nl.Grid(256, 200.0)
 
 
 def tiny_config_dict(t_end=120.0):
@@ -57,18 +57,18 @@ def tiny_config_dict(t_end=120.0):
 
 class TestInitialData:
     def test_copy_is_exactly_symmetric(self, grid):
-        pair = generate_initial_data({"kind": "gaussian", "amp": 0.1, "width": 4.0},
-                                     {"kind": "copy"}, grid, seed=3)
-        assert np.array_equal(pair.u1.values, pair.u2.values)
+        state = generate_initial_data({"kind": "gaussian", "amp": 0.1, "width": 4.0},
+                                      {"kind": "copy"}, grid, seed=3)
+        assert state.shape == (2, grid.n_points) and state.dtype == np.complex128
+        assert np.array_equal(state[0], state[1])
 
     def test_mass_asymmetry_gives_positive_difference(self, grid):
         # 2:1 mass ratio guarantees a nonvanishing limit for one component
-        pair = generate_initial_data(
+        state = generate_initial_data(
             {"kind": "gaussian", "amp": 0.1, "width": 4.0},
             {"kind": "gaussian", "amp": 0.1 / np.sqrt(2.0), "width": 4.0},
             grid, seed=3)
-        m1 = l2_norm(pair.u1) ** 2
-        m2 = l2_norm(pair.u2) ** 2
+        m1, m2 = l2(grid, state) ** 2
         assert m1 == pytest.approx(2.0 * m2, rel=1e-12)
         assert m1 - m2 > 0
 
@@ -77,17 +77,15 @@ class TestInitialData:
         spec2 = {"kind": "random", "amp": 0.05, "band": 0.5}
         a = generate_initial_data(spec1, spec2, grid, seed=42)
         b = generate_initial_data(spec1, spec2, grid, seed=42)
-        assert np.array_equal(a.u1.values, b.u1.values)
-        assert np.array_equal(a.u2.values, b.u2.values)
+        assert np.array_equal(a, b)
         c = generate_initial_data(spec1, spec2, grid, seed=43)
-        assert not np.array_equal(a.u1.values, c.u1.values)
+        assert not np.array_equal(a[0], c[0])
 
     def test_modulated_gaussian(self, grid):
-        pair = generate_initial_data(
+        state = generate_initial_data(
             {"kind": "gaussian", "amp": 0.1, "width": 4.0, "velocity": 0.3},
             {"kind": "copy"}, grid, seed=0)
-        spec = nl.forward_transform(pair.u1)
-        peak = grid.xi[np.argmax(np.abs(spec.values))]
+        peak = grid.xi[np.argmax(np.abs(_forward_array(grid, state[0])))]
         assert peak == pytest.approx(0.3, abs=2 * grid.dxi)
 
     @pytest.mark.parametrize("kind, key, value", [
@@ -113,53 +111,60 @@ class TestInitialData:
                                    "wdith": 2.0}, {"kind": "copy"}, grid, seed=0)
 
     def test_size_report(self, grid):
-        pair = generate_initial_data({"kind": "gaussian", "amp": 0.1, "width": 4.0},
-                                     {"kind": "copy"}, grid, seed=0)
-        rep = data_size_report(pair)
+        state = generate_initial_data({"kind": "gaussian", "amp": 0.1, "width": 4.0},
+                                      {"kind": "copy"}, grid, seed=0)
+        rep = data_size_report(grid, state)
         assert rep["l2"] > 0 and rep["h2"] > 0 and rep["h1_1"] > 0
+        # the pair of equal components has sqrt(2) times the L2 norm of one
+        assert rep["l2"] == pytest.approx(np.sqrt(2.0) * l2(grid, state[0]), rel=1e-14)
 
 
 class TestCheckpointFormat:
-    def _pair(self, grid):
+    def _state(self, grid):
         rng = np.random.default_rng(5)
         n = grid.n_points
-        return nl.FieldPair(
-            nl.ComplexField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n), 3.5),
-            nl.ComplexField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n), 3.5),
-        )
+        return rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
 
     def test_round_trip_bitwise(self, grid, tmp_path):
-        pair = self._pair(grid)
+        state = self._state(grid)
         path = tmp_path / "cp.bin"
-        persist_checkpoint(pair, path)
-        back = load_checkpoint(path)
-        assert back.grid == grid
-        assert back.time == 3.5
-        assert np.array_equal(back.u1.values, pair.u1.values)
-        assert np.array_equal(back.u2.values, pair.u2.values)
+        persist_checkpoint(path, grid, 3.5, state)
+        t, back = load_checkpoint(path, grid)
+        assert t == 3.5
+        assert back.shape == (2, grid.n_points) and not back.flags.writeable
+        assert np.array_equal(back, state)
 
     def test_version_mismatch_rejected(self, grid, tmp_path):
         path = tmp_path / "cp.bin"
-        persist_checkpoint(self._pair(grid), path)
+        persist_checkpoint(path, grid, 3.5, self._state(grid))
         raw = bytearray(path.read_bytes())
         raw[8] = 99   # version field
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            load_checkpoint(path, grid)
 
     def test_bad_magic_rejected(self, grid, tmp_path):
         path = tmp_path / "cp.bin"
         path.write_bytes(b"NOTACKPT" + bytes(100))
         with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(path)
+            load_checkpoint(path, grid)
 
     def test_truncated_payload_rejected(self, grid, tmp_path):
         path = tmp_path / "cp.bin"
-        persist_checkpoint(self._pair(grid), path)
+        persist_checkpoint(path, grid, 3.5, self._state(grid))
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="payload"):
-            load_checkpoint(path)
+            load_checkpoint(path, grid)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_payload_rejected(self, grid, tmp_path, value):
+        state = self._state(grid)
+        state[1, 7] = complex(0.5, value)
+        path = tmp_path / "cp.bin"
+        persist_checkpoint(path, grid, 3.5, state)
+        with pytest.raises(CheckpointError, match="cp.bin: payload holds non-finite"):
+            load_checkpoint(path, grid)
 
 
 class TestExperimentConfig:
@@ -461,9 +466,12 @@ class TestTrajectoryLayout:
     def _assert_rows_are_views(self, traj):
         assert traj.states.shape == (len(traj.ts), 2, traj.grid.n_points)
         assert not traj.states.flags.writeable
+        assert traj.ledger.shape == (len(traj.ts), 4) and not traj.ledger.flags.writeable
+        assert traj.checkpoints is traj.checkpoints     # built once, on first access
+        assert len(traj.checkpoints) == len(traj.ts)
         for i, cp in enumerate(traj.checkpoints):
             assert cp.pair.grid is traj.grid
-            assert cp.pair.time == traj.ts[i] == cp.ledger.t
+            assert cp.pair.time == traj.ts[i] and type(cp.pair.time) is float
             for j, f in enumerate((cp.pair.u1, cp.pair.u2)):
                 assert np.shares_memory(f.values, traj.states)
                 assert np.array_equal(f.values, traj.states[i, j])
@@ -472,7 +480,7 @@ class TestTrajectoryLayout:
         cfg = SolverConfig(n_points=256, length=200.0, t_end=20.0,
                            checkpoint_times=(0.0, 5.0, 10.0, 20.0))
         g = cfg.grid
-        traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)))
+        traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
         self._assert_rows_are_views(traj)
 
     def test_loaded_rows_are_views(self, stored_run):
@@ -497,6 +505,40 @@ class TestTrajectoryLayout:
         manifest["config"]["solver"]["n_points"] = 1024
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         _analyze_rejected(run_dir, capsys, "cp_0000.bin")
+
+    @pytest.mark.parametrize("removed, missing", [((5, 6), 5), ((20,), 20)],
+                             ids=["gap", "last"])
+    def test_analyze_rejects_missing_checkpoint_times(self, stored_run, tmp_path, capsys,
+                                                      removed, missing):
+        # the files must hold every checkpoint time of the config: a gap or a
+        # lost last file would change the fits silently
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        for i in removed:
+            (run_dir / "checkpoints" / f"cp_{i:04d}.bin").unlink()
+        reports = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+        want = ExperimentConfig.from_dict(tiny_config_dict()).solver.resolved_checkpoints()
+        _analyze_rejected(run_dir, capsys, f"no checkpoint at the config's time "
+                                           f"{want[missing]:g}")
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()} == reports
+
+    def test_analyze_rejects_unexpected_checkpoint_time(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        path = run_dir / "checkpoints" / "cp_0003.bin"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 28, 2.75)     # time, after magic, version, N and length
+        path.write_bytes(bytes(raw))
+        _analyze_rejected(run_dir, capsys, "cp_0003.bin: time 2.75 is not a checkpoint time")
+
+    def test_analyze_rejects_non_finite_checkpoint(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        path = run_dir / "checkpoints" / "cp_0010.bin"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 36 + 16 * 100, np.nan)    # a sample of u1
+        path.write_bytes(bytes(raw))
+        _analyze_rejected(run_dir, capsys, "cp_0010.bin: payload holds non-finite samples")
 
     @pytest.mark.parametrize("text", ['{"schema": "x"}', "[1]", '{"schema"'],
                              ids=["no-config", "not-an-object", "not-json"])
@@ -526,8 +568,7 @@ class TestAnalysisMemory:
                           0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
         (tmp_path / "checkpoints").mkdir()
         for i, (t, u) in enumerate(zip(ts, _push_forward(g, alpha, ts[:, None]))):
-            pair = nl.FieldPair(nl.ComplexField(g, u[0], t), nl.ComplexField(g, u[1], t))
-            persist_checkpoint(pair, tmp_path / "checkpoints" / f"cp_{i:04d}.bin")
+            persist_checkpoint(tmp_path / "checkpoints" / f"cp_{i:04d}.bin", g, t, u)
         traj = load_trajectory(tmp_path, cfg)
         tracemalloc.start()
         try:

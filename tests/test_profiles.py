@@ -20,9 +20,9 @@ from nlspair.profiles import (
     profile_history,
     remainder_history,
 )
-from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back, l2_norm
+from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back
 
-from conftest import cumtrapz_from_start, gaussian_field
+from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +33,7 @@ def generic_run():
         checkpoint_times=tuple([0.0] + list(np.geomspace(2.0, 150.0, 28))),
     )
     g = cfg.grid
-    pair = nl.FieldPair(gaussian_field(g, 0.15, 4.0),
-                        gaussian_field(g, 0.075, 6.0))
-    traj = run(cfg, pair)
+    traj = run(cfg, np.stack([gaussian_field(g, 0.15, 4.0), gaussian_field(g, 0.075, 6.0)]))
     profiles = profile_history(traj)
     probes = remainder_history(traj)
     return traj, profiles, probes
@@ -49,8 +47,7 @@ def free_component_run():
         checkpoint_times=tuple(np.geomspace(2.0, 150.0, 24)),
     )
     g = cfg.grid
-    zero = nl.ComplexField(g, np.zeros(g.n_points), 0.0)
-    traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.2, 4.0), zero))
+    traj = run(cfg, np.stack([gaussian_field(g, 0.2, 4.0), np.zeros(g.n_points)]))
     return traj, profile_history(traj), remainder_history(traj)
 
 
@@ -60,8 +57,7 @@ def swapped_run():
     cfg = SolverConfig(n_points=512, length=360.0, t_start=0.0, t_end=150.0,
                        checkpoint_times=tuple(np.geomspace(2.0, 150.0, 28)))
     g = cfg.grid
-    traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.075, 6.0),
-                                 gaussian_field(g, 0.15, 4.0)))
+    traj = run(cfg, np.stack([gaussian_field(g, 0.075, 6.0), gaussian_field(g, 0.15, 4.0)]))
     return traj, profile_history(traj), remainder_history(traj)
 
 
@@ -92,8 +88,7 @@ class TestFftBudget:
             cfg = SolverConfig(n_points=256, length=200.0, t_end=10.0,
                                checkpoint_times=tuple(np.geomspace(2.0, 10.0, n_t)))
             g = cfg.grid
-            traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0),
-                                         gaussian_field(g, 0.05, 5.0)))
+            traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
             assert len(P._blocks(g, n_t)) == 1
             before = sum(fft_calls.values())
             remainder_history(traj, profiles=profile_history(traj))
@@ -225,7 +220,7 @@ class TestThreadedBlocks:
     def test_pull_back_on_threads_matches_serial(self, rng):
         # more threads than CPUs and a short switch interval, against the
         # same transforms in one thread
-        grids = [nl.make_grid(2 ** k, 50.0 * k) for k in range(4, 14)]
+        grids = [nl.Grid(2 ** k, 50.0 * k) for k in range(4, 14)]
         states = [rng.standard_normal((2, g.n_points)) + 1j * rng.standard_normal((2, g.n_points))
                   for g in grids]
         jobs = [(grids[i % 10], states[i % 10], rng.uniform(1.0, 1e4)) for i in range(500)]
@@ -244,30 +239,29 @@ class TestExtractProfiles:
     def test_free_solution_profile_constant(self, transform_grid):
         g = transform_grid
         phi = gaussian_field(g, 0.5, 1.5, velocity=0.4)
-        phi_hat = nl.forward_transform(phi).values
+        phi_hat = _forward_array(g, phi)
         for t in (0.5, 3.0, 12.0):
-            u = nl.free_propagate(phi, t).values
+            u = free_flow(g, phi, t)
             alpha = _pull_back(g, np.stack([u, u]), t)
             assert np.max(np.abs(alpha[0] - phi_hat)) < 1e-10
 
     def test_time_zero_is_plain_spectrum(self, small_grid):
-        pair = nl.FieldPair(gaussian_field(small_grid, 0.3, 2.0),
-                            gaussian_field(small_grid, 0.2, 3.0))
-        alpha = _pull_back(small_grid, np.stack([pair.u1.values, pair.u2.values]), 0.0)
-        assert np.allclose(alpha[0], nl.forward_transform(pair.u1).values)
+        pair = np.stack([gaussian_field(small_grid, 0.3, 2.0),
+                         gaussian_field(small_grid, 0.2, 3.0)])
+        alpha = _pull_back(small_grid, pair, 0.0)
+        assert np.allclose(alpha[0], _forward_array(small_grid, pair[0]))
 
     def test_unitarity_along_run(self, generic_run):
         traj, profiles, _ = generic_run
-        cps = [c for c in traj.checkpoints if c.ledger.t >= 2.0]
-        assert len(profiles) == len(cps)
+        late = traj.ts >= 2.0
+        assert len(profiles) == np.count_nonzero(late)
+        assert np.array_equal(profiles.ts, traj.ts[late])
         norms = np.sqrt(traj.grid.dxi * np.sum(np.abs(profiles.alpha) ** 2, axis=-1))
-        for cp, (n1, n2), t, alpha in zip(cps, norms, profiles.ts, profiles.alpha, strict=True):
-            assert abs(n1 - l2_norm(cp.pair.u1)) <= 1e-12 * max(n1, 1e-30)
-            assert abs(n2 - l2_norm(cp.pair.u2)) <= 1e-12 * max(n2, 1e-30)
+        for v, norm, t, alpha in zip(traj.states[late], norms, profiles.ts, profiles.alpha,
+                                     strict=True):
+            assert np.all(np.abs(norm - l2(traj.grid, v)) <= 1e-12 * np.maximum(norm, 1e-30))
             # the batched history against the one-snapshot pull-back
-            assert t == cp.pair.time
-            one = _pull_back(cp.pair.grid, np.stack([cp.pair.u1.values, cp.pair.u2.values]), t)
-            assert np.array_equal(alpha, one)
+            assert np.array_equal(alpha, _pull_back(traj.grid, v, t))
 
 
 class TestRemainderProbe:
@@ -280,18 +274,18 @@ class TestRemainderProbe:
         # free multiplier, no FFT anywhere
         g = small_grid
         t = 3.7
-        u1 = nl.free_propagate(gaussian_field(g, 0.5, 1.0, velocity=0.3), t)
-        u2 = nl.free_propagate(gaussian_field(g, 0.4, 1.5, center=1.0), t)
+        u1 = free_flow(g, gaussian_field(g, 0.5, 1.0, velocity=0.3), t)
+        u2 = free_flow(g, gaussian_field(g, 0.4, 1.5, center=1.0), t)
         cfg = SolverConfig(n_points=g.n_points, length=g.length, t_end=t)
         traj = Trajectory(config=cfg, ts=np.array([t]),
-                          states=np.stack([u1.values, u2.values])[None], provenance={})
+                          states=np.stack([u1, u2])[None], provenance={})
         r1 = remainder_history(traj).r[0, 0]
 
         dft = np.exp(-1j * np.outer(g.xi, g.x)) * (g.dx / SQRT_2PI)
         mult = np.exp(0.5j * g.xi ** 2 * t)
-        a1 = mult * (dft @ u1.values)
-        a2 = mult * (dft @ u2.values)
-        n1 = np.abs(u2.values) ** 2 * u1.values
+        a1 = mult * (dft @ u1)
+        a2 = mult * (dft @ u2)
+        n1 = np.abs(u2) ** 2 * u1
         r1_direct = np.abs(a2) ** 2 * a1 / t - mult * (dft @ n1)
         assert np.max(np.abs(r1 - r1_direct)) < 1e-10 * np.max(np.abs(r1))
 
@@ -333,7 +327,7 @@ class TestEstimateM:
                            checkpoint_times=tuple(np.geomspace(2.0, 120.0, 24)))
         g = cfg.grid
         u = gaussian_field(g, 0.15, 4.0)
-        traj = run(cfg, nl.FieldPair(u, u))
+        traj = run(cfg, np.stack([u, u]))
         table = build_case_records(traj)
         assert np.max(np.abs(table.m_a)) < 1e-14
 
@@ -353,8 +347,7 @@ class TestEstimateM:
         cfg = SolverConfig(n_points=256, length=200.0, t_start=0.0, t_end=20.0,
                            checkpoint_times=tuple(np.geomspace(2.0, 20.0, 12)))
         g = cfg.grid
-        traj = run(cfg, nl.FieldPair(gaussian_field(g, 0.1, 4.0),
-                                     gaussian_field(g, 0.05, 5.0)))
+        traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
         with pytest.raises(ValueError, match="too short"):
             build_case_records(traj)
 

@@ -10,7 +10,6 @@ from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.scattering import (
     _apply_map,
     _xt_norm,
-    asymptotic_wave,
     build_final_state,
     dyadic_profile_drift,
     nonlinearity_norms,
@@ -23,11 +22,13 @@ from nlspair.scattering import _w_sharp_arrays
 from nlspair.spectral import (
     SQRT_2PI,
     _free_multiplier_fft,
-    _free_step_array,
+    _inverse_array,
     _j_spectrum,
+    _pull_back,
     _push_forward,
-    l2_norm,
 )
+
+from conftest import l2
 
 WINDOW_L = {"kind": "window", "lo": -0.9, "hi": -0.3, "amp": 0.05}
 WINDOW_R = {"kind": "window", "lo": 0.3, "hi": 0.9, "amp": 0.05}
@@ -86,7 +87,7 @@ def reference_picard(spec, T, T_max, max_iters, tol, n_time):
 
 @pytest.fixture(scope="module")
 def grid():
-    return nl.make_grid(4096, 10000.0)
+    return nl.Grid(4096, 10000.0)
 
 
 @pytest.fixture(scope="module")
@@ -135,65 +136,81 @@ class TestBuildFinalState:
             build_final_state(grid, [WINDOW_L], [WINDOW_R], s=1.0)
 
 
+def leading_and_remainder(spec, t):
+    """``(w#, U(t) psi+ - w#)`` as ``(2, N)`` states at the time t."""
+    sharp = np.stack(_w_sharp_arrays(spec, t))
+    free = _push_forward(spec.grid, np.stack([spec.psi_hat_1, spec.psi_hat_2]), t)
+    return sharp, free - sharp
+
+
 class TestAsymptoticWave:
+    """The leading wave ``_w_sharp_arrays`` that starts the Picard map, and
+    its remainder against the free wave ``_push_forward``."""
+
     def test_decomposition_identity(self, decoupled_spec):
-        w = asymptotic_wave(decoupled_spec, 500.0)
+        # rows of the batched waves at an array of times are the waves at each time
         g = decoupled_spec.grid
-        u1 = _push_forward(g, decoupled_spec.psi_hat_1, 500.0)
-        u2 = _push_forward(g, decoupled_spec.psi_hat_2, 500.0)
-        assert np.max(np.abs(w.w_sharp.u1.values + w.w_flat.u1.values - u1)) < 1e-12
-        assert np.max(np.abs(w.w_sharp.u2.values + w.w_flat.u2.values - u2)) < 1e-12
+        ts = np.array([50.0, 500.0, 5000.0])
+        s1, s2 = _w_sharp_arrays(decoupled_spec, ts)
+        free = _push_forward(g, decoupled_spec.psi_hat_1, ts)
+        for i, t in enumerate(ts):
+            one1, one2 = _w_sharp_arrays(decoupled_spec, t)
+            assert np.array_equal(s1[i], one1) and np.array_equal(s2[i], one2)
+            u1 = _push_forward(g, decoupled_spec.psi_hat_1, t)
+            assert np.max(np.abs(free[i] - u1)) < 1e-12
+        # U(t) psi+ = w# + remainder, and the remainder shrinks in time
+        rest = l2(g, free - s1)
+        assert np.all(np.diff(rest) < 0) and rest[-1] < 0.1 * l2(g, free[-1])
 
     def test_leading_wave_norms(self):
         # fine grid: the sampled dilation must resolve the window transitions
-        g = nl.make_grid(65536, 22000.0)
+        g = nl.Grid(65536, 22000.0)
         spec = build_final_state(g, [WINDOW_L], [WINDOW_R], s=2.0)
-        psi = spec.psi_pair()
-        psi_l2 = math.hypot(l2_norm(psi.u1), l2_norm(psi.u2))
+        psi = _inverse_array(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]))
+        psi_l2 = math.hypot(*l2(g, psi))
         for t in (100.0, 1000.0, 10000.0):
-            w = asymptotic_wave(spec, t)
-            sharp_l2 = math.hypot(l2_norm(w.w_sharp.u1), l2_norm(w.w_sharp.u2))
+            sharp, _ = leading_and_remainder(spec, t)
+            sharp_l2 = math.hypot(*l2(g, sharp))
             assert abs(sharp_l2 - psi_l2) <= 1e-10 * psi_l2
-            sup = max(np.max(np.abs(w.w_sharp.u1.values)),
-                      np.max(np.abs(w.w_sharp.u2.values))) * math.sqrt(t)
+            sup = np.max(np.abs(sharp)) * math.sqrt(t)
             assert abs(sup - spec.delta) <= 1e-10 * spec.delta
 
     def test_remainder_decay_slopes(self):
         # Gaussian spectra land exactly on the critical s0 = 2 rate
-        g = nl.make_grid(32768, 22000.0)
+        g = nl.Grid(32768, 22000.0)
         spec = build_final_state(
             g, [{"kind": "gauss", "center": -0.6, "sigma": 0.12, "amp": 0.05}],
             [{"kind": "gauss", "center": 0.6, "sigma": 0.12, "amp": 0.05}], s=2.0)
         ts = np.geomspace(1e2, 1e4, 9)
         flat, jflat = [], []
         for t in ts:
-            w = asymptotic_wave(spec, float(t))
-            flat.append(math.hypot(l2_norm(w.w_flat.u1), l2_norm(w.w_flat.u2)))
-            j1 = nl.apply_J(w.w_flat.u1, float(t))
-            j2 = nl.apply_J(w.w_flat.u2, float(t))
-            jflat.append(math.hypot(l2_norm(j1), l2_norm(j2)))
+            _, rest = leading_and_remainder(spec, float(t))
+            flat.append(math.hypot(*l2(g, rest)))
+            # J of the remainder, read off its profile as the remainder probe does
+            j = _j_spectrum(g, _pull_back(g, rest, float(t)))
+            jflat.append(math.sqrt(g.dxi * np.sum(np.abs(j) ** 2)))
         slope = np.polyfit(np.log(ts), np.log(flat), 1)[0]
         assert -1.15 <= slope <= -0.85
         jslope = np.polyfit(np.log(ts), np.log(jflat), 1)[0]
         assert jslope <= -0.5 * (spec.s0 - 1.0) + 0.15
 
     def test_early_time_rejected(self, decoupled_spec):
-        with pytest.raises(ValueError):
-            asymptotic_wave(decoupled_spec, 0.5)
+        # the leading wave starts the construction only from T >= 1
+        with pytest.raises(ValueError, match="T >= 1"):
+            picard_construct(decoupled_spec, 0.5, 50.0)
 
 
 class TestPicard:
     def test_vanishing_leading_nonlinearity(self, decoupled_spec):
         # the nonlinearity of the leading wave is identically zero for
         # decoupled data, checked directly, independent of any shortcut
-        from nlspair.scattering import _w_sharp_arrays
         g = decoupled_spec.grid
         for tau in (50.0, 500.0, 5000.0):
             s1, s2 = _w_sharp_arrays(decoupled_spec, tau)
             n1 = np.abs(s2) ** 2 * s1
             n2 = np.abs(s1) ** 2 * s2
-            assert np.max(np.abs(_free_step_array(g, n1, -tau))) < 1e-12
-            assert np.max(np.abs(_free_step_array(g, n2, -tau))) < 1e-12
+            assert np.max(np.abs(_pull_back(g, n1, tau))) < 1e-12
+            assert np.max(np.abs(_pull_back(g, n2, tau))) < 1e-12
 
     def test_zero_second_component_fixed_in_one_iteration(self, grid):
         spec = build_final_state(grid, [WINDOW_L], [])
@@ -201,9 +218,10 @@ class TestPicard:
                                  n_time=24)
         assert state.converged and state.iterate_index <= 2
         u1 = _push_forward(grid, spec.psi_hat_1, 50.0)
-        pair = state.pair_at(50.0)
-        assert np.max(np.abs(pair.u1.values - u1)) < 1e-12
-        assert np.all(pair.u2.values == 0)
+        v = state.state_at(50.0)
+        assert v.shape == (2, grid.n_points)
+        assert np.max(np.abs(v[0] - u1)) < 1e-12
+        assert np.all(v[1] == 0)
 
     def test_contraction_and_residual(self, decoupled_spec, picard_state):
         state = picard_state
@@ -284,7 +302,7 @@ class TestVerifyScattering:
         cfg = SolverConfig(n_points=grid.n_points, length=grid.length,
                            t_start=50.0, t_end=500.0,
                            checkpoint_times=tuple(np.geomspace(50.0, 500.0, 12)))
-        traj = run(cfg, state.pair_at(50.0))
+        traj = run(cfg, state.state_at(50.0))
         rep = verify_scattering(traj, spec)
         assert np.max(rep.errors) < 1e-8
         assert rep.passed
@@ -294,7 +312,7 @@ class TestVerifyScattering:
                            length=decoupled_spec.grid.length,
                            t_start=50.0, t_end=500.0,
                            checkpoint_times=tuple(np.geomspace(50.0, 500.0, 16)))
-        traj = run(cfg, picard_state.pair_at(50.0))
+        traj = run(cfg, picard_state.state_at(50.0))
         rep = verify_scattering(traj, decoupled_spec)
         assert rep.fitted_slope is not None
         assert rep.fitted_slope <= rep.slope_bound

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nlspair.harness import write_csv, write_json
+from nlspair.harness import _recording, write_csv, write_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -59,3 +59,39 @@ def test_compare_reports_names_every_differing_column(tmp_path, capsys):
     spread = dict(item.rsplit(" ", 1) for item in line.split(": ")[-1].split(", "))
     assert spread["t"] == "0" and spread["err"] == "0"
     assert 0 < float(spread["m"]) < 2e-9
+
+
+def _manifest_tree(root: Path, data_size: dict) -> None:
+    """A manifest as a pipeline writes it, with its own start and wall times."""
+    with _recording(root, "demo", {"seed": 1}, data_size=data_size,
+                    steps={"n_steps": 12, "dt_min": 0.04, "dt_max": 0.32}) as manifest:
+        manifest["outputs"] = []
+
+
+def test_compare_reports_manifest_timings_ignored(tmp_path, capsys):
+    size = {"l2": 0.41931780550058595, "h2": 0.4222635563883844, "h1_1": 2.6961709807100154}
+    _manifest_tree(tmp_path / "a", size)
+    _manifest_tree(tmp_path / "b", size)
+    # a later and slower run of the same pipeline
+    path = tmp_path / "b" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["started_unix"] += 60.0
+    manifest["wall_seconds"] += 1.0
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    compare_reports = _load("compare_reports")
+    assert compare_reports.main(str(tmp_path / "a"), str(tmp_path / "b")) == 0
+    assert capsys.readouterr().out.splitlines() == ["manifest.json: identical"]
+
+
+def test_compare_reports_names_manifest_difference(tmp_path, capsys):
+    size = {"l2": 0.41931780550058595, "h2": 0.4222635563883844, "h1_1": 2.6961709807100154}
+    _manifest_tree(tmp_path / "a", size)
+    _manifest_tree(tmp_path / "b", {**size, "l2": size["l2"] * (1 + 1e-12)})
+    compare_reports = _load("compare_reports")
+    compare_reports.main(str(tmp_path / "a"), str(tmp_path / "b"))
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("manifest.json: max |a-b|/max|a|: ")
+    spread = dict(item.rsplit(" ", 1) for item in line.split(": ")[-1].split(", "))
+    assert 0 < float(spread[".data_size.l2"]) < 2e-12
+    assert spread[".data_size.h2"] == "0" and spread[".steps.n_steps"] == "0"
+    assert ".started_unix" not in spread and ".wall_seconds" not in spread
