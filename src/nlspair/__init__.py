@@ -37,10 +37,8 @@ from .asymptotics import (
     LemmaCertificate,
     LemmaMParams,
     LinearODERecord,
-    ReducedState,
     lemma_m_certificate,
     linear_ode_limit,
-    reduced_flow,
     reduced_flow_profiles,
 )
 from .scattering import (

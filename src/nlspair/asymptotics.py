@@ -16,48 +16,24 @@ linear ODEs ``y' = lambda(t) y + Q(t)`` with integrable coefficients.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fits
-from .dynamics import T_MIN, coupled_decay_ratios
+from .dynamics import coupled_decay_ratios
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """One frequency's profile pair at time t (analytics start at ``T_MIN``)."""
-
-    t: float
-    a1: complex
-    a2: complex
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= T_MIN):
-            raise ValueError(f"reduced dynamics is tracked for t >= {T_MIN:g}, got {self.t}")
-        if not (cmath.isfinite(self.a1) and cmath.isfinite(self.a2)):
-            raise ValueError("non-finite reduced state")
-
-
-def reduced_flow(state: ReducedState, t_target: float) -> ReducedState:
-    """Exact forward flow of the reduced system from state.t to t_target.
+def reduced_flow_profiles(alpha: np.ndarray, t: float, t_target: float) -> np.ndarray:
+    """Exact forward flow of the reduced system from t to t_target, applied to
+    a ``(2, ...)`` profile pair: one frequency's ``(2,)`` or a spectrum's
+    ``(2, N)``.
 
     Conserves ``|a1|^2 - |a2|^2`` to roundoff, never increases either
     modulus, and satisfies the semigroup property.  Backward targets are
     rejected.
     """
-    if t_target < state.t:
-        raise ValueError("reduced flow is forward-only")
-    s = math.log(t_target / state.t)
-    r1, r2 = coupled_decay_ratios(abs(state.a1) ** 2, abs(state.a2) ** 2, s)
-    return ReducedState(t=t_target, a1=state.a1 * math.sqrt(float(r1)),
-                        a2=state.a2 * math.sqrt(float(r2)))
-
-
-def reduced_flow_profiles(alpha: np.ndarray, t: float, t_target: float) -> np.ndarray:
-    """Apply the reduced flow from t to t_target to a ``(2, N)`` profile pair at once."""
     if t_target < t:
         raise ValueError("reduced flow is forward-only")
     r = coupled_decay_ratios(np.abs(alpha[0]) ** 2, np.abs(alpha[1]) ** 2,

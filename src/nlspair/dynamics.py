@@ -151,6 +151,11 @@ class Trajectory:
         for name, val in (("grid", grid), ("ts", ts), ("ledger", ledger)):
             object.__setattr__(self, name, val)
 
+    @property
+    def steps(self) -> dict:
+        """``n_steps``, ``dt_min`` and ``dt_max`` of a run, as its manifest records them."""
+        return {k: self.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+
     @cached_property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
         return tuple(Checkpoint(FieldPair(ComplexField(self.grid, v[0], t),

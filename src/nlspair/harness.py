@@ -565,6 +565,10 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     grid = config.solver.grid
     # a bad data spec fails here, before anything is written
     state = generate_initial_data(config.data1, config.data2, grid, config.seed)
+    with np.errstate(over="ignore"):
+        mass = grid.dx * np.sum(np.abs(state) ** 2)
+    if not np.isfinite(mass):
+        raise ConfigError("the initial data's mass overflows; lower the amplitude")
     with _recording(out_dir, config.name, config.to_dict(),
                     grid={"n_points": grid.n_points, "length": grid.length,
                           "dx": grid.dx, "dxi": grid.dxi},
@@ -580,7 +584,7 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                 persist_checkpoint(out_dir / name, grid, t, v)
                 outputs.append(name)
         manifest["outputs"] = outputs
-        manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+        manifest["steps"] = traj.steps
     return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
 
 
@@ -656,7 +660,7 @@ def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
             checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
         )
         traj = run(cfg, state.state_at(opts.T))
-        manifest["steps"] = {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
+        manifest["steps"] = traj.steps
         manifest["picard"] = {"iterations": state.iterate_index, "converged": state.converged,
                               "distances": state.distances, "ratios": state.ratios}
         report = scattering.verify_scattering(traj, spec)
@@ -678,8 +682,9 @@ def run_obstruction(opts: ObstructionOptions, out_dir) -> dict:
     with ``obstruction.csv/json`` and the manifest.
 
     The control starts from the same few Picard iterations at T as the probe
-    and records the dyadic profile drift at the same base times.  Returns
-    the probe's ``report`` and the control's ``control_drift``.
+    and records the dyadic profile drift at the same base times; the
+    manifest's ``steps`` holds the ``probe`` and ``control`` forward runs'.
+    Returns the probe's ``report`` and the control's ``control_drift``.
     """
     out_dir = Path(out_dir)
     with _recording(out_dir, "obstruction", asdict(opts)) as manifest:
@@ -689,8 +694,9 @@ def run_obstruction(opts: ObstructionOptions, out_dir) -> dict:
         report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
                                               picard_iters=opts.picard_iters)
         control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
-        drift = scattering._dyadic_drift_run(control, opts.base_times,
-                                             opts.T, opts.picard_iters)
+        drift = scattering.dyadic_drift_run(control, opts.base_times,
+                                            opts.T, opts.picard_iters)
+        manifest["steps"] = {"probe": report.steps, "control": drift["steps"]}
         manifest["outputs"] = [
             write_csv(out_dir / "obstruction.csv", "obstruction",
                       ["t", "d1_overlap", "d2_overlap", "d1_control", "d2_control"],

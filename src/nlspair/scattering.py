@@ -73,19 +73,22 @@ def _eval_entry(entry: dict, xi: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown spectrum entry kind {entry.get('kind')!r}")
 
 
-def _spectrum_fn(entries: list[dict]):
-    def fn(xi):
+def _spectrum_fn(entries1: list[dict], entries2: list[dict]):
+    """The evaluator of both spectra: frequencies ``(..., len)`` to ``(..., 2, len)``."""
+    def spectrum(xi):
         xi = np.asarray(xi, dtype=float)
-        total = np.zeros_like(xi)
-        for e in entries:
-            total = total + _eval_entry(e, xi)
-        return total
-    return fn
+        out = np.zeros(xi.shape[:-1] + (2,) + xi.shape[-1:])
+        for j, entries in enumerate((entries1, entries2)):
+            for e in entries:
+                out[..., j, :] += _eval_entry(e, xi)
+        return out
+    return spectrum
 
 
 @dataclass(frozen=True)
 class FinalStateSpec:
-    """Prescribed scattering data: spectra on the grid plus analytic evaluators.
+    """Prescribed scattering data: the read-only ``(2, N)`` spectra ``psi_hat``
+    on the grid plus their analytic evaluator ``spectrum``.
 
     ``delta`` is the sup of the spectra, ``kappa`` the x-weighted Sobolev
     size ``||<x>^{s0} psi||_L2`` with ``s0 = min(2, s)``, and ``mu`` the
@@ -94,14 +97,12 @@ class FinalStateSpec:
     """
 
     grid: Grid
-    psi_hat_1: np.ndarray
-    psi_hat_2: np.ndarray
+    psi_hat: np.ndarray
     s: float
     delta: float
     kappa: float
     decoupled: bool
-    fn1: object = field(repr=False, compare=False, default=None)
-    fn2: object = field(repr=False, compare=False, default=None)
+    spectrum: object = field(repr=False, compare=False)
 
     @property
     def s0(self) -> float:
@@ -122,20 +123,16 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
     """
     if s <= 1.0:
         raise ValueError("need spectral regularity s > 1")
-    fn1, fn2 = _spectrum_fn(entries1), _spectrum_fn(entries2)
-    p1 = fn1(grid.xi)
-    p2 = fn2(grid.xi)
-    s0 = min(2.0, s)
-    delta = float(max(np.max(np.abs(p1)), np.max(np.abs(p2))))
-    w = (1.0 + grid.x ** 2) ** (0.5 * s0)
-    k1, k2 = (math.sqrt(float(grid.dx * np.sum(np.abs(w * _inverse_array(grid, p.astype(complex)))
-                                               ** 2))) for p in (p1, p2))
-    kappa = math.hypot(k1, k2)
-    decoupled = bool(np.max(np.abs(p1 * p2)) <= DECOUPLED_TOL)
+    spectrum = _spectrum_fn(entries1, entries2)
+    psi = spectrum(grid.xi)
+    psi_hat = psi.astype(complex)
+    psi_hat.flags.writeable = False
+    w = (1.0 + grid.x ** 2) ** (0.5 * min(2.0, s))
+    k_sq = grid.dx * np.sum(np.abs(w * _inverse_array(grid, psi_hat)) ** 2, axis=-1)
     return FinalStateSpec(
-        grid=grid, psi_hat_1=p1.astype(complex), psi_hat_2=p2.astype(complex),
-        s=float(s), delta=delta, kappa=kappa, decoupled=decoupled,
-        fn1=fn1, fn2=fn2,
+        grid=grid, psi_hat=psi_hat, s=float(s), delta=float(np.max(np.abs(psi))),
+        kappa=math.hypot(*np.sqrt(k_sq).tolist()),
+        decoupled=bool(np.max(np.abs(psi[0] * psi[1])) <= DECOUPLED_TOL), spectrum=spectrum,
     )
 
 
@@ -144,8 +141,8 @@ def build_final_state(grid: Grid, entries1: list[dict], entries2: list[dict],
 # ---------------------------------------------------------------------------
 
 def _w_sharp_arrays(spec: FinalStateSpec, t):
-    """The leading wave ``w# = M D F psi+`` of both components, at a time or
-    with one row per time when ``t`` is an array of times.
+    """The ``(2, N)`` leading wave ``w# = M D F psi+`` at a time, or its
+    ``(n_t, 2, N)`` stack when ``t`` is an array of times.
 
     ``w#`` keeps the exact L2 norm of psi+ and has sup norm
     ``delta / sqrt(t)``; the remainder ``U(t) psi+ - w#`` decays like
@@ -156,7 +153,7 @@ def _w_sharp_arrays(spec: FinalStateSpec, t):
     y = g.x / t
     scale = 1.0 / np.sqrt(1j * t)
     chirp = np.exp(0.5j * g.x ** 2 / t)
-    return (scale * chirp * spec.fn1(y), scale * chirp * spec.fn2(y))
+    return (scale * chirp)[..., None, :] * spec.spectrum(y)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +162,22 @@ def _w_sharp_arrays(spec: FinalStateSpec, t):
 
 @dataclass
 class PicardState:
-    """Iteration record: time grid, current iterate, contraction history."""
+    """Iteration record: the sample times, the current ``(n_t, 2, N)``
+    iterate ``v`` and the contraction history."""
 
-    T: float
-    T_max: float
-    mu: float
     taus: np.ndarray
-    v1: np.ndarray          # (n_t, N)
-    v2: np.ndarray
+    v: np.ndarray
     iterate_index: int
     distances: list[float]
     ratios: list[float]
     converged: bool
-    grid: Grid
 
     def state_at(self, t: float) -> np.ndarray:
-        """The ``(2, N)`` iterate at the sample time t."""
+        """The ``(2, N)`` row of the iterate at the sample time t."""
         i = int(np.argmin(np.abs(self.taus - t)))
         if abs(self.taus[i] - t) > 1e-9 * max(1.0, t):
             raise KeyError(f"no iterate sample at t = {t}")
-        return np.stack([self.v1[i], self.v2[i]])
+        return self.v[i]
 
 
 def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -220,29 +213,18 @@ def _profile_sq(grid: Grid, dalpha: np.ndarray, nyq: np.ndarray | None = None):
     return l2_sq, np.maximum(j_sq, 0.0)
 
 
-def _xt_sup(taus: np.ndarray, mu: float, sq1, sq2) -> float:
+def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) -> float:
     """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2 from the
-    :func:`_profile_sq` of both components."""
-    l2 = np.sqrt(sq1[0] + sq2[0])
-    j = np.sqrt(sq1[1] + sq2[1])
+    ``(n_time, 2)`` :func:`_profile_sq` of a difference ``d`` of stacks."""
+    l2 = np.sqrt(l2_sq[:, 0] + l2_sq[:, 1])
+    j = np.sqrt(j_sq[:, 0] + j_sq[:, 1])
     return float(np.max(taus ** (mu + 0.5) * l2 + taus ** mu * j))
 
 
-def _xt_norm(grid: Grid, taus: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-             mu: float) -> float:
-    """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2.
-
-    ``d1``, ``d2`` are ``(n_time, N)`` stacks of x-space samples; each is
-    pulled back once and measured by :func:`_profile_sq`.
-    """
-    sq = [_profile_sq(grid, _pull_back(grid, d, taus), _nyquist(grid, d)) for d in (d1, d2)]
-    return _xt_sup(taus, mu, *sq)
-
-
-def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-               table: np.ndarray | None = None):
-    """One application of the fixed-point map on the sampled time grid, as
-    the profiles of the new iterates.
+def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
+               table: np.ndarray | None = None) -> np.ndarray:
+    """One application of the fixed-point map to the ``(n_time, 2, N)``
+    iterate ``v`` on the sampled time grid, as the profiles of the new one.
 
     Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
     Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
@@ -250,32 +232,28 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v1: np.ndarray, v2: np.nd
     is what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
-    the integral at T_max leaves only the decaying difference part.  Each
-    component is one ``(n_time, N)`` stack, pulled back in one call with the
-    table ``_profile_multiplier(grid, taus)``.
+    the integral at T_max leaves only the decaying difference part.  The
+    stack is pulled back in one call with the table
+    ``_profile_multiplier(grid, taus)[:, None]``.
 
-    Returns ``[alpha1, alpha2]``, the profiles ``psi_hat + int_t^inf G`` with
-    the Nyquist slot zeroed; the new iterates are their push-forwards, left
-    to the caller so that the old iterates can go first.
+    Returns the ``(n_time, 2, N)`` profiles ``psi_hat + int_t^inf G`` with
+    the Nyquist slot zeroed; the new iterate is their push-forward, left to
+    the caller so that the old iterate can go first.
     """
-    g = spec.grid
-    if table is None:
-        table = _profile_multiplier(g, taus)
-    out = []
-    for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
-        alpha = _pull_back(g, np.abs(w) ** 2 * v, taus, table, overwrite_x=True)
-        fits.reverse_cumtrapz_rows(taus, alpha)
-        alpha += psi_hat
-        alpha[..., 0] = 0.0
-        out.append(alpha)
-    return out
+    # N_j(v) = |v_k|^2 v_j, k the other component
+    alpha = _pull_back(spec.grid, np.abs(v[:, ::-1]) ** 2 * v, taus[:, None], table,
+                       overwrite_x=True)
+    fits.reverse_cumtrapz_rows(taus, alpha)
+    alpha += spec.psi_hat
+    alpha[..., 0] = 0.0
+    return alpha
 
 
 def _check_box(spec: FinalStateSpec, T_max: float) -> None:
     """Reject a time grid on which the free waves of psi+ reach the guard's
     edge bands: frequency xi travels to x = xi t, and the box is periodic."""
     g = spec.grid
-    support = (spec.psi_hat_1 != 0) | (spec.psi_hat_2 != 0)
+    support = np.any(spec.psi_hat != 0, axis=0)
     reach = float(np.max(np.abs(g.xi[support]), initial=0.0)) * T_max
     limit = (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * g.length
     if reach > limit:
@@ -284,38 +262,30 @@ def _check_box(spec: FinalStateSpec, T_max: float) -> None:
                           f"enlarge the box or lower T_max")
 
 
-def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
-                    max_iters: int, tol: float, n_time: int,
-                    initial: str) -> PicardState:
+def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
+                    max_iters: int, tol: float) -> PicardState:
+    """Iterate the map from the ``(n_time, 2, N)`` start ``v`` sampled at
+    ``taus``, which it releases after the first application."""
     g = spec.grid
-    taus = np.geomspace(T, T_max, n_time)
     # one table for every transform of the construction: the times are fixed
-    table = _profile_multiplier(g, taus)
-    if initial == "leading":
-        v1, v2 = _w_sharp_arrays(spec, taus)
-        # w# is not band-limited: its Nyquist mode enters the first distance
-        nyq = [_nyquist(g, v) for v in (v1, v2)]
-        prev = [_pull_back(g, v, taus, table) for v in (v1, v2)]
-    elif initial == "free":
-        v1 = _push_forward(g, spec.psi_hat_1, taus, table)
-        v2 = _push_forward(g, spec.psi_hat_2, taus, table)
-        nyq = [None, None]
-        prev = [np.concatenate([[0.0], p[1:]]) for p in (spec.psi_hat_1, spec.psi_hat_2)]
-    else:
-        raise ValueError(f"unknown initial iterate {initial!r}")
+    table = _profile_multiplier(g, taus)[:, None]
+    # a start that is not band-limited, like w#, has a Nyquist mode, and it
+    # enters the first distance
+    nyq = _nyquist(g, v)
+    prev = _pull_back(g, v, taus[:, None], table)
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        alphas = _apply_map(spec, taus, v1, v2, table)
-        del v1, v2
-        v1, v2 = (_push_forward(g, a, taus, table) for a in alphas)
-        # the distance of the iterates is read off their profiles
-        sq = [_profile_sq(g, a - p, n) for a, p, n in zip(alphas, prev, nyq)]
-        d = _xt_sup(taus, spec.mu, *sq)
-        prev, nyq = alphas, [None, None]
+        alpha = _apply_map(spec, taus, v, table)
+        del v
+        v = _push_forward(g, alpha, taus[:, None], table)
+        # the distance of the iterates is read off their profiles, with the
+        # difference formed in the old profile's buffer
+        d = _xt_sup(taus, spec.mu, *_profile_sq(g, np.subtract(alpha, prev, out=prev), nyq))
+        prev, nyq = alpha, None
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(d / distances[-2])
@@ -324,16 +294,12 @@ def _picard_iterate(spec: FinalStateSpec, T: float, T_max: float,
             break
         if len(ratios) >= 2 and ratios[-1] > 0.9 and ratios[-2] > 0.9:
             break
-    return PicardState(
-        T=T, T_max=T_max, mu=spec.mu, taus=taus, v1=v1, v2=v2,
-        iterate_index=k, distances=distances, ratios=ratios,
-        converged=converged, grid=g,
-    )
+    return PicardState(taus=taus, v=v, iterate_index=k, distances=distances,
+                       ratios=ratios, converged=converged)
 
 
 def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
-                     max_iters: int = 8, tol: float = 1e-9, n_time: int = 64,
-                     initial: str = "leading") -> PicardState:
+                     max_iters: int = 8, tol: float = 1e-9, n_time: int = 64) -> PicardState:
     """Fixed-point construction of the solution scattering to decoupled psi+.
 
     Starts from the leading wave, iterates the integral map on a log-spaced
@@ -353,19 +319,14 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
     if T_max < 10.0 * T:
         raise ValueError("need T_max >= 10 T")
     _check_box(spec, T_max)
-    state = _picard_iterate(spec, T, T_max, max_iters, tol, n_time, initial)
+    taus = np.geomspace(T, T_max, n_time)
+    state = _picard_iterate(spec, taus, _w_sharp_arrays(spec, taus), max_iters, tol)
     if not state.converged and state.ratios and state.ratios[-1] > 0.9:
         raise PicardDivergence(
             f"no contraction after {state.iterate_index} iterations "
             f"(last ratio {state.ratios[-1]:.3f}); reduce the amplitude or increase T"
         )
     return state
-
-
-def xt_norm_to_leading(spec: FinalStateSpec, state: PicardState) -> float:
-    """Distance of the current iterate from the leading wave (the iteration ball)."""
-    s1, s2 = _w_sharp_arrays(spec, state.taus)
-    return _xt_norm(state.grid, state.taus, state.v1 - s1, state.v2 - s2, spec.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +356,7 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
     """
     g = spec.grid
     ts_arr = traj.ts
-    free = _push_forward(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]), ts_arr[:, None])
+    free = _push_forward(g, spec.psi_hat, ts_arr[:, None])
     errs_arr = np.sqrt(g.dx * np.sum(np.abs(traj.states - free) ** 2, axis=(-2, -1)))
     floor = 1e-8 * max(spec.kappa, 1e-30)
     slope = None
@@ -409,13 +370,9 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
 
 def nonlinearity_norms(spec: FinalStateSpec) -> tuple[float, float]:
     """L2(dxi) norms of N_j(psi_hat) by direct grid quadrature."""
-    g = spec.grid
-    n1 = np.abs(spec.psi_hat_2) ** 2 * spec.psi_hat_1
-    n2 = np.abs(spec.psi_hat_1) ** 2 * spec.psi_hat_2
-    return (
-        math.sqrt(float(g.dxi * np.sum(np.abs(n1) ** 2))),
-        math.sqrt(float(g.dxi * np.sum(np.abs(n2) ** 2))),
-    )
+    psi = spec.psi_hat
+    n = np.abs(psi[::-1]) ** 2 * psi
+    return tuple(np.sqrt(spec.grid.dxi * np.sum(np.abs(n) ** 2, axis=-1)).tolist())
 
 
 def dyadic_profile_drift(traj: Trajectory, base_times) -> dict:
@@ -441,25 +398,29 @@ class ObstructionReport:
     d1: np.ndarray
     d2: np.ndarray
     stagnates: bool
+    steps: dict
 
 
-def _dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
-                      picard_iters: int) -> dict:
+def dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
+                     picard_iters: int) -> dict:
     """Dyadic profile drift of the solution started from a few Picard iterates.
 
     The iterates live on 48 log-spaced samples of [T, 40 T] and need not
     contract; the forward run from T records the base times and their
-    doubles for :func:`dyadic_profile_drift`.
+    doubles for :func:`dyadic_profile_drift`.  Returns its ``ts``, ``d1``
+    and ``d2`` with the forward run's ``steps``.
     """
     _check_box(spec, 40.0 * T)
-    state = _picard_iterate(spec, T, 40.0 * T, picard_iters, 0.0, 48, "leading")
+    taus = np.geomspace(T, 40.0 * T, 48)
+    state = _picard_iterate(spec, taus, _w_sharp_arrays(spec, taus), picard_iters, 0.0)
     base = np.asarray(sorted(base_times), dtype=float)
     cps = np.unique(np.concatenate([base, 2.0 * base]))
     cfg = SolverConfig(
         n_points=spec.grid.n_points, length=spec.grid.length,
         t_start=T, t_end=float(cps[-1]), checkpoint_times=tuple(cps),
     )
-    return dyadic_profile_drift(run(cfg, state.state_at(T)), base)
+    traj = run(cfg, state.state_at(T))
+    return {**dyadic_profile_drift(traj, base), "steps": traj.steps}
 
 
 def obstruction_probe(spec: FinalStateSpec, base_times,
@@ -476,10 +437,10 @@ def obstruction_probe(spec: FinalStateSpec, base_times,
     eta = min(n1, n2)
     if eta <= DECOUPLED_TOL:
         raise ValueError("data is decoupled (eta = 0): nothing to probe")
-    drift = _dyadic_drift_run(spec, base_times, T, picard_iters)
+    drift = dyadic_drift_run(spec, base_times, T, picard_iters)
     floor = 0.25 * eta * math.log(2.0)
     stagnates = bool(np.all(np.minimum(drift["d1"], drift["d2"]) >= floor))
     return ObstructionReport(
         eta=eta, stagnation_floor=floor, ts=drift["ts"],
-        d1=drift["d1"], d2=drift["d2"], stagnates=stagnates,
+        d1=drift["d1"], d2=drift["d2"], stagnates=stagnates, steps=drift["steps"],
     )

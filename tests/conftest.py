@@ -86,3 +86,18 @@ def fft_calls(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+@pytest.fixture()
+def fft_points(monkeypatch):
+    """The number of points that ``numpy.fft.fft`` and ``numpy.fft.ifft``
+    transform, summed over calls: the size of each input."""
+    counts = {"points": 0}
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            counts["points"] += np.size(a)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

@@ -388,7 +388,7 @@ def test_scatter_case_records_recover_final_state(scatter):
     # analytics run on the pool wherever the process has more than one CPU
     spec = scatter["spec"]
     labels = build_case_records(scatter["traj"]).label
-    on1, on2 = spec.psi_hat_1 != 0, spec.psi_hat_2 != 0
+    on1, on2 = spec.psi_hat != 0
     for label, own, other in (("survivor_1", on1, on2), ("survivor_2", on2, on1)):
         cols = labels == label
         assert np.any(cols)
@@ -406,6 +406,12 @@ def test_obstruction_reports_and_manifest(obstruction):
         "eta": report.eta, "floor": report.stagnation_floor, "stagnates": report.stagnates,
         "control_slope": loglog_slope(drift["ts"], np.minimum(drift["d1"], drift["d2"]))}
     _assert_recorded(out, "obstruction")
+    # both forward runs record their steps and the range of dt
+    steps = json.loads((out / "manifest.json").read_text())["steps"]
+    assert steps == {"probe": report.steps, "control": drift["steps"]}
+    for run_steps in steps.values():
+        assert set(run_steps) == {"n_steps", "dt_min", "dt_max"}
+        assert run_steps["n_steps"] > 0 and 0.0 < run_steps["dt_min"] <= run_steps["dt_max"]
 
 
 def test_analyze_rejects_scatter_run(scatter, capsys):

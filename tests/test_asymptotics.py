@@ -10,13 +10,11 @@ import pytest
 from nlspair.asymptotics import (
     LemmaMParams,
     LinearODERecord,
-    ReducedState,
     default_lemma_m_sweep,
     default_linear_ode_sweep,
     equality_phi_trajectory,
     lemma_m_certificate,
     linear_ode_limit,
-    reduced_flow,
     reduced_flow_profiles,
     solve_linear_record,
 )
@@ -39,19 +37,23 @@ def rk4_in_log_time(a1, a2, s_total, n=20000):
     return v
 
 
+def pair(a1, a2):
+    """One frequency's profile pair, the ``(2,)`` input of the reduced flow."""
+    return np.array([a1, a2], dtype=complex)
+
+
 class TestReducedFlow:
     def test_dormant_companion_freezes_survivor(self):
-        st = ReducedState(t=2.0, a1=0.6 - 0.2j, a2=0.0)
-        out = reduced_flow(st, 1e6)
-        assert out.a1 == st.a1 and out.a2 == 0.0
+        st = pair(0.6 - 0.2j, 0.0)
+        out = reduced_flow_profiles(st, 2.0, 1e6)
+        assert out[0] == st[0] and out[1] == 0.0
 
     def test_balanced_closed_form(self):
         a = 0.5 + 0.1j
-        st = ReducedState(t=2.0, a1=a, a2=a * np.exp(0.4j))
-        out = reduced_flow(st, 1e4)
+        out = reduced_flow_profiles(pair(a, a * np.exp(0.4j)), 2.0, 1e4)
         c = abs(a) ** 2
         expected = c / (1.0 + 2.0 * c * math.log(1e4 / 2.0))
-        assert abs(abs(out.a1) ** 2 - expected) < 1e-14
+        assert abs(abs(out[0]) ** 2 - expected) < 1e-14
         # the balanced law is exactly the square-root-log decay that the
         # log-decay certificate bounds with p = 2
         params = LemmaMParams(c0=2.0, c1=0.0, p=2.0, q=2.0, t0=2.0, phi0=c)
@@ -60,43 +62,42 @@ class TestReducedFlow:
         assert lemma_m_certificate(params, ts, phis).passed
 
     def test_matches_rk4_oracle(self):
-        st = ReducedState(t=2.0, a1=0.9 * np.exp(0.3j), a2=0.5 * np.exp(-1.1j))
+        st = pair(0.9 * np.exp(0.3j), 0.5 * np.exp(-1.1j))
         t_target = 400.0
-        out = reduced_flow(st, t_target)
-        ref = rk4_in_log_time(st.a1, st.a2, math.log(t_target / 2.0))
-        assert abs(out.a1 - ref[0]) < 1e-12
-        assert abs(out.a2 - ref[1]) < 1e-12
+        out = reduced_flow_profiles(st, 2.0, t_target)
+        ref = rk4_in_log_time(st[0], st[1], math.log(t_target / 2.0))
+        assert abs(out[0] - ref[0]) < 1e-12
+        assert abs(out[1] - ref[1]) < 1e-12
 
     def test_survivor_locks_to_imbalance(self):
-        st = ReducedState(t=2.0, a1=0.7, a2=0.4)
-        m = abs(st.a1) ** 2 - abs(st.a2) ** 2
+        st = pair(0.7, 0.4)
+        m = abs(st[0]) ** 2 - abs(st[1]) ** 2
         ts = np.geomspace(1e3, 1e6, 12)
-        a2_series = np.array([abs(reduced_flow(st, float(t)).a2) for t in ts])
+        a2_series = np.array([abs(reduced_flow_profiles(st, 2.0, float(t))[1]) for t in ts])
         slope = np.polyfit(np.log(ts), np.log(a2_series), 1)[0]
         assert slope == pytest.approx(-m, rel=1e-3)
-        assert abs(reduced_flow(st, 1e12).a1) ** 2 == pytest.approx(m, rel=1e-7)
+        assert abs(reduced_flow_profiles(st, 2.0, 1e12)[0]) ** 2 == pytest.approx(m, rel=1e-7)
 
     def test_conservation_and_monotonicity(self):
-        st = ReducedState(t=2.0, a1=0.8, a2=0.3j)
-        m0 = abs(st.a1) ** 2 - abs(st.a2) ** 2
-        prev1, prev2 = abs(st.a1), abs(st.a2)
+        st = pair(0.8, 0.3j)
+        m0 = abs(st[0]) ** 2 - abs(st[1]) ** 2
+        prev1, prev2 = abs(st[0]), abs(st[1])
         for t in (5.0, 50.0, 5e3, 5e6):
-            out = reduced_flow(st, t)
-            assert abs((abs(out.a1) ** 2 - abs(out.a2) ** 2) - m0) < 1e-13
-            assert abs(out.a1) <= prev1 + 1e-15 and abs(out.a2) <= prev2 + 1e-15
-            prev1, prev2 = abs(out.a1), abs(out.a2)
+            out = reduced_flow_profiles(st, 2.0, t)
+            assert abs((abs(out[0]) ** 2 - abs(out[1]) ** 2) - m0) < 1e-13
+            assert abs(out[0]) <= prev1 + 1e-15 and abs(out[1]) <= prev2 + 1e-15
+            prev1, prev2 = abs(out[0]), abs(out[1])
 
     def test_semigroup(self):
-        st = ReducedState(t=2.0, a1=0.8, a2=0.3j)
-        through = reduced_flow(reduced_flow(st, 50.0), 1e4)
-        direct = reduced_flow(st, 1e4)
-        assert abs(through.a1 - direct.a1) < 1e-12
-        assert abs(through.a2 - direct.a2) < 1e-12
+        st = pair(0.8, 0.3j)
+        through = reduced_flow_profiles(reduced_flow_profiles(st, 2.0, 50.0), 50.0, 1e4)
+        direct = reduced_flow_profiles(st, 2.0, 1e4)
+        assert abs(through[0] - direct[0]) < 1e-12
+        assert abs(through[1] - direct[1]) < 1e-12
 
     def test_backward_rejected(self):
-        st = ReducedState(t=10.0, a1=0.5, a2=0.5)
         with pytest.raises(ValueError):
-            reduced_flow(st, 5.0)
+            reduced_flow_profiles(pair(0.5, 0.5), 10.0, 5.0)
 
     def test_spectrum_variant(self, small_grid):
         a1 = 0.5 * np.exp(-small_grid.xi ** 2)
@@ -104,8 +105,8 @@ class TestReducedFlow:
         out = reduced_flow_profiles(np.stack([a1, a2]).astype(complex), 2.0, 200.0)
         assert out.shape == (2, small_grid.n_points)
         k = small_grid.n_points // 2
-        scalar = reduced_flow(ReducedState(t=2.0, a1=a1[k], a2=a2[k]), 200.0)
-        assert abs(out[0, k] - scalar.a1) < 1e-14
+        one = reduced_flow_profiles(pair(a1[k], a2[k]), 2.0, 200.0)
+        assert abs(out[0, k] - one[0]) < 1e-14
 
 
 class TestLogDecayCertificate:
@@ -186,13 +187,14 @@ class TestLinearOdeLimit:
     def test_reduced_flow_cross_check(self):
         # lambda built from a surviving-frequency trajectory: the linear
         # limit must match the survivor's locked amplitude sqrt(m)
-        st = ReducedState(t=2.0, a1=0.7, a2=0.4)
-        m = abs(st.a1) ** 2 - abs(st.a2) ** 2
+        st = pair(0.7, 0.4)
+        m = abs(st[0]) ** 2 - abs(st[1]) ** 2
         ts = np.geomspace(2.0, 1e6, 1200)
-        a2sq = np.array([abs(reduced_flow(st, float(t)).a2) ** 2 for t in ts])
+        flow = np.array([reduced_flow_profiles(st, 2.0, float(t)) for t in ts])
+        a2sq = np.abs(flow[:, 1]) ** 2
         rec = LinearODERecord(t0=2.0, ts=ts, lam=-a2sq / ts, q=np.zeros_like(ts),
-                              y0=st.a1, lam_tail_pow=1.0 + 2 * m, q_tail_pow=2.0)
-        ys = np.array([reduced_flow(st, float(t)).a1 for t in ts])
+                              y0=st[0], lam_tail_pow=1.0 + 2 * m, q_tail_pow=2.0)
+        ys = flow[:, 0]
         rep = linear_ode_limit(rec, ys)
         assert abs(rep.y_plus - math.sqrt(m)) < 1e-5
         assert rep.passed

@@ -4,6 +4,7 @@ import math
 import shutil
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,22 @@ class TestPipelines:
             err = capsys.readouterr().err
             assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
             assert "Traceback" not in err and not out.exists()
+
+    def test_cli_overflowing_data_exit_2(self, tmp_path, capsys):
+        # finite data whose squared amplitudes overflow: a config error
+        # before any compute, with no numpy warning and no manifest
+        d = tiny_config_dict()
+        d["data1"] = {"kind": "gaussian", "amp": 1e200, "width": 4.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+        assert "mass overflows" in err and not out.exists()
 
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands

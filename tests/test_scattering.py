@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from nlspair import fits
 from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.scattering import (
     _apply_map,
-    _xt_norm,
+    _picard_iterate,
+    _w_sharp_arrays,
     build_final_state,
     dyadic_profile_drift,
     nonlinearity_norms,
     obstruction_probe,
     picard_construct,
     verify_scattering,
-    xt_norm_to_leading,
 )
-from nlspair.scattering import _w_sharp_arrays
 from nlspair.spectral import (
     SQRT_2PI,
     _free_multiplier_fft,
@@ -62,11 +62,11 @@ def reference_picard(spec, T, T_max, max_iters, tol, n_time):
     g = spec.grid
     taus = np.geomspace(T, T_max, n_time)
     mult = _free_multiplier_fft(g, taus)
-    v1, v2 = _w_sharp_arrays(spec, taus)
+    v1, v2 = _w_sharp_arrays(spec, taus).transpose(1, 0, 2)
     distances, k = [], 0
     for k in range(1, max_iters + 1):
         new = []
-        for v, w, psi_hat in ((v1, v2, spec.psi_hat_1), (v2, v1, spec.psi_hat_2)):
+        for v, w, psi_hat in ((v1, v2, spec.psi_hat[0]), (v2, v1, spec.psi_hat[1])):
             pulled = _fft_order_pull_back(g, np.abs(w) ** 2 * v, mult)
             tail = fits.reverse_cumtrapz(taus, pulled.T).T
             tail += psi_hat
@@ -83,6 +83,16 @@ def reference_picard(spec, T, T_max, max_iters, tol, n_time):
         if d < tol:
             break
     return {"v1": v1, "v2": v2, "iterate_index": k, "distances": distances}
+
+
+def xt_norm(grid, taus, d, mu):
+    """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2 of an
+    ``(n_time, 2, N)`` stack ``d`` of x-space samples: the norm in which the
+    Picard map contracts, by x-space quadrature and ``_j_spectrum``."""
+    l2_sq = grid.dx * np.sum(np.abs(d) ** 2, axis=(-2, -1))
+    j = _j_spectrum(grid, _pull_back(grid, d, taus[:, None]))
+    j_sq = grid.dxi * np.sum(np.abs(j) ** 2, axis=(-2, -1))
+    return float(np.max(taus ** (mu + 0.5) * np.sqrt(l2_sq) + taus ** mu * np.sqrt(j_sq)))
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +115,8 @@ class TestBuildFinalState:
     def test_disjoint_windows_decouple(self, decoupled_spec):
         spec = decoupled_spec
         assert spec.decoupled
-        assert np.max(np.abs(spec.psi_hat_1 * spec.psi_hat_2)) == 0.0
+        assert np.max(np.abs(spec.psi_hat[0] * spec.psi_hat[1])) == 0.0
+        assert spec.psi_hat.shape == (2, spec.grid.n_points) and not spec.psi_hat.flags.writeable
         assert spec.delta == pytest.approx(0.05)
         assert spec.mu == pytest.approx(0.25)
         assert 0.0 < spec.mu < 0.5 * (spec.s0 - 1.0)
@@ -118,7 +129,7 @@ class TestBuildFinalState:
     def test_zero_second_component(self, grid):
         spec = build_final_state(grid, [WINDOW_L], [])
         assert spec.decoupled
-        assert np.all(spec.psi_hat_2 == 0)
+        assert np.all(spec.psi_hat[1] == 0)
 
     def test_kappa_against_quadrature(self, grid):
         # sigma small enough that the spectrum sits inside the resolved band
@@ -138,8 +149,8 @@ class TestBuildFinalState:
 
 def leading_and_remainder(spec, t):
     """``(w#, U(t) psi+ - w#)`` as ``(2, N)`` states at the time t."""
-    sharp = np.stack(_w_sharp_arrays(spec, t))
-    free = _push_forward(spec.grid, np.stack([spec.psi_hat_1, spec.psi_hat_2]), t)
+    sharp = _w_sharp_arrays(spec, t)
+    free = _push_forward(spec.grid, spec.psi_hat, t)
     return sharp, free - sharp
 
 
@@ -151,22 +162,22 @@ class TestAsymptoticWave:
         # rows of the batched waves at an array of times are the waves at each time
         g = decoupled_spec.grid
         ts = np.array([50.0, 500.0, 5000.0])
-        s1, s2 = _w_sharp_arrays(decoupled_spec, ts)
-        free = _push_forward(g, decoupled_spec.psi_hat_1, ts)
+        sharp = _w_sharp_arrays(decoupled_spec, ts)
+        free = _push_forward(g, decoupled_spec.psi_hat, ts[:, None])
+        assert sharp.shape == free.shape == (3, 2, g.n_points)
         for i, t in enumerate(ts):
-            one1, one2 = _w_sharp_arrays(decoupled_spec, t)
-            assert np.array_equal(s1[i], one1) and np.array_equal(s2[i], one2)
-            u1 = _push_forward(g, decoupled_spec.psi_hat_1, t)
-            assert np.max(np.abs(free[i] - u1)) < 1e-12
+            assert np.array_equal(sharp[i], _w_sharp_arrays(decoupled_spec, t))
+            u = _push_forward(g, decoupled_spec.psi_hat, t)
+            assert np.max(np.abs(free[i] - u)) < 1e-12
         # U(t) psi+ = w# + remainder, and the remainder shrinks in time
-        rest = l2(g, free - s1)
-        assert np.all(np.diff(rest) < 0) and rest[-1] < 0.1 * l2(g, free[-1])
+        rest = l2(g, free[:, 0] - sharp[:, 0])
+        assert np.all(np.diff(rest) < 0) and rest[-1] < 0.1 * l2(g, free[-1, 0])
 
     def test_leading_wave_norms(self):
         # fine grid: the sampled dilation must resolve the window transitions
         g = nl.Grid(65536, 22000.0)
         spec = build_final_state(g, [WINDOW_L], [WINDOW_R], s=2.0)
-        psi = _inverse_array(g, np.stack([spec.psi_hat_1, spec.psi_hat_2]))
+        psi = _inverse_array(g, spec.psi_hat)
         psi_l2 = math.hypot(*l2(g, psi))
         for t in (100.0, 1000.0, 10000.0):
             sharp, _ = leading_and_remainder(spec, t)
@@ -217,7 +228,7 @@ class TestPicard:
         state = picard_construct(spec, 50.0, 1000.0, max_iters=4, tol=1e-12,
                                  n_time=24)
         assert state.converged and state.iterate_index <= 2
-        u1 = _push_forward(grid, spec.psi_hat_1, 50.0)
+        u1 = _push_forward(grid, spec.psi_hat[0], 50.0)
         v = state.state_at(50.0)
         assert v.shape == (2, grid.n_points)
         assert np.max(np.abs(v[0] - u1)) < 1e-12
@@ -228,33 +239,41 @@ class TestPicard:
         assert state.converged
         assert all(r <= 0.5 for r in state.ratios[:3])
         # the map returns the new profiles, Nyquist slot zeroed
-        alphas = _apply_map(decoupled_spec, state.taus, state.v1, state.v2)
-        assert all(np.all(alpha[:, 0] == 0) for alpha in alphas)
-        new1, new2 = (_push_forward(state.grid, alpha, state.taus) for alpha in alphas)
-        resid = _xt_norm(state.grid, state.taus, new1 - state.v1, new2 - state.v2, state.mu)
-        assert resid <= 2e-9
+        g, taus = decoupled_spec.grid, state.taus
+        alpha = _apply_map(decoupled_spec, taus, state.v)
+        assert alpha.shape == state.v.shape and np.all(alpha[..., 0] == 0)
+        new = _push_forward(g, alpha, taus[:, None])
+        assert xt_norm(g, taus, new - state.v, decoupled_spec.mu) <= 2e-9
 
     def test_iterates_stay_in_ball(self, decoupled_spec, picard_state):
-        assert xt_norm_to_leading(decoupled_spec, picard_state) <= decoupled_spec.kappa
+        # the distance of the iterate from the leading wave
+        spec, taus = decoupled_spec, picard_state.taus
+        d = picard_state.v - _w_sharp_arrays(spec, taus)
+        assert xt_norm(spec.grid, taus, d, spec.mu) <= spec.kappa
 
     def test_uniqueness_two_starts(self, decoupled_spec, picard_state):
-        other = picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=8,
-                                 tol=1e-9, n_time=48, initial="free")
-        dist = _xt_norm(picard_state.grid, picard_state.taus, picard_state.v1 - other.v1,
-                        picard_state.v2 - other.v2, decoupled_spec.mu)
-        assert dist <= 1e-8
+        # the same fixed point from the free wave U(t) psi+ as from w#
+        spec, taus = decoupled_spec, picard_state.taus
+        free = _push_forward(spec.grid, spec.psi_hat, taus[:, None])
+        other = _picard_iterate(spec, taus, free, max_iters=8, tol=1e-9)
+        assert other.converged
+        assert xt_norm(spec.grid, taus, picard_state.v - other.v, spec.mu) <= 1e-8
 
-    def test_iteration_cost_independent_of_samples(self, decoupled_spec, fft_calls):
+    def test_iteration_cost_independent_of_samples(self, decoupled_spec, fft_calls,
+                                                   fft_points):
         # one batched transform per stack: a per-sample loop would scale with n_time
-        counts = []
+        counts, points = [], []
         for n_time, iters in ((24, 1), (48, 1), (48, 2)):
-            before = sum(fft_calls.values())
+            before, before_points = sum(fft_calls.values()), fft_points["points"]
             picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=iters, n_time=n_time)
             counts.append(sum(fft_calls.values()) - before)
+            points.append(fft_points["points"] - before_points)
         assert counts[0] == counts[1] > 0
-        # per iteration and component: the map's pull-back and push-forward,
-        # and one IFFT for the distance
-        assert counts[2] - counts[1] == 6
+        # per iteration, each over the (n_time, 2, N) stack: the map's
+        # pull-back and push-forward, and one IFFT for the distance; the
+        # points transformed are those of one transform per component
+        assert counts[2] - counts[1] == 3
+        assert points[2] - points[1] == 6 * 48 * decoupled_spec.grid.n_points
 
     def test_matches_reference_map(self, decoupled_spec):
         # the map before the profile-frame norm, in the code's own conventions:
@@ -262,12 +281,29 @@ class TestPicard:
         spec = decoupled_spec
         ref = reference_picard(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=48)
         state = picard_construct(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=48)
-        assert np.array_equal(state.v1, ref["v1"]) and np.array_equal(state.v2, ref["v2"])
+        assert np.array_equal(state.v[:, 0], ref["v1"])
+        assert np.array_equal(state.v[:, 1], ref["v2"])
         assert state.iterate_index == ref["iterate_index"]
         d, d_ref = np.array(state.distances), np.array(ref["distances"])
         above = d_ref > 1e-6 * d_ref[0]
         assert above.sum() >= 2
         assert np.all(np.abs(d[above] / d_ref[above] - 1.0) <= 1e-6)
+
+    def test_peak_memory_is_eight_stacks(self):
+        # at its peak the construction holds the iterate, the old profiles,
+        # the map's product (two (n_time, N) stacks each), the free-flow
+        # table and the squared amplitudes: a difference of profiles
+        # allocated afresh, not in the old profile's buffer, adds one more
+        g = nl.Grid(2048, 10000.0)
+        spec = build_final_state(g, [WINDOW_L], [WINDOW_R], s=2.0)
+        tracemalloc.start()
+        try:
+            picard_construct(spec, 50.0, 5000.0, n_time=32)
+            ratio = tracemalloc.get_traced_memory()[1] / (32 * g.n_points * 16)
+        finally:
+            tracemalloc.stop()
+        # measured: 8.13, and 9.18 with the difference allocated afresh
+        assert ratio <= 8.5
 
     def test_box_guard(self, decoupled_spec):
         # the support reaches |xi| = 0.8998: by T_max = 20000 its waves have
@@ -346,7 +382,7 @@ class TestObstruction:
         ts = np.array([100.0, 200.0, 400.0])
         cfg = SolverConfig(n_points=grid.n_points, length=grid.length,
                            t_start=100.0, t_end=400.0, checkpoint_times=tuple(ts))
-        states = _push_forward(grid, np.stack([spec.psi_hat_1, spec.psi_hat_2]), ts[:, None])
+        states = _push_forward(grid, spec.psi_hat, ts[:, None])
         traj = Trajectory(config=cfg, ts=ts, states=states, provenance={})
         drift = dyadic_profile_drift(traj, [100.0, 200.0])
         assert np.max(drift["d1"]) < 1e-12

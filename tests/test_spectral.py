@@ -218,10 +218,9 @@ class TestOperatorAlgebra:
         spec = build_final_state(g, [{"kind": "window", "lo": -0.9, "hi": -0.3, "amp": 0.05}],
                                  [{"kind": "gauss", "center": 0.5, "sigma": 0.1, "amp": 0.04}])
         for t in (2.5, 100.0):
-            w1, w2 = _w_sharp_arrays(spec, t)
-            for w, fn in ((w1, spec.fn1), (w2, spec.fn2)):
-                assert np.allclose(np.abs(w), np.abs(fn(g.x / t)) / math.sqrt(t),
-                                   rtol=1e-14, atol=0)
+            w = _w_sharp_arrays(spec, t)
+            assert np.allclose(np.abs(w), np.abs(spec.spectrum(g.x / t)) / math.sqrt(t),
+                               rtol=1e-14, atol=0)
 
     def test_mdfm_factorisation(self):
         # U(t) = M D F M: the dilation maps the frequency grid exactly onto
