@@ -34,19 +34,19 @@ def loglog_slopes(ts, series):
     return (np.log(safe) * x).sum(axis=-1) / (x * x).sum()
 
 
-def power_tail(ts, series, moment: float):
-    """``integral_T^inf series(t) t^moment dt`` from a power law fitted on ``ts``.
+def power_tail(ts, series):
+    """``integral_T^inf series(t) dt`` from a power law fitted on ``ts``.
 
     Fits ``series ~ c t^p`` along the last axis (``T = ts[-1]``) and returns
-    ``(tail, ok)`` with ``tail = series[..., -1] T^(1+moment) / -(p+moment+1)``.
-    The integral converges only for ``p + moment < -1``; elsewhere ``ok`` is
-    False and ``tail`` is NaN, and the caller picks its own fallback.
+    ``(tail, ok)`` with ``tail = series[..., -1] T / -(p+1)``.  The integral
+    converges only for ``p < -1``; elsewhere ``ok`` is False and ``tail`` is
+    NaN, and the caller picks its own fallback.
     """
     ts = np.asarray(ts, dtype=float)
-    q = loglog_slopes(ts, series) + moment
-    ok = q < -1.0
-    last = np.asarray(series)[..., -1] * ts[-1] ** (1.0 + moment)
-    return np.where(ok, last / np.where(ok, -(q + 1.0), 1.0), np.nan), ok
+    p = loglog_slopes(ts, series)
+    ok = p < -1.0
+    last = np.asarray(series)[..., -1] * ts[-1]
+    return np.where(ok, last / np.where(ok, -(p + 1.0), 1.0), np.nan), ok
 
 
 def reverse_cumtrapz(ts, vals):

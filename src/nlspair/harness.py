@@ -567,13 +567,17 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     state = generate_initial_data(config.data1, config.data2, grid, config.seed)
     with np.errstate(over="ignore"):
         mass = grid.dx * np.sum(np.abs(state) ** 2)
+        data_size = data_size_report(grid, state)
     if not np.isfinite(mass):
         raise ConfigError("the initial data's mass overflows; lower the amplitude")
+    overflown = [k for k, v in data_size.items() if not np.isfinite(v)]
+    if overflown:
+        raise ConfigError(f"the initial data's norms overflow ({', '.join(overflown)}); "
+                          "lower the amplitude")
     with _recording(out_dir, config.name, config.to_dict(),
                     grid={"n_points": grid.n_points, "length": grid.length,
                           "dx": grid.dx, "dxi": grid.dxi},
-                    seed=config.seed, data_size=data_size_report(grid, state),
-                    steps={}) as manifest:
+                    seed=config.seed, data_size=data_size, steps={}) as manifest:
         traj = run(config.solver, state)
         outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
         if config.save_checkpoints:

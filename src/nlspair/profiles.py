@@ -36,7 +36,8 @@ GAMMA = 1.0 / 24.0  # the remainder estimate's exponent: the middle of the admis
 T_FINAL = 100.0
 N_WINDOW = 8
 
-# the power-law tails of the case table are fitted to the last N_FIT checkpoints
+# the remainder's power-law tail beyond the last checkpoint is fitted to the
+# last N_FIT checkpoints
 N_FIT = 8
 
 # complex points in flight in the streamed analytics, shared by the blocks of
@@ -249,8 +250,12 @@ class CaseTable:
     law over the run.
 
     ``fitted_exponent`` is NaN where no fit applies (balanced frequencies,
-    underflowed companions); ``beta_plus`` (``complex(nan, nan)``) and its
-    ``beta_tail_err`` are NaN at balanced frequencies.
+    underflowed companions).  ``beta_plus`` is the survivor's limit profile
+    ``alpha_s(T) sqrt(|m_a|) / |alpha_s(T)|``: the modulus from the
+    imbalance, the phase from the last checkpoint T.  Its error bar
+    ``beta_tail_err`` is the remainder's fitted tail beyond T plus
+    ``|m_a - m_b| / (2 sqrt|m_a|)``.  Both are NaN (``complex(nan, nan)``)
+    at balanced frequencies.
     """
 
     xi: np.ndarray
@@ -317,10 +322,6 @@ class DecouplingReport:
     l2_products: np.ndarray
 
     @property
-    def t(self) -> float:
-        return float(self.ts[-1])
-
-    @property
     def sup_product(self) -> float:
         return float(self.sup_products[-1])
 
@@ -339,33 +340,26 @@ def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
 # limit-profile reconstruction for surviving frequencies
 # ---------------------------------------------------------------------------
 
-def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, other_sq: np.ndarray,
-                      r_surv: np.ndarray, fit: slice):
-    """Vectorised limit reconstruction over the last axis (checkpoints).
+def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, m_a: np.ndarray,
+                      m_b: np.ndarray, r_surv: np.ndarray):
+    """The survivor's limit ``beta+`` and its error bar on survivor columns.
 
-    ``surv``: survivor profile samples, shape (..., n_t); ``other_sq``: squared
-    modulus of the decaying companion; ``r_surv``: remainder samples for the
-    survivor; ``fit``: the checkpoints of the tail fits.  Returns
-    ``alpha(anchor) e^{-I} + quad(R e^{-I})``, where I integrates the
-    companion's squared modulus against dtau/tau, and the error bar of the
-    truncated tails, both of shape (...,).
+    ``surv``: the survivor's profile at the last checkpoint T; ``m_a``,
+    ``m_b``: the two imbalance estimates; ``r_surv``: the survivor's
+    remainder at the checkpoints ``ts`` of the tail fit, on the last axis.
+    Where the companion dies the imbalance tends to ``|beta+|^2``, so the
+    limit takes its modulus ``sqrt|m_a|`` from the conserved imbalance and
+    its phase from T.  The error bar is the remainder's fitted tail beyond
+    T, ``integral_T^inf |R| dt``, plus the imbalance discrepancy carried
+    through the square root, ``|m_a - m_b| / (2 sqrt|m_a|)``.  A survivor
+    column has ``|surv|^2 >= |m_a| > deadband``, so nothing divides by zero.
     """
-    # exponent I(s) = int_s^T |alpha_other|^2 dtau/tau, plus fitted tail
-    I = fits.reverse_cumtrapz(ts, other_sq / ts)
-    tail_ts = ts[fit]
-    # a flat or growing fitted tail means the series already hit its floor;
-    # fall back to one more decade at the last value
-    i_tail, ok = fits.power_tail(tail_ts, other_sq[..., fit], -1.0)
-    i_tail = np.where(ok, i_tail, other_sq[..., -1])
-    I += i_tail[..., None]
-    decay = np.exp(np.negative(I, out=I), out=I)      # e^{-I}, in place
-    beta = surv[..., 0] * decay[..., 0]
-    beta = beta + np.trapezoid(r_surv * decay, ts, axis=-1)
-    r_abs = np.abs(r_surv[..., fit])
-    r_tail, ok = fits.power_tail(tail_ts, r_abs, 0.0)
+    beta = surv * np.sqrt(np.abs(m_a) / np.abs(surv) ** 2)
+    r_abs = np.abs(r_surv)
+    # no integrable power law fits the tail: fall back to |R(T)| T
+    r_tail, ok = fits.power_tail(ts, r_abs)
     r_tail = np.where(ok, r_tail, r_abs[..., -1] * ts[-1])
-    tail_err = np.abs(surv[..., -1]) * i_tail + r_tail
-    return beta, tail_err
+    return beta, r_tail + np.abs(m_a - m_b) / (2.0 * np.sqrt(np.abs(m_a)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +373,10 @@ def build_case_records(traj: Trajectory,
     """Classify every frequency and attach decay fits and limit estimates.
 
     Decay exponents are fitted for the decaying companion at surviving
-    frequencies; limit values are reconstructed for the survivor; the
-    truncated tails are estimated from fitted power laws and reported, never
-    silently dropped.  All per-frequency work is vectorised.  Raises
+    frequencies; the survivor's limit is read from the imbalance at the last
+    checkpoint, with an error bar that reports the remainder's fitted tail
+    and the imbalance discrepancy, never silently dropped.  All
+    per-frequency work is vectorised.  Raises
     ValueError unless the checkpoints hold an analysable window
     (:func:`check_window`).
     """
@@ -409,9 +404,9 @@ def build_case_records(traj: Trajectory,
     beta_err = np.full(grid.n_points, np.nan)
     for label, s, o, r in ((SURVIVOR_1, a1, a2, r1), (SURVIVOR_2, a2, a1, r2)):
         cols = labels == label
-        companion = np.abs(o[cols])
-        exp_fit[cols] = decay_exponents(ts, companion)
-        beta[cols], beta_err[cols] = _beta_plus_arrays(ts, s[cols], companion ** 2, r[cols], fit)
+        exp_fit[cols] = decay_exponents(ts, np.abs(o[cols]))
+        beta[cols], beta_err[cols] = _beta_plus_arrays(ts[fit], s[cols, -1], m_a[cols],
+                                                       m_b[cols], r[cols, fit])
     return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
                      deadband=deadband, discrepancy=disc, balance_residual=balance_residual)

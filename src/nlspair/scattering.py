@@ -298,7 +298,7 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
                        ratios=ratios, converged=converged)
 
 
-def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
+def picard_construct(spec: FinalStateSpec, T: float, T_max: float,
                      max_iters: int = 8, tol: float = 1e-9, n_time: int = 64) -> PicardState:
     """Fixed-point construction of the solution scattering to decoupled psi+.
 
@@ -314,8 +314,6 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float | None = None,
         raise ValueError("final state is not decoupled; use obstruction_probe instead")
     if T < 1.0:
         raise ValueError("need T >= 1")
-    if T_max is None:
-        T_max = 100.0 * T
     if T_max < 10.0 * T:
         raise ValueError("need T_max >= 10 T")
     _check_box(spec, T_max)

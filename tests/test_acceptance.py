@@ -385,14 +385,22 @@ def test_scatter_case_records_recover_final_state(scatter):
     # a known answer: the forward run from the constructed solution scatters
     # to psi_hat, so each survivor label must sit on its own component's
     # support; the 25 checkpoints at N = 8192 span several blocks, so the
-    # analytics run on the pool wherever the process has more than one CPU
-    spec = scatter["spec"]
-    labels = build_case_records(scatter["traj"]).label
+    # analytics run on the pool wherever the process has more than one CPU.
+    # The survivor's limit recovers psi_hat up to the profile's own gap at
+    # the last checkpoint (the construction error) and its error bar
+    spec, traj = scatter["spec"], scatter["traj"]
+    table = build_case_records(traj)
+    labels = table.label
+    alpha_T = profile_history(traj).alpha[-1]
     on1, on2 = spec.psi_hat != 0
-    for label, own, other in (("survivor_1", on1, on2), ("survivor_2", on2, on1)):
+    for s, (label, own, other) in enumerate((("survivor_1", on1, on2),
+                                             ("survivor_2", on2, on1))):
         cols = labels == label
         assert np.any(cols)
         assert np.all(own[cols]) and not np.any(other[cols])
+        gap_T = np.max(np.abs(alpha_T[s, cols] - spec.psi_hat[s, cols]))
+        gap = np.abs(table.beta_plus[cols] - spec.psi_hat[s, cols])
+        assert np.all(gap <= gap_T + table.beta_tail_err[cols])
     assert np.all(labels[~(on1 | on2)] == "balanced")
 
 

@@ -20,10 +20,10 @@ class TestPowerLawFits:
     def test_underflow_is_clipped_not_nan(self):
         assert loglog_slopes(self.ts, np.zeros(8)) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("moment", [0.0, -1.0])
-    def test_tail_closed_form(self, moment):
-        tail, ok = power_tail(self.ts, self.series, moment)
-        q = self.p[:, 0] + moment + 1.0
+    def test_tail_closed_form(self):
+        # integral_T^inf c t^p dt = c T^(p+1) / -(p+1) where p < -1
+        tail, ok = power_tail(self.ts, self.series)
+        q = self.p[:, 0] + 1.0
         assert np.array_equal(ok, np.broadcast_to(q < 0, (2, 4)))
         T = self.ts[-1]
         exact = self.c[:, :, 0] * T ** q / -q
@@ -31,11 +31,11 @@ class TestPowerLawFits:
         assert np.all(np.isnan(tail[~ok]))
 
     def test_no_tail_when_not_integrable(self):
-        # p + moment >= -1: flat, slowly decaying and growing series
-        tail, ok = power_tail(self.ts, self.series[:, 2:], 0.0)
+        # p > -1: slowly decaying, flat and growing series
+        p = np.array([-0.9, -0.5, 0.0, 0.3])[:, None]
+        tail, ok = power_tail(self.ts, 1.5 * self.ts ** p)
         assert not np.any(ok)
-        tail, ok = power_tail(self.ts, self.series[:, :2], 2.0)
-        assert not np.any(ok)
+        assert np.all(np.isnan(tail))
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 37])

@@ -352,11 +352,16 @@ class TestPipelines:
             assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
             assert "Traceback" not in err and not out.exists()
 
-    def test_cli_overflowing_data_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data1, fragment", [
+        ({"kind": "gaussian", "amp": 1e200, "width": 4.0}, "mass overflows"),
+        # a finite mass whose Sobolev weights overflow the manifest's norms
+        ({"kind": "gaussian", "amp": 5e153, "width": 0.3}, "norms overflow (h2, h1_1)"),
+    ], ids=["mass", "norms"])
+    def test_cli_overflowing_data_exit_2(self, tmp_path, capsys, data1, fragment):
         # finite data whose squared amplitudes overflow: a config error
         # before any compute, with no numpy warning and no manifest
         d = tiny_config_dict()
-        d["data1"] = {"kind": "gaussian", "amp": 1e200, "width": 4.0}
+        d["data1"] = data1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(d))
         out = tmp_path / "o"
@@ -366,7 +371,7 @@ class TestPipelines:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
-        assert "mass overflows" in err and not out.exists()
+        assert fragment in err and not out.exists()
 
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands

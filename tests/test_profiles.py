@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ import pytest
 
 import nlspair as nl
 from nlspair import profiles as P
+from nlspair.asymptotics import reduced_flow_profiles
 from nlspair.dynamics import SolverConfig, Trajectory, run
 from nlspair.profiles import (
     BALANCED,
@@ -20,7 +22,7 @@ from nlspair.profiles import (
     profile_history,
     remainder_history,
 )
-from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back
+from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back, _push_forward
 
 from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2
 
@@ -410,7 +412,43 @@ class TestDecoupling:
         assert np.max(bound) <= 2.0 * bound[0]
 
 
+@pytest.fixture(scope="module")
+def reduced_flow_run():
+    """A trajectory whose profiles follow the reduced flow exactly, with
+    Gaussian profiles on opposite sides of xi = 0: the imbalance changes
+    sign, and is conserved, so the survivors' limits are known in closed form."""
+    ts = np.geomspace(2.0, 150.0, 24)
+    cfg = SolverConfig(n_points=512, length=360.0, t_start=2.0, t_end=150.0,
+                       checkpoint_times=tuple(ts))
+    xi = cfg.grid.xi
+
+    def profile(amp, centre, p1, p2):
+        return amp * np.exp(-0.5 * ((xi - centre) / 0.15) ** 2 + 1j * (p1 * xi + p2 * xi ** 2))
+
+    a0 = np.stack([profile(0.11, -0.09, 3.0, -2.0), profile(0.1, 0.09, -4.0, 1.0)])
+    a0[:, 0] = 0.0      # the Nyquist slot
+    states = np.stack([_push_forward(cfg.grid, reduced_flow_profiles(a0, ts[0], t), t)
+                       for t in ts])
+    return Trajectory(cfg, ts, states, {}), a0
+
+
 class TestBetaPlus:
+    def test_closed_form_limit(self, reduced_flow_run):
+        # |beta+|^2 is the conserved imbalance m and the phase is frozen, so
+        # the limit is alpha_s(T) sqrt|m| / |alpha_s(T)| on every survivor
+        # column, down to those within 1-2 dead-bands
+        traj, a0 = reduced_flow_run
+        m = np.abs(a0[0]) ** 2 - np.abs(a0[1]) ** 2
+        a_T = reduced_flow_profiles(a0, traj.ts[0], traj.ts[-1])
+        table = build_case_records(traj)
+        for s, label in enumerate((SURVIVOR_1, SURVIVOR_2)):
+            cols = table.label == label
+            assert np.any(cols & (np.abs(m) < 2.0 * table.deadband))
+            exact = a_T[s, cols] * np.sqrt(np.abs(m[cols])) / np.abs(a_T[s, cols])
+            error = np.abs(table.beta_plus[cols] - exact)
+            assert np.all(error <= 1e-10 * np.abs(exact))
+            assert np.all(error <= table.beta_tail_err[cols])
+
     def test_free_component_exact(self, free_component_run):
         traj, profiles, probes = free_component_run
         table = build_case_records(traj, profiles, probes)
@@ -420,15 +458,23 @@ class TestBetaPlus:
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_survivor_consistency(self, which, request):
-        # the limit at xi = 0 lies within its tail error bar of the last
-        # profile, on the component the table names the survivor
+        # the limits estimated from the checkpoints up to t ~ 100 and from
+        # all of them up to 150 agree within the sum of their error bars,
+        # on every column both name a survivor; xi = 0 is one, on the
+        # component the table names
         traj, profiles, probes = request.getfixturevalue(
             "generic_run" if which == 1 else "swapped_run")
         table = build_case_records(traj, profiles, probes)
         k = int(np.argmin(np.abs(table.xi)))
         assert table.label[k] == (SURVIVOR_1 if which == 1 else SURVIVOR_2)
-        gap = abs(table.beta_plus[k] - profiles.alpha[-1, which - 1, k])
-        assert gap <= 3.0 * table.beta_tail_err[k]
+        n = int(np.searchsorted(traj.ts, P.T_FINAL)) + 1
+        cfg = dataclasses.replace(traj.config, t_end=float(traj.ts[n - 1]),
+                                  checkpoint_times=traj.config.checkpoint_times[:n])
+        early = build_case_records(Trajectory(cfg, traj.ts[:n], traj.states[:n], traj.provenance))
+        cols = (early.label == table.label) & (table.label != BALANCED)
+        assert cols[k]
+        gap = np.abs(table.beta_plus[cols] - early.beta_plus[cols])
+        assert np.all(gap <= table.beta_tail_err[cols] + early.beta_tail_err[cols])
 
 
 class TestCaseRecords:
