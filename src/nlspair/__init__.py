@@ -22,7 +22,6 @@ from .dynamics import (
     Trajectory,
     coupled_decay_ratios,
     mass_ledger,
-    rk4_reference,
     run,
 )
 from .profiles import (

@@ -281,24 +281,19 @@ def linear_ode_limit(record: LinearODERecord, ys) -> LinearLimitReport:
                              passed=bool(worst >= -1e-6))
 
 
-def _interp_complex(ts, vals, t):
-    return np.interp(t, ts, vals.real) + 1j * np.interp(t, ts, vals.imag)
-
-
-def solve_linear_record(record: LinearODERecord, lam_fn=None, q_fn=None) -> np.ndarray:
+def solve_linear_record(record: LinearODERecord, lam_fn, q_fn) -> np.ndarray:
     """Integrate y' = lam y + Q through the sample grid with tight tolerances.
 
-    Analytic coefficient callables keep the solve at solver precision; when
-    absent the sampled coefficients are interpolated, which caps the
-    accuracy at the sampling density.
+    ``lam_fn`` and ``q_fn`` are the analytic coefficients that the record
+    samples, ``t -> lambda(t)`` and ``t -> Q(t)``; they keep the solve at
+    solver precision, which interpolated samples would cap at the sampling
+    density.
     """
     from scipy import integrate
     ts = record.ts
-    lam_of = lam_fn if lam_fn is not None else (lambda t: _interp_complex(ts, record.lam, t))
-    q_of = q_fn if q_fn is not None else (lambda t: _interp_complex(ts, record.q, t))
 
     def rhs(t, y):
-        z = lam_of(t) * (y[0] + 1j * y[1]) + q_of(t)
+        z = lam_fn(t) * (y[0] + 1j * y[1]) + q_fn(t)
         return [z.real, z.imag]
 
     sol = integrate.solve_ivp(rhs, (ts[0], ts[-1]), [record.y0.real, record.y0.imag],

@@ -383,7 +383,14 @@ def _strang_scheme(config: SolverConfig, v: np.ndarray):
 
 
 def _rk4_scheme(config: SolverConfig, v: np.ndarray):
-    """RK4 on the profile pair; checkpoints push it forward to x-space."""
+    """Classical RK4 on the profile pair alpha(t) = F U(-t) u(t); checkpoints
+    push it forward to x-space.
+
+    ``dalpha/dt = -c F U(-t) N(U(t) F^-1 alpha)`` with
+    ``N_j = |u_{3-j}|^2 u_j`` and ``c = 1`` for the dissipative coupling or
+    ``c = i`` for the phase-rotating variant.  Desk-scale oracle; costlier
+    than splitting.
+    """
     grid = config.grid
     coef = 1.0 if config.coupling == "dissipative" else 1.0j
     w = _pull_back(grid, v, config.t_start)
@@ -407,8 +414,9 @@ def _rk4_scheme(config: SolverConfig, v: np.ndarray):
 
 
 def run(config: SolverConfig, initial: np.ndarray) -> Trajectory:
-    """Integrate the ``(2, N)`` state ``initial`` at t_start to t_end,
-    recording it and its ledger at each checkpoint.
+    """Integrate the ``(2, N)`` state ``initial`` at t_start to t_end with the
+    config's scheme (the Strang splitting, or the RK4 oracle of
+    :func:`_rk4_scheme`), recording it and its ledger at each checkpoint.
 
     A state of another shape than the config's grid is a ConfigError.
     Aborts with :class:`GuardViolation` if mass accumulates near the box
@@ -417,16 +425,6 @@ def run(config: SolverConfig, initial: np.ndarray) -> Trajectory:
     Strang scheme checks at every step, the RK4 oracle at every checkpoint.
     """
     if config.scheme == "rk4_reference":
-        return rk4_reference(config, initial)
+        return _drive(config, initial, _rk4_scheme,
+                      {"scheme": "rk4_reference", "coupling": config.coupling})
     return _drive(config, initial, _strang_scheme, {"scheme": "strang_exact"})
-
-
-def rk4_reference(config: SolverConfig, initial: np.ndarray) -> Trajectory:
-    """Classical RK4 on the profile pair alpha(t) = F U(-t) u(t).
-
-    ``dalpha/dt = -c F U(-t) N(U(t) F^-1 alpha)`` with
-    ``N_j = |u_{3-j}|^2 u_j`` and ``c = 1`` for the dissipative coupling or
-    ``c = i`` for the phase-rotating variant.  Desk-scale oracle; costlier than splitting.
-    """
-    return _drive(config, initial, _rk4_scheme,
-                  {"scheme": "rk4_reference", "coupling": config.coupling})

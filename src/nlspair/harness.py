@@ -184,12 +184,9 @@ def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
 @dataclass(frozen=True)
 class AnalysisOptions:
     profiles: bool = True
-    deadband: float | None = None
 
     def __post_init__(self) -> None:
         _check_toggle(self.profiles, "profiles")
-        if self.deadband is not None and finite_real(self.deadband, "deadband") <= 0.0:
-            raise ConfigError(f"deadband must be positive when given, got {self.deadband}")
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,8 @@ def load_config(path) -> ExperimentConfig:
 # presets
 # ---------------------------------------------------------------------------
 
-def _headline_checkpoints(t_end: float = 1e4) -> tuple[float, ...]:
+def _headline_checkpoints() -> tuple[float, ...]:
+    t_end = 1e4
     times = set(np.geomspace(2.0, t_end, 40).tolist())
     times.update((t_end / 2.0 ** k) for k in range(11))
     times.update((0.0, 2.0, 10.0, 100.0, 1000.0, t_end))
@@ -327,7 +325,7 @@ def preset_decoupling_headline() -> ExperimentConfig:
         seed=704,
         solver=SolverConfig(
             n_points=4096, length=12000.0, t_start=0.0, t_end=1e4,
-            checkpoint_times=_headline_checkpoints(1e4),
+            checkpoint_times=_headline_checkpoints(),
         ),
         data1={"kind": "gaussian", "amp": 0.1, "width": 8.0},
         data2={"kind": "gaussian", "amp": 0.04, "width": 12.0},
@@ -346,7 +344,7 @@ def preset_symmetric_log_decay() -> ExperimentConfig:
         seed=704,
         solver=SolverConfig(
             n_points=8192, length=16000.0, t_start=0.0, t_end=1e4,
-            checkpoint_times=_headline_checkpoints(1e4),
+            checkpoint_times=_headline_checkpoints(),
         ),
         data1={"kind": "gaussian", "amp": 0.1, "width": 8.0},
         data2={"kind": "copy"},
@@ -527,7 +525,9 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
                             analysis: AnalysisOptions) -> list[str]:
     """Write the ledger, the per-frequency case table, and the remainder and
     decoupling histories, each once, as CSV; ``profiles.json`` holds the two
-    run-level numbers no CSV does."""
+    run-level numbers no CSV does.  Under the conservative coupling no
+    companion dies, so the labels are only the sign of the imbalance and the
+    survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
@@ -535,15 +535,18 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
                        [traj.ts, *traj.ledger.T])]
     if analysis.profiles:
         profiles = profile_history(traj)
-        probes = remainder_history(traj, profiles=profiles)
-        table = build_case_records(traj, profiles, probes, deadband=analysis.deadband)
+        probes = remainder_history(traj, profiles)
+        table = build_case_records(profiles, probes)
         dec = decoupling_history(profiles)
+        limit = [table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]
+        if traj.config.coupling == "conservative":
+            limit = [np.full(len(table.xi), np.nan)] * 3
         paths += [
             write_csv(out_dir / "profiles.csv", "profiles",
                       ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                        "beta_plus_re", "beta_plus_im", "tail_err"],
                       [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
-                       table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]),
+                       *limit]),
             write_json(out_dir / "profiles.json", "profiles",
                        {"deadband": table.deadband, "discrepancy": table.discrepancy}),
             write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
@@ -663,7 +666,7 @@ def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
             t_end=opts.forward_t_end,
             checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
         )
-        traj = run(cfg, state.state_at(opts.T))
+        traj = run(cfg, state.v[0])
         manifest["steps"] = traj.steps
         manifest["picard"] = {"iterations": state.iterate_index, "converged": state.converged,
                               "distances": state.distances, "ratios": state.ratios}

@@ -150,10 +150,17 @@ class RemainderHistory:
     bound_ratio: np.ndarray
 
 
-def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
-                alpha: np.ndarray) -> RemainderHistory:
-    """R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u) on ``(n_t, 2, N)``
-    stacks, formed block by block in the rows of ``r``."""
+def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
+    """Remainders ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)`` at
+    every checkpoint with t >= T_MIN, block by block in the rows of ``r``.
+
+    ``profiles`` is the :func:`profile_history` of ``traj``; ValueError when
+    it covers other times.
+    """
+    i0 = _first_row(traj)
+    ts, alpha, states, grid = profiles.ts, profiles.alpha, traj.states[i0:], traj.grid
+    if not np.array_equal(ts, traj.ts[i0:]):
+        raise ValueError("profiles and checkpoints cover different times")
     if np.any(ts < 1.0):
         raise ValueError("remainder probe needs t >= 1")
     w2 = 1.0 + grid.xi ** 2
@@ -182,21 +189,6 @@ def _remainders(grid: Grid, ts: np.ndarray, states: np.ndarray,
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     r.flags.writeable = False
     return RemainderHistory(ts, r, ratio)
-
-
-def remainder_history(traj: Trajectory,
-                      profiles: ProfileHistory | None = None) -> RemainderHistory:
-    """Remainders at every checkpoint with t >= T_MIN, block by block of checkpoints.
-
-    ``profiles`` is the :func:`profile_history` over the same checkpoints;
-    pass it when already built, so the profiles are not extracted twice.
-    """
-    if profiles is None:
-        profiles = profile_history(traj)
-    i0 = _first_row(traj)
-    if not np.array_equal(profiles.ts, traj.ts[i0:]):
-        raise ValueError("profiles and checkpoints cover different times")
-    return _remainders(traj.grid, profiles.ts, traj.states[i0:], profiles.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,8 @@ class CaseTable:
     at the first checkpoint and adds the quadrature of
     ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``, i.e. it integrates
     the balance law instead of trusting the endpoint.  ``label`` classifies
-    ``m_a`` against ``deadband``, by default ``max(1e-3, 3 discrepancy)``
-    with ``discrepancy`` the largest ``|m_a - m_b|`` over the resolved
+    ``m_a`` against ``deadband = max(1e-3, 3 discrepancy)``, with
+    ``discrepancy`` the largest ``|m_a - m_b|`` over the resolved
     frequencies.  ``balance_residual`` is the largest miss of the balance
     law over the run.
 
@@ -321,14 +313,6 @@ class DecouplingReport:
     sup_products: np.ndarray
     l2_products: np.ndarray
 
-    @property
-    def sup_product(self) -> float:
-        return float(self.sup_products[-1])
-
-    @property
-    def l2_product(self) -> float:
-        return float(self.l2_products[-1])
-
 
 def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
     prod = np.abs(profiles.alpha[:, 0] * profiles.alpha[:, 1])     # (n_t, N)
@@ -366,31 +350,24 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, m_a: np.ndarray,
 # full per-frequency report
 # ---------------------------------------------------------------------------
 
-def build_case_records(traj: Trajectory,
-                       profiles: ProfileHistory | None = None,
-                       probes: RemainderHistory | None = None,
-                       deadband: float | None = None) -> CaseTable:
+def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> CaseTable:
     """Classify every frequency and attach decay fits and limit estimates.
 
-    Decay exponents are fitted for the decaying companion at surviving
-    frequencies; the survivor's limit is read from the imbalance at the last
-    checkpoint, with an error bar that reports the remainder's fitted tail
-    and the imbalance discrepancy, never silently dropped.  All
-    per-frequency work is vectorised.  Raises
+    ``profiles`` and ``probes`` are the :func:`profile_history` and
+    :func:`remainder_history` of one run.  Decay exponents are fitted for
+    the decaying companion at surviving frequencies; the survivor's limit is
+    read from the imbalance at the last checkpoint, with an error bar that
+    reports the remainder's fitted tail and the imbalance discrepancy, never
+    silently dropped.  All per-frequency work is vectorised.  Raises
     ValueError unless the checkpoints hold an analysable window
-    (:func:`check_window`).
+    (:func:`check_window`) that both histories cover.
     """
-    if profiles is None:
-        profiles = profile_history(traj)
     ts = profiles.ts
     check_window(ts)
-    if probes is None:
-        probes = remainder_history(traj, profiles=profiles)
     if not np.array_equal(probes.ts, ts):
         raise ValueError("profiles and probes must cover the same checkpoints")
     m_a, m_b, disc, balance_residual = _imbalance(profiles, probes)
-    if deadband is None:
-        deadband = max(1e-3, 3.0 * disc)
+    deadband = max(1e-3, 3.0 * disc)
     labels = classify(m_a, deadband)
     grid = profiles.grid
     # (n_xi, n_t) views: the fits run along the time axis, where it lies

@@ -163,7 +163,8 @@ def _w_sharp_arrays(spec: FinalStateSpec, t):
 @dataclass
 class PicardState:
     """Iteration record: the sample times, the current ``(n_t, 2, N)``
-    iterate ``v`` and the contraction history."""
+    iterate ``v`` and the contraction history.  ``taus[0]`` is the start
+    time T of the construction, so ``v[0]`` is the ``(2, N)`` state at T."""
 
     taus: np.ndarray
     v: np.ndarray
@@ -171,13 +172,6 @@ class PicardState:
     distances: list[float]
     ratios: list[float]
     converged: bool
-
-    def state_at(self, t: float) -> np.ndarray:
-        """The ``(2, N)`` row of the iterate at the sample time t."""
-        i = int(np.argmin(np.abs(self.taus - t)))
-        if abs(self.taus[i] - t) > 1e-9 * max(1.0, t):
-            raise KeyError(f"no iterate sample at t = {t}")
-        return self.v[i]
 
 
 def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -222,7 +216,7 @@ def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) ->
 
 
 def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
-               table: np.ndarray | None = None) -> np.ndarray:
+               table: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map to the ``(n_time, 2, N)``
     iterate ``v`` on the sampled time grid, as the profiles of the new one.
 
@@ -233,7 +227,7 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
     the integral at T_max leaves only the decaying difference part.  The
-    stack is pulled back in one call with the table
+    stack is pulled back in one call with ``table``, which is
     ``_profile_multiplier(grid, taus)[:, None]``.
 
     Returns the ``(n_time, 2, N)`` profiles ``psi_hat + int_t^inf G`` with
@@ -417,7 +411,7 @@ def dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
         n_points=spec.grid.n_points, length=spec.grid.length,
         t_start=T, t_end=float(cps[-1]), checkpoint_times=tuple(cps),
     )
-    traj = run(cfg, state.state_at(T))
+    traj = run(cfg, state.v[0])
     return {**dyadic_profile_drift(traj, base), "steps": traj.steps}
 
 

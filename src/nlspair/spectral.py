@@ -120,15 +120,13 @@ def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
     return mult
 
 
-def _forward_array(grid: Grid, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def _forward_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Ordered, continuum-normalised spectrum of raw x-space samples (last axis).
 
     N/2 is even, so ``fftshift(fft(v)) == fft((-1)^n v)``: the sign on the
     input puts the output in ordered frequencies without a reordering copy.
-    ``overwrite_x`` lets the sign go into ``values`` in place, for callers
-    that pass a temporary.
     """
-    spec = np.fft.fft(np.multiply(values, grid._sign, out=values if overwrite_x else None), axis=-1)
+    spec = np.fft.fft(values * grid._sign, axis=-1)
     spec *= grid._sign * (grid.dx / SQRT_2PI)
     return spec
 
@@ -169,7 +167,8 @@ def _pull_back(grid: Grid, values: np.ndarray, t,
     free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.
     ``table`` is ``_profile_multiplier(grid, t)``, passed by callers that
     transform many stacks at the same times, and is left untouched;
-    ``overwrite_x`` is as for :func:`_forward_array`.
+    ``overwrite_x`` lets the sign go into ``values`` in place, for callers
+    that pass a temporary.
     """
     spec = np.multiply(values, grid._sign, out=values if overwrite_x else None)
     np.fft.fft(spec, axis=-1, out=spec)

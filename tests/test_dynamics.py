@@ -11,7 +11,6 @@ from nlspair.dynamics import (
     SolverConfig,
     coupled_decay_ratios,
     mass_ledger,
-    rk4_reference,
     run,
 )
 from nlspair.errors import ConfigError, GuardViolation
@@ -163,7 +162,7 @@ class TestStrangStep:
         cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
                            t_start=0.0, t_end=dt, dt_policy=DtPolicy.fixed(1e-4),
                            checkpoint_times=(dt,), scheme="rk4_reference")
-        ref = rk4_reference(cfg, pair).states[-1]
+        ref = run(cfg, pair).states[-1]
         e1 = rel_l2(small_grid, one[0], ref[0])
         e2 = rel_l2(small_grid, two[0], ref[0])
         order = math.log2(e1 / e2)
@@ -433,14 +432,14 @@ class TestRk4Reference:
 
     def test_zero_data(self):
         cfg = self._config()
-        traj = rk4_reference(cfg, np.zeros((2, cfg.n_points), complex))
+        traj = run(cfg, np.zeros((2, cfg.n_points), complex))
         assert traj.ledger[-1, 0] == 0.0
 
     def test_decoupled_matches_free_flow(self):
         cfg = self._config()
         g = cfg.grid
         u1 = gaussian_field(g, 0.3, 3.0)
-        traj = rk4_reference(cfg, np.stack([u1, np.zeros(g.n_points)]))
+        traj = run(cfg, np.stack([u1, np.zeros(g.n_points)]))
         free = free_flow(g, u1, 5.0)
         assert rel_l2(g, traj.states[-1, 0], free) < 1e-8
 
@@ -453,21 +452,21 @@ class TestRk4Reference:
         pair = np.stack([gaussian_field(g, 0.1, 3.0),
                          gaussian_field(g, 0.05, 4.0, velocity=0.15)])
         a = run(cfg_s, pair).states[-1]
-        b = rk4_reference(cfg_r, pair).states[-1]
+        b = run(cfg_r, pair).states[-1]
         assert math.hypot(*l2(g, a - b)) / math.hypot(*l2(g, a)) < 1e-6
 
     def test_conservative_coupling_preserves_mass(self):
         cfg = self._config(coupling="conservative")
         g = cfg.grid
         pair = np.stack([gaussian_field(g, 0.2, 3.0), gaussian_field(g, 0.15, 4.0)])
-        traj = rk4_reference(cfg, pair)
+        traj = run(cfg, pair)
         m0 = mass_ledger(g, pair)
         assert traj.ledger[-1, :2].sum() == pytest.approx(m0[:2].sum(), rel=1e-10)
 
     def test_guard_trips_on_fast_packet(self):
         cfg, pair = fast_packet()
         with pytest.raises(GuardViolation) as exc:
-            rk4_reference(replace(cfg, scheme="rk4_reference"), pair)
+            run(replace(cfg, scheme="rk4_reference"), pair)
         assert exc.value.time <= 200.0
         assert exc.value.fraction > exc.value.tolerance
 

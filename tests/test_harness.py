@@ -28,7 +28,13 @@ from nlspair.harness import (
     run_simulate,
     write_csv,
 )
-from nlspair.profiles import BALANCED, build_case_records
+from nlspair.profiles import (
+    BALANCED,
+    SURVIVOR_1,
+    build_case_records,
+    profile_history,
+    remainder_history,
+)
 from nlspair.spectral import _forward_array, _push_forward
 
 from conftest import gaussian_field, l2
@@ -208,8 +214,32 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("deadband", [math.nan, math.inf])
     def test_non_finite_deadband_rejected(self, deadband):
+        # the dead-band is no longer a key, so a non-finite one is rejected
+        # as an unknown key
+        d = {**tiny_config_dict(), "analysis": {"profiles": True, "deadband": deadband}}
         with pytest.raises(ConfigError, match="deadband"):
-            AnalysisOptions(deadband=deadband)
+            ExperimentConfig.from_dict(d)
+
+    def test_retired_deadband_key(self, stored_run, tmp_path, capsys):
+        # the dead-band is always max(1e-3, 3 discrepancy): a config that
+        # sets analysis.deadband, to null too, and the manifest of an older
+        # run that lists it are config errors
+        manifest = json.loads((stored_run / "manifest.json").read_text())
+        for i, value in enumerate((None, 1e-3, math.nan, math.inf, "abc", True)):
+            d = {**tiny_config_dict(), "analysis": {"profiles": True, "deadband": value}}
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(d))
+            run_dir = tmp_path / f"run{i}"
+            run_dir.mkdir()
+            (run_dir / "manifest.json").write_text(json.dumps({**manifest, "config": d}))
+            for argv in (["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                         ["analyze", "--out", str(run_dir)]):
+                capsys.readouterr()
+                assert main(argv) == 2, (value, argv[0])
+                err = capsys.readouterr().err
+                assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+                assert "unknown keys in config.analysis: ['deadband']" in err
+            assert not (tmp_path / "o").exists()
 
     def test_seed_mandatory(self):
         d = tiny_config_dict()
@@ -308,13 +338,29 @@ class TestPipelines:
     def test_tail_err_is_survivor_error_bar(self, stored_run):
         # the tail_err column is the survivor's error bar: empty exactly where
         # beta_plus is, and the table's beta_tail_err on every survivor row
-        cfg = ExperimentConfig.from_dict(tiny_config_dict())
-        table = build_case_records(load_trajectory(stored_run, cfg))
+        traj = load_trajectory(stored_run, ExperimentConfig.from_dict(tiny_config_dict()))
+        profiles = profile_history(traj)
+        table = build_case_records(profiles, remainder_history(traj, profiles))
         rows = [r.split(",") for r in
                 (stored_run / "profiles.csv").read_text().splitlines()[2:]]
         assert [r[3] for r in rows] == list(table.label)
         for row, label, err in zip(rows, table.label, table.beta_tail_err, strict=True):
             assert row[7] == ("" if label == BALANCED else repr(float(err)))
+
+    def test_conservative_run_writes_no_limit(self, tmp_path):
+        # under the phase-rotating coupling no companion dies, so no survivor
+        # has a limit: the labels are only the sign of the imbalance, and
+        # the limit's columns are empty on every row
+        d = {**tiny_config_dict(), "save_checkpoints": False}
+        d["solver"] = {**d["solver"], "scheme": "rk4_reference", "coupling": "conservative"}
+        traj = run_simulate(ExperimentConfig.from_dict(d), tmp_path)["trajectory"]
+        profiles = profile_history(traj)
+        table = build_case_records(profiles, remainder_history(traj, profiles))
+        assert np.count_nonzero(table.label == SURVIVOR_1) > 0
+        rows = [r.split(",") for r in
+                (tmp_path / "profiles.csv").read_text().splitlines()[2:]]
+        assert [r[3] for r in rows] == list(table.label)
+        assert all(r[5:] == ["", "", ""] for r in rows)
 
     def test_manifest_records_steps(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config_dict())
@@ -332,10 +378,8 @@ class TestPipelines:
         solver = {"n_points": 256, "length": 400.0, "t_end": 120.0}
         gaussian = {"kind": "gaussian", "amp": 0.08, "width": 4.0}
         bad = [("solver", {**solver, "t_end": math.inf}),
-               ("analysis", {"deadband": math.nan}),
                ("seed", math.inf), ("seed", math.nan), ("seed", "abc"), ("seed", 1.7),
                ("seed", -1),
-               ("analysis", {"deadband": "abc"}), ("analysis", {"deadband": True}),
                ("analysis", {"profiles": "no"}), ("save_checkpoints", "false"),
                ("solver", {**solver, "length": True}),
                ("solver", {**solver, "checkpoint_times": ["a"]}),

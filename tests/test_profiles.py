@@ -37,8 +37,7 @@ def generic_run():
     g = cfg.grid
     traj = run(cfg, np.stack([gaussian_field(g, 0.15, 4.0), gaussian_field(g, 0.075, 6.0)]))
     profiles = profile_history(traj)
-    probes = remainder_history(traj)
-    return traj, profiles, probes
+    return traj, profiles, remainder_history(traj, profiles)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,8 @@ def free_component_run():
     )
     g = cfg.grid
     traj = run(cfg, np.stack([gaussian_field(g, 0.2, 4.0), np.zeros(g.n_points)]))
-    return traj, profile_history(traj), remainder_history(traj)
+    profiles = profile_history(traj)
+    return traj, profiles, remainder_history(traj, profiles)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,8 @@ def swapped_run():
                        checkpoint_times=tuple(np.geomspace(2.0, 150.0, 28)))
     g = cfg.grid
     traj = run(cfg, np.stack([gaussian_field(g, 0.075, 6.0), gaussian_field(g, 0.15, 4.0)]))
-    return traj, profile_history(traj), remainder_history(traj)
+    profiles = profile_history(traj)
+    return traj, profiles, remainder_history(traj, profiles)
 
 
 @pytest.fixture()
@@ -114,7 +115,7 @@ def _one_shot_remainders(grid, ts, states, alpha):
     peak = np.max(np.sqrt(w2) * np.abs(r), axis=(1, 2))
     phys = _inverse_array(grid, alpha)
     phys *= grid.x
-    j_spec = _forward_array(grid, phys, overwrite_x=True)
+    j_spec = _forward_array(grid, phys)
     j_spec[..., 0] = 0.0
     h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
     jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(j_spec) ** 2, axis=(1, 2)))
@@ -151,7 +152,7 @@ class TestStreamedAnalytics:
         r, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):], alpha)
         assert np.array_equal(probes.r, r)
         assert np.array_equal(probes.bound_ratio, ratio)
-        table = build_case_records(traj, profiles, probes)
+        table = build_case_records(profiles, probes)
         m_a, m_b, disc, resid = _one_shot_imbalance(profiles.ts, alpha, r)
         assert np.array_equal(table.m_a, m_a)
         assert np.array_equal(table.m_b, m_b)
@@ -161,8 +162,8 @@ class TestStreamedAnalytics:
 
 def _analytics(traj):
     profiles = profile_history(traj)
-    probes = remainder_history(traj, profiles=profiles)
-    return profiles, probes, build_case_records(traj, profiles, probes)
+    probes = remainder_history(traj, profiles)
+    return profiles, probes, build_case_records(profiles, probes)
 
 
 class TestThreadedBlocks:
@@ -281,7 +282,7 @@ class TestRemainderProbe:
         cfg = SolverConfig(n_points=g.n_points, length=g.length, t_end=t)
         traj = Trajectory(config=cfg, ts=np.array([t]),
                           states=np.stack([u1, u2])[None], provenance={})
-        r1 = remainder_history(traj).r[0, 0]
+        r1 = remainder_history(traj, profile_history(traj)).r[0, 0]
 
         dft = np.exp(-1j * np.outer(g.xi, g.x)) * (g.dx / SQRT_2PI)
         mult = np.exp(0.5j * g.xi ** 2 * t)
@@ -305,11 +306,12 @@ class TestRemainderProbe:
         assert slope <= -1.1
 
     def test_history_reuses_snapshots_bitwise(self, generic_run):
-        traj, profiles, probes = generic_run     # probes extracted their own profiles
-        reused = remainder_history(traj, profiles=profiles)
-        assert np.array_equal(reused.ts, probes.ts)
-        assert np.array_equal(reused.r, probes.r)
-        assert np.array_equal(reused.bound_ratio, probes.bound_ratio)
+        traj, profiles, probes = generic_run
+        # a fresh extraction of the profiles gives the same remainders
+        fresh = remainder_history(traj, profile_history(traj))
+        assert np.array_equal(fresh.ts, probes.ts)
+        assert np.array_equal(fresh.r, probes.r)
+        assert np.array_equal(fresh.bound_ratio, probes.bound_ratio)
         later = ProfileHistory(profiles.ts[1:], profiles.alpha[1:], profiles.grid)
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=later)
@@ -317,8 +319,8 @@ class TestRemainderProbe:
 
 class TestEstimateM:
     def test_free_component(self, free_component_run):
-        traj, profiles, probes = free_component_run
-        table = build_case_records(traj, profiles, probes)
+        _, profiles, probes = free_component_run
+        table = build_case_records(profiles, probes)
         phi_hat_sq = np.abs(profiles.alpha[0, 0]) ** 2
         assert np.all(table.m_a >= -1e-15)
         assert np.max(np.abs(table.m_a - phi_hat_sq)) < 1e-10
@@ -330,18 +332,18 @@ class TestEstimateM:
         g = cfg.grid
         u = gaussian_field(g, 0.15, 4.0)
         traj = run(cfg, np.stack([u, u]))
-        table = build_case_records(traj)
+        table = _analytics(traj)[2]
         assert np.max(np.abs(table.m_a)) < 1e-14
 
     def test_estimators_agree(self, generic_run):
-        table = build_case_records(*generic_run)
+        table = build_case_records(*generic_run[1:])
         assert table.deadband == max(1e-3, 3.0 * table.discrepancy)
         mask = np.abs(table.m_a) > table.deadband
         rel = np.abs(table.m_a - table.m_b)[mask] / np.abs(table.m_a)[mask]
         assert np.max(rel) < 0.02
 
     def test_balance_law_residual_small(self, generic_run):
-        table = build_case_records(*generic_run)
+        table = build_case_records(*generic_run[1:])
         scale = np.max(np.abs(table.m_a))
         assert table.balance_residual <= 0.03 * scale
 
@@ -351,7 +353,7 @@ class TestEstimateM:
         g = cfg.grid
         traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
         with pytest.raises(ValueError, match="too short"):
-            build_case_records(traj)
+            _analytics(traj)
 
 
 class TestClassify:
@@ -391,7 +393,7 @@ class TestDecoupling:
         a2 = np.where(small_grid.xi > 0, 1.0 + 0j, 0)
         history = ProfileHistory(ts=np.array([2.0]), alpha=np.array([[a1, a2]]), grid=small_grid)
         rep = decoupling_history(history)
-        assert rep.sup_product == 0.0 and rep.l2_product == 0.0
+        assert rep.sup_products[-1] == 0.0 and rep.l2_products[-1] == 0.0
 
     def test_zero_component(self, free_component_run):
         _, profiles, _ = free_component_run
@@ -402,7 +404,7 @@ class TestDecoupling:
     def test_product_decays_on_generic_run(self, generic_run):
         _, profiles, _ = generic_run
         rep = decoupling_history(profiles)
-        assert rep.sup_product < rep.sup_products[0]
+        assert rep.sup_products[-1] < rep.sup_products[0]
 
     def test_profile_bound_stays_put(self, generic_run):
         # the paper's uniform bound on the profile: max_xi <xi> |alpha(t, xi)|
@@ -440,7 +442,7 @@ class TestBetaPlus:
         traj, a0 = reduced_flow_run
         m = np.abs(a0[0]) ** 2 - np.abs(a0[1]) ** 2
         a_T = reduced_flow_profiles(a0, traj.ts[0], traj.ts[-1])
-        table = build_case_records(traj)
+        table = _analytics(traj)[2]
         for s, label in enumerate((SURVIVOR_1, SURVIVOR_2)):
             cols = table.label == label
             assert np.any(cols & (np.abs(m) < 2.0 * table.deadband))
@@ -451,7 +453,7 @@ class TestBetaPlus:
 
     def test_free_component_exact(self, free_component_run):
         traj, profiles, probes = free_component_run
-        table = build_case_records(traj, profiles, probes)
+        table = build_case_records(profiles, probes)
         k = traj.config.grid.n_points // 2
         assert table.label[k] == SURVIVOR_1
         assert abs(table.beta_plus[k] - profiles.alpha[0, 0, k]) < 1e-12
@@ -464,13 +466,13 @@ class TestBetaPlus:
         # component the table names
         traj, profiles, probes = request.getfixturevalue(
             "generic_run" if which == 1 else "swapped_run")
-        table = build_case_records(traj, profiles, probes)
+        table = build_case_records(profiles, probes)
         k = int(np.argmin(np.abs(table.xi)))
         assert table.label[k] == (SURVIVOR_1 if which == 1 else SURVIVOR_2)
         n = int(np.searchsorted(traj.ts, P.T_FINAL)) + 1
         cfg = dataclasses.replace(traj.config, t_end=float(traj.ts[n - 1]),
                                   checkpoint_times=traj.config.checkpoint_times[:n])
-        early = build_case_records(Trajectory(cfg, traj.ts[:n], traj.states[:n], traj.provenance))
+        early = _analytics(Trajectory(cfg, traj.ts[:n], traj.states[:n], traj.provenance))[2]
         cols = (early.label == table.label) & (table.label != BALANCED)
         assert cols[k]
         gap = np.abs(table.beta_plus[cols] - early.beta_plus[cols])
@@ -480,7 +482,7 @@ class TestBetaPlus:
 class TestCaseRecords:
     def test_full_report(self, generic_run):
         traj, profiles, probes = generic_run
-        table = build_case_records(traj, profiles, probes)
+        table = build_case_records(profiles, probes)
         g = traj.config.grid
         columns = {k: v for k, v in vars(table).items() if np.ndim(v)}
         assert set(vars(table)) - set(columns) == {"deadband", "discrepancy",
@@ -501,8 +503,8 @@ class TestCaseRecords:
 
     def test_log_decay_not_applied_to_survivors(self, generic_run):
         # routing check: the balanced-case fit guard is the classification
-        traj, profiles, probes = generic_run
-        table = build_case_records(traj, profiles, probes)
+        _, profiles, probes = generic_run
+        table = build_case_records(profiles, probes)
         assert np.all(np.isnan(table.fitted_exponent[table.label == BALANCED]))
         survivors = np.flatnonzero(table.label == SURVIVOR_1)
         assert not np.any(np.isinf(table.fitted_exponent[survivors]))

@@ -24,6 +24,7 @@ from nlspair.spectral import (
     _free_multiplier_fft,
     _inverse_array,
     _j_spectrum,
+    _profile_multiplier,
     _pull_back,
     _push_forward,
 )
@@ -229,7 +230,8 @@ class TestPicard:
                                  n_time=24)
         assert state.converged and state.iterate_index <= 2
         u1 = _push_forward(grid, spec.psi_hat[0], 50.0)
-        v = state.state_at(50.0)
+        assert state.taus[0] == 50.0
+        v = state.v[0]
         assert v.shape == (2, grid.n_points)
         assert np.max(np.abs(v[0] - u1)) < 1e-12
         assert np.all(v[1] == 0)
@@ -240,7 +242,8 @@ class TestPicard:
         assert all(r <= 0.5 for r in state.ratios[:3])
         # the map returns the new profiles, Nyquist slot zeroed
         g, taus = decoupled_spec.grid, state.taus
-        alpha = _apply_map(decoupled_spec, taus, state.v)
+        alpha = _apply_map(decoupled_spec, taus, state.v,
+                           _profile_multiplier(g, taus)[:, None])
         assert alpha.shape == state.v.shape and np.all(alpha[..., 0] == 0)
         new = _push_forward(g, alpha, taus[:, None])
         assert xt_norm(g, taus, new - state.v, decoupled_spec.mu) <= 2e-9
@@ -338,7 +341,8 @@ class TestVerifyScattering:
         cfg = SolverConfig(n_points=grid.n_points, length=grid.length,
                            t_start=50.0, t_end=500.0,
                            checkpoint_times=tuple(np.geomspace(50.0, 500.0, 12)))
-        traj = run(cfg, state.state_at(50.0))
+        assert state.taus[0] == 50.0
+        traj = run(cfg, state.v[0])
         rep = verify_scattering(traj, spec)
         assert np.max(rep.errors) < 1e-8
         assert rep.passed
@@ -348,7 +352,8 @@ class TestVerifyScattering:
                            length=decoupled_spec.grid.length,
                            t_start=50.0, t_end=500.0,
                            checkpoint_times=tuple(np.geomspace(50.0, 500.0, 16)))
-        traj = run(cfg, picard_state.state_at(50.0))
+        assert picard_state.taus[0] == 50.0
+        traj = run(cfg, picard_state.v[0])
         rep = verify_scattering(traj, decoupled_spec)
         assert rep.fitted_slope is not None
         assert rep.fitted_slope <= rep.slope_bound
