@@ -176,10 +176,21 @@ def mass_ledger(grid: Grid, v: np.ndarray) -> np.ndarray:
     return np.array([m1, m2, m1 - m2, grid.dx * np.sum(a * b)])
 
 
+def _time_tol(t: float) -> float:
+    """The tolerance ``1e-9 max(1, t)`` within which two times are the same."""
+    return 1e-9 * max(1.0, t)
+
+
+def _inner_half_width(grid: Grid) -> float:
+    """``(1 - 2 BOUNDARY_BAND) L/2``: the box inside the guard's edge bands is
+    ``|x| <`` this."""
+    return (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * grid.length
+
+
 def _edge_bands(grid: Grid) -> tuple[int, int]:
     """``(lo, hi)``: the points within ``BOUNDARY_BAND`` of either edge of the
     box are the index ranges ``[0, lo)`` and ``[hi, N)``."""
-    inner = np.abs(grid.x) < (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * grid.length
+    inner = np.abs(grid.x) < _inner_half_width(grid)
     return int(np.argmax(inner)), grid.n_points - int(np.argmax(inner[::-1]))
 
 
@@ -187,6 +198,18 @@ def _band_mass(sq: np.ndarray, bands: tuple[int, int]) -> tuple[float, float]:
     """``(edge, total)`` sums of the squared amplitudes ``sq`` (last axis on the grid)."""
     lo, hi = bands
     return float(sq[..., :lo].sum() + sq[..., hi:].sum()), float(sq.sum())
+
+
+def _check_bands(sq: np.ndarray, bands: tuple[int, int], t: float) -> None:
+    """The guard's test of a state at time t from its squared amplitudes
+    ``sq``: :class:`NumericsError` once their sum is not finite,
+    :class:`GuardViolation` once the edge bands hold more than
+    ``BOUNDARY_MASS_TOL`` of it."""
+    edge, total = _band_mass(sq, bands)
+    if not edge <= BOUNDARY_MASS_TOL * total < math.inf:
+        if not math.isfinite(total):
+            raise NumericsError(f"non-finite mass at t = {t:.6g}")
+        raise GuardViolation(t, edge / total, BOUNDARY_MASS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +291,9 @@ class _StrangKernel:
     and one batched IFFT around the exact substep.  ``flush`` applies the
     pending half step; the state is a Strang iterate only after it.
 
-    Every step guards the mid-step state on the squared amplitudes the
-    substep forms: :class:`GuardViolation` once the edge bands hold more than
-    ``BOUNDARY_MASS_TOL`` of the mass, :class:`NumericsError` once the mass
-    is not finite.  One FFT spreads a NaN to every point, so the sums catch
-    it without a scan for non-finite values.
+    Every step guards the mid-step state by :func:`_check_bands` on the
+    squared amplitudes the substep forms.  One FFT spreads a NaN to every
+    point, so the sums catch it without a scan for non-finite values.
     """
 
     def __init__(self, grid: Grid):
@@ -294,13 +315,8 @@ class _StrangKernel:
     def step(self, v: np.ndarray, t: float, dt: float) -> np.ndarray:
         """Advance ``v`` from t to t + dt; the guard reports the mid-step time."""
         v = self._free(v, self.pending + 0.5 * dt)
-        edge, total = _band_mass(_decay_substep(v, dt), self.bands)
         self.pending = 0.5 * dt
-        if not edge <= BOUNDARY_MASS_TOL * total < math.inf:
-            t_mid = t + 0.5 * dt
-            if not math.isfinite(total):
-                raise NumericsError(f"non-finite values at t = {t_mid:.6g}")
-            raise GuardViolation(t_mid, edge / total, BOUNDARY_MASS_TOL)
+        _check_bands(_decay_substep(v, dt), self.bands, t + 0.5 * dt)
         return v
 
     def flush(self, v: np.ndarray) -> np.ndarray:
@@ -315,15 +331,11 @@ class _StrangKernel:
 # ---------------------------------------------------------------------------
 
 def _guard(grid: Grid, v: np.ndarray, t: float) -> None:
-    """Reject a ``(2, N)`` state with non-finite values or mass, or with mass
-    at the box edges, by the test of :meth:`_StrangKernel.step`."""
+    """Reject a ``(2, N)`` state with non-finite values, then by
+    :func:`_check_bands`, the test of every Strang step."""
     if not np.all(np.isfinite(v.view(np.float64))):
         raise NumericsError(f"non-finite values at t = {t:.6g}")
-    edge, total = _band_mass(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, _edge_bands(grid))
-    if not edge <= BOUNDARY_MASS_TOL * total < math.inf:
-        if not math.isfinite(total):
-            raise NumericsError(f"non-finite mass at t = {t:.6g}")
-        raise GuardViolation(t, edge / total, BOUNDARY_MASS_TOL)
+    _check_bands(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, _edge_bands(grid), t)
 
 
 def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) -> Trajectory:
@@ -348,17 +360,16 @@ def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) 
     states = np.empty((len(cps), 2, grid.n_points), dtype=np.complex128)
     dts = []
     i_cp = 0
-    eps = 1e-9
     while i_cp < len(cps):
         target = cps[i_cp]
-        if target <= t + eps * max(1.0, t):
+        if target <= t + _time_tol(t):
             states[i_cp] = fields(target)
             _guard(grid, states[i_cp], target)
             i_cp += 1
             continue
         dt = min(config.dt_policy.dt_at(t), target - t)
         step(t, dt)
-        t = target if target - t - dt <= eps * max(1.0, target) else t + dt
+        t = target if target - t - dt <= _time_tol(target) else t + dt
         dts.append(dt)
 
     return Trajectory(config=config, ts=cps, states=states, provenance={

@@ -49,46 +49,17 @@ def power_tail(ts, series):
     return np.where(ok, last / np.where(ok, -(p + 1.0), 1.0), np.nan), ok
 
 
-def reverse_cumtrapz(ts, vals):
-    """``I(t_i) = integral_{t_i}^{t_end} vals dt`` by trapezoid, vectorised.
-
-    ``vals`` may carry leading axes; integration runs along the last axis.
-    """
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals)
-    dt = np.diff(ts)
-    seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
-    out = np.zeros_like(vals)
-    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
-    return out
-
-
-def reverse_cumtrapz_rows(ts, vals):
-    """:func:`reverse_cumtrapz` along the first axis, in place: row ``i`` of
-    ``vals`` becomes ``integral_{t_i}^{t_end} vals dt``; returns ``vals``.
-
-    A recurrence over contiguous rows, adding the trapezoids in the order
-    of the reversed cumulative sum, so the result is bitwise equal to it.
-    """
-    dt = np.diff(np.asarray(ts, dtype=float))
-    upper = vals[-1].copy()         # the integrand at t_{i+1}
-    seg = np.empty_like(upper)
-    vals[-1] = 0.0
-    for i in range(len(dt) - 1, -1, -1):
-        np.add(upper, vals[i], out=seg)
-        seg *= 0.5 * dt[i]
-        upper[...] = vals[i]
-        np.add(vals[i + 1], seg, out=vals[i])
-    return vals
-
-
 def cumtrapz_rows(ts, vals):
     """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the first
     axis, in place: row ``i`` of ``vals`` becomes the integral up to ``t_i``;
     returns ``vals``.
 
     A recurrence over contiguous rows, adding the trapezoids in the order
-    of the cumulative sum, so the result is bitwise equal to it.
+    of the cumulative sum, so the result is bitwise equal to it.  The
+    integral from the end, ``integral_{t_i}^{t_end}``, is this rule on the
+    reversed rows at the negated times: ``cumtrapz_rows(-ts[::-1],
+    vals[::-1])``, which fills ``vals`` in place through the reversed view.
+    A 1-D series goes in as one-column rows, ``vals[:, None]``.
     """
     dt = np.diff(np.asarray(ts, dtype=float))
     lower = vals[0].copy()          # the integrand at t_{i-1}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time as _time
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotics, scattering
-from .dynamics import DtPolicy, SolverConfig, Trajectory, run
+from .dynamics import DtPolicy, SolverConfig, Trajectory, _time_tol, mass_ledger, run
 from .errors import CheckpointError, ConfigError, GuardViolation, finite_real
 from .fits import loglog_slope
 from .profiles import (
@@ -34,6 +35,7 @@ from .profiles import (
 )
 from .spectral import Grid, _forward_array, _inverse_array
 
+_LEDGER = ("mass1", "mass2", "diff", "interaction")   # the entries of mass_ledger
 _MAGIC = b"NLSPAIR\x00"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQdd")   # magic, version, n_points, length, time
@@ -307,7 +309,7 @@ def _headline_checkpoints() -> tuple[float, ...]:
     out = sorted(times)
     merged = [out[0]]
     for t in out[1:]:
-        if t - merged[-1] > 1e-9 * max(1.0, t):
+        if t - merged[-1] > _time_tol(t):
             merged.append(t)
     return tuple(merged)
 
@@ -456,31 +458,36 @@ def write_csv(path, schema: str, header: list[str], columns) -> Path:
     return path
 
 
+def _json_text(doc, **layout) -> str:
+    """``doc`` as strict JSON with sorted keys, laid out by the encoder's
+    keyword arguments ``layout``: numpy numbers become Python ones, and a
+    float that is not finite becomes null, since JSON has no such value."""
+    def strict(o):
+        if isinstance(o, dict):
+            return {k: strict(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [strict(v) for v in o]
+        if isinstance(o, (np.floating, np.integer)):
+            o = o.item()
+        return None if isinstance(o, float) and not math.isfinite(o) else o
+    return json.dumps(strict(doc), sort_keys=True, allow_nan=False, **layout)
+
+
 def write_json(path, schema: str, payload) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(
-        {"schema": f"nlspair.{schema}.v1", "data": payload},
-        indent=1, sort_keys=True, default=_json_default,
-    ) + "\n")
+    path.write_text(_json_text({"schema": f"nlspair.{schema}.v1", "data": payload},
+                               indent=1) + "\n")
     return path
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"cannot serialise {type(o)}")
-
-
 def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canon = _json_text(config, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    (out_dir / "manifest.json").write_text(json.dumps(
-        {"schema": "nlspair.manifest.v1", **manifest},
-        indent=1, sort_keys=True, default=_json_default,
-    ) + "\n")
+    (out_dir / "manifest.json").write_text(
+        _json_text({"schema": "nlspair.manifest.v1", **manifest}, indent=1) + "\n")
 
 
 @contextmanager
@@ -530,8 +537,7 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
     survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger",
-                       ["t", "mass1", "mass2", "diff", "interaction"],
+    paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
                        [traj.ts, *traj.ledger.T])]
     if analysis.profiles:
         profiles = profile_history(traj)
@@ -566,17 +572,16 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     grid = config.solver.grid
-    # a bad data spec fails here, before anything is written
+    # a bad data spec, or data whose ledger or norms overflow, fails here,
+    # before anything is written
     state = generate_initial_data(config.data1, config.data2, grid, config.seed)
-    with np.errstate(over="ignore"):
-        mass = grid.dx * np.sum(np.abs(state) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ledger = dict(zip(_LEDGER, mass_ledger(grid, state).tolist()))
         data_size = data_size_report(grid, state)
-    if not np.isfinite(mass):
-        raise ConfigError("the initial data's mass overflows; lower the amplitude")
-    overflown = [k for k, v in data_size.items() if not np.isfinite(v)]
+    overflown = [k for k, v in {**ledger, **data_size}.items() if not np.isfinite(v)]
     if overflown:
-        raise ConfigError(f"the initial data's norms overflow ({', '.join(overflown)}); "
-                          "lower the amplitude")
+        raise ConfigError(f"the initial data's ledger or norms overflow "
+                          f"({', '.join(overflown)}); lower the amplitude")
     with _recording(out_dir, config.name, config.to_dict(),
                     grid={"n_points": grid.n_points, "length": grid.length,
                           "dx": grid.dx, "dxi": grid.dxi},
@@ -595,16 +600,24 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}
 
 
+def _checkpoint_index(path: Path) -> int:
+    """The index of a checkpoint file ``cp_<index>.bin``; a file of another
+    name is a CheckpointError naming it."""
+    if not path.stem[3:].isdecimal():
+        raise CheckpointError(f"{path}: not named cp_<index>.bin")
+    return int(path.stem[3:])
+
+
 def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     """Rebuild a trajectory from persisted checkpoints (for `analyze`).
 
-    Each file is read into its row of one state array, on the config's grid.
-    The files must hold the config's checkpoint times in order: the first
-    time missing or not among them is a CheckpointError, as is a file on
-    another grid.
+    Each file ``cp_<index>.bin`` is read, in the order of its integer index,
+    into its row of one state array, on the config's grid.  The files must
+    hold the config's checkpoint times in order: the first time missing or
+    not among them is a CheckpointError, as is a file on another grid.
     """
     cp_dir = Path(out_dir) / "checkpoints"
-    files = sorted(cp_dir.glob("cp_*.bin"))
+    files = sorted(cp_dir.glob("cp_*.bin"), key=_checkpoint_index)
     if not files:
         raise ConfigError(f"no checkpoints under {cp_dir}")
     grid = config.solver.grid
@@ -613,9 +626,9 @@ def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     states = np.empty((len(files), 2, grid.n_points), dtype=np.complex128)
     for i, f in enumerate(files):
         ts[i], states[i] = load_checkpoint(f, grid)
-        if i < len(want) and ts[i] > want[i] + 1e-9 * max(1.0, want[i]):
+        if i < len(want) and ts[i] > want[i] + _time_tol(want[i]):
             raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time {want[i]:g}")
-        if i >= len(want) or ts[i] < want[i] - 1e-9 * max(1.0, want[i]):
+        if i >= len(want) or ts[i] < want[i] - _time_tol(want[i]):
             raise CheckpointError(f"{f}: time {ts[i]:g} is not a checkpoint time of the config")
     if len(files) < len(want):
         raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time "

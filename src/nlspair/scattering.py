@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import BOUNDARY_BAND, SolverConfig, Trajectory, run
+from .dynamics import SolverConfig, Trajectory, _inner_half_width, run
 from .errors import ConfigError, PicardDivergence
 from .spectral import (
     SQRT_2PI,
@@ -237,7 +237,7 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
     # N_j(v) = |v_k|^2 v_j, k the other component
     alpha = _pull_back(spec.grid, np.abs(v[:, ::-1]) ** 2 * v, taus[:, None], table,
                        overwrite_x=True)
-    fits.reverse_cumtrapz_rows(taus, alpha)
+    fits.cumtrapz_rows(-taus[::-1], alpha[::-1])     # int_t^{T_max}, in place
     alpha += spec.psi_hat
     alpha[..., 0] = 0.0
     return alpha
@@ -249,7 +249,7 @@ def _check_box(spec: FinalStateSpec, T_max: float) -> None:
     g = spec.grid
     support = np.any(spec.psi_hat != 0, axis=0)
     reach = float(np.max(np.abs(g.xi[support]), initial=0.0)) * T_max
-    limit = (1.0 - 2.0 * BOUNDARY_BAND) * 0.5 * g.length
+    limit = _inner_half_width(g)
     if reach > limit:
         raise ConfigError(f"the spectral support travels {reach:.6g} by T_max = {T_max:g}, "
                           f"past the box's edge bands at {limit:.6g}; "
@@ -293,12 +293,13 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
 
 
 def picard_construct(spec: FinalStateSpec, T: float, T_max: float,
-                     max_iters: int = 8, tol: float = 1e-9, n_time: int = 64) -> PicardState:
+                     max_iters: int, tol: float, n_time: int) -> PicardState:
     """Fixed-point construction of the solution scattering to decoupled psi+.
 
-    Starts from the leading wave, iterates the integral map on a log-spaced
-    grid of [T, T_max], and stops when successive iterates are closer than
-    ``tol`` in the weighted sup norm.  Raises :class:`PicardDivergence` when
+    Starts from the leading wave, iterates the integral map at most
+    ``max_iters`` times on ``n_time`` log-spaced samples of [T, T_max], and
+    stops when successive iterates are closer than ``tol`` in the weighted
+    sup norm.  Raises :class:`PicardDivergence` when
     the contraction ratio stays above 0.9 (amplitude too large or T too
     small); rejects non-decoupled data outright, and raises ConfigError
     before any compute when the free waves reach the box's edge bands by
@@ -416,7 +417,7 @@ def dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
 
 
 def obstruction_probe(spec: FinalStateSpec, base_times,
-                      T: float = 50.0, picard_iters: int = 3) -> ObstructionReport:
+                      T: float, picard_iters: int) -> ObstructionReport:
     """Best-effort construction for overlapping data, then dyadic drift.
 
     Requires genuinely coupled data: ``eta = min_j ||N_j(psi_hat)|| > 0``.

@@ -102,24 +102,6 @@ class FieldPair:
 # array kernels (private): the transforms of the steppers and the analytics
 # ---------------------------------------------------------------------------
 
-def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
-    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed.
-
-    ``dt`` is a scalar, giving shape ``(N,)``, or an array of times, giving
-    one row per time.  ``xi^2`` is even and fft order holds the frequencies
-    ``0 .. N/2 - 1`` first, so the exponentials of that half are mirrored
-    onto the negative frequencies instead of being evaluated twice.
-    """
-    half = grid._nyq_fft
-    dt = np.asarray(dt, dtype=float)
-    pos = np.exp(-0.5j * dt[..., None] * grid._xi_fft[:half] ** 2)
-    mult = np.empty(dt.shape + (grid.n_points,), dtype=np.complex128)
-    mult[..., :half] = pos
-    mult[..., half] = 0.0
-    mult[..., half + 1:] = pos[..., :0:-1]
-    return mult
-
-
 def _forward_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Ordered, continuum-normalised spectrum of raw x-space samples (last axis).
 
@@ -141,11 +123,13 @@ def _inverse_array(grid: Grid, spec: np.ndarray) -> np.ndarray:
 def _profile_multiplier(grid: Grid, t) -> np.ndarray:
     """exp(-i t xi^2 / 2) (-1)^k in ordered frequencies, Nyquist zeroed.
 
-    The free-flow table of :func:`_pull_back` and :func:`_push_forward`:
-    ``t`` is a scalar, giving shape ``(N,)``, or an array of times, giving
-    one row per time.  The values are those of :func:`_free_multiplier_fft`
-    and the factor ``(-1)^k`` of the ordered transforms is folded in; both
-    are exact, since ``xi^2`` is even and N/2 is even.
+    The one table of the free flow ``U(t)``, for :func:`_pull_back`,
+    :func:`_push_forward` and :func:`_free_multiplier_fft`: ``t`` is a
+    scalar, giving shape ``(N,)``, or an array of times, giving one row per
+    time.  ``xi^2`` is even, so the exponentials of the frequencies
+    ``0 .. N/2 - 1`` are mirrored onto the negative ones instead of being
+    evaluated twice, and the factor ``(-1)^k`` of the ordered transforms is
+    folded in; both are exact, since N/2 is even.
     """
     half = grid._nyq_fft
     t = np.asarray(t, dtype=float)
@@ -156,6 +140,14 @@ def _profile_multiplier(grid: Grid, t) -> np.ndarray:
     table[..., 1:half] = pos[..., :0:-1]
     table[..., half:] = pos
     return table
+
+
+def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
+    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed: the table of
+    :func:`_profile_multiplier` without its signs ``(-1)^k``, which square to
+    one exactly, moved to fft order.  ``dt`` is a scalar or an array of
+    times, as there."""
+    return np.fft.ifftshift(_profile_multiplier(grid, dt) * grid._sign, axes=-1)
 
 
 def _pull_back(grid: Grid, values: np.ndarray, t,

@@ -68,6 +68,17 @@ def cumtrapz_from_start(ts, vals):
     return out
 
 
+def cumtrapz_from_end(ts, vals):
+    """``integral_{t_i}^{t_end} vals dt`` by trapezoid along the last axis, by
+    reversed cumulative sum: the reference of ``fits.cumtrapz_rows`` on the
+    reversed rows at the negated times."""
+    dt = np.diff(ts)
+    seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
+    out = np.zeros_like(vals)
+    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+    return out
+
+
 def rel_l2(grid, a, b):
     num = np.sqrt(np.sum(np.abs(a - b) ** 2))
     den = np.sqrt(np.sum(np.abs(b) ** 2))

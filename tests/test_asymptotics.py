@@ -159,7 +159,7 @@ class TestLinearOdeLimit:
     def test_trivial_case(self):
         ts = np.geomspace(2.0, 1e5, 100)
         zero = np.zeros_like(ts)
-        rec = LinearODERecord(t0=2.0, ts=ts, lam=zero, q=zero, y0=0.7 - 0.2j,
+        rec = LinearODERecord(ts=ts, lam=zero, q=zero, y0=0.7 - 0.2j,
                               lam_tail_pow=2.0, q_tail_pow=2.0)
         rep = linear_ode_limit(rec, np.full_like(ts, 0.7 - 0.2j, dtype=complex))
         assert rep.y_plus == pytest.approx(0.7 - 0.2j, rel=1e-14)
@@ -169,7 +169,7 @@ class TestLinearOdeLimit:
     def test_closed_form_decay(self):
         c = 0.7
         ts = np.geomspace(2.0, 1e6, 1200)
-        rec = LinearODERecord(t0=2.0, ts=ts, lam=-c * ts ** -1.5,
+        rec = LinearODERecord(ts=ts, lam=-c * ts ** -1.5,
                               q=np.zeros_like(ts), y0=1.0 + 0j,
                               lam_tail_pow=1.5, q_tail_pow=2.0)
         ys = np.exp(-2 * c * (2.0 ** -0.5 - ts ** -0.5))
@@ -192,7 +192,7 @@ class TestLinearOdeLimit:
         ts = np.geomspace(2.0, 1e6, 1200)
         flow = np.array([reduced_flow_profiles(st, 2.0, float(t)) for t in ts])
         a2sq = np.abs(flow[:, 1]) ** 2
-        rec = LinearODERecord(t0=2.0, ts=ts, lam=-a2sq / ts, q=np.zeros_like(ts),
+        rec = LinearODERecord(ts=ts, lam=-a2sq / ts, q=np.zeros_like(ts),
                               y0=st[0], lam_tail_pow=1.0 + 2 * m, q_tail_pow=2.0)
         ys = flow[:, 0]
         rep = linear_ode_limit(rec, ys)
@@ -202,7 +202,7 @@ class TestLinearOdeLimit:
     def test_non_integrable_tail_rejected(self):
         ts = np.geomspace(2.0, 1e5, 50)
         with pytest.raises(ValueError, match="integrable"):
-            LinearODERecord(t0=2.0, ts=ts, lam=-1 / ts, q=np.zeros_like(ts),
+            LinearODERecord(ts=ts, lam=-1 / ts, q=np.zeros_like(ts),
                             y0=1.0, lam_tail_pow=1.0, q_tail_pow=2.0)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from nlspair.fits import cumtrapz_rows, loglog_slopes, power_tail
 
-from conftest import cumtrapz_from_start
+from conftest import cumtrapz_from_end, cumtrapz_from_start
 
 
 class TestPowerLawFits:
@@ -38,10 +38,18 @@ class TestPowerLawFits:
         assert np.all(np.isnan(tail))
 
 
-@pytest.mark.parametrize("n_t", [1, 2, 37])
-def test_cumtrapz_rows_is_the_cumulative_sum(n_t):
+@pytest.mark.parametrize("n_t, from_end", [(1, False), (2, False), (37, False), (1, True),
+                                           (2, True), (37, True)],
+                         ids=["1", "2", "37", "1-from_end", "2-from_end", "37-from_end"])
+def test_cumtrapz_rows_is_the_cumulative_sum(n_t, from_end):
+    # from the end: the rule on the reversed rows at the negated times
     rng = np.random.default_rng(n_t)
     ts = np.cumsum(rng.uniform(0.1, 3.0, n_t))
     vals = rng.normal(size=(n_t, 64))
-    expected = cumtrapz_from_start(ts, vals.T).T
-    assert np.array_equal(cumtrapz_rows(ts, vals.copy()), expected)
+    if from_end:
+        expected = cumtrapz_from_end(ts, vals.T).T
+        out = cumtrapz_rows(-ts[::-1], vals.copy()[::-1])[::-1]
+    else:
+        expected = cumtrapz_from_start(ts, vals.T).T
+        out = cumtrapz_rows(ts, vals.copy())
+    assert np.array_equal(out, expected)

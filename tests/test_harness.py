@@ -17,6 +17,7 @@ from nlspair.harness import (
     AnalysisOptions,
     ExperimentConfig,
     SIMULATE_PRESETS,
+    _recording,
     data_size_report,
     emit_trajectory_reports,
     generate_initial_data,
@@ -27,6 +28,7 @@ from nlspair.harness import (
     persist_checkpoint,
     run_simulate,
     write_csv,
+    write_json,
 )
 from nlspair.profiles import (
     BALANCED,
@@ -307,6 +309,21 @@ class TestCsv:
         assert rows[1].startswith(",") and rows[2].startswith("-0.0,")
 
 
+def test_json_non_finite_is_null(tmp_path):
+    # strict JSON: NaN and +-inf are written as null, in reports and manifests
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    path = write_json(tmp_path / "x.json", "demo",
+                      {"nan": math.nan, "inf": np.float64(np.inf), "xs": [-math.inf, 1.5]})
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["data"] == {"nan": None, "inf": None, "xs": [None, 1.5]}
+    with _recording(tmp_path / "run", "demo", {"x": math.inf}, nan=math.nan) as manifest:
+        manifest["xs"] = (-math.inf, np.float64(np.nan), 2)
+    doc = json.loads((tmp_path / "run" / "manifest.json").read_text(), parse_constant=reject)
+    assert doc["config"] == {"x": None} and doc["nan"] is None
+    assert doc["xs"] == [None, None, 2] and doc["status"] == "ok"
+
+
 class TestPipelines:
     def test_simulate_pipeline_and_rerun_determinism(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config_dict())
@@ -396,16 +413,19 @@ class TestPipelines:
             assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
             assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("data1, fragment", [
-        ({"kind": "gaussian", "amp": 1e200, "width": 4.0}, "mass overflows"),
+    @pytest.mark.parametrize("data, fragment", [
+        ({"data1": {"kind": "gaussian", "amp": 1e200, "width": 4.0}},
+         "overflow (mass1, diff, interaction, l2, h2, h1_1)"),
         # a finite mass whose Sobolev weights overflow the manifest's norms
-        ({"kind": "gaussian", "amp": 5e153, "width": 0.3}, "norms overflow (h2, h1_1)"),
-    ], ids=["mass", "norms"])
-    def test_cli_overflowing_data_exit_2(self, tmp_path, capsys, data1, fragment):
-        # finite data whose squared amplitudes overflow: a config error
-        # before any compute, with no numpy warning and no manifest
-        d = tiny_config_dict()
-        d["data1"] = data1
+        ({"data1": {"kind": "gaussian", "amp": 5e153, "width": 0.3}}, "overflow (h2, h1_1)"),
+        # finite masses and norms whose interaction integral overflows
+        ({"data1": {"kind": "gaussian", "amp": 1e80, "width": 8.0},
+          "data2": {"kind": "gaussian", "amp": 4e79, "width": 12.0}}, "overflow (interaction)"),
+    ], ids=["mass", "norms", "interaction"])
+    def test_cli_overflowing_data_exit_2(self, tmp_path, capsys, data, fragment):
+        # finite data whose ledger or norms overflow: a config error before
+        # any compute, with no numpy warning and no manifest
+        d = {**tiny_config_dict(), **data}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(d))
         out = tmp_path / "o"
@@ -554,6 +574,26 @@ class TestTrajectoryLayout:
         traj = load_trajectory(stored_run, cfg)
         assert len(traj.checkpoints) == 21
         self._assert_rows_are_views(traj)
+
+    def test_checkpoints_read_in_index_order(self, tmp_path):
+        # by name, cp_10000.bin sorts before cp_9999.bin
+        d = {**tiny_config_dict(), "analysis": {"profiles": False}}
+        d["solver"] = {**d["solver"], "t_end": 2.0, "checkpoint_times": [1.0, 2.0]}
+        cfg = ExperimentConfig.from_dict(d)
+        g = cfg.solver.grid
+        (tmp_path / "checkpoints").mkdir()
+        states = np.stack([np.stack([gaussian_field(g, a, 4.0)] * 2) for a in (0.1, 0.2)])
+        for name, t, v in zip(("cp_9999.bin", "cp_10000.bin"), (1.0, 2.0), states):
+            persist_checkpoint(tmp_path / "checkpoints" / name, g, t, v)
+        traj = load_trajectory(tmp_path, cfg)
+        assert traj.ts.tolist() == [1.0, 2.0] and np.array_equal(traj.states, states)
+
+    def test_analyze_rejects_stray_checkpoint_name(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        cp_dir = run_dir / "checkpoints"
+        shutil.copy(cp_dir / "cp_0003.bin", cp_dir / "cp_old.bin")
+        _analyze_rejected(run_dir, capsys, "cp_old.bin: not named cp_<index>.bin")
 
     def test_analyze_rejects_checkpoint_on_other_grid(self, stored_run, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -6,7 +6,6 @@ import pytest
 
 import nlspair as nl
 from nlspair.dynamics import SolverConfig, run
-from nlspair import fits
 from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.scattering import (
     _apply_map,
@@ -29,7 +28,7 @@ from nlspair.spectral import (
     _push_forward,
 )
 
-from conftest import l2
+from conftest import cumtrapz_from_end, l2
 
 WINDOW_L = {"kind": "window", "lo": -0.9, "hi": -0.3, "amp": 0.05}
 WINDOW_R = {"kind": "window", "lo": 0.3, "hi": 0.9, "amp": 0.05}
@@ -69,7 +68,7 @@ def reference_picard(spec, T, T_max, max_iters, tol, n_time):
         new = []
         for v, w, psi_hat in ((v1, v2, spec.psi_hat[0]), (v2, v1, spec.psi_hat[1])):
             pulled = _fft_order_pull_back(g, np.abs(w) ** 2 * v, mult)
-            tail = fits.reverse_cumtrapz(taus, pulled.T).T
+            tail = cumtrapz_from_end(taus, pulled.T).T
             tail += psi_hat
             new.append(_fft_order_push_forward(g, tail, mult))
         l2_sq, j_sq = np.zeros(n_time), np.zeros(n_time)
@@ -209,7 +208,8 @@ class TestAsymptoticWave:
     def test_early_time_rejected(self, decoupled_spec):
         # the leading wave starts the construction only from T >= 1
         with pytest.raises(ValueError, match="T >= 1"):
-            picard_construct(decoupled_spec, 0.5, 50.0)
+            picard_construct(decoupled_spec, 0.5, 50.0, max_iters=8, tol=1e-9,
+                             n_time=64)
 
 
 class TestPicard:
@@ -268,7 +268,8 @@ class TestPicard:
         counts, points = [], []
         for n_time, iters in ((24, 1), (48, 1), (48, 2)):
             before, before_points = sum(fft_calls.values()), fft_points["points"]
-            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=iters, n_time=n_time)
+            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=iters, tol=1e-9,
+                             n_time=n_time)
             counts.append(sum(fft_calls.values()) - before)
             points.append(fft_points["points"] - before_points)
         assert counts[0] == counts[1] > 0
@@ -301,7 +302,7 @@ class TestPicard:
         spec = build_final_state(g, [WINDOW_L], [WINDOW_R], s=2.0)
         tracemalloc.start()
         try:
-            picard_construct(spec, 50.0, 5000.0, n_time=32)
+            picard_construct(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=32)
             ratio = tracemalloc.get_traced_memory()[1] / (32 * g.n_points * 16)
         finally:
             tracemalloc.stop()
@@ -312,17 +313,18 @@ class TestPicard:
         # the support reaches |xi| = 0.8998: by T_max = 20000 its waves have
         # travelled far past the edge bands of the L = 10000 box
         with pytest.raises(ConfigError, match="edge bands"):
-            picard_construct(decoupled_spec, 50.0, 20000.0)
+            picard_construct(decoupled_spec, 50.0, 20000.0, max_iters=8, tol=1e-9,
+                             n_time=64)
         entry = {"kind": "window", "lo": -0.7, "hi": 0.7, "amp": 0.05}
         overlap = build_final_state(decoupled_spec.grid, [entry], [dict(entry)])
         with pytest.raises(ConfigError, match="edge bands"):
-            obstruction_probe(overlap, [100.0], T=200.0)
+            obstruction_probe(overlap, [100.0], T=200.0, picard_iters=3)
 
     def test_coupled_spec_rejected(self, grid):
         entry = {"kind": "window", "lo": -0.4, "hi": 0.4, "amp": 0.05}
         spec = build_final_state(grid, [entry], [dict(entry)])
         with pytest.raises(ValueError, match="not decoupled"):
-            picard_construct(spec, 50.0, 5000.0)
+            picard_construct(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=64)
 
     def test_divergence_diagnostic(self, grid):
         # an amplitude far outside the small-data regime cannot contract
@@ -373,12 +375,12 @@ class TestObstruction:
 
     def test_decoupled_probe_rejected(self, decoupled_spec):
         with pytest.raises(ValueError, match="nothing to probe"):
-            obstruction_probe(decoupled_spec, [100.0])
+            obstruction_probe(decoupled_spec, [100.0], T=50.0, picard_iters=3)
 
     def test_zero_component_edge_rejected(self, grid):
         spec = build_final_state(grid, [WINDOW_L], [])
         with pytest.raises(ValueError):
-            obstruction_probe(spec, [100.0])
+            obstruction_probe(spec, [100.0], T=50.0, picard_iters=3)
 
     def test_dyadic_drift_vanishes_for_free_flow(self, grid):
         # a freely propagating pair has exactly constant profiles
