@@ -9,8 +9,8 @@ lengths and non-numeric values), then prints for each numeric column the
 largest ``|a - b|`` over the column's largest ``|a|``, on the cells that are
 numbers in both reports.  A report found in only one tree, or a structural
 difference, makes the exit status 1.  ``manifest.json`` is compared as
-JSON without its timings (``started_unix`` and ``wall_seconds``), which
-differ between any two runs.
+JSON without its timings (``started_unix``, ``wall_seconds`` and
+``stage_seconds``), which differ between any two runs.
 """
 
 import csv
@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-TIMINGS = ("started_unix", "wall_seconds")   # the manifest's run-dependent entries
+# the manifest's run-dependent entries
+TIMINGS = ("started_unix", "wall_seconds", "stage_seconds")
 
 
 def _json(path: Path):

@@ -102,6 +102,11 @@ class SolverConfig:
             if cps and (cps[0] < self.t_start - 1e-9 or cps[-1] > self.t_end + 1e-9):
                 raise ConfigError("checkpoint times must lie within [t_start, t_end]")
             object.__setattr__(self, "checkpoint_times", cps)
+        elif not np.all(np.diff(self.resolved_checkpoints()) > 0):
+            lo = max(self.t_start, T_MIN)
+            raise ConfigError(f"the default checkpoints are log-spaced on [max(t_start, "
+                              f"{T_MIN:g}), t_end] = [{lo:g}, {self.t_end:g}]: need "
+                              f"t_end > {lo:g}, or give checkpoint_times")
 
     @property
     def grid(self) -> Grid:

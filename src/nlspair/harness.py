@@ -524,6 +524,17 @@ def _recording(out_dir: Path, name: str, config: dict, **facts):
         _write_manifest(out_dir, manifest)
 
 
+@contextmanager
+def _stage(manifest: dict, name: str):
+    """Record the wall time of the ``with`` body, finished or failed, as
+    ``name`` in the manifest's ``stage_seconds``."""
+    t0 = _time.perf_counter()
+    try:
+        yield
+    finally:
+        manifest["stage_seconds"][name] = _time.perf_counter() - t0
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
@@ -661,29 +672,36 @@ def run_scatter_roundtrip(opts: ScatterOptions, out_dir) -> dict:
     """Construct the solution scattering to the prescribed data, run it forward
     from T, fit its decay towards the free wave, and write
     ``scattering.csv/json`` and the manifest, which also records the forward
-    run's ``steps`` and the Picard iteration's history (``picard``).
+    run's ``steps``, the Picard iteration's history (``picard``) and the wall
+    time of each stage (``stage_seconds``: ``final_state``, ``picard``,
+    ``forward``, ``verify``).
 
     Returns the final state ``spec``, the Picard ``state``, the forward
     trajectory ``traj`` and the ``report`` of :func:`scattering.verify_scattering`.
     """
     out_dir = Path(out_dir)
-    with _recording(out_dir, "scatter-roundtrip", asdict(opts)) as manifest:
-        grid = Grid(opts.n_points, opts.length)
-        spec = scattering.build_final_state(grid, list(opts.windows1),
-                                            list(opts.windows2), s=opts.s)
-        state = scattering.picard_construct(spec, opts.T, opts.T_max,
-                                            max_iters=opts.max_iters,
-                                            tol=opts.tol, n_time=opts.n_time)
+    with _recording(out_dir, "scatter-roundtrip", asdict(opts),
+                    stage_seconds={}) as manifest:
+        with _stage(manifest, "final_state"):
+            grid = Grid(opts.n_points, opts.length)
+            spec = scattering.build_final_state(grid, list(opts.windows1),
+                                                list(opts.windows2), s=opts.s)
+        with _stage(manifest, "picard"):
+            state = scattering.picard_construct(spec, opts.T, opts.T_max,
+                                                max_iters=opts.max_iters,
+                                                tol=opts.tol, n_time=opts.n_time)
         cfg = SolverConfig(
             n_points=opts.n_points, length=opts.length, t_start=opts.T,
             t_end=opts.forward_t_end,
             checkpoint_times=tuple(np.geomspace(opts.T, opts.forward_t_end, 25)),
         )
-        traj = run(cfg, state.v[0])
+        with _stage(manifest, "forward"):
+            traj = run(cfg, state.v[0])
         manifest["steps"] = traj.steps
         manifest["picard"] = {"iterations": state.iterate_index, "converged": state.converged,
                               "distances": state.distances, "ratios": state.ratios}
-        report = scattering.verify_scattering(traj, spec)
+        with _stage(manifest, "verify"):
+            report = scattering.verify_scattering(traj, spec)
         manifest["outputs"] = [
             write_csv(out_dir / "scattering.csv", "scattering",
                       ["t", "error_l2"], [report.ts, report.errors]).name,
@@ -703,19 +721,22 @@ def run_obstruction(opts: ObstructionOptions, out_dir) -> dict:
 
     The control starts from the same few Picard iterations at T as the probe
     and records the dyadic profile drift at the same base times; the
-    manifest's ``steps`` holds the ``probe`` and ``control`` forward runs'.
+    manifest's ``steps`` holds the ``probe`` and ``control`` forward runs',
+    and its ``stage_seconds`` the wall time of each half.
     Returns the probe's ``report`` and the control's ``control_drift``.
     """
     out_dir = Path(out_dir)
-    with _recording(out_dir, "obstruction", asdict(opts)) as manifest:
+    with _recording(out_dir, "obstruction", asdict(opts), stage_seconds={}) as manifest:
         grid = Grid(opts.n_points, opts.length)
-        overlap = scattering.build_final_state(grid, [opts.overlap_window],
-                                               [dict(opts.overlap_window)])
-        report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
-                                              picard_iters=opts.picard_iters)
-        control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
-        drift = scattering.dyadic_drift_run(control, opts.base_times,
-                                            opts.T, opts.picard_iters)
+        with _stage(manifest, "probe"):
+            overlap = scattering.build_final_state(grid, [opts.overlap_window],
+                                                   [dict(opts.overlap_window)])
+            report = scattering.obstruction_probe(overlap, opts.base_times, T=opts.T,
+                                                  picard_iters=opts.picard_iters)
+        with _stage(manifest, "control"):
+            control = scattering.build_final_state(grid, [opts.control1], [opts.control2])
+            drift = scattering.dyadic_drift_run(control, opts.base_times,
+                                                opts.T, opts.picard_iters)
         manifest["steps"] = {"probe": report.steps, "control": drift["steps"]}
         manifest["outputs"] = [
             write_csv(out_dir / "obstruction.csv", "obstruction",

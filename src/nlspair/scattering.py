@@ -20,13 +20,16 @@ exactly that.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import fits
 from .dynamics import SolverConfig, Trajectory, _inner_half_width, run
 from .errors import ConfigError, PicardDivergence
+from .profiles import _blocks, _each_block
 from .spectral import (
     SQRT_2PI,
     Grid,
@@ -215,10 +218,11 @@ def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) ->
     return float(np.max(taus ** (mu + 0.5) * l2 + taus ** mu * j))
 
 
-def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
-               table: np.ndarray) -> np.ndarray:
-    """One application of the fixed-point map to the ``(n_time, 2, N)``
-    iterate ``v`` on the sampled time grid, as the profiles of the new one.
+def _apply_map(spec: FinalStateSpec, taus: np.ndarray, rows: Callable[[slice], np.ndarray],
+               table: np.ndarray, out: np.ndarray,
+               finish: Callable[[slice], None]) -> np.ndarray:
+    """One application of the fixed-point map on the sampled time grid: the
+    ``(n_time, 2, N)`` profiles of the new iterate, written to ``out``.
 
     Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
     Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
@@ -226,21 +230,38 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
     is what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
     sign-flipped system and its forward evolution never scatters to psi+.
     For decoupled data N(w#) is identically zero on the grid, so truncating
-    the integral at T_max leaves only the decaying difference part.  The
-    stack is pulled back in one call with ``table``, which is
-    ``_profile_multiplier(grid, taus)[:, None]``.
+    the integral at T_max leaves only the decaying difference part.
 
-    Returns the ``(n_time, 2, N)`` profiles ``psi_hat + int_t^inf G`` with
-    the Nyquist slot zeroed; the new iterate is their push-forward, left to
-    the caller so that the old iterate can go first.
+    The map runs over blocks of consecutive sample times on the analytics'
+    pool.  ``rows(b)`` gives the x-space iterate at the times ``taus[b]``;
+    ``table[b]``, rows of ``_profile_multiplier(grid, taus)[:, None]``, is
+    read only after it returns, so ``rows`` may fill it.  Each block's
+    ``N(v)`` is pulled back into ``out[b]``; the tail integral, the only
+    step that couples the sample times, runs on the whole stack; then each
+    block adds ``psi_hat``, zeroes the Nyquist slot and calls ``finish(b)``.
+    Every row is computed alone, so the result does not depend on the
+    blocks or the threads.  The new iterate is the push-forward of ``out``,
+    left to the caller.
     """
-    # N_j(v) = |v_k|^2 v_j, k the other component
-    alpha = _pull_back(spec.grid, np.abs(v[:, ::-1]) ** 2 * v, taus[:, None], table,
-                       overwrite_x=True)
-    fits.cumtrapz_rows(-taus[::-1], alpha[::-1])     # int_t^{T_max}, in place
-    alpha += spec.psi_hat
-    alpha[..., 0] = 0.0
-    return alpha
+    g = spec.grid
+    blocks = _blocks(g, len(taus))
+
+    def pull(b):
+        v = rows(b)
+        # N_j(v) = |v_k|^2 v_j, k the other component
+        np.multiply(np.abs(v[:, ::-1]) ** 2, v, out=out[b])
+        _pull_back(g, out[b], taus[b, None], table[b], overwrite_x=True)
+
+    def close(b):
+        alpha = out[b]
+        alpha += spec.psi_hat
+        alpha[..., 0] = 0.0
+        finish(b)
+
+    _each_block(pull, blocks)
+    fits.cumtrapz_rows(-taus[::-1], out[::-1])     # int_t^{T_max}, in place
+    _each_block(close, blocks)
+    return out
 
 
 def _check_box(spec: FinalStateSpec, T_max: float) -> None:
@@ -256,30 +277,61 @@ def _check_box(spec: FinalStateSpec, T_max: float) -> None:
                           f"enlarge the box or lower T_max")
 
 
-def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
+def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
+                    start: Callable[[np.ndarray], np.ndarray],
                     max_iters: int, tol: float) -> PicardState:
-    """Iterate the map from the ``(n_time, 2, N)`` start ``v`` sampled at
-    ``taus``, which it releases after the first application."""
+    """Iterate the map from the start ``start(t)``, the ``(n_t, 2, N)``
+    x-space stack at an array of sample times, built one block of ``taus``
+    at a time.
+
+    Between the phases of an iteration only the old and new profiles and
+    the free-flow table are held; the x-space iterate lives one block at a
+    time, and the old profiles' buffer takes the difference of the two.
+    """
+    if max_iters < 1:
+        raise ValueError("need max_iters >= 1: the iterate is built by the map")
     g = spec.grid
-    # one table for every transform of the construction: the times are fixed
-    table = _profile_multiplier(g, taus)[:, None]
+    shape = (len(taus), 2, g.n_points)
+    # one table for every transform of the construction, since the times are
+    # fixed; the start fills it block by block
+    table = np.empty((len(taus), 1, g.n_points), dtype=np.complex128)
+    prev = np.empty(shape, dtype=np.complex128)
+    alpha = np.empty(shape, dtype=np.complex128)
     # a start that is not band-limited, like w#, has a Nyquist mode, and it
     # enters the first distance
-    nyq = _nyquist(g, v)
-    prev = _pull_back(g, v, taus[:, None], table)
+    nyq = np.empty(shape[:2], dtype=np.complex128)
+    l2_sq = np.empty(shape[:2])
+    j_sq = np.empty(shape[:2])
+
+    def start_rows(b):
+        table[b] = _profile_multiplier(g, taus[b])[:, None]
+        v = start(taus[b])
+        nyq[b] = _nyquist(g, v)
+        prev[b] = _pull_back(g, v, taus[b, None], table[b])
+        return v
+
+    def iterate_rows(b):
+        return _push_forward(g, prev[b], taus[b, None], table[b])
+
+    def distance_rows(b):
+        # the distance of the iterates is read off their profiles, with the
+        # difference formed in the old profile's buffer
+        l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(alpha[b], prev[b], out=prev[b]),
+                                        None if nyq is None else nyq[b])
+
+    def final_rows(b):
+        alpha[b] = iterate_rows(b)
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
+    rows = start_rows
     k = 0
     for k in range(1, max_iters + 1):
-        alpha = _apply_map(spec, taus, v, table)
-        del v
-        v = _push_forward(g, alpha, taus[:, None], table)
-        # the distance of the iterates is read off their profiles, with the
-        # difference formed in the old profile's buffer
-        d = _xt_sup(taus, spec.mu, *_profile_sq(g, np.subtract(alpha, prev, out=prev), nyq))
-        prev, nyq = alpha, None
+        _apply_map(spec, taus, rows, table, alpha, distance_rows)
+        d = _xt_sup(taus, spec.mu, l2_sq, j_sq)
+        prev, alpha = alpha, prev
+        rows, nyq = iterate_rows, None
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(d / distances[-2])
@@ -288,7 +340,9 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray, v: np.ndarray,
             break
         if len(ratios) >= 2 and ratios[-1] > 0.9 and ratios[-2] > 0.9:
             break
-    return PicardState(taus=taus, v=v, iterate_index=k, distances=distances,
+    # the iterate is the push-forward of the last profiles, into the spare buffer
+    _each_block(final_rows, _blocks(g, len(taus)))
+    return PicardState(taus=taus, v=alpha, iterate_index=k, distances=distances,
                        ratios=ratios, converged=converged)
 
 
@@ -313,7 +367,7 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float,
         raise ValueError("need T_max >= 10 T")
     _check_box(spec, T_max)
     taus = np.geomspace(T, T_max, n_time)
-    state = _picard_iterate(spec, taus, _w_sharp_arrays(spec, taus), max_iters, tol)
+    state = _picard_iterate(spec, taus, partial(_w_sharp_arrays, spec), max_iters, tol)
     if not state.converged and state.ratios and state.ratios[-1] > 0.9:
         raise PicardDivergence(
             f"no contraction after {state.iterate_index} iterations "
@@ -405,7 +459,7 @@ def dyadic_drift_run(spec: FinalStateSpec, base_times, T: float,
     """
     _check_box(spec, 40.0 * T)
     taus = np.geomspace(T, 40.0 * T, 48)
-    state = _picard_iterate(spec, taus, _w_sharp_arrays(spec, taus), picard_iters, 0.0)
+    state = _picard_iterate(spec, taus, partial(_w_sharp_arrays, spec), picard_iters, 0.0)
     base = np.asarray(sorted(base_times), dtype=float)
     cps = np.unique(np.concatenate([base, 2.0 * base]))
     cfg = SolverConfig(

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,13 +89,16 @@ def rel_l2(grid, a, b):
 
 @pytest.fixture()
 def fft_calls(monkeypatch):
-    """Counts of ``numpy.fft.fft`` and ``numpy.fft.ifft`` calls, by name."""
+    """Counts of ``numpy.fft.fft`` and ``numpy.fft.ifft`` calls, by name,
+    from any thread."""
     counts = {"fft": 0, "ifft": 0}
+    lock = threading.Lock()
     for name in counts:
         original = getattr(np.fft, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
@@ -102,13 +107,15 @@ def fft_calls(monkeypatch):
 @pytest.fixture()
 def fft_points(monkeypatch):
     """The number of points that ``numpy.fft.fft`` and ``numpy.fft.ifft``
-    transform, summed over calls: the size of each input."""
+    transform, summed over calls from any thread: the size of each input."""
     counts = {"points": 0}
+    lock = threading.Lock()
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
 
         def counted(a, *args, _original=original, **kwargs):
-            counts["points"] += np.size(a)
+            with lock:
+                counts["points"] += np.size(a)
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts

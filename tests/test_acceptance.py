@@ -351,9 +351,13 @@ def _json_data(path):
     return json.loads(path.read_text())["data"]
 
 
-def _assert_recorded(out, name):
+def _assert_recorded(out, name, stages):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["name"] == name and manifest["status"] == "ok"
+    # the wall time of each stage, within the run's
+    seconds = manifest["stage_seconds"]
+    assert sorted(seconds) == sorted(stages)
+    assert min(seconds.values()) >= 0.0 and sum(seconds.values()) <= manifest["wall_seconds"]
     assert manifest["guard_events"] == []
     assert sorted(manifest["outputs"]) == sorted(p.relative_to(out).as_posix()
                                                  for p in out.rglob("*") if p.is_file())
@@ -366,7 +370,7 @@ def test_scatter_reports_and_manifest(scatter):
     assert _json_data(out / "scattering.json") == {
         "fitted_slope": report.fitted_slope, "slope_bound": report.slope_bound,
         "contraction_ratios": list(scatter["state"].ratios), "passed": report.passed}
-    _assert_recorded(out, "scatter-roundtrip")
+    _assert_recorded(out, "scatter-roundtrip", ["final_state", "picard", "forward", "verify"])
 
 
 def test_scatter_manifest_records_steps_and_picard(scatter):
@@ -413,7 +417,7 @@ def test_obstruction_reports_and_manifest(obstruction):
     assert _json_data(out / "obstruction.json") == {
         "eta": report.eta, "floor": report.stagnation_floor, "stagnates": report.stagnates,
         "control_slope": loglog_slope(drift["ts"], np.minimum(drift["d1"], drift["d2"]))}
-    _assert_recorded(out, "obstruction")
+    _assert_recorded(out, "obstruction", ["probe", "control"])
     # both forward runs record their steps and the range of dt
     steps = json.loads((out / "manifest.json").read_text())["steps"]
     assert steps == {"probe": report.steps, "control": drift["steps"]}

@@ -515,6 +515,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             make()
 
+    @pytest.mark.parametrize("t_start, t_end", [(0.0, 1.0), (0.0, 2.0), (5.0, 5.0 + 1e-14)])
+    def test_default_checkpoints_need_increasing_grid(self, t_start, t_end):
+        with pytest.raises(ConfigError, match="checkpoint_times"):
+            SolverConfig(n_points=256, length=100.0, t_start=t_start, t_end=t_end)
+        # explicit checkpoints inside the window are still accepted
+        SolverConfig(n_points=256, length=100.0, t_start=t_start, t_end=t_end,
+                     checkpoint_times=(t_end,))
+
     def test_default_checkpoints_start_at_two(self):
         cfg = SolverConfig(n_points=256, length=100.0, t_end=50.0)
         cps = cfg.resolved_checkpoints()

@@ -478,6 +478,24 @@ class TestPipelines:
         assert err.startswith("[nlspair:config]") and "t >= 100" in err
         assert not (tmp_path / "o").exists()   # rejected before any compute
 
+    @pytest.mark.parametrize("t_end", [1.0, 2.0])
+    def test_cli_short_default_grid_exit_2(self, tmp_path, capsys, t_end):
+        # the default checkpoints start at t = 2: a run that ends there or
+        # before has no increasing default grid, and is a config error
+        # before any compute instead of 40 copies of the state past t_end
+        d = {"name": "short", "seed": 1,
+             "solver": {"n_points": 512, "length": 200.0, "t_end": t_end},
+             "analysis": {"profiles": False},
+             "data1": {"kind": "gaussian", "amp": 0.08, "width": 4.0},
+             "data2": {"kind": "gaussian", "amp": 0.05, "width": 5.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+        assert "need t_end > 2" in err and not out.exists()
+
     def test_cli_diagnostic_value_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def too_short(*args, **kwargs):
             raise ValueError("trajectory too short")

@@ -1,17 +1,27 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import nlspair as nl
+from nlspair import fits
+from nlspair import profiles as P
 from nlspair.dynamics import SolverConfig, run
 from nlspair.errors import ConfigError, PicardDivergence
+from nlspair.profiles import _blocks
 from nlspair.scattering import (
+    PicardState,
     _apply_map,
+    _nyquist,
     _picard_iterate,
+    _profile_sq,
     _w_sharp_arrays,
+    _xt_sup,
     build_final_state,
+    dyadic_drift_run,
     dyadic_profile_drift,
     nonlinearity_norms,
     obstruction_probe,
@@ -83,6 +93,32 @@ def reference_picard(spec, T, T_max, max_iters, tol, n_time):
         if d < tol:
             break
     return {"v1": v1, "v2": v2, "iterate_index": k, "distances": distances}
+
+
+def one_shot_picard(spec, taus, v, max_iters, tol):
+    """The iteration as it was on whole stacks: the ``(n_time, 2, N)`` start
+    ``v``, its profiles, the map's product and the new iterate each held at
+    once, on one thread.  Returns ``(v, iterate_index, distances, ratios)``."""
+    g = spec.grid
+    table = _profile_multiplier(g, taus)[:, None]
+    nyq = _nyquist(g, v)
+    prev = _pull_back(g, v, taus[:, None], table)
+    distances, ratios, k = [], [], 0
+    for k in range(1, max_iters + 1):
+        alpha = _pull_back(g, np.abs(v[:, ::-1]) ** 2 * v, taus[:, None], table,
+                           overwrite_x=True)
+        fits.cumtrapz_rows(-taus[::-1], alpha[::-1])
+        alpha += spec.psi_hat
+        alpha[..., 0] = 0.0
+        v = _push_forward(g, alpha, taus[:, None], table)
+        d = _xt_sup(taus, spec.mu, *_profile_sq(g, np.subtract(alpha, prev, out=prev), nyq))
+        prev, nyq = alpha, None
+        distances.append(d)
+        if len(distances) > 1 and distances[-2] > 0:
+            ratios.append(d / distances[-2])
+        if d < tol or (len(ratios) >= 2 and ratios[-1] > 0.9 and ratios[-2] > 0.9):
+            break
+    return v, k, distances, ratios
 
 
 def xt_norm(grid, taus, d, mu):
@@ -242,8 +278,9 @@ class TestPicard:
         assert all(r <= 0.5 for r in state.ratios[:3])
         # the map returns the new profiles, Nyquist slot zeroed
         g, taus = decoupled_spec.grid, state.taus
-        alpha = _apply_map(decoupled_spec, taus, state.v,
-                           _profile_multiplier(g, taus)[:, None])
+        alpha = _apply_map(decoupled_spec, taus, lambda b: state.v[b],
+                           _profile_multiplier(g, taus)[:, None], np.empty_like(state.v),
+                           lambda b: None)
         assert alpha.shape == state.v.shape and np.all(alpha[..., 0] == 0)
         new = _push_forward(g, alpha, taus[:, None])
         assert xt_norm(g, taus, new - state.v, decoupled_spec.mu) <= 2e-9
@@ -257,14 +294,17 @@ class TestPicard:
     def test_uniqueness_two_starts(self, decoupled_spec, picard_state):
         # the same fixed point from the free wave U(t) psi+ as from w#
         spec, taus = decoupled_spec, picard_state.taus
-        free = _push_forward(spec.grid, spec.psi_hat, taus[:, None])
+        def free(t):
+            return _push_forward(spec.grid, spec.psi_hat, t[:, None])
         other = _picard_iterate(spec, taus, free, max_iters=8, tol=1e-9)
         assert other.converged
         assert xt_norm(spec.grid, taus, picard_state.v - other.v, spec.mu) <= 1e-8
 
     def test_iteration_cost_independent_of_samples(self, decoupled_spec, fft_calls,
                                                    fft_points):
-        # one batched transform per stack: a per-sample loop would scale with n_time
+        # batched transforms over blocks of samples: per sample, the points
+        # transformed do not depend on n_time
+        g = decoupled_spec.grid
         counts, points = [], []
         for n_time, iters in ((24, 1), (48, 1), (48, 2)):
             before, before_points = sum(fft_calls.values()), fft_points["points"]
@@ -272,12 +312,16 @@ class TestPicard:
                              n_time=n_time)
             counts.append(sum(fft_calls.values()) - before)
             points.append(fft_points["points"] - before_points)
-        assert counts[0] == counts[1] > 0
-        # per iteration, each over the (n_time, 2, N) stack: the map's
-        # pull-back and push-forward, and one IFFT for the distance; the
-        # points transformed are those of one transform per component
-        assert counts[2] - counts[1] == 3
-        assert points[2] - points[1] == 6 * 48 * decoupled_spec.grid.n_points
+        assert points[1] == 2 * points[0] > 0
+        # one iteration: the start's profiles, then per block of samples the
+        # map's pull-back, one IFFT for the distance and the final push-forward
+        assert counts[0] == 4 * len(_blocks(g, 24))
+        assert counts[1] == 4 * len(_blocks(g, 48))
+        # each further iteration, per block: the push-forward of the old
+        # profiles, the map's pull-back and the distance's IFFT; the points
+        # transformed are those of one transform per component
+        assert counts[2] - counts[1] == 3 * len(_blocks(g, 48))
+        assert points[2] - points[1] == 6 * 48 * g.n_points
 
     def test_matches_reference_map(self, decoupled_spec):
         # the map before the profile-frame norm, in the code's own conventions:
@@ -293,12 +337,15 @@ class TestPicard:
         assert above.sum() >= 2
         assert np.all(np.abs(d[above] / d_ref[above] - 1.0) <= 1e-6)
 
-    def test_peak_memory_is_eight_stacks(self):
-        # at its peak the construction holds the iterate, the old profiles,
-        # the map's product (two (n_time, N) stacks each), the free-flow
-        # table and the squared amplitudes: a difference of profiles
-        # allocated afresh, not in the old profile's buffer, adds one more
+    def test_peak_memory_is_five_stacks(self, monkeypatch):
+        # between the phases of an iteration the construction holds the old
+        # and new profiles (two (n_time, N) stacks each) and the free-flow
+        # table; the x-space iterate and w# live one block at a time.  The
+        # blocks are pinned to one row on two threads: at this grid one
+        # default block is the whole stack
         g = nl.Grid(2048, 10000.0)
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * g.n_points)
+        monkeypatch.setattr(P, "_workers", lambda: 2)
         spec = build_final_state(g, [WINDOW_L], [WINDOW_R], s=2.0)
         tracemalloc.start()
         try:
@@ -306,8 +353,8 @@ class TestPicard:
             ratio = tracemalloc.get_traced_memory()[1] / (32 * g.n_points * 16)
         finally:
             tracemalloc.stop()
-        # measured: 8.13, and 9.18 with the difference allocated afresh
-        assert ratio <= 8.5
+        # measured: 5.55-5.64, and 5.31 on one thread
+        assert ratio <= 6.0
 
     def test_box_guard(self, decoupled_spec):
         # the support reaches |xi| = 0.8998: by T_max = 20000 its waves have
@@ -333,6 +380,91 @@ class TestPicard:
             [{"kind": "window", "lo": 0.3, "hi": 0.9, "amp": 3.0}])
         with pytest.raises(PicardDivergence):
             picard_construct(big, 2.0, 200.0, max_iters=6, tol=1e-9, n_time=24)
+
+
+# (workers, rows per block): inline and on four threads, 1-row blocks and
+# 5-row blocks, whose last block of 48 samples is a short tail of 3
+BLOCKINGS = [(1, 1), (4, 1), (1, 5), (4, 5)]
+
+
+def _pin_blocks(monkeypatch, grid, workers, rows):
+    monkeypatch.setattr(P, "_workers", lambda: workers)
+    monkeypatch.setattr(P, "_BLOCK_POINTS", rows * workers * 2 * grid.n_points)
+    assert _blocks(grid, 48)[0] == slice(0, rows)
+
+
+@pytest.fixture(scope="module")
+def overlap_spec(grid):
+    entry = {"kind": "window", "lo": -0.5, "hi": 0.5, "amp": 0.1}
+    return build_final_state(grid, [entry], [dict(entry)])
+
+
+@pytest.fixture(scope="module")
+def one_shot_drift(overlap_spec):
+    """``dyadic_drift_run`` of the overlapping data started from the one-shot
+    iteration on whole stacks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nlspair.scattering._picard_iterate", one_shot_iterate)
+        return dyadic_drift_run(overlap_spec, [60.0], 50.0, picard_iters=3)
+
+
+def one_shot_iterate(spec, taus, start, max_iters, tol):
+    """``_picard_iterate``'s signature on :func:`one_shot_picard`."""
+    v, k, distances, ratios = one_shot_picard(spec, taus, start(taus), max_iters, tol)
+    return PicardState(taus=taus, v=v, iterate_index=k, distances=distances,
+                       ratios=ratios, converged=bool(distances[-1] < tol))
+
+
+class TestStreamedPicard:
+    @pytest.mark.parametrize("workers,rows", BLOCKINGS)
+    def test_construct_bitwise_one_shot(self, decoupled_spec, monkeypatch, workers, rows):
+        spec = decoupled_spec
+        taus = np.geomspace(50.0, 5000.0, 48)
+        v, k, distances, ratios = one_shot_picard(spec, taus, _w_sharp_arrays(spec, taus),
+                                                  max_iters=8, tol=1e-9)
+        _pin_blocks(monkeypatch, spec.grid, workers, rows)
+        # threads switch often, so that a block writing another's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            state = picard_construct(spec, 50.0, 5000.0, max_iters=8, tol=1e-9, n_time=48)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(state.v, v)
+        assert state.iterate_index == k
+        assert np.array_equal(state.distances, distances)
+        assert np.array_equal(state.ratios, ratios)
+
+    @pytest.mark.parametrize("workers,rows", BLOCKINGS)
+    def test_drift_run_bitwise_one_shot(self, overlap_spec, one_shot_drift, monkeypatch,
+                                        workers, rows):
+        _pin_blocks(monkeypatch, overlap_spec.grid, workers, rows)
+        drift = dyadic_drift_run(overlap_spec, [60.0], 50.0, picard_iters=3)
+        assert np.array_equal(drift["d1"], one_shot_drift["d1"])
+        assert np.array_equal(drift["d2"], one_shot_drift["d2"])
+        assert drift["steps"] == one_shot_drift["steps"]
+
+    def test_no_iteration_rejected(self, decoupled_spec):
+        # the iterate lives only as profiles, so zero iterations have none to return
+        with pytest.raises(ValueError, match="max_iters >= 1"):
+            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=0, tol=1e-9, n_time=8)
+
+    def test_block_exception_surfaces(self, decoupled_spec, monkeypatch):
+        spec = decoupled_spec
+        _pin_blocks(monkeypatch, spec.grid, 4, 1)
+        taus = np.geomspace(50.0, 5000.0, 48)
+        boom = RuntimeError("one block fails")
+
+        def start(t):
+            if np.any(t == taus[7]):
+                raise boom
+            return _w_sharp_arrays(spec, t)
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _picard_iterate(spec, taus, start, max_iters=3, tol=0.0)
+        assert info.value is boom
+        assert threading.active_count() == threads
 
 
 class TestVerifyScattering:

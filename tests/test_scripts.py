@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nlspair.harness import _recording, write_csv, write_json
+from nlspair.harness import _recording, _stage, write_csv, write_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -64,8 +64,10 @@ def test_compare_reports_names_every_differing_column(tmp_path, capsys):
 def _manifest_tree(root: Path, data_size: dict) -> None:
     """A manifest as a pipeline writes it, with its own start and wall times."""
     with _recording(root, "demo", {"seed": 1}, data_size=data_size,
-                    steps={"n_steps": 12, "dt_min": 0.04, "dt_max": 0.32}) as manifest:
-        manifest["outputs"] = []
+                    steps={"n_steps": 12, "dt_min": 0.04, "dt_max": 0.32},
+                    stage_seconds={}) as manifest:
+        with _stage(manifest, "work"):
+            manifest["outputs"] = []
 
 
 def test_compare_reports_manifest_timings_ignored(tmp_path, capsys):
@@ -77,6 +79,7 @@ def test_compare_reports_manifest_timings_ignored(tmp_path, capsys):
     manifest = json.loads(path.read_text())
     manifest["started_unix"] += 60.0
     manifest["wall_seconds"] += 1.0
+    manifest["stage_seconds"]["work"] += 1.0
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     compare_reports = _load("compare_reports")
     assert compare_reports.main(str(tmp_path / "a"), str(tmp_path / "b")) == 0
@@ -95,3 +98,4 @@ def test_compare_reports_names_manifest_difference(tmp_path, capsys):
     assert 0 < float(spread[".data_size.l2"]) < 2e-12
     assert spread[".data_size.h2"] == "0" and spread[".steps.n_steps"] == "0"
     assert ".started_unix" not in spread and ".wall_seconds" not in spread
+    assert ".stage_seconds.work" not in spread

@@ -301,7 +301,8 @@ class TestFieldValidation:
     """A state is a ``(2, N)`` array: ``run`` checks it, the trajectory freezes it."""
 
     def test_length_mismatch(self, small_grid):
-        cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length, t_end=1.0)
+        cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
+                           t_end=1.0, checkpoint_times=(0.0, 1.0))
         for shape in ((2, small_grid.n_points + 1), (small_grid.n_points,),
                       (3, small_grid.n_points)):
             with pytest.raises(ConfigError, match="shape"):
@@ -309,7 +310,8 @@ class TestFieldValidation:
 
     def test_nonfinite_rejected(self, small_grid):
         # a non-finite sample, or finite samples whose mass overflows
-        cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length, t_end=1.0)
+        cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
+                           t_end=1.0, checkpoint_times=(0.0, 1.0))
         nan = np.zeros((2, small_grid.n_points), dtype=complex)
         nan[1, 3] = np.nan
         huge = np.stack([gaussian_field(small_grid, 1e200, 2.0), np.zeros(small_grid.n_points)])
