@@ -2,12 +2,14 @@
 
 Runs the preset's solver once per policy and once with a refined reference
 policy.  For each run it reports the steps taken, the wall time of
-``dynamics.run``, the free-flow multipliers evaluated, the relative L2 error
-of the final ``(2, N)`` profile stack against the reference, and how many
-case labels differ from the reference's.  Prints one JSON object.
+``dynamics.run``, the free-flow multipliers evaluated, the drift of the mass
+difference (the max over checkpoints of ``|ledger[:, 2] - ledger[0, 2]|``),
+the relative L2 error of the final ``(2, N)`` profile stack against the
+reference, and how many case labels differ from the reference's.  Prints one
+JSON object.
 
     PYTHONPATH=src python3 scripts/step_sweep.py \\
-        --policies 0.04:2e-3,0.04:4e-3,0.04:8e-3,0.04:1.6e-2,0.01:4e-3
+        --policies 0.32:0.128,0.16:6.4e-2,0.16:3.2e-2,0.08:1.6e-2
 
 A policy is written ``dt:rate``.  Run it on an idle machine: the wall times
 are single runs.
@@ -52,14 +54,15 @@ def measure(policy: DtPolicy) -> dict:
     return {"policy": {"dt": policy.dt, "rate": policy.rate},
             "steps": traj.provenance["n_steps"], "run_wall_s": wall,
             "multiplier_evaluations": len(taus),
+            "mass_diff_drift": float(np.max(np.abs(traj.ledger[:, 2] - traj.ledger[0, 2]))),
             "final": profiles.alpha[-1], "labels": table.label}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--policies", default="0.04:2e-3,0.04:4e-3,0.04:8e-3,0.04:1.6e-2",
+    ap.add_argument("--policies", default="0.32:0.128,0.16:6.4e-2,0.16:3.2e-2,0.08:1.6e-2",
                     help="comma-separated dt:rate pairs")
-    ap.add_argument("--reference", default="0.01:2.5e-4", help="refined dt:rate")
+    ap.add_argument("--reference", default="0.01:5e-4", help="refined dt:rate")
     args = ap.parse_args(argv)
     ref = measure(_policy(args.reference))
     rows = []

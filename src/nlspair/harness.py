@@ -576,7 +576,10 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
 
 
 def run_simulate(config: ExperimentConfig, out_dir) -> dict:
-    """Full simulate pipeline: data, run, reports, manifest.
+    """Full simulate pipeline: data, run, reports, manifest.  The manifest
+    records the run's ``steps`` and the wall time of each stage
+    (``stage_seconds``: ``run``, ``reports`` and, when they are saved,
+    ``checkpoints``).
 
     Returns a summary dict with the trajectory attached (for callers that
     keep analysing in-process).
@@ -596,16 +599,20 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     with _recording(out_dir, config.name, config.to_dict(),
                     grid={"n_points": grid.n_points, "length": grid.length,
                           "dx": grid.dx, "dxi": grid.dxi},
-                    seed=config.seed, data_size=data_size, steps={}) as manifest:
-        traj = run(config.solver, state)
-        outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
+                    seed=config.seed, data_size=data_size, steps={},
+                    stage_seconds={}) as manifest:
+        with _stage(manifest, "run"):
+            traj = run(config.solver, state)
+        with _stage(manifest, "reports"):
+            outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
         if config.save_checkpoints:
-            cp_dir = out_dir / "checkpoints"
-            cp_dir.mkdir(exist_ok=True)
-            for i, (t, v) in enumerate(zip(traj.ts.tolist(), traj.states)):
-                name = f"checkpoints/cp_{i:04d}.bin"
-                persist_checkpoint(out_dir / name, grid, t, v)
-                outputs.append(name)
+            with _stage(manifest, "checkpoints"):
+                cp_dir = out_dir / "checkpoints"
+                cp_dir.mkdir(exist_ok=True)
+                for i, (t, v) in enumerate(zip(traj.ts.tolist(), traj.states)):
+                    name = f"checkpoints/cp_{i:04d}.bin"
+                    persist_checkpoint(out_dir / name, grid, t, v)
+                    outputs.append(name)
         manifest["outputs"] = outputs
         manifest["steps"] = traj.steps
     return {"trajectory": traj, "manifest": manifest, "out_dir": out_dir}

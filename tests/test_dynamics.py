@@ -169,20 +169,50 @@ class TestStrangStep:
         assert order >= 1.9
 
 
+class TestComposedStep:
+    def test_fourth_order(self, small_grid):
+        # run's step is the triple jump of Strang stages: its error on the
+        # final state against a refined run falls 16x per halving of dt
+        pair = make_pair(small_grid)
+
+        def final(dt):
+            cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
+                               t_end=2.0, dt_policy=DtPolicy.fixed(dt), checkpoint_times=(2.0,))
+            return run(cfg, pair).states[-1]
+
+        ref = final(0.0125)
+        coarse, fine = (rel_l2(small_grid, final(dt), ref) for dt in (0.2, 0.1))
+        assert math.log2(coarse / fine) >= 3.8   # measured: 4.00
+
+
+def stage_steps(t, dt):
+    """``(start, length)`` of the three Strang stages of one composed step of
+    ``run`` from t to t + dt: ``W1 dt``, ``W0 dt``, ``W1 dt``."""
+    outer = dynamics.W1 * dt
+    return [(t, outer), (t + outer, dynamics.W0 * dt), (t + dt - outer, outer)]
+
+
+def composed_step(grid, v, t, dt):
+    """One step of ``run``'s scheme as three separate Strang steps."""
+    for start, h in stage_steps(t, dt):
+        v = strang_step(grid, v, start, h)
+    return v
+
+
 def stepped_checkpoints(cfg, v):
-    """Repeated Strang steps on the step sequence of ``run``; states at the checkpoints."""
+    """Repeated composed steps on the step sequence of ``run``; states at the checkpoints."""
     out, t, eps = [], cfg.t_start, 1e-9
     for target in cfg.resolved_checkpoints():
         while target > t + eps * max(1.0, t):
             dt = min(cfg.dt_policy.dt_at(t), target - t)
-            v = strang_step(cfg.grid, v, t, dt)
+            v = composed_step(cfg.grid, v, t, dt)
             t = target if target - t - dt <= eps * max(1.0, target) else t + dt
         out.append(v)
     return out
 
 
 class TestFusedKernel:
-    """``run`` merges adjacent half free steps; it must equal repeated Strang steps."""
+    """``run`` merges adjacent half free steps; it must equal repeated composed steps."""
 
     @pytest.mark.parametrize("policy, checkpoints", [
         (DtPolicy.fixed(0.05), (1.0, 2.0, 3.0)),
@@ -223,23 +253,25 @@ class TestStepLadder:
         assert step <= max(dt, rate * t) < 2.0 * step
 
     def test_step_size_resonance_guard(self):
-        # the Strang phases dt xi^2 / 2 reach about 9 rad here; a resonance
-        # of the splitting would show as a gap to the 4x refined run
+        # the phases dt xi^2 / 2 of a step reach about 74 rad here, and 125
+        # rad in the backward stage; a resonance of the splitting would show
+        # as a gap to the 4x refined run
         pol = DtPolicy()
         runs = [ladder_run(p) for p in (pol, DtPolicy(pol.dt / 4, pol.rate / 4))]
         coarse, fine = (profile_history(r).alpha[-1] for r in runs)
         gap = rel_l2(None, coarse, fine)
-        assert gap < 1e-6   # measured: 7.7e-8
+        assert gap < 1e-6   # measured: 7.6e-10
 
     def test_multiplier_budget(self, monkeypatch):
         # on the ladder the kernel's cache hits: new free-flow multipliers
-        # come only with a rung change or a checkpoint
+        # come only with a rung change or a checkpoint, not with each of the
+        # three Strang stages of a step
         calls = []
         real = dynamics._free_multiplier_fft
         monkeypatch.setattr(dynamics, "_free_multiplier_fft",
                             lambda grid, tau: calls.append(tau) or real(grid, tau))
         traj = ladder_run(DtPolicy())
-        assert traj.provenance["n_steps"] > 1000
+        assert 3 * traj.provenance["n_steps"] > 800
         assert len(calls) <= 64
 
 
@@ -328,17 +360,21 @@ def fast_packet():
 
 
 def first_crossing(cfg, v):
-    """Mid-step time of the first step of ``run``'s step sequence whose state,
-    half a free step on, holds more than the guard's share of the mass in the
-    edge bands; None if no step does."""
+    """Mid-time of the first Strang stage of ``run``'s step sequence whose
+    state, half a free stage on, holds more than the guard's share of the
+    mass in the edge bands; None if no stage does.  The stage mid-times of a
+    step from t are ``t + W1 dt/2``, ``t + dt/2`` and ``t + dt - W1 dt/2``."""
     t, eps = cfg.t_start, 1e-9
     for target in cfg.resolved_checkpoints():
         while target > t + eps * max(1.0, t):
             dt = min(cfg.dt_policy.dt_at(t), target - t)
-            mid = free_flow(cfg.grid, v, 0.5 * dt)
-            if boundary_mass_fraction(cfg.grid, mid) > dynamics.BOUNDARY_MASS_TOL:
-                return t + 0.5 * dt
-            v = strang_step(cfg.grid, v, t, dt)
+            w1 = dynamics.W1 * dt
+            for (start, h), mid_t in zip(stage_steps(t, dt),
+                                         (t + 0.5 * w1, t + 0.5 * dt, t + dt - 0.5 * w1)):
+                mid = free_flow(cfg.grid, v, 0.5 * h)
+                if boundary_mass_fraction(cfg.grid, mid) > dynamics.BOUNDARY_MASS_TOL:
+                    return mid_t
+                v = strang_step(cfg.grid, v, start, h)
             t = target if target - t - dt <= eps * max(1.0, target) else t + dt
     return None
 
@@ -397,7 +433,7 @@ class TestRun:
         assert np.allclose(traj.ts, cfg.resolved_checkpoints(), rtol=0, atol=1e-9)
 
     def test_guard_trips_on_fast_packet(self):
-        # every Strang step is guarded: the run stops at the first crossing,
+        # every Strang stage is guarded: the run stops at the first crossing,
         # not at the checkpoint after it
         cfg, pair = fast_packet()
         with pytest.raises(GuardViolation) as exc:
@@ -494,9 +530,9 @@ class TestConfigValidation:
     def test_dt_policy_kinds(self):
         assert DtPolicy.fixed(0.1).dt_at(1e4) == 0.1
         pol = DtPolicy()
-        assert pol.dt_at(1.0) == 0.04
-        assert pol.dt_at(100.0) == 0.32
-        assert pol.dt_at(1e4) == 20.48
+        assert pol.dt_at(1.0) == 0.16
+        assert pol.dt_at(100.0) == 2.56
+        assert pol.dt_at(1e4) == 163.84
         with pytest.raises(ConfigError):
             DtPolicy(rate=-1e-3)
 

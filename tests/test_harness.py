@@ -11,7 +11,7 @@ import pytest
 
 import nlspair as nl
 from nlspair.cli import main
-from nlspair.dynamics import DtPolicy, SolverConfig, run
+from nlspair.dynamics import W1, DtPolicy, SolverConfig, run
 from nlspair.errors import CheckpointError, ConfigError, GuardViolation
 from nlspair.harness import (
     AnalysisOptions,
@@ -385,8 +385,17 @@ class TestPipelines:
         steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
         assert steps == {k: traj.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
         assert steps["n_steps"] > 100
-        # the ladder's rungs below t_end = 120 are 0.04 to 0.32
-        assert 0.0 < steps["dt_min"] <= 0.04 and steps["dt_max"] == 0.32
+        # the ladder's rungs below t_end = 120 are 0.16 to 2.56
+        assert 0.0 < steps["dt_min"] <= 0.16 and steps["dt_max"] == 2.56
+
+    def test_manifest_records_stage_seconds(self, tmp_path):
+        # the wall time of stepping, analytics and checkpoint writing, in the
+        # manifest only
+        run_simulate(ExperimentConfig.from_dict(tiny_config_dict()), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        seconds = manifest["stage_seconds"]
+        assert sorted(seconds) == ["checkpoints", "reports", "run"]
+        assert all(0.0 <= s <= manifest["wall_seconds"] for s in seconds.values())
 
     def test_cli_non_finite_config_exit_2(self, tmp_path, capsys):
         # non-finite numbers, seeds that are not integers >= 0, numbers and
@@ -437,11 +446,31 @@ class TestPipelines:
         assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
         assert fragment in err and not out.exists()
 
+    def test_cli_backward_stage_out_of_domain_exit_1(self, tmp_path, capsys):
+        # amplitude 5 on the first rung: the backward middle stage of the
+        # first step leaves the logistic's domain, the state turns NaN and
+        # the guard of the next stage, at t = dt - W1 dt/2, stops the run
+        d = tiny_config_dict()
+        d["data1"] = {"kind": "gaussian", "amp": 5.0, "width": 4.0}
+        d["data2"] = {"kind": "gaussian", "amp": 5.0, "width": 5.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:guard]") and err.count("\n") == 1, err
+        dt = DtPolicy().dt
+        assert f"non-finite mass at t = {dt - 0.5 * W1 * dt:.6g}" in err
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
     def test_cli_guard_event_recorded(self, tmp_path):
         # the headline's data in a box of 400: mass reaches the edge bands
         # between the default checkpoints at 384.4 and 450.8, first at
-        # t = 389.16; every step is guarded, so the event lies within one
-        # step (dt = 1.28) of that crossing
+        # t = 389.16; every Strang stage is guarded, so the event lies within
+        # one step of the ladder of that crossing
         d = tiny_config_dict(t_end=1000.0)
         d["solver"] = {"n_points": 1024, "length": 400.0, "t_end": 1000.0}
         d["data1"] = {"kind": "gaussian", "amp": 0.1, "width": 8.0}
@@ -453,7 +482,7 @@ class TestPipelines:
         assert manifest["status"] == "failed"
         [event] = manifest["guard_events"]
         assert 384.4 < event["t"] < 450.8
-        assert abs(event["t"] - 389.16) <= 1.28
+        assert abs(event["t"] - 389.16) <= DtPolicy().dt_at(389.16)
         assert event["fraction"] > 1e-6
 
     def test_cli_scatter_guard_event_recorded(self, tmp_path, capsys, monkeypatch):

@@ -22,10 +22,11 @@ def _load(name: str):
 def test_step_sweep_runs(capsys):
     # one coarse policy against a reference one rung finer: two headline runs
     step_sweep = _load("step_sweep")
-    assert step_sweep.main(["--policies", "0.04:1.6e-2", "--reference", "0.04:8e-3"]) == 0
+    assert step_sweep.main(["--policies", "0.32:0.128", "--reference", "0.16:6.4e-2"]) == 0
     out = json.loads(capsys.readouterr().out)
     (row,) = out["runs"]
     assert isinstance(row["labels_flipped"], int) and row["labels_flipped"] >= 0
+    assert 0.0 <= row["mass_diff_drift"] <= 1e-12
     assert out["reference"]["steps"] > row["steps"] > 0
 
 
