@@ -319,7 +319,8 @@ class _StrangKernel:
     squared amplitudes the substep forms.  One FFT spreads a NaN to every
     point, so the sums catch it without a scan for non-finite values: a
     backward stage that leaves the substep's domain stops the run at the
-    next stage's mid-time.
+    next stage's mid-time, with a NumericsError that names the amplitude or
+    ``dt_policy.dt`` as too large.
     """
 
     def __init__(self, grid: Grid):
@@ -345,7 +346,11 @@ class _StrangKernel:
         """Advance ``v`` from t to t + dt; the guard reports the mid-time."""
         v = self._free(v, self.pending + 0.5 * dt)
         self.pending = 0.5 * dt
-        _check_bands(_decay_substep(v, dt), self.bands, t + 0.5 * dt)
+        try:
+            _check_bands(_decay_substep(v, dt), self.bands, t + 0.5 * dt)
+        except NumericsError as exc:
+            raise NumericsError(f"{exc}: the amplitude or dt_policy.dt is too large (a "
+                                f"backward stage left the exact substep's domain)") from None
         return v
 
     def flush(self, v: np.ndarray) -> np.ndarray:

@@ -539,39 +539,61 @@ def _stage(manifest: dict, name: str):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def emit_trajectory_reports(traj: Trajectory, out_dir: Path,
-                            analysis: AnalysisOptions) -> list[str]:
+def _trajectory_analytics(traj: Trajectory, manifest: dict):
+    """The case table, the remainder's ``(ts, bound_ratio)`` and the
+    decoupling report of ``traj``, each stage timed in ``manifest``; the
+    profile and remainder histories die on return, before any report is
+    formatted."""
+    with _stage(manifest, "profiles"):
+        profiles = profile_history(traj)
+    with _stage(manifest, "remainder"):
+        probes = remainder_history(traj, profiles)
+    with _stage(manifest, "case_table"):
+        table = build_case_records(profiles, probes)
+    with _stage(manifest, "decoupling"):
+        dec = decoupling_history(profiles)
+    return table, (probes.ts, probes.bound_ratio), dec
+
+
+def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisOptions,
+                            manifest: dict | None = None) -> list[str]:
     """Write the ledger, the per-frequency case table, and the remainder and
     decoupling histories, each once, as CSV; ``profiles.json`` holds the two
     run-level numbers no CSV does.  Under the conservative coupling no
     companion dies, so the labels are only the sign of the imbalance and the
-    survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty."""
+    survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty.
+
+    With a pipeline's ``manifest``, the wall time of each part goes in its
+    ``stage_seconds``: ``profiles``, ``remainder``, ``case_table`` and
+    ``decoupling`` for the analytics, ``writing`` for the files.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
-                       [traj.ts, *traj.ledger.T])]
+    if manifest is None:
+        manifest = {"stage_seconds": {}}
     if analysis.profiles:
-        profiles = profile_history(traj)
-        probes = remainder_history(traj, profiles)
-        table = build_case_records(profiles, probes)
-        dec = decoupling_history(profiles)
-        limit = [table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]
-        if traj.config.coupling == "conservative":
-            limit = [np.full(len(table.xi), np.nan)] * 3
-        paths += [
-            write_csv(out_dir / "profiles.csv", "profiles",
-                      ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
-                       "beta_plus_re", "beta_plus_im", "tail_err"],
-                      [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
-                       *limit]),
-            write_json(out_dir / "profiles.json", "profiles",
-                       {"deadband": table.deadband, "discrepancy": table.discrepancy}),
-            write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
-                      [probes.ts, probes.bound_ratio]),
-            write_csv(out_dir / "decoupling.csv", "decoupling",
-                      ["t", "sup_product", "l2_product"],
-                      [dec.ts, dec.sup_products, dec.l2_products]),
-        ]
+        table, remainder, dec = _trajectory_analytics(traj, manifest)
+    with _stage(manifest, "writing"):
+        paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
+                           [traj.ts, *traj.ledger.T])]
+        if analysis.profiles:
+            limit = [table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]
+            if traj.config.coupling == "conservative":
+                limit = [np.full(len(table.xi), np.nan)] * 3
+            paths += [
+                write_csv(out_dir / "profiles.csv", "profiles",
+                          ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
+                           "beta_plus_re", "beta_plus_im", "tail_err"],
+                          [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
+                           *limit]),
+                write_json(out_dir / "profiles.json", "profiles",
+                           {"deadband": table.deadband, "discrepancy": table.discrepancy}),
+                write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
+                          remainder),
+                write_csv(out_dir / "decoupling.csv", "decoupling",
+                          ["t", "sup_product", "l2_product"],
+                          [dec.ts, dec.sup_products, dec.l2_products]),
+            ]
     return [p.name for p in paths]
 
 
@@ -579,7 +601,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """Full simulate pipeline: data, run, reports, manifest.  The manifest
     records the run's ``steps`` and the wall time of each stage
     (``stage_seconds``: ``run``, ``reports`` and, when they are saved,
-    ``checkpoints``).
+    ``checkpoints``; ``reports`` is the total of the parts
+    :func:`emit_trajectory_reports` records).
 
     Returns a summary dict with the trajectory attached (for callers that
     keep analysing in-process).
@@ -604,7 +627,7 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
         with _stage(manifest, "run"):
             traj = run(config.solver, state)
         with _stage(manifest, "reports"):
-            outputs = emit_trajectory_reports(traj, out_dir, config.analysis)
+            outputs = emit_trajectory_reports(traj, out_dir, config.analysis, manifest)
         if config.save_checkpoints:
             with _stage(manifest, "checkpoints"):
                 cp_dir = out_dir / "checkpoints"

@@ -10,7 +10,10 @@ components obey, up to an integrable remainder R,
 
 Everything here is per-frequency and vectorised across the whole grid; all
 inputs are immutable, so the analyses are trivially data-parallel: the
-histories run over blocks of checkpoints on every CPU of the process.
+histories run over blocks of checkpoints on every CPU of the process.  The
+profiles are the one ``(n_t, 2, N)`` stack the analytics keep: the remainder
+is reduced block by block, while each block of it is in cache, to what the
+reports read of it.
 """
 
 from __future__ import annotations
@@ -137,22 +140,36 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
 
 @dataclass(frozen=True, eq=False)
 class RemainderHistory:
-    """The profile-equation remainder ``r[i]`` (read-only, ``(n_t, 2, N)``) at ``ts[i]``.
+    """What the reports read of the profile-equation remainder R at the
+    checkpoints ``ts``; R itself is kept only on the last rows.
 
-    ``bound_ratio[i]`` is ``max_xi <xi> |R| * t^(5/4 - 3 GAMMA)`` divided by
-    the cube of ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a
-    run should stay bounded (the constant in the decay estimate is
-    empirical, never asserted).
+    - ``peak[i]``: ``max_xi <xi> |R|`` at ``ts[i]``, the quantity of the
+      decay estimate.
+    - ``bound_ratio[i]``: ``peak[i] t^(5/4 - 3 GAMMA)`` divided by the cube of
+      ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run should
+      stay bounded (the constant in the decay estimate is empirical, never
+      asserted).
+    - ``rho_integral`` (``(n_t, N)``): row i is the trapezoid quadrature of
+      the balance-law integrand ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``
+      from ``ts[0]`` to ``ts[i]``, at every frequency.
+    - ``r_tail`` (``(n_fit, 2, N)``): R at the last ``n_fit = min(N_FIT,
+      n_t - 1)`` checkpoints, at least one, which the survivor's error bar
+      fits.
+
+    The arrays are read-only.
     """
 
     ts: np.ndarray
-    r: np.ndarray
+    peak: np.ndarray
     bound_ratio: np.ndarray
+    rho_integral: np.ndarray
+    r_tail: np.ndarray
 
 
 def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
     """Remainders ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)`` at
-    every checkpoint with t >= T_MIN, block by block in the rows of ``r``.
+    every checkpoint with t >= T_MIN, reduced block by block to a
+    :class:`RemainderHistory`; no ``(n_t, 2, N)`` stack of R is formed.
 
     ``profiles`` is the :func:`profile_history` of ``traj``; ValueError when
     it covers other times.
@@ -163,32 +180,43 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
         raise ValueError("profiles and checkpoints cover different times")
     if np.any(ts < 1.0):
         raise ValueError("remainder probe needs t >= 1")
+    n_t = len(ts)
     w2 = 1.0 + grid.xi ** 2
     weight = np.sqrt(w2)
-    r = np.empty(alpha.shape, dtype=np.complex128)
-    peak, h1, jh1 = (np.empty(len(ts)) for _ in range(3))
+    peak, h1, jh1 = (np.empty(n_t) for _ in range(3))
+    rho = np.empty((n_t, grid.n_points))
+    tail = n_t - max(1, min(N_FIT, n_t - 1))     # the first row of r_tail
+    r_tail = np.empty((n_t - tail, 2, grid.n_points), dtype=np.complex128)
 
     def block(b):
         s, a, t = states[b], alpha[b], ts[b, None]
         fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
         sa = np.abs(a) ** 2
-        rb = np.multiply(sa[:, ::-1], a, out=r[b])
+        rb = np.multiply(sa[:, ::-1], a)
         # numpy divides a complex by t + 0j as x * (1/t): the same bits, as reals
         parts = rb.view(np.float64)
         parts *= 1.0 / t[..., None]
         rb -= fn
         del fn
         peak[b] = np.max(weight * np.abs(rb), axis=(1, 2))
+        np.multiply(2.0, np.real(np.conj(a[:, 0]) * rb[:, 0] - np.conj(a[:, 1]) * rb[:, 1]),
+                    out=rho[b])
+        first = max(b.start, tail)
+        if first < b.stop:
+            r_tail[first - tail:b.stop - tail] = rb[first - b.start:]
         # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
         # both on the profile
         h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
 
-    _each_block(block, _blocks(grid, len(ts)))
+    _each_block(block, _blocks(grid, n_t))
+    # integrate rho along checkpoints for every frequency at once, in place
+    fits.cumtrapz_rows(ts, rho)
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
-    r.flags.writeable = False
-    return RemainderHistory(ts, r, ratio)
+    for arr in (peak, ratio, rho, r_tail):
+        arr.flags.writeable = False
+    return RemainderHistory(ts, peak, ratio, rho, r_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +226,32 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
 def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
     """The two estimates of the imbalance limit, their gap on the resolved
     frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
-    balance_residual)``.  Its ``(n_t, N)`` temporaries die on return."""
-    ts, a, r = profiles.ts, profiles.alpha, probes.r
-    vals = np.empty((len(ts), profiles.grid.n_points))
-    rho = np.empty_like(vals)
+    balance_residual)``.
+
+    The imbalance is ``|alpha1|^2 - |alpha2|^2``; ``m_a`` reads it at the last
+    checkpoint and ``m_b`` at the first plus ``probes.rho_integral`` to the
+    last.  The residual, the largest miss of ``imbalance(t) - imbalance(t0) -
+    int rho`` over the run, is formed block by block: nothing ``(n_t, N)``
+    is allocated here.
+    """
+    ts, a, integral = profiles.ts, profiles.alpha, probes.rho_integral
+
+    def imbalance(rows):
+        return np.abs(rows[..., 0, :]) ** 2 - np.abs(rows[..., 1, :]) ** 2
+
+    first = imbalance(a[0])
+    m_a = imbalance(a[-1])
+    m_b = first + integral[-1]
+    worst = np.empty(len(ts))
 
     def block(b):
-        ab, rb = a[b], r[b]
-        np.subtract(np.abs(ab[:, 0]) ** 2, np.abs(ab[:, 1]) ** 2, out=vals[b])
-        np.multiply(2.0, np.real(np.conj(ab[:, 0]) * rb[:, 0] - np.conj(ab[:, 1]) * rb[:, 1]),
-                    out=rho[b])
+        miss = imbalance(a[b])
+        miss -= first
+        miss -= integral[b]
+        worst[b] = np.max(np.abs(miss), axis=-1)
 
     _each_block(block, _blocks(profiles.grid, len(ts)))
-    # integrate rho along checkpoints for every frequency at once
-    integral = fits.cumtrapz_rows(ts, rho)
-    m_a = vals[-1].copy()       # not a view: the stack is not kept alive
-    m_b = vals[0] + integral[-1]
-
-    # balance-law residual: vals(t) - vals(t0) - int rho should vanish
-    vals -= vals[0].copy()
-    vals -= integral
-    balance_residual = float(np.max(np.abs(vals)))
+    balance_residual = float(np.max(worst))
 
     amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
@@ -291,6 +324,8 @@ def decay_exponents(ts, moduli) -> np.ndarray:
     """
     mask = check_window(ts)
     ts = np.asarray(ts, dtype=float)
+    # the mask's copy lies time-outermost in memory, so the fit's sums run
+    # one checkpoint at a time; a C-ordered window moves fits in the last bits
     window = np.asarray(moduli, dtype=float)[..., mask]
     ok = np.all(window > 1e-13, axis=-1)
     return np.where(ok, fits.loglog_slopes(ts[mask], window), np.nan)
@@ -315,9 +350,17 @@ class DecouplingReport:
 
 
 def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
-    prod = np.abs(profiles.alpha[:, 0] * profiles.alpha[:, 1])     # (n_t, N)
-    return DecouplingReport(ts=np.array(profiles.ts), sup_products=np.max(prod, axis=-1),
-                            l2_products=np.sqrt(profiles.grid.dxi * np.sum(prod ** 2, axis=-1)))
+    """The product metrics of ``profiles``, block by block."""
+    a, dxi = profiles.alpha, profiles.grid.dxi
+    sup, l2 = np.empty(len(profiles)), np.empty(len(profiles))
+
+    def block(b):
+        prod = np.abs(a[b, 0] * a[b, 1])
+        sup[b] = np.max(prod, axis=-1)
+        l2[b] = np.sqrt(dxi * np.sum(prod ** 2, axis=-1))
+
+    _each_block(block, _blocks(profiles.grid, len(profiles)))
+    return DecouplingReport(ts=np.array(profiles.ts), sup_products=sup, l2_products=l2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,27 +406,28 @@ def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> Ca
     (:func:`check_window`) that both histories cover.
     """
     ts = profiles.ts
-    check_window(ts)
+    window = check_window(ts)
     if not np.array_equal(probes.ts, ts):
         raise ValueError("profiles and probes must cover the same checkpoints")
     m_a, m_b, disc, balance_residual = _imbalance(profiles, probes)
     deadband = max(1e-3, 3.0 * disc)
     labels = classify(m_a, deadband)
-    grid = profiles.grid
-    # (n_xi, n_t) views: the fits run along the time axis, where it lies
-    a1, a2 = np.moveaxis(profiles.alpha, 0, -1)
-    r1, r2 = np.moveaxis(probes.r, 0, -1)
+    grid, alpha = profiles.grid, profiles.alpha
+    # (n_xi, n_fit) views of the remainder's tail: its fits run along time
+    r_tail = np.moveaxis(probes.r_tail, 0, -1)
+    ts_fit = ts[len(ts) - len(probes.r_tail):]
 
-    fit = slice(-min(N_FIT, len(ts) - 1), None)
     # the companion's exponent and the survivor's limit, on that survivor's columns
     exp_fit = np.full(grid.n_points, np.nan)
     beta = np.full(grid.n_points, complex(np.nan, np.nan))
     beta_err = np.full(grid.n_points, np.nan)
-    for label, s, o, r in ((SURVIVOR_1, a1, a2, r1), (SURVIVOR_2, a2, a1, r2)):
+    for label, s, o in ((SURVIVOR_1, 0, 1), (SURVIVOR_2, 1, 0)):
         cols = labels == label
-        exp_fit[cols] = decay_exponents(ts, np.abs(o[cols]))
-        beta[cols], beta_err[cols] = _beta_plus_arrays(ts[fit], s[cols, -1], m_a[cols],
-                                                       m_b[cols], r[cols, fit])
+        # the companion's moduli on the window's rows only: the window of
+        # their own times is all of them
+        exp_fit[cols] = decay_exponents(ts[window], np.abs(alpha[:, o][np.ix_(window, cols)]).T)
+        beta[cols], beta_err[cols] = _beta_plus_arrays(ts_fit, alpha[-1, s, cols], m_a[cols],
+                                                       m_b[cols], r_tail[s][cols])
     return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
                      deadband=deadband, discrepancy=disc, balance_residual=balance_residual)

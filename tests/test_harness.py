@@ -389,13 +389,15 @@ class TestPipelines:
         assert 0.0 < steps["dt_min"] <= 0.16 and steps["dt_max"] == 2.56
 
     def test_manifest_records_stage_seconds(self, tmp_path):
-        # the wall time of stepping, analytics and checkpoint writing, in the
-        # manifest only
+        # the wall time of stepping, reports and checkpoint writing, in the
+        # manifest only; the parts of the reports add up to at most their total
         run_simulate(ExperimentConfig.from_dict(tiny_config_dict()), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         seconds = manifest["stage_seconds"]
-        assert sorted(seconds) == ["checkpoints", "reports", "run"]
+        parts = ["case_table", "decoupling", "profiles", "remainder", "writing"]
+        assert sorted(seconds) == sorted(["checkpoints", "reports", "run", *parts])
         assert all(0.0 <= s <= manifest["wall_seconds"] for s in seconds.values())
+        assert sum(seconds[k] for k in parts) <= seconds["reports"]
 
     def test_cli_non_finite_config_exit_2(self, tmp_path, capsys):
         # non-finite numbers, seeds that are not integers >= 0, numbers and
@@ -463,6 +465,7 @@ class TestPipelines:
         assert err.startswith("[nlspair:guard]") and err.count("\n") == 1, err
         dt = DtPolicy().dt
         assert f"non-finite mass at t = {dt - 0.5 * W1 * dt:.6g}" in err
+        assert "the amplitude or dt_policy.dt is too large" in err
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 

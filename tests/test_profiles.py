@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -106,7 +107,8 @@ def _one_shot_profiles(traj):
 
 
 def _one_shot_remainders(grid, ts, states, alpha):
-    """The remainder and its bound ratio on whole ``(n_t, 2, N)`` stacks."""
+    """The remainder, its peak ``max <xi>|R|`` and its bound ratio on whole
+    ``(n_t, 2, N)`` stacks."""
     fn = _pull_back(grid, np.abs(states[:, ::-1]) ** 2 * states, ts[:, None], overwrite_x=True)
     r = np.abs(alpha[:, ::-1]) ** 2 * alpha
     r /= ts[:, None, None]
@@ -120,7 +122,19 @@ def _one_shot_remainders(grid, ts, states, alpha):
     h1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(alpha) ** 2, axis=(1, 2)))
     jh1 = np.sqrt(grid.dxi * np.sum(w2 * np.abs(j_spec) ** 2, axis=(1, 2)))
     denom = (h1 + jh1) ** 3
-    return r, peak * ts ** (1.25 - 3.0 * P.GAMMA) / np.where(denom > 0, denom, np.inf)
+    return r, peak, peak * ts ** (1.25 - 3.0 * P.GAMMA) / np.where(denom > 0, denom, np.inf)
+
+
+def _one_shot_rho_integral(ts, a, r):
+    """The balance-law integral of ``rho`` from the first checkpoint, ``(n_t, N)``."""
+    rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
+    return np.moveaxis(cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1)), -1, 0)
+
+
+def _same_remainders(p, q):
+    """Every array of two remainder histories is bitwise the same."""
+    return all(np.array_equal(getattr(p, f.name), getattr(q, f.name))
+               for f in dataclasses.fields(p))
 
 
 def _one_shot_imbalance(ts, a, r):
@@ -149,15 +163,33 @@ class TestStreamedAnalytics:
         alpha = _one_shot_profiles(traj)
         assert np.array_equal(profiles.alpha, alpha)
         probes = remainder_history(traj, profiles=profiles)
-        r, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):], alpha)
-        assert np.array_equal(probes.r, r)
+        r, peak, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):],
+                                              alpha)
+        assert np.array_equal(probes.peak, peak)
         assert np.array_equal(probes.bound_ratio, ratio)
+        assert np.array_equal(probes.rho_integral, _one_shot_rho_integral(profiles.ts, alpha, r))
+        # R itself on the rows of the survivor's tail fit, here the last N_FIT
+        assert len(profiles) > P.N_FIT
+        assert np.array_equal(probes.r_tail, r[-P.N_FIT:])
         table = build_case_records(profiles, probes)
         m_a, m_b, disc, resid = _one_shot_imbalance(profiles.ts, alpha, r)
         assert np.array_equal(table.m_a, m_a)
         assert np.array_equal(table.m_b, m_b)
         assert table.discrepancy == disc
         assert table.balance_residual == resid
+        # the fits on the survivor columns against the same fits on
+        # time-by-frequency views of the whole stacks
+        a_t, r_t = np.moveaxis(alpha, 0, -1), np.moveaxis(r, 0, -1)
+        fit = slice(-P.N_FIT, None)
+        for label, s, o in ((SURVIVOR_1, 0, 1), (SURVIVOR_2, 1, 0)):
+            cols = table.label == label
+            assert np.array_equal(table.fitted_exponent[cols],
+                                  decay_exponents(profiles.ts, np.abs(a_t[o][cols])),
+                                  equal_nan=True)
+            beta, err = P._beta_plus_arrays(profiles.ts[fit], a_t[s][cols, -1], m_a[cols],
+                                            m_b[cols], r_t[s][cols, fit])
+            assert np.array_equal(table.beta_plus[cols], beta)
+            assert np.array_equal(table.beta_tail_err[cols], err)
 
 
 def _analytics(traj):
@@ -178,8 +210,7 @@ class TestThreadedBlocks:
             results[w] = _analytics(traj)
         (p1, q1, t1), (p4, q4, t4) = results[1], results[4]
         assert np.array_equal(p1.alpha, p4.alpha)
-        assert np.array_equal(q1.r, q4.r)
-        assert np.array_equal(q1.bound_ratio, q4.bound_ratio)
+        assert _same_remainders(q1, q4)
         for name in ("xi", "m_a", "m_b", "label", "fitted_exponent", "beta_plus",
                      "beta_tail_err", "deadband", "discrepancy", "balance_residual"):
             assert np.array_equal(getattr(t1, name), getattr(t4, name), equal_nan=name != "label")
@@ -269,8 +300,11 @@ class TestExtractProfiles:
 
 class TestRemainderProbe:
     def test_zero_component_gives_zero_remainder(self, free_component_run):
+        # a zero peak max <xi>|R| at every checkpoint is R = 0 everywhere
         _, _, probes = free_component_run
-        assert np.all(probes.r == 0)
+        assert np.all(probes.peak == 0)
+        assert np.all(probes.rho_integral == 0)
+        assert np.all(probes.r_tail == 0)
 
     def test_two_evaluation_paths_agree(self, small_grid):
         # independent path: naive DFT matrix plus the exact frequency-side
@@ -282,7 +316,8 @@ class TestRemainderProbe:
         cfg = SolverConfig(n_points=g.n_points, length=g.length, t_end=t)
         traj = Trajectory(config=cfg, ts=np.array([t]),
                           states=np.stack([u1, u2])[None], provenance={})
-        r1 = remainder_history(traj, profile_history(traj)).r[0, 0]
+        # one checkpoint: the tail holds its remainder
+        r1 = remainder_history(traj, profile_history(traj)).r_tail[0, 0]
 
         dft = np.exp(-1j * np.outer(g.xi, g.x)) * (g.dx / SQRT_2PI)
         mult = np.exp(0.5j * g.xi ** 2 * t)
@@ -298,23 +333,42 @@ class TestRemainderProbe:
         assert np.max(ratios) <= 10 * np.median(ratios[ratios > 0])
 
     def test_weighted_remainder_decays(self, generic_run):
-        traj, _, probes = generic_run
-        w = np.sqrt(1.0 + traj.config.grid.xi ** 2)
-        peak = np.max(w * np.abs(probes.r), axis=(1, 2))
+        # the peak max <xi>|R|, which test_blocks_match_one_shot_bitwise
+        # checks against the whole stack of R
+        _, _, probes = generic_run
         sel = probes.ts >= 15.0
-        slope = np.polyfit(np.log(probes.ts[sel]), np.log(peak[sel]), 1)[0]
+        slope = np.polyfit(np.log(probes.ts[sel]), np.log(probes.peak[sel]), 1)[0]
         assert slope <= -1.1
 
     def test_history_reuses_snapshots_bitwise(self, generic_run):
         traj, profiles, probes = generic_run
         # a fresh extraction of the profiles gives the same remainders
         fresh = remainder_history(traj, profile_history(traj))
-        assert np.array_equal(fresh.ts, probes.ts)
-        assert np.array_equal(fresh.r, probes.r)
-        assert np.array_equal(fresh.bound_ratio, probes.bound_ratio)
+        assert _same_remainders(fresh, probes)
         later = ProfileHistory(profiles.ts[1:], profiles.alpha[1:], profiles.grid)
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=later)
+
+
+class TestAnalyticsMemory:
+    def test_one_profile_stack_bounds_the_rest(self, generic_run, monkeypatch, one_worker):
+        # the remainder, the case table and the decoupling report, in 2-row
+        # blocks on one thread, peak below the profiles' one (n_t, 2, N)
+        # stack and keep no stack of their own
+        traj, profiles, _ = generic_run
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * traj.grid.n_points)
+        assert len(P._blocks(traj.grid, len(profiles))) > 10
+        tracemalloc.start()
+        try:
+            probes = remainder_history(traj, profiles)
+            build_case_records(profiles, probes)
+            decoupling_history(profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < profiles.alpha.nbytes
+        assert all(np.size(getattr(probes, f.name)) != profiles.alpha.size
+                   for f in dataclasses.fields(probes))
 
 
 class TestEstimateM:

@@ -100,3 +100,25 @@ def test_compare_reports_names_manifest_difference(tmp_path, capsys):
     assert spread[".data_size.h2"] == "0" and spread[".steps.n_steps"] == "0"
     assert ".started_unix" not in spread and ".wall_seconds" not in spread
     assert ".stage_seconds.work" not in spread
+
+
+def test_bench_pairs_summary():
+    # four pairs in which the change reads 10 lower on every metric but one
+    # pair's analyze wall_s: the quartiles, the pairs won and the median change
+    bench_pairs = _load("bench_pairs")
+    keys = [f"{w}.{m}" for w in bench_pairs.WORKLOADS for m in bench_pairs.METRICS]
+    pairs = []
+    for i, base in enumerate((100.0, 110.0, 120.0, 130.0)):
+        change = {k: base - 10.0 for k in keys}
+        if i == 0:
+            change["analyze.wall_s"] = base + 5.0
+        pairs.append({"pair": i + 1, "parent": {k: base for k in keys}, "change": change})
+    summary = bench_pairs.summarize(pairs)
+    rss = summary["analyze"]["peak_rss_mb"]
+    assert rss["parent_q1_median_q3"] == [107.5, 115.0, 122.5]
+    assert rss["change_q1_median_q3"] == [97.5, 105.0, 112.5]
+    assert rss["parent_iqr"] == 15.0
+    assert rss["change_lower_in"] == "4 of 4 pairs"
+    assert rss["median_change"] == "-8.7%"
+    assert summary["analyze"]["wall_s"]["change_lower_in"] == "3 of 4 pairs"
+    assert set(summary) == {"headline", "scatter", "analyze"}
