@@ -2,16 +2,16 @@
 set by thread count, as one JSON file.
 
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --pairs 10 --out BENCH.json [--seconds 30] [--rss-runs 3] [--note TEXT]
+        --out BENCH.json [--note TEXT]
 
-Each pair runs ``python3 benchmarks/run.py --workload all --seed 1`` once in
-each checkout, the parent first in the odd pairs and the change first in
-the even ones, and records every end-to-end metric of every workload.  The
-summary gives, per workload and metric, each side's quartiles, the parent's
+Each of ``PAIRS`` pairs runs ``python3 benchmarks/run.py --workload all
+--seed 1``, at run.py's default run length, once in each checkout, the
+parent first in the odd pairs and the change first in the even ones, and
+records every end-to-end metric of every workload.  The summary gives, per workload and metric, each side's quartiles, the parent's
 interquartile range, in how many pairs the change read lower and the change
 of the median.
 
-Then, for each checkout, ``--rss-runs`` fresh processes rewrite the reports
+Then, for each checkout, ``RSS_RUNS`` fresh processes rewrite the reports
 of the ``analyze`` workload's stored run (seed 1) with
 ``profiles._workers`` pinned to 1 and to 2, and record each process's
 ``ru_maxrss``: the cost of the pool threads' malloc arenas.
@@ -31,6 +31,8 @@ from pathlib import Path
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 WORKLOADS = ("headline", "scatter", "analyze")
+PAIRS = 10
+RSS_RUNS = 3  # processes per checkout and thread count
 
 # one process: the analyze workload's reports with the pool pinned to W threads
 RSS_PROBE = """
@@ -49,17 +51,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 def _env() -> dict:
-    """The benchmark worker's environment: one BLAS thread, fixed hashing."""
+    """The environment benchmarks/run.py gives its worker: one BLAS thread,
+    fixed hashing."""
     return {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def bench_once(tree: Path, seconds: float) -> dict:
+def bench_once(tree: Path) -> dict:
     """One ``benchmarks/run.py --workload all --seed 1`` in ``tree``: its exit
     code, correctness, operation counts and end-to-end metrics."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", "all", "--seed", "1",
-           "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=tree, env=_env(), capture_output=True, text=True)
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", "all", "--seed", "1"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     run = {"exit": proc.returncode, "correct": result.get("correct"),
@@ -119,33 +121,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0,
-                    help="benchmarks/run.py --seconds (default 30, its own default)")
-    ap.add_argument("--rss-runs", type=int, default=3, help="processes per side and thread count")
     ap.add_argument("--note", default="", help="description stored with the results")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
-    for i in range(1, args.pairs + 1):
+    for i in range(1, PAIRS + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         pair = {"pair": i, "first": order[0]}
         for side in order:
-            pair[side] = bench_once(sides[side], args.seconds)
+            pair[side] = bench_once(sides[side])
             print(f"pair {i} {side}: " + ", ".join(
                 f"{w} {pair[side].get(f'{w}.peak_rss_mb', float('nan')):.1f} MiB "
                 f"{pair[side].get(f'{w}.wall_s', float('nan')):.3f} s" for w in WORKLOADS),
                 file=sys.stderr)
         pairs.append(pair)
-    rss = {side: {f"workers_{w}": [round(rss_once(tree, w), 2) for _ in range(args.rss_runs)]
+    rss = {side: {f"workers_{w}": [round(rss_once(tree, w), 2) for _ in range(RSS_RUNS)]
                   for w in (1, 2)} for side, tree in sides.items()}
     doc = {
         "description": args.note,
         "machine": machine(),
         "commands": {
-            "pairs": f"python3 benchmarks/run.py --workload all --seed 1 --seconds {args.seconds:g}"
-                     f" in each checkout, {args.pairs} pairs, parent first in the odd pairs",
+            "pairs": f"python3 benchmarks/run.py --workload all --seed 1 in each checkout, "
+                     f"{PAIRS} pairs, parent first in the odd pairs",
             "analyze_rss_by_workers": "ru_maxrss of one process rewriting the reports of the "
                                       "analyze workload's stored run (seed 1) with "
                                       "profiles._workers pinned to 1 and to 2",

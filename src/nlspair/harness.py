@@ -539,22 +539,6 @@ def _stage(manifest: dict, name: str):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _trajectory_analytics(traj: Trajectory, manifest: dict):
-    """The case table, the remainder's ``(ts, bound_ratio)`` and the
-    decoupling report of ``traj``, each stage timed in ``manifest``; the
-    profile and remainder histories die on return, before any report is
-    formatted."""
-    with _stage(manifest, "profiles"):
-        profiles = profile_history(traj)
-    with _stage(manifest, "remainder"):
-        probes = remainder_history(traj, profiles)
-    with _stage(manifest, "case_table"):
-        table = build_case_records(profiles, probes)
-    with _stage(manifest, "decoupling"):
-        dec = decoupling_history(profiles)
-    return table, (probes.ts, probes.bound_ratio), dec
-
-
 def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisOptions,
                             manifest: dict | None = None) -> list[str]:
     """Write the ledger, the per-frequency case table, and the remainder and
@@ -572,7 +556,17 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
     if manifest is None:
         manifest = {"stage_seconds": {}}
     if analysis.profiles:
-        table, remainder, dec = _trajectory_analytics(traj, manifest)
+        with _stage(manifest, "profiles"):
+            profiles = profile_history(traj)
+        with _stage(manifest, "remainder"):
+            probes = remainder_history(traj, profiles)
+        with _stage(manifest, "case_table"):
+            table = build_case_records(profiles, probes)
+        with _stage(manifest, "decoupling"):
+            dec = decoupling_history(profiles)
+        ts, ratio = probes.ts, probes.bound_ratio
+        # the histories die here, before any report is formatted
+        del profiles, probes
     with _stage(manifest, "writing"):
         paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
                            [traj.ts, *traj.ledger.T])]
@@ -589,7 +583,7 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
                 write_json(out_dir / "profiles.json", "profiles",
                            {"deadband": table.deadband, "discrepancy": table.discrepancy}),
                 write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
-                          remainder),
+                          [ts, ratio]),
                 write_csv(out_dir / "decoupling.csv", "decoupling",
                           ["t", "sup_product", "l2_product"],
                           [dec.ts, dec.sup_products, dec.l2_products]),
