@@ -55,7 +55,7 @@ def measure(policy: DtPolicy) -> dict:
             "steps": traj.provenance["n_steps"], "run_wall_s": wall,
             "multiplier_evaluations": len(taus),
             "mass_diff_drift": float(np.max(np.abs(traj.ledger[:, 2] - traj.ledger[0, 2]))),
-            "final": profiles.alpha[-1], "labels": table.label}
+            "final": profiles.last, "labels": table.label}
 
 
 def main(argv=None) -> int:

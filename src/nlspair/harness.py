@@ -448,13 +448,21 @@ def _cells(column) -> list[str]:
     return ["" if v != v else repr(v) if type(v) is float else str(v) for v in values]
 
 
+# the rows write_csv formats at once: their cells are short Python strings
+_CSV_ROWS = 1024
+
+
 def write_csv(path, schema: str, header: list[str], columns) -> Path:
     """A schema line, the header and one row per entry of the ``columns``,
-    which are arrays or sequences of equal length, formatted one at a time."""
+    which are arrays or sequences of equal length, formatted and written
+    ``_CSV_ROWS`` rows at a time."""
     path = Path(path)
-    lines = [f"# schema=nlspair.{schema}.v1", ",".join(header)]
-    lines += map(",".join, zip(*map(_cells, columns)))
-    path.write_text("\n".join(lines) + "\n")
+    n_rows = min(map(len, columns), default=0)
+    with path.open("w") as f:
+        f.write(f"# schema=nlspair.{schema}.v1\n{','.join(header)}\n")
+        for i in range(0, n_rows, _CSV_ROWS):
+            rows = zip(*(_cells(c[i:i + _CSV_ROWS]) for c in columns))
+            f.write("".join(",".join(row) + "\n" for row in rows))
     return path
 
 

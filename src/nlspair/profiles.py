@@ -10,10 +10,10 @@ components obey, up to an integrable remainder R,
 
 Everything here is per-frequency and vectorised across the whole grid; all
 inputs are immutable, so the analyses are trivially data-parallel: the
-histories run over blocks of checkpoints on every CPU of the process.  The
-profiles are the one ``(n_t, 2, N)`` stack the analytics keep: the remainder
-is reduced block by block, while each block of it is in cache, to what the
-reports read of it.
+histories run over blocks of checkpoints on every CPU of the process.  No
+``(n_t, 2, N)`` stack is formed beside the trajectory's states: each block
+of profiles, and of the remainder, is reduced while it is in cache to what
+the reports read of it.
 """
 
 from __future__ import annotations
@@ -66,11 +66,29 @@ def check_window(ts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProfileHistory:
-    """Profiles at many times: ``alpha[i]`` holds both components at ``ts[i]``."""
+    """What the later stages read of the profiles ``alpha`` at the
+    checkpoints ``ts``; the ``(n_t, 2, N)`` stack itself is not kept.
+
+    - ``imbalance`` (``(n_t, N)``): ``|alpha1|^2 - |alpha2|^2`` at every
+      checkpoint.
+    - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
+      ``ts[-1]``.
+    - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
+      window ``ts >= ts[-1] / 10``, which the decay fits read.
+    - ``sup_products[i]``: ``max_xi |alpha1 alpha2|`` at ``ts[i]``, and
+      ``l2_products[i]`` the dxi-weighted L2 norm of that product.
+
+    The arrays are read-only.
+    """
 
     ts: np.ndarray
-    alpha: np.ndarray       # (n_t, 2, N), read-only
     grid: Grid
+    imbalance: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    moduli: np.ndarray
+    sup_products: np.ndarray
+    l2_products: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -119,19 +137,42 @@ def _each_block(fn, blocks: list[slice]) -> None:
             pass
 
 
+def _products(a: np.ndarray, dxi: float):
+    """``max_xi |alpha1 alpha2|`` and the dxi-weighted L2 norm of that
+    product, per row of a block ``a`` of profiles."""
+    prod = np.abs(a[:, 0] * a[:, 1])
+    return np.max(prod, axis=-1), np.sqrt(dxi * np.sum(prod ** 2, axis=-1))
+
+
 def profile_history(traj: Trajectory) -> ProfileHistory:
-    """Profiles at every checkpoint with t >= T_MIN (the analytics window), block by block."""
+    """The profiles at every checkpoint with t >= T_MIN (the analytics
+    window), pulled back block by block and reduced to a
+    :class:`ProfileHistory`."""
     i0 = _first_row(traj)
-    ts = traj.ts[i0:]
-    states = traj.states[i0:]
-    alpha = np.empty(states.shape, dtype=np.complex128)
+    ts, states, grid = traj.ts[i0:], traj.states[i0:], traj.grid
+    n_t, n = len(ts), grid.n_points
+    w0 = int(np.searchsorted(ts, 0.1 * ts[-1]))     # the trailing window's first row
+    imbalance = np.empty((n_t, n))
+    first, last = (np.empty((2, n), dtype=np.complex128) for _ in range(2))
+    moduli = np.empty((n_t - w0, 2, n))
+    sup, l2 = np.empty(n_t), np.empty(n_t)
 
     def block(b):
-        alpha[b] = _pull_back(traj.grid, states[b], ts[b, None])
+        a = _pull_back(grid, states[b], ts[b, None])
+        np.subtract(np.abs(a[:, 0]) ** 2, np.abs(a[:, 1]) ** 2, out=imbalance[b])
+        sup[b], l2[b] = _products(a, grid.dxi)
+        if b.start == 0:
+            first[...] = a[0]
+        if b.stop == n_t:
+            last[...] = a[-1]
+        lo = max(b.start, w0)
+        if lo < b.stop:
+            np.abs(a[lo - b.start:], out=moduli[lo - w0:b.stop - w0])
 
-    _each_block(block, _blocks(traj.grid, len(ts)))
-    alpha.flags.writeable = False
-    return ProfileHistory(ts, alpha, traj.grid)
+    _each_block(block, _blocks(grid, n_t))
+    for arr in (imbalance, first, last, moduli, sup, l2):
+        arr.flags.writeable = False
+    return ProfileHistory(ts, grid, imbalance, first, last, moduli, sup, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +213,11 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
     :class:`RemainderHistory`; no ``(n_t, 2, N)`` stack of R is formed.
 
     ``profiles`` is the :func:`profile_history` of ``traj``; ValueError when
-    it covers other times.
+    it covers other times.  Each block of profiles is pulled back again from
+    the states, by the same call as there, so it has the same bits.
     """
     i0 = _first_row(traj)
-    ts, alpha, states, grid = profiles.ts, profiles.alpha, traj.states[i0:], traj.grid
+    ts, states, grid = profiles.ts, traj.states[i0:], traj.grid
     if not np.array_equal(ts, traj.ts[i0:]):
         raise ValueError("profiles and checkpoints cover different times")
     if np.any(ts < 1.0):
@@ -189,10 +231,17 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
     r_tail = np.empty((n_t - tail, 2, grid.n_points), dtype=np.complex128)
 
     def block(b):
-        s, a, t = states[b], alpha[b], ts[b, None]
+        s, t = states[b], ts[b, None]
+        # the transforms run while the fewest block temporaries are alive
+        a = _pull_back(grid, s, t)
+        # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
+        # both on the profile
+        jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
         fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
         sa = np.abs(a) ** 2
+        h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         rb = np.multiply(sa[:, ::-1], a)
+        del sa
         # numpy divides a complex by t + 0j as x * (1/t): the same bits, as reals
         parts = rb.view(np.float64)
         parts *= 1.0 / t[..., None]
@@ -204,10 +253,6 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
         first = max(b.start, tail)
         if first < b.stop:
             r_tail[first - tail:b.stop - tail] = rb[first - b.start:]
-        # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
-        # both on the profile
-        h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
-        jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
 
     _each_block(block, _blocks(grid, n_t))
     # integrate rho along checkpoints for every frequency at once, in place
@@ -228,32 +273,26 @@ def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
     frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
     balance_residual)``.
 
-    The imbalance is ``|alpha1|^2 - |alpha2|^2``; ``m_a`` reads it at the last
-    checkpoint and ``m_b`` at the first plus ``probes.rho_integral`` to the
-    last.  The residual, the largest miss of ``imbalance(t) - imbalance(t0) -
-    int rho`` over the run, is formed block by block: nothing ``(n_t, N)``
-    is allocated here.
+    ``m_a`` reads ``profiles.imbalance`` at the last checkpoint and ``m_b``
+    at the first plus ``probes.rho_integral`` to the last.  The residual,
+    the largest miss of ``imbalance(t) - imbalance(t0) - int rho`` over the
+    run, is formed block by block: nothing ``(n_t, N)`` is allocated here.
     """
-    ts, a, integral = profiles.ts, profiles.alpha, probes.rho_integral
-
-    def imbalance(rows):
-        return np.abs(rows[..., 0, :]) ** 2 - np.abs(rows[..., 1, :]) ** 2
-
-    first = imbalance(a[0])
-    m_a = imbalance(a[-1])
+    ts, imbalance, integral = profiles.ts, profiles.imbalance, probes.rho_integral
+    first = imbalance[0]
+    m_a = imbalance[-1].copy()      # the case table keeps it, not the imbalance rows
     m_b = first + integral[-1]
     worst = np.empty(len(ts))
 
     def block(b):
-        miss = imbalance(a[b])
-        miss -= first
+        miss = imbalance[b] - first
         miss -= integral[b]
         worst[b] = np.max(np.abs(miss), axis=-1)
 
     _each_block(block, _blocks(profiles.grid, len(ts)))
     balance_residual = float(np.max(worst))
 
-    amp0 = np.abs(a[0, 0]) + np.abs(a[0, 1])
+    amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
     return m_a, m_b, disc, balance_residual
@@ -350,17 +389,9 @@ class DecouplingReport:
 
 
 def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
-    """The product metrics of ``profiles``, block by block."""
-    a, dxi = profiles.alpha, profiles.grid.dxi
-    sup, l2 = np.empty(len(profiles)), np.empty(len(profiles))
-
-    def block(b):
-        prod = np.abs(a[b, 0] * a[b, 1])
-        sup[b] = np.max(prod, axis=-1)
-        l2[b] = np.sqrt(dxi * np.sum(prod ** 2, axis=-1))
-
-    _each_block(block, _blocks(profiles.grid, len(profiles)))
-    return DecouplingReport(ts=np.array(profiles.ts), sup_products=sup, l2_products=l2)
+    """The product metrics of ``profiles``."""
+    return DecouplingReport(ts=np.array(profiles.ts), sup_products=np.array(profiles.sup_products),
+                            l2_products=np.array(profiles.l2_products))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +443,7 @@ def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> Ca
     m_a, m_b, disc, balance_residual = _imbalance(profiles, probes)
     deadband = max(1e-3, 3.0 * disc)
     labels = classify(m_a, deadband)
-    grid, alpha = profiles.grid, profiles.alpha
+    grid = profiles.grid
     # (n_xi, n_fit) views of the remainder's tail: its fits run along time
     r_tail = np.moveaxis(probes.r_tail, 0, -1)
     ts_fit = ts[len(ts) - len(probes.r_tail):]
@@ -423,10 +454,10 @@ def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> Ca
     beta_err = np.full(grid.n_points, np.nan)
     for label, s, o in ((SURVIVOR_1, 0, 1), (SURVIVOR_2, 1, 0)):
         cols = labels == label
-        # the companion's moduli on the window's rows only: the window of
-        # their own times is all of them
-        exp_fit[cols] = decay_exponents(ts[window], np.abs(alpha[:, o][np.ix_(window, cols)]).T)
-        beta[cols], beta_err[cols] = _beta_plus_arrays(ts_fit, alpha[-1, s, cols], m_a[cols],
+        # the companion's moduli, kept on the window's rows only: the window
+        # of their own times is all of them
+        exp_fit[cols] = decay_exponents(ts[window], profiles.moduli[:, o, cols].T)
+        beta[cols], beta_err[cols] = _beta_plus_arrays(ts_fit, profiles.last[s, cols], m_a[cols],
                                                        m_b[cols], r_tail[s][cols])
     return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,

@@ -5,6 +5,8 @@ import pytest
 
 import nlspair as nl
 from nlspair.dynamics import _StrangKernel
+from nlspair.profiles import _first_row
+from nlspair.spectral import _pull_back
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +60,14 @@ def strang_step(grid, v, t, dt):
     exact nonlinear substep, half free flow."""
     kernel = _StrangKernel(grid)
     return kernel.flush(kernel.step(v, t, dt))
+
+
+def one_shot_profiles(traj):
+    """The profiles ``alpha = F U(-t) u`` at the analytics' checkpoints
+    (t >= T_MIN) as one ``(n_t, 2, N)`` stack, in one pull-back of the
+    whole stack: the reference of what ``profiles.profile_history`` keeps."""
+    i0 = _first_row(traj)
+    return _pull_back(traj.grid, traj.states[i0:], traj.ts[i0:, None])
 
 
 def cumtrapz_from_start(ts, vals):

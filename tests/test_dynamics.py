@@ -258,7 +258,7 @@ class TestStepLadder:
         # as a gap to the 4x refined run
         pol = DtPolicy()
         runs = [ladder_run(p) for p in (pol, DtPolicy(pol.dt / 4, pol.rate / 4))]
-        coarse, fine = (profile_history(r).alpha[-1] for r in runs)
+        coarse, fine = (profile_history(r).last for r in runs)
         gap = rel_l2(None, coarse, fine)
         assert gap < 1e-6   # measured: 7.6e-10
 

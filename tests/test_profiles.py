@@ -15,7 +15,6 @@ from nlspair.profiles import (
     BALANCED,
     SURVIVOR_1,
     SURVIVOR_2,
-    ProfileHistory,
     build_case_records,
     classify,
     decay_exponents,
@@ -25,7 +24,7 @@ from nlspair.profiles import (
 )
 from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back, _push_forward
 
-from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2
+from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2, one_shot_profiles
 
 
 @pytest.fixture(scope="module")
@@ -73,16 +72,16 @@ def one_worker(monkeypatch):
 
 @pytest.mark.usefixtures("one_worker")
 class TestFftBudget:
-    def test_four_calls_per_snapshot(self, generic_run, fft_calls):
-        # per block of checkpoints: one pull-back of the pair, one of both
-        # nonlinearities, and the two transforms of the J-norm; a
-        # per-component loop would exceed it
+    def test_five_calls_per_block(self, generic_run, fft_calls):
+        # per block of checkpoints: one pull-back of the pair in each
+        # history, one of both nonlinearities, and the two transforms of the
+        # J-norm; a per-component loop would exceed it
         traj = generic_run[0]
         profiles = profile_history(traj)
         remainder_history(traj, profiles=profiles)
         n_blocks = len(P._blocks(traj.grid, len(profiles)))
         assert n_blocks == 1
-        assert sum(fft_calls.values()) == 4 * n_blocks
+        assert sum(fft_calls.values()) == 5 * n_blocks
 
     def test_history_cost_independent_of_checkpoints(self, fft_calls):
         # one batched transform per stack inside a block: a per-snapshot
@@ -98,12 +97,6 @@ class TestFftBudget:
             remainder_history(traj, profiles=profile_history(traj))
             counts.append(sum(fft_calls.values()) - before)
         assert counts[0] == counts[1] > 0
-
-
-def _one_shot_profiles(traj):
-    """The profile history in one pull-back of the whole stack."""
-    i0 = P._first_row(traj)
-    return _pull_back(traj.grid, traj.states[i0:], traj.ts[i0:, None])
 
 
 def _one_shot_remainders(grid, ts, states, alpha):
@@ -131,10 +124,10 @@ def _one_shot_rho_integral(ts, a, r):
     return np.moveaxis(cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1)), -1, 0)
 
 
-def _same_remainders(p, q):
-    """Every array of two remainder histories is bitwise the same."""
+def _same_arrays(p, q):
+    """Every array of two profile or remainder histories is bitwise the same."""
     return all(np.array_equal(getattr(p, f.name), getattr(q, f.name))
-               for f in dataclasses.fields(p))
+               for f in dataclasses.fields(p) if f.name != "grid")
 
 
 def _one_shot_imbalance(ts, a, r):
@@ -160,8 +153,16 @@ class TestStreamedAnalytics:
         sizes = [b.stop - b.start for b in P._blocks(g, len(profiles))]
         assert sizes[-1] == 1 and set(sizes[:-1]) == {3}
 
-        alpha = _one_shot_profiles(traj)
-        assert np.array_equal(profiles.alpha, alpha)
+        alpha = one_shot_profiles(traj)
+        window = profiles.ts >= 0.1 * profiles.ts[-1]
+        imbalance = np.abs(alpha[:, 0]) ** 2 - np.abs(alpha[:, 1]) ** 2
+        assert np.array_equal(profiles.imbalance, imbalance)
+        assert np.array_equal(profiles.first, alpha[0])
+        assert np.array_equal(profiles.last, alpha[-1])
+        assert np.array_equal(profiles.moduli, np.abs(alpha[window]))
+        prod = np.abs(alpha[:, 0] * alpha[:, 1])
+        assert np.array_equal(profiles.sup_products, np.max(prod, axis=-1))
+        assert np.array_equal(profiles.l2_products, np.sqrt(g.dxi * np.sum(prod ** 2, axis=-1)))
         probes = remainder_history(traj, profiles=profiles)
         r, peak, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):],
                                               alpha)
@@ -209,8 +210,8 @@ class TestThreadedBlocks:
             assert len(P._blocks(traj.grid, len(traj.ts))) > 4
             results[w] = _analytics(traj)
         (p1, q1, t1), (p4, q4, t4) = results[1], results[4]
-        assert np.array_equal(p1.alpha, p4.alpha)
-        assert _same_remainders(q1, q4)
+        assert _same_arrays(p1, p4)
+        assert _same_arrays(q1, q4)
         for name in ("xi", "m_a", "m_b", "label", "fitted_exponent", "beta_plus",
                      "beta_tail_err", "deadband", "discrepancy", "balance_residual"):
             assert np.array_equal(getattr(t1, name), getattr(t4, name), equal_nan=name != "label")
@@ -290,9 +291,9 @@ class TestExtractProfiles:
         late = traj.ts >= 2.0
         assert len(profiles) == np.count_nonzero(late)
         assert np.array_equal(profiles.ts, traj.ts[late])
-        norms = np.sqrt(traj.grid.dxi * np.sum(np.abs(profiles.alpha) ** 2, axis=-1))
-        for v, norm, t, alpha in zip(traj.states[late], norms, profiles.ts, profiles.alpha,
-                                     strict=True):
+        stack = one_shot_profiles(traj)
+        norms = np.sqrt(traj.grid.dxi * np.sum(np.abs(stack) ** 2, axis=-1))
+        for v, norm, t, alpha in zip(traj.states[late], norms, profiles.ts, stack, strict=True):
             assert np.all(np.abs(norm - l2(traj.grid, v)) <= 1e-12 * np.maximum(norm, 1e-30))
             # the batched history against the one-snapshot pull-back
             assert np.array_equal(alpha, _pull_back(traj.grid, v, t))
@@ -344,38 +345,52 @@ class TestRemainderProbe:
         traj, profiles, probes = generic_run
         # a fresh extraction of the profiles gives the same remainders
         fresh = remainder_history(traj, profile_history(traj))
-        assert _same_remainders(fresh, probes)
-        later = ProfileHistory(profiles.ts[1:], profiles.alpha[1:], profiles.grid)
+        assert _same_arrays(fresh, probes)
+        later = dataclasses.replace(profiles, ts=profiles.ts[1:])
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=later)
 
 
 class TestAnalyticsMemory:
-    def test_one_profile_stack_bounds_the_rest(self, generic_run, monkeypatch, one_worker):
-        # the remainder, the case table and the decoupling report, in 2-row
-        # blocks on one thread, peak below the profiles' one (n_t, 2, N)
-        # stack and keep no stack of their own
-        traj, profiles, _ = generic_run
-        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * traj.grid.n_points)
-        assert len(P._blocks(traj.grid, len(profiles))) > 10
+    def test_one_profile_stack_bounds_the_rest(self, monkeypatch, one_worker):
+        # the four analytics, in 2-row blocks on one thread, peak below the
+        # one (n_t, 2, N) stack of states they read and keep no such stack.
+        # The run has the analyze workload's stored run's shape: 100
+        # log-spaced checkpoints, 27 of them in the trailing window; what the
+        # histories keep has rows of the window, N_FIT rows and (n_t, N)
+        # reals, so a run of few checkpoints keeps more than a stack (1.36
+        # of it at 28 checkpoints)
+        ts = np.geomspace(2.0, 1e4, 100)
+        cfg = SolverConfig(n_points=512, length=400.0, t_start=2.0, t_end=1e4,
+                           checkpoint_times=tuple(ts))
+        g = cfg.grid
+        alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
+                          0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
+        traj = Trajectory(cfg, ts, _push_forward(g, alpha, ts[:, None]), {})
+        states = traj.states[P._first_row(traj):]
+        assert len(states) == 100 and np.sum(P.check_window(ts)) == 27
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * g.n_points)
+        assert len(P._blocks(g, len(states))) == 50
         tracemalloc.start()
         try:
+            profiles = profile_history(traj)
             probes = remainder_history(traj, profiles)
             build_case_records(profiles, probes)
             decoupling_history(profiles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < profiles.alpha.nbytes
-        assert all(np.size(getattr(probes, f.name)) != profiles.alpha.size
-                   for f in dataclasses.fields(probes))
+        assert peak < states.nbytes     # measured: 0.84 of it
+        for history in (profiles, probes):
+            assert all(np.size(getattr(history, f.name)) != states.size
+                       for f in dataclasses.fields(history))
 
 
 class TestEstimateM:
     def test_free_component(self, free_component_run):
         _, profiles, probes = free_component_run
         table = build_case_records(profiles, probes)
-        phi_hat_sq = np.abs(profiles.alpha[0, 0]) ** 2
+        phi_hat_sq = np.abs(profiles.first[0]) ** 2
         assert np.all(table.m_a >= -1e-15)
         assert np.max(np.abs(table.m_a - phi_hat_sq)) < 1e-10
         assert table.discrepancy < 1e-10
@@ -445,9 +460,8 @@ class TestDecoupling:
     def test_disjoint_profiles(self, small_grid):
         a1 = np.where(small_grid.xi < 0, 1.0 + 0j, 0)
         a2 = np.where(small_grid.xi > 0, 1.0 + 0j, 0)
-        history = ProfileHistory(ts=np.array([2.0]), alpha=np.array([[a1, a2]]), grid=small_grid)
-        rep = decoupling_history(history)
-        assert rep.sup_products[-1] == 0.0 and rep.l2_products[-1] == 0.0
+        sup, l2_norm = P._products(np.array([[a1, a2]]), small_grid.dxi)
+        assert sup[0] == 0.0 and l2_norm[0] == 0.0
 
     def test_zero_component(self, free_component_run):
         _, profiles, _ = free_component_run
@@ -462,9 +476,9 @@ class TestDecoupling:
 
     def test_profile_bound_stays_put(self, generic_run):
         # the paper's uniform bound on the profile: max_xi <xi> |alpha(t, xi)|
-        _, profiles, _ = generic_run
-        weight = np.sqrt(1.0 + profiles.grid.xi ** 2)
-        bound = np.max(weight * np.abs(profiles.alpha), axis=(1, 2))
+        traj = generic_run[0]
+        weight = np.sqrt(1.0 + traj.grid.xi ** 2)
+        bound = np.max(weight * np.abs(one_shot_profiles(traj)), axis=(1, 2))
         assert np.max(bound) <= 2.0 * bound[0]
 
 
@@ -510,7 +524,7 @@ class TestBetaPlus:
         table = build_case_records(profiles, probes)
         k = traj.config.grid.n_points // 2
         assert table.label[k] == SURVIVOR_1
-        assert abs(table.beta_plus[k] - profiles.alpha[0, 0, k]) < 1e-12
+        assert abs(table.beta_plus[k] - profiles.first[0, k]) < 1e-12
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_survivor_consistency(self, which, request):
