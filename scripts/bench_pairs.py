@@ -7,14 +7,18 @@ set by thread count, as one JSON file.
 Each of ``PAIRS`` pairs runs ``python3 benchmarks/run.py --workload all
 --seed 1``, at run.py's default run length, once in each checkout, the
 parent first in the odd pairs and the change first in the even ones, and
-records every end-to-end metric of every workload.  The summary gives, per workload and metric, each side's quartiles, the parent's
-interquartile range, in how many pairs the change read lower and the change
-of the median.
+records every end-to-end metric of every workload.  A run that prints no
+result line is recorded with its exit code and ``correct: false``, and the
+script then exits 1 after writing the file.  The summary gives, per workload
+and metric, each side's quartiles, the parent's interquartile range, in how
+many pairs the change read lower and the change of the median, over the
+pairs in which both sides read the metric.
 
 Then, for each checkout, ``RSS_RUNS`` fresh processes rewrite the reports
 of the ``analyze`` workload's stored run (seed 1) with
 ``profiles._workers`` pinned to 1 and to 2, and record each process's
-``ru_maxrss``: the cost of the pool threads' malloc arenas.
+``ru_maxrss``: the cost of the pool threads' malloc arenas.  A process that
+fails is recorded as null and also makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -59,24 +63,29 @@ def _env() -> dict:
 
 def bench_once(tree: Path) -> dict:
     """One ``benchmarks/run.py --workload all --seed 1`` in ``tree``: its exit
-    code, correctness, operation counts and end-to-end metrics."""
+    code, correctness, operation counts and end-to-end metrics; a run without
+    a JSON result as its last line of output is not correct and reads none."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", "all", "--seed", "1"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    run = {"exit": proc.returncode, "correct": result.get("correct"),
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    run = {"exit": proc.returncode, "correct": result.get("correct", False),
            "attempted": result.get("attempted"), "failed": result.get("failed")}
     for key, metric in result.get("metrics", {}).items():
         run[key] = metric["value"]
     return run
 
 
-def rss_once(tree: Path, workers: int) -> float:
-    """``ru_maxrss`` in MiB of one process rewriting the analyze workload's reports."""
+def rss_once(tree: Path, workers: int) -> float | None:
+    """``ru_maxrss`` in MiB of one process rewriting the analyze workload's
+    reports; None when the process fails."""
     with tempfile.TemporaryDirectory() as workdir:
-        out = subprocess.run([sys.executable, "-c", RSS_PROBE, str(tree), str(workers), workdir],
-                             env=_env(), capture_output=True, text=True, check=True).stdout
-    return float(out.strip().splitlines()[-1])
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, str(tree), str(workers), workdir],
+                              env=_env(), capture_output=True, text=True)
+    return round(float(proc.stdout.split()[-1]), 2) if proc.returncode == 0 else None
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -85,21 +94,26 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per workload and metric: both sides' quartiles, the parent's IQR,
-    the pairs in which the change read lower and the median's change."""
+    """Per workload and metric, over the pairs in which both sides read it:
+    both sides' quartiles, the parent's IQR, the pairs in which the change
+    read lower and the median's change; None with fewer than two such pairs."""
     summary = {}
     for w in WORKLOADS:
         summary[w] = {}
         for m in METRICS:
             key = f"{w}.{m}"
-            parent = [p["parent"][key] for p in pairs]
-            change = [p["change"][key] for p in pairs]
+            read = [(p["parent"][key], p["change"][key]) for p in pairs
+                    if key in p["parent"] and key in p["change"]]
+            if len(read) < 2:
+                summary[w][m] = None
+                continue
+            parent, change = zip(*read)
             pq, cq = _quartiles(parent), _quartiles(change)
-            lower = sum(c < p for p, c in zip(parent, change))
+            lower = sum(c < p for p, c in read)
             summary[w][m] = {
                 "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
                 "parent_iqr": round(pq[2] - pq[0], 4),
-                "change_lower_in": f"{lower} of {len(pairs)} pairs",
+                "change_lower_in": f"{lower} of {len(read)} pairs",
                 "median_change": f"{100.0 * (cq[1] - pq[1]) / pq[1]:+.1f}%",
             }
     return summary
@@ -136,7 +150,7 @@ def main(argv=None) -> int:
                 f"{pair[side].get(f'{w}.wall_s', float('nan')):.3f} s" for w in WORKLOADS),
                 file=sys.stderr)
         pairs.append(pair)
-    rss = {side: {f"workers_{w}": [round(rss_once(tree, w), 2) for _ in range(RSS_RUNS)]
+    rss = {side: {f"workers_{w}": [rss_once(tree, w) for _ in range(RSS_RUNS)]
                   for w in (1, 2)} for side, tree in sides.items()}
     doc = {
         "description": args.note,
@@ -155,7 +169,8 @@ def main(argv=None) -> int:
         "analyze_rss_by_workers": rss,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if doc["all_correct"] else 1
+    rss_read = all(None not in runs for by_w in rss.values() for runs in by_w.values())
+    return 0 if doc["all_correct"] and rss_read else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ nonlinear substep: with ``a = |u1|^2``, ``b = |u2|^2`` the substep obeys
 ``a' = -2ab``, ``b' = -2ab``, so ``m = a - b`` is a pointwise invariant and
 ``a`` follows the logistic law ``a' = -2a(a - m)`` with phases frozen.  Using
 the closed form keeps the difference of the component masses conserved to
-machine precision over arbitrarily long runs.
+machine precision over arbitrarily long runs.  The phase-rotating variant
+(``coupling = "conservative"``, nonlinearity without the dissipative twist)
+has the exact substep ``u_j <- u_j exp(-i s |u_{3-j}|^2)``, which keeps the
+moduli; the same kernel runs it.
 
 One step of ``run`` is the triple jump of Yoshida (1990) and Suzuki (1990):
 the Strang stages ``S(W1 dt) S(W0 dt) S(W1 dt)``, fourth order in dt, with a
@@ -16,9 +19,8 @@ between checkpoints, so a stage costs one batched FFT/IFFT pair of the
 mid-times ``t + W1 dt/2``, ``t + dt/2`` and ``t + dt - W1 dt/2``.
 
 A classical RK4 integrator in the interaction picture (the profile
-``alpha = F U(-t) u``) is kept purely as a cross-validation oracle; it also
-integrates the phase-rotating variant of the system (nonlinearity without
-the dissipative twist), which the exact substep does not cover.
+``alpha = F U(-t) u``), :func:`_rk4_scheme`, is kept purely as the tests'
+cross-validation oracle of both couplings; ``run`` does not reach it.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class DtPolicy:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, time window, step policy and scheme selection for one run."""
+    """Grid, time window, step policy and coupling for one run."""
 
     n_points: int
     length: float
@@ -93,19 +95,15 @@ class SolverConfig:
     t_start: float = 0.0
     dt_policy: DtPolicy = field(default_factory=DtPolicy)
     checkpoint_times: tuple[float, ...] | None = None
-    scheme: str = "strang_exact"
     coupling: str = "dissipative"
 
     def __post_init__(self) -> None:
         if not (0.0 <= finite_real(self.t_start, "t_start") < finite_real(self.t_end, "t_end")):
             raise ConfigError(f"need finite t_end > t_start >= 0, "
                               f"got [{self.t_start}, {self.t_end}]")
-        if self.scheme not in ("strang_exact", "rk4_reference"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.coupling not in ("dissipative", "conservative"):
-            raise ConfigError(f"unknown coupling {self.coupling!r}")
-        if self.coupling == "conservative" and self.scheme != "rk4_reference":
-            raise ConfigError("the phase-rotating variant runs under rk4_reference only")
+        if self.coupling not in _SUBSTEPS:
+            raise ConfigError(f"unknown coupling {self.coupling!r}; "
+                              f"couplings: {sorted(_SUBSTEPS)}")
         if self.checkpoint_times is not None:
             cps = tuple(finite_real(t, "checkpoint time") for t in self.checkpoint_times)
             if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -303,6 +301,19 @@ def _decay_substep(v: np.ndarray, dt: float) -> np.ndarray:
     return sq
 
 
+def _rotation_substep(v: np.ndarray, dt: float) -> np.ndarray:
+    """Exact substep of the phase-rotating coupling on a ``(2, N)`` state, in
+    place: ``u_j <- u_j exp(-i dt |u_{3-j}|^2)`` keeps the moduli and runs
+    backward too; returns the ``(2, N)`` squared amplitudes it started from."""
+    sq = v.real ** 2 + v.imag ** 2
+    v *= np.exp(-1j * dt * sq[::-1])
+    return sq
+
+
+# the exact nonlinear substep of each coupling
+_SUBSTEPS = {"dissipative": _decay_substep, "conservative": _rotation_substep}
+
+
 class _StrangKernel:
     """Strang steps of a ``(2, N)`` x-space state, first same as last: the
     stages of the scheme's composed step.
@@ -315,16 +326,19 @@ class _StrangKernel:
     ``flush`` applies the pending half step; the state is an iterate only
     after it.
 
-    Every stage guards its mid-time state by :func:`_check_bands` on the
-    squared amplitudes the substep forms.  One FFT spreads a NaN to every
-    point, so the sums catch it without a scan for non-finite values: a
-    backward stage that leaves the substep's domain stops the run at the
-    next stage's mid-time, with a NumericsError that names the amplitude or
+    ``substep(v, dt)`` is the exact nonlinear substep, one of
+    ``_SUBSTEPS``: it advances ``v`` in place and returns the squared
+    amplitudes it started from.  Every stage guards its mid-time state by
+    :func:`_check_bands` on them.  One FFT spreads a NaN to every point, so
+    the sums catch it without a scan for non-finite values: a backward stage
+    that leaves the decay substep's domain stops the run at the next stage's
+    mid-time, with a NumericsError that names the amplitude or
     ``dt_policy.dt`` as too large.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, substep):
         self.grid = grid
+        self.substep = substep
         self.pending = 0.0
         self.bands = _edge_bands(grid)
         self._mults: dict[float, np.ndarray] = {}
@@ -347,8 +361,10 @@ class _StrangKernel:
         v = self._free(v, self.pending + 0.5 * dt)
         self.pending = 0.5 * dt
         try:
-            _check_bands(_decay_substep(v, dt), self.bands, t + 0.5 * dt)
+            _check_bands(self.substep(v, dt), self.bands, t + 0.5 * dt)
         except NumericsError as exc:
+            if self.substep is not _decay_substep:
+                raise
             raise NumericsError(f"{exc}: the amplitude or dt_policy.dt is too large (a "
                                 f"backward stage left the exact substep's domain)") from None
         return v
@@ -413,8 +429,9 @@ def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) 
 
 def _strang_scheme(config: SolverConfig, v: np.ndarray):
     """Fused triple-jump steps ``S(W1 dt) S(W0 dt) S(W1 dt)`` of the Strang
-    kernel; checkpoints flush the pending half free step."""
-    kernel = _StrangKernel(config.grid)
+    kernel with the coupling's exact substep; checkpoints flush the pending
+    half free step."""
+    kernel = _StrangKernel(config.grid, _SUBSTEPS[config.coupling])
 
     def step(t: float, dt: float) -> None:
         nonlocal v
@@ -463,17 +480,14 @@ def _rk4_scheme(config: SolverConfig, v: np.ndarray):
 
 
 def run(config: SolverConfig, initial: np.ndarray) -> Trajectory:
-    """Integrate the ``(2, N)`` state ``initial`` at t_start to t_end with the
-    config's scheme (the Strang splitting, or the RK4 oracle of
-    :func:`_rk4_scheme`), recording it and its ledger at each checkpoint.
+    """Integrate the ``(2, N)`` state ``initial`` at t_start to t_end by the
+    composed Strang steps of :func:`_strang_scheme`, with the exact substep
+    of the config's coupling, recording it and its ledger at each checkpoint.
 
     A state of another shape than the config's grid is a ConfigError.
     Aborts with :class:`GuardViolation` if mass accumulates near the box
     boundary (periodic wrap-around silently corrupts long-time profiles) and
-    with :class:`NumericsError` once the state holds non-finite values: the
-    Strang scheme checks at every stage, the RK4 oracle at every checkpoint.
+    with :class:`NumericsError` once the state holds non-finite values; both
+    are checked at every Strang stage.
     """
-    if config.scheme == "rk4_reference":
-        return _drive(config, initial, _rk4_scheme,
-                      {"scheme": "rk4_reference", "coupling": config.coupling})
     return _drive(config, initial, _strang_scheme, {"scheme": "strang_exact"})

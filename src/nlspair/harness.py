@@ -154,8 +154,8 @@ def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
     """``(t, state)`` of a file written by :func:`persist_checkpoint` on ``grid``.
 
     The state is a read-only ``(2, N)`` view of the file's bytes.  A file on
-    another grid, malformed or holding non-finite samples is a
-    CheckpointError naming it.
+    another grid, malformed, or holding a non-finite time or non-finite
+    samples is a CheckpointError naming it.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -174,6 +174,8 @@ def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
     if (n, length) != (grid.n_points, grid.length):
         raise CheckpointError(f"{path}: header holds N={n}, length={length:g}; "
                               f"the run's grid has N={grid.n_points}, length={grid.length:g}")
+    if not math.isfinite(t):
+        raise CheckpointError(f"{path}: header holds the non-finite time {t}")
     if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f8"))):
         raise CheckpointError(f"{path}: payload holds non-finite samples")
     return t, np.frombuffer(payload, dtype="<c16").reshape(2, n)
@@ -354,8 +356,9 @@ def preset_symmetric_log_decay() -> ExperimentConfig:
 
 
 def preset_short_range_contrast() -> ExperimentConfig:
-    """Same data shape, nonlinearity without the dissipative twist, RK4 only.
+    """Same data shape, nonlinearity without the dissipative twist.
 
+    The composed Strang steps run it with the phase-rotating exact substep.
     The phase-rotating system leaves the profile moduli essentially frozen:
     the pointwise product of the limit profiles does not vanish, isolating
     the dissipative sign as the mechanism behind the support decoupling.
@@ -369,7 +372,7 @@ def preset_short_range_contrast() -> ExperimentConfig:
         seed=704,
         solver=SolverConfig(
             n_points=1024, length=1400.0, t_start=0.0, t_end=1e3,
-            scheme="rk4_reference", coupling="conservative",
+            coupling="conservative",
             checkpoint_times=(0.0,) + times,
         ),
         data1={"kind": "gaussian", "amp": 0.05, "width": 8.0},

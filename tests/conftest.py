@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nlspair as nl
-from nlspair.dynamics import _StrangKernel
+from nlspair import dynamics
+from nlspair.dynamics import _StrangKernel, _decay_substep
 from nlspair.profiles import _first_row
 from nlspair.spectral import _pull_back
 
@@ -52,14 +53,20 @@ def l2(grid, v):
 
 def free_flow(grid, v, t):
     """``U(t) v`` by the Strang kernel's free flow, as the stepper applies it."""
-    return _StrangKernel(grid)._free(v, t)
+    return _StrangKernel(grid, _decay_substep)._free(v, t)
 
 
 def strang_step(grid, v, t, dt):
     """One Strang step of a ``(2, N)`` state on a fresh kernel: half free flow,
     exact nonlinear substep, half free flow."""
-    kernel = _StrangKernel(grid)
+    kernel = _StrangKernel(grid, _decay_substep)
     return kernel.flush(kernel.step(v, t, dt))
+
+
+def rk4_run(config, state):
+    """``run`` of the ``(2, N)`` state by the RK4 oracle in the interaction
+    picture instead of the Strang kernel, on the config's coupling and steps."""
+    return dynamics._drive(config, state, dynamics._rk4_scheme, {"scheme": "rk4_reference"})
 
 
 def one_shot_profiles(traj):

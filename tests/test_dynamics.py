@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +12,11 @@ from nlspair.dynamics import (
     mass_ledger,
     run,
 )
-from nlspair.errors import ConfigError, GuardViolation
+from nlspair.errors import ConfigError, GuardViolation, NumericsError
 from nlspair.profiles import profile_history
 from nlspair.spectral import _pull_back, _push_forward
 
-from conftest import free_flow, gaussian_field, l2, rel_l2, strang_step
+from conftest import free_flow, gaussian_field, l2, rel_l2, rk4_run, strang_step
 
 
 def rk4_pointwise(u1, u2, dt, n_sub):
@@ -136,6 +135,26 @@ class TestNonlinearSubstep:
             dphase = np.angle(after[mask] / before[mask])
             assert np.max(np.abs(dphase)) < 1e-12
 
+    @pytest.mark.parametrize("dt", [0.3, -0.3])
+    def test_rotation_against_rk4(self, dt):
+        # the phase-rotating flow du_j/ds = -i |u_{3-j}|^2 u_j, either way in
+        # s: the moduli stay and the phases turn
+        v = np.array([[math.sqrt(2.0) * np.exp(0.7j)], [np.exp(-0.3j)]])
+        want, h = v[:, 0], dt / 10_000
+
+        def f(w):
+            return -1j * np.abs(w[::-1]) ** 2 * w
+
+        for _ in range(10_000):
+            k1 = f(want)
+            k2 = f(want + 0.5 * h * k1)
+            k3 = f(want + 0.5 * h * k2)
+            want = want + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + f(want + h * k3))
+        got = v.copy()
+        assert np.array_equal(dynamics._rotation_substep(got, dt), v.real ** 2 + v.imag ** 2)
+        assert np.max(np.abs(got[:, 0] - want)) < 1e-10
+        assert np.max(np.abs(np.abs(got) - np.abs(v))) <= 1e-15
+
     def test_backward_rejected(self, small_grid):
         # the reversed flow blows up: the closed form is forward-only
         sq = np.abs(make_pair(small_grid)) ** 2
@@ -161,28 +180,43 @@ class TestStrangStep:
         two = strang_step(small_grid, strang_step(small_grid, pair, 0.0, dt / 2), dt / 2, dt / 2)
         cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
                            t_start=0.0, t_end=dt, dt_policy=DtPolicy.fixed(1e-4),
-                           checkpoint_times=(dt,), scheme="rk4_reference")
-        ref = run(cfg, pair).states[-1]
+                           checkpoint_times=(dt,))
+        ref = rk4_run(cfg, pair).states[-1]
         e1 = rel_l2(small_grid, one[0], ref[0])
         e2 = rel_l2(small_grid, two[0], ref[0])
         order = math.log2(e1 / e2)
         assert order >= 1.9
 
+    @pytest.mark.parametrize("exact, hint", [(dynamics._decay_substep, True),
+                                             (dynamics._rotation_substep, False)],
+                             ids=["decay", "rotation"])
+    def test_non_finite_stage_names_cause(self, small_grid, exact, hint):
+        # only the decay substep has a domain a backward stage can leave, so
+        # only its kernel names that cause of a non-finite stage
+        v = make_pair(small_grid)
+        v[0, 5] = np.nan
+        with pytest.raises(NumericsError, match="non-finite mass") as exc:
+            dynamics._StrangKernel(small_grid, exact).step(v, 0.0, 0.1)
+        assert ("left the exact substep's domain" in str(exc.value)) == hint
+
 
 class TestComposedStep:
-    def test_fourth_order(self, small_grid):
-        # run's step is the triple jump of Strang stages: its error on the
-        # final state against a refined run falls 16x per halving of dt
+    @pytest.mark.parametrize("coupling", ["dissipative", "conservative"])
+    def test_fourth_order(self, small_grid, coupling):
+        # run's step is the triple jump of Strang stages, with either
+        # coupling's exact substep: its error on the final state against a
+        # refined run falls 16x per halving of dt
         pair = make_pair(small_grid)
 
         def final(dt):
             cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
-                               t_end=2.0, dt_policy=DtPolicy.fixed(dt), checkpoint_times=(2.0,))
+                               t_end=2.0, dt_policy=DtPolicy.fixed(dt), checkpoint_times=(2.0,),
+                               coupling=coupling)
             return run(cfg, pair).states[-1]
 
         ref = final(0.0125)
         coarse, fine = (rel_l2(small_grid, final(dt), ref) for dt in (0.2, 0.1))
-        assert math.log2(coarse / fine) >= 3.8   # measured: 4.00
+        assert math.log2(coarse / fine) >= 3.8   # measured: 4.00 for both
 
 
 def stage_steps(t, dt):
@@ -461,21 +495,20 @@ class TestRun:
 class TestRk4Reference:
     def _config(self, **kw):
         base = dict(n_points=256, length=120.0, t_start=0.0, t_end=5.0,
-                    dt_policy=DtPolicy.fixed(0.01), checkpoint_times=(5.0,),
-                    scheme="rk4_reference")
+                    dt_policy=DtPolicy.fixed(0.01), checkpoint_times=(5.0,))
         base.update(kw)
         return SolverConfig(**base)
 
     def test_zero_data(self):
         cfg = self._config()
-        traj = run(cfg, np.zeros((2, cfg.n_points), complex))
+        traj = rk4_run(cfg, np.zeros((2, cfg.n_points), complex))
         assert traj.ledger[-1, 0] == 0.0
 
     def test_decoupled_matches_free_flow(self):
         cfg = self._config()
         g = cfg.grid
         u1 = gaussian_field(g, 0.3, 3.0)
-        traj = run(cfg, np.stack([u1, np.zeros(g.n_points)]))
+        traj = rk4_run(cfg, np.stack([u1, np.zeros(g.n_points)]))
         free = free_flow(g, u1, 5.0)
         assert rel_l2(g, traj.states[-1, 0], free) < 1e-8
 
@@ -488,34 +521,36 @@ class TestRk4Reference:
         pair = np.stack([gaussian_field(g, 0.1, 3.0),
                          gaussian_field(g, 0.05, 4.0, velocity=0.15)])
         a = run(cfg_s, pair).states[-1]
-        b = run(cfg_r, pair).states[-1]
+        b = rk4_run(cfg_r, pair).states[-1]
         assert math.hypot(*l2(g, a - b)) / math.hypot(*l2(g, a)) < 1e-6
 
-    def test_conservative_coupling_preserves_mass(self):
+    @pytest.mark.parametrize("integrate", [run, rk4_run], ids=["kernel", "rk4"])
+    def test_conservative_coupling_preserves_mass(self, integrate):
+        # the phase-rotating coupling keeps the moduli, so each component's mass
         cfg = self._config(coupling="conservative")
         g = cfg.grid
         pair = np.stack([gaussian_field(g, 0.2, 3.0), gaussian_field(g, 0.15, 4.0)])
-        traj = run(cfg, pair)
+        traj = integrate(cfg, pair)
         m0 = mass_ledger(g, pair)
-        assert traj.ledger[-1, :2].sum() == pytest.approx(m0[:2].sum(), rel=1e-10)
+        assert traj.ledger[-1, :2] == pytest.approx(m0[:2], rel=1e-10)
 
     def test_guard_trips_on_fast_packet(self):
         cfg, pair = fast_packet()
         with pytest.raises(GuardViolation) as exc:
-            run(replace(cfg, scheme="rk4_reference"), pair)
+            rk4_run(cfg, pair)
         assert exc.value.time <= 200.0
         assert exc.value.fraction > exc.value.tolerance
-
-    def test_conservative_needs_rk4(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(n_points=256, length=120.0, t_end=5.0,
-                         coupling="conservative", scheme="strang_exact")
 
 
 class TestConfigValidation:
     def test_bad_time_window(self):
         with pytest.raises(ConfigError):
             SolverConfig(n_points=256, length=100.0, t_start=5.0, t_end=5.0)
+
+    def test_unknown_coupling(self):
+        # the couplings are the keys of the kernel's substep table
+        with pytest.raises(ConfigError, match="couplings: \\['conservative', 'dissipative'\\]"):
+            SolverConfig(n_points=256, length=100.0, t_end=10.0, coupling="focusing")
 
     def test_checkpoints_outside_window(self):
         with pytest.raises(ConfigError):

@@ -175,6 +175,36 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="cp.bin: payload holds non-finite"):
             load_checkpoint(path, grid)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_time_rejected(self, grid, tmp_path, t):
+        # a NaN time would pass load_trajectory's ordering checks, since every
+        # comparison with it is False
+        path = tmp_path / "cp.bin"
+        persist_checkpoint(path, grid, t, self._state(grid))
+        with pytest.raises(CheckpointError, match="cp.bin: header holds the non-finite time"):
+            load_checkpoint(path, grid)
+
+
+def _assert_retired_key(stored_run, tmp_path, capsys, configs, message):
+    """Each config, as a config file for ``simulate`` and as the config of an
+    older stored run's manifest for ``analyze``, exits 2 with one
+    ``[nlspair:config]`` line holding ``message``, and writes no output."""
+    manifest = json.loads((stored_run / "manifest.json").read_text())
+    for i, d in enumerate(configs):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(d))
+        run_dir = tmp_path / f"run{i}"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(json.dumps({**manifest, "config": d}))
+        for argv in (["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                     ["analyze", "--out", str(run_dir)]):
+            capsys.readouterr()
+            assert main(argv) == 2, (d, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+            assert message in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExperimentConfig:
     def test_round_trip(self):
@@ -213,6 +243,12 @@ class TestExperimentConfig:
             d["analysis"] = {key: value}
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_dict(d)
+        # the Strang kernel runs both couplings; the scheme key is retired
+        for scheme in ("strang_exact", "rk4_reference"):
+            d = tiny_config_dict()
+            d["solver"]["scheme"] = scheme
+            with pytest.raises(ConfigError, match="scheme"):
+                ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("deadband", [math.nan, math.inf])
     def test_non_finite_deadband_rejected(self, deadband):
@@ -226,22 +262,22 @@ class TestExperimentConfig:
         # the dead-band is always max(1e-3, 3 discrepancy): a config that
         # sets analysis.deadband, to null too, and the manifest of an older
         # run that lists it are config errors
-        manifest = json.loads((stored_run / "manifest.json").read_text())
-        for i, value in enumerate((None, 1e-3, math.nan, math.inf, "abc", True)):
-            d = {**tiny_config_dict(), "analysis": {"profiles": True, "deadband": value}}
-            cfg_path = tmp_path / f"cfg{i}.json"
-            cfg_path.write_text(json.dumps(d))
-            run_dir = tmp_path / f"run{i}"
-            run_dir.mkdir()
-            (run_dir / "manifest.json").write_text(json.dumps({**manifest, "config": d}))
-            for argv in (["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-                         ["analyze", "--out", str(run_dir)]):
-                capsys.readouterr()
-                assert main(argv) == 2, (value, argv[0])
-                err = capsys.readouterr().err
-                assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
-                assert "unknown keys in config.analysis: ['deadband']" in err
-            assert not (tmp_path / "o").exists()
+        configs = [{**tiny_config_dict(), "analysis": {"profiles": True, "deadband": value}}
+                   for value in (None, 1e-3, math.nan, math.inf, "abc", True)]
+        _assert_retired_key(stored_run, tmp_path, capsys, configs,
+                            "unknown keys in config.analysis: ['deadband']")
+
+    def test_retired_scheme_key(self, stored_run, tmp_path, capsys):
+        # the Strang kernel runs both couplings: a config that sets
+        # solver.scheme and the manifest of an older run that lists it are
+        # config errors
+        configs = []
+        for value in ("strang_exact", "rk4_reference"):
+            d = tiny_config_dict()
+            d["solver"]["scheme"] = value
+            configs.append(d)
+        _assert_retired_key(stored_run, tmp_path, capsys, configs,
+                            "unknown keys in config.solver: ['scheme']")
 
     def test_seed_mandatory(self):
         d = tiny_config_dict()
@@ -378,7 +414,7 @@ class TestPipelines:
         # has a limit: the labels are only the sign of the imbalance, and
         # the limit's columns are empty on every row
         d = {**tiny_config_dict(), "save_checkpoints": False}
-        d["solver"] = {**d["solver"], "scheme": "rk4_reference", "coupling": "conservative"}
+        d["solver"] = {**d["solver"], "coupling": "conservative"}
         traj = run_simulate(ExperimentConfig.from_dict(d), tmp_path)["trajectory"]
         profiles = profile_history(traj)
         table = build_case_records(profiles, remainder_history(traj, profiles))
@@ -695,6 +731,15 @@ class TestTrajectoryLayout:
         struct.pack_into("<d", raw, 28, 2.75)     # time, after magic, version, N and length
         path.write_bytes(bytes(raw))
         _analyze_rejected(run_dir, capsys, "cp_0003.bin: time 2.75 is not a checkpoint time")
+
+    def test_analyze_rejects_non_finite_checkpoint_time(self, stored_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        path = run_dir / "checkpoints" / "cp_0005.bin"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 28, np.nan)     # time, after magic, version, N and length
+        path.write_bytes(bytes(raw))
+        _analyze_rejected(run_dir, capsys, "cp_0005.bin: header holds the non-finite time nan")
 
     def test_analyze_rejects_non_finite_checkpoint(self, stored_run, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -122,3 +122,27 @@ def test_bench_pairs_summary():
     assert rss["median_change"] == "-8.7%"
     assert summary["analyze"]["wall_s"]["change_lower_in"] == "3 of 4 pairs"
     assert set(summary) == {"headline", "scatter", "analyze"}
+
+
+def test_bench_pairs_records_runs_without_result(tmp_path, monkeypatch):
+    # the parent's run exits 2 with no output and the change's stops in the
+    # middle of its result line: every run is recorded as not correct, the
+    # file is written, and the script exits 1
+    bench_pairs = _load("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "RSS_RUNS", 1)
+    trees = {"parent": "import sys; sys.exit(2)\n",
+             "change": "import sys; print('{\"correct\": tr', flush=True); sys.exit(1)\n"}
+    for side, script in trees.items():
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(script)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["all_correct"] is False and len(doc["pairs"]) == 2
+    for pair in doc["pairs"]:
+        assert pair["parent"] == {"exit": 2, "correct": False, "attempted": None, "failed": None}
+        assert pair["change"] == {"exit": 1, "correct": False, "attempted": None, "failed": None}
+    assert all(v is None for w in doc["summary"].values() for v in w.values())
+    assert doc["analyze_rss_by_workers"]["parent"] == {"workers_1": [None], "workers_2": [None]}
