@@ -559,7 +559,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
     survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty.
 
     With a pipeline's ``manifest``, the wall time of each part goes in its
-    ``stage_seconds``: ``profiles``, ``remainder``, ``case_table`` and
+    ``stage_seconds``: ``profiles`` (the one pass that forms both
+    histories), ``remainder`` (its check of the times), ``case_table`` and
     ``decoupling`` for the analytics, ``writing`` for the files.
     """
     out_dir = Path(out_dir)

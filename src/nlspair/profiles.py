@@ -9,8 +9,9 @@ components obey, up to an integrable remainder R,
     d alpha2/dt = -(1/t) |alpha1|^2 alpha2 + R2.
 
 Everything here is per-frequency and vectorised across the whole grid; all
-inputs are immutable, so the analyses are trivially data-parallel: the
-histories run over blocks of checkpoints on every CPU of the process.  No
+inputs are immutable, so the analyses are trivially data-parallel: one pass
+runs over blocks of checkpoints on every CPU of the process, and each block
+of states is pulled back once for both the profiles and R.  No
 ``(n_t, 2, N)`` stack is formed beside the trajectory's states: each block
 of profiles, and of the remainder, is reduced while it is in cache to what
 the reports read of it.
@@ -65,6 +66,34 @@ def check_window(ts) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class RemainderHistory:
+    """What the reports read of the profile-equation remainder R at the
+    checkpoints ``ts``; R itself is kept only on the last rows.
+
+    - ``peak[i]``: ``max_xi <xi> |R|`` at ``ts[i]``, the quantity of the
+      decay estimate.
+    - ``bound_ratio[i]``: ``peak[i] t^(5/4 - 3 GAMMA)`` divided by the cube of
+      ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run should
+      stay bounded (the constant in the decay estimate is empirical, never
+      asserted).
+    - ``rho_integral`` (``(n_t, N)``): row i is the trapezoid quadrature of
+      the balance-law integrand ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``
+      from ``ts[0]`` to ``ts[i]``, at every frequency.
+    - ``r_tail`` (``(n_fit, 2, N)``): R at the last ``n_fit = min(N_FIT,
+      n_t - 1)`` checkpoints, at least one, which the survivor's error bar
+      fits.
+
+    The arrays are read-only.
+    """
+
+    ts: np.ndarray
+    peak: np.ndarray
+    bound_ratio: np.ndarray
+    rho_integral: np.ndarray
+    r_tail: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ProfileHistory:
     """What the later stages read of the profiles ``alpha`` at the
     checkpoints ``ts``; the ``(n_t, 2, N)`` stack itself is not kept.
@@ -77,6 +106,8 @@ class ProfileHistory:
       window ``ts >= ts[-1] / 10``, which the decay fits read.
     - ``sup_products[i]``: ``max_xi |alpha1 alpha2|`` at ``ts[i]``, and
       ``l2_products[i]`` the dxi-weighted L2 norm of that product.
+    - ``remainder``: the :class:`RemainderHistory` of the same checkpoints,
+      formed in the same pass.
 
     The arrays are read-only.
     """
@@ -89,6 +120,7 @@ class ProfileHistory:
     moduli: np.ndarray
     sup_products: np.ndarray
     l2_products: np.ndarray
+    remainder: RemainderHistory
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -146,100 +178,47 @@ def _products(a: np.ndarray, dxi: float):
 
 def profile_history(traj: Trajectory) -> ProfileHistory:
     """The profiles at every checkpoint with t >= T_MIN (the analytics
-    window), pulled back block by block and reduced to a
-    :class:`ProfileHistory`."""
+    window) and their remainders
+    ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)``, in one pass
+    over blocks of the states, reduced to a :class:`ProfileHistory`.
+
+    Per block: one pull-back of the pair, the two transforms of the J-norm
+    on that profile and one pull-back of both nonlinearities, 4 FFT calls;
+    no ``(n_t, 2, N)`` stack of profiles or of R is formed.
+    """
     i0 = _first_row(traj)
     ts, states, grid = traj.ts[i0:], traj.states[i0:], traj.grid
     n_t, n = len(ts), grid.n_points
     w0 = int(np.searchsorted(ts, 0.1 * ts[-1]))     # the trailing window's first row
-    imbalance = np.empty((n_t, n))
+    tail = n_t - max(1, min(N_FIT, n_t - 1))        # the first row of r_tail
+    imbalance, rho = np.empty((n_t, n)), np.empty((n_t, n))
     first, last = (np.empty((2, n), dtype=np.complex128) for _ in range(2))
     moduli = np.empty((n_t - w0, 2, n))
-    sup, l2 = np.empty(n_t), np.empty(n_t)
+    r_tail = np.empty((n_t - tail, 2, n), dtype=np.complex128)
+    sup, l2, peak, h1, jh1 = (np.empty(n_t) for _ in range(5))
+    w2 = 1.0 + grid.xi ** 2
+    weight = np.sqrt(w2)
 
     def block(b):
-        a = _pull_back(grid, states[b], ts[b, None])
-        np.subtract(np.abs(a[:, 0]) ** 2, np.abs(a[:, 1]) ** 2, out=imbalance[b])
-        sup[b], l2[b] = _products(a, grid.dxi)
+        s, t = states[b], ts[b, None]
+        a = _pull_back(grid, s, t)
         if b.start == 0:
             first[...] = a[0]
         if b.stop == n_t:
             last[...] = a[-1]
+        sup[b], l2[b] = _products(a, grid.dxi)
+        # |alpha| for the window's moduli, then squared in place: the bits
+        # of np.abs(a) ** 2, which the imbalance, H^1 norm and R all read
+        sa = np.abs(a)
         lo = max(b.start, w0)
         if lo < b.stop:
-            np.abs(a[lo - b.start:], out=moduli[lo - w0:b.stop - w0])
-
-    _each_block(block, _blocks(grid, n_t))
-    for arr in (imbalance, first, last, moduli, sup, l2):
-        arr.flags.writeable = False
-    return ProfileHistory(ts, grid, imbalance, first, last, moduli, sup, l2)
-
-
-# ---------------------------------------------------------------------------
-# remainder history
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RemainderHistory:
-    """What the reports read of the profile-equation remainder R at the
-    checkpoints ``ts``; R itself is kept only on the last rows.
-
-    - ``peak[i]``: ``max_xi <xi> |R|`` at ``ts[i]``, the quantity of the
-      decay estimate.
-    - ``bound_ratio[i]``: ``peak[i] t^(5/4 - 3 GAMMA)`` divided by the cube of
-      ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run should
-      stay bounded (the constant in the decay estimate is empirical, never
-      asserted).
-    - ``rho_integral`` (``(n_t, N)``): row i is the trapezoid quadrature of
-      the balance-law integrand ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``
-      from ``ts[0]`` to ``ts[i]``, at every frequency.
-    - ``r_tail`` (``(n_fit, 2, N)``): R at the last ``n_fit = min(N_FIT,
-      n_t - 1)`` checkpoints, at least one, which the survivor's error bar
-      fits.
-
-    The arrays are read-only.
-    """
-
-    ts: np.ndarray
-    peak: np.ndarray
-    bound_ratio: np.ndarray
-    rho_integral: np.ndarray
-    r_tail: np.ndarray
-
-
-def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
-    """Remainders ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)`` at
-    every checkpoint with t >= T_MIN, reduced block by block to a
-    :class:`RemainderHistory`; no ``(n_t, 2, N)`` stack of R is formed.
-
-    ``profiles`` is the :func:`profile_history` of ``traj``; ValueError when
-    it covers other times.  Each block of profiles is pulled back again from
-    the states, by the same call as there, so it has the same bits.
-    """
-    i0 = _first_row(traj)
-    ts, states, grid = profiles.ts, traj.states[i0:], traj.grid
-    if not np.array_equal(ts, traj.ts[i0:]):
-        raise ValueError("profiles and checkpoints cover different times")
-    if np.any(ts < 1.0):
-        raise ValueError("remainder probe needs t >= 1")
-    n_t = len(ts)
-    w2 = 1.0 + grid.xi ** 2
-    weight = np.sqrt(w2)
-    peak, h1, jh1 = (np.empty(n_t) for _ in range(3))
-    rho = np.empty((n_t, grid.n_points))
-    tail = n_t - max(1, min(N_FIT, n_t - 1))     # the first row of r_tail
-    r_tail = np.empty((n_t - tail, 2, grid.n_points), dtype=np.complex128)
-
-    def block(b):
-        s, t = states[b], ts[b, None]
-        # the transforms run while the fewest block temporaries are alive
-        a = _pull_back(grid, s, t)
-        # |F u| = |alpha| and |F J u| = |F(x F^-1 alpha)| off the Nyquist slot,
-        # both on the profile
+            moduli[lo - w0:b.stop - w0] = sa[lo - b.start:]
+        np.square(sa, out=sa)
+        np.subtract(sa[:, 0], sa[:, 1], out=imbalance[b])
+        h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
+        # |F J u| = |F(x F^-1 alpha)| off the Nyquist slot, on the profile
         jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
         fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
-        sa = np.abs(a) ** 2
-        h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         rb = np.multiply(sa[:, ::-1], a)
         del sa
         # numpy divides a complex by t + 0j as x * (1/t): the same bits, as reals
@@ -250,18 +229,27 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
         peak[b] = np.max(weight * np.abs(rb), axis=(1, 2))
         np.multiply(2.0, np.real(np.conj(a[:, 0]) * rb[:, 0] - np.conj(a[:, 1]) * rb[:, 1]),
                     out=rho[b])
-        first = max(b.start, tail)
-        if first < b.stop:
-            r_tail[first - tail:b.stop - tail] = rb[first - b.start:]
+        lo = max(b.start, tail)
+        if lo < b.stop:
+            r_tail[lo - tail:b.stop - tail] = rb[lo - b.start:]
 
     _each_block(block, _blocks(grid, n_t))
     # integrate rho along checkpoints for every frequency at once, in place
     fits.cumtrapz_rows(ts, rho)
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
-    for arr in (peak, ratio, rho, r_tail):
+    for arr in (imbalance, first, last, moduli, sup, l2, peak, ratio, rho, r_tail):
         arr.flags.writeable = False
-    return RemainderHistory(ts, peak, ratio, rho, r_tail)
+    return ProfileHistory(ts, grid, imbalance, first, last, moduli, sup, l2,
+                          RemainderHistory(ts, peak, ratio, rho, r_tail))
+
+
+def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
+    """The :class:`RemainderHistory` of ``traj`` that :func:`profile_history`
+    formed beside its ``profiles``: ValueError when those cover other times."""
+    if not np.array_equal(profiles.ts, traj.ts[_first_row(traj):]):
+        raise ValueError("profiles and checkpoints cover different times")
+    return profiles.remainder
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import nlspair as nl
 from nlspair import profiles as P
+from nlspair import spectral
 from nlspair.asymptotics import reduced_flow_profiles
 from nlspair.dynamics import SolverConfig, Trajectory, run
 from nlspair.profiles import (
@@ -22,7 +23,14 @@ from nlspair.profiles import (
     profile_history,
     remainder_history,
 )
-from nlspair.spectral import SQRT_2PI, _forward_array, _inverse_array, _pull_back, _push_forward
+from nlspair.spectral import (
+    SQRT_2PI,
+    _forward_array,
+    _inverse_array,
+    _profile_multiplier,
+    _pull_back,
+    _push_forward,
+)
 
 from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2, one_shot_profiles
 
@@ -72,16 +80,33 @@ def one_worker(monkeypatch):
 
 @pytest.mark.usefixtures("one_worker")
 class TestFftBudget:
-    def test_five_calls_per_block(self, generic_run, fft_calls):
-        # per block of checkpoints: one pull-back of the pair in each
-        # history, one of both nonlinearities, and the two transforms of the
-        # J-norm; a per-component loop would exceed it
+    def test_four_calls_per_block(self, generic_run, fft_calls):
+        # per block of checkpoints: one pull-back of the pair, shared by both
+        # histories, one of both nonlinearities, and the two transforms of
+        # the J-norm; a per-component loop would exceed it
         traj = generic_run[0]
         profiles = profile_history(traj)
         remainder_history(traj, profiles=profiles)
         n_blocks = len(P._blocks(traj.grid, len(profiles)))
         assert n_blocks == 1
-        assert sum(fft_calls.values()) == 5 * n_blocks
+        assert sum(fft_calls.values()) == 4 * n_blocks
+
+    def test_two_tables_per_block(self, generic_run, monkeypatch):
+        # each pull-back forms its own free-flow table: one table shared by
+        # the two held the analyze run's resident set 1-2 MiB higher and
+        # flipped the sign of zeros in the Nyquist slot
+        traj = generic_run[0]
+        tables = []
+
+        def profile_multiplier(grid, t):
+            tables.append(np.shape(t))
+            return _profile_multiplier(grid, t)
+
+        monkeypatch.setattr(spectral, "_profile_multiplier", profile_multiplier)
+        profiles = profile_history(traj)
+        remainder_history(traj, profiles=profiles)
+        assert len(P._blocks(traj.grid, len(profiles))) == 1
+        assert tables == [(len(profiles), 1)] * 2
 
     def test_history_cost_independent_of_checkpoints(self, fft_calls):
         # one batched transform per stack inside a block: a per-snapshot
@@ -125,9 +150,16 @@ def _one_shot_rho_integral(ts, a, r):
 
 
 def _same_arrays(p, q):
-    """Every array of two profile or remainder histories is bitwise the same."""
-    return all(np.array_equal(getattr(p, f.name), getattr(q, f.name))
-               for f in dataclasses.fields(p) if f.name != "grid")
+    """Every array of two profile or remainder histories is bitwise the same,
+    a profile history's remainder included."""
+    for f in dataclasses.fields(p):
+        x, y = getattr(p, f.name), getattr(q, f.name)
+        if f.name == "remainder":
+            if not _same_arrays(x, y):
+                return False
+        elif f.name != "grid" and not np.array_equal(x, y):
+            return False
+    return True
 
 
 def _one_shot_imbalance(ts, a, r):
@@ -163,7 +195,7 @@ class TestStreamedAnalytics:
         prod = np.abs(alpha[:, 0] * alpha[:, 1])
         assert np.array_equal(profiles.sup_products, np.max(prod, axis=-1))
         assert np.array_equal(profiles.l2_products, np.sqrt(g.dxi * np.sum(prod ** 2, axis=-1)))
-        probes = remainder_history(traj, profiles=profiles)
+        probes = profiles.remainder
         r, peak, ratio = _one_shot_remainders(g, profiles.ts, traj.states[-len(profiles):],
                                               alpha)
         assert np.array_equal(probes.peak, peak)
@@ -210,14 +242,14 @@ class TestThreadedBlocks:
             assert len(P._blocks(traj.grid, len(traj.ts))) > 4
             results[w] = _analytics(traj)
         (p1, q1, t1), (p4, q4, t4) = results[1], results[4]
+        assert q1 is p1.remainder and q4 is p4.remainder
         assert _same_arrays(p1, p4)
-        assert _same_arrays(q1, q4)
         for name in ("xi", "m_a", "m_b", "label", "fitted_exponent", "beta_plus",
                      "beta_tail_err", "deadband", "discrepancy", "balance_residual"):
             assert np.array_equal(getattr(t1, name), getattr(t4, name), equal_nan=name != "label")
 
     def test_block_exception_surfaces(self, generic_run, monkeypatch):
-        traj, profiles = generic_run[0], generic_run[1]
+        traj = generic_run[0]
         monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * traj.grid.n_points)
         monkeypatch.setattr(P, "_workers", lambda: 4)
         boom, t_bad = RuntimeError("one block fails"), traj.ts[7]
@@ -229,12 +261,10 @@ class TestThreadedBlocks:
 
         monkeypatch.setattr(P, "_pull_back", pull_back)
         threads = threading.active_count()
-        for call in (lambda: profile_history(traj),
-                     lambda: remainder_history(traj, profiles=profiles)):
-            with pytest.raises(RuntimeError) as info:
-                call()
-            assert info.value is boom
-            assert threading.active_count() == threads
+        with pytest.raises(RuntimeError) as info:
+            profile_history(traj)
+        assert info.value is boom
+        assert threading.active_count() == threads
 
     def test_one_block_starts_no_thread(self, generic_run, monkeypatch):
         traj = generic_run[0]
@@ -349,6 +379,23 @@ class TestRemainderProbe:
         later = dataclasses.replace(profiles, ts=profiles.ts[1:])
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=later)
+
+    def test_profiles_of_another_run_rejected(self, generic_run, free_component_run,
+                                              fft_calls):
+        # the check reads the times only: nothing is pulled back
+        with pytest.raises(ValueError, match="different times"):
+            remainder_history(generic_run[0], profiles=free_component_run[1])
+        assert sum(fft_calls.values()) == 0
+
+    def test_calls_leave_the_history_alone(self, generic_run):
+        traj, profiles, _ = generic_run
+        arrays = {f.name: getattr(profiles.remainder, f.name).copy()
+                  for f in dataclasses.fields(profiles.remainder)}
+        first, second = (remainder_history(traj, profiles) for _ in range(2))
+        assert _same_arrays(first, second)
+        for name, before in arrays.items():
+            now = getattr(profiles.remainder, name)
+            assert np.array_equal(now, before) and not now.flags.writeable
 
 
 class TestAnalyticsMemory:
