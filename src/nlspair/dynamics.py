@@ -139,9 +139,13 @@ class Checkpoint:
 class Trajectory:
     """A run on the config's one grid: ``states[i]`` is ``(u1, u2)`` at ``ts[i]``.
 
-    The trajectory takes ownership of the ``(n_t, 2, N)`` array and freezes
-    it.  ``ledger[i]`` is :func:`mass_ledger` of row i; ``checkpoints`` is a
-    read-only view of the rows, built on first access.
+    ``states`` is the ``(n_t, 2, N)`` array of a run, which the trajectory
+    takes ownership of and freezes, or, for a stored run, a reader of its
+    files (``harness.StoredStates``) with the array's ``shape``, ``dtype``,
+    length, iteration and int and slice indexing, which reads the rows on
+    every access.  ``ledger[i]`` is :func:`mass_ledger` of row i, formed
+    here in one pass over the rows; ``checkpoints`` is a read-only view of
+    the rows, built on first access.
     """
 
     config: SolverConfig
@@ -161,7 +165,8 @@ class Trajectory:
         for i, v in enumerate(states):
             ledger[i] = mass_ledger(grid, v)
         for arr in (ts, states, ledger):
-            arr.flags.writeable = False
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
         for name, val in (("grid", grid), ("ts", ts), ("ledger", ledger)):
             object.__setattr__(self, name, val)
 

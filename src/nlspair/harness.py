@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time as _time
 from contextlib import contextmanager
@@ -150,6 +151,32 @@ def persist_checkpoint(path, grid: Grid, t: float, state: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(state, dtype="<c16").tobytes())
 
 
+def _checkpoint_time(path, head: bytes, size: int, grid: Grid) -> float:
+    """The time in ``head``, the first bytes of the checkpoint file ``path``
+    of ``size`` bytes on ``grid``.  A header that is short, of another
+    format, of another grid or holding a non-finite time, or a size other
+    than the header's payload implies, is a CheckpointError naming the file.
+    """
+    if len(head) < _HEADER.size:
+        raise CheckpointError(f"{path}: truncated header")
+    magic, version, n, length, t = _HEADER.unpack_from(head)
+    if magic != _MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
+    if version != _VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version} (expected {_VERSION})")
+    payload, expected = size - _HEADER.size, 2 * n * 16
+    if payload != expected:
+        raise CheckpointError(
+            f"{path}: payload holds {payload} bytes, header N={n} implies {expected}"
+        )
+    if (n, length) != (grid.n_points, grid.length):
+        raise CheckpointError(f"{path}: header holds N={n}, length={length:g}; "
+                              f"the run's grid has N={grid.n_points}, length={grid.length:g}")
+    if not math.isfinite(t):
+        raise CheckpointError(f"{path}: header holds the non-finite time {t}")
+    return t
+
+
 def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
     """``(t, state)`` of a file written by :func:`persist_checkpoint` on ``grid``.
 
@@ -158,27 +185,51 @@ def load_checkpoint(path, grid: Grid) -> tuple[float, np.ndarray]:
     samples is a CheckpointError naming it.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CheckpointError(f"{path}: truncated header")
-    magic, version, n, length, t = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version} (expected {_VERSION})")
+    t = _checkpoint_time(path, raw, len(raw), grid)
     payload = memoryview(raw)[_HEADER.size:]
-    expected = 2 * n * 16
-    if len(payload) != expected:
-        raise CheckpointError(
-            f"{path}: payload holds {len(payload)} bytes, header N={n} implies {expected}"
-        )
-    if (n, length) != (grid.n_points, grid.length):
-        raise CheckpointError(f"{path}: header holds N={n}, length={length:g}; "
-                              f"the run's grid has N={grid.n_points}, length={grid.length:g}")
-    if not math.isfinite(t):
-        raise CheckpointError(f"{path}: header holds the non-finite time {t}")
     if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f8"))):
         raise CheckpointError(f"{path}: payload holds non-finite samples")
-    return t, np.frombuffer(payload, dtype="<c16").reshape(2, n)
+    return t, np.frombuffer(payload, dtype="<c16").reshape(2, grid.n_points)
+
+
+class StoredStates:
+    """The ``(n_t, 2, N)`` states of a stored run, left in its checkpoint
+    files: row i is read from ``files[i]`` by :func:`load_checkpoint`, with
+    all of its checks, on every access.
+
+    It has the ``shape``, ``dtype``, length, iteration and int and slice
+    indexing of a state array.  A row is a read-only ``(2, N)`` array and a
+    slice a fresh read-only ``(k, 2, N)`` one; a file whose time is no
+    longer ``ts[i]`` is a CheckpointError naming it.
+    """
+
+    def __init__(self, files, ts: np.ndarray, grid: Grid):
+        self._files, self._ts, self._grid = tuple(files), ts.tolist(), grid
+        self.shape = (len(self._files), 2, grid.n_points)
+        self.dtype = np.dtype(np.complex128)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def _row(self, i: int) -> np.ndarray:
+        path = self._files[i]
+        t, state = load_checkpoint(path, self._grid)
+        if t != self._ts[i]:
+            raise CheckpointError(f"{path}: time {t:g} changed from {self._ts[i]:g} since load")
+        return state
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self._row(rows)
+        out = np.empty((len(rows),) + self.shape[1:], dtype=self.dtype)
+        for k, i in enumerate(rows):
+            out[k] = self._row(i)
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +709,14 @@ def _checkpoint_index(path: Path) -> int:
 def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     """Rebuild a trajectory from persisted checkpoints (for `analyze`).
 
-    Each file ``cp_<index>.bin`` is read, in the order of its integer index,
-    into its row of one state array, on the config's grid.  The files must
-    hold the config's checkpoint times in order: the first time missing or
-    not among them is a CheckpointError, as is a file on another grid.
+    The files ``cp_<index>.bin``, in the order of their integer index, stay
+    on disk: the trajectory's ``states`` is a :class:`StoredStates` that
+    reads them per row or per block of rows.  Here only each file's header
+    is read, and checked with the file's size, before anything is computed.
+    The files must hold the config's checkpoint times in order: the first
+    time missing or not among them is a CheckpointError, as is a file on
+    another grid or of the wrong size.  The trajectory's ledger then reads
+    every payload once, and a non-finite sample is a CheckpointError too.
     """
     cp_dir = Path(out_dir) / "checkpoints"
     files = sorted(cp_dir.glob("cp_*.bin"), key=_checkpoint_index)
@@ -670,9 +725,10 @@ def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     grid = config.solver.grid
     want = config.solver.resolved_checkpoints()
     ts = np.empty(len(files))
-    states = np.empty((len(files), 2, grid.n_points), dtype=np.complex128)
     for i, f in enumerate(files):
-        ts[i], states[i] = load_checkpoint(f, grid)
+        with open(f, "rb") as fh:
+            ts[i] = _checkpoint_time(f, fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size,
+                                     grid)
         if i < len(want) and ts[i] > want[i] + _time_tol(want[i]):
             raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time {want[i]:g}")
         if i >= len(want) or ts[i] < want[i] - _time_tol(want[i]):
@@ -680,7 +736,7 @@ def load_trajectory(out_dir, config: ExperimentConfig) -> Trajectory:
     if len(files) < len(want):
         raise CheckpointError(f"{cp_dir}: no checkpoint at the config's time "
                               f"{want[len(files)]:g}")
-    return Trajectory(config=config.solver, ts=ts, states=states,
+    return Trajectory(config=config.solver, ts=ts, states=StoredStates(files, ts, grid),
                       provenance={"scheme": "loaded", "source": str(cp_dir)})
 
 

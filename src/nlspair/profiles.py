@@ -12,9 +12,10 @@ Everything here is per-frequency and vectorised across the whole grid; all
 inputs are immutable, so the analyses are trivially data-parallel: one pass
 runs over blocks of checkpoints on every CPU of the process, and each block
 of states is pulled back once for both the profiles and R.  No
-``(n_t, 2, N)`` stack is formed beside the trajectory's states: each block
-of profiles, and of the remainder, is reduced while it is in cache to what
-the reports read of it.
+``(n_t, 2, N)`` stack is formed: each block of states is read from the
+trajectory on its own (from disk, for a stored run), and each block of
+profiles, and of the remainder, is reduced while it is in cache to what the
+reports read of it.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
 
     Per block: one pull-back of the pair, the two transforms of the J-norm
     on that profile and one pull-back of both nonlinearities, 4 FFT calls;
-    no ``(n_t, 2, N)`` stack of profiles or of R is formed.
+    no ``(n_t, 2, N)`` stack of profiles or of R is formed.  Each block
+    indexes only its own rows of ``traj.states``: the states of a stored
+    run (``harness.StoredStates``) are read from its files there, on the
+    block's thread, once per pass, and the CheckpointError of a file that
+    no longer reads back propagates unchanged.
     """
     i0 = _first_row(traj)
-    ts, states, grid = traj.ts[i0:], traj.states[i0:], traj.grid
+    ts, grid = traj.ts[i0:], traj.grid
     n_t, n = len(ts), grid.n_points
     w0 = int(np.searchsorted(ts, 0.1 * ts[-1]))     # the trailing window's first row
     tail = n_t - max(1, min(N_FIT, n_t - 1))        # the first row of r_tail
@@ -200,7 +205,8 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     weight = np.sqrt(w2)
 
     def block(b):
-        s, t = states[b], ts[b, None]
+        # only the block's rows: a stored run reads them from its files here
+        s, t = traj.states[i0 + b.start:i0 + b.stop], ts[b, None]
         a = _pull_back(grid, s, t)
         if b.start == 0:
             first[...] = a[0]

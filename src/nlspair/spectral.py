@@ -168,10 +168,14 @@ def _pull_back(grid: Grid, values: np.ndarray, t,
         back = _profile_multiplier(grid, t)
         spec *= np.conjugate(back, out=back)
     else:
-        # U(-t) multiplies by the conjugate: conj(conj(s) m) == s conj(m) bitwise
+        # U(-t) multiplies by the conjugate: conj(conj(s) m) == s conj(m)
+        # bitwise, except for the sign of a zero product
         np.conjugate(spec, out=spec)
         spec *= table
         np.conjugate(spec, out=spec)
+    # the multiplier's zero leaves a zero of either sign in the Nyquist slot:
+    # +0 in both branches, so that they give the same bits
+    spec[..., 0] = 0.0
     spec *= grid.dx / SQRT_2PI
     return spec
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nlspair as nl
+from nlspair import harness, profiles as P
 from nlspair.cli import main
 from nlspair.dynamics import W1, DtPolicy, SolverConfig, run
 from nlspair.errors import CheckpointError, ConfigError, GuardViolation
@@ -39,7 +40,7 @@ from nlspair.profiles import (
 )
 from nlspair.spectral import _forward_array, _push_forward
 
-from conftest import gaussian_field, l2
+from conftest import gaussian_field, l2, same_arrays
 
 
 @pytest.fixture()
@@ -164,6 +165,15 @@ class TestCheckpointFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(path, grid)
+
+    def test_padded_payload_rejected(self, grid, tmp_path):
+        path = tmp_path / "cp.bin"
+        persist_checkpoint(path, grid, 3.5, self._state(grid))
+        with open(path, "ab") as fh:
+            fh.write(bytes(16))
+        with pytest.raises(CheckpointError, match=f"cp.bin: payload holds {32 * 256 + 16} bytes, "
+                                                  f"header N=256 implies {32 * 256}"):
             load_checkpoint(path, grid)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -644,8 +654,12 @@ def _analyze_rejected(run_dir, capsys, name):
 
 
 class TestTrajectoryLayout:
-    def _assert_rows_are_views(self, traj):
-        assert traj.states.shape == (len(traj.ts), 2, traj.grid.n_points)
+    def test_run_rows_are_views(self):
+        cfg = SolverConfig(n_points=256, length=200.0, t_end=20.0,
+                           checkpoint_times=(0.0, 5.0, 10.0, 20.0))
+        g = cfg.grid
+        traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
+        assert traj.states.shape == (len(traj.ts), 2, g.n_points)
         assert not traj.states.flags.writeable
         assert traj.ledger.shape == (len(traj.ts), 4) and not traj.ledger.flags.writeable
         assert traj.checkpoints is traj.checkpoints     # built once, on first access
@@ -657,18 +671,30 @@ class TestTrajectoryLayout:
                 assert np.shares_memory(f.values, traj.states)
                 assert np.array_equal(f.values, traj.states[i, j])
 
-    def test_run_rows_are_views(self):
-        cfg = SolverConfig(n_points=256, length=200.0, t_end=20.0,
-                           checkpoint_times=(0.0, 5.0, 10.0, 20.0))
-        g = cfg.grid
-        traj = run(cfg, np.stack([gaussian_field(g, 0.1, 4.0), gaussian_field(g, 0.05, 5.0)]))
-        self._assert_rows_are_views(traj)
-
-    def test_loaded_rows_are_views(self, stored_run):
+    def test_loaded_rows_are_read_per_access(self, stored_run):
+        # a stored run's states stay in its files: every access reads fresh
+        # read-only arrays, and no row is a view of one stack
         cfg = ExperimentConfig.from_dict(tiny_config_dict())
         traj = load_trajectory(stored_run, cfg)
-        assert len(traj.checkpoints) == 21
-        self._assert_rows_are_views(traj)
+        n_t, n = len(traj.ts), traj.grid.n_points
+        states = traj.states
+        assert states.shape == (n_t, 2, n) and states.dtype == np.complex128
+        assert len(states) == n_t == 21
+        assert traj.ledger.shape == (n_t, 4) and not traj.ledger.flags.writeable
+        block = states[3:7]
+        assert block.shape == (4, 2, n) and not block.flags.writeable
+        assert np.array_equal(block, np.stack([states[i] for i in range(3, 7)]))
+        assert np.array_equal(states[-1], states[n_t - 1])
+        assert len(traj.checkpoints) == n_t
+        for i, (cp, row) in enumerate(zip(traj.checkpoints, states)):
+            again = states[i]
+            assert not row.flags.writeable and not np.shares_memory(row, again)
+            assert np.array_equal(row, again)
+            assert cp.pair.grid is traj.grid
+            assert cp.pair.time == traj.ts[i] and type(cp.pair.time) is float
+            for j, f in enumerate((cp.pair.u1, cp.pair.u2)):
+                assert np.array_equal(f.values, row[j])
+                assert not np.shares_memory(f.values, block)
 
     def test_checkpoints_read_in_index_order(self, tmp_path):
         # by name, cp_10000.bin sorts before cp_9999.bin
@@ -681,7 +707,40 @@ class TestTrajectoryLayout:
         for name, t, v in zip(("cp_9999.bin", "cp_10000.bin"), (1.0, 2.0), states):
             persist_checkpoint(tmp_path / "checkpoints" / name, g, t, v)
         traj = load_trajectory(tmp_path, cfg)
-        assert traj.ts.tolist() == [1.0, 2.0] and np.array_equal(traj.states, states)
+        assert traj.ts.tolist() == [1.0, 2.0] and np.array_equal(traj.states[:], states)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_loaded_run_analyses_bitwise(self, tmp_path, monkeypatch, workers):
+        # the stored run's first checkpoint lies before T_MIN, so the pass
+        # reads its blocks from an offset row; blocks of one or two rows
+        cfg = ExperimentConfig.from_dict(tiny_config_dict())
+        memory = run_simulate(cfg, tmp_path / "run")["trajectory"]
+        loaded = load_trajectory(tmp_path / "run", cfg)
+        monkeypatch.setattr(P, "_workers", lambda: workers)
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * cfg.solver.n_points)
+        assert len(P._blocks(loaded.grid, len(loaded.ts) - 1)) >= 10
+        assert loaded.ledger.tobytes() == memory.ledger.tobytes()
+        assert same_arrays(profile_history(loaded), profile_history(memory))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_reads_per_file(self, stored_run, tmp_path, monkeypatch, workers):
+        # the ledger reads every payload once, the analytics' pass once more
+        # from T_MIN on (all but cp_0000.bin, at t = 0); the load itself
+        # reads the headers only
+        reads = []
+
+        def counted(path, grid):
+            reads.append(str(path))
+            return load_checkpoint(path, grid)
+
+        monkeypatch.setattr(harness, "load_checkpoint", counted)
+        monkeypatch.setattr(P, "_workers", lambda: workers)
+        cfg = ExperimentConfig.from_dict(tiny_config_dict())
+        traj = load_trajectory(stored_run, cfg)
+        files = sorted(str(f) for f in (stored_run / "checkpoints").glob("cp_*.bin"))
+        assert sorted(reads) == files
+        emit_trajectory_reports(traj, tmp_path / "reports", cfg.analysis)
+        assert sorted(reads) == sorted(files + files[1:])
 
     def test_analyze_rejects_stray_checkpoint_name(self, stored_run, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -741,6 +800,45 @@ class TestTrajectoryLayout:
         path.write_bytes(bytes(raw))
         _analyze_rejected(run_dir, capsys, "cp_0005.bin: header holds the non-finite time nan")
 
+    def test_analyze_rejects_padded_checkpoint(self, stored_run, tmp_path, capsys):
+        # the load checks each file's size against its header, before any payload is read
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        with open(run_dir / "checkpoints" / "cp_0003.bin", "ab") as fh:
+            fh.write(bytes(16))
+        _analyze_rejected(run_dir, capsys, f"cp_0003.bin: payload holds {32 * 256 + 16} bytes, "
+                                           f"header N=256 implies {32 * 256}")
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (36 + 16 * 100, np.nan, "cp_0010.bin: payload holds non-finite samples"),
+        (28, 2.75, "cp_0010.bin: time 2.75 changed from"),
+    ], ids=["payload", "time"])
+    def test_analyze_rejects_checkpoint_changed_after_load(self, stored_run, tmp_path, capsys,
+                                                          monkeypatch, offset, value, message):
+        # the file changes between the load and the analytics' pass, whose
+        # pool thread raises; no report is rewritten
+        run_dir = tmp_path / "run"
+        shutil.copytree(stored_run, run_dir)
+        path = run_dir / "checkpoints" / "cp_0010.bin"
+        load = harness.load_trajectory
+
+        def load_then_change(*args):
+            traj = load(*args)
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<d", raw, offset, value)
+            path.write_bytes(bytes(raw))
+            return traj
+
+        monkeypatch.setattr(harness, "load_trajectory", load_then_change)
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * 256)
+        reports = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+        with pytest.raises(CheckpointError, match=message):
+            harness.run_analyze(run_dir)
+        shutil.copy(stored_run / "checkpoints" / "cp_0010.bin", path)
+        _analyze_rejected(run_dir, capsys, message)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()} == reports
+
     def test_analyze_rejects_non_finite_checkpoint(self, stored_run, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(stored_run, run_dir)
@@ -763,29 +861,55 @@ class TestTrajectoryLayout:
         assert "manifest.json" in err and "Traceback" not in err
 
 
+def _free_gaussian_run(out_dir, n):
+    """A stored run of two free Gaussian profiles on 120 checkpoints from
+    t = 2 to 1000, and its config."""
+    ts = np.geomspace(2.0, 1000.0, 120)
+    cfg = ExperimentConfig.from_dict({
+        "name": "stored", "seed": 0, "data1": {"kind": "copy"}, "data2": {"kind": "copy"},
+        "solver": {"n_points": n, "length": 400.0, "t_start": 2.0, "t_end": 1000.0,
+                   "checkpoint_times": list(ts)}})
+    g = cfg.solver.grid
+    alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
+                      0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
+    (out_dir / "checkpoints").mkdir()
+    for i, (t, u) in enumerate(zip(ts, _push_forward(g, alpha, ts[:, None]))):
+        persist_checkpoint(out_dir / "checkpoints" / f"cp_{i:04d}.bin", g, t, u)
+    return cfg
+
+
 class TestAnalysisMemory:
     def test_peak_is_few_state_arrays(self, tmp_path):
-        # a stored run of free Gaussian profiles on many checkpoints; the
-        # analysis should hold its stages as arrays of the states' size,
+        # the analysis should hold its stages as arrays of the states' size,
         # not per-checkpoint objects and restacked copies of them
-        n, ts = 512, np.geomspace(2.0, 1000.0, 120)
-        cfg = ExperimentConfig.from_dict({
-            "name": "stored", "seed": 0, "data1": {"kind": "copy"}, "data2": {"kind": "copy"},
-            "solver": {"n_points": n, "length": 400.0, "t_start": 2.0, "t_end": 1000.0,
-                       "checkpoint_times": list(ts)}})
-        g = cfg.solver.grid
-        alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
-                          0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
-        (tmp_path / "checkpoints").mkdir()
-        for i, (t, u) in enumerate(zip(ts, _push_forward(g, alpha, ts[:, None]))):
-            persist_checkpoint(tmp_path / "checkpoints" / f"cp_{i:04d}.bin", g, t, u)
+        cfg = _free_gaussian_run(tmp_path, 512)
         traj = load_trajectory(tmp_path, cfg)
+        n_t, n = traj.states.shape[0], cfg.solver.n_points
         tracemalloc.start()
         try:
             emit_trajectory_reports(traj, tmp_path / "reports", AnalysisOptions())
-            ratio = tracemalloc.get_traced_memory()[1] / traj.states.nbytes
+            ratio = tracemalloc.get_traced_memory()[1] / (n_t * 2 * n * 16)
         finally:
             tracemalloc.stop()
         # measured: 3.9-4.2 with the reduced histories, 4.0-4.5 with the
         # profile stack kept, 7.4 with per-snapshot lists
         assert ratio <= 5.5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stored_run_peak_holds_no_state_stack(self, tmp_path, monkeypatch, workers):
+        # from before the load through the reports, on a run several blocks
+        # long: the states stay in their files, read a block at a time
+        cfg = _free_gaussian_run(tmp_path, 2048)
+        monkeypatch.setattr(P, "_workers", lambda: workers)
+        n_t = len(cfg.solver.checkpoint_times)
+        assert len(P._blocks(cfg.solver.grid, n_t)) >= 4
+        tracemalloc.start()
+        try:
+            traj = load_trajectory(tmp_path, cfg)
+            emit_trajectory_reports(traj, tmp_path / "reports", cfg.analysis)
+            ratio = tracemalloc.get_traced_memory()[1] / (n_t * 2 * 2048 * 16)
+        finally:
+            tracemalloc.stop()
+        # measured: 2.65-2.74 with the states loaded into one stack,
+        # 2.02-2.06 with them read per block
+        assert ratio <= 2.4

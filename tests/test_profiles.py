@@ -32,7 +32,14 @@ from nlspair.spectral import (
     _push_forward,
 )
 
-from conftest import cumtrapz_from_start, free_flow, gaussian_field, l2, one_shot_profiles
+from conftest import (
+    cumtrapz_from_start,
+    free_flow,
+    gaussian_field,
+    l2,
+    one_shot_profiles,
+    same_arrays,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +156,6 @@ def _one_shot_rho_integral(ts, a, r):
     return np.moveaxis(cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1)), -1, 0)
 
 
-def _same_arrays(p, q):
-    """Every array of two profile or remainder histories is bitwise the same,
-    a profile history's remainder included."""
-    for f in dataclasses.fields(p):
-        x, y = getattr(p, f.name), getattr(q, f.name)
-        if f.name == "remainder":
-            if not _same_arrays(x, y):
-                return False
-        elif f.name != "grid" and not np.array_equal(x, y):
-            return False
-    return True
-
-
 def _one_shot_imbalance(ts, a, r):
     """``(m_a, m_b, discrepancy, balance_residual)`` on whole ``(n_t, N)`` arrays."""
     vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
@@ -243,7 +237,7 @@ class TestThreadedBlocks:
             results[w] = _analytics(traj)
         (p1, q1, t1), (p4, q4, t4) = results[1], results[4]
         assert q1 is p1.remainder and q4 is p4.remainder
-        assert _same_arrays(p1, p4)
+        assert same_arrays(p1, p4)
         for name in ("xi", "m_a", "m_b", "label", "fitted_exponent", "beta_plus",
                      "beta_tail_err", "deadband", "discrepancy", "balance_residual"):
             assert np.array_equal(getattr(t1, name), getattr(t4, name), equal_nan=name != "label")
@@ -375,7 +369,7 @@ class TestRemainderProbe:
         traj, profiles, probes = generic_run
         # a fresh extraction of the profiles gives the same remainders
         fresh = remainder_history(traj, profile_history(traj))
-        assert _same_arrays(fresh, probes)
+        assert same_arrays(fresh, probes)
         later = dataclasses.replace(profiles, ts=profiles.ts[1:])
         with pytest.raises(ValueError, match="different times"):
             remainder_history(traj, profiles=later)
@@ -392,7 +386,7 @@ class TestRemainderProbe:
         arrays = {f.name: getattr(profiles.remainder, f.name).copy()
                   for f in dataclasses.fields(profiles.remainder)}
         first, second = (remainder_history(traj, profiles) for _ in range(2))
-        assert _same_arrays(first, second)
+        assert same_arrays(first, second)
         for name, before in arrays.items():
             now = getattr(profiles.remainder, name)
             assert np.array_equal(now, before) and not now.flags.writeable

@@ -139,6 +139,19 @@ class TestTransformProperties:
             assert rel_l2(g, alphas[i], _pull_back(g, rows[i], t)) <= 1e-14
             assert rel_l2(g, pushed[i], _push_forward(g, alphas[i], t)) <= 1e-14
 
+    def test_table_branch_gives_same_bytes(self):
+        # spectra with both signs in each part, the Nyquist slot included,
+        # where the multiplier's zero leaves a product of either sign
+        g = nl.Grid(256, 60.0)
+        rng = np.random.default_rng(3)
+        shape = (6, 2, g.n_points)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t_rows = np.geomspace(0.5, 300.0, 6)[:, None]
+        table = _profile_multiplier(g, t_rows)
+        with_table = _pull_back(g, rows, t_rows, table)
+        assert with_table.tobytes() == _pull_back(g, rows, t_rows).tobytes()
+        assert with_table[..., 0].tobytes() == np.zeros((6, 2), dtype=complex).tobytes()
+
 
 class TestFreePropagate:
     @pytest.mark.parametrize("n, length", [(8, 8.0), (256, 60.0), (4096, 12000.0)])
