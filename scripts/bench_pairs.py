@@ -19,6 +19,10 @@ of the ``analyze`` workload's stored run (seed 1) with
 ``profiles._workers`` pinned to 1 and to 2, and record each process's
 ``ru_maxrss``: the cost of the pool threads' malloc arenas.  A process that
 fails is recorded as null and also makes the exit status 1.
+
+The resolved checkout paths must have the same length, since the analyze
+run's ``peak_rss_mb`` moves by 1-2% with it: the script exits 2 before any
+run when they do not.  The JSON records both paths.
 """
 
 from __future__ import annotations
@@ -139,6 +143,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        print(f"bench_pairs: the checkout paths {sides['parent']} and {sides['change']} differ "
+              f"in length, which moves the analyze run's peak_rss_mb by 1-2%; "
+              f"use paths of the same length", file=sys.stderr)
+        return 2
     pairs = []
     for i in range(1, PAIRS + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
@@ -155,6 +164,7 @@ def main(argv=None) -> int:
     doc = {
         "description": args.note,
         "machine": machine(),
+        "checkouts": {side: str(tree) for side, tree in sides.items()},
         "commands": {
             "pairs": f"python3 benchmarks/run.py --workload all --seed 1 in each checkout, "
                      f"{PAIRS} pairs, parent first in the odd pairs",

@@ -49,26 +49,41 @@ def power_tail(ts, series):
     return np.where(ok, last / np.where(ok, -(p + 1.0), 1.0), np.nan), ok
 
 
+def trapezoid_step(total, lower, upper, dt, out=None):
+    """``total + (upper + lower) * 0.5 * dt``: a running trapezoid integral
+    carried over one more interval of length ``dt``, from the integrand
+    ``lower`` at its start to ``upper`` at its end; into ``out``, a buffer
+    that is none of the three, or a new array.
+
+    The one recurrence of the cumulative trapezoid: :func:`cumtrapz_rows`
+    runs it over a stack, and ``profiles.profile_history`` over the rows of
+    the balance-law integrand as its pass yields them, so both give the same
+    bits.
+    """
+    seg = np.add(upper, lower, out=out)
+    seg *= 0.5
+    seg *= dt
+    return np.add(total, seg, out=seg)
+
+
 def cumtrapz_rows(ts, vals):
     """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the first
     axis, in place: row ``i`` of ``vals`` becomes the integral up to ``t_i``;
     returns ``vals``.
 
-    A recurrence over contiguous rows, adding the trapezoids in the order
-    of the cumulative sum, so the result is bitwise equal to it.  The
-    integral from the end, ``integral_{t_i}^{t_end}``, is this rule on the
-    reversed rows at the negated times: ``cumtrapz_rows(-ts[::-1],
+    :func:`trapezoid_step` over contiguous rows, adding the trapezoids in
+    the order of the cumulative sum, so the result is bitwise equal to it.
+    The integral from the end, ``integral_{t_i}^{t_end}``, is this rule on
+    the reversed rows at the negated times: ``cumtrapz_rows(-ts[::-1],
     vals[::-1])``, which fills ``vals`` in place through the reversed view.
     A 1-D series goes in as one-column rows, ``vals[:, None]``.
     """
     dt = np.diff(np.asarray(ts, dtype=float))
     lower = vals[0].copy()          # the integrand at t_{i-1}
-    seg = np.empty_like(lower)
+    upper = np.empty_like(lower)    # and at t_i, before row i is overwritten
     vals[0] = 0.0
     for i in range(1, len(dt) + 1):
-        np.add(vals[i], lower, out=seg)
-        seg *= 0.5
-        seg *= dt[i - 1]
-        lower[...] = vals[i]
-        np.add(vals[i - 1], seg, out=vals[i])
+        upper[...] = vals[i]
+        trapezoid_step(vals[i - 1], lower, upper, dt[i - 1], out=vals[i])
+        lower, upper = upper, lower
     return vals

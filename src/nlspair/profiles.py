@@ -15,7 +15,9 @@ of states is pulled back once for both the profiles and R.  No
 ``(n_t, 2, N)`` stack is formed: each block of states is read from the
 trajectory on its own (from disk, for a stored run), and each block of
 profiles, and of the remainder, is reduced while it is in cache to what the
-reports read of it.
+reports read of it.  The balance law of the imbalance, the one reduction
+that runs along time, is folded on the calling thread in checkpoint order
+as the blocks finish, so no ``(n_t, N)`` array is formed either.
 """
 
 from __future__ import annotations
@@ -77,9 +79,13 @@ class RemainderHistory:
       ``(H^1 norm of u) + (H^1 norm of J u)``; its history over a run should
       stay bounded (the constant in the decay estimate is empirical, never
       asserted).
-    - ``rho_integral`` (``(n_t, N)``): row i is the trapezoid quadrature of
-      the balance-law integrand ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``
-      from ``ts[0]`` to ``ts[i]``, at every frequency.
+    - ``m_b`` (``(N,)``): the imbalance ``|alpha1|^2 - |alpha2|^2`` at
+      ``ts[0]`` plus the trapezoid quadrature, from ``ts[0]`` to ``ts[-1]``,
+      of the balance-law integrand
+      ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``, at every frequency.
+    - ``balance_residual``: the largest miss of the balance law over the
+      run, ``max |imbalance(t_i) - imbalance(t_0) - integral_{t_0}^{t_i} rho|``
+      over the checkpoints and frequencies.
     - ``r_tail`` (``(n_fit, 2, N)``): R at the last ``n_fit = min(N_FIT,
       n_t - 1)`` checkpoints, at least one, which the survivor's error bar
       fits.
@@ -90,17 +96,20 @@ class RemainderHistory:
     ts: np.ndarray
     peak: np.ndarray
     bound_ratio: np.ndarray
-    rho_integral: np.ndarray
+    m_b: np.ndarray
+    balance_residual: float
     r_tail: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class ProfileHistory:
     """What the later stages read of the profiles ``alpha`` at the
-    checkpoints ``ts``; the ``(n_t, 2, N)`` stack itself is not kept.
+    checkpoints ``ts``; neither the ``(n_t, 2, N)`` stack itself nor any
+    ``(n_t, N)`` array of it is kept.
 
-    - ``imbalance`` (``(n_t, N)``): ``|alpha1|^2 - |alpha2|^2`` at every
-      checkpoint.
+    - ``imbalance_first``, ``imbalance_last`` (``(N,)``): the imbalance
+      ``|alpha1|^2 - |alpha2|^2`` at ``ts[0]`` and at ``ts[-1]``, the
+      estimate ``m_a`` of its limit.
     - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
       ``ts[-1]``.
     - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
@@ -115,7 +124,8 @@ class ProfileHistory:
 
     ts: np.ndarray
     grid: Grid
-    imbalance: np.ndarray
+    imbalance_first: np.ndarray
+    imbalance_last: np.ndarray
     first: np.ndarray
     last: np.ndarray
     moduli: np.ndarray
@@ -149,25 +159,33 @@ def _blocks(grid: Grid, n_t: int) -> list[slice]:
     return [slice(i, min(i + rows, n_t)) for i in range(0, n_t, rows)]
 
 
-def _each_block(fn, blocks: list[slice]) -> None:
-    """Call ``fn`` on every block, on up to one thread per CPU.
+def _each_block(fn, blocks: list[slice], fold=None) -> None:
+    """Call ``fn`` on every block, on up to one thread per CPU, and
+    ``fold``, when given, on each block's result, on the calling thread and
+    in block order.
 
-    numpy releases the GIL inside its FFTs and ufuncs, and each block writes
-    only its own rows with per-row reductions, so the results do not depend
-    on the number of threads.  One worker or one block runs inline.  An
-    exception a block raises propagates unchanged (the earliest block's, if
-    several raise), and the pool's threads are joined before return.
+    numpy releases the GIL inside its FFTs and ufuncs, each block writes
+    only its own rows with per-row reductions, and the folds run in block
+    order, so the results do not depend on the number of threads.  A result
+    is dropped once folded: what is held at any time is the results of the
+    blocks in flight, not of the whole run.  One worker or one block runs
+    inline.  An exception a block raises propagates unchanged (the earliest
+    block's, if several raise), and the pool's threads are joined before
+    return.
     """
     workers = min(_workers(), len(blocks))
     if workers <= 1:
-        for b in blocks:
-            fn(b)
+        for result in map(fn, blocks):
+            if fold is not None:
+                fold(result)
         return
     # imported here: it would add to the start-up of every CLI call
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fn, blocks):
-            pass
+        # map yields the results in block order, each as soon as it is done
+        for result in pool.map(fn, blocks):
+            if fold is not None:
+                fold(result)
 
 
 def _products(a: np.ndarray, dxi: float):
@@ -190,13 +208,19 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     run (``harness.StoredStates``) are read from its files there, on the
     block's thread, once per pass, and the CheckpointError of a file that
     no longer reads back propagates unchanged.
+
+    Each block returns its rows of the imbalance and of the balance-law
+    integrand ``rho``, which are folded on the calling thread in checkpoint
+    order: a running trapezoid integral of ``rho`` by
+    ``fits.trapezoid_step``, the first and last imbalance rows and the
+    largest miss of the balance law per row.  No ``(n_t, N)`` array is
+    formed.
     """
     i0 = _first_row(traj)
     ts, grid = traj.ts[i0:], traj.grid
     n_t, n = len(ts), grid.n_points
     w0 = int(np.searchsorted(ts, 0.1 * ts[-1]))     # the trailing window's first row
     tail = n_t - max(1, min(N_FIT, n_t - 1))        # the first row of r_tail
-    imbalance, rho = np.empty((n_t, n)), np.empty((n_t, n))
     first, last = (np.empty((2, n), dtype=np.complex128) for _ in range(2))
     moduli = np.empty((n_t - w0, 2, n))
     r_tail = np.empty((n_t - tail, 2, n), dtype=np.complex128)
@@ -220,7 +244,7 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
         if lo < b.stop:
             moduli[lo - w0:b.stop - w0] = sa[lo - b.start:]
         np.square(sa, out=sa)
-        np.subtract(sa[:, 0], sa[:, 1], out=imbalance[b])
+        imbalance = sa[:, 0] - sa[:, 1]
         h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         # |F J u| = |F(x F^-1 alpha)| off the Nyquist slot, on the profile
         jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
@@ -233,21 +257,39 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
         rb -= fn
         del fn
         peak[b] = np.max(weight * np.abs(rb), axis=(1, 2))
-        np.multiply(2.0, np.real(np.conj(a[:, 0]) * rb[:, 0] - np.conj(a[:, 1]) * rb[:, 1]),
-                    out=rho[b])
+        rho = 2.0 * np.real(np.conj(a[:, 0]) * rb[:, 0] - np.conj(a[:, 1]) * rb[:, 1])
         lo = max(b.start, tail)
         if lo < b.stop:
             r_tail[lo - tail:b.stop - tail] = rb[lo - b.start:]
+        return imbalance, rho
 
-    _each_block(block, _blocks(grid, n_t))
-    # integrate rho along checkpoints for every frequency at once, in place
-    fits.cumtrapz_rows(ts, rho)
+    # the balance law along the checkpoints: the imbalance's first and last
+    # rows, the running integral of rho and the largest miss per row
+    dt = np.diff(ts)
+    worst = np.empty(n_t)
+    row, m_first, m_last, lower, integral = 0, None, None, None, None
+
+    def fold(rows):
+        nonlocal row, m_first, m_last, lower, integral
+        for m, rho in zip(*rows):
+            if row == 0:
+                m_first, integral = m.copy(), np.zeros(n)
+            else:
+                integral = fits.trapezoid_step(integral, lower, rho, dt[row - 1])
+            miss = m - m_first
+            miss -= integral
+            worst[row] = np.max(np.abs(miss))
+            m_last, lower, row = m, rho, row + 1
+
+    _each_block(block, _blocks(grid, n_t), fold)
+    m_last = m_last.copy()
+    m_b = m_first + integral
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
-    for arr in (imbalance, first, last, moduli, sup, l2, peak, ratio, rho, r_tail):
+    for arr in (m_first, m_last, first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
         arr.flags.writeable = False
-    return ProfileHistory(ts, grid, imbalance, first, last, moduli, sup, l2,
-                          RemainderHistory(ts, peak, ratio, rho, r_tail))
+    return ProfileHistory(ts, grid, m_first, m_last, first, last, moduli, sup, l2,
+                          RemainderHistory(ts, peak, ratio, m_b, float(np.max(worst)), r_tail))
 
 
 def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
@@ -267,29 +309,17 @@ def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
     frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
     balance_residual)``.
 
-    ``m_a`` reads ``profiles.imbalance`` at the last checkpoint and ``m_b``
-    at the first plus ``probes.rho_integral`` to the last.  The residual,
-    the largest miss of ``imbalance(t) - imbalance(t0) - int rho`` over the
-    run, is formed block by block: nothing ``(n_t, N)`` is allocated here.
+    ``m_a`` is the imbalance at the last checkpoint; ``m_b``, the imbalance
+    at the first plus the integral of ``rho`` to the last, and the residual
+    are the reductions of the balance law that :func:`profile_history`
+    folded during its pass.  Only the discrepancy, the largest
+    ``|m_a - m_b|`` on the resolved frequencies, is formed here.
     """
-    ts, imbalance, integral = profiles.ts, profiles.imbalance, probes.rho_integral
-    first = imbalance[0]
-    m_a = imbalance[-1].copy()      # the case table keeps it, not the imbalance rows
-    m_b = first + integral[-1]
-    worst = np.empty(len(ts))
-
-    def block(b):
-        miss = imbalance[b] - first
-        miss -= integral[b]
-        worst[b] = np.max(np.abs(miss), axis=-1)
-
-    _each_block(block, _blocks(profiles.grid, len(ts)))
-    balance_residual = float(np.max(worst))
-
+    m_a, m_b = profiles.imbalance_last, probes.m_b
     amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
-    return m_a, m_b, disc, balance_residual
+    return m_a, m_b, disc, probes.balance_residual
 
 
 @dataclass(frozen=True, eq=False)

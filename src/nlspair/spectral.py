@@ -120,22 +120,29 @@ def _inverse_array(grid: Grid, spec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _half_exponential(grid: Grid, t) -> np.ndarray:
+    """exp(-i t xi^2 / 2) at the frequencies ``0 .. N/2 - 1``: the half
+    spectrum from which both tables of the free flow ``U(t)`` are mirrored.
+    ``xi^2`` is even, so the negative frequencies take these values
+    exactly; ``t`` is a scalar or an array of times, one row per time."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.5j * t[..., None] * grid._xi_fft[:grid._nyq_fft] ** 2)
+
+
 def _profile_multiplier(grid: Grid, t) -> np.ndarray:
     """exp(-i t xi^2 / 2) (-1)^k in ordered frequencies, Nyquist zeroed.
 
-    The one table of the free flow ``U(t)``, for :func:`_pull_back`,
-    :func:`_push_forward` and :func:`_free_multiplier_fft`: ``t`` is a
-    scalar, giving shape ``(N,)``, or an array of times, giving one row per
-    time.  ``xi^2`` is even, so the exponentials of the frequencies
-    ``0 .. N/2 - 1`` are mirrored onto the negative ones instead of being
-    evaluated twice, and the factor ``(-1)^k`` of the ordered transforms is
-    folded in; both are exact, since N/2 is even.
+    The table of the free flow ``U(t)`` for :func:`_pull_back` and
+    :func:`_push_forward`: ``t`` is a scalar, giving shape ``(N,)``, or an
+    array of times, giving one row per time.  The half spectrum of
+    :func:`_half_exponential` is mirrored onto the negative frequencies and
+    the factor ``(-1)^k`` of the ordered transforms is folded in; both are
+    exact, since N/2 is even.
     """
     half = grid._nyq_fft
-    t = np.asarray(t, dtype=float)
-    pos = np.exp(-0.5j * t[..., None] * grid._xi_fft[:half] ** 2)
+    pos = _half_exponential(grid, t)
     pos *= grid._sign[:half]
-    table = np.empty(t.shape + (grid.n_points,), dtype=np.complex128)
+    table = np.empty(pos.shape[:-1] + (grid.n_points,), dtype=np.complex128)
     table[..., 0] = 0.0
     table[..., 1:half] = pos[..., :0:-1]
     table[..., half:] = pos
@@ -143,11 +150,16 @@ def _profile_multiplier(grid: Grid, t) -> np.ndarray:
 
 
 def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
-    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed: the table of
-    :func:`_profile_multiplier` without its signs ``(-1)^k``, which square to
-    one exactly, moved to fft order.  ``dt`` is a scalar or an array of
-    times, as there."""
-    return np.fft.ifftshift(_profile_multiplier(grid, dt) * grid._sign, axes=-1)
+    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed: the half spectrum of
+    :func:`_half_exponential` in the first half, its mirror after the
+    Nyquist slot.  ``dt`` is a scalar or an array of times, as there."""
+    half = grid._nyq_fft
+    pos = _half_exponential(grid, dt)
+    table = np.empty(pos.shape[:-1] + (grid.n_points,), dtype=np.complex128)
+    table[..., :half] = pos
+    table[..., half] = 0.0
+    table[..., half + 1:] = pos[..., :0:-1]
+    return table
 
 
 def _pull_back(grid: Grid, values: np.ndarray, t,

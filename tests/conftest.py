@@ -140,15 +140,17 @@ def fft_points(monkeypatch):
 
 
 def same_arrays(p, q):
-    """Every array of two profile or remainder histories is bitwise the same
-    (shape, dtype and bytes, so the sign of a zero counts), a profile
-    history's remainder included."""
+    """Every field of two profile or remainder histories, arrays and the
+    balance residual, is bitwise the same (shape, dtype and bytes, so the
+    sign of a zero counts), a profile history's remainder included."""
     for f in dataclasses.fields(p):
         x, y = getattr(p, f.name), getattr(q, f.name)
         if f.name == "remainder":
             if not same_arrays(x, y):
                 return False
-        elif f.name != "grid" and (x.shape, x.dtype, x.tobytes()) != (y.shape, y.dtype,
-                                                                        y.tobytes()):
-            return False
+        elif f.name != "grid":
+            # a scalar field, the balance residual, as a 0-d array
+            x, y = np.asarray(x), np.asarray(y)
+            if (x.shape, x.dtype, x.tobytes()) != (y.shape, y.dtype, y.tobytes()):
+                return False
     return True

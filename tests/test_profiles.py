@@ -100,8 +100,7 @@ class TestFftBudget:
 
     def test_two_tables_per_block(self, generic_run, monkeypatch):
         # each pull-back forms its own free-flow table: one table shared by
-        # the two held the analyze run's resident set 1-2 MiB higher and
-        # flipped the sign of zeros in the Nyquist slot
+        # the two holds the analyze run's resident set 1-2 MiB higher
         traj = generic_run[0]
         tables = []
 
@@ -151,16 +150,15 @@ def _one_shot_remainders(grid, ts, states, alpha):
 
 
 def _one_shot_rho_integral(ts, a, r):
-    """The balance-law integral of ``rho`` from the first checkpoint, ``(n_t, N)``."""
+    """The balance-law integral of ``rho`` from the first checkpoint, ``(N, n_t)``."""
     rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
-    return np.moveaxis(cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1)), -1, 0)
+    return cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1))
 
 
 def _one_shot_imbalance(ts, a, r):
     """``(m_a, m_b, discrepancy, balance_residual)`` on whole ``(n_t, N)`` arrays."""
     vals = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
-    rho = 2.0 * np.real(np.conj(a[:, 0]) * r[:, 0] - np.conj(a[:, 1]) * r[:, 1])
-    integral = cumtrapz_from_start(ts, np.moveaxis(rho, 0, -1))
+    integral = _one_shot_rho_integral(ts, a, r)
     m_a = vals[-1]
     m_b = vals[0] + integral[..., -1]
     resid = np.moveaxis(vals, 0, -1) - vals[0][..., None] - integral
@@ -182,7 +180,8 @@ class TestStreamedAnalytics:
         alpha = one_shot_profiles(traj)
         window = profiles.ts >= 0.1 * profiles.ts[-1]
         imbalance = np.abs(alpha[:, 0]) ** 2 - np.abs(alpha[:, 1]) ** 2
-        assert np.array_equal(profiles.imbalance, imbalance)
+        assert np.array_equal(profiles.imbalance_first, imbalance[0])
+        assert np.array_equal(profiles.imbalance_last, imbalance[-1])
         assert np.array_equal(profiles.first, alpha[0])
         assert np.array_equal(profiles.last, alpha[-1])
         assert np.array_equal(profiles.moduli, np.abs(alpha[window]))
@@ -194,7 +193,12 @@ class TestStreamedAnalytics:
                                               alpha)
         assert np.array_equal(probes.peak, peak)
         assert np.array_equal(probes.bound_ratio, ratio)
-        assert np.array_equal(probes.rho_integral, _one_shot_rho_integral(profiles.ts, alpha, r))
+        # the balance law folded in checkpoint order against the whole
+        # (n_t, N) arrays: m_b and the residual
+        integral = _one_shot_rho_integral(profiles.ts, alpha, r)
+        assert np.array_equal(probes.m_b, imbalance[0] + integral[:, -1])
+        miss = imbalance - imbalance[0] - integral.T
+        assert probes.balance_residual == np.max(np.abs(miss))
         # R itself on the rows of the survivor's tail fit, here the last N_FIT
         assert len(profiles) > P.N_FIT
         assert np.array_equal(probes.r_tail, r[-P.N_FIT:])
@@ -326,9 +330,9 @@ class TestExtractProfiles:
 class TestRemainderProbe:
     def test_zero_component_gives_zero_remainder(self, free_component_run):
         # a zero peak max <xi>|R| at every checkpoint is R = 0 everywhere
-        _, _, probes = free_component_run
+        _, profiles, probes = free_component_run
         assert np.all(probes.peak == 0)
-        assert np.all(probes.rho_integral == 0)
+        assert np.array_equal(probes.m_b, profiles.imbalance_first)
         assert np.all(probes.r_tail == 0)
 
     def test_two_evaluation_paths_agree(self, small_grid):
@@ -383,8 +387,10 @@ class TestRemainderProbe:
 
     def test_calls_leave_the_history_alone(self, generic_run):
         traj, profiles, _ = generic_run
+        # every field but the balance residual, a float
         arrays = {f.name: getattr(profiles.remainder, f.name).copy()
-                  for f in dataclasses.fields(profiles.remainder)}
+                  for f in dataclasses.fields(profiles.remainder)
+                  if f.name != "balance_residual"}
         first, second = (remainder_history(traj, profiles) for _ in range(2))
         assert same_arrays(first, second)
         for name, before in arrays.items():
@@ -392,38 +398,57 @@ class TestRemainderProbe:
             assert np.array_equal(now, before) and not now.flags.writeable
 
 
+def _traced_analytics(monkeypatch):
+    """The four analytics, in 2-row blocks on one thread, of a run with the
+    analyze workload's stored run's shape: 100 log-spaced checkpoints, 27 of
+    them in the trailing window.  Returns the states they read, both
+    histories and the peak that tracemalloc traced while they ran."""
+    ts = np.geomspace(2.0, 1e4, 100)
+    cfg = SolverConfig(n_points=512, length=400.0, t_start=2.0, t_end=1e4,
+                       checkpoint_times=tuple(ts))
+    g = cfg.grid
+    alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
+                      0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
+    traj = Trajectory(cfg, ts, _push_forward(g, alpha, ts[:, None]), {})
+    states = traj.states[P._first_row(traj):]
+    assert len(states) == 100 and np.sum(P.check_window(ts)) == 27
+    monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * g.n_points)
+    assert len(P._blocks(g, len(states))) == 50
+    tracemalloc.start()
+    try:
+        profiles = profile_history(traj)
+        probes = remainder_history(traj, profiles)
+        build_case_records(profiles, probes)
+        decoupling_history(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return states, profiles, probes, peak
+
+
+@pytest.mark.usefixtures("one_worker")
 class TestAnalyticsMemory:
-    def test_one_profile_stack_bounds_the_rest(self, monkeypatch, one_worker):
-        # the four analytics, in 2-row blocks on one thread, peak below the
-        # one (n_t, 2, N) stack of states they read and keep no such stack.
-        # The run has the analyze workload's stored run's shape: 100
-        # log-spaced checkpoints, 27 of them in the trailing window; what the
-        # histories keep has rows of the window, N_FIT rows and (n_t, N)
-        # reals, so a run of few checkpoints keeps more than a stack (1.36
-        # of it at 28 checkpoints)
-        ts = np.geomspace(2.0, 1e4, 100)
-        cfg = SolverConfig(n_points=512, length=400.0, t_start=2.0, t_end=1e4,
-                           checkpoint_times=tuple(ts))
-        g = cfg.grid
-        alpha = np.stack([np.exp(-0.5 * ((g.xi + 0.2) / 0.3) ** 2),
-                          0.5 * np.exp(-0.5 * ((g.xi - 0.2) / 0.3) ** 2)]).astype(complex)
-        traj = Trajectory(cfg, ts, _push_forward(g, alpha, ts[:, None]), {})
-        states = traj.states[P._first_row(traj):]
-        assert len(states) == 100 and np.sum(P.check_window(ts)) == 27
-        monkeypatch.setattr(P, "_BLOCK_POINTS", 2 * 2 * g.n_points)
-        assert len(P._blocks(g, len(states))) == 50
-        tracemalloc.start()
-        try:
-            profiles = profile_history(traj)
-            probes = remainder_history(traj, profiles)
-            build_case_records(profiles, probes)
-            decoupling_history(profiles)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < states.nbytes     # measured: 0.84 of it
+    def test_one_profile_stack_bounds_the_rest(self, monkeypatch):
+        # the analytics peak below the one (n_t, 2, N) stack of states they
+        # read and keep no such stack; what the histories keep has rows of
+        # the window and N_FIT rows, so a run of few checkpoints keeps more
+        # than a stack
+        states, profiles, probes, peak = _traced_analytics(monkeypatch)
+        assert peak < states.nbytes
         for history in (profiles, probes):
             assert all(np.size(getattr(history, f.name)) != states.size
+                       for f in dataclasses.fields(history))
+
+    def test_balance_law_keeps_no_rows(self, monkeypatch):
+        # the balance law is folded in checkpoint order: no (n_t, N) array
+        # of the imbalance or of the integral of rho is kept, and the peak
+        # stays below half the stack (measured: 0.36 of it; 0.84 with both
+        # kept as (n_t, N) arrays)
+        states, profiles, probes, peak = _traced_analytics(monkeypatch)
+        assert peak < 0.5 * states.nbytes
+        n_t, _, n = states.shape
+        for history in (profiles, probes):
+            assert all(np.size(getattr(history, f.name)) != n_t * n
                        for f in dataclasses.fields(history))
 
 
