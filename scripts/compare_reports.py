@@ -8,9 +8,11 @@ line, header, text cells such as labels, and empty cells; JSON keys, list
 lengths and non-numeric values), then prints for each numeric column the
 largest ``|a - b|`` over the column's largest ``|a|``, on the cells that are
 numbers in both reports.  A report found in only one tree, or a structural
-difference, makes the exit status 1.  ``manifest.json`` is compared as
-JSON without its timings (``started_unix``, ``wall_seconds`` and
-``stage_seconds``), which differ between any two runs.
+difference, makes the exit status 1.  A tree that is missing or holds no
+report makes it 2, with one line naming that tree and no comparison.
+``manifest.json`` is compared as JSON without its timings
+(``started_unix``, ``wall_seconds`` and ``stage_seconds``), which differ
+between any two runs.
 """
 
 import csv
@@ -94,6 +96,10 @@ def main(parent: str, change: str) -> int:
     roots = Path(parent), Path(change)
     found = [{p.relative_to(r) for p in r.rglob("*")
               if p.suffix in (".csv", ".json")} for r in roots]
+    for root, reports in zip(roots, found):
+        if not reports:
+            print(f"{root}: no report (missing or empty tree)")
+            return 2
     status = 0
     for rel in sorted(found[0] | found[1]):
         if rel not in found[0] or rel not in found[1]:

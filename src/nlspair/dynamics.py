@@ -108,7 +108,8 @@ class SolverConfig:
             cps = tuple(finite_real(t, "checkpoint time") for t in self.checkpoint_times)
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ConfigError("checkpoint times must be strictly increasing")
-            if cps and (cps[0] < self.t_start - 1e-9 or cps[-1] > self.t_end + 1e-9):
+            if cps and (cps[0] < self.t_start - _time_tol(self.t_start)
+                        or cps[-1] > self.t_end + _time_tol(self.t_end)):
                 raise ConfigError("checkpoint times must lie within [t_start, t_end]")
             object.__setattr__(self, "checkpoint_times", cps)
         elif not np.all(np.diff(self.resolved_checkpoints()) > 0):
@@ -195,9 +196,10 @@ def mass_ledger(grid: Grid, v: np.ndarray) -> np.ndarray:
     return np.array([m1, m2, m1 - m2, grid.dx * np.sum(a * b)])
 
 
-def _time_tol(t: float) -> float:
-    """The tolerance ``1e-9 max(1, t)`` within which two times are the same."""
-    return 1e-9 * max(1.0, t)
+def _time_tol(t):
+    """The tolerance ``1e-9 max(1, t)`` within which two times are the same,
+    elementwise for an array of times ``t``."""
+    return 1e-9 * np.maximum(1.0, t)
 
 
 def _inner_half_width(grid: Grid) -> float:

@@ -1,32 +1,20 @@
-"""Small fitting helpers shared by the profile and scattering analytics."""
+"""Small fitting helpers shared by the profile and scattering analytics: the
+one log-log slope fit, the power-law tail built on it and the one trapezoid
+recurrence."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def loglog_slope(ts, vals):
-    """Least-squares slope of log(vals) against log(ts).
-
-    Entries at or below 1e-300, zeros included, are dropped; returns None if
-    fewer than two usable points remain.  This is the fit of a single error
-    series (the scattering and obstruction reports); :func:`loglog_slopes` is the
-    per-frequency one, which clips instead of dropping.
-    """
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    keep = (vals > 1e-300) & (ts > 0)
-    if int(np.sum(keep)) < 2:
-        return None
-    slope = np.polyfit(np.log(ts[keep]), np.log(vals[keep]), 1)[0]
-    return float(slope)
-
-
 def loglog_slopes(ts, series):
     """Least-squares slopes of log(series) against log(ts) along the last axis.
 
-    Vectorised over leading axes.  Entries below 1e-300, zeros included, are
-    clipped to it, so an underflowed series still gets a finite slope.
+    The one log-log fit: vectorised over leading axes for the per-frequency
+    decay exponents and the power-law tails, and run on one series for the
+    error decay of the scattering and obstruction reports (a 0-d result).
+    Entries below 1e-300, zeros included, are clipped to it, so an
+    underflowed series still gets a finite slope.
     """
     log_ts = np.log(np.asarray(ts, dtype=float))
     x = log_ts - log_ts.mean()

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, asymptotics, scattering
 from .dynamics import DtPolicy, SolverConfig, Trajectory, _time_tol, mass_ledger, run
 from .errors import CheckpointError, ConfigError, GuardViolation, finite_real
-from .fits import loglog_slope
+from .fits import loglog_slopes
 from .profiles import (
     build_case_records,
     check_window,
@@ -335,13 +335,13 @@ def _section(value, where: str, cls=None) -> dict:
 
 def read_json_object(path) -> dict:
     """The JSON object in file ``path`` (null is empty); ConfigError naming
-    the file when it is missing, not valid JSON or not an object."""
+    the file when it is missing, not UTF-8 JSON or not an object."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p} is not valid JSON: {exc}") from exc
     return _section(raw, str(p))
 
@@ -681,6 +681,10 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                           "dx": grid.dx, "dxi": grid.dxi},
                     seed=config.seed, data_size=data_size, steps={},
                     stage_seconds={}) as manifest:
+        # checkpoint files an earlier run left here would be read by analyze
+        # as this run's
+        for old in (out_dir / "checkpoints").glob("cp_*.bin"):
+            old.unlink()
         with _stage(manifest, "run"):
             traj = run(config.solver, state)
         with _stage(manifest, "reports"):
@@ -837,8 +841,8 @@ def run_obstruction(opts: ObstructionOptions, out_dir) -> dict:
             write_json(out_dir / "obstruction.json", "obstruction", {
                 "eta": report.eta, "floor": report.stagnation_floor,
                 "stagnates": report.stagnates,
-                "control_slope": loglog_slope(drift["ts"],
-                                              np.minimum(drift["d1"], drift["d2"])),
+                "control_slope": float(loglog_slopes(drift["ts"],
+                                                     np.minimum(drift["d1"], drift["d2"]))),
             }).name,
         ]
     return {"report": report, "control_drift": drift}

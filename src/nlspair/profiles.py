@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fits
-from .dynamics import T_MIN, Trajectory
+from .dynamics import T_MIN, Trajectory, _time_tol
 from .spectral import Grid, _j_spectrum, _pull_back
 
 SURVIVOR_1 = "survivor_1"
@@ -107,9 +107,8 @@ class ProfileHistory:
     checkpoints ``ts``; neither the ``(n_t, 2, N)`` stack itself nor any
     ``(n_t, N)`` array of it is kept.
 
-    - ``imbalance_first``, ``imbalance_last`` (``(N,)``): the imbalance
-      ``|alpha1|^2 - |alpha2|^2`` at ``ts[0]`` and at ``ts[-1]``, the
-      estimate ``m_a`` of its limit.
+    - ``imbalance_last`` (``(N,)``): the imbalance ``|alpha1|^2 -
+      |alpha2|^2`` at ``ts[-1]``, the estimate ``m_a`` of its limit.
     - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
       ``ts[-1]``.
     - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
@@ -124,7 +123,6 @@ class ProfileHistory:
 
     ts: np.ndarray
     grid: Grid
-    imbalance_first: np.ndarray
     imbalance_last: np.ndarray
     first: np.ndarray
     last: np.ndarray
@@ -139,7 +137,7 @@ class ProfileHistory:
 
 def _first_row(traj: Trajectory) -> int:
     """Index of the first checkpoint with t >= T_MIN: the rows of the analytics window."""
-    return int(np.searchsorted(traj.ts, T_MIN - 1e-9))
+    return int(np.searchsorted(traj.ts, T_MIN - _time_tol(T_MIN)))
 
 
 def _workers() -> int:
@@ -213,7 +211,8 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     integrand ``rho``, which are folded on the calling thread in checkpoint
     order: a running trapezoid integral of ``rho`` by
     ``fits.trapezoid_step``, the first and last imbalance rows and the
-    largest miss of the balance law per row.  No ``(n_t, N)`` array is
+    largest miss of the balance law per row.  The first row enters ``m_b``
+    and the misses, and is not kept.  No ``(n_t, N)`` array is
     formed.
     """
     i0 = _first_row(traj)
@@ -286,9 +285,9 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     m_b = m_first + integral
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
-    for arr in (m_first, m_last, first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
+    for arr in (m_last, first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
         arr.flags.writeable = False
-    return ProfileHistory(ts, grid, m_first, m_last, first, last, moduli, sup, l2,
+    return ProfileHistory(ts, grid, m_last, first, last, moduli, sup, l2,
                           RemainderHistory(ts, peak, ratio, m_b, float(np.max(worst)), r_tail))
 
 
@@ -303,24 +302,6 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
 # ---------------------------------------------------------------------------
 # imbalance estimation and case classification
 # ---------------------------------------------------------------------------
-
-def _imbalance(profiles: ProfileHistory, probes: RemainderHistory):
-    """The two estimates of the imbalance limit, their gap on the resolved
-    frequencies and the balance-law residual: ``(m_a, m_b, discrepancy,
-    balance_residual)``.
-
-    ``m_a`` is the imbalance at the last checkpoint; ``m_b``, the imbalance
-    at the first plus the integral of ``rho`` to the last, and the residual
-    are the reductions of the balance law that :func:`profile_history`
-    folded during its pass.  Only the discrepancy, the largest
-    ``|m_a - m_b|`` on the resolved frequencies, is formed here.
-    """
-    m_a, m_b = profiles.imbalance_last, probes.m_b
-    amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
-    resolved = amp0 >= 1e-3 * np.max(amp0)
-    disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
-    return m_a, m_b, disc, probes.balance_residual
-
 
 @dataclass(frozen=True, eq=False)
 class CaseTable:
@@ -458,13 +439,16 @@ def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> Ca
     reports the remainder's fitted tail and the imbalance discrepancy, never
     silently dropped.  All per-frequency work is vectorised.  Raises
     ValueError unless the checkpoints hold an analysable window
-    (:func:`check_window`) that both histories cover.
+    (:func:`check_window`).
     """
     ts = profiles.ts
     window = check_window(ts)
-    if not np.array_equal(probes.ts, ts):
-        raise ValueError("profiles and probes must cover the same checkpoints")
-    m_a, m_b, disc, balance_residual = _imbalance(profiles, probes)
+    # m_a and m_b are the reductions of the imbalance that profile_history
+    # folded; their gap is read on the frequencies resolved at the start
+    m_a, m_b = profiles.imbalance_last, probes.m_b
+    amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
+    resolved = amp0 >= 1e-3 * np.max(amp0)
+    disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
     deadband = max(1e-3, 3.0 * disc)
     labels = classify(m_a, deadband)
     grid = profiles.grid
@@ -485,4 +469,5 @@ def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> Ca
                                                        m_b[cols], r_tail[s][cols])
     return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
                      fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
-                     deadband=deadband, discrepancy=disc, balance_residual=balance_residual)
+                     deadband=deadband, discrepancy=disc,
+                     balance_residual=probes.balance_residual)

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import fits
-from .dynamics import SolverConfig, Trajectory, _inner_half_width, run
+from .dynamics import SolverConfig, Trajectory, _inner_half_width, _time_tol, run
 from .errors import ConfigError, PicardDivergence
 from .profiles import _blocks, _each_block
 from .spectral import (
@@ -408,7 +408,7 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
     floor = 1e-8 * max(spec.kappa, 1e-30)
     slope = None
     if np.max(errs_arr) > floor:
-        slope = fits.loglog_slope(ts_arr, errs_arr)
+        slope = float(fits.loglog_slopes(ts_arr, errs_arr))
     return ScatteringReport(
         ts=ts_arr, errors=errs_arr, fitted_slope=slope,
         slope_bound=-min(0.5 + spec.mu, 0.5 * spec.s0) + 0.15,
@@ -428,7 +428,7 @@ def dyadic_profile_drift(traj: Trajectory, base_times) -> dict:
     ts = np.concatenate([base, 2.0 * base])
     grid = traj.grid
     rows = np.argmin(np.abs(traj.ts - ts[:, None]), axis=-1)
-    missing = np.abs(traj.ts[rows] - ts) > 1e-6 * np.maximum(1.0, np.abs(ts))
+    missing = np.abs(traj.ts[rows] - ts) > _time_tol(ts)
     if np.any(missing):
         raise KeyError(f"no checkpoint at t = {ts[missing][0]}")
     # one pull-back of every state, (2 n_base, 2, N), rows at their own times

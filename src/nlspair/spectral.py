@@ -11,7 +11,7 @@ are the array kernels below, batched along leading axes.
 
 A grid and its arrays are immutable and safe to share across threads.
 :class:`ComplexField` and :class:`FieldPair` only make up the read-only row
-view ``Trajectory.checkpoints`` of a stored run.
+view ``Trajectory.checkpoints`` of any run, computed or stored.
 """
 
 from __future__ import annotations
@@ -169,24 +169,19 @@ def _pull_back(grid: Grid, values: np.ndarray, t,
     Batched along leading axes; ``t`` is a scalar or an array of times that
     broadcasts against them, e.g. one time per row of ``values``.  Like every
     free-flow multiplier it zeroes the Nyquist mode, at ``t = 0`` too.
-    ``table`` is ``_profile_multiplier(grid, t)``, passed by callers that
-    transform many stacks at the same times, and is left untouched;
-    ``overwrite_x`` lets the sign go into ``values`` in place, for callers
-    that pass a temporary.
+    ``U(-t)`` multiplies the spectrum by the conjugate of the free-flow
+    table: ``table`` is ``_profile_multiplier(grid, t)``, passed by callers
+    that transform many stacks at the same times and left untouched, or
+    formed here when none is passed.  ``overwrite_x`` lets the sign go into
+    ``values`` in place, for callers that pass a temporary.
     """
     spec = np.multiply(values, grid._sign, out=values if overwrite_x else None)
     np.fft.fft(spec, axis=-1, out=spec)
-    if table is None:
-        back = _profile_multiplier(grid, t)
-        spec *= np.conjugate(back, out=back)
-    else:
-        # U(-t) multiplies by the conjugate: conj(conj(s) m) == s conj(m)
-        # bitwise, except for the sign of a zero product
-        np.conjugate(spec, out=spec)
-        spec *= table
-        np.conjugate(spec, out=spec)
-    # the multiplier's zero leaves a zero of either sign in the Nyquist slot:
-    # +0 in both branches, so that they give the same bits
+    own = table is None
+    if own:
+        table = _profile_multiplier(grid, t)
+    spec *= np.conjugate(table, out=table if own else None)
+    # the product with the multiplier's zero may be -0: store +0
     spec[..., 0] = 0.0
     spec *= grid.dx / SQRT_2PI
     return spec

@@ -23,7 +23,7 @@ from nlspair.dynamics import (
     mass_ledger,
     run,
 )
-from nlspair.fits import loglog_slope
+from nlspair.fits import loglog_slopes
 from nlspair.harness import (
     SCATTER_PRESETS,
     ExperimentConfig,
@@ -276,8 +276,8 @@ def test_c10_obstruction(obstruction):
     d_min = np.minimum(rep.d1, rep.d2)
     overlap_ok = bool(np.all(d_min >= floor))
     ctrl = np.minimum(drift["d1"], drift["d2"])
-    slope = loglog_slope(drift["ts"], ctrl)
-    control_ok = slope is not None and slope <= -0.1 and ctrl[-1] <= 0.1 * floor
+    slope = float(loglog_slopes(drift["ts"], ctrl))
+    control_ok = slope <= -0.1 and ctrl[-1] <= 0.1 * floor
     ok = overlap_ok and control_ok
     assert _report(10, ok, f"overlap min d(t) = {np.min(d_min):.3e} >= floor {floor:.3e}; "
                            f"control slope {slope:.2f}, final d {ctrl[-1]:.2e}")
@@ -429,7 +429,7 @@ def test_obstruction_reports_and_manifest(obstruction):
         "d2_control": _cells(drift["d2"])}
     assert _json_data(out / "obstruction.json") == {
         "eta": report.eta, "floor": report.stagnation_floor, "stagnates": report.stagnates,
-        "control_slope": loglog_slope(drift["ts"], np.minimum(drift["d1"], drift["d2"]))}
+        "control_slope": float(loglog_slopes(drift["ts"], np.minimum(drift["d1"], drift["d2"])))}
     _assert_recorded(out, "obstruction", ["probe", "control"])
     # both forward runs record their steps and the range of dt
     steps = json.loads((out / "manifest.json").read_text())["steps"]

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlspair import dynamics
+from nlspair import dynamics, profiles as P
 from nlspair.dynamics import (
+    T_MIN,
     DtPolicy,
     SolverConfig,
+    Trajectory,
+    _time_tol,
     coupled_decay_ratios,
     mass_ledger,
     run,
 )
 from nlspair.errors import ConfigError, GuardViolation, NumericsError
 from nlspair.profiles import profile_history
+from nlspair.scattering import dyadic_profile_drift
 from nlspair.spectral import _pull_back, _push_forward
 
 from conftest import free_flow, gaussian_field, l2, rel_l2, rk4_run, strang_step
@@ -600,6 +604,37 @@ class TestConfigValidation:
         assert cps[0] == pytest.approx(2.0)
         assert cps[-1] == pytest.approx(50.0)
         assert len(cps) == 40
+
+
+@pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])
+def test_one_time_tolerance(factor, same):
+    # a time within _time_tol(t) of t is t for the config's window, the
+    # analytics' first row and the dyadic drift's checkpoint lookup
+    def off(t):
+        return factor * _time_tol(t)
+
+    lo, hi = 10.0, 100.0
+    for cps in ((lo - off(lo), hi), (lo, hi + off(hi))):
+        if same:
+            SolverConfig(n_points=8, length=10.0, t_start=lo, t_end=hi, checkpoint_times=cps)
+        else:
+            with pytest.raises(ConfigError, match="within"):
+                SolverConfig(n_points=8, length=10.0, t_start=lo, t_end=hi,
+                             checkpoint_times=cps)
+
+    cfg = SolverConfig(n_points=8, length=10.0, t_end=hi)
+
+    def trajectory(*ts):
+        return Trajectory(config=cfg, ts=np.array(ts),
+                          states=np.zeros((len(ts), 2, 8), dtype=complex), provenance={})
+
+    assert P._first_row(trajectory(0.0, T_MIN - off(T_MIN), hi)) == (1 if same else 2)
+    late = trajectory(50.0, hi + off(hi))
+    if same:
+        assert dyadic_profile_drift(late, [50.0])["d1"].tolist() == [0.0]
+    else:
+        with pytest.raises(KeyError, match="no checkpoint at t = 100"):
+            dyadic_profile_drift(late, [50.0])
 
 
 class TestDeterminism:

@@ -407,6 +407,34 @@ class TestPipelines:
         assert listed == on_disk
         assert len(res1["trajectory"].checkpoints) == 21
 
+    def test_rerun_replaces_checkpoints(self, tmp_path, capsys):
+        # a run into the directory of an earlier one with more checkpoints:
+        # the files on disk are the manifest's, and analyze reads this run's
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+
+        def simulate(d):
+            cfg_path.write_text(json.dumps(d))
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            listed = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert set(listed) == {p.relative_to(out).as_posix()
+                                   for p in out.rglob("*") if p.is_file()}
+
+        d = tiny_config_dict()
+        simulate({**d, "solver": {**d["solver"], "checkpoint_times":
+                                  [0.0] + list(np.geomspace(2.0, 120.0, 30))}})
+        simulate(d)
+        written = (out / "profiles.csv").read_bytes()
+        assert main(["analyze", "--out", str(out)]) == 0
+        assert (out / "profiles.csv").read_bytes() == written
+        # a rerun with other data that saves no checkpoints leaves none
+        simulate({**d, "data1": {**d["data1"], "amp": 0.09}, "save_checkpoints": False})
+        written = (out / "profiles.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 2
+        assert "no checkpoints under" in capsys.readouterr().err
+        assert (out / "profiles.csv").read_bytes() == written
+
     def test_tail_err_is_survivor_error_bar(self, stored_run):
         # the tail_err column is the survivor's error bar: empty exactly where
         # beta_plus is, and the table's beta_tail_err on every survivor row
@@ -597,10 +625,18 @@ class TestPipelines:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
-    def test_cli_missing_config_exit_2(self, tmp_path):
+    def test_cli_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        # a file that is not UTF-8 is a config error naming it too
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe" + json.dumps(tiny_config_dict()).encode())
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+        assert str(cfg_path) in err and not (tmp_path / "o").exists()
 
     def test_cli_simulate_and_analyze(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -848,12 +884,13 @@ class TestTrajectoryLayout:
         path.write_bytes(bytes(raw))
         _analyze_rejected(run_dir, capsys, "cp_0010.bin: payload holds non-finite samples")
 
-    @pytest.mark.parametrize("text", ['{"schema": "x"}', "[1]", '{"schema"'],
-                             ids=["no-config", "not-an-object", "not-json"])
+    @pytest.mark.parametrize("text", [b'{"schema": "x"}', b"[1]", b'{"schema"',
+                                      b'\xff\xfe{"schema": "x"}'],
+                             ids=["no-config", "not-an-object", "not-json", "not-utf8"])
     def test_analyze_rejects_malformed_manifest(self, stored_run, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
         shutil.copytree(stored_run, run_dir)
-        (run_dir / "manifest.json").write_text(text)
+        (run_dir / "manifest.json").write_bytes(text)
         capsys.readouterr()
         assert main(["analyze", "--out", str(run_dir)]) == 2
         err = capsys.readouterr().err

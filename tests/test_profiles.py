@@ -180,7 +180,6 @@ class TestStreamedAnalytics:
         alpha = one_shot_profiles(traj)
         window = profiles.ts >= 0.1 * profiles.ts[-1]
         imbalance = np.abs(alpha[:, 0]) ** 2 - np.abs(alpha[:, 1]) ** 2
-        assert np.array_equal(profiles.imbalance_first, imbalance[0])
         assert np.array_equal(profiles.imbalance_last, imbalance[-1])
         assert np.array_equal(profiles.first, alpha[0])
         assert np.array_equal(profiles.last, alpha[-1])
@@ -330,9 +329,10 @@ class TestExtractProfiles:
 class TestRemainderProbe:
     def test_zero_component_gives_zero_remainder(self, free_component_run):
         # a zero peak max <xi>|R| at every checkpoint is R = 0 everywhere
-        _, profiles, probes = free_component_run
+        traj, _, probes = free_component_run
         assert np.all(probes.peak == 0)
-        assert np.array_equal(probes.m_b, profiles.imbalance_first)
+        alpha = one_shot_profiles(traj)[0]
+        assert np.array_equal(probes.m_b, np.abs(alpha[0]) ** 2 - np.abs(alpha[1]) ** 2)
         assert np.all(probes.r_tail == 0)
 
     def test_two_evaluation_paths_agree(self, small_grid):

@@ -42,6 +42,24 @@ def test_compare_reports_identical_trees(tmp_path, capsys):
     assert lines == ["sub/run.json: identical", "table.csv: identical"]
 
 
+def test_compare_reports_rejects_empty_or_missing_tree(tmp_path, capsys):
+    # a mistyped path or a tree with no report is no evidence of identity
+    compare_reports = _load("compare_reports")
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    def names_a(x, y):
+        assert compare_reports.main(str(x), str(y)) == 2
+        assert capsys.readouterr().out.splitlines() == [f"{a}: no report (missing or empty tree)"]
+
+    names_a(a, b)
+    a.mkdir()
+    b.mkdir()
+    names_a(a, b)
+    write_json(b / "run.json", "run", {"passed": True})
+    names_a(a, b)
+    names_a(b, a)
+
+
 def test_compare_reports_names_every_differing_column(tmp_path, capsys):
     # one column gains empty cells, another drifts: both are named, and the
     # unchanged columns still report their spread

@@ -150,6 +150,8 @@ class TestTransformProperties:
         table = _profile_multiplier(g, t_rows)
         with_table = _pull_back(g, rows, t_rows, table)
         assert with_table.tobytes() == _pull_back(g, rows, t_rows).tobytes()
+        # the caller's table is read, not conjugated in place
+        assert table.tobytes() == _profile_multiplier(g, t_rows).tobytes()
         assert with_table[..., 0].tobytes() == np.zeros((6, 2), dtype=complex).tobytes()
 
 
