@@ -14,11 +14,13 @@ and metric, each side's quartiles, the parent's interquartile range, in how
 many pairs the change read lower and the change of the median, over the
 pairs in which both sides read the metric.
 
-Then, for each checkout, ``RSS_RUNS`` fresh processes rewrite the reports
-of the ``analyze`` workload's stored run (seed 1) with
-``profiles._workers`` pinned to 1 and to 2, and record each process's
-``ru_maxrss``: the cost of the pool threads' malloc arenas.  A process that
-fails is recorded as null and also makes the exit status 1.
+Then, for each checkout, ``RSS_RUNS`` fresh processes run each of two
+pipelines with ``profiles._workers`` pinned to 1 and to 2, and record each
+process's ``ru_maxrss``: the cost of the pool threads' malloc arenas.  The
+``analyze`` probe rewrites the reports of the ``analyze`` workload's stored
+run (seed 1); the ``scatter`` probe runs ``nlspair scatter --preset
+scatter-roundtrip``, whose Picard construction runs on the pool.  A process
+that fails is recorded as null and also makes the exit status 1.
 
 The resolved checkout paths must have the same length, since the analyze
 run's ``peak_rss_mb`` moves by 1-2% with it: the script exits 2 before any
@@ -40,22 +42,36 @@ from pathlib import Path
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 WORKLOADS = ("headline", "scatter", "analyze")
 PAIRS = 10
-RSS_RUNS = 3  # processes per checkout and thread count
+RSS_RUNS = 3  # processes per checkout, probe and thread count
 
-# one process: the analyze workload's reports with the pool pinned to W threads
-RSS_PROBE = """
+# one process each, with the pool pinned to W threads: the analyze workload's
+# reports, and the scatter pipeline; each prints its ru_maxrss in MiB last
+_RSS_START = """
 import resource, sys
 from pathlib import Path
 tree, workers, workdir = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
 sys.path[:0] = [tree + "/src", tree + "/benchmarks"]
-import workloads
-from nlspair import harness, profiles
+from nlspair import profiles
+if not profiles.__file__.startswith(tree + "/src/"):
+    sys.exit(f"nlspair is imported from {profiles.__file__}, not from {tree}")
 profiles._workers = lambda: workers
+"""
+_RSS_END = """
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+RSS_PROBES = {
+    "analyze": _RSS_START + """
+import workloads
+from nlspair import harness
 prepared = workloads.analyze_prepare(1, workdir)
 traj = harness.load_trajectory(prepared["run_dir"], prepared["config"])
 harness.emit_trajectory_reports(traj, workdir / "reports", prepared["config"].analysis)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-"""
+""" + _RSS_END,
+    "scatter": _RSS_START + """
+from nlspair import cli
+cli.main(["scatter", "--preset", "scatter-roundtrip", "--out", str(workdir / "scatter")])
+""" + _RSS_END,
+}
 
 
 def _env() -> dict:
@@ -83,12 +99,12 @@ def bench_once(tree: Path) -> dict:
     return run
 
 
-def rss_once(tree: Path, workers: int) -> float | None:
-    """``ru_maxrss`` in MiB of one process rewriting the analyze workload's
-    reports; None when the process fails."""
+def rss_once(tree: Path, workers: int, probe: str) -> float | None:
+    """``ru_maxrss`` in MiB of one process running the pipeline of the
+    ``RSS_PROBES`` entry ``probe``; None when the process fails."""
     with tempfile.TemporaryDirectory() as workdir:
-        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, str(tree), str(workers), workdir],
-                              env=_env(), capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBES[probe], str(tree), str(workers),
+                               workdir], env=_env(), capture_output=True, text=True)
     return round(float(proc.stdout.split()[-1]), 2) if proc.returncode == 0 else None
 
 
@@ -159,8 +175,9 @@ def main(argv=None) -> int:
                 f"{pair[side].get(f'{w}.wall_s', float('nan')):.3f} s" for w in WORKLOADS),
                 file=sys.stderr)
         pairs.append(pair)
-    rss = {side: {f"workers_{w}": [rss_once(tree, w) for _ in range(RSS_RUNS)]
-                  for w in (1, 2)} for side, tree in sides.items()}
+    rss = {probe: {side: {f"workers_{w}": [rss_once(tree, w, probe) for _ in range(RSS_RUNS)]
+                          for w in (1, 2)} for side, tree in sides.items()}
+           for probe in RSS_PROBES}
     doc = {
         "description": args.note,
         "machine": machine(),
@@ -171,15 +188,19 @@ def main(argv=None) -> int:
             "analyze_rss_by_workers": "ru_maxrss of one process rewriting the reports of the "
                                       "analyze workload's stored run (seed 1) with "
                                       "profiles._workers pinned to 1 and to 2",
+            "scatter_rss_by_workers": "ru_maxrss of one process running nlspair scatter "
+                                      "--preset scatter-roundtrip with profiles._workers "
+                                      "pinned to 1 and to 2",
         },
         "all_correct": all(p[s]["correct"] and p[s]["exit"] == 0
                            for p in pairs for s in ("parent", "change")),
         "summary": summarize(pairs),
         "pairs": pairs,
-        "analyze_rss_by_workers": rss,
+        **{f"{probe}_rss_by_workers": by_side for probe, by_side in rss.items()},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    rss_read = all(None not in runs for by_w in rss.values() for runs in by_w.values())
+    rss_read = all(None not in runs for by_side in rss.values()
+                   for by_w in by_side.values() for runs in by_w.values())
     return 0 if doc["all_correct"] and rss_read else 1
 
 

@@ -37,6 +37,8 @@ from .profiles import (
 from .spectral import Grid, _forward_array, _inverse_array
 
 _LEDGER = ("mass1", "mass2", "diff", "interaction")   # the entries of mass_ledger
+# what emit_trajectory_reports writes beside the ledger under analysis.profiles
+_PROFILE_REPORTS = ("profiles.csv", "profiles.json", "remainder.csv", "decoupling.csv")
 _MAGIC = b"NLSPAIR\x00"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQdd")   # magic, version, n_points, length, time
@@ -682,9 +684,12 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
                     seed=config.seed, data_size=data_size, steps={},
                     stage_seconds={}) as manifest:
         # checkpoint files an earlier run left here would be read by analyze
-        # as this run's
-        for old in (out_dir / "checkpoints").glob("cp_*.bin"):
-            old.unlink()
+        # as this run's, and its analytics reports taken for this run's
+        stale = list((out_dir / "checkpoints").glob("cp_*.bin"))
+        if not config.analysis.profiles:
+            stale += [out_dir / name for name in _PROFILE_REPORTS]
+        for old in stale:
+            old.unlink(missing_ok=True)
         with _stage(manifest, "run"):
             traj = run(config.solver, state)
         with _stage(manifest, "reports"):

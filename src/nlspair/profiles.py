@@ -23,7 +23,9 @@ as the blocks finish, so no ``(n_t, N)`` array is formed either.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -164,12 +166,14 @@ def _each_block(fn, blocks: list[slice], fold=None) -> None:
 
     numpy releases the GIL inside its FFTs and ufuncs, each block writes
     only its own rows with per-row reductions, and the folds run in block
-    order, so the results do not depend on the number of threads.  A result
-    is dropped once folded: what is held at any time is the results of the
-    blocks in flight, not of the whole run.  One worker or one block runs
-    inline.  An exception a block raises propagates unchanged (the earliest
-    block's, if several raise), and the pool's threads are joined before
-    return.
+    order, so the results do not depend on the number of threads.  At most
+    ``2 x workers`` blocks are in flight, submitted but not yet folded: the
+    next block is submitted once the earliest is folded, and its result
+    dropped, so what is held at any time is the results of the blocks in
+    flight, not of the whole run, however slow the fold.  One worker or one
+    block runs inline.  An exception a block raises propagates unchanged
+    (the earliest block's, if several raise), the blocks not yet started are
+    cancelled, and the pool's threads are joined before return.
     """
     workers = min(_workers(), len(blocks))
     if workers <= 1:
@@ -179,11 +183,20 @@ def _each_block(fn, blocks: list[slice], fold=None) -> None:
         return
     # imported here: it would add to the start-up of every CLI call
     from concurrent.futures import ThreadPoolExecutor
+    todo = iter(blocks)
     with ThreadPoolExecutor(workers) as pool:
-        # map yields the results in block order, each as soon as it is done
-        for result in pool.map(fn, blocks):
-            if fold is not None:
-                fold(result)
+        flight = deque(pool.submit(fn, b) for b in islice(todo, 2 * workers))
+        try:
+            while flight:
+                result = flight.popleft().result()
+                if fold is not None:
+                    fold(result)
+                del result
+                for b in islice(todo, 1):
+                    flight.append(pool.submit(fn, b))
+        finally:
+            for future in flight:
+                future.cancel()
 
 
 def _products(a: np.ndarray, dxi: float):

@@ -34,6 +34,7 @@ from .spectral import (
     SQRT_2PI,
     Grid,
     _inverse_array,
+    _mirror,
     _profile_multiplier,
     _pull_back,
     _push_forward,
@@ -218,11 +219,12 @@ def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) ->
     return float(np.max(taus ** (mu + 0.5) * l2 + taus ** mu * j))
 
 
-def _apply_map(spec: FinalStateSpec, taus: np.ndarray, rows: Callable[[slice], np.ndarray],
-               table: np.ndarray, out: np.ndarray,
-               finish: Callable[[slice], None]) -> np.ndarray:
+def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
+               rows: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+               finish: Callable[[slice, np.ndarray], None]) -> None:
     """One application of the fixed-point map on the sampled time grid: the
-    ``(n_time, 2, N)`` profiles of the new iterate, written to ``out``.
+    ``(n_time, 2, N)`` profiles of the new iterate, handed to ``finish`` one
+    block of sample times at a time.
 
     Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
     Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
@@ -232,36 +234,48 @@ def _apply_map(spec: FinalStateSpec, taus: np.ndarray, rows: Callable[[slice], n
     For decoupled data N(w#) is identically zero on the grid, so truncating
     the integral at T_max leaves only the decaying difference part.
 
-    The map runs over blocks of consecutive sample times on the analytics'
-    pool.  ``rows(b)`` gives the x-space iterate at the times ``taus[b]``;
-    ``table[b]``, rows of ``_profile_multiplier(grid, taus)[:, None]``, is
-    read only after it returns, so ``rows`` may fill it.  Each block's
-    ``N(v)`` is pulled back into ``out[b]``; the tail integral, the only
-    step that couples the sample times, runs on the whole stack; then each
-    block adds ``psi_hat``, zeroes the Nyquist slot and calls ``finish(b)``.
-    Every row is computed alone, so the result does not depend on the
-    blocks or the threads.  The new iterate is the push-forward of ``out``,
-    left to the caller.
+    The map runs over blocks of consecutive sample times from ``T_max``
+    backward.  ``rows(b)`` gives the x-space iterate at the times ``taus[b]``
+    and the block's free-flow table, rows of ``_profile_multiplier(grid,
+    taus)[:, None]``, and each block's ``N(v)`` is pulled back with that
+    table on the analytics' pool.  The calling thread folds the blocks in
+    the same order: it carries the tail integral ``int_t^{T_max} G``, the
+    only step that couples the sample times, from row to row with
+    ``fits.trapezoid_step``, in the steps and the order of operations of
+    ``fits.cumtrapz_rows(-taus[::-1], ...)``, so the bits are the same; it
+    adds ``psi_hat``, zeroes the Nyquist slot and calls ``finish(b, alpha)``
+    with the block's new profiles.  Every other step is per row, so the
+    result does not depend on the blocks or the threads.  The new iterate is
+    the push-forward of the profiles, left to the caller.
     """
     g = spec.grid
-    blocks = _blocks(g, len(taus))
+    n_t = len(taus)
+    dt = np.diff(-taus[::-1])      # the steps of the integral, from T_max backward
 
     def pull(b):
-        v = rows(b)
+        v, table = rows(b)
         # N_j(v) = |v_k|^2 v_j, k the other component
-        np.multiply(np.abs(v[:, ::-1]) ** 2, v, out=out[b])
-        _pull_back(g, out[b], taus[b, None], table[b], overwrite_x=True)
+        nv = np.multiply(np.abs(v[:, ::-1]) ** 2, v)
+        return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True)
 
-    def close(b):
-        alpha = out[b]
-        alpha += spec.psi_hat
+    total = lower = None           # the integral and its integrand at the last row folded
+
+    def fold(result):
+        nonlocal total, lower
+        b, pulled = result
+        alpha = np.empty_like(pulled)
+        for i in range(len(pulled) - 1, -1, -1):
+            k = n_t - 1 - (b.start + i)            # the row's place from T_max
+            if k == 0:
+                total = np.zeros_like(pulled[i])
+            else:
+                total = fits.trapezoid_step(total, lower, pulled[i], dt[k - 1])
+            lower = pulled[i]
+            np.add(total, spec.psi_hat, out=alpha[i])
         alpha[..., 0] = 0.0
-        finish(b)
+        finish(b, alpha)
 
-    _each_block(pull, blocks)
-    fits.cumtrapz_rows(-taus[::-1], out[::-1])     # int_t^{T_max}, in place
-    _each_block(close, blocks)
-    return out
+    _each_block(pull, _blocks(g, n_t)[::-1], fold)
 
 
 def _check_box(spec: FinalStateSpec, T_max: float) -> None:
@@ -284,43 +298,52 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     x-space stack at an array of sample times, built one block of ``taus``
     at a time.
 
-    Between the phases of an iteration only the old and new profiles and
-    the free-flow table are held; the x-space iterate lives one block at a
-    time, and the old profiles' buffer takes the difference of the two.
+    One ``(n_time, 2, N)`` stack holds the iterate's profiles.  The
+    free-flow table is held as its signed half spectrum, ``(n_time, 1,
+    N/2)``, and each block mirrors its rows once for both its push-forward
+    and its pull-back.  The x-space iterate lives one block at a time.  As
+    the map folds a block, the difference of its new and old profiles is
+    formed in the block's own rows of the stack, the distance is read off
+    it, and the new profiles are written there: a block's old profiles are
+    read only by its own pull-back, which has returned, and by that
+    distance.  The final iterate is pushed forward block by block into the
+    same stack, which becomes ``PicardState.v``.
     """
     if max_iters < 1:
         raise ValueError("need max_iters >= 1: the iterate is built by the map")
     g = spec.grid
-    shape = (len(taus), 2, g.n_points)
+    n_t, half = len(taus), g._nyq_fft
+    alpha = np.empty((n_t, 2, g.n_points), dtype=np.complex128)
     # one table for every transform of the construction, since the times are
-    # fixed; the start fills it block by block
-    table = np.empty((len(taus), 1, g.n_points), dtype=np.complex128)
-    prev = np.empty(shape, dtype=np.complex128)
-    alpha = np.empty(shape, dtype=np.complex128)
+    # fixed, kept as its signed half spectrum; the start fills it block by block
+    halves = np.empty((n_t, 1, half), dtype=np.complex128)
     # a start that is not band-limited, like w#, has a Nyquist mode, and it
     # enters the first distance
-    nyq = np.empty(shape[:2], dtype=np.complex128)
-    l2_sq = np.empty(shape[:2])
-    j_sq = np.empty(shape[:2])
+    nyq = np.empty((n_t, 2), dtype=np.complex128)
+    l2_sq = np.empty((n_t, 2))
+    j_sq = np.empty((n_t, 2))
 
     def start_rows(b):
-        table[b] = _profile_multiplier(g, taus[b])[:, None]
+        table = _profile_multiplier(g, taus[b])[:, None]
+        halves[b] = table[..., half:]
         v = start(taus[b])
         nyq[b] = _nyquist(g, v)
-        prev[b] = _pull_back(g, v, taus[b, None], table[b])
-        return v
+        alpha[b] = _pull_back(g, v, taus[b, None], table)
+        return v, table
 
     def iterate_rows(b):
-        return _push_forward(g, prev[b], taus[b, None], table[b])
+        table = _mirror(g, halves[b])
+        return _push_forward(g, alpha[b], taus[b, None], table), table
 
-    def distance_rows(b):
+    def distance_rows(b, new):
         # the distance of the iterates is read off their profiles, with the
-        # difference formed in the old profile's buffer
-        l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(alpha[b], prev[b], out=prev[b]),
+        # difference formed in the old profiles' rows, which then take the new
+        l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(new, alpha[b], out=alpha[b]),
                                         None if nyq is None else nyq[b])
+        alpha[b] = new
 
     def final_rows(b):
-        alpha[b] = iterate_rows(b)
+        alpha[b] = iterate_rows(b)[0]
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -328,9 +351,8 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     rows = start_rows
     k = 0
     for k in range(1, max_iters + 1):
-        _apply_map(spec, taus, rows, table, alpha, distance_rows)
+        _apply_map(spec, taus, rows, distance_rows)
         d = _xt_sup(taus, spec.mu, l2_sq, j_sq)
-        prev, alpha = alpha, prev
         rows, nyq = iterate_rows, None
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
@@ -340,8 +362,8 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
             break
         if len(ratios) >= 2 and ratios[-1] > 0.9 and ratios[-2] > 0.9:
             break
-    # the iterate is the push-forward of the last profiles, into the spare buffer
-    _each_block(final_rows, _blocks(g, len(taus)))
+    # the iterate is the push-forward of the last profiles, into their stack
+    _each_block(final_rows, _blocks(g, n_t))
     return PicardState(taus=taus, v=alpha, iterate_index=k, distances=distances,
                        ratios=ratios, converged=converged)
 
@@ -400,11 +422,17 @@ def verify_scattering(traj: Trajectory, spec: FinalStateSpec) -> ScatteringRepor
     The fitted slope must reach ``-min(1/2 + mu, s0/2)`` within a 0.15
     slack.  Errors below the scheme floor (1e-8 of the data size) make the
     fit meaningless and count as trivially passing.
+
+    The errors are formed one checkpoint at a time, each against the free
+    wave at its own time, so no ``(n_t, 2, N)`` stack of free waves or of
+    differences is held; each is bitwise the whole-stack formula's.
     """
     g = spec.grid
     ts_arr = traj.ts
-    free = _push_forward(g, spec.psi_hat, ts_arr[:, None])
-    errs_arr = np.sqrt(g.dx * np.sum(np.abs(traj.states - free) ** 2, axis=(-2, -1)))
+    errs_arr = np.empty(len(ts_arr))
+    for i, t in enumerate(ts_arr):
+        d = traj.states[i] - _push_forward(g, spec.psi_hat, t)
+        errs_arr[i] = np.sqrt(g.dx * np.sum(np.abs(d) ** 2))
     floor = 1e-8 * max(spec.kappa, 1e-30)
     slope = None
     if np.max(errs_arr) > floor:

@@ -139,9 +139,18 @@ def _profile_multiplier(grid: Grid, t) -> np.ndarray:
     the factor ``(-1)^k`` of the ordered transforms is folded in; both are
     exact, since N/2 is even.
     """
-    half = grid._nyq_fft
     pos = _half_exponential(grid, t)
-    pos *= grid._sign[:half]
+    pos *= grid._sign[:grid._nyq_fft]
+    return _mirror(grid, pos)
+
+
+def _mirror(grid: Grid, pos: np.ndarray) -> np.ndarray:
+    """The ordered table of :func:`_profile_multiplier` from its signed half
+    spectrum ``pos``, its entries at the frequencies ``0 .. N/2 - 1``, which
+    is the table's upper half ``[..., N/2:]``: ``pos`` mirrored onto the
+    negative frequencies, Nyquist zeroed.  Callers that keep many tables
+    hold the half and mirror a few rows at a time."""
+    half = grid._nyq_fft
     table = np.empty(pos.shape[:-1] + (grid.n_points,), dtype=np.complex128)
     table[..., 0] = 0.0
     table[..., 1:half] = pos[..., :0:-1]

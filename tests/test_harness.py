@@ -435,6 +435,21 @@ class TestPipelines:
         assert "no checkpoints under" in capsys.readouterr().err
         assert (out / "profiles.csv").read_bytes() == written
 
+    def test_rerun_without_profiles_drops_their_reports(self, tmp_path):
+        # a rerun with the analytics off into the directory of a run with
+        # them on: the earlier run's four analytics reports are gone, and the
+        # reports on disk are the manifest's outputs
+        out = tmp_path / "o"
+        d = tiny_config_dict()
+        run_simulate(ExperimentConfig.from_dict(d), out)
+        assert (out / "profiles.csv").exists()
+        run_simulate(ExperimentConfig.from_dict({**d, "analysis": {"profiles": False}}), out)
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert set(listed) == {p.relative_to(out).as_posix()
+                               for p in out.rglob("*") if p.is_file()}
+        assert not any((out / name).exists() for name in
+                       ("profiles.csv", "profiles.json", "remainder.csv", "decoupling.csv"))
+
     def test_tail_err_is_survivor_error_bar(self, stored_run):
         # the tail_err column is the survivor's error bar: empty exactly where
         # beta_plus is, and the table's beta_tail_err on every survivor row

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -261,6 +262,57 @@ class TestThreadedBlocks:
         with pytest.raises(RuntimeError) as info:
             profile_history(traj)
         assert info.value is boom
+        assert threading.active_count() == threads
+
+    def test_blocks_in_flight_bounded(self, monkeypatch):
+        # fast blocks and a slow fold on two workers: at most 2 x workers
+        # blocks are started and not yet folded, and the folds see the
+        # results in block order
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        lock = threading.Lock()
+        unfolded, most, folded = 0, 0, []
+
+        def fn(b):
+            nonlocal unfolded, most
+            with lock:
+                unfolded += 1
+                most = max(most, unfolded)
+            return b.start
+
+        def fold(start):
+            nonlocal unfolded
+            time.sleep(0.002)
+            folded.append(start)
+            with lock:
+                unfolded -= 1
+
+        P._each_block(fn, [slice(i, i + 1) for i in range(24)], fold)
+        assert folded == list(range(24))
+        assert 2 <= most <= 4
+
+    def test_earliest_block_exception_propagates(self, monkeypatch):
+        # block 5 raises while block 3, which raises too, is still running:
+        # block 3's exception propagates after the folds of blocks 0-2, no
+        # block past the in-flight window is started, and the pool is joined
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        errors = {3: RuntimeError("block 3"), 5: RuntimeError("block 5")}
+        started, folded = [], []
+
+        def fn(b):
+            started.append(b.start)
+            if b.start == 3:
+                time.sleep(0.05)
+            if b.start in errors:
+                raise errors[b.start]
+            return b.start
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            P._each_block(fn, [slice(i, i + 1) for i in range(40)], folded.append)
+        assert info.value is errors[3]
+        assert folded == [0, 1, 2]
+        # three blocks folded, so at most 3 + 2 x workers started
+        assert max(started) <= 6
         assert threading.active_count() == threads
 
     def test_one_block_starts_no_thread(self, generic_run, monkeypatch):

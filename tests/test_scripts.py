@@ -163,7 +163,9 @@ def test_bench_pairs_records_runs_without_result(tmp_path, monkeypatch):
         assert pair["parent"] == {"exit": 2, "correct": False, "attempted": None, "failed": None}
         assert pair["change"] == {"exit": 1, "correct": False, "attempted": None, "failed": None}
     assert all(v is None for w in doc["summary"].values() for v in w.values())
-    assert doc["analyze_rss_by_workers"]["parent"] == {"workers_1": [None], "workers_2": [None]}
+    for probe in ("analyze", "scatter"):
+        assert doc[f"{probe}_rss_by_workers"]["parent"] == {"workers_1": [None],
+                                                            "workers_2": [None]}
     assert doc["checkouts"] == {side: str((tmp_path / side).resolve()) for side in trees}
 
 
@@ -173,7 +175,7 @@ def test_bench_pairs_rejects_paths_of_different_length(tmp_path, monkeypatch, ca
     bench_pairs = _load("bench_pairs")
     ran = []
     monkeypatch.setattr(bench_pairs, "bench_once", lambda tree: ran.append(tree))
-    monkeypatch.setattr(bench_pairs, "rss_once", lambda tree, workers: ran.append(tree))
+    monkeypatch.setattr(bench_pairs, "rss_once", lambda tree, workers, probe: ran.append(tree))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change2"), "--out", str(out)]) == 2
