@@ -241,7 +241,8 @@ def linear_ode_limit(record: LinearODERecord, ys) -> LinearLimitReport:
     # one complex array; the real ones keep their real arithmetic exactly
     abs_lam, abs_q = np.abs(lam), np.abs(q)
     cols = np.stack([lam, abs_lam, abs_q], axis=-1) * ts[:, None]
-    lam_to_T, abs_lam_to_T, abs_q_to_T = fits.cumtrapz_rows(-s[::-1], cols[::-1])[::-1].T
+    to_T = fits.RunningTrapezoid(-s[::-1])
+    lam_to_T, abs_lam_to_T, abs_q_to_T = np.array([to_T.add(c) for c in cols[::-1]])[::-1].T
     lam_from = lam_to_T + tail(lam, record.lam_tail_pow)
     abs_lam_from = abs_lam_to_T.real + tail(abs_lam, record.lam_tail_pow)
     abs_q_from = abs_q_to_T.real + tail(abs_q, record.q_tail_pow)

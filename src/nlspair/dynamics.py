@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +145,8 @@ class Trajectory:
     length, iteration and int and slice indexing, which reads the rows on
     every access.  ``ledger[i]`` is :func:`mass_ledger` of row i, formed
     here in one pass over the rows; ``checkpoints`` is a read-only view of
-    the rows, built on first access.
+    the rows, built afresh on every access, so a stored run's trajectory
+    keeps none of its rows.
     """
 
     config: SolverConfig
@@ -176,7 +176,7 @@ class Trajectory:
         """``n_steps``, ``dt_min`` and ``dt_max`` of a run, as its manifest records them."""
         return {k: self.provenance[k] for k in ("n_steps", "dt_min", "dt_max")}
 
-    @cached_property
+    @property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
         return tuple(Checkpoint(FieldPair(ComplexField(self.grid, v[0], t),
                                           ComplexField(self.grid, v[1], t)))

@@ -1,6 +1,6 @@
 """Small fitting helpers shared by the profile and scattering analytics: the
-one log-log slope fit, the power-law tail built on it and the one trapezoid
-recurrence."""
+one log-log slope fit, the power-law tail built on it and the one cumulative
+trapezoid."""
 
 from __future__ import annotations
 
@@ -37,41 +37,30 @@ def power_tail(ts, series):
     return np.where(ok, last / np.where(ok, -(p + 1.0), 1.0), np.nan), ok
 
 
-def trapezoid_step(total, lower, upper, dt, out=None):
-    """``total + (upper + lower) * 0.5 * dt``: a running trapezoid integral
-    carried over one more interval of length ``dt``, from the integrand
-    ``lower`` at its start to ``upper`` at its end; into ``out``, a buffer
-    that is none of the three, or a new array.
+class RunningTrapezoid:
+    """The running trapezoid integral over the times ``ts``, fed one integrand
+    row at a time: the one cumulative rule of the package.
 
-    The one recurrence of the cumulative trapezoid: :func:`cumtrapz_rows`
-    runs it over a stack, and ``profiles.profile_history`` over the rows of
-    the balance-law integrand as its pass yields them, so both give the same
-    bits.
+    ``add(f)`` takes the integrand at the next time and returns the integral
+    from ``ts[0]`` to that time as a new array, zeros at ``ts[0]``;
+    ``total`` is the latest one.  Each step is ``total + (upper + lower) *
+    0.5 * dt``, in that order, with ``lower`` the previous row, held by
+    reference.  The integral from the end, ``integral_{t_i}^{t_end}``, is
+    this rule fed the rows from the last one back, at the negated times
+    ``-ts[::-1]``.
     """
-    seg = np.add(upper, lower, out=out)
-    seg *= 0.5
-    seg *= dt
-    return np.add(total, seg, out=seg)
 
+    def __init__(self, ts):
+        self._dt = iter(np.diff(np.asarray(ts, dtype=float)))
+        self._lower = self.total = None
 
-def cumtrapz_rows(ts, vals):
-    """``I(t_i) = integral_{t_0}^{t_i} vals dt`` by trapezoid along the first
-    axis, in place: row ``i`` of ``vals`` becomes the integral up to ``t_i``;
-    returns ``vals``.
-
-    :func:`trapezoid_step` over contiguous rows, adding the trapezoids in
-    the order of the cumulative sum, so the result is bitwise equal to it.
-    The integral from the end, ``integral_{t_i}^{t_end}``, is this rule on
-    the reversed rows at the negated times: ``cumtrapz_rows(-ts[::-1],
-    vals[::-1])``, which fills ``vals`` in place through the reversed view.
-    A 1-D series goes in as one-column rows, ``vals[:, None]``.
-    """
-    dt = np.diff(np.asarray(ts, dtype=float))
-    lower = vals[0].copy()          # the integrand at t_{i-1}
-    upper = np.empty_like(lower)    # and at t_i, before row i is overwritten
-    vals[0] = 0.0
-    for i in range(1, len(dt) + 1):
-        upper[...] = vals[i]
-        trapezoid_step(vals[i - 1], lower, upper, dt[i - 1], out=vals[i])
-        lower, upper = upper, lower
-    return vals
+    def add(self, f):
+        if self._lower is None:
+            total = np.zeros_like(f)
+        else:
+            seg = np.add(f, self._lower)
+            seg *= 0.5
+            seg *= next(self._dt)
+            total = np.add(self.total, seg, out=seg)
+        self._lower, self.total = f, total
+        return total

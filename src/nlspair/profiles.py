@@ -222,11 +222,10 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
 
     Each block returns its rows of the imbalance and of the balance-law
     integrand ``rho``, which are folded on the calling thread in checkpoint
-    order: a running trapezoid integral of ``rho`` by
-    ``fits.trapezoid_step``, the first and last imbalance rows and the
-    largest miss of the balance law per row.  The first row enters ``m_b``
-    and the misses, and is not kept.  No ``(n_t, N)`` array is
-    formed.
+    order: the running integral of ``rho`` (``fits.RunningTrapezoid``), the
+    first and last imbalance rows and the largest miss of the balance law
+    per row.  The first row enters ``m_b`` and the misses, and is not kept.
+    No ``(n_t, N)`` array is formed.
     """
     i0 = _first_row(traj)
     ts, grid = traj.ts[i0:], traj.grid
@@ -277,25 +276,23 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
 
     # the balance law along the checkpoints: the imbalance's first and last
     # rows, the running integral of rho and the largest miss per row
-    dt = np.diff(ts)
-    worst = np.empty(n_t)
-    row, m_first, m_last, lower, integral = 0, None, None, None, None
+    integral = fits.RunningTrapezoid(ts)
+    worst = []
+    m_first = m_last = None
 
     def fold(rows):
-        nonlocal row, m_first, m_last, lower, integral
+        nonlocal m_first, m_last
         for m, rho in zip(*rows):
-            if row == 0:
-                m_first, integral = m.copy(), np.zeros(n)
-            else:
-                integral = fits.trapezoid_step(integral, lower, rho, dt[row - 1])
+            if m_first is None:
+                m_first = m.copy()
             miss = m - m_first
-            miss -= integral
-            worst[row] = np.max(np.abs(miss))
-            m_last, lower, row = m, rho, row + 1
+            miss -= integral.add(rho)
+            worst.append(np.max(np.abs(miss)))
+            m_last = m
 
     _each_block(block, _blocks(grid, n_t), fold)
     m_last = m_last.copy()
-    m_b = m_first + integral
+    m_b = m_first + integral.total
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     for arr in (m_last, first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):

@@ -219,65 +219,6 @@ def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) ->
     return float(np.max(taus ** (mu + 0.5) * l2 + taus ** mu * j))
 
 
-def _apply_map(spec: FinalStateSpec, taus: np.ndarray,
-               rows: Callable[[slice], tuple[np.ndarray, np.ndarray]],
-               finish: Callable[[slice, np.ndarray], None]) -> None:
-    """One application of the fixed-point map on the sampled time grid: the
-    ``(n_time, 2, N)`` profiles of the new iterate, handed to ``finish`` one
-    block of sample times at a time.
-
-    Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
-    Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
-    by the equation: differentiating shows U(t)psi + int_t^inf U(t-tau) N dtau
-    is what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
-    sign-flipped system and its forward evolution never scatters to psi+.
-    For decoupled data N(w#) is identically zero on the grid, so truncating
-    the integral at T_max leaves only the decaying difference part.
-
-    The map runs over blocks of consecutive sample times from ``T_max``
-    backward.  ``rows(b)`` gives the x-space iterate at the times ``taus[b]``
-    and the block's free-flow table, rows of ``_profile_multiplier(grid,
-    taus)[:, None]``, and each block's ``N(v)`` is pulled back with that
-    table on the analytics' pool.  The calling thread folds the blocks in
-    the same order: it carries the tail integral ``int_t^{T_max} G``, the
-    only step that couples the sample times, from row to row with
-    ``fits.trapezoid_step``, in the steps and the order of operations of
-    ``fits.cumtrapz_rows(-taus[::-1], ...)``, so the bits are the same; it
-    adds ``psi_hat``, zeroes the Nyquist slot and calls ``finish(b, alpha)``
-    with the block's new profiles.  Every other step is per row, so the
-    result does not depend on the blocks or the threads.  The new iterate is
-    the push-forward of the profiles, left to the caller.
-    """
-    g = spec.grid
-    n_t = len(taus)
-    dt = np.diff(-taus[::-1])      # the steps of the integral, from T_max backward
-
-    def pull(b):
-        v, table = rows(b)
-        # N_j(v) = |v_k|^2 v_j, k the other component
-        nv = np.multiply(np.abs(v[:, ::-1]) ** 2, v)
-        return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True)
-
-    total = lower = None           # the integral and its integrand at the last row folded
-
-    def fold(result):
-        nonlocal total, lower
-        b, pulled = result
-        alpha = np.empty_like(pulled)
-        for i in range(len(pulled) - 1, -1, -1):
-            k = n_t - 1 - (b.start + i)            # the row's place from T_max
-            if k == 0:
-                total = np.zeros_like(pulled[i])
-            else:
-                total = fits.trapezoid_step(total, lower, pulled[i], dt[k - 1])
-            lower = pulled[i]
-            np.add(total, spec.psi_hat, out=alpha[i])
-        alpha[..., 0] = 0.0
-        finish(b, alpha)
-
-    _each_block(pull, _blocks(g, n_t)[::-1], fold)
-
-
 def _check_box(spec: FinalStateSpec, T_max: float) -> None:
     """Reject a time grid on which the free waves of psi+ reach the guard's
     edge bands: frequency xi travels to x = xi t, and the box is periodic."""
@@ -294,20 +235,38 @@ def _check_box(spec: FinalStateSpec, T_max: float) -> None:
 def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
                     start: Callable[[np.ndarray], np.ndarray],
                     max_iters: int, tol: float) -> PicardState:
-    """Iterate the map from the start ``start(t)``, the ``(n_t, 2, N)``
-    x-space stack at an array of sample times, built one block of ``taus``
-    at a time.
+    """Iterate the fixed-point map from the start ``start(t)``, the ``(n_t, 2,
+    N)`` x-space stack at an array of sample times, built one block of
+    ``taus`` at a time.
+
+    Work happens in the pulled-back frame: with G(tau) = F U(-tau) N(v(tau)),
+    Phi[v](t) = U(t) F^-1 [psi_hat + int_t^inf G].  The plus sign is forced
+    by the equation: differentiating shows U(t)psi + int_t^inf U(t-tau) N dtau
+    is what solves du/dt = (i/2) u_xx - N(u); the minus variant solves the
+    sign-flipped system and its forward evolution never scatters to psi+.
+    For decoupled data N(w#) is identically zero on the grid, so truncating
+    the integral at T_max leaves only the decaying difference part.
 
     One ``(n_time, 2, N)`` stack holds the iterate's profiles.  The
     free-flow table is held as its signed half spectrum, ``(n_time, 1,
     N/2)``, and each block mirrors its rows once for both its push-forward
-    and its pull-back.  The x-space iterate lives one block at a time.  As
-    the map folds a block, the difference of its new and old profiles is
-    formed in the block's own rows of the stack, the distance is read off
-    it, and the new profiles are written there: a block's old profiles are
-    read only by its own pull-back, which has returned, and by that
-    distance.  The final iterate is pushed forward block by block into the
-    same stack, which becomes ``PicardState.v``.
+    and its pull-back.  The x-space iterate lives one block at a time.
+
+    Each application of the map runs over blocks of consecutive sample
+    times from ``T_max`` backward.  ``pull(b)`` forms the block's x-space
+    iterate, the start on the first application and the push-forward of
+    its profiles after that, and pulls back its ``N(v)`` on the analytics'
+    pool.  ``fold`` takes the blocks on the calling thread in the same
+    order: it carries the tail integral ``int_t^{T_max} G``, the only step
+    that couples the sample times, row by row in a
+    ``fits.RunningTrapezoid`` at ``-taus[::-1]``, adds ``psi_hat`` and
+    zeroes the Nyquist slot.  The difference of the new and old profiles is
+    then formed in the block's own rows of the stack, the distance is read
+    off it, and the new profiles are written there: a block's old profiles
+    are read only by its own pull-back, which has returned, and by that
+    distance.  Every other step is per row, so the result does not depend
+    on the blocks or the threads.  The final iterate is pushed forward
+    block by block into the same stack, which becomes ``PicardState.v``.
     """
     if max_iters < 1:
         raise ValueError("need max_iters >= 1: the iterate is built by the map")
@@ -323,37 +282,46 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     l2_sq = np.empty((n_t, 2))
     j_sq = np.empty((n_t, 2))
 
-    def start_rows(b):
-        table = _profile_multiplier(g, taus[b])[:, None]
-        halves[b] = table[..., half:]
-        v = start(taus[b])
-        nyq[b] = _nyquist(g, v)
-        alpha[b] = _pull_back(g, v, taus[b, None], table)
-        return v, table
-
-    def iterate_rows(b):
+    def forward(b):
         table = _mirror(g, halves[b])
         return _push_forward(g, alpha[b], taus[b, None], table), table
 
-    def distance_rows(b, new):
+    def pull(b):
+        if k == 1:
+            table = _profile_multiplier(g, taus[b])[:, None]
+            halves[b] = table[..., half:]
+            v = start(taus[b])
+            nyq[b] = _nyquist(g, v)
+            alpha[b] = _pull_back(g, v, taus[b, None], table)
+        else:
+            v, table = forward(b)
+        # N_j(v) = |v_k|^2 v_j, k the other component
+        nv = np.multiply(np.abs(v[:, ::-1]) ** 2, v)
+        return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True)
+
+    def fold(result):
+        b, pulled = result
+        new = np.empty_like(pulled)
+        for i in range(len(pulled) - 1, -1, -1):
+            np.add(tail.add(pulled[i]), spec.psi_hat, out=new[i])
+        new[..., 0] = 0.0
         # the distance of the iterates is read off their profiles, with the
         # difference formed in the old profiles' rows, which then take the new
         l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(new, alpha[b], out=alpha[b]),
-                                        None if nyq is None else nyq[b])
+                                        nyq[b] if k == 1 else None)
         alpha[b] = new
 
-    def final_rows(b):
-        alpha[b] = iterate_rows(b)[0]
+    def final(b):
+        alpha[b] = forward(b)[0]
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
-    rows = start_rows
     k = 0
     for k in range(1, max_iters + 1):
-        _apply_map(spec, taus, rows, distance_rows)
+        tail = fits.RunningTrapezoid(-taus[::-1])
+        _each_block(pull, _blocks(g, n_t)[::-1], fold)
         d = _xt_sup(taus, spec.mu, l2_sq, j_sq)
-        rows, nyq = iterate_rows, None
         distances.append(d)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(d / distances[-2])
@@ -363,7 +331,7 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
         if len(ratios) >= 2 and ratios[-1] > 0.9 and ratios[-2] > 0.9:
             break
     # the iterate is the push-forward of the last profiles, into their stack
-    _each_block(final_rows, _blocks(g, n_t))
+    _each_block(final, _blocks(g, n_t))
     return PicardState(taus=taus, v=alpha, iterate_index=k, distances=distances,
                        ratios=ratios, converged=converged)
 

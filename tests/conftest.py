@@ -80,7 +80,7 @@ def one_shot_profiles(traj):
 
 def cumtrapz_from_start(ts, vals):
     """``integral_{t_0}^{t_i} vals dt`` by trapezoid along the last axis, by
-    cumulative sum: the reference of ``fits.cumtrapz_rows``."""
+    cumulative sum: the reference of ``fits.RunningTrapezoid``."""
     dt = np.diff(ts)
     seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
     out = np.zeros_like(vals)
@@ -90,8 +90,8 @@ def cumtrapz_from_start(ts, vals):
 
 def cumtrapz_from_end(ts, vals):
     """``integral_{t_i}^{t_end} vals dt`` by trapezoid along the last axis, by
-    reversed cumulative sum: the reference of ``fits.cumtrapz_rows`` on the
-    reversed rows at the negated times."""
+    reversed cumulative sum: the reference of ``fits.RunningTrapezoid`` fed
+    the reversed rows at the negated times."""
     dt = np.diff(ts)
     seg = 0.5 * (vals[..., 1:] + vals[..., :-1]) * dt
     out = np.zeros_like(vals)

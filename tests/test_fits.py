@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlspair.fits import cumtrapz_rows, loglog_slopes, power_tail
+from nlspair.fits import RunningTrapezoid, loglog_slopes, power_tail
 
 from conftest import cumtrapz_from_end, cumtrapz_from_start
 
@@ -42,14 +42,23 @@ class TestPowerLawFits:
                                            (2, True), (37, True)],
                          ids=["1", "2", "37", "1-from_end", "2-from_end", "37-from_end"])
 def test_cumtrapz_rows_is_the_cumulative_sum(n_t, from_end):
-    # from the end: the rule on the reversed rows at the negated times
+    # RunningTrapezoid fed real (N,) rows and complex (2, N) rows, one at a
+    # time; from the end: the reversed rows at the negated times
     rng = np.random.default_rng(n_t)
     ts = np.cumsum(rng.uniform(0.1, 3.0, n_t))
-    vals = rng.normal(size=(n_t, 64))
-    if from_end:
-        expected = cumtrapz_from_end(ts, vals.T).T
-        out = cumtrapz_rows(-ts[::-1], vals.copy()[::-1])[::-1]
-    else:
-        expected = cumtrapz_from_start(ts, vals.T).T
-        out = cumtrapz_rows(ts, vals.copy())
-    assert np.array_equal(out, expected)
+    for vals in (rng.normal(size=(n_t, 64)),
+                 rng.normal(size=(n_t, 2, 64)) + 1j * rng.normal(size=(n_t, 2, 64))):
+        rows = np.moveaxis(vals, 0, -1)      # the references run along the last axis
+        if from_end:
+            expected = np.moveaxis(cumtrapz_from_end(ts, rows), -1, 0)
+            run, order = RunningTrapezoid(-ts[::-1]), range(n_t - 1, -1, -1)
+        else:
+            expected = np.moveaxis(cumtrapz_from_start(ts, rows), -1, 0)
+            run, order = RunningTrapezoid(ts), range(n_t)
+        before = vals.copy()
+        for i in order:
+            out = run.add(vals[i])
+            assert out is run.total and out.dtype == vals.dtype
+            assert not np.shares_memory(out, vals)
+            assert np.array_equal(out, expected[i])
+        assert np.array_equal(vals, before)  # the rows are read, not written

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import shutil
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -713,7 +715,7 @@ class TestTrajectoryLayout:
         assert traj.states.shape == (len(traj.ts), 2, g.n_points)
         assert not traj.states.flags.writeable
         assert traj.ledger.shape == (len(traj.ts), 4) and not traj.ledger.flags.writeable
-        assert traj.checkpoints is traj.checkpoints     # built once, on first access
+        assert traj.checkpoints is not traj.checkpoints  # built afresh on every access
         assert len(traj.checkpoints) == len(traj.ts)
         for i, cp in enumerate(traj.checkpoints):
             assert cp.pair.grid is traj.grid
@@ -746,6 +748,18 @@ class TestTrajectoryLayout:
             for j, f in enumerate((cp.pair.u1, cp.pair.u2)):
                 assert np.array_equal(f.values, row[j])
                 assert not np.shares_memory(f.values, block)
+
+    def test_loaded_checkpoints_are_not_kept(self, stored_run):
+        # once the caller drops the tuple, no row it read stays referenced:
+        # the trajectory holds no (n_t, 2, N) of its own
+        traj = load_trajectory(stored_run, ExperimentConfig.from_dict(tiny_config_dict()))
+        cps = traj.checkpoints
+        rows = [weakref.ref(f.values) for cp in cps for f in (cp.pair.u1, cp.pair.u2)]
+        assert len(rows) == 2 * len(traj.ts)
+        del cps
+        gc.collect()
+        assert [r for r in rows if r() is not None] == []
+        assert "checkpoints" not in vars(traj)
 
     def test_checkpoints_read_in_index_order(self, tmp_path):
         # by name, cp_10000.bin sorts before cp_9999.bin

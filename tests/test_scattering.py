@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 import nlspair as nl
-from nlspair import fits
 from nlspair import profiles as P
 from nlspair.dynamics import SolverConfig, run
 from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.profiles import _blocks
 from nlspair.scattering import (
     PicardState,
-    _apply_map,
     _nyquist,
     _picard_iterate,
     _profile_sq,
@@ -107,7 +105,7 @@ def one_shot_picard(spec, taus, v, max_iters, tol):
     for k in range(1, max_iters + 1):
         alpha = _pull_back(g, np.abs(v[:, ::-1]) ** 2 * v, taus[:, None], table,
                            overwrite_x=True)
-        fits.cumtrapz_rows(-taus[::-1], alpha[::-1])
+        alpha = np.moveaxis(cumtrapz_from_end(taus, np.moveaxis(alpha, 0, -1)), -1, 0)
         alpha += spec.psi_hat
         alpha[..., 0] = 0.0
         v = _push_forward(g, alpha, taus[:, None], table)
@@ -287,18 +285,31 @@ class TestPicard:
         state = picard_state
         assert state.converged
         assert all(r <= 0.5 for r in state.ratios[:3])
-        # the map returns the new profiles, Nyquist slot zeroed
+        # the map once more, from the converged iterate: the new iterate
+        # carries no Nyquist mode, and it moves by the residual only
         g, taus = decoupled_spec.grid, state.taus
-        alpha = np.full_like(state.v, np.nan)
+        again = _picard_iterate(decoupled_spec, taus,
+                                lambda t: state.v[np.searchsorted(taus, t)], 1, 0.0)
+        assert again.iterate_index == 1 and not again.converged
+        assert np.max(np.abs(_nyquist(g, again.v))) <= 1e-13 * np.max(np.abs(again.v))
+        assert xt_norm(g, taus, again.v - state.v, decoupled_spec.mu) <= 2e-9
 
-        def finish(b, new):
-            alpha[b] = new
+    def test_distance_drops_the_nyquist_mode(self):
+        # psi_hat with a Nyquist mode, which no profile carries: the map drops
+        # it, so the first distance is that of the iterates in x-space
+        g = nl.Grid(256, 200.0)
+        spec = build_final_state(g, [{"kind": "window", "lo": -4.5, "hi": -3.0, "amp": 0.05}],
+                                 [{"kind": "window", "lo": 3.0, "hi": 3.9, "amp": 0.05}])
+        assert spec.decoupled and spec.psi_hat[0, 0] != 0
+        taus = np.geomspace(1.0, 10.0, 8)
 
-        _apply_map(decoupled_spec, taus,
-                   lambda b: (state.v[b], _profile_multiplier(g, taus[b])[:, None]), finish)
-        assert np.all(alpha[..., 0] == 0)
-        new = _push_forward(g, alpha, taus[:, None])
-        assert xt_norm(g, taus, new - state.v, decoupled_spec.mu) <= 2e-9
+        def free(t):
+            return _push_forward(g, spec.psi_hat, t[:, None])
+
+        state = _picard_iterate(spec, taus, free, 1, 0.0)
+        expected = xt_norm(g, taus, state.v - free(taus), spec.mu)
+        assert 0 < expected < 1e-3
+        assert state.distances[0] == pytest.approx(expected, rel=1e-9)
 
     def test_iterates_stay_in_ball(self, decoupled_spec, picard_state):
         # the distance of the iterate from the leading wave

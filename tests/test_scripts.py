@@ -120,6 +120,31 @@ def test_compare_reports_names_manifest_difference(tmp_path, capsys):
     assert ".stage_seconds.work" not in spread
 
 
+def test_write_reports_reruns_are_identical(tmp_path, capsys):
+    # one cheap pipeline written twice: every report of the two trees matches
+    write_reports, compare_reports = _load("write_reports"), _load("compare_reports")
+    for side in ("a", "b"):
+        assert write_reports.main([str(tmp_path / side), "short-range-contrast"]) == 0
+    assert (tmp_path / "a" / "short-range-contrast" / "profiles.csv").is_file()
+    capsys.readouterr()
+    assert compare_reports.main(str(tmp_path / "a"), str(tmp_path / "b")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= 5 and all(line.endswith(": identical") for line in lines)
+
+
+def test_write_reports_rejects_another_checkout(tmp_path, capsys):
+    # the script copied into another tree finds nlspair imported from this
+    # one: exit 2 before any pipeline runs
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(SCRIPTS / "write_reports.py", tmp_path / "scripts")
+    spec = importlib.util.spec_from_file_location("copied", tmp_path / "scripts" / "write_reports.py")
+    copied = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copied)
+    assert copied.main([str(tmp_path / "out")]) == 2
+    assert "not from" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_pairs_summary():
     # four pairs in which the change reads 10 lower on every metric but one
     # pair's analyze wall_s: the quartiles, the pairs won and the median change
