@@ -27,7 +27,7 @@ import numpy as np
 from nlspair import dynamics
 from nlspair.dynamics import DtPolicy, run
 from nlspair.harness import generate_initial_data, preset_decoupling_headline
-from nlspair.profiles import build_case_records, profile_history, remainder_history
+from nlspair.profiles import build_case_records, profile_history
 
 
 def _policy(text: str) -> DtPolicy:
@@ -50,7 +50,7 @@ def measure(policy: DtPolicy) -> dict:
     finally:
         dynamics._free_multiplier_fft = real
     profiles = profile_history(traj)
-    table = build_case_records(profiles, remainder_history(traj, profiles))
+    table = build_case_records(profiles)
     return {"policy": {"dt": policy.dt, "rate": policy.rate},
             "steps": traj.provenance["n_steps"], "run_wall_s": wall,
             "multiplier_evaluations": len(taus),

@@ -20,7 +20,6 @@ from .dynamics import (
     DtPolicy,
     SolverConfig,
     Trajectory,
-    coupled_decay_ratios,
     mass_ledger,
     run,
 )

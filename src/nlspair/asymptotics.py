@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .dynamics import coupled_decay_ratios
+from .dynamics import _decay_scales
 
 
 def reduced_flow_profiles(alpha: np.ndarray, t: float, t_target: float) -> np.ndarray:
@@ -36,9 +36,8 @@ def reduced_flow_profiles(alpha: np.ndarray, t: float, t_target: float) -> np.nd
     """
     if t_target < t:
         raise ValueError("reduced flow is forward-only")
-    r = coupled_decay_ratios(np.abs(alpha[0]) ** 2, np.abs(alpha[1]) ** 2,
-                             math.log(t_target / t))
-    return alpha * np.sqrt(r)
+    a, b = np.abs(np.reshape(alpha, (2, -1))) ** 2
+    return alpha * np.reshape(_decay_scales(a, b, math.log(t_target / t)), np.shape(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +228,6 @@ def linear_ode_limit(record: LinearODERecord, ys) -> LinearLimitReport:
     s = np.log(ts)
     lam, q = record.lam, record.q
 
-    def tail(vals, pow_):
-        return vals[-1] * ts[-1] / (pow_ - 1.0)
-
     def richardson(vals):
         full = np.trapezoid(vals * ts, s)
         half = np.trapezoid((vals * ts)[::2], s[::2])
@@ -243,15 +239,16 @@ def linear_ode_limit(record: LinearODERecord, ys) -> LinearLimitReport:
     cols = np.stack([lam, abs_lam, abs_q], axis=-1) * ts[:, None]
     to_T = fits.RunningTrapezoid(-s[::-1])
     lam_to_T, abs_lam_to_T, abs_q_to_T = np.array([to_T.add(c) for c in cols[::-1]])[::-1].T
-    lam_from = lam_to_T + tail(lam, record.lam_tail_pow)
-    abs_lam_from = abs_lam_to_T.real + tail(abs_lam, record.lam_tail_pow)
-    abs_q_from = abs_q_to_T.real + tail(abs_q, record.q_tail_pow)
+    T = ts[-1]
+    lam_from = lam_to_T + fits.power_tail(lam[-1], T, record.lam_tail_pow)
+    abs_lam_from = abs_lam_to_T.real + fits.power_tail(abs_lam[-1], T, record.lam_tail_pow)
+    abs_q_from = abs_q_to_T.real + fits.power_tail(abs_q[-1], T, record.q_tail_pow)
 
     # the declared tail of the source term is added without its exponent
     # factor, which is within exp(tail of |lambda|) of 1 there
     yp = record.y0 * np.exp(lam_from[0])
     yp += np.trapezoid(q * np.exp(lam_from) * ts, s)
-    yp = complex(yp + tail(q, record.q_tail_pow))
+    yp = complex(yp + fits.power_tail(q[-1], T, record.q_tail_pow))
     c3 = float(np.exp(abs_lam_from[0]))
     uncertainty = float(abs(record.y0) * math.exp(float(abs_lam_to_T[0].real))
                         * richardson(lam) + richardson(q))

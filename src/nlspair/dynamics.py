@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .errors import ConfigError, GuardViolation, NumericsError, finite_real
 from .spectral import (
     ComplexField,
@@ -86,7 +85,8 @@ class DtPolicy:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, time window, step policy and coupling for one run."""
+    """Grid, time window, step policy and coupling for one run; a run stops
+    at its last checkpoint, so ``checkpoint_times``, when given, end at t_end."""
 
     n_points: int
     length: float
@@ -107,9 +107,10 @@ class SolverConfig:
             cps = tuple(finite_real(t, "checkpoint time") for t in self.checkpoint_times)
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ConfigError("checkpoint times must be strictly increasing")
-            if cps and (cps[0] < self.t_start - _time_tol(self.t_start)
-                        or cps[-1] > self.t_end + _time_tol(self.t_end)):
-                raise ConfigError("checkpoint times must lie within [t_start, t_end]")
+            if not cps or cps[0] < self.t_start - _time_tol(self.t_start) \
+                    or abs(cps[-1] - self.t_end) > _time_tol(self.t_end):
+                raise ConfigError(f"need checkpoint times within [t_start, t_end], the last "
+                                  f"at t_end = {self.t_end:g}")
             object.__setattr__(self, "checkpoint_times", cps)
         elif not np.all(np.diff(self.resolved_checkpoints()) > 0):
             lo = max(self.t_start, T_MIN)
@@ -280,24 +281,6 @@ def _decay_scales(a0: np.ndarray, b0: np.ndarray, s: float):
     return k1, h
 
 
-def coupled_decay_ratios(a0: np.ndarray, b0: np.ndarray, s: float):
-    """Squared-amplitude ratios after time ``s`` of ``a' = -2ab, b' = -2ab``.
-
-    Returns ``(a(s)/a0, b(s)/b0)`` evaluated by the closed form
-    ``a(s) = m a0 / (a0 - b0 exp(-2 m s))`` with ``m = a0 - b0``, written so
-    that the ``m -> 0`` limit is taken stably and ``a - b = m`` holds to
-    roundoff (:func:`_decay_scales`).  Inputs may be scalars or arrays of
-    any matching shape.
-    """
-    if s < 0:
-        raise ValueError("forward decay only: s must be nonnegative")
-    a0 = np.asarray(a0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    shape = np.broadcast_shapes(a0.shape, b0.shape)
-    k1, k2 = _decay_scales(np.atleast_1d(a0), np.atleast_1d(b0), s)
-    return np.square(k1, out=k1).reshape(shape), np.square(k2, out=k2).reshape(shape)
-
-
 def _decay_substep(v: np.ndarray, dt: float) -> np.ndarray:
     """Exact nonlinear substep on a ``(2, N)`` state, in place; returns the
     ``(2, N)`` squared amplitudes it started from."""
@@ -431,7 +414,7 @@ def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) 
 
     return Trajectory(config=config, ts=cps, states=states, provenance={
         **provenance, "n_steps": len(dts), "dt_min": min(dts, default=None),
-        "dt_max": max(dts, default=None), "version": __version__})
+        "dt_max": max(dts, default=None)})
 
 
 def _strang_scheme(config: SolverConfig, v: np.ndarray):

@@ -1,5 +1,5 @@
-"""Small fitting helpers shared by the profile and scattering analytics: the
-one log-log slope fit, the power-law tail built on it and the one cumulative
+"""Small fitting helpers shared by the analytics and the lemma oracles: the
+one log-log slope fit, the one power-law tail and the one cumulative
 trapezoid."""
 
 from __future__ import annotations
@@ -22,19 +22,11 @@ def loglog_slopes(ts, series):
     return (np.log(safe) * x).sum(axis=-1) / (x * x).sum()
 
 
-def power_tail(ts, series):
-    """``integral_T^inf series(t) dt`` from a power law fitted on ``ts``.
-
-    Fits ``series ~ c t^p`` along the last axis (``T = ts[-1]``) and returns
-    ``(tail, ok)`` with ``tail = series[..., -1] T / -(p+1)``.  The integral
-    converges only for ``p < -1``; elsewhere ``ok`` is False and ``tail`` is
-    NaN, and the caller picks its own fallback.
-    """
-    ts = np.asarray(ts, dtype=float)
-    p = loglog_slopes(ts, series)
-    ok = p < -1.0
-    last = np.asarray(series)[..., -1] * ts[-1]
-    return np.where(ok, last / np.where(ok, -(p + 1.0), 1.0), np.nan), ok
+def power_tail(f_T, T, k):
+    """``integral_T^inf f(t) dt = f(T) T / (k - 1)`` of the power law
+    ``f(t) = f(T) (t/T)^-k``, which converges for ``k > 1``; elementwise
+    over arrays of ``f(T)`` and ``k``."""
+    return f_T * T / (k - 1.0)
 
 
 class RunningTrapezoid:

@@ -281,7 +281,7 @@ class ExperimentConfig:
         try:
             solver = SolverConfig(
                 dt_policy=policy,
-                checkpoint_times=tuple(cps) if cps else None,
+                checkpoint_times=None if cps is None else tuple(cps),
                 **solver_d,
             )
         except TypeError as exc:
@@ -606,9 +606,10 @@ def _stage(manifest: dict, name: str):
 def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisOptions,
                             manifest: dict | None = None) -> list[str]:
     """Write the ledger, the per-frequency case table, and the remainder and
-    decoupling histories, each once, as CSV; ``profiles.json`` holds the two
-    run-level numbers no CSV does.  Under the conservative coupling no
-    companion dies, so the labels are only the sign of the imbalance and the
+    decoupling histories, each once, as CSV; ``profiles.json`` holds the
+    run-level numbers no CSV does (``deadband``, ``discrepancy`` and
+    ``balance_residual``).  Under the conservative coupling no companion
+    dies, so the labels are only the sign of the imbalance and the
     survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty.
 
     With a pipeline's ``manifest``, the wall time of each part goes in its
@@ -624,14 +625,14 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
         with _stage(manifest, "profiles"):
             profiles = profile_history(traj)
         with _stage(manifest, "remainder"):
-            probes = remainder_history(traj, profiles)
+            ratio = remainder_history(traj, profiles).bound_ratio
         with _stage(manifest, "case_table"):
-            table = build_case_records(profiles, probes)
+            table = build_case_records(profiles)
         with _stage(manifest, "decoupling"):
             dec = decoupling_history(profiles)
-        ts, ratio = probes.ts, probes.bound_ratio
+        ts = profiles.ts
         # the histories die here, before any report is formatted
-        del profiles, probes
+        del profiles
     with _stage(manifest, "writing"):
         paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
                            [traj.ts, *traj.ledger.T])]
@@ -646,7 +647,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
                           [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
                            *limit]),
                 write_json(out_dir / "profiles.json", "profiles",
-                           {"deadband": table.deadband, "discrepancy": table.discrepancy}),
+                           {"deadband": table.deadband, "discrepancy": table.discrepancy,
+                            "balance_residual": table.balance_residual}),
                 write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
                           [ts, ratio]),
                 write_csv(out_dir / "decoupling.csv", "decoupling",

@@ -73,7 +73,7 @@ def check_window(ts) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RemainderHistory:
     """What the reports read of the profile-equation remainder R at the
-    checkpoints ``ts``; R itself is kept only on the last rows.
+    checkpoints ``ts`` of its profiles; R itself is kept only on the last rows.
 
     - ``peak[i]``: ``max_xi <xi> |R|`` at ``ts[i]``, the quantity of the
       decay estimate.
@@ -95,7 +95,6 @@ class RemainderHistory:
     The arrays are read-only.
     """
 
-    ts: np.ndarray
     peak: np.ndarray
     bound_ratio: np.ndarray
     m_b: np.ndarray
@@ -109,8 +108,6 @@ class ProfileHistory:
     checkpoints ``ts``; neither the ``(n_t, 2, N)`` stack itself nor any
     ``(n_t, N)`` array of it is kept.
 
-    - ``imbalance_last`` (``(N,)``): the imbalance ``|alpha1|^2 -
-      |alpha2|^2`` at ``ts[-1]``, the estimate ``m_a`` of its limit.
     - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
       ``ts[-1]``.
     - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
@@ -125,7 +122,6 @@ class ProfileHistory:
 
     ts: np.ndarray
     grid: Grid
-    imbalance_last: np.ndarray
     first: np.ndarray
     last: np.ndarray
     moduli: np.ndarray
@@ -223,9 +219,9 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     Each block returns its rows of the imbalance and of the balance-law
     integrand ``rho``, which are folded on the calling thread in checkpoint
     order: the running integral of ``rho`` (``fits.RunningTrapezoid``), the
-    first and last imbalance rows and the largest miss of the balance law
-    per row.  The first row enters ``m_b`` and the misses, and is not kept.
-    No ``(n_t, N)`` array is formed.
+    first imbalance row and the largest miss of the balance law per row.
+    The first row enters ``m_b`` and the misses, and is not kept.  No
+    ``(n_t, N)`` array is formed.
     """
     i0 = _first_row(traj)
     ts, grid = traj.ts[i0:], traj.grid
@@ -274,31 +270,29 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
             r_tail[lo - tail:b.stop - tail] = rb[lo - b.start:]
         return imbalance, rho
 
-    # the balance law along the checkpoints: the imbalance's first and last
-    # rows, the running integral of rho and the largest miss per row
+    # the balance law along the checkpoints: the imbalance's first row, the
+    # running integral of rho and the largest miss per row
     integral = fits.RunningTrapezoid(ts)
     worst = []
-    m_first = m_last = None
+    m_first = None
 
     def fold(rows):
-        nonlocal m_first, m_last
+        nonlocal m_first
         for m, rho in zip(*rows):
             if m_first is None:
                 m_first = m.copy()
             miss = m - m_first
             miss -= integral.add(rho)
             worst.append(np.max(np.abs(miss)))
-            m_last = m
 
     _each_block(block, _blocks(grid, n_t), fold)
-    m_last = m_last.copy()
     m_b = m_first + integral.total
     denom = (h1 + jh1) ** 3
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
-    for arr in (m_last, first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
+    for arr in (first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
         arr.flags.writeable = False
-    return ProfileHistory(ts, grid, m_last, first, last, moduli, sup, l2,
-                          RemainderHistory(ts, peak, ratio, m_b, float(np.max(worst)), r_tail))
+    return ProfileHistory(ts, grid, first, last, moduli, sup, l2,
+                          RemainderHistory(peak, ratio, m_b, float(np.max(worst)), r_tail))
 
 
 def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
@@ -429,9 +423,10 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, m_a: np.ndarray,
     """
     beta = surv * np.sqrt(np.abs(m_a) / np.abs(surv) ** 2)
     r_abs = np.abs(r_surv)
-    # no integrable power law fits the tail: fall back to |R(T)| T
-    r_tail, ok = fits.power_tail(ts, r_abs)
-    r_tail = np.where(ok, r_tail, r_abs[..., -1] * ts[-1])
+    # |R| ~ t^-k; where no integrable power law fits (k <= 1), fall back to
+    # |R(T)| T, the tail of k = 2
+    k = -fits.loglog_slopes(ts, r_abs)
+    r_tail = fits.power_tail(r_abs[..., -1], ts[-1], np.where(k > 1.0, k, 2.0))
     return beta, r_tail + np.abs(m_a - m_b) / (2.0 * np.sqrt(np.abs(m_a)))
 
 
@@ -439,23 +434,23 @@ def _beta_plus_arrays(ts: np.ndarray, surv: np.ndarray, m_a: np.ndarray,
 # full per-frequency report
 # ---------------------------------------------------------------------------
 
-def build_case_records(profiles: ProfileHistory, probes: RemainderHistory) -> CaseTable:
+def build_case_records(profiles: ProfileHistory) -> CaseTable:
     """Classify every frequency and attach decay fits and limit estimates.
 
-    ``profiles`` and ``probes`` are the :func:`profile_history` and
-    :func:`remainder_history` of one run.  Decay exponents are fitted for
-    the decaying companion at surviving frequencies; the survivor's limit is
-    read from the imbalance at the last checkpoint, with an error bar that
-    reports the remainder's fitted tail and the imbalance discrepancy, never
-    silently dropped.  All per-frequency work is vectorised.  Raises
+    ``profiles`` is the :func:`profile_history` of a run.  Decay exponents
+    are fitted for the decaying companion at surviving frequencies; the
+    survivor's limit is read from the imbalance at the last checkpoint, with
+    an error bar that reports the remainder's fitted tail and the imbalance
+    discrepancy, never silently dropped.  All per-frequency work is vectorised.  Raises
     ValueError unless the checkpoints hold an analysable window
     (:func:`check_window`).
     """
     ts = profiles.ts
     window = check_window(ts)
-    # m_a and m_b are the reductions of the imbalance that profile_history
-    # folded; their gap is read on the frequencies resolved at the start
-    m_a, m_b = profiles.imbalance_last, probes.m_b
+    # m_a is the imbalance at the last checkpoint and m_b the balance law's
+    # estimate of it; their gap is read on the frequencies resolved at the start
+    probes = profiles.remainder
+    m_a, m_b = np.abs(profiles.last[0]) ** 2 - np.abs(profiles.last[1]) ** 2, probes.m_b
     amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0

@@ -256,11 +256,12 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     times from ``T_max`` backward.  ``pull(b)`` forms the block's x-space
     iterate, the start on the first application and the push-forward of
     its profiles after that, and pulls back its ``N(v)`` on the analytics'
-    pool.  ``fold`` takes the blocks on the calling thread in the same
-    order: it carries the tail integral ``int_t^{T_max} G``, the only step
-    that couples the sample times, row by row in a
-    ``fits.RunningTrapezoid`` at ``-taus[::-1]``, adds ``psi_hat`` and
-    zeroes the Nyquist slot.  The difference of the new and old profiles is
+    pool; on the first application it also returns the start's Nyquist
+    mode, which enters the first distance.  ``fold`` takes the blocks on the
+    calling thread in the same order: it carries the tail integral
+    ``int_t^{T_max} G``, the only step that couples the sample times, row by
+    row in a ``fits.RunningTrapezoid`` at ``-taus[::-1]``, adds ``psi_hat``
+    and zeroes the Nyquist slot.  The difference of the new and old profiles is
     then formed in the block's own rows of the stack, the distance is read
     off it, and the new profiles are written there: a block's old profiles
     are read only by its own pull-back, which has returned, and by that
@@ -276,9 +277,6 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     # one table for every transform of the construction, since the times are
     # fixed, kept as its signed half spectrum; the start fills it block by block
     halves = np.empty((n_t, 1, half), dtype=np.complex128)
-    # a start that is not band-limited, like w#, has a Nyquist mode, and it
-    # enters the first distance
-    nyq = np.empty((n_t, 2), dtype=np.complex128)
     l2_sq = np.empty((n_t, 2))
     j_sq = np.empty((n_t, 2))
 
@@ -287,28 +285,28 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
         return _push_forward(g, alpha[b], taus[b, None], table), table
 
     def pull(b):
+        nyq = None
         if k == 1:
             table = _profile_multiplier(g, taus[b])[:, None]
             halves[b] = table[..., half:]
             v = start(taus[b])
-            nyq[b] = _nyquist(g, v)
+            nyq = _nyquist(g, v)      # w#, say, is not band-limited
             alpha[b] = _pull_back(g, v, taus[b, None], table)
         else:
             v, table = forward(b)
         # N_j(v) = |v_k|^2 v_j, k the other component
         nv = np.multiply(np.abs(v[:, ::-1]) ** 2, v)
-        return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True)
+        return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True), nyq
 
     def fold(result):
-        b, pulled = result
+        b, pulled, nyq = result
         new = np.empty_like(pulled)
         for i in range(len(pulled) - 1, -1, -1):
             np.add(tail.add(pulled[i]), spec.psi_hat, out=new[i])
         new[..., 0] = 0.0
         # the distance of the iterates is read off their profiles, with the
         # difference formed in the old profiles' rows, which then take the new
-        l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(new, alpha[b], out=alpha[b]),
-                                        nyq[b] if k == 1 else None)
+        l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(new, alpha[b], out=alpha[b]), nyq)
         alpha[b] = new
 
     def final(b):

@@ -43,7 +43,6 @@ from nlspair.profiles import (
     build_case_records,
     decoupling_history,
     profile_history,
-    remainder_history,
 )
 from nlspair.spectral import _forward_array, _inverse_array
 
@@ -75,9 +74,8 @@ def headline():
     state = generate_initial_data(cfg.data1, cfg.data2, cfg.solver.grid, cfg.seed)
     traj = run(cfg.solver, state)
     profiles = profile_history(traj)
-    probes = remainder_history(traj, profiles)
-    table = build_case_records(profiles, probes)
-    return {"cfg": cfg, "traj": traj, "profiles": profiles, "probes": probes, "table": table}
+    table = build_case_records(profiles)
+    return {"cfg": cfg, "traj": traj, "profiles": profiles, "table": table}
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +404,7 @@ def test_scatter_case_records_recover_final_state(scatter):
     # the last checkpoint (the construction error) and its error bar
     spec, traj = scatter["spec"], scatter["traj"]
     profiles = profile_history(traj)
-    table = build_case_records(profiles, remainder_history(traj, profiles))
+    table = build_case_records(profiles)
     labels = table.label
     alpha_T = profiles.last
     on1, on2 = spec.psi_hat != 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlspair.fits import RunningTrapezoid, loglog_slopes, power_tail
+from nlspair.profiles import _beta_plus_arrays
 
 from conftest import cumtrapz_from_end, cumtrapz_from_start
 
@@ -20,22 +21,34 @@ class TestPowerLawFits:
     def test_underflow_is_clipped_not_nan(self):
         assert loglog_slopes(self.ts, np.zeros(8)) == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def survivor_tail(ts, r):
+        """The survivor's error bar on a remainder series ``r`` with no
+        imbalance discrepancy: the fitted tail of ``|r|`` beyond T alone."""
+        ones = np.ones(r.shape[:-1])
+        return _beta_plus_arrays(ts, ones + 0j, ones, ones, r)[1]
+
     def test_tail_closed_form(self):
-        # integral_T^inf c t^p dt = c T^(p+1) / -(p+1) where p < -1
-        tail, ok = power_tail(self.ts, self.series)
+        # integral_T^inf c t^p dt = c T^(p+1) / -(p+1) where p < -1, with the
+        # exponent given and with the one the survivor's error bar fits
         q = self.p[:, 0] + 1.0
-        assert np.array_equal(ok, np.broadcast_to(q < 0, (2, 4)))
         T = self.ts[-1]
-        exact = self.c[:, :, 0] * T ** q / -q
-        assert np.allclose(tail[ok], np.broadcast_to(exact, (2, 4))[ok], rtol=1e-10, atol=0)
-        assert np.all(np.isnan(tail[~ok]))
+        exact = np.broadcast_to(self.c[:, :, 0] * T ** q / -q, (2, 4))
+        ok = np.broadcast_to(q < 0, (2, 4))
+        given = power_tail(self.series[..., -1], T, -self.p[:, 0])
+        assert np.allclose(given[ok], exact[ok], rtol=1e-12, atol=0)
+        tail = self.survivor_tail(self.ts, self.series)
+        assert np.allclose(tail[ok], exact[ok], rtol=1e-10, atol=0)
+        # elsewhere the error bar falls back to |R(T)| T
+        assert np.array_equal(tail[~ok], (self.series[..., -1] * T)[~ok])
 
     def test_no_tail_when_not_integrable(self):
-        # p > -1: slowly decaying, flat and growing series
+        # p > -1: slowly decaying, flat and growing series; the error bar
+        # falls back to |R(T)| T
         p = np.array([-0.9, -0.5, 0.0, 0.3])[:, None]
-        tail, ok = power_tail(self.ts, 1.5 * self.ts ** p)
-        assert not np.any(ok)
-        assert np.all(np.isnan(tail))
+        series = 1.5 * self.ts ** p
+        tail = self.survivor_tail(self.ts, series)
+        assert np.array_equal(tail, series[..., -1] * self.ts[-1])
 
 
 @pytest.mark.parametrize("n_t, from_end", [(1, False), (2, False), (37, False), (1, True),

@@ -38,7 +38,6 @@ from nlspair.profiles import (
     SURVIVOR_1,
     build_case_records,
     profile_history,
-    remainder_history,
 )
 from nlspair.spectral import _forward_array, _push_forward
 
@@ -393,7 +392,10 @@ class TestPipelines:
         top = {p.name for p in (tmp_path / "a").iterdir() if p.is_file()}
         assert top == csvs | {"profiles.json", "manifest.json"}
         data = json.loads((tmp_path / "a" / "profiles.json").read_text())["data"]
-        assert set(data) == {"deadband", "discrepancy"}
+        assert set(data) == {"deadband", "discrepancy", "balance_residual"}
+        table = build_case_records(profile_history(res1["trajectory"]))
+        assert [data[k] for k in ("deadband", "discrepancy", "balance_residual")] == \
+            [table.deadband, table.discrepancy, table.balance_residual]
         # a limit value is written exactly where a component survives
         rows = [r.split(",") for r in
                 (tmp_path / "a" / "profiles.csv").read_text().splitlines()[2:]]
@@ -457,7 +459,7 @@ class TestPipelines:
         # beta_plus is, and the table's beta_tail_err on every survivor row
         traj = load_trajectory(stored_run, ExperimentConfig.from_dict(tiny_config_dict()))
         profiles = profile_history(traj)
-        table = build_case_records(profiles, remainder_history(traj, profiles))
+        table = build_case_records(profiles)
         rows = [r.split(",") for r in
                 (stored_run / "profiles.csv").read_text().splitlines()[2:]]
         assert [r[3] for r in rows] == list(table.label)
@@ -472,7 +474,7 @@ class TestPipelines:
         d["solver"] = {**d["solver"], "coupling": "conservative"}
         traj = run_simulate(ExperimentConfig.from_dict(d), tmp_path)["trajectory"]
         profiles = profile_history(traj)
-        table = build_case_records(profiles, remainder_history(traj, profiles))
+        table = build_case_records(profiles)
         assert np.count_nonzero(table.label == SURVIVOR_1) > 0
         rows = [r.split(",") for r in
                 (tmp_path / "profiles.csv").read_text().splitlines()[2:]]
@@ -627,6 +629,25 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
         assert "need t_end > 2" in err and not out.exists()
+
+    @pytest.mark.parametrize("checkpoints", [[], [0.0, 5.0, 10.0]], ids=["empty", "early"])
+    def test_cli_checkpoints_end_at_t_end(self, tmp_path, capsys, checkpoints):
+        # a run stops at its last checkpoint: an empty list, or one that ends
+        # before t_end, is a config error before any compute, not a run to
+        # the default grid or one that stops early
+        d = {"name": "early", "seed": 1,
+             "solver": {"n_points": 256, "length": 400.0, "t_end": 100.0,
+                        "checkpoint_times": checkpoints},
+             "analysis": {"profiles": False},
+             "data1": {"kind": "gaussian", "amp": 0.08, "width": 4.0},
+             "data2": {"kind": "gaussian", "amp": 0.05, "width": 5.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+        assert "the last at t_end = 100" in err and not out.exists()
 
     def test_cli_diagnostic_value_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def too_short(*args, **kwargs):

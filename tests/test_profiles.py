@@ -181,7 +181,6 @@ class TestStreamedAnalytics:
         alpha = one_shot_profiles(traj)
         window = profiles.ts >= 0.1 * profiles.ts[-1]
         imbalance = np.abs(alpha[:, 0]) ** 2 - np.abs(alpha[:, 1]) ** 2
-        assert np.array_equal(profiles.imbalance_last, imbalance[-1])
         assert np.array_equal(profiles.first, alpha[0])
         assert np.array_equal(profiles.last, alpha[-1])
         assert np.array_equal(profiles.moduli, np.abs(alpha[window]))
@@ -202,7 +201,7 @@ class TestStreamedAnalytics:
         # R itself on the rows of the survivor's tail fit, here the last N_FIT
         assert len(profiles) > P.N_FIT
         assert np.array_equal(probes.r_tail, r[-P.N_FIT:])
-        table = build_case_records(profiles, probes)
+        table = build_case_records(profiles)
         m_a, m_b, disc, resid = _one_shot_imbalance(profiles.ts, alpha, r)
         assert np.array_equal(table.m_a, m_a)
         assert np.array_equal(table.m_b, m_b)
@@ -226,7 +225,7 @@ class TestStreamedAnalytics:
 def _analytics(traj):
     profiles = profile_history(traj)
     probes = remainder_history(traj, profiles)
-    return profiles, probes, build_case_records(profiles, probes)
+    return profiles, probes, build_case_records(profiles)
 
 
 class TestThreadedBlocks:
@@ -416,9 +415,9 @@ class TestRemainderProbe:
     def test_weighted_remainder_decays(self, generic_run):
         # the peak max <xi>|R|, which test_blocks_match_one_shot_bitwise
         # checks against the whole stack of R
-        _, _, probes = generic_run
-        sel = probes.ts >= 15.0
-        slope = np.polyfit(np.log(probes.ts[sel]), np.log(probes.peak[sel]), 1)[0]
+        _, profiles, probes = generic_run
+        sel = profiles.ts >= 15.0
+        slope = np.polyfit(np.log(profiles.ts[sel]), np.log(probes.peak[sel]), 1)[0]
         assert slope <= -1.1
 
     def test_history_reuses_snapshots_bitwise(self, generic_run):
@@ -470,7 +469,7 @@ def _traced_analytics(monkeypatch):
     try:
         profiles = profile_history(traj)
         probes = remainder_history(traj, profiles)
-        build_case_records(profiles, probes)
+        build_case_records(profiles)
         decoupling_history(profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -506,8 +505,8 @@ class TestAnalyticsMemory:
 
 class TestEstimateM:
     def test_free_component(self, free_component_run):
-        _, profiles, probes = free_component_run
-        table = build_case_records(profiles, probes)
+        _, profiles, _ = free_component_run
+        table = build_case_records(profiles)
         phi_hat_sq = np.abs(profiles.first[0]) ** 2
         assert np.all(table.m_a >= -1e-15)
         assert np.max(np.abs(table.m_a - phi_hat_sq)) < 1e-10
@@ -523,14 +522,14 @@ class TestEstimateM:
         assert np.max(np.abs(table.m_a)) < 1e-14
 
     def test_estimators_agree(self, generic_run):
-        table = build_case_records(*generic_run[1:])
+        table = build_case_records(generic_run[1])
         assert table.deadband == max(1e-3, 3.0 * table.discrepancy)
         mask = np.abs(table.m_a) > table.deadband
         rel = np.abs(table.m_a - table.m_b)[mask] / np.abs(table.m_a)[mask]
         assert np.max(rel) < 0.02
 
     def test_balance_law_residual_small(self, generic_run):
-        table = build_case_records(*generic_run[1:])
+        table = build_case_records(generic_run[1])
         scale = np.max(np.abs(table.m_a))
         assert table.balance_residual <= 0.03 * scale
 
@@ -638,8 +637,8 @@ class TestBetaPlus:
             assert np.all(error <= table.beta_tail_err[cols])
 
     def test_free_component_exact(self, free_component_run):
-        traj, profiles, probes = free_component_run
-        table = build_case_records(profiles, probes)
+        traj, profiles, _ = free_component_run
+        table = build_case_records(profiles)
         k = traj.config.grid.n_points // 2
         assert table.label[k] == SURVIVOR_1
         assert abs(table.beta_plus[k] - profiles.first[0, k]) < 1e-12
@@ -650,9 +649,9 @@ class TestBetaPlus:
         # all of them up to 150 agree within the sum of their error bars,
         # on every column both name a survivor; xi = 0 is one, on the
         # component the table names
-        traj, profiles, probes = request.getfixturevalue(
+        traj, profiles, _ = request.getfixturevalue(
             "generic_run" if which == 1 else "swapped_run")
-        table = build_case_records(profiles, probes)
+        table = build_case_records(profiles)
         k = int(np.argmin(np.abs(table.xi)))
         assert table.label[k] == (SURVIVOR_1 if which == 1 else SURVIVOR_2)
         n = int(np.searchsorted(traj.ts, P.T_FINAL)) + 1
@@ -667,8 +666,8 @@ class TestBetaPlus:
 
 class TestCaseRecords:
     def test_full_report(self, generic_run):
-        traj, profiles, probes = generic_run
-        table = build_case_records(profiles, probes)
+        traj, profiles, _ = generic_run
+        table = build_case_records(profiles)
         g = traj.config.grid
         columns = {k: v for k, v in vars(table).items() if np.ndim(v)}
         assert set(vars(table)) - set(columns) == {"deadband", "discrepancy",
@@ -689,8 +688,8 @@ class TestCaseRecords:
 
     def test_log_decay_not_applied_to_survivors(self, generic_run):
         # routing check: the balanced-case fit guard is the classification
-        _, profiles, probes = generic_run
-        table = build_case_records(profiles, probes)
+        _, profiles, _ = generic_run
+        table = build_case_records(profiles)
         assert np.all(np.isnan(table.fitted_exponent[table.label == BALANCED]))
         survivors = np.flatnonzero(table.label == SURVIVOR_1)
         assert not np.any(np.isinf(table.fitted_exponent[survivors]))

@@ -175,13 +175,12 @@ class TestFreePropagate:
         assert _profile_multiplier(g, ts).tobytes() == direct.tobytes()
 
     def test_dt_zero_is_identity(self, small_grid):
-        # a run without steps records its initial state unchanged
+        # a checkpoint at t_start records the initial state unchanged
         v = np.stack([gaussian_field(small_grid, 0.3, 2.0),
                       gaussian_field(small_grid, 0.2, 3.0, velocity=0.4)])
         cfg = SolverConfig(n_points=small_grid.n_points, length=small_grid.length,
-                           t_start=1.0, t_end=2.0, checkpoint_times=(1.0,))
+                           t_start=1.0, t_end=2.0, checkpoint_times=(1.0, 2.0))
         traj = run(cfg, v)
-        assert traj.provenance["n_steps"] == 0
         assert np.array_equal(traj.states[0], v)
 
     def test_plane_wave_eigenmode(self):
