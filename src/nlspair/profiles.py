@@ -160,38 +160,54 @@ def _each_block(fn, blocks: list[slice], fold=None) -> None:
     ``fold``, when given, on each block's result, on the calling thread and
     in block order.
 
-    numpy releases the GIL inside its FFTs and ufuncs, each block writes
-    only its own rows with per-row reductions, and the folds run in block
-    order, so the results do not depend on the number of threads.  At most
-    ``2 x workers`` blocks are in flight, submitted but not yet folded: the
-    next block is submitted once the earliest is folded, and its result
-    dropped, so what is held at any time is the results of the blocks in
-    flight, not of the whole run, however slow the fold.  One worker or one
-    block runs inline.  An exception a block raises propagates unchanged
-    (the earliest block's, if several raise), the blocks not yet started are
-    cancelled, and the pool's threads are joined before return.
+    A fold may return a follow-up, a callable of no arguments: the part of
+    its work that need not run in block order.  The follow-up runs on the
+    pool (inline, right after its fold, with one worker), at most
+    ``workers`` of them are pending at once, and every one has finished
+    before return.
+
+    numpy releases the GIL inside its FFTs and ufuncs, each block and each
+    follow-up writes only its own rows with per-row reductions, and the
+    folds run in block order, so the results do not depend on the number of
+    threads.  At most ``2 x workers`` blocks are in flight, submitted but
+    not yet folded: the next block is submitted once the earliest is folded,
+    and its result dropped, so what is held at any time is the results of
+    the blocks in flight and of the pending follow-ups, not of the whole
+    run, however slow the fold.  One worker or one block runs inline.  An
+    exception a block or a follow-up raises propagates unchanged (the one
+    the calling thread meets first: blocks and follow-ups are joined in
+    order), the blocks and follow-ups not yet started are cancelled, and the
+    pool's threads are joined before return.
     """
     workers = min(_workers(), len(blocks))
     if workers <= 1:
         for result in map(fn, blocks):
-            if fold is not None:
-                fold(result)
+            later = fold(result) if fold is not None else None
+            if later is not None:
+                later()
         return
     # imported here: it would add to the start-up of every CLI call
     from concurrent.futures import ThreadPoolExecutor
     todo = iter(blocks)
     with ThreadPoolExecutor(workers) as pool:
         flight = deque(pool.submit(fn, b) for b in islice(todo, 2 * workers))
+        pending = deque()
         try:
             while flight:
                 result = flight.popleft().result()
-                if fold is not None:
-                    fold(result)
+                later = fold(result) if fold is not None else None
                 del result
+                if later is not None:
+                    if len(pending) == workers:
+                        pending.popleft().result()
+                    pending.append(pool.submit(later))
+                    del later
                 for b in islice(todo, 1):
                     flight.append(pool.submit(fn, b))
+            while pending:
+                pending.popleft().result()
         finally:
-            for future in flight:
+            for future in (*flight, *pending):
                 future.cancel()
 
 
@@ -208,9 +224,10 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)``, in one pass
     over blocks of the states, reduced to a :class:`ProfileHistory`.
 
-    Per block: one pull-back of the pair, the two transforms of the J-norm
-    on that profile and one pull-back of both nonlinearities, 4 FFT calls;
-    no ``(n_t, 2, N)`` stack of profiles or of R is formed.  Each block
+    Per block: one pull-back of both nonlinearities, one of the pair and
+    the two transforms of the J-norm on that profile, 4 FFT calls; no
+    ``(n_t, 2, N)`` stack of profiles or of R is formed, and the block's
+    states are dropped once both pull-backs have read them.  Each block
     indexes only its own rows of ``traj.states``: the states of a stored
     run (``harness.StoredStates``) are read from its files there, on the
     block's thread, once per pass, and the CheckpointError of a file that
@@ -238,7 +255,11 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     def block(b):
         # only the block's rows: a stored run reads them from its files here
         s, t = traj.states[i0 + b.start:i0 + b.stop], ts[b, None]
+        # both pull-backs read the states first, so a stored run's block of
+        # them is dropped before the J-norm transforms
+        fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
         a = _pull_back(grid, s, t)
+        del s
         if b.start == 0:
             first[...] = a[0]
         if b.stop == n_t:
@@ -255,7 +276,6 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
         h1[b] = np.sqrt(grid.dxi * np.sum(w2 * sa, axis=(1, 2)))
         # |F J u| = |F(x F^-1 alpha)| off the Nyquist slot, on the profile
         jh1[b] = np.sqrt(grid.dxi * np.sum(w2 * np.abs(_j_spectrum(grid, a)) ** 2, axis=(1, 2)))
-        fn = _pull_back(grid, np.abs(s[:, ::-1]) ** 2 * s, t, overwrite_x=True)
         rb = np.multiply(sa[:, ::-1], a)
         del sa
         # numpy divides a complex by t + 0j as x * (1/t): the same bits, as reals

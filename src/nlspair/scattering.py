@@ -151,13 +151,26 @@ def _w_sharp_arrays(spec: FinalStateSpec, t):
     ``w#`` keeps the exact L2 norm of psi+ and has sup norm
     ``delta / sqrt(t)``; the remainder ``U(t) psi+ - w#`` decays like
     ``t^(-s0/2)`` in L2 and ``t^(-(s0-1)/2)`` after J.
+
+    ``psi_hat(x/t)`` is evaluated on the whole grid, but the scale, the
+    chirp and their product only on each row's support: the contiguous
+    range of nodes from the first to the last at which either component of
+    ``psi_hat(x/t)`` is nonzero.  They are the same ufuncs on slices, so
+    the values there are the whole-grid formula's, and the rest is zero.
     """
     g = spec.grid
     t = np.asarray(t, dtype=float)[..., None]
-    y = g.x / t
-    scale = 1.0 / np.sqrt(1j * t)
-    chirp = np.exp(0.5j * g.x ** 2 / t)
-    return (scale * chirp)[..., None, :] * spec.spectrum(y)
+    rows = t.reshape(-1, 1)
+    psi = spec.spectrum(g.x / rows)
+    scale = 1.0 / np.sqrt(1j * rows)
+    out = np.zeros(psi.shape, dtype=np.complex128)
+    for i, on in enumerate(np.any(psi != 0, axis=1)):
+        nz = np.flatnonzero(on)
+        if nz.size:
+            sl = slice(nz[0], nz[-1] + 1)
+            chirp = np.exp(0.5j * g.x[sl] ** 2 / rows[i])
+            np.multiply((scale[i] * chirp)[None, :], psi[i, :, sl], out=out[i, :, sl])
+    return out.reshape(t.shape[:-1] + psi.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +270,21 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     iterate, the start on the first application and the push-forward of
     its profiles after that, and pulls back its ``N(v)`` on the analytics'
     pool; on the first application it also returns the start's Nyquist
-    mode, which enters the first distance.  ``fold`` takes the blocks on the
-    calling thread in the same order: it carries the tail integral
-    ``int_t^{T_max} G``, the only step that couples the sample times, row by
-    row in a ``fits.RunningTrapezoid`` at ``-taus[::-1]``, adds ``psi_hat``
-    and zeroes the Nyquist slot.  The difference of the new and old profiles is
-    then formed in the block's own rows of the stack, the distance is read
-    off it, and the new profiles are written there: a block's old profiles
-    are read only by its own pull-back, which has returned, and by that
-    distance.  Every other step is per row, so the result does not depend
-    on the blocks or the threads.  The final iterate is pushed forward
-    block by block into the same stack, which becomes ``PicardState.v``.
+    mode, which enters the first distance.  A block whose ``N(v)`` vanishes
+    identically, as ``N(w#)`` of decoupled data does, pulls back to zeros
+    without a transform.  ``fold`` takes the blocks on the calling thread in
+    the same order and keeps only what couples the sample times: it carries
+    the tail integral ``int_t^{T_max} G`` row by row in a
+    ``fits.RunningTrapezoid`` at ``-taus[::-1]``, adds ``psi_hat`` and
+    zeroes the Nyquist slot.  It hands the rest back to the pool as its
+    follow-up, ``settle``: the difference of the new and old profiles is
+    formed in the block's own rows of the stack, the distance is read off
+    it, and the new profiles are written there.  A block's old profiles are
+    read only by its own pull-back, which has returned, and by that
+    distance, and every follow-up is joined before the distance is taken.
+    Every other step is per row, so the result does not depend on the
+    blocks or the threads.  The final iterate is pushed forward block by
+    block into the same stack, which becomes ``PicardState.v``.
     """
     if max_iters < 1:
         raise ValueError("need max_iters >= 1: the iterate is built by the map")
@@ -294,8 +311,12 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
             alpha[b] = _pull_back(g, v, taus[b, None], table)
         else:
             v, table = forward(b)
-        # N_j(v) = |v_k|^2 v_j, k the other component
+        # N_j(v) = |v_k|^2 v_j, k the other component; a vanishing one
+        # (w# of decoupled data) pulls back to zeros without a transform
         nv = np.multiply(np.abs(v[:, ::-1]) ** 2, v)
+        if not nv.any():
+            nv.fill(0.0)
+            return b, nv, nyq
         return b, _pull_back(g, nv, taus[b, None], table, overwrite_x=True), nyq
 
     def fold(result):
@@ -304,6 +325,9 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
         for i in range(len(pulled) - 1, -1, -1):
             np.add(tail.add(pulled[i]), spec.psi_hat, out=new[i])
         new[..., 0] = 0.0
+        return partial(settle, b, new, nyq)
+
+    def settle(b, new, nyq):
         # the distance of the iterates is read off their profiles, with the
         # difference formed in the old profiles' rows, which then take the new
         l2_sq[b], j_sq[b] = _profile_sq(g, np.subtract(new, alpha[b], out=alpha[b]), nyq)
@@ -343,12 +367,18 @@ def picard_construct(spec: FinalStateSpec, T: float, T_max: float,
     stops when successive iterates are closer than ``tol`` in the weighted
     sup norm.  Raises :class:`PicardDivergence` when
     the contraction ratio stays above 0.9 (amplitude too large or T too
-    small); rejects non-decoupled data outright, and raises ConfigError
-    before any compute when the free waves reach the box's edge bands by
-    ``T_max``.
+    small); rejects non-decoupled data outright, fewer than two samples and
+    a non-finite ``T``, ``T_max`` or ``tol`` with ValueError, and raises
+    ConfigError before any compute when the free waves reach the box's edge
+    bands by ``T_max``.
     """
     if not spec.decoupled:
         raise ValueError("final state is not decoupled; use obstruction_probe instead")
+    for name, value in (("T", T), ("T_max", T_max), ("tol", tol)):
+        if not math.isfinite(value):
+            raise ValueError(f"need a finite {name}, got {value!r}")
+    if n_time < 2:
+        raise ValueError(f"need n_time >= 2 samples for the tail integral, got {n_time!r}")
     if T < 1.0:
         raise ValueError("need T >= 1")
     if T_max < 10.0 * T:

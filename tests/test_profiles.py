@@ -314,6 +314,75 @@ class TestThreadedBlocks:
         assert max(started) <= 6
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_follow_ups_run_on_the_pool(self, monkeypatch, workers):
+        # a fold's follow-up runs on a pool thread, or inline right after its
+        # fold with one worker, and every one has finished before return
+        monkeypatch.setattr(P, "_workers", lambda: workers)
+        events, threads = [], set()
+
+        def fold(start):
+            events.append(("fold", start))
+
+            def later():
+                time.sleep(0.002)
+                threads.add(threading.get_ident())
+                events.append(("follow-up", start))
+            return later
+
+        P._each_block(lambda b: b.start, [slice(i, i + 1) for i in range(12)], fold)
+        assert sorted(s for kind, s in events if kind == "follow-up") == list(range(12))
+        assert [s for kind, s in events if kind == "fold"] == list(range(12))
+        if workers == 1:
+            assert threads == {threading.get_ident()}
+            assert events == [(kind, i) for i in range(12) for kind in ("fold", "follow-up")]
+        else:
+            assert threading.get_ident() not in threads
+
+    def test_follow_ups_pending_bounded(self, monkeypatch):
+        # fast blocks and slow follow-ups on two workers: when a fold runs,
+        # at most `workers` follow-ups are pending, and they do pile up
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        lock = threading.Lock()
+        pending, most = 0, 0
+
+        def fold(start):
+            nonlocal pending, most
+            with lock:
+                most = max(most, pending)
+                pending += 1
+
+            def later():
+                nonlocal pending
+                time.sleep(0.005)
+                with lock:
+                    pending -= 1
+            return later
+
+        P._each_block(lambda b: b.start, [slice(i, i + 1) for i in range(24)], fold)
+        assert pending == 0
+        assert most == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [5, 39])
+    def test_follow_up_exception_propagates(self, monkeypatch, workers, bad):
+        # an early follow-up, or the last one, raises: its exception
+        # propagates unchanged and the pool is joined
+        monkeypatch.setattr(P, "_workers", lambda: workers)
+        boom = RuntimeError(f"follow-up {bad}")
+
+        def fold(start):
+            def later():
+                if start == bad:
+                    raise boom
+            return later
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            P._each_block(lambda b: b.start, [slice(i, i + 1) for i in range(40)], fold)
+        assert info.value is boom
+        assert threading.active_count() == threads
+
     def test_one_block_starts_no_thread(self, generic_run, monkeypatch):
         traj = generic_run[0]
         monkeypatch.setattr(P, "_workers", lambda: 4)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -199,9 +200,39 @@ def leading_and_remainder(spec, t):
     return sharp, free - sharp
 
 
+def closed_form_w_sharp(spec, ts):
+    """``(i t)^{-1/2} e^{i x^2/2t} psi_hat(x/t)`` on the whole grid, one row
+    per time: ``(n_t, 2, N)``."""
+    g = spec.grid
+    t = np.asarray(ts, dtype=float)[:, None]
+    wave = (1.0 / np.sqrt(1j * t)) * np.exp(0.5j * g.x ** 2 / t)
+    return wave[:, None, :] * spec.spectrum(g.x / t)
+
+
+GAUSS = {"kind": "gauss", "center": -0.2, "sigma": 0.3, "amp": 0.05}
+OVERLAP = {"kind": "window", "lo": -0.5, "hi": 0.5, "amp": 0.1}
+
+
 class TestAsymptoticWave:
     """The leading wave ``_w_sharp_arrays`` that starts the Picard map, and
     its remainder against the free wave ``_push_forward``."""
+
+    @pytest.mark.parametrize("entries,whole", [
+        (([WINDOW_L], [WINDOW_R]), False),
+        (([OVERLAP], [OVERLAP]), False),
+        (([GAUSS], [WINDOW_R]), True),
+    ], ids=["scatter-windows", "overlapping-windows", "gaussian"])
+    def test_matches_closed_form(self, grid, entries, whole):
+        # the wave is formed on each row's support only: value for value the
+        # whole-grid formula, and zero off the support
+        spec = build_final_state(grid, *entries)
+        ts = np.geomspace(50.0, 5000.0, 7)
+        sharp = _w_sharp_arrays(spec, ts)
+        assert np.array_equal(sharp, closed_form_w_sharp(spec, ts))
+        off = ~np.any(spec.spectrum(grid.x / ts[:, None]) != 0, axis=1)
+        assert np.all(sharp.transpose(1, 0, 2)[:, off] == 0)
+        # a Gaussian's support is the whole grid by the last time, a window's never
+        assert (not off[-1].any()) == whole and off[0].any()
 
     def test_decomposition_identity(self, decoupled_spec):
         # rows of the batched waves at an array of times are the waves at each time
@@ -339,15 +370,24 @@ class TestPicard:
             counts.append(sum(fft_calls.values()) - before)
             points.append(fft_points["points"] - before_points)
         assert points[1] == 2 * points[0] > 0
-        # one iteration: the start's profiles, then per block of samples the
-        # map's pull-back, one IFFT for the distance and the final push-forward
-        assert counts[0] == 4 * len(_blocks(g, 24))
-        assert counts[1] == 4 * len(_blocks(g, 48))
+        # one iteration: per block of samples the start's profiles, one IFFT
+        # for the distance and the final push-forward; N(w#) of decoupled
+        # data vanishes, so the map pulls nothing back
+        assert counts[0] == 3 * len(_blocks(g, 24))
+        assert counts[1] == 3 * len(_blocks(g, 48))
         # each further iteration, per block: the push-forward of the old
         # profiles, the map's pull-back and the distance's IFFT; the points
         # transformed are those of one transform per component
         assert counts[2] - counts[1] == 3 * len(_blocks(g, 48))
         assert points[2] - points[1] == 6 * 48 * g.n_points
+
+    def test_first_iteration_pulls_back_coupled_nonlinearity(self, overlap_spec, fft_calls):
+        # overlapping data: N(w#) does not vanish, so the first iteration
+        # pulls it back, 4 transforms per block
+        taus = np.geomspace(50.0, 2000.0, 48)
+        before = sum(fft_calls.values())
+        _picard_iterate(overlap_spec, taus, partial(_w_sharp_arrays, overlap_spec), 1, 0.0)
+        assert sum(fft_calls.values()) - before == 4 * len(_blocks(overlap_spec.grid, 48))
 
     def test_matches_reference_map(self, decoupled_spec):
         # the map before the profile-frame norm, in the code's own conventions:
@@ -425,8 +465,7 @@ def _pin_blocks(monkeypatch, grid, workers, rows):
 
 @pytest.fixture(scope="module")
 def overlap_spec(grid):
-    entry = {"kind": "window", "lo": -0.5, "hi": 0.5, "amp": 0.1}
-    return build_final_state(grid, [entry], [dict(entry)])
+    return build_final_state(grid, [OVERLAP], [dict(OVERLAP)])
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +482,10 @@ def one_shot_iterate(spec, taus, start, max_iters, tol):
     v, k, distances, ratios = one_shot_picard(spec, taus, start(taus), max_iters, tol)
     return PicardState(taus=taus, v=v, iterate_index=k, distances=distances,
                        ratios=ratios, converged=bool(distances[-1] < tol))
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("the iteration ran on parameters it should have rejected")
 
 
 class TestStreamedPicard:
@@ -478,6 +521,23 @@ class TestStreamedPicard:
         # the iterate lives only as profiles, so zero iterations have none to return
         with pytest.raises(ValueError, match="max_iters >= 1"):
             picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=0, tol=1e-9, n_time=8)
+
+    @pytest.mark.parametrize("n_time", [0, 1])
+    def test_too_few_samples_rejected(self, decoupled_spec, monkeypatch, n_time):
+        # no sample, or one with no tail integral to carry: rejected before
+        # the iteration starts
+        monkeypatch.setattr("nlspair.scattering._picard_iterate", _no_compute)
+        with pytest.raises(ValueError, match="n_time >= 2"):
+            picard_construct(decoupled_spec, 50.0, 5000.0, max_iters=8, tol=1e-9,
+                             n_time=n_time)
+
+    @pytest.mark.parametrize("name", ["T", "T_max", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, decoupled_spec, monkeypatch, name, value):
+        monkeypatch.setattr("nlspair.scattering._picard_iterate", _no_compute)
+        kwargs = {"T": 50.0, "T_max": 5000.0, "tol": 1e-9, name: value}
+        with pytest.raises(ValueError, match=f"finite {name},"):
+            picard_construct(decoupled_spec, max_iters=8, n_time=48, **kwargs)
 
     def test_block_exception_surfaces(self, decoupled_spec, monkeypatch):
         spec = decoupled_spec
