@@ -5,7 +5,10 @@
 For each report in either tree it prints ``identical`` when the bytes match.
 Otherwise it names every column with a structural difference (CSV schema
 line, header, text cells such as labels, and empty cells; JSON keys, list
-lengths and non-numeric values), then prints for each numeric column the
+lengths and non-numeric values) with the number of its cells that differ,
+and for a column of text cells each change of value with its count, as in
+``case_label: 50 of 1024 cells (balanced -> survivor_1: 50)``; then it
+prints for each numeric column the
 largest ``|a - b|`` over the column's largest ``|a|``, on the cells that are
 numbers in both reports.  A report found in only one tree, or a structural
 difference, makes the exit status 1.  A tree that is missing or holds no
@@ -19,6 +22,7 @@ import csv
 import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,20 @@ def _number(v):
         return None
 
 
+def _moved(xs: list, ys: list) -> str:
+    """How many cells of a column differ, of the longer column's, and for a
+    column of text (a cell, in either report, that is neither empty nor a
+    number) each change of value with its count, the most frequent first."""
+    cells = list(itertools.zip_longest(xs, ys))
+    moved = Counter((x, y) for x, y in cells if x != y)
+    line = f"{sum(moved.values())} of {len(cells)} cells"
+    if any(v not in ("", None) and _number(v) is None for v in (*xs, *ys)):
+        shown = {"": "(empty)", None: "(none)"}
+        line += " (" + ", ".join(f"{shown.get(x, x)} -> {shown.get(y, y)}: {n}"
+                                 for (x, y), n in moved.most_common()) + ")"
+    return line
+
+
 def compare(a: Path, b: Path) -> tuple[bool, str]:
     """Whether two reports match in structure, and the line that says how they compare."""
     if a.read_bytes() == b.read_bytes() or (a.name == "manifest.json"
@@ -82,7 +100,7 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
         pairs = [(x, y, _number(x), _number(y)) for x, y in zip(col, cb[name])]
         if len(col) != len(cb[name]) or any(x != y and (nx is None or ny is None)
                                             for x, y, nx, ny in pairs):
-            problems.append(f"structural difference in {name}")
+            problems.append(f"structural difference in {name}: {_moved(col, cb[name])}")
         num = np.array([(nx, ny) for _, _, nx, ny in pairs
                         if nx is not None and ny is not None], float)
         if num.size:

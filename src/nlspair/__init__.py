@@ -25,7 +25,6 @@ from .dynamics import (
 )
 from .profiles import (
     CaseTable,
-    DecouplingReport,
     build_case_records,
     classify,
     decoupling_history,

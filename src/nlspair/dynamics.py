@@ -302,6 +302,8 @@ def _rotation_substep(v: np.ndarray, dt: float) -> np.ndarray:
 
 # the exact nonlinear substep of each coupling
 _SUBSTEPS = {"dissipative": _decay_substep, "conservative": _rotation_substep}
+# the constant lam of each coupling's nonlinearity -lam |u_{3-j}|^2 u_j
+_LAMBDA = {"dissipative": 1.0, "conservative": 1.0j}
 
 
 class _StrangKernel:
@@ -442,18 +444,18 @@ def _rk4_scheme(config: SolverConfig, v: np.ndarray):
     """Classical RK4 on the profile pair alpha(t) = F U(-t) u(t); checkpoints
     push it forward to x-space.
 
-    ``dalpha/dt = -c F U(-t) N(U(t) F^-1 alpha)`` with
-    ``N_j = |u_{3-j}|^2 u_j`` and ``c = 1`` for the dissipative coupling or
-    ``c = i`` for the phase-rotating variant.  Desk-scale oracle; costlier
-    than splitting.
+    ``dalpha/dt = -lam F U(-t) N(U(t) F^-1 alpha)`` with
+    ``N_j = |u_{3-j}|^2 u_j`` and the coupling's ``lam`` (``_LAMBDA``: 1
+    for the dissipative coupling, i for the phase-rotating variant).
+    Desk-scale oracle; costlier than splitting.
     """
     grid = config.grid
-    coef = 1.0 if config.coupling == "dissipative" else 1.0j
+    lam = _LAMBDA[config.coupling]
     w = _pull_back(grid, v, config.t_start)
 
     def rhs(tau: float, alpha: np.ndarray) -> np.ndarray:
         u = _push_forward(grid, alpha, tau)
-        return -coef * _pull_back(grid, np.abs(u[::-1]) ** 2 * u, tau)
+        return -lam * _pull_back(grid, np.abs(u[::-1]) ** 2 * u, tau)
 
     def step(t: float, h: float) -> None:
         nonlocal w

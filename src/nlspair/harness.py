@@ -337,10 +337,12 @@ def _section(value, where: str, cls=None) -> dict:
 
 def read_json_object(path) -> dict:
     """The JSON object in file ``path`` (null is empty); ConfigError naming
-    the file when it is missing, not UTF-8 JSON or not an object."""
+    the file when it is missing, a directory, not UTF-8 JSON or not an object."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"file not found: {p}")
+    if p.is_dir():
+        raise ConfigError(f"{p} is a directory, not a file")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -608,14 +610,17 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
     """Write the ledger, the per-frequency case table, and the remainder and
     decoupling histories, each once, as CSV; ``profiles.json`` holds the
     run-level numbers no CSV does (``deadband``, ``discrepancy`` and
-    ``balance_residual``).  Under the conservative coupling no companion
-    dies, so the labels are only the sign of the imbalance and the
-    survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty.
+    ``balance_residual``).  The case table's columns are the grid's ``xi``,
+    the table's verdicts and the balance law's ``m_hat_b`` of the one
+    :class:`profiles.ProfileHistory`, which is read as the remainder and the
+    decoupling history too and dropped before any report is formatted.
+    Under the conservative coupling no companion dies, so the labels are
+    only the sign of the imbalance and the survivor's limit columns
+    (``beta_plus_*``, ``tail_err``) are empty.
 
     With a pipeline's ``manifest``, the wall time of each part goes in its
-    ``stage_seconds``: ``profiles`` (the one pass that forms both
-    histories), ``remainder`` (its check of the times), ``case_table`` and
-    ``decoupling`` for the analytics, ``writing`` for the files.
+    ``stage_seconds``: ``profiles`` (the one pass), ``case_table`` (the
+    verdicts) and ``writing`` (the files).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -624,36 +629,34 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
     if analysis.profiles:
         with _stage(manifest, "profiles"):
             profiles = profile_history(traj)
-        with _stage(manifest, "remainder"):
-            ratio = remainder_history(traj, profiles).bound_ratio
         with _stage(manifest, "case_table"):
             table = build_case_records(profiles)
-        with _stage(manifest, "decoupling"):
-            dec = decoupling_history(profiles)
-        ts = profiles.ts
-        # the histories die here, before any report is formatted
-        del profiles
+        rem, dec = remainder_history(traj, profiles), decoupling_history(profiles)
+        ts, ratio, m_b, residual = rem.ts, rem.bound_ratio, rem.m_b, rem.balance_residual
+        sup, l2 = dec.sup_products, dec.l2_products
+        # the pass's record dies here, with its window moduli and R tail,
+        # before any report is formatted
+        del profiles, rem, dec
     with _stage(manifest, "writing"):
         paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
                            [traj.ts, *traj.ledger.T])]
         if analysis.profiles:
             limit = [table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]
             if traj.config.coupling == "conservative":
-                limit = [np.full(len(table.xi), np.nan)] * 3
+                limit = [np.full(len(m_b), np.nan)] * 3
             paths += [
                 write_csv(out_dir / "profiles.csv", "profiles",
                           ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                            "beta_plus_re", "beta_plus_im", "tail_err"],
-                          [table.xi, table.m_a, table.m_b, table.label, table.fitted_exponent,
+                          [traj.grid.xi, table.m_a, m_b, table.label, table.fitted_exponent,
                            *limit]),
                 write_json(out_dir / "profiles.json", "profiles",
                            {"deadband": table.deadband, "discrepancy": table.discrepancy,
-                            "balance_residual": table.balance_residual}),
+                            "balance_residual": residual}),
                 write_csv(out_dir / "remainder.csv", "remainder", ["t", "bound_ratio"],
                           [ts, ratio]),
                 write_csv(out_dir / "decoupling.csv", "decoupling",
-                          ["t", "sup_product", "l2_product"],
-                          [dec.ts, dec.sup_products, dec.l2_products]),
+                          ["t", "sup_product", "l2_product"], [ts, sup, l2]),
             ]
     return [p.name for p in paths]
 

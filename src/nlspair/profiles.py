@@ -2,11 +2,13 @@
 
 The profile of a state u at time t is ``alpha(t, xi) = F[U(-t) u(t)](xi)``:
 the spectrum pulled back along the free flow.  For a free solution it is
-constant in time; for the coupled system it drifts slowly, and its two
-components obey, up to an integrable remainder R,
+constant in time; for the coupled system, whose nonlinearity is
+``-lam |u_{3-j}|^2 u_j`` (``lam = 1`` for the dissipative coupling, ``i``
+for the conservative one), it drifts slowly, and its two components obey,
+up to an integrable remainder R,
 
-    d alpha1/dt = -(1/t) |alpha2|^2 alpha1 + R1,
-    d alpha2/dt = -(1/t) |alpha1|^2 alpha2 + R2.
+    d alpha1/dt = -(lam/t) |alpha2|^2 alpha1 + R1,
+    d alpha2/dt = -(lam/t) |alpha1|^2 alpha2 + R2.
 
 Everything here is per-frequency and vectorised across the whole grid; all
 inputs are immutable, so the analyses are trivially data-parallel: one pass
@@ -30,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from . import fits
-from .dynamics import T_MIN, Trajectory, _time_tol
+from .dynamics import _LAMBDA, T_MIN, Trajectory, _time_tol
 from .spectral import Grid, _j_spectrum, _pull_back
 
 SURVIVOR_1 = "survivor_1"
@@ -71,10 +73,19 @@ def check_window(ts) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RemainderHistory:
-    """What the reports read of the profile-equation remainder R at the
-    checkpoints ``ts`` of its profiles; R itself is kept only on the last rows.
+class ProfileHistory:
+    """What the later stages read of the profiles ``alpha`` and of their
+    remainder R at the checkpoints ``ts``, all formed in one pass; neither
+    the ``(n_t, 2, N)`` stacks themselves nor any ``(n_t, N)`` array of them
+    is kept.
 
+    - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
+      ``ts[-1]``.
+    - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
+      window ``ts >= ts[-1] / 10``, which the decay fits read.
+    - ``sup_products[i]``: ``max_xi |alpha1 alpha2|`` at ``ts[i]``, and
+      ``l2_products[i]`` the dxi-weighted L2 norm of that product; both must
+      decay for the limiting supports to disjoin.
     - ``peak[i]``: ``max_xi <xi> |R|`` at ``ts[i]``, the quantity of the
       decay estimate.
     - ``bound_ratio[i]``: ``peak[i] t^(5/4 - 3 GAMMA)`` divided by the cube of
@@ -95,31 +106,6 @@ class RemainderHistory:
     The arrays are read-only.
     """
 
-    peak: np.ndarray
-    bound_ratio: np.ndarray
-    m_b: np.ndarray
-    balance_residual: float
-    r_tail: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileHistory:
-    """What the later stages read of the profiles ``alpha`` at the
-    checkpoints ``ts``; neither the ``(n_t, 2, N)`` stack itself nor any
-    ``(n_t, N)`` array of it is kept.
-
-    - ``first``, ``last`` (``(2, N)``): the profiles at ``ts[0]`` and
-      ``ts[-1]``.
-    - ``moduli`` (``(n_w, 2, N)``): ``|alpha|`` on the rows of the trailing
-      window ``ts >= ts[-1] / 10``, which the decay fits read.
-    - ``sup_products[i]``: ``max_xi |alpha1 alpha2|`` at ``ts[i]``, and
-      ``l2_products[i]`` the dxi-weighted L2 norm of that product.
-    - ``remainder``: the :class:`RemainderHistory` of the same checkpoints,
-      formed in the same pass.
-
-    The arrays are read-only.
-    """
-
     ts: np.ndarray
     grid: Grid
     first: np.ndarray
@@ -127,7 +113,11 @@ class ProfileHistory:
     moduli: np.ndarray
     sup_products: np.ndarray
     l2_products: np.ndarray
-    remainder: RemainderHistory
+    peak: np.ndarray
+    bound_ratio: np.ndarray
+    m_b: np.ndarray
+    balance_residual: float
+    r_tail: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -221,8 +211,9 @@ def _products(a: np.ndarray, dxi: float):
 def profile_history(traj: Trajectory) -> ProfileHistory:
     """The profiles at every checkpoint with t >= T_MIN (the analytics
     window) and their remainders
-    ``R_j = (1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)``, in one pass
-    over blocks of the states, reduced to a :class:`ProfileHistory`.
+    ``R_j = lam [(1/t) |alpha_{3-j}|^2 alpha_j - F U(-t) N_j(u)]``, with
+    ``N_j = |u_{3-j}|^2 u_j`` and the coupling's ``lam``, in one pass over
+    blocks of the states, reduced to one :class:`ProfileHistory`.
 
     Per block: one pull-back of both nonlinearities, one of the pair and
     the two transforms of the J-norm on that profile, 4 FFT calls; no
@@ -251,6 +242,7 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     sup, l2, peak, h1, jh1 = (np.empty(n_t) for _ in range(5))
     w2 = 1.0 + grid.xi ** 2
     weight = np.sqrt(w2)
+    lam = _LAMBDA[traj.config.coupling]
 
     def block(b):
         # only the block's rows: a stored run reads them from its files here
@@ -283,6 +275,10 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
         parts *= 1.0 / t[..., None]
         rb -= fn
         del fn
+        # the conservative coupling's remainder is i times the dissipative
+        # one; the dissipative path makes no pass to multiply by 1
+        if lam != 1.0:
+            rb *= lam
         peak[b] = np.max(weight * np.abs(rb), axis=(1, 2))
         rho = 2.0 * np.real(np.conj(a[:, 0]) * rb[:, 0] - np.conj(a[:, 1]) * rb[:, 1])
         lo = max(b.start, tail)
@@ -311,16 +307,25 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     ratio = peak * ts ** (1.25 - 3.0 * GAMMA) / np.where(denom > 0, denom, np.inf)
     for arr in (first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
         arr.flags.writeable = False
-    return ProfileHistory(ts, grid, first, last, moduli, sup, l2,
-                          RemainderHistory(peak, ratio, m_b, float(np.max(worst)), r_tail))
+    return ProfileHistory(ts, grid, first, last, moduli, sup, l2, peak, ratio, m_b,
+                          float(np.max(worst)), r_tail)
 
 
-def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHistory:
-    """The :class:`RemainderHistory` of ``traj`` that :func:`profile_history`
-    formed beside its ``profiles``: ValueError when those cover other times."""
+def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> ProfileHistory:
+    """``profiles``, the :func:`profile_history` of ``traj``, read for its
+    remainder fields (``peak``, ``bound_ratio``, ``m_b``,
+    ``balance_residual``, ``r_tail``): ValueError when it covers other
+    times than ``traj``'s analytics window."""
     if not np.array_equal(profiles.ts, traj.ts[_first_row(traj):]):
         raise ValueError("profiles and checkpoints cover different times")
-    return profiles.remainder
+    return profiles
+
+
+def decoupling_history(profiles: ProfileHistory) -> ProfileHistory:
+    """``profiles`` read for its product metrics (``sup_products``,
+    ``l2_products`` at the checkpoints ``ts``), which the one pass of
+    :func:`profile_history` formed."""
+    return profiles
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +334,17 @@ def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> RemainderHi
 
 @dataclass(frozen=True, eq=False)
 class CaseTable:
-    """The per-frequency verdicts of a run, one length-N column each: which
-    component survives at ``xi``, and at what rate.
+    """The per-frequency verdicts of a run, one column per frequency of its
+    grid: which component survives at ``xi``, and at what rate.  The
+    frequencies are the grid's and the balance law's estimate ``m_b`` and
+    residual are the :class:`ProfileHistory`'s; neither is held here.
 
     ``m_a`` reads the imbalance ``|alpha1|^2 - |alpha2|^2`` at the final
-    checkpoint (valid because the tail correction decays); ``m_b`` anchors
-    at the first checkpoint and adds the quadrature of
-    ``rho = 2 Re[conj(alpha1) R1 - conj(alpha2) R2]``, i.e. it integrates
-    the balance law instead of trusting the endpoint.  ``label`` classifies
-    ``m_a`` against ``deadband = max(1e-3, 3 discrepancy)``, with
-    ``discrepancy`` the largest ``|m_a - m_b|`` over the resolved
-    frequencies.  ``balance_residual`` is the largest miss of the balance
-    law over the run.
+    checkpoint (valid because the tail correction decays).  ``label``
+    classifies ``m_a`` against ``deadband = max(1e-3, 3 discrepancy)``,
+    with ``discrepancy`` the largest ``|m_a - m_b|`` over the resolved
+    frequencies, ``m_b`` being the imbalance the balance law integrates
+    from the first checkpoint.
 
     ``fitted_exponent`` is NaN where no fit applies (balanced frequencies,
     underflowed companions).  ``beta_plus`` is the survivor's limit profile
@@ -351,16 +355,13 @@ class CaseTable:
     at balanced frequencies.
     """
 
-    xi: np.ndarray
     m_a: np.ndarray
-    m_b: np.ndarray
     label: np.ndarray
     fitted_exponent: np.ndarray
     beta_plus: np.ndarray
     beta_tail_err: np.ndarray
     deadband: float
     discrepancy: float
-    balance_residual: float
 
 
 def classify(m_hat, deadband: float) -> np.ndarray:
@@ -397,30 +398,6 @@ def decay_exponents(ts, moduli) -> np.ndarray:
     window = np.asarray(moduli, dtype=float)[..., mask]
     ok = np.all(window > 1e-13, axis=-1)
     return np.where(ok, fits.loglog_slopes(ts[mask], window), np.nan)
-
-
-# ---------------------------------------------------------------------------
-# decoupling metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecouplingReport:
-    """Pointwise-product metrics of the two profiles over the run.
-
-    ``sup_products[i] = max_xi |alpha1 alpha2|`` at checkpoint i and
-    ``l2_products`` the dxi-weighted L2 norm of the product; both must decay
-    for the limiting supports to disjoin.
-    """
-
-    ts: np.ndarray
-    sup_products: np.ndarray
-    l2_products: np.ndarray
-
-
-def decoupling_history(profiles: ProfileHistory) -> DecouplingReport:
-    """The product metrics of ``profiles``."""
-    return DecouplingReport(ts=np.array(profiles.ts), sup_products=np.array(profiles.sup_products),
-                            l2_products=np.array(profiles.l2_products))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +446,7 @@ def build_case_records(profiles: ProfileHistory) -> CaseTable:
     window = check_window(ts)
     # m_a is the imbalance at the last checkpoint and m_b the balance law's
     # estimate of it; their gap is read on the frequencies resolved at the start
-    probes = profiles.remainder
-    m_a, m_b = np.abs(profiles.last[0]) ** 2 - np.abs(profiles.last[1]) ** 2, probes.m_b
+    m_a, m_b = np.abs(profiles.last[0]) ** 2 - np.abs(profiles.last[1]) ** 2, profiles.m_b
     amp0 = np.abs(profiles.first[0]) + np.abs(profiles.first[1])
     resolved = amp0 >= 1e-3 * np.max(amp0)
     disc = float(np.max(np.abs(m_a - m_b)[resolved])) if np.any(resolved) else 0.0
@@ -478,8 +454,8 @@ def build_case_records(profiles: ProfileHistory) -> CaseTable:
     labels = classify(m_a, deadband)
     grid = profiles.grid
     # (n_xi, n_fit) views of the remainder's tail: its fits run along time
-    r_tail = np.moveaxis(probes.r_tail, 0, -1)
-    ts_fit = ts[len(ts) - len(probes.r_tail):]
+    r_tail = np.moveaxis(profiles.r_tail, 0, -1)
+    ts_fit = ts[len(ts) - len(profiles.r_tail):]
 
     # the companion's exponent and the survivor's limit, on that survivor's columns
     exp_fit = np.full(grid.n_points, np.nan)
@@ -492,7 +468,5 @@ def build_case_records(profiles: ProfileHistory) -> CaseTable:
         exp_fit[cols] = decay_exponents(ts[window], profiles.moduli[:, o, cols].T)
         beta[cols], beta_err[cols] = _beta_plus_arrays(ts_fit, profiles.last[s, cols], m_a[cols],
                                                        m_b[cols], r_tail[s][cols])
-    return CaseTable(xi=grid.xi, m_a=m_a, m_b=m_b, label=labels,
-                     fitted_exponent=exp_fit, beta_plus=beta, beta_tail_err=beta_err,
-                     deadband=deadband, discrepancy=disc,
-                     balance_residual=probes.balance_residual)
+    return CaseTable(m_a=m_a, label=labels, fitted_exponent=exp_fit, beta_plus=beta,
+                     beta_tail_err=beta_err, deadband=deadband, discrepancy=disc)

@@ -393,9 +393,10 @@ class TestPipelines:
         assert top == csvs | {"profiles.json", "manifest.json"}
         data = json.loads((tmp_path / "a" / "profiles.json").read_text())["data"]
         assert set(data) == {"deadband", "discrepancy", "balance_residual"}
-        table = build_case_records(profile_history(res1["trajectory"]))
+        profiles = profile_history(res1["trajectory"])
+        table = build_case_records(profiles)
         assert [data[k] for k in ("deadband", "discrepancy", "balance_residual")] == \
-            [table.deadband, table.discrepancy, table.balance_residual]
+            [table.deadband, table.discrepancy, profiles.balance_residual]
         # a limit value is written exactly where a component survives
         rows = [r.split(",") for r in
                 (tmp_path / "a" / "profiles.csv").read_text().splitlines()[2:]]
@@ -496,7 +497,7 @@ class TestPipelines:
         run_simulate(ExperimentConfig.from_dict(tiny_config_dict()), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         seconds = manifest["stage_seconds"]
-        parts = ["case_table", "decoupling", "profiles", "remainder", "writing"]
+        parts = ["case_table", "profiles", "writing"]
         assert sorted(seconds) == sorted(["checkpoints", "reports", "run", *parts])
         assert all(0.0 <= s <= manifest["wall_seconds"] for s in seconds.values())
         assert sum(seconds[k] for k in parts) <= seconds["reports"]
@@ -525,6 +526,19 @@ class TestPipelines:
             err = capsys.readouterr().err
             assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
             assert "Traceback" not in err and not out.exists()
+
+    def test_cli_directory_for_a_file_exit_2(self, tmp_path, capsys):
+        # a config path, and a stored run's manifest.json, that is a directory
+        (tmp_path / "run" / "manifest.json").mkdir(parents=True)
+        out = tmp_path / "o"
+        for argv in (["simulate", "--config", str(tmp_path / "run"), "--out", str(out)],
+                     ["analyze", "--out", str(tmp_path / "run")]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("[nlspair:config]") and err.count("\n") == 1, err
+            assert "is a directory" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("data, fragment", [
         ({"data1": {"kind": "gaussian", "amp": 1e200, "width": 4.0}},

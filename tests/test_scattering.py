@@ -423,7 +423,7 @@ class TestPicard:
             ratio = tracemalloc.get_traced_memory()[1] / (32 * g.n_points * 16)
         finally:
             tracemalloc.stop()
-        # measured: 3.40-3.65, and 2.97 on one thread
+        # measured: 3.22-3.45 on two threads, and 3.03 on one
         assert ratio <= 4.0
 
     def test_box_guard(self, decoupled_spec):
