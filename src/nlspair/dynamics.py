@@ -143,11 +143,11 @@ class Trajectory:
     ``states`` is the ``(n_t, 2, N)`` array of a run, which the trajectory
     takes ownership of and freezes, or, for a stored run, a reader of its
     files (``harness.StoredStates``) with the array's ``shape``, ``dtype``,
-    length, iteration and int and slice indexing, which reads the rows on
-    every access.  ``ledger[i]`` is :func:`mass_ledger` of row i, formed
-    here in one pass over the rows; ``checkpoints`` is a read-only view of
-    the rows, built afresh on every access, so a stored run's trajectory
-    keeps none of its rows.
+    length, iteration and indexing by int, slice or integer array, which
+    reads the rows on every access.  ``ledger[i]`` is :func:`mass_ledger`
+    of row i, formed here in one pass over the rows; ``checkpoints`` is a
+    read-only view of the rows, built afresh on every access, so a stored
+    run's trajectory keeps none of its rows.
     """
 
     config: SolverConfig

@@ -199,10 +199,11 @@ class StoredStates:
     files: row i is read from ``files[i]`` by :func:`load_checkpoint`, with
     all of its checks, on every access.
 
-    It has the ``shape``, ``dtype``, length, iteration and int and slice
-    indexing of a state array.  A row is a read-only ``(2, N)`` array and a
-    slice a fresh read-only ``(k, 2, N)`` one; a file whose time is no
-    longer ``ts[i]`` is a CheckpointError naming it.
+    It has the ``shape``, ``dtype``, length, iteration and indexing (an int,
+    a slice or an integer array) of a frozen state array: a row is a
+    read-only ``(2, N)`` array, a slice a fresh read-only stack and an
+    integer array a fresh writable one, as numpy's view and copy are; a
+    file whose time is no longer ``ts[i]`` is a CheckpointError naming it.
     """
 
     def __init__(self, files, ts: np.ndarray, grid: Grid):
@@ -224,13 +225,14 @@ class StoredStates:
         return map(self._row, range(len(self)))
 
     def __getitem__(self, index):
-        rows = range(len(self))[index]
-        if isinstance(rows, int):
-            return self._row(rows)
-        out = np.empty((len(rows),) + self.shape[1:], dtype=self.dtype)
-        for k, i in enumerate(rows):
-            out[k] = self._row(i)
-        out.flags.writeable = False
+        every = np.arange(len(self))
+        rows = every[index]
+        if rows.ndim == 0:
+            return self._row(int(rows))
+        out = np.empty(rows.shape + self.shape[1:], dtype=self.dtype)
+        for k, i in np.ndenumerate(rows):
+            out[k] = self._row(int(i))
+        out.flags.writeable = rows.base is not every
         return out
 
 
@@ -614,9 +616,8 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
     the table's verdicts and the balance law's ``m_hat_b`` of the one
     :class:`profiles.ProfileHistory`, which is read as the remainder and the
     decoupling history too and dropped before any report is formatted.
-    Under the conservative coupling no companion dies, so the labels are
-    only the sign of the imbalance and the survivor's limit columns
-    (``beta_plus_*``, ``tail_err``) are empty.
+    The survivor's limit columns (``beta_plus_*``, ``tail_err``) are empty
+    where the table holds NaN, as on every row of a conservative run.
 
     With a pipeline's ``manifest``, the wall time of each part goes in its
     ``stage_seconds``: ``profiles`` (the one pass), ``case_table`` (the
@@ -641,15 +642,12 @@ def emit_trajectory_reports(traj: Trajectory, out_dir: Path, analysis: AnalysisO
         paths = [write_csv(out_dir / "mass_ledger.csv", "mass_ledger", ["t", *_LEDGER],
                            [traj.ts, *traj.ledger.T])]
         if analysis.profiles:
-            limit = [table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]
-            if traj.config.coupling == "conservative":
-                limit = [np.full(len(m_b), np.nan)] * 3
             paths += [
                 write_csv(out_dir / "profiles.csv", "profiles",
                           ["xi", "m_hat_a", "m_hat_b", "case_label", "fitted_exponent",
                            "beta_plus_re", "beta_plus_im", "tail_err"],
                           [traj.grid.xi, table.m_a, m_b, table.label, table.fitted_exponent,
-                           *limit]),
+                           table.beta_plus.real, table.beta_plus.imag, table.beta_tail_err]),
                 write_json(out_dir / "profiles.json", "profiles",
                            {"deadband": table.deadband, "discrepancy": table.discrepancy,
                             "balance_residual": residual}),

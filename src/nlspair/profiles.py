@@ -102,6 +102,8 @@ class ProfileHistory:
     - ``r_tail`` (``(n_fit, 2, N)``): R at the last ``n_fit = min(N_FIT,
       n_t - 1)`` checkpoints, at least one, which the survivor's error bar
       fits.
+    - ``lam``: the coupling's constant in the nonlinearity
+      ``-lam |u_{3-j}|^2 u_j``, which R carries.
 
     The arrays are read-only.
     """
@@ -118,6 +120,7 @@ class ProfileHistory:
     m_b: np.ndarray
     balance_residual: float
     r_tail: np.ndarray
+    lam: complex
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -308,7 +311,7 @@ def profile_history(traj: Trajectory) -> ProfileHistory:
     for arr in (first, last, moduli, sup, l2, peak, ratio, m_b, r_tail):
         arr.flags.writeable = False
     return ProfileHistory(ts, grid, first, last, moduli, sup, l2, peak, ratio, m_b,
-                          float(np.max(worst)), r_tail)
+                          float(np.max(worst)), r_tail, lam)
 
 
 def remainder_history(traj: Trajectory, profiles: ProfileHistory) -> ProfileHistory:
@@ -352,7 +355,7 @@ class CaseTable:
     imbalance, the phase from the last checkpoint T.  Its error bar
     ``beta_tail_err`` is the remainder's fitted tail beyond T plus
     ``|m_a - m_b| / (2 sqrt|m_a|)``.  Both are NaN (``complex(nan, nan)``)
-    at balanced frequencies.
+    at balanced frequencies, and everywhere unless ``Re lam > 0``.
     """
 
     m_a: np.ndarray
@@ -466,7 +469,8 @@ def build_case_records(profiles: ProfileHistory) -> CaseTable:
         # the companion's moduli, kept on the window's rows only: the window
         # of their own times is all of them
         exp_fit[cols] = decay_exponents(ts[window], profiles.moduli[:, o, cols].T)
-        beta[cols], beta_err[cols] = _beta_plus_arrays(ts_fit, profiles.last[s, cols], m_a[cols],
-                                                       m_b[cols], r_tail[s][cols])
+        if np.real(profiles.lam) > 0:       # where a companion can die
+            beta[cols], beta_err[cols] = _beta_plus_arrays(
+                ts_fit, profiles.last[s, cols], m_a[cols], m_b[cols], r_tail[s][cols])
     return CaseTable(m_a=m_a, label=labels, fitted_exponent=exp_fit, beta_plus=beta,
                      beta_tail_err=beta_err, deadband=deadband, discrepancy=disc)

@@ -31,13 +31,14 @@ from .dynamics import SolverConfig, Trajectory, _inner_half_width, _time_tol, ru
 from .errors import ConfigError, PicardDivergence
 from .profiles import _blocks, _each_block
 from .spectral import (
-    SQRT_2PI,
     Grid,
     _inverse_array,
     _mirror,
-    _profile_multiplier,
+    _nyquist,
+    _profile_sq,
     _pull_back,
     _push_forward,
+    _signed_half,
 )
 
 DECOUPLED_TOL = 1e-14
@@ -191,39 +192,6 @@ class PicardState:
     converged: bool
 
 
-def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """The Nyquist mode of ``F u`` per row of raw x-space samples, which every
-    profile drops: a rank-one alternating sum."""
-    return (grid.dx / SQRT_2PI) * (u @ grid._sign)
-
-
-def _sq_rows(a: np.ndarray) -> np.ndarray:
-    """``sum |a|^2`` along the last axis of a C-contiguous complex stack."""
-    f = a.view(np.float64)
-    return np.einsum("...i,...i->...", f, f)
-
-
-def _profile_sq(grid: Grid, dalpha: np.ndarray, nyq: np.ndarray | None = None):
-    """``(||d||^2, ||J d||^2)`` per row of a difference ``d`` of iterates, read
-    off its profile ``dalpha`` (Nyquist slot zeroed), which it overwrites.
-
-    ``||d||`` is Plancherel on the profile, plus ``nyq``, the Nyquist mode of
-    ``d`` itself, when ``d`` has one.  ``F J d`` is ``F(x phi)`` with
-    ``phi = F^-1 dalpha`` and the Nyquist slot dropped, so ``||J d||^2`` is
-    ``||x phi||^2`` less that mode, both from one IFFT: ``psi = ifft(dalpha)``
-    is ``phi`` up to the signs ``(-1)^n``, a half-period shift of ``x`` and
-    the factor ``N dxi / sqrt(2 pi)``.
-    """
-    l2_sq = grid.dxi * _sq_rows(dalpha)
-    if nyq is not None:
-        l2_sq += grid.dxi * np.abs(nyq) ** 2
-    psi = np.fft.ifft(dalpha, axis=-1, out=dalpha)
-    psi *= np.fft.ifftshift(grid.x)
-    scale = grid.n_points * grid.dxi / SQRT_2PI
-    j_sq = grid.dx * scale ** 2 * _sq_rows(psi) - grid.dxi * np.abs(psi.sum(axis=-1)) ** 2
-    return l2_sq, np.maximum(j_sq, 0.0)
-
-
 def _xt_sup(taus: np.ndarray, mu: float, l2_sq: np.ndarray, j_sq: np.ndarray) -> float:
     """sup over samples of t^(mu+1/2) ||d||_L2 + t^mu ||J d||_L2 from the
     ``(n_time, 2)`` :func:`_profile_sq` of a difference ``d`` of stacks."""
@@ -289,11 +257,11 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     if max_iters < 1:
         raise ValueError("need max_iters >= 1: the iterate is built by the map")
     g = spec.grid
-    n_t, half = len(taus), g._nyq_fft
+    n_t = len(taus)
     alpha = np.empty((n_t, 2, g.n_points), dtype=np.complex128)
     # one table for every transform of the construction, since the times are
     # fixed, kept as its signed half spectrum; the start fills it block by block
-    halves = np.empty((n_t, 1, half), dtype=np.complex128)
+    halves = np.empty((n_t, 1, g.n_points // 2), dtype=np.complex128)
     l2_sq = np.empty((n_t, 2))
     j_sq = np.empty((n_t, 2))
 
@@ -304,8 +272,8 @@ def _picard_iterate(spec: FinalStateSpec, taus: np.ndarray,
     def pull(b):
         nyq = None
         if k == 1:
-            table = _profile_multiplier(g, taus[b])[:, None]
-            halves[b] = table[..., half:]
+            halves[b] = _signed_half(g, taus[b])[:, None]
+            table = _mirror(g, halves[b])
             v = start(taus[b])
             nyq = _nyquist(g, v)      # w#, say, is not band-limited
             alpha[b] = _pull_back(g, v, taus[b, None], table)

@@ -129,27 +129,27 @@ def _half_exponential(grid: Grid, t) -> np.ndarray:
     return np.exp(-0.5j * t[..., None] * grid._xi_fft[:grid._nyq_fft] ** 2)
 
 
-def _profile_multiplier(grid: Grid, t) -> np.ndarray:
-    """exp(-i t xi^2 / 2) (-1)^k in ordered frequencies, Nyquist zeroed.
-
-    The table of the free flow ``U(t)`` for :func:`_pull_back` and
-    :func:`_push_forward`: ``t`` is a scalar, giving shape ``(N,)``, or an
-    array of times, giving one row per time.  The half spectrum of
-    :func:`_half_exponential` is mirrored onto the negative frequencies and
-    the factor ``(-1)^k`` of the ordered transforms is folded in; both are
-    exact, since N/2 is even.
-    """
+def _signed_half(grid: Grid, t) -> np.ndarray:
+    """exp(-i t xi^2 / 2) (-1)^k at the frequencies ``0 .. N/2 - 1``: the
+    upper half ``[..., N/2:]`` of :func:`_profile_multiplier`, which callers
+    that keep many tables hold, mirroring a few rows at a time."""
     pos = _half_exponential(grid, t)
     pos *= grid._sign[:grid._nyq_fft]
-    return _mirror(grid, pos)
+    return pos
+
+
+def _profile_multiplier(grid: Grid, t) -> np.ndarray:
+    """exp(-i t xi^2 / 2) (-1)^k in ordered frequencies, Nyquist zeroed: the
+    table of the free flow ``U(t)`` for :func:`_pull_back` and
+    :func:`_push_forward`, mirrored from :func:`_signed_half`.  ``t`` is a
+    scalar, giving shape ``(N,)``, or an array of times, one row per time."""
+    return _mirror(grid, _signed_half(grid, t))
 
 
 def _mirror(grid: Grid, pos: np.ndarray) -> np.ndarray:
-    """The ordered table of :func:`_profile_multiplier` from its signed half
-    spectrum ``pos``, its entries at the frequencies ``0 .. N/2 - 1``, which
-    is the table's upper half ``[..., N/2:]``: ``pos`` mirrored onto the
-    negative frequencies, Nyquist zeroed.  Callers that keep many tables
-    hold the half and mirror a few rows at a time."""
+    """The ordered table whose upper half ``[..., N/2:]``, the frequencies
+    ``0 .. N/2 - 1``, is ``pos``, mirrored onto the negative frequencies with
+    Nyquist zeroed: exact for ``xi^2`` and, N/2 being even, for ``(-1)^k``."""
     half = grid._nyq_fft
     table = np.empty(pos.shape[:-1] + (grid.n_points,), dtype=np.complex128)
     table[..., 0] = 0.0
@@ -159,16 +159,10 @@ def _mirror(grid: Grid, pos: np.ndarray) -> np.ndarray:
 
 
 def _free_multiplier_fft(grid: Grid, dt) -> np.ndarray:
-    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed: the half spectrum of
-    :func:`_half_exponential` in the first half, its mirror after the
-    Nyquist slot.  ``dt`` is a scalar or an array of times, as there."""
-    half = grid._nyq_fft
-    pos = _half_exponential(grid, dt)
-    table = np.empty(pos.shape[:-1] + (grid.n_points,), dtype=np.complex128)
-    table[..., :half] = pos
-    table[..., half] = 0.0
-    table[..., half + 1:] = pos[..., :0:-1]
-    return table
+    """exp(-i dt xi^2 / 2) in fft order, Nyquist zeroed: the ordered mirror
+    of :func:`_half_exponential`, shifted to fft order.  ``dt`` is a scalar
+    or an array of times, as there."""
+    return np.fft.ifftshift(_mirror(grid, _half_exponential(grid, dt)), axes=-1)
 
 
 def _pull_back(grid: Grid, values: np.ndarray, t,
@@ -229,3 +223,36 @@ def _j_spectrum(grid: Grid, alpha: np.ndarray) -> np.ndarray:
     spec *= grid._sign * (grid.dx / SQRT_2PI)
     spec[..., 0] = 0.0
     return spec
+
+
+def _nyquist(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """The Nyquist mode of ``F u`` per row of raw x-space samples, which every
+    profile drops: a rank-one alternating sum."""
+    return (grid.dx / SQRT_2PI) * (u @ grid._sign)
+
+
+def _sq_rows(a: np.ndarray) -> np.ndarray:
+    """``sum |a|^2`` along the last axis of a C-contiguous complex stack."""
+    f = a.view(np.float64)
+    return np.einsum("...i,...i->...", f, f)
+
+
+def _profile_sq(grid: Grid, dalpha: np.ndarray, nyq: np.ndarray | None = None):
+    """``(||d||^2, ||J d||^2)`` per row of a difference ``d`` of states, read
+    off its profile ``dalpha`` (Nyquist slot zeroed), which it overwrites.
+
+    ``||d||`` is Plancherel on the profile, plus ``nyq``, the Nyquist mode of
+    ``d`` itself, when ``d`` has one.  ``F J d`` is ``F(x phi)`` with
+    ``phi = F^-1 dalpha`` and the Nyquist slot dropped, so ``||J d||^2`` is
+    ``||x phi||^2`` less that mode, both from one IFFT: ``psi = ifft(dalpha)``
+    is ``phi`` up to the signs ``(-1)^n``, a half-period shift of ``x`` and
+    the factor ``N dxi / sqrt(2 pi)``.
+    """
+    l2_sq = grid.dxi * _sq_rows(dalpha)
+    if nyq is not None:
+        l2_sq += grid.dxi * np.abs(nyq) ** 2
+    psi = np.fft.ifft(dalpha, axis=-1, out=dalpha)
+    psi *= np.fft.ifftshift(grid.x)
+    scale = grid.n_points * grid.dxi / SQRT_2PI
+    j_sq = grid.dx * scale ** 2 * _sq_rows(psi) - grid.dxi * np.abs(psi.sum(axis=-1)) ** 2
+    return l2_sq, np.maximum(j_sq, 0.0)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,3 +215,17 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_ordered_transform_convention_lives_in_spectral():
+    # the ordered transforms' signs (-1)^n, their Nyquist slot, their
+    # constant and their fft-order shift are read by spectral alone
+    import nlspair
+    names = ("_sign", "_nyq_fft", "SQRT_2PI", "ifftshift")
+    found = {}
+    for path in sorted(Path(nlspair.__file__).resolve().parent.glob("*.py")):
+        text = path.read_text()
+        hits = [w for w in names if re.search(rf"\b{w}\b", text)]
+        if hits:
+            found[path.name] = hits
+    assert found == {"spectral.py": list(names)}

@@ -39,6 +39,7 @@ from nlspair.profiles import (
     build_case_records,
     profile_history,
 )
+from nlspair.scattering import dyadic_profile_drift
 from nlspair.spectral import _forward_array, _push_forward
 
 from conftest import gaussian_field, l2, same_arrays
@@ -469,14 +470,16 @@ class TestPipelines:
 
     def test_conservative_run_writes_no_limit(self, tmp_path):
         # under the phase-rotating coupling no companion dies, so no survivor
-        # has a limit: the labels are only the sign of the imbalance, and
-        # the limit's columns are empty on every row
+        # has a limit: the labels are only the sign of the imbalance, the
+        # table forms no limit, and its columns are empty on every row
         d = {**tiny_config_dict(), "save_checkpoints": False}
         d["solver"] = {**d["solver"], "coupling": "conservative"}
         traj = run_simulate(ExperimentConfig.from_dict(d), tmp_path)["trajectory"]
         profiles = profile_history(traj)
         table = build_case_records(profiles)
         assert np.count_nonzero(table.label == SURVIVOR_1) > 0
+        assert np.all(np.isnan(table.beta_plus.real)) and np.all(np.isnan(table.beta_plus.imag))
+        assert np.all(np.isnan(table.beta_tail_err))
         rows = [r.split(",") for r in
                 (tmp_path / "profiles.csv").read_text().splitlines()[2:]]
         assert [r[3] for r in rows] == list(table.label)
@@ -808,6 +811,25 @@ class TestTrajectoryLayout:
             persist_checkpoint(tmp_path / "checkpoints" / name, g, t, v)
         traj = load_trajectory(tmp_path, cfg)
         assert traj.ts.tolist() == [1.0, 2.0] and np.array_equal(traj.states[:], states)
+
+    def test_stored_run_takes_integer_array_index(self, tmp_path):
+        # a stored run's rows are read by any index numpy takes, an integer
+        # array too, into a writable copy as numpy's, so the dyadic profile
+        # drift of the stored run, which transforms that copy in place, is
+        # the live run's, bitwise
+        d = {**tiny_config_dict(), "analysis": {"profiles": False}}
+        d["solver"] = {**d["solver"], "t_end": 8.0, "checkpoint_times": [1.0, 2.0, 4.0, 8.0]}
+        cfg = ExperimentConfig.from_dict(d)
+        live = run_simulate(cfg, tmp_path)["trajectory"]
+        stored = load_trajectory(tmp_path, cfg)
+        rows = np.array([3, 0, -1, 3])
+        block = stored.states[rows]
+        assert block.shape == (4, 2, cfg.solver.n_points) and block.flags.writeable
+        assert np.array_equal(block, live.states[rows])
+        assert np.array_equal(stored.states[np.array([[1], [2]])], live.states[[[1], [2]]])
+        want, got = (dyadic_profile_drift(t, [1.0, 2.0, 4.0]) for t in (live, stored))
+        for name in ("ts", "d1", "d2"):
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_loaded_run_analyses_bitwise(self, tmp_path, monkeypatch, workers):

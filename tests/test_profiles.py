@@ -510,10 +510,11 @@ class TestRemainderProbe:
 
     def test_calls_leave_the_history_alone(self, generic_run):
         traj, profiles, _ = generic_run
-        # every array field: not the grid, nor the balance residual, a float
+        # every array field: not the grid, nor the scalars balance_residual
+        # and lam
         arrays = {f.name: getattr(profiles, f.name).copy()
                   for f in dataclasses.fields(profiles)
-                  if f.name not in ("grid", "balance_residual")}
+                  if f.name not in ("grid", "balance_residual", "lam")}
         first, second = (remainder_history(traj, profiles) for _ in range(2))
         assert first is second is profiles
         assert decoupling_history(profiles) is profiles

@@ -14,9 +14,7 @@ from nlspair.errors import ConfigError, PicardDivergence
 from nlspair.profiles import _blocks
 from nlspair.scattering import (
     PicardState,
-    _nyquist,
     _picard_iterate,
-    _profile_sq,
     _w_sharp_arrays,
     _xt_sup,
     build_final_state,
@@ -32,7 +30,9 @@ from nlspair.spectral import (
     _free_multiplier_fft,
     _inverse_array,
     _j_spectrum,
+    _nyquist,
     _profile_multiplier,
+    _profile_sq,
     _pull_back,
     _push_forward,
 )

@@ -1,13 +1,16 @@
 """The system's exact symmetries as whole-pipeline oracles.
 
-On the periodic grid the swap ``u1 <-> u2`` and the Galilean boost by a
-whole number k of frequency bins, ``u_j -> e^{i k dxi x} u_j``, map solutions
-to solutions.  The boost's phase and the pull-back's cancel, so the profiles
-of the boosted run are those of the run shifted by k bins, with no phase.
-Each oracle runs the ``simulate`` pipeline (:func:`run_simulate`) on the
-data and on their image and compares the reports of ``profiles.csv``: a
-pull-back error or a component-order error shows here, although the moduli
-that ``m_hat`` reads cannot see a pull-back error.
+On the periodic grid the swap ``u1 <-> u2``, the reflection ``x -> -x``, the
+Galilean boost by a whole number k of frequency bins,
+``u_j -> e^{i k dxi x} u_j``, and the constant phases ``u_j -> e^{i c_j} u_j``
+map solutions to solutions, under either coupling.  The boost's phase and
+the pull-back's cancel, so the profiles of the boosted run are those of the
+run shifted by k bins, with no phase; the reflection sends the profile at
+``xi`` to ``-xi``, and the Nyquist slot, its own mirror, stays.  Each oracle
+runs the ``simulate`` pipeline (:func:`run_simulate`) on the data and on
+their image and compares the reports of ``profiles.csv``: a pull-back error
+or a component-order error shows here, although the moduli that ``m_hat``
+reads cannot see a pull-back error.
 
 Both runs of a pair take the same steps, so they agree to roundoff; the
 tolerance is a fixed multiple of it on each column's largest entry, not a
@@ -15,6 +18,7 @@ value measured on these data.
 """
 
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -56,9 +60,10 @@ def simulate(tmp_path_factory):
     ``profiles.csv`` for these data."""
     root, runs = tmp_path_factory.mktemp("symmetries"), itertools.count()
 
-    def reports(data1, data2):
+    def reports(data1, data2, coupling="dissipative"):
         out = root / f"run{next(runs)}"
-        run_simulate(ExperimentConfig(name="symmetry", seed=0, solver=SOLVER,
+        solver = dataclasses.replace(SOLVER, coupling=coupling)
+        run_simulate(ExperimentConfig(name="symmetry", seed=0, solver=solver,
                                       data1=data1, data2=data2), out)
         return _profiles_csv(out / "profiles.csv")
 
@@ -73,28 +78,82 @@ def base(simulate):
     return table
 
 
+@pytest.fixture(scope="module")
+def conservative(simulate):
+    table = simulate(DATA1, DATA2, "conservative")
+    # the labels are the imbalance's sign, and no survivor has a limit
+    assert set(table["label"]) == {"survivor_1", "balanced"}
+    assert np.all(np.isnan(table["beta_plus"]))
+    return table
+
+
 def _close(got, want):
-    """Equal to roundoff on the column's largest entry, NaN where ``want`` is."""
-    scale = np.nanmax(np.abs(want))
-    return np.array_equal(np.isnan(got), np.isnan(want)) and \
-        np.nanmax(np.abs(got - want)) <= TOL * scale
+    """NaN exactly where ``want`` is, and elsewhere equal to roundoff on the
+    column's largest entry; an all-NaN column has no largest entry."""
+    nan = np.isnan(want)
+    if not np.array_equal(np.isnan(got), nan):
+        return False
+    return bool(nan.all()) or \
+        np.max(np.abs(got - want)[~nan]) <= TOL * np.max(np.abs(want[~nan]))
 
 
-def test_swap(simulate, base):
+def _swap(simulate, base, coupling):
     # the labels swap, the imbalance changes sign, and the survivor's limit
     # stays the same
-    swapped = simulate(DATA2, DATA1)
+    swapped = simulate(DATA2, DATA1, coupling)
     assert swapped["label"].tolist() == [SWAPPED[s] for s in base["label"]]
     for name in ("m_hat_a", "m_hat_b"):
         assert _close(swapped[name], -base[name]), name
     assert _close(swapped["beta_plus"], base["beta_plus"])
 
 
-@pytest.mark.parametrize("bins", [1, 7])
-def test_boost(simulate, base, bins):
+def _boost(simulate, base, bins, coupling):
     # every profile-side report shifts by the boost's bins
     v = bins * SOLVER.grid.dxi
-    boosted = simulate({**DATA1, "velocity": v}, {**DATA2, "velocity": v})
+    boosted = simulate({**DATA1, "velocity": v}, {**DATA2, "velocity": v}, coupling)
     assert boosted["label"].tolist() == np.roll(base["label"], bins).tolist()
     for name in ("m_hat_a", "m_hat_b", "beta_plus"):
         assert _close(boosted[name], np.roll(base[name], bins)), name
+
+
+def test_swap(simulate, base):
+    _swap(simulate, base, "dissipative")
+
+
+@pytest.mark.parametrize("bins", [1, 7])
+def test_boost(simulate, base, bins):
+    _boost(simulate, base, bins, "dissipative")
+
+
+def test_swap_conservative(simulate, conservative):
+    _swap(simulate, conservative, "conservative")
+
+
+@pytest.mark.parametrize("bins", [1, 7])
+def test_boost_conservative(simulate, conservative, bins):
+    _boost(simulate, conservative, bins, "conservative")
+
+
+def test_reflection(simulate):
+    # the second Gaussian off the centre: the mirrored data's every column
+    # moves from ordered index j to N - j, and the Nyquist slot at 0 stays
+    right = simulate(DATA1, {**DATA2, "center": 3.0})
+    left = simulate(DATA1, {**DATA2, "center": -3.0})
+    n = SOLVER.grid.n_points
+    mirror = (n - np.arange(n)) % n
+    assert "survivor_1" in set(right["label"]) and "balanced" in set(right["label"])
+    assert left["label"].tolist() == right["label"][mirror].tolist()
+    for name in ("m_hat_a", "m_hat_b", "beta_plus"):
+        assert _close(left[name], right[name][mirror]), name
+
+
+def test_phase(simulate, base):
+    # constant phases leave the labels and the imbalance, and turn each
+    # survivor's limit by its own component's phase
+    c1, c2 = 0.7, -1.9
+    turned = simulate({**DATA1, "phase": c1}, {**DATA2, "phase": c2})
+    assert turned["label"].tolist() == base["label"].tolist()
+    for name in ("m_hat_a", "m_hat_b"):
+        assert _close(turned[name], base[name]), name
+    turn = np.where(base["label"] == "survivor_2", np.exp(1j * c2), np.exp(1j * c1))
+    assert _close(turned["beta_plus"], turn * base["beta_plus"])
