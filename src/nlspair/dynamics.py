@@ -13,10 +13,11 @@ moduli; the same kernel runs it.
 
 One step of ``run`` is the triple jump of Yoshida (1990) and Suzuki (1990):
 the Strang stages ``S(W1 dt) S(W0 dt) S(W1 dt)``, fourth order in dt, with a
-backward middle stage (``W0 < 0``).  Adjacent half free flows are merged
-between checkpoints, so a stage costs one batched FFT/IFFT pair of the
-``(2, N)`` state and a step six transforms.  The guard reports the stage
-mid-times ``t + W1 dt/2``, ``t + dt/2`` and ``t + dt - W1 dt/2``.
+backward middle stage (``W0 < 0``).  One object, :class:`_StrangKernel`,
+steps: it owns a copy of the ``(2, N)`` state and transforms it in place,
+six transforms a step, keeping the 8 free-flow tables it used last in an
+``lru_cache``.  The guard reports the stage mid-times ``t + W1 dt/2``,
+``t + dt/2`` and ``t + dt - W1 dt/2``.
 
 A classical RK4 integrator in the interaction picture (the profile
 ``alpha = F U(-t) u``), :func:`_rk4_scheme`, is kept purely as the tests'
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -307,16 +309,17 @@ _LAMBDA = {"dissipative": 1.0, "conservative": 1.0j}
 
 
 class _StrangKernel:
-    """Strang steps of a ``(2, N)`` x-space state, first same as last: the
-    stages of the scheme's composed step.
+    """The Strang stepper: it owns a copy of the ``(2, N)`` x-space state
+    ``v`` and advances it in place, stage by stage, first same as last.
 
-    The trailing half free flow of each stage is left pending and merged into
-    the leading half of the next: free flows compose exactly,
-    ``U(a) U(b) = U(a + b)``, so a stage costs one batched FFT, one multiply
-    and one batched IFFT around the exact substep, and the three stages of
-    a step six transforms.  A stage may run backward (``dt < 0``).
-    ``flush`` applies the pending half step; the state is an iterate only
-    after it.
+    ``stage(t, dt)`` is one Strang stage, ``step(t, dt)`` the triple jump
+    ``S(W1 dt) S(W0 dt) S(W1 dt)`` of stages, and ``fields(t)`` applies the
+    pending half free flow and returns the state ``v`` itself.  The trailing
+    half free flow of each stage is left pending and merged into the leading
+    half of the next: free flows compose exactly, ``U(a) U(b) = U(a + b)``,
+    so a stage costs one batched FFT, one multiply and one batched IFFT of
+    ``v`` in place around the exact substep, and a step six transforms.  A
+    stage may run backward (``dt < 0``).
 
     ``substep(v, dt)`` is the exact nonlinear substep, one of
     ``_SUBSTEPS``: it advances ``v`` in place and returns the squared
@@ -328,44 +331,45 @@ class _StrangKernel:
     ``dt_policy.dt`` as too large.
     """
 
-    def __init__(self, grid: Grid, substep):
-        self.grid = grid
+    def __init__(self, grid: Grid, substep, v: np.ndarray):
         self.substep = substep
+        self.v = np.array(v, dtype=np.complex128)
         self.pending = 0.0
         self.bands = _edge_bands(grid)
-        self._mults: dict[float, np.ndarray] = {}
-
-    def _free(self, v: np.ndarray, tau: float) -> np.ndarray:
-        # a cache of the 8 multipliers used last: the few of the current rung
+        # the 8 free-flow multipliers used last: the few of the current rung
         # stay while the one-off ones of checkpoint steps pass through
-        mult = self._mults.pop(tau, None)
-        if mult is None:
-            if len(self._mults) == 8:
-                del self._mults[next(iter(self._mults))]
-            mult = _free_multiplier_fft(self.grid, tau)
-        self._mults[tau] = mult
-        spec = np.fft.fft(v, axis=-1)
-        spec *= mult
-        return np.fft.ifft(spec, axis=-1)
+        self._table = lru_cache(maxsize=8)(partial(_free_multiplier_fft, grid))
 
-    def step(self, v: np.ndarray, t: float, dt: float) -> np.ndarray:
+    def _free(self, tau: float) -> np.ndarray:
+        v = np.fft.fft(self.v, axis=-1, out=self.v)
+        v *= self._table(tau)
+        return np.fft.ifft(v, axis=-1, out=v)
+
+    def stage(self, t: float, dt: float) -> None:
         """Advance ``v`` from t to t + dt; the guard reports the mid-time."""
-        v = self._free(v, self.pending + 0.5 * dt)
+        self._free(self.pending + 0.5 * dt)
         self.pending = 0.5 * dt
         try:
-            _check_bands(self.substep(v, dt), self.bands, t + 0.5 * dt)
+            _check_bands(self.substep(self.v, dt), self.bands, t + 0.5 * dt)
         except NumericsError as exc:
             if self.substep is not _decay_substep:
                 raise
             raise NumericsError(f"{exc}: the amplitude or dt_policy.dt is too large (a "
                                 f"backward stage left the exact substep's domain)") from None
-        return v
 
-    def flush(self, v: np.ndarray) -> np.ndarray:
+    def step(self, t: float, dt: float) -> None:
+        """Advance ``v`` from t to t + dt by the triple jump."""
+        outer = W1 * dt
+        self.stage(t, outer)
+        self.stage(t + outer, W0 * dt)
+        self.stage(t + dt - outer, outer)
+
+    def fields(self, t: float) -> np.ndarray:
+        """The state ``v`` at t, the end of the last stage."""
         if self.pending:
-            v = self._free(v, self.pending)
+            self._free(self.pending)
             self.pending = 0.0
-        return v
+        return self.v
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +424,10 @@ def _drive(config: SolverConfig, initial: np.ndarray, scheme, provenance: dict) 
 
 
 def _strang_scheme(config: SolverConfig, v: np.ndarray):
-    """Fused triple-jump steps ``S(W1 dt) S(W0 dt) S(W1 dt)`` of the Strang
-    kernel with the coupling's exact substep; checkpoints flush the pending
-    half free step."""
-    kernel = _StrangKernel(config.grid, _SUBSTEPS[config.coupling])
-
-    def step(t: float, dt: float) -> None:
-        nonlocal v
-        outer = W1 * dt
-        v = kernel.step(v, t, outer)
-        v = kernel.step(v, t + outer, W0 * dt)
-        v = kernel.step(v, t + dt - outer, outer)
-
-    def fields(t: float) -> np.ndarray:
-        nonlocal v
-        v = kernel.flush(v)
-        return v
-
-    return step, fields
+    """The triple-jump steps of a Strang kernel with the coupling's exact
+    substep; checkpoints apply the pending half free flow."""
+    kernel = _StrangKernel(config.grid, _SUBSTEPS[config.coupling], v)
+    return kernel.step, kernel.fields
 
 
 def _rk4_scheme(config: SolverConfig, v: np.ndarray):

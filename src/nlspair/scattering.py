@@ -417,14 +417,16 @@ def nonlinearity_norms(spec: FinalStateSpec) -> tuple[float, float]:
 def dyadic_profile_drift(traj: Trajectory, base_times) -> dict:
     """d_j(t) = ||alpha_j(2t) - alpha_j(t)||_L2(dxi) at the given dyadic bases."""
     base = np.asarray(base_times, dtype=float)
-    ts = np.concatenate([base, 2.0 * base])
+    # a base may be another's double: each distinct time is one row, and
+    # back[i] is the row of the i-th of the bases and then their doubles
+    ts, back = np.unique(np.concatenate([base, 2.0 * base]), return_inverse=True)
     grid = traj.grid
     rows = np.argmin(np.abs(traj.ts - ts[:, None]), axis=-1)
     missing = np.abs(traj.ts[rows] - ts) > _time_tol(ts)
     if np.any(missing):
         raise KeyError(f"no checkpoint at t = {ts[missing][0]}")
-    # one pull-back of every state, (2 n_base, 2, N), rows at their own times
-    alpha = _pull_back(grid, traj.states[rows], ts[:, None], overwrite_x=True)
+    # one pull-back of every state, (n_times, 2, N), rows at their own times
+    alpha = _pull_back(grid, traj.states[rows], ts[:, None], overwrite_x=True)[back]
     d = np.sqrt(grid.dxi * np.sum(np.abs(alpha[len(base):] - alpha[:len(base)]) ** 2, axis=-1))
     return {"ts": base, "d1": d[:, 0], "d2": d[:, 1]}
 

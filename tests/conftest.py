@@ -54,14 +54,15 @@ def l2(grid, v):
 
 def free_flow(grid, v, t):
     """``U(t) v`` by the Strang kernel's free flow, as the stepper applies it."""
-    return _StrangKernel(grid, _decay_substep)._free(v, t)
+    return _StrangKernel(grid, _decay_substep, v)._free(t)
 
 
 def strang_step(grid, v, t, dt):
     """One Strang step of a ``(2, N)`` state on a fresh kernel: half free flow,
     exact nonlinear substep, half free flow."""
-    kernel = _StrangKernel(grid, _decay_substep)
-    return kernel.flush(kernel.step(v, t, dt))
+    kernel = _StrangKernel(grid, _decay_substep, v)
+    kernel.stage(t, dt)
+    return kernel.fields(t + dt)
 
 
 def rk4_run(config, state):

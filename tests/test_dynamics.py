@@ -193,7 +193,7 @@ class TestStrangStep:
         v = make_pair(small_grid)
         v[0, 5] = np.nan
         with pytest.raises(NumericsError, match="non-finite mass") as exc:
-            dynamics._StrangKernel(small_grid, exact).step(v, 0.0, 0.1)
+            dynamics._StrangKernel(small_grid, exact, v).stage(0.0, 0.1)
         assert ("left the exact substep's domain" in str(exc.value)) == hint
 
 
@@ -263,6 +263,48 @@ class TestFusedKernel:
         for got, want in zip(traj.states, refs):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.array_equal(traj.ts, checkpoints)
+
+
+class TestKernelOwnership:
+    """The Strang kernel owns a copy of the state and steps it in place."""
+
+    def _config(self, grid):
+        return SolverConfig(n_points=grid.n_points, length=grid.length, t_end=2.0,
+                            dt_policy=DtPolicy.fixed(0.1), checkpoint_times=(1.0, 2.0))
+
+    def test_run_leaves_initial_untouched(self, small_grid):
+        pair = make_pair(small_grid)
+        before = pair.tobytes()
+        traj = run(self._config(small_grid), pair)
+        assert pair.tobytes() == before
+        frozen = pair.copy()
+        frozen.flags.writeable = False
+        again = run(self._config(small_grid), frozen)
+        assert again.states.tobytes() == traj.states.tobytes()
+
+    def test_steps_one_array(self, small_grid):
+        pair = make_pair(small_grid)
+        kernel = dynamics._StrangKernel(small_grid, dynamics._decay_substep, pair)
+        v = kernel.v
+        assert not np.shares_memory(v, pair)
+        kernel.step(0.0, 0.1)
+        assert kernel.v is v and kernel.fields(0.1) is v
+        want = composed_step(small_grid, pair, 0.0, 0.1)
+        assert np.linalg.norm(v - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_cache_holds_eight_tables(self, small_grid):
+        # twelve step sizes, each with its pending half step applied: the
+        # cache keeps the 8 tables used last
+        kernel = dynamics._StrangKernel(small_grid, dynamics._decay_substep,
+                                        make_pair(small_grid))
+        t = 0.0
+        for k in range(12):
+            dt = 0.01 * (k + 1)
+            kernel.step(t, dt)
+            kernel.fields(t + dt)
+            t += dt
+        info = kernel._table.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
 
 
 def ladder_run(policy):

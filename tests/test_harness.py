@@ -831,6 +831,26 @@ class TestTrajectoryLayout:
         for name in ("ts", "d1", "d2"):
             assert got[name].tobytes() == want[name].tobytes(), name
 
+    def test_dyadic_drift_reads_each_time_once(self, tmp_path, monkeypatch):
+        # the obstruction's bases at a hundredth of their times: 7 bases and
+        # 7 doubles are 9 distinct times, so the stored run's drift reads 9
+        # files, each once, and is the live run's, bitwise
+        base = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0]
+        cps = sorted({*base, *(2.0 * t for t in base)})
+        d = {**tiny_config_dict(), "analysis": {"profiles": False}}
+        d["solver"] = {**d["solver"], "t_end": cps[-1], "checkpoint_times": cps}
+        cfg = ExperimentConfig.from_dict(d)
+        live = run_simulate(cfg, tmp_path)["trajectory"]
+        stored = load_trajectory(tmp_path, cfg)
+        reads, real = [], harness.load_checkpoint
+        monkeypatch.setattr(harness, "load_checkpoint",
+                            lambda path, grid: reads.append(path) or real(path, grid))
+        got = dyadic_profile_drift(stored, base)
+        assert len(reads) == len(set(reads)) == 9
+        want = dyadic_profile_drift(live, base)
+        for name in ("ts", "d1", "d2"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_loaded_run_analyses_bitwise(self, tmp_path, monkeypatch, workers):
         # the stored run's first checkpoint lies before T_MIN, so the pass

@@ -10,7 +10,9 @@ run shifted by k bins, with no phase; the reflection sends the profile at
 runs the ``simulate`` pipeline (:func:`run_simulate`) on the data and on
 their image and compares the reports of ``profiles.csv``: a pull-back error
 or a component-order error shows here, although the moduli that ``m_hat``
-reads cannot see a pull-back error.
+reads cannot see a pull-back error.  The swap and the boost also run through
+``analyze`` of each run's stored checkpoints and through the RK4 oracle,
+whose trajectory writes the same reports.
 
 Both runs of a pair take the same steps, so they agree to roundoff; the
 tolerance is a fixed multiple of it on each column's largest entry, not a
@@ -25,7 +27,15 @@ import numpy as np
 import pytest
 
 from nlspair.dynamics import SolverConfig
-from nlspair.harness import ExperimentConfig, run_simulate
+from nlspair.harness import (
+    ExperimentConfig,
+    emit_trajectory_reports,
+    generate_initial_data,
+    run_analyze,
+    run_simulate,
+)
+
+from conftest import rk4_run
 
 # roundoff of a run and its reports: the data, some 10^2 composed steps of
 # length-1024 transforms and the analytics each add a few eps
@@ -56,15 +66,25 @@ def _profiles_csv(path) -> dict:
 
 @pytest.fixture(scope="module")
 def simulate(tmp_path_factory):
-    """``simulate(data1, data2)``: the compared columns of the pipeline's
-    ``profiles.csv`` for these data."""
+    """``simulate(data1, data2, coupling, via)``: the compared columns of the
+    ``profiles.csv`` for these data, written by the ``simulate`` pipeline,
+    by ``analyze`` of its stored checkpoints (``via="analyze"``), or from
+    the RK4 oracle's trajectory (``via="rk4"``)."""
     root, runs = tmp_path_factory.mktemp("symmetries"), itertools.count()
 
-    def reports(data1, data2, coupling="dissipative"):
+    def reports(data1, data2, coupling="dissipative", via="simulate"):
         out = root / f"run{next(runs)}"
         solver = dataclasses.replace(SOLVER, coupling=coupling)
-        run_simulate(ExperimentConfig(name="symmetry", seed=0, solver=solver,
-                                      data1=data1, data2=data2), out)
+        config = ExperimentConfig(name="symmetry", seed=0, solver=solver, data1=data1,
+                                  data2=data2, save_checkpoints=via == "analyze")
+        if via == "rk4":
+            state = generate_initial_data(data1, data2, solver.grid, config.seed)
+            emit_trajectory_reports(rk4_run(solver, state), out, config.analysis)
+        else:
+            run_simulate(config, out)
+        if via == "analyze":
+            (out / "profiles.csv").unlink()
+            run_analyze(out)
         return _profiles_csv(out / "profiles.csv")
 
     return reports
@@ -76,6 +96,14 @@ def base(simulate):
     # both oracles need survivors as well as balanced frequencies
     assert set(table["label"]) == {"survivor_1", "balanced"}
     return table
+
+
+@pytest.fixture(scope="module", params=["analyze", "rk4"])
+def via(simulate, request):
+    """``(via, table)``: the base reports through ``analyze`` or the RK4 oracle."""
+    table = simulate(DATA1, DATA2, via=request.param)
+    assert set(table["label"]) == {"survivor_1", "balanced"}
+    return request.param, table
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +125,20 @@ def _close(got, want):
         np.max(np.abs(got - want)[~nan]) <= TOL * np.max(np.abs(want[~nan]))
 
 
-def _swap(simulate, base, coupling):
+def _swap(simulate, base, coupling, via="simulate"):
     # the labels swap, the imbalance changes sign, and the survivor's limit
     # stays the same
-    swapped = simulate(DATA2, DATA1, coupling)
+    swapped = simulate(DATA2, DATA1, coupling, via)
     assert swapped["label"].tolist() == [SWAPPED[s] for s in base["label"]]
     for name in ("m_hat_a", "m_hat_b"):
         assert _close(swapped[name], -base[name]), name
     assert _close(swapped["beta_plus"], base["beta_plus"])
 
 
-def _boost(simulate, base, bins, coupling):
+def _boost(simulate, base, bins, coupling, via="simulate"):
     # every profile-side report shifts by the boost's bins
     v = bins * SOLVER.grid.dxi
-    boosted = simulate({**DATA1, "velocity": v}, {**DATA2, "velocity": v}, coupling)
+    boosted = simulate({**DATA1, "velocity": v}, {**DATA2, "velocity": v}, coupling, via)
     assert boosted["label"].tolist() == np.roll(base["label"], bins).tolist()
     for name in ("m_hat_a", "m_hat_b", "beta_plus"):
         assert _close(boosted[name], np.roll(base[name], bins)), name
@@ -123,6 +151,15 @@ def test_swap(simulate, base):
 @pytest.mark.parametrize("bins", [1, 7])
 def test_boost(simulate, base, bins):
     _boost(simulate, base, bins, "dissipative")
+
+
+def test_swap_via(simulate, via):
+    _swap(simulate, via[1], "dissipative", via[0])
+
+
+@pytest.mark.parametrize("bins", [1, 7])
+def test_boost_via(simulate, via, bins):
+    _boost(simulate, via[1], bins, "dissipative", via[0])
 
 
 def test_swap_conservative(simulate, conservative):
